@@ -1,19 +1,12 @@
-// Decode fast-path throughput bench: tokens/s and a per-step latency
-// breakdown (project / attend / score / evict / other) for the RoPE +
-// Keyformer configuration on a long-context preset.
+// Decode throughput bench: tokens/s and a per-step latency breakdown
+// (project / attend / score / evict / other) for the RoPE + Keyformer
+// configuration on a long-context preset.
 //
-// Three execution paths are measured over the *same* token stream:
-//   general_prechange — general blocked attention, keys stored raw and
-//                       re-rotated every step (the pre-fast-path decode
-//                       loop, kept as the baseline the speedup claim is
-//                       made against);
-//   general_prerot    — general path reading append-time-rotated keys
-//                       (isolates how much of the win is the rotation
-//                       contract alone);
-//   fast              — the fused single-query kernel (attention_decode)
-//                       on head-major pre-rotated keys.
-// The bench also cross-checks parity: max |LM-logit delta| of each path
-// versus general_prechange, which must stay within float rounding.
+// One row per kernel ISA the host can run (the ambient ISA first), each
+// decoding the *same* token stream through Transformer::decode. The
+// scalar row is the reference (src/cpu/kernels.h names scalar as the
+// semantics reference): every row reports its speedup over scalar and the
+// max |LM-logit delta| against it, which must stay within float rounding.
 //
 //   ./bench/bench_decode_throughput [--quick] [--gen N] [--seed S]
 //                                   [--csv DIR]
@@ -33,9 +26,8 @@ using namespace kf;
 
 namespace {
 
-struct PathResult {
-  std::string name;
-  std::string isa;  ///< kernel ISA the path dispatched to
+struct IsaResult {
+  std::string isa;  ///< kernel ISA the run dispatched to
   double tokens_per_s = 0.0;
   double ms_per_token = 0.0;
   double project_ms = 0.0;  // per token
@@ -44,7 +36,7 @@ struct PathResult {
   double evict_ms = 0.0;
   double other_ms = 0.0;
   double prefill_seconds = 0.0;
-  double max_logit_delta = 0.0;  // vs baseline path
+  double max_logit_delta = 0.0;  // vs the scalar row
   std::vector<std::vector<float>> step_logits;
 };
 
@@ -54,15 +46,13 @@ struct BenchSetup {
   std::uint64_t seed = 0;
 };
 
-PathResult run_path(const std::string& name, bool fast_path,
-                    bool append_rotation, const BenchSetup& s) {
+IsaResult run_isa(cpu::CpuIsa isa, const BenchSetup& s) {
+  cpu::set_isa_override(isa);
   model::ModelConfig cfg = model::ModelConfig::gptj_like();
   cfg.max_seq_len = 8192;
-  cfg.decode_fast_path = fast_path;
-  cfg.rope_append_time_rotation = append_rotation;
   model::Transformer m(cfg);
 
-  // Deterministic prompt and decode token stream shared by every path so
+  // Deterministic prompt and decode token stream shared by every row so
   // outputs are comparable step for step.
   Rng rng(s.seed);
   std::vector<model::Token> prompt(s.prompt_len);
@@ -84,8 +74,7 @@ PathResult run_path(const std::string& name, bool fast_path,
   policy->begin_sequence(info);
 
   m.reset();
-  PathResult r;
-  r.name = name;
+  IsaResult r;
   r.isa = cpu::isa_name(cpu::active_isa());
   double t0 = now_seconds();
   m.prefill(prompt, *policy, s.gen_tokens);
@@ -115,10 +104,11 @@ PathResult run_path(const std::string& name, bool fast_path,
   r.evict_ms = 1e3 * pol.evict_seconds / n;
   r.other_ms = r.ms_per_token - r.project_ms - r.attend_ms - r.score_ms -
                r.evict_ms;
+  cpu::clear_isa_override();
   return r;
 }
 
-double max_delta(const PathResult& a, const PathResult& b) {
+double max_delta(const IsaResult& a, const IsaResult& b) {
   double d = 0.0;
   for (std::size_t t = 0; t < a.step_logits.size(); ++t) {
     for (std::size_t i = 0; i < a.step_logits[t].size(); ++i) {
@@ -149,35 +139,27 @@ int main(int argc, char** argv) {
             << "prompt " << s.prompt_len << ", gen " << s.gen_tokens
             << ")\n";
 
-  std::vector<PathResult> results;
-  results.push_back(run_path("general_prechange", /*fast=*/false,
-                             /*append_rotation=*/false, s));
-  results.push_back(run_path("general_prerot", /*fast=*/false,
-                             /*append_rotation=*/true, s));
-  results.push_back(run_path("fast", /*fast=*/true,
-                             /*append_rotation=*/true, s));
-  // ISA sweep of the fast path: one extra row per available kernel ISA
-  // below the active one, so the artifact records the SIMD speedup matrix
-  // alongside the fast-path-vs-general one.
+  // Ambient ISA first, then every other ISA the host can run.
   const cpu::CpuIsa ambient = cpu::active_isa();
+  std::vector<IsaResult> results;
+  results.push_back(run_isa(ambient, s));
+  std::size_t scalar_row = 0;
   for (int i = 0; i < cpu::kIsaCount; ++i) {
     const auto isa = static_cast<cpu::CpuIsa>(i);
     if (isa == ambient || !cpu::isa_available(isa)) continue;
-    cpu::set_isa_override(isa);
-    results.push_back(run_path(std::string("fast_") + cpu::isa_name(isa),
-                               /*fast=*/true, /*append_rotation=*/true, s));
-    cpu::clear_isa_override();
+    if (isa == cpu::CpuIsa::kScalar) scalar_row = results.size();
+    results.push_back(run_isa(isa, s));
   }
-  for (auto& r : results) r.max_logit_delta = max_delta(results.front(), r);
+  const IsaResult& scalar = results[scalar_row];
+  for (auto& r : results) r.max_logit_delta = max_delta(scalar, r);
 
-  const double base_tps = results.front().tokens_per_s;
-  Table t("decode fast path: tokens/s and per-step latency breakdown");
-  t.header({"path", "isa", "tok_per_s", "speedup", "ms_per_tok",
+  Table t("decode kernel per ISA: tokens/s and per-step latency breakdown");
+  t.header({"isa", "tok_per_s", "speedup_vs_scalar", "ms_per_tok",
             "project_ms", "attend_ms", "score_ms", "evict_ms", "other_ms",
             "max_logit_delta"});
   for (const auto& r : results) {
-    t.row({r.name, r.isa, Table::num(r.tokens_per_s, 1),
-           Table::num(r.tokens_per_s / base_tps, 2) + "x",
+    t.row({r.isa, Table::num(r.tokens_per_s, 1),
+           Table::num(r.tokens_per_s / scalar.tokens_per_s, 2) + "x",
            Table::num(r.ms_per_token, 3), Table::num(r.project_ms, 3),
            Table::num(r.attend_ms, 3), Table::num(r.score_ms, 3),
            Table::num(r.evict_ms, 3), Table::num(r.other_ms, 3),
@@ -191,13 +173,13 @@ int main(int argc, char** argv) {
     std::ofstream out(path);
     if (out) {
       out << "{\n  \"prompt_len\": " << s.prompt_len
-          << ",\n  \"gen_tokens\": " << s.gen_tokens << ",\n  \"paths\": [";
+          << ",\n  \"gen_tokens\": " << s.gen_tokens << ",\n  \"rows\": [";
       for (std::size_t i = 0; i < results.size(); ++i) {
         const auto& r = results[i];
-        out << (i > 0 ? "," : "") << "\n    {\"name\": \"" << r.name
-            << "\", \"isa\": \"" << r.isa
+        out << (i > 0 ? "," : "") << "\n    {\"isa\": \"" << r.isa
             << "\", \"tokens_per_s\": " << r.tokens_per_s
-            << ", \"speedup\": " << r.tokens_per_s / base_tps
+            << ", \"speedup_vs_scalar\": "
+            << r.tokens_per_s / scalar.tokens_per_s
             << ", \"ms_per_token\": " << r.ms_per_token
             << ", \"project_ms\": " << r.project_ms
             << ", \"attend_ms\": " << r.attend_ms
@@ -213,12 +195,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // results[2] is the ambient-ISA "fast" row (the sweep rows follow it).
-  const PathResult& fast = results[2];
-  const double speedup = fast.tokens_per_s / base_tps;
-  std::cout << "fast path speedup vs pre-change general path: "
-            << Table::num(speedup, 2) << "x (isa " << fast.isa
-            << "); max logit delta "
-            << Table::num(fast.max_logit_delta, 7) << '\n';
+  const IsaResult& native = results.front();
+  std::cout << "decode speedup vs scalar: "
+            << Table::num(native.tokens_per_s / scalar.tokens_per_s, 2)
+            << "x (isa " << native.isa << "); max logit delta "
+            << Table::num(native.max_logit_delta, 7) << '\n';
   return 0;
 }

@@ -45,7 +45,7 @@ void BM_Matmul(benchmark::State& state) {
 BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_Matvec(benchmark::State& state, cpu::CpuIsa isa) {
-  // The decode fast path's dot-product shape: [key_len, d_head] keys
+  // The decode kernel's dot-product shape: [key_len, d_head] keys
   // against one rotated query head.
   const IsaGuard guard(isa);
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -152,8 +152,9 @@ void BM_GumbelSoftmaxScore(benchmark::State& state) {
 BENCHMARK(BM_GumbelSoftmaxScore)->Arg(512)->Arg(2048)->Arg(8192);
 
 void BM_AttentionDecodeStep(benchmark::State& state, cpu::CpuIsa isa) {
-  // Whole single-query attention layer (projections + fused attend) over
-  // a pre-filled cache — the end-to-end consumer of the kernels above.
+  // Whole decode attention layer for one sequence (a one-slot
+  // attention_decode_batch: projections + fused attend) over a pre-filled
+  // cache — the end-to-end consumer of the kernels above.
   const IsaGuard guard(isa);
   const std::size_t ctx = static_cast<std::size_t>(state.range(0));
   model::ModelConfig cfg = model::ModelConfig::mpt_like();
@@ -169,10 +170,9 @@ void BM_AttentionDecodeStep(benchmark::State& state, cpu::CpuIsa isa) {
   for (float& v : x.span()) v = static_cast<float>(rng.normal());
   std::size_t pos = ctx;
   for (auto _ : state) {
-    const std::size_t positions[1] = {pos++};
-    auto r = model::attention_forward(cfg, w.layers[0], x, {positions, 1},
-                                      cache);
-    benchmark::DoNotOptimize(r.context.data());
+    const model::DecodeBatchSlot slot{pos++, &cache};
+    auto r = model::attention_decode_batch(cfg, w.layers[0], x, {&slot, 1});
+    benchmark::DoNotOptimize(r.front().context.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(ctx));

@@ -3,8 +3,8 @@
 // model):
 //
 //   1. batch scaling — aggregate decode tokens/s vs max batch size at a
-//      fixed cache_ratio: continuous batching amortizes the projection
-//      GEMMs and runs per-sequence attention in parallel, so aggregate
+//      fixed cache_ratio: continuous batching runs per-sequence
+//      attention, policy and MLP work in parallel, so aggregate
 //      throughput grows with batch size on the same weights;
 //   2. memory frontier — at a fixed KV-memory budget
 //      (max_concurrent_tokens), sweep cache_ratio: a reduced cache costs

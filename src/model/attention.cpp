@@ -51,13 +51,13 @@ void append_projected(const ModelConfig& cfg, Tensor& k, const Tensor& v,
   }
 }
 
-/// The fused per-head attend of the decode fast path: per-head dots over
-/// the cache's contiguous key segment, then one pass doing stable softmax
-/// and weighted-value accumulation together. The new token's K/V row must
+/// The fused per-head attend of the decode kernel: per-head dots over the
+/// cache's contiguous key segments, then one pass doing stable softmax and
+/// weighted-value accumulation together. The new token's K/V row must
 /// already be appended; `q_row` is the un-rotated projected query
-/// (d_model floats). Fills out.logits / out.probs and writes the merged
-/// head contexts into out.context *without* the W_o projection (callers
-/// project, batching the GEMM where possible).
+/// (d_model floats). Sizes `out` for the cache's length, fills its logits
+/// and probs, and writes the merged head contexts into out.context
+/// *without* the W_o projection.
 void fused_decode_attend(const ModelConfig& cfg, std::span<const float> q_row,
                          std::size_t q_position, const kv::KvCache& cache,
                          AttentionResult& out) {
@@ -65,7 +65,12 @@ void fused_decode_attend(const ModelConfig& cfg, std::span<const float> q_row,
   const std::size_t dh = cfg.d_head();
   const std::size_t key_len = cache.size();
   const std::size_t n_segs = cache.segment_count();
-  assert(out.key_len == key_len && key_len > 0);
+  assert(key_len > 0);
+  out.n_q = 1;
+  out.key_len = key_len;
+  out.context = Tensor({1, cfg.d_model});
+  out.logits = Tensor({h_count, 1, key_len});
+  out.probs = Tensor({h_count, 1, key_len});
 
   const bool use_rope = cfg.positional == PositionalKind::kRoPE;
   const bool use_alibi = cfg.positional == PositionalKind::kALiBi;
@@ -150,16 +155,6 @@ void fused_decode_attend(const ModelConfig& cfg, std::span<const float> q_row,
            out.probs.data() + h * key_len, out.context.data() + h * dh,
            key_len);
   }
-}
-
-/// Sizes one decode-step AttentionResult for the current cache length.
-void init_decode_result(const ModelConfig& cfg, std::size_t key_len,
-                        AttentionResult& out) {
-  out.n_q = 1;
-  out.key_len = key_len;
-  out.context = Tensor({1, cfg.d_model});
-  out.logits = Tensor({cfg.n_heads, 1, key_len});
-  out.probs = Tensor({cfg.n_heads, 1, key_len});
 }
 
 }  // namespace
@@ -338,94 +333,28 @@ AttentionResult attention_forward_general(
   return out;
 }
 
-AttentionResult attention_decode(const ModelConfig& cfg,
-                                 const LayerWeights& w, const Tensor& x,
-                                 std::size_t q_position, kv::KvCache& cache,
-                                 AttentionTimings* timings) {
-  assert(x.dim(0) == 1);
-  const std::size_t d = cfg.d_model;
-  assert(x.dim(1) == d);
-
-  // Single-row QKV projection: matvec-shaped, no blocked-matmul overhead.
-  double t0 = timings != nullptr ? now_seconds() : 0.0;
-  Tensor q({1, d});
-  Tensor k({1, d});
-  Tensor v({1, d});
-  vecmat(x.row(0), w.wq.span(), q.row(0), d, d);
-  vecmat(x.row(0), w.wk.span(), k.row(0), d, d);
-  vecmat(x.row(0), w.wv.span(), v.row(0), d, d);
-  if (timings != nullptr) timings->project_seconds += now_seconds() - t0;
-
-  // Append counts toward attend_seconds, matching the batched path (which
-  // fuses append + attend in one parallel region), so phase breakdowns are
-  // comparable across batch sizes.
-  if (timings != nullptr) t0 = now_seconds();
-  append_projected_row(cfg, k.row(0), v.row(0), q_position, cache);
-
-  AttentionResult out;
-  init_decode_result(cfg, cache.size(), out);
-
-  fused_decode_attend(cfg, q.row(0), q_position, cache, out);
-  if (timings != nullptr) {
-    timings->attend_seconds += now_seconds() - t0;
-    t0 = now_seconds();
-  }
-
-  // Output projection, matvec-shaped.
-  Tensor merged = out.context;
-  vecmat(merged.row(0), w.wo.span(), out.context.row(0), d, d);
-  if (timings != nullptr) timings->project_seconds += now_seconds() - t0;
-  return out;
-}
-
 std::vector<AttentionResult> attention_decode_batch(
     const ModelConfig& cfg, const LayerWeights& w, const Tensor& x,
     std::span<const DecodeBatchSlot> slots, AttentionTimings* timings) {
   const std::size_t b_count = slots.size();
-  assert(x.dim(0) == b_count && x.dim(1) == cfg.d_model);
-  std::vector<AttentionResult> results(b_count);
-  if (b_count == 0) return results;
-
-  // A batch of one is exactly a single-sequence decode step: route through
-  // the standard dispatch so cfg.decode_fast_path keeps its meaning and
-  // batch-of-1 serving stays bit-identical to the single-sequence loop.
-  if (b_count == 1) {
-    results[0] = attention_forward(cfg, w, x, {&slots[0].q_position, 1},
-                                   *slots[0].cache, timings);
-    return results;
-  }
-
   const std::size_t d = cfg.d_model;
+  assert(x.dim(0) == b_count && x.dim(1) == d);
+  std::vector<AttentionResult> results(b_count);
 
-  // With the fast path disabled every sequence must run the same general
-  // kernel it would use solo — otherwise a sequence's kernel (and thus its
-  // ~1e-5-level numerics) would flip with batch composition, breaking the
-  // batch-independence guarantee. Baseline/debug config, so per-row is fine.
-  if (!cfg.decode_fast_path) {
-    Tensor row({1, d});
-    for (std::size_t b = 0; b < b_count; ++b) {
-      const auto src = x.row(b);
-      std::copy(src.begin(), src.end(), row.row(0).begin());
-      results[b] = attention_forward(cfg, w, row, {&slots[b].q_position, 1},
-                                     *slots[b].cache, timings);
-    }
-    return results;
-  }
-
-  // One GEMM per projection across the whole batch — the B×d_model matmul
-  // that replaces B separate vecmats. Each output row accumulates in the
-  // same order as the single-row path, so per-sequence numerics are
-  // unchanged by batching.
+  // QKV projections one row at a time: matvec-shaped, and row b's bits
+  // never depend on the other rows of the batch.
   double t0 = timings != nullptr ? now_seconds() : 0.0;
   Tensor q({b_count, d});
   Tensor k({b_count, d});
   Tensor v({b_count, d});
-  matmul(x.span(), w.wq.span(), q.span(), b_count, d, d);
-  matmul(x.span(), w.wk.span(), k.span(), b_count, d, d);
-  matmul(x.span(), w.wv.span(), v.span(), b_count, d, d);
+  for (std::size_t b = 0; b < b_count; ++b) {
+    vecmat(x.row(b), w.wq.span(), q.row(b), d, d);
+    vecmat(x.row(b), w.wk.span(), k.row(b), d, d);
+    vecmat(x.row(b), w.wv.span(), v.row(b), d, d);
+  }
   if (timings != nullptr) {
     timings->project_seconds += now_seconds() - t0;
-    t0 = now_seconds();
+    t0 = now_seconds();  // append counts toward attend on both kernels
   }
 
   // Per-sequence append + fused attend, parallel across sequences: every
@@ -438,7 +367,6 @@ std::vector<AttentionResult> attention_decode_batch(
           kv::KvCache& cache = *slots[b].cache;
           append_projected_row(cfg, k.row(b), v.row(b), slots[b].q_position,
                                cache);
-          init_decode_result(cfg, cache.size(), results[b]);
           fused_decode_attend(cfg, q.row(b), slots[b].q_position, cache,
                               results[b]);
         }
@@ -449,32 +377,16 @@ std::vector<AttentionResult> attention_decode_batch(
     t0 = now_seconds();
   }
 
-  // Batched output projection: gather the merged head contexts, one GEMM
-  // against W_o, scatter back per sequence.
-  Tensor merged({b_count, d});
-  for (std::size_t b = 0; b < b_count; ++b) {
-    const auto src = results[b].context.row(0);
-    std::copy(src.begin(), src.end(), merged.row(b).begin());
-  }
-  Tensor projected({b_count, d});
-  matmul(merged.span(), w.wo.span(), projected.span(), b_count, d, d);
-  for (std::size_t b = 0; b < b_count; ++b) {
-    const auto src = projected.row(b);
-    std::copy(src.begin(), src.end(), results[b].context.row(0).begin());
+  // Output projection, again one row at a time (vecmat may not alias its
+  // input and output, hence the copy of the merged head contexts).
+  std::vector<float> merged(d);
+  for (AttentionResult& out : results) {
+    const auto ctx = out.context.row(0);
+    std::copy(ctx.begin(), ctx.end(), merged.begin());
+    vecmat(merged, w.wo.span(), ctx, d, d);
   }
   if (timings != nullptr) timings->project_seconds += now_seconds() - t0;
   return results;
-}
-
-AttentionResult attention_forward(const ModelConfig& cfg,
-                                  const LayerWeights& w, const Tensor& x,
-                                  std::span<const std::size_t> q_positions,
-                                  kv::KvCache& cache,
-                                  AttentionTimings* timings) {
-  if (x.dim(0) == 1 && cfg.decode_fast_path) {
-    return attention_decode(cfg, w, x, q_positions[0], cache, timings);
-  }
-  return attention_forward_general(cfg, w, x, q_positions, cache, timings);
 }
 
 }  // namespace kf::model

@@ -18,18 +18,19 @@
 // takes effect for caches (re)filled after the switch — callers reset the
 // cache between mode changes (all in-repo callers do).
 //
-// Three execution paths produce identical results (within float rounding):
-//   - attention_forward_general: any n_q (prefill, multi-token chunks);
-//   - attention_decode: the fused single-query fast path — matvec QKV and
-//     output projections, per-head dots streaming the cache's contiguous
-//     head-major key segments (one per head for the classic arena, one per
-//     block for a paged cache), and a single fused pass doing softmax +
-//     weighted-value accumulation per head;
-//   - attention_decode_batch: N independent sequences decoding one token
-//     each — one QKV/output projection GEMM across the batch, then the
-//     fused per-head attend over each sequence's own cache in parallel.
-// attention_forward dispatches between the first two (cfg.decode_fast_path);
-// the batch entry point is driven by Transformer::step_batch.
+// Two kernels, no knobs:
+//   - attention_forward_general: n_q rows of one sequence (prefill and
+//     prompt chunks). It is also the oracle the decode kernel is
+//     parity-tested against.
+//   - attention_decode_batch: B >= 1 sequences decoding one token each —
+//     per-row vecmat QKV and output projections, then, in parallel across
+//     sequences, the append and a fused per-head attend over each
+//     sequence's own cache (per-head dots streaming the cache's
+//     contiguous head-major key segments, one per head for the classic
+//     arena or one per block for a paged cache, then one pass doing
+//     softmax + weighted-value accumulation). Every row runs the same
+//     arithmetic whatever else shares its batch, so a sequence's bits are
+//     independent of batch composition.
 #pragma once
 
 #include <cstddef>
@@ -56,33 +57,16 @@ struct AttentionResult {
 struct AttentionTimings {
   double project_seconds = 0.0;  ///< QKV + output projections
   double attend_seconds = 0.0;   ///< KV append + dots + softmax + weighted
-                                 ///< values (same split on decode fast
-                                 ///< path, batched, and general paths)
+                                 ///< values (same split on both kernels)
 };
 
 /// Projects `x` (n_q rows that continue the sequence) to Q/K/V, appends the
 /// new K/V rows to `cache` at `q_positions` (strictly increasing original
-/// positions), then attends each query against the full cache. Dispatches
-/// to the fused decode path when n_q == 1 and cfg.decode_fast_path is set.
-AttentionResult attention_forward(const ModelConfig& cfg,
-                                  const LayerWeights& w, const Tensor& x,
-                                  std::span<const std::size_t> q_positions,
-                                  kv::KvCache& cache,
-                                  AttentionTimings* timings = nullptr);
-
-/// The general blocked path for any n_q (always available — the reference
-/// the fast path is parity-tested against).
+/// positions), then attends each query against the full cache.
 AttentionResult attention_forward_general(
     const ModelConfig& cfg, const LayerWeights& w, const Tensor& x,
     std::span<const std::size_t> q_positions, kv::KvCache& cache,
     AttentionTimings* timings = nullptr);
-
-/// Fused single-query decode kernel. Requires x.dim(0) == 1; `q_position`
-/// must exceed every cached original position.
-AttentionResult attention_decode(const ModelConfig& cfg,
-                                 const LayerWeights& w, const Tensor& x,
-                                 std::size_t q_position, kv::KvCache& cache,
-                                 AttentionTimings* timings = nullptr);
 
 /// One sequence's slot in a batched decode step: the new token's original
 /// sequence position and the sequence's own cache for this layer.
@@ -91,27 +75,24 @@ struct DecodeBatchSlot {
   kv::KvCache* cache = nullptr;
 };
 
-/// Fused multi-sequence decode kernel: one QKV projection GEMM and one
-/// output projection GEMM across the B rows of `x` ([B, d_model], one row
-/// per sequence), with each sequence's append + per-head fused attention
-/// running against its *own* cache, parallelized across sequences. Row b of
-/// the projections accumulates in the same order as the single-sequence
-/// path, and sequences never read each other's caches, so each slot's
-/// result is independent of what else shares the batch. A batch of one
-/// dispatches through attention_forward, and with cfg.decode_fast_path off
-/// every row falls back to the general per-row kernel, so a sequence's
-/// numerics never depend on batch composition under either config.
+/// The decode kernel, for any batch size B >= 1: row b of `x`
+/// ([B, d_model]) is the new token of the sequence in slots[b], whose
+/// `q_position` must exceed every position cached in its own cache. Q/K/V
+/// and the output are projected one row at a time with vecmat; each
+/// sequence's append + per-head fused attend runs against its own cache,
+/// in parallel across sequences (callers guarantee distinct caches).
+/// Sequences never read each other's caches and no arithmetic spans rows,
+/// so each slot's result is bit-identical to a batch of one.
 std::vector<AttentionResult> attention_decode_batch(
     const ModelConfig& cfg, const LayerWeights& w, const Tensor& x,
     std::span<const DecodeBatchSlot> slots,
     AttentionTimings* timings = nullptr);
 
-/// True when the storage contract keeps cached keys pre-rotated (RoPE with
-/// immutable effective positions and append-time rotation enabled).
+/// True when cached keys are stored pre-rotated: RoPE with immutable
+/// effective positions (PositionMode::kOriginal).
 constexpr bool keys_stored_rotated(const ModelConfig& cfg) noexcept {
   return cfg.positional == PositionalKind::kRoPE &&
-         cfg.position_mode == PositionMode::kOriginal &&
-         cfg.rope_append_time_rotation;
+         cfg.position_mode == PositionMode::kOriginal;
 }
 
 }  // namespace kf::model

@@ -42,21 +42,10 @@ struct ModelConfig {
   std::size_t d_ff = 256;
   std::size_t max_seq_len = 4096;
   PositionalKind positional = PositionalKind::kRoPE;
+  /// Under RoPE this also fixes how keys are stored (pre-rotated under
+  /// kOriginal, raw under kNew; see model/attention.h), so it must not
+  /// change while any cache is non-empty.
   PositionMode position_mode = PositionMode::kOriginal;
-  /// Route single-query (decode) attention through the fused fast path
-  /// (attention_decode): matvec projections, contiguous head-major key
-  /// scans, one-pass softmax + weighted-value accumulation. Off = always
-  /// use the general blocked path; outputs agree within float rounding
-  /// (parity-tested at 1e-5), so this is a performance switch, not a
-  /// semantics switch.
-  bool decode_fast_path = true;
-  /// Under RoPE with PositionMode::kOriginal, rotate keys once at append
-  /// time and store them rotated (effective positions are immutable, so
-  /// per-step re-rotation of the whole cache is pure waste). Off = store
-  /// raw keys and rotate every attention call — the pre-fast-path
-  /// behavior, kept as a benchmark baseline and a numerical cross-check.
-  /// Must not change while any cache is non-empty.
-  bool rope_append_time_rotation = true;
   WeightStyle weight_style = WeightStyle::kStructured;
   std::uint64_t weight_seed = 42;
   double rope_base = 10000.0;

@@ -13,21 +13,18 @@
 
 namespace kf::model {
 
-/// Runs the attention block over `x` ([n_q, d_model] residual-stream rows),
-/// updating `x` in place and returning the attention internals for score
-/// functions / instrumentation. `force_general` pins the general kernel
-/// even for n_q == 1: chunked prompt phases use it so a one-token chunk
-/// runs the same arithmetic a monolithic prefill would have used for that
-/// row (the fused fast path matches the general path only to ~1e-5).
+/// Runs the prompt attention block over `x` ([n_q, d_model] residual-stream
+/// rows of one sequence) through attention_forward_general, updating `x` in
+/// place and returning the attention internals for score functions /
+/// instrumentation.
 AttentionResult decoder_attention(const ModelConfig& cfg,
                                   const LayerWeights& w, Tensor& x,
                                   std::span<const std::size_t> positions,
                                   kv::KvCache& cache,
-                                  AttentionTimings* timings = nullptr,
-                                  bool force_general = false);
+                                  AttentionTimings* timings = nullptr);
 
-/// Batched decode attention block: LN1 per row, one attention_decode_batch
-/// over the per-sequence caches in `slots` (row b of `x` is sequence b's
+/// Decode attention block: LN1 per row, one attention_decode_batch over the
+/// per-sequence caches in `slots` (row b of `x` is sequence b's
 /// residual-stream row), residual add per row. Returns the per-sequence
 /// attention internals in slot order.
 std::vector<AttentionResult> decoder_attention_batch(
@@ -39,8 +36,8 @@ std::vector<AttentionResult> decoder_attention_batch(
 void decoder_mlp(const ModelConfig& cfg, const LayerWeights& w, Tensor& x);
 
 /// decoder_mlp applied to each row of `x` in parallel across rows. Used by
-/// the batched decode step, where rows are independent sequences and the
-/// per-row GEMMs sit below the kernels' internal parallel thresholds (so
+/// the decode step, where rows are independent sequences and the per-row
+/// GEMMs sit below the kernels' internal parallel thresholds (so
 /// decoder_mlp would run the whole batch serially). Per-row numerics are
 /// identical to decoder_mlp.
 void decoder_mlp_rows(const ModelConfig& cfg, const LayerWeights& w,

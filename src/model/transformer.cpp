@@ -88,46 +88,6 @@ Tensor Transformer::lm_logits(const Tensor& x) const {
   return logits;
 }
 
-Tensor Transformer::forward(kv::SequenceKvState& state, Tensor x,
-                            std::span<const std::size_t> positions,
-                            bool is_prompt, std::size_t t,
-                            std::size_t total_steps,
-                            kv::EvictionPolicy& policy, bool force_general) {
-  const std::size_t n_q = x.dim(0);
-  for (std::size_t layer = 0; layer < cfg_.n_layers; ++layer) {
-    kv::KvCache& cache = state.layer(layer);
-    AttentionResult attn =
-        decoder_attention(cfg_, weights_.layers[layer], x, positions, cache,
-                          attn_timings_, force_general);
-
-    if (observer_) {
-      AttentionObservation obs;
-      obs.layer = layer;
-      obs.attn = &attn;
-      obs.key_positions = cache.original_positions();
-      obs.is_prompt = is_prompt;
-      obs.decode_step = t;
-      observer_(obs);
-    }
-
-    kv::PolicyContext ctx;
-    ctx.layer = layer;
-    ctx.n_heads = cfg_.n_heads;
-    ctx.n_queries = n_q;
-    ctx.key_len = attn.key_len;
-    ctx.logits = attn.logits.span();
-    ctx.probs = attn.probs.span();
-    ctx.is_prompt = is_prompt;
-    ctx.decode_step = t;
-    ctx.total_steps = total_steps;
-    ctx.cache = &cache;
-    policy.observe(ctx);
-
-    decoder_mlp(cfg_, weights_.layers[layer], x);
-  }
-  return lm_logits(x);
-}
-
 Tensor Transformer::prefill(std::span<const Token> prompt,
                             kv::EvictionPolicy& policy,
                             std::size_t total_steps) {
@@ -138,21 +98,8 @@ Tensor Transformer::prefill(kv::SequenceKvState& state,
                             std::span<const Token> prompt,
                             kv::EvictionPolicy& policy,
                             std::size_t total_steps) {
-  if (prompt.empty()) {
-    throw std::invalid_argument("prefill requires a non-empty prompt");
-  }
-  if (!state.matches(cfg_.n_layers, cfg_.n_heads, cfg_.d_head())) {
-    throw std::invalid_argument(
-        "sequence state geometry does not match the model");
-  }
-  if (!state.empty()) {
-    throw std::logic_error("prefill called on a non-empty cache; reset()");
-  }
-  std::vector<std::size_t> positions(prompt.size());
-  for (std::size_t i = 0; i < prompt.size(); ++i) positions[i] = i;
-  Tensor x = embed(prompt, /*first_pos=*/0);
-  return forward(state, std::move(x), positions, /*is_prompt=*/true, /*t=*/0,
-                 total_steps, policy);
+  return prefill_continue(state, prompt, /*first_pos=*/0, policy,
+                          total_steps);
 }
 
 Tensor Transformer::prefill_continue(kv::SequenceKvState& state,
@@ -161,7 +108,7 @@ Tensor Transformer::prefill_continue(kv::SequenceKvState& state,
                                      kv::EvictionPolicy& policy,
                                      std::size_t total_steps) {
   if (tokens.empty()) {
-    throw std::invalid_argument("prefill_continue requires tokens");
+    throw std::invalid_argument("prefill requires a non-empty prompt");
   }
   KF_TRACE_SCOPE("prefill_chunk", "model");
   if (!state.matches(cfg_.n_layers, cfg_.n_heads, cfg_.d_head())) {
@@ -171,17 +118,44 @@ Tensor Transformer::prefill_continue(kv::SequenceKvState& state,
   for (std::size_t l = 0; l < cfg_.n_layers; ++l) {
     if (state.layer(l).size() != first_pos) {
       throw std::logic_error(
-          "prefill_continue: every layer cache must hold exactly first_pos "
-          "rows");
+          "prefill: every layer cache must hold exactly first_pos rows "
+          "(reset() before a fresh prompt)");
     }
   }
-  std::vector<std::size_t> positions(tokens.size());
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    positions[i] = first_pos + i;
-  }
+  const std::size_t n_q = tokens.size();
+  std::vector<std::size_t> positions(n_q);
+  for (std::size_t i = 0; i < n_q; ++i) positions[i] = first_pos + i;
   Tensor x = embed(tokens, first_pos);
-  return forward(state, std::move(x), positions, /*is_prompt=*/true, /*t=*/0,
-                 total_steps, policy, /*force_general=*/true);
+
+  for (std::size_t layer = 0; layer < cfg_.n_layers; ++layer) {
+    kv::KvCache& cache = state.layer(layer);
+    AttentionResult attn = decoder_attention(cfg_, weights_.layers[layer], x,
+                                             positions, cache, attn_timings_);
+
+    if (observer_) {
+      AttentionObservation obs;
+      obs.layer = layer;
+      obs.attn = &attn;
+      obs.key_positions = cache.original_positions();
+      obs.is_prompt = true;
+      observer_(obs);
+    }
+
+    kv::PolicyContext ctx;
+    ctx.layer = layer;
+    ctx.n_heads = cfg_.n_heads;
+    ctx.n_queries = n_q;
+    ctx.key_len = attn.key_len;
+    ctx.logits = attn.logits.span();
+    ctx.probs = attn.probs.span();
+    ctx.is_prompt = true;
+    ctx.total_steps = total_steps;
+    ctx.cache = &cache;
+    policy.observe(ctx);
+
+    decoder_mlp(cfg_, weights_.layers[layer], x);
+  }
+  return lm_logits(x);
 }
 
 std::vector<float> Transformer::decode(Token token, std::size_t position,
@@ -196,11 +170,8 @@ std::vector<float> Transformer::decode(kv::SequenceKvState& state,
                                        std::size_t t,
                                        std::size_t total_steps,
                                        kv::EvictionPolicy& policy) {
-  const Token toks[1] = {token};
-  const std::size_t positions[1] = {position};
-  Tensor x = embed({toks, 1}, position);
-  Tensor logits = forward(state, std::move(x), {positions, 1},
-                          /*is_prompt=*/false, t, total_steps, policy);
+  const DecodeSlot slot{token, position, t, total_steps, &state, &policy};
+  const Tensor logits = step_batch({&slot, 1});
   const auto row = logits.row(0);
   return std::vector<float>(row.begin(), row.end());
 }
@@ -284,11 +255,7 @@ Tensor Transformer::step_batch(std::span<const DecodeSlot> slots) {
         },
         /*grain=*/1);
 
-    if (b_count > 1) {
-      decoder_mlp_rows(cfg_, weights_.layers[layer], x);
-    } else {
-      decoder_mlp(cfg_, weights_.layers[layer], x);
-    }
+    decoder_mlp_rows(cfg_, weights_.layers[layer], x);
   }
   return lm_logits(x);
 }

@@ -15,9 +15,10 @@
 // — each prefill/decode/step_batch call names the state it runs against.
 // The no-state overloads operate on a model-owned default state, keeping
 // the classic "one model, one sequence" usage working unchanged.
-// step_batch decodes one token for *each* of N sequences: one QKV/output
-// projection GEMM across the batch, then per-sequence fused attention over
-// each sequence's own cache (see attention_decode_batch).
+// Every decode step, solo or batched, is a step_batch: one token for *each*
+// of N >= 1 sequences through attention_decode_batch, so a sequence's
+// logits are bit-identical whatever else shares its batch. Every prompt
+// row runs attention_forward_general.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +47,7 @@ struct AttentionObservation {
   bool is_prompt = false;
   std::size_t decode_step = 0;
   /// Batch slot during step_batch (one observation per slot per layer);
-  /// always 0 on the single-sequence prefill/decode path. Observers
+  /// always 0 during prefill and for a one-slot decode. Observers
   /// aggregating per-sequence state must key on this, since decode_step
   /// alone repeats across concurrent sequences.
   std::size_t batch_slot = 0;
@@ -110,34 +111,25 @@ class Transformer {
   /// straddle a switch.
   void set_position_mode(PositionMode mode) { cfg_.position_mode = mode; }
 
-  /// Toggles the fused single-query decode path (parity-tested against the
-  /// general path; benches flip it to measure the speedup).
-  void set_decode_fast_path(bool on) { cfg_.decode_fast_path = on; }
-
-  /// Toggles append-time RoPE rotation (see ModelConfig). Only flip on an
-  /// empty cache — benches use the off state as the pre-change baseline.
-  void set_rope_append_time_rotation(bool on) {
-    cfg_.rope_append_time_rotation = on;
-  }
-
   /// Prompt phase against the default state. Returns LM logits for every
   /// prompt position, shape [prompt_len, vocab]. `total_steps` is T in
   /// Algorithm 1.
   Tensor prefill(std::span<const Token> prompt, kv::EvictionPolicy& policy,
                  std::size_t total_steps);
 
-  /// Prompt phase against a caller-owned sequence state (must be empty).
+  /// Prompt phase against a caller-owned sequence state (must be empty):
+  /// prefill_continue from position 0.
   Tensor prefill(kv::SequenceKvState& state, std::span<const Token> prompt,
                  kv::EvictionPolicy& policy, std::size_t total_steps);
 
   /// Prompt-phase continuation: processes `tokens` (original positions
   /// first_pos..first_pos+n-1) against a state whose every layer already
   /// caches exactly `first_pos` rows — an adopted shared prefix, or the
-  /// earlier chunk of a chunked prefill. Always runs the general
-  /// multi-query attention kernel, so each row's arithmetic is identical
-  /// to the corresponding row of one monolithic prefill over the full
-  /// prompt (the prefix-cache parity contract). Returns LM logits for
-  /// these rows only, shape [tokens.size(), vocab].
+  /// earlier chunk of a chunked prefill. Runs the general attention
+  /// kernel, so each row's arithmetic is identical to the corresponding
+  /// row of one monolithic prefill over the full prompt (the prefix-cache
+  /// parity contract). Returns LM logits for these rows only, shape
+  /// [tokens.size(), vocab].
   Tensor prefill_continue(kv::SequenceKvState& state,
                           std::span<const Token> tokens,
                           std::size_t first_pos, kv::EvictionPolicy& policy,
@@ -150,29 +142,21 @@ class Transformer {
                             std::size_t total_steps,
                             kv::EvictionPolicy& policy);
 
-  /// One decode step against a caller-owned sequence state.
+  /// One decode step against a caller-owned sequence state: a one-slot
+  /// step_batch.
   std::vector<float> decode(kv::SequenceKvState& state, Token token,
                             std::size_t position, std::size_t t,
                             std::size_t total_steps,
                             kv::EvictionPolicy& policy);
 
-  /// One decode step for each of N independent sequences sharing these
-  /// weights: per layer, one QKV/output projection GEMM across the batch
-  /// and fused per-sequence attention over each slot's own cache (run in
-  /// parallel), each slot's policy observing (and possibly compacting) only
-  /// its own cache. Returns LM logits, shape [N, vocab], row per slot.
-  /// A batch of one follows the exact single-sequence decode path.
+  /// One decode step for each of N >= 1 independent sequences sharing
+  /// these weights: per layer, attention_decode_batch over each slot's own
+  /// cache, then each slot's policy observing (and possibly compacting)
+  /// only its own cache. Returns LM logits, shape [N, vocab], row per slot;
+  /// each row is bit-identical to decoding that sequence alone.
   Tensor step_batch(std::span<const DecodeSlot> slots);
 
  private:
-  /// Shared layer stack walk. `x` holds embedded rows; returns LM logits
-  /// for every row. `force_general` pins the general attention kernel
-  /// (chunked prompt phases; see decoder_attention).
-  Tensor forward(kv::SequenceKvState& state, Tensor x,
-                 std::span<const std::size_t> positions, bool is_prompt,
-                 std::size_t t, std::size_t total_steps,
-                 kv::EvictionPolicy& policy, bool force_general = false);
-
   Tensor embed(std::span<const Token> tokens, std::size_t first_pos) const;
   /// Embeds one token at `position` directly into `dst` (d_model floats) —
   /// the allocation-free form step_batch uses per batch row.

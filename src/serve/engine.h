@@ -9,8 +9,8 @@
 //          (prefill runs one sequence at a time, like the decode-centric
 //          continuous-batching servers this models);
 //       2. decode ONE token for every active sequence with a single
-//          Transformer::step_batch call — one QKV/output projection GEMM
-//          across the batch, per-sequence fused attention;
+//          Transformer::step_batch call — per-row projections and
+//          per-sequence fused attention, parallel across sequences;
 //       3. sample per sequence (greedy + repetition penalty/ban list,
 //          identical to generate());
 //       4. retire finished sequences, freeing budget so waiting requests

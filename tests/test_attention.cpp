@@ -40,6 +40,14 @@ std::vector<std::size_t> iota_positions(std::size_t n, std::size_t start = 0) {
   return p;
 }
 
+/// One decode step of a single sequence: a one-slot attention_decode_batch.
+AttentionResult decode_one(const ModelConfig& cfg, const LayerWeights& w,
+                           const Tensor& x, std::size_t q_position,
+                           kv::KvCache& cache) {
+  const DecodeBatchSlot slot{q_position, &cache};
+  return std::move(attention_decode_batch(cfg, w, x, {&slot, 1}).front());
+}
+
 class AttentionAllPositional
     : public ::testing::TestWithParam<PositionalKind> {};
 
@@ -51,7 +59,7 @@ TEST_P(AttentionAllPositional, ProbsRowsSumToOneAndCausal) {
   Tensor x = random_rows(n, cfg.d_model, 5);
   const auto positions = iota_positions(n);
   const AttentionResult r =
-      attention_forward(cfg, w.layers[0], x, positions, cache);
+      attention_forward_general(cfg, w.layers[0], x, positions, cache);
 
   ASSERT_EQ(r.key_len, n);
   for (std::size_t h = 0; h < cfg.n_heads; ++h) {
@@ -82,10 +90,10 @@ TEST(Attention, AppendsToCache) {
   const ModelWeights w = build_weights(cfg);
   kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
   Tensor x = random_rows(4, cfg.d_model, 6);
-  attention_forward(cfg, w.layers[0], x, iota_positions(4), cache);
+  attention_forward_general(cfg, w.layers[0], x, iota_positions(4), cache);
   EXPECT_EQ(cache.size(), 4u);
   Tensor y = random_rows(1, cfg.d_model, 7);
-  attention_forward(cfg, w.layers[0], y, iota_positions(1, 4), cache);
+  decode_one(cfg, w.layers[0], y, 4, cache);
   EXPECT_EQ(cache.size(), 5u);
   EXPECT_EQ(cache.original_position(4), 4u);
 }
@@ -95,10 +103,9 @@ TEST(Attention, DecodeRowAttendsWholeCache) {
   const ModelWeights w = build_weights(cfg);
   kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
   Tensor x = random_rows(6, cfg.d_model, 8);
-  attention_forward(cfg, w.layers[0], x, iota_positions(6), cache);
+  attention_forward_general(cfg, w.layers[0], x, iota_positions(6), cache);
   Tensor q = random_rows(1, cfg.d_model, 9);
-  const AttentionResult r =
-      attention_forward(cfg, w.layers[0], q, iota_positions(1, 6), cache);
+  const AttentionResult r = decode_one(cfg, w.layers[0], q, 6, cache);
   EXPECT_EQ(r.key_len, 7u);
   const float* row = r.probs.data();  // head 0, query 0
   double sum = 0.0;
@@ -120,7 +127,7 @@ TEST(Attention, IdenticalTokensAttractContentAttention) {
     x.at(2, j) = x.at(0, j);
   }
   const AttentionResult r =
-      attention_forward(cfg, w.layers[0], x, iota_positions(3), cache);
+      attention_forward_general(cfg, w.layers[0], x, iota_positions(3), cache);
   // Find the content head (head 0 at layer 0 for the cycle assignment).
   const float* row = r.probs.data() + (0 * 3 + 2) * 3;  // head 0, query 2
   EXPECT_GT(row[0], row[1]);
@@ -135,12 +142,11 @@ TEST(Attention, RopePositionModeChangesLogitsAfterCompaction) {
   const auto run = [&](const ModelConfig& cfg) {
     kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
     Tensor x = random_rows(8, cfg.d_model, 11);
-    attention_forward(cfg, w.layers[0], x, iota_positions(8), cache);
+    attention_forward_general(cfg, w.layers[0], x, iota_positions(8), cache);
     // Evict tokens 1..4 — kept tokens now have index != original position.
     cache.compact(std::vector<std::size_t>{0, 5, 6, 7});
     Tensor q = random_rows(1, cfg.d_model, 12);
-    return attention_forward(cfg, w.layers[0], q, iota_positions(1, 8),
-                             cache);
+    return decode_one(cfg, w.layers[0], q, 8, cache);
   };
   const AttentionResult a = run(org);
   const AttentionResult b = run(newpos);
@@ -164,7 +170,8 @@ TEST(Attention, PositionModeIrrelevantBeforeEviction) {
   const auto run = [&](const ModelConfig& cfg) {
     kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
     Tensor x = random_rows(6, cfg.d_model, 13);
-    return attention_forward(cfg, w.layers[0], x, iota_positions(6), cache);
+    return attention_forward_general(cfg, w.layers[0], x, iota_positions(6),
+                                     cache);
   };
   const AttentionResult a = run(org);
   const AttentionResult b = run(newpos);
@@ -186,7 +193,7 @@ TEST(Attention, AlibiBiasFavorsRecencyOnPositionalHead) {
     for (std::size_t j = 0; j < cfg.d_model; ++j) x.at(i, j) = proto[j];
   }
   const AttentionResult r =
-      attention_forward(cfg, w.layers[0], x, iota_positions(24), cache);
+      attention_forward_general(cfg, w.layers[0], x, iota_positions(24), cache);
   // Positional head = head 0 (steepest slope). Mass on the most recent
   // non-self key should exceed mass on the most distant key.
   const std::size_t q = 23;
@@ -195,8 +202,8 @@ TEST(Attention, AlibiBiasFavorsRecencyOnPositionalHead) {
 }
 
 // ---------------------------------------------------------------------------
-// Decode fast-path parity: attention_decode must reproduce the general
-// blocked path within float rounding for every positional family and both
+// Decode-kernel parity: attention_decode_batch must reproduce the general
+// kernel within float rounding for every positional family and both
 // position modes, on compacted and uncompacted caches.
 // ---------------------------------------------------------------------------
 
@@ -207,7 +214,7 @@ struct ParityCase {
 
 class DecodeParity : public ::testing::TestWithParam<ParityCase> {};
 
-TEST_P(DecodeParity, FastPathMatchesGeneralPath) {
+TEST_P(DecodeParity, DecodeKernelMatchesGeneralKernel) {
   ModelConfig cfg = tiny_config(GetParam().positional);
   cfg.position_mode = GetParam().mode;
   const ModelWeights w = build_weights(cfg);
@@ -220,9 +227,9 @@ TEST_P(DecodeParity, FastPathMatchesGeneralPath) {
     cache.compact(std::vector<std::size_t>{0, 1, 5, 7, 8, 9});
   };
   kv::ContiguousKvCache cache_general(cfg.n_heads, cfg.d_head());
-  kv::ContiguousKvCache cache_fast(cfg.n_heads, cfg.d_head());
+  kv::ContiguousKvCache cache_decode(cfg.n_heads, cfg.d_head());
   prefill_one(cache_general);
-  prefill_one(cache_fast);
+  prefill_one(cache_decode);
 
   // Several decode steps so the parity covers growing caches too.
   for (std::size_t step = 0; step < 3; ++step) {
@@ -230,29 +237,29 @@ TEST_P(DecodeParity, FastPathMatchesGeneralPath) {
     const std::size_t pos = 10 + step;
     const AttentionResult general = attention_forward_general(
         cfg, w.layers[0], q, iota_positions(1, pos), cache_general);
-    const AttentionResult fast =
-        attention_decode(cfg, w.layers[0], q, pos, cache_fast);
+    const AttentionResult decoded =
+        decode_one(cfg, w.layers[0], q, pos, cache_decode);
 
-    ASSERT_EQ(general.key_len, fast.key_len);
+    ASSERT_EQ(general.key_len, decoded.key_len);
     for (std::size_t i = 0; i < general.logits.size(); ++i) {
-      EXPECT_NEAR(general.logits.span()[i], fast.logits.span()[i], 1e-5F)
+      EXPECT_NEAR(general.logits.span()[i], decoded.logits.span()[i], 1e-5F)
           << "logit " << i << " at step " << step;
     }
     for (std::size_t i = 0; i < general.probs.size(); ++i) {
-      EXPECT_NEAR(general.probs.span()[i], fast.probs.span()[i], 1e-5F)
+      EXPECT_NEAR(general.probs.span()[i], decoded.probs.span()[i], 1e-5F)
           << "prob " << i << " at step " << step;
     }
     for (std::size_t i = 0; i < general.context.size(); ++i) {
-      EXPECT_NEAR(general.context.span()[i], fast.context.span()[i], 1e-5F)
+      EXPECT_NEAR(general.context.span()[i], decoded.context.span()[i], 1e-5F)
           << "context " << i << " at step " << step;
     }
     // The two caches must also stay identical (same appended K/V rows).
-    ASSERT_EQ(cache_general.size(), cache_fast.size());
+    ASSERT_EQ(cache_general.size(), cache_decode.size());
     for (std::size_t h = 0; h < cfg.n_heads; ++h) {
       const auto kg = cache_general.keys_head(h);
-      const auto kff = cache_fast.keys_head(h);
+      const auto kd = cache_decode.keys_head(h);
       for (std::size_t i = 0; i < kg.size(); ++i) {
-        EXPECT_NEAR(kg[i], kff[i], 1e-6F);
+        EXPECT_NEAR(kg[i], kd[i], 1e-6F);
       }
     }
   }
@@ -271,70 +278,53 @@ INSTANTIATE_TEST_SUITE_P(
              to_string(info.param.mode);
     });
 
-TEST(Attention, AppendTimeRotationMatchesPerStepRotation) {
-  // The two RoPE storage contracts (keys pre-rotated at append vs raw keys
-  // re-rotated every step) apply the identical rotation to the identical
-  // floats, so their attention outputs must agree — on both the fused
-  // decode path and the general path.
-  ModelConfig pre = tiny_config(PositionalKind::kRoPE);
-  ModelConfig raw = pre;
-  raw.rope_append_time_rotation = false;
-  const ModelWeights w = build_weights(pre);
+TEST(Attention, RotateAtAppendMatchesRotateAtAttendBeforeEviction) {
+  // Under RoPE, kOriginal stores keys rotated at append and kNew stores raw
+  // keys rotated at attention time. On an uncompacted cache every slot
+  // index equals its original position, so both contracts apply the same
+  // rotations and must agree — through the general kernel (prompt) and the
+  // decode kernel (each following step).
+  const ModelConfig org = tiny_config(PositionalKind::kRoPE);
+  ModelConfig newpos = org;
+  newpos.position_mode = PositionMode::kNew;
+  ASSERT_TRUE(keys_stored_rotated(org));
+  ASSERT_FALSE(keys_stored_rotated(newpos));
+  const ModelWeights w = build_weights(org);
 
-  const auto run = [&](const ModelConfig& cfg, bool fast) {
-    ModelConfig c = cfg;
-    c.decode_fast_path = fast;
-    kv::ContiguousKvCache cache(c.n_heads, c.d_head());
-    Tensor x = random_rows(8, c.d_model, 51);
-    attention_forward(c, w.layers[0], x, iota_positions(8), cache);
-    cache.compact(std::vector<std::size_t>{0, 2, 3, 6, 7});
-    Tensor q = random_rows(1, c.d_model, 52);
-    return attention_forward(c, w.layers[0], q, iota_positions(1, 8), cache);
-  };
-
-  const AttentionResult a = run(pre, /*fast=*/true);
-  for (const bool fast : {true, false}) {
-    const AttentionResult b = run(raw, fast);
+  const auto expect_close = [](const AttentionResult& a,
+                               const AttentionResult& b) {
     ASSERT_EQ(a.key_len, b.key_len);
     for (std::size_t i = 0; i < a.logits.size(); ++i) {
-      EXPECT_NEAR(a.logits.span()[i], b.logits.span()[i], 1e-5F);
+      const float la = a.logits.span()[i];
+      const float lb = b.logits.span()[i];
+      if (std::isfinite(la)) {
+        EXPECT_NEAR(la, lb, 1e-5F) << "logit " << i;
+      } else {
+        EXPECT_EQ(la, lb) << "masked logit " << i;
+      }
+    }
+    for (std::size_t i = 0; i < a.probs.size(); ++i) {
+      EXPECT_NEAR(a.probs.span()[i], b.probs.span()[i], 1e-5F) << "prob " << i;
     }
     for (std::size_t i = 0; i < a.context.size(); ++i) {
-      EXPECT_NEAR(a.context.span()[i], b.context.span()[i], 1e-5F);
+      EXPECT_NEAR(a.context.span()[i], b.context.span()[i], 1e-5F)
+          << "context " << i;
     }
-  }
-}
+  };
 
-TEST(Attention, DispatchUsesFastPathResult) {
-  // attention_forward on a single row must agree with attention_decode
-  // exactly (it dispatches to it when decode_fast_path is on), and with
-  // the general path when the flag is off.
-  ModelConfig cfg = tiny_config(PositionalKind::kRoPE);
-  const ModelWeights w = build_weights(cfg);
-  kv::ContiguousKvCache a(cfg.n_heads, cfg.d_head());
-  kv::ContiguousKvCache b(cfg.n_heads, cfg.d_head());
-  Tensor x = random_rows(4, cfg.d_model, 31);
-  attention_forward(cfg, w.layers[0], x, iota_positions(4), a);
-  attention_forward(cfg, w.layers[0], x, iota_positions(4), b);
-
-  Tensor q = random_rows(1, cfg.d_model, 32);
-  const AttentionResult via_dispatch =
-      attention_forward(cfg, w.layers[0], q, iota_positions(1, 4), a);
-  const AttentionResult direct = attention_decode(cfg, w.layers[0], q, 4, b);
-  for (std::size_t i = 0; i < via_dispatch.context.size(); ++i) {
-    EXPECT_EQ(via_dispatch.context.span()[i], direct.context.span()[i]);
-  }
-
-  ModelConfig general_cfg = cfg;
-  general_cfg.decode_fast_path = false;
-  kv::ContiguousKvCache c(cfg.n_heads, cfg.d_head());
-  attention_forward(general_cfg, w.layers[0], x, iota_positions(4), c);
-  Tensor q2 = random_rows(1, cfg.d_model, 32);
-  const AttentionResult via_general =
-      attention_forward(general_cfg, w.layers[0], q2, iota_positions(1, 4), c);
-  for (std::size_t i = 0; i < via_general.context.size(); ++i) {
-    EXPECT_NEAR(via_general.context.span()[i], direct.context.span()[i],
-                1e-5F);
+  kv::ContiguousKvCache rotated(org.n_heads, org.d_head());
+  kv::ContiguousKvCache raw(org.n_heads, org.d_head());
+  const Tensor x = random_rows(8, org.d_model, 51);
+  expect_close(
+      attention_forward_general(org, w.layers[0], x, iota_positions(8),
+                                rotated),
+      attention_forward_general(newpos, w.layers[0], x, iota_positions(8),
+                                raw));
+  for (std::size_t pos = 8; pos < 11; ++pos) {
+    const Tensor q = random_rows(1, org.d_model, 52 + pos);
+    SCOPED_TRACE(pos);
+    expect_close(decode_one(org, w.layers[0], q, pos, rotated),
+                 decode_one(newpos, w.layers[0], q, pos, raw));
   }
 }
 
@@ -351,9 +341,9 @@ TEST(Attention, RopeKeysStoredPreRotatedUnderOriginalMode) {
 
   Tensor x = random_rows(3, cfg.d_model, 41);
   kv::ContiguousKvCache rotated(cfg.n_heads, cfg.d_head());
-  attention_forward(cfg, w.layers[0], x, iota_positions(3), rotated);
+  attention_forward_general(cfg, w.layers[0], x, iota_positions(3), rotated);
   kv::ContiguousKvCache raw(cfg.n_heads, cfg.d_head());
-  attention_forward(newpos, w.layers[0], x, iota_positions(3), raw);
+  attention_forward_general(newpos, w.layers[0], x, iota_positions(3), raw);
 
   for (std::size_t i = 0; i < 3; ++i) {
     for (std::size_t h = 0; h < cfg.n_heads; ++h) {
@@ -374,7 +364,7 @@ TEST(Attention, ContextShapeAndFiniteness) {
   kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
   Tensor x = random_rows(5, cfg.d_model, 15);
   const AttentionResult r =
-      attention_forward(cfg, w.layers[0], x, iota_positions(5), cache);
+      attention_forward_general(cfg, w.layers[0], x, iota_positions(5), cache);
   EXPECT_EQ(r.context.dim(0), 5u);
   EXPECT_EQ(r.context.dim(1), cfg.d_model);
   for (const float v : r.context.span()) {

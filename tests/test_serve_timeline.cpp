@@ -350,13 +350,10 @@ TEST(ServeTimeline, EvictionSummaryIsBatchingInvariant) {
   EXPECT_EQ(a.tokens_evicted, b.tokens_evicted);
   EXPECT_EQ(a.tokens_kept, b.tokens_kept);
   EXPECT_EQ(a.position_counts, b.position_counts);
-  // Token streams are bit-exact across batch compositions; accumulated
-  // scores see last-digit float noise from batched kernel summation
-  // order, so the score digests compare within a hair.
-  EXPECT_NEAR(a.score_min, b.score_min, 1e-6);
-  EXPECT_NEAR(a.score_max, b.score_max, 1e-6);
-  EXPECT_NEAR(a.score_mean, b.score_mean, 1e-6);
-  EXPECT_NEAR(a.score_p50, b.score_p50, 1e-6);
+  EXPECT_EQ(a.score_min, b.score_min);
+  EXPECT_EQ(a.score_max, b.score_max);
+  EXPECT_EQ(a.score_mean, b.score_mean);
+  EXPECT_EQ(a.score_p50, b.score_p50);
 
   // Qualitative fig-3 shape under Keyformer: the earliest span bucket
   // (initial "key" tokens) and the final bucket (the recent window)

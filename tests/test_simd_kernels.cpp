@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -297,9 +298,9 @@ model::AttentionResult attend_once(const model::ModelConfig& cfg,
   }
   Tensor x({1, cfg.d_model});
   for (float& v : x.span()) v = static_cast<float>(rng.normal());
-  const std::size_t positions[1] = {ctx};
-  return model::attention_forward(cfg, w.layers[0], x, {positions, 1},
-                                  cache);
+  const model::DecodeBatchSlot slot{ctx, &cache};
+  return std::move(
+      model::attention_decode_batch(cfg, w.layers[0], x, {&slot, 1}).front());
 }
 
 void expect_attention_parity(const model::AttentionResult& got,
@@ -451,6 +452,86 @@ TEST_P(SimdParity, TransformerPagedStateMatchesScalar) {
     for (std::size_t i = 0; i < ref[t].size(); ++i) {
       EXPECT_NEAR(got[t][i], ref[t][i], 1e-4F)
           << "step " << t << " logit " << i;
+    }
+  }
+}
+
+TEST_P(SimdParity, StepBatchRowMatchesSoloDecodeBitwise) {
+  // Batch invariance under the parameter ISA: sequence S's row of a
+  // step_batch must equal its solo decode() logits bit for bit, whatever
+  // companions share the batch and whichever slot S occupies. Keyformer
+  // eviction is live, so the check also covers compacted caches.
+  const IsaOverride scoped(GetParam());
+  constexpr std::size_t kSteps = 3;
+  for (const auto pos : {model::PositionalKind::kRoPE,
+                         model::PositionalKind::kALiBi,
+                         model::PositionalKind::kLearned}) {
+    const model::ModelConfig cfg = tiny_config(pos);
+    model::Transformer m(cfg);
+
+    struct Seq {
+      std::vector<model::Token> prompt;
+      kv::SequenceKvState state;
+      kv::KeyformerPolicy policy;
+    };
+    // Sequence `id` has its own prompt (length and tokens), prefilled.
+    const auto start = [&](std::size_t id) {
+      auto seq = std::make_unique<Seq>();
+      seq->prompt = make_prompt(12 + 3 * (id % 5));
+      for (auto& tok : seq->prompt) {
+        tok = static_cast<model::Token>((tok + 11 * id) % cfg.vocab_size);
+      }
+      seq->state = m.make_kv_state();
+      seq->policy.set_budget(kv::make_budget(seq->prompt.size(), 0.5));
+      kv::SequenceInfo info;
+      info.prompt_len = seq->prompt.size();
+      info.total_steps = kSteps;
+      info.n_layers = cfg.n_layers;
+      info.n_heads = cfg.n_heads;
+      seq->policy.begin_sequence(info);
+      m.prefill(seq->state, seq->prompt, seq->policy, kSteps);
+      return seq;
+    };
+    const auto token_at = [&](std::size_t id, std::size_t t) {
+      return static_cast<model::Token>((5 * t + 3 * id + 1) % cfg.vocab_size);
+    };
+
+    // Solo reference for sequence 0.
+    std::vector<std::vector<float>> solo;
+    {
+      const auto s = start(0);
+      for (std::size_t t = 1; t <= kSteps; ++t) {
+        solo.push_back(m.decode(s->state, token_at(0, t),
+                                s->prompt.size() + t - 1, t, kSteps,
+                                s->policy));
+      }
+    }
+
+    // Sequence 0 in batches of 1, 2 and 5, at a different slot each time,
+    // with companions that differ between batches.
+    for (const std::size_t batch : {1, 2, 5}) {
+      const std::size_t s_slot = batch / 2;
+      std::vector<std::unique_ptr<Seq>> seqs;
+      std::vector<std::size_t> ids;
+      for (std::size_t b = 0; b < batch; ++b) {
+        ids.push_back(b == s_slot ? 0 : 10 * batch + b);
+        seqs.push_back(start(ids.back()));
+      }
+      for (std::size_t t = 1; t <= kSteps; ++t) {
+        std::vector<model::DecodeSlot> slots(batch);
+        for (std::size_t b = 0; b < batch; ++b) {
+          slots[b] = {token_at(ids[b], t), seqs[b]->prompt.size() + t - 1, t,
+                      kSteps, &seqs[b]->state, &seqs[b]->policy};
+        }
+        const Tensor logits = m.step_batch(slots);
+        const auto row = logits.row(s_slot);
+        ASSERT_EQ(row.size(), solo[t - 1].size());
+        for (std::size_t i = 0; i < row.size(); ++i) {
+          EXPECT_EQ(row[i], solo[t - 1][i])
+              << model::to_string(pos) << " batch " << batch << " step " << t
+              << " logit " << i;
+        }
+      }
     }
   }
 }

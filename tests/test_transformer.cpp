@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "kvcache/policies/full.h"
-#include "kvcache/policies/keyformer.h"
 #include "kvcache/policies/streaming_llm.h"
 #include "kvcache/policies/window.h"
 
@@ -160,49 +159,54 @@ TEST(Transformer, LogitsAreFinite) {
   }
 }
 
-TEST(Transformer, DecodeFastPathMatchesGeneralPathEndToEnd) {
-  // Full-stack golden parity: prefill + several decode steps through every
-  // layer, with Keyformer eviction active, driving the same token stream
-  // through a fast-path model and a general-path model. LM logits must
-  // agree within float rounding at every step.
+TEST(Transformer, DecodeMatchesOneTokenPromptChunks) {
+  // Full-stack parity of the two kernels: the same token stream fed through
+  // decode() (the decode kernel) and through one-token prefill_continue
+  // chunks (the general kernel), every layer, under full attention so both
+  // caches keep identical rows. LM logits must agree within float rounding
+  // at every step.
   for (const auto kind : {PositionalKind::kRoPE, PositionalKind::kALiBi,
                           PositionalKind::kLearned}) {
-    const ModelConfig base = tiny_config(kind);
+    const ModelConfig cfg = tiny_config(kind);
     const auto prompt = make_prompt(16);
-
-    const auto run = [&](bool fast) {
-      ModelConfig cfg = base;
-      cfg.decode_fast_path = fast;
-      Transformer m(cfg);
-      kv::KeyformerPolicy policy;
-      policy.set_budget(kv::make_budget(prompt.size(), 0.5));
-      kv::SequenceInfo info;
-      info.prompt_len = prompt.size();
-      info.total_steps = 4;
-      info.n_layers = cfg.n_layers;
-      info.n_heads = cfg.n_heads;
-      policy.begin_sequence(info);
-      m.prefill(prompt, policy, 4);
-      std::vector<std::vector<float>> step_logits;
-      for (std::size_t t = 1; t <= 4; ++t) {
-        step_logits.push_back(
-            m.decode(static_cast<Token>(t), prompt.size() + t - 1, t, 4,
-                     policy));
-      }
-      return step_logits;
-    };
-
-    const auto fast = run(true);
-    const auto general = run(false);
-    ASSERT_EQ(fast.size(), general.size());
-    for (std::size_t t = 0; t < fast.size(); ++t) {
-      ASSERT_EQ(fast[t].size(), general[t].size());
-      for (std::size_t i = 0; i < fast[t].size(); ++i) {
-        EXPECT_NEAR(fast[t][i], general[t][i], 1e-4F)
+    Transformer m(cfg);
+    kv::SequenceKvState decoded = m.make_kv_state();
+    kv::SequenceKvState chunked = m.make_kv_state();
+    kv::FullAttentionPolicy p_decoded;
+    kv::FullAttentionPolicy p_chunked;
+    m.prefill(decoded, prompt, p_decoded, 4);
+    m.prefill(chunked, prompt, p_chunked, 4);
+    for (std::size_t t = 1; t <= 4; ++t) {
+      const Token tok = static_cast<Token>(t);
+      const std::size_t pos = prompt.size() + t - 1;
+      const std::vector<float> a = m.decode(decoded, tok, pos, t, 4, p_decoded);
+      const Tensor b =
+          m.prefill_continue(chunked, {&tok, 1}, pos, p_chunked, 4);
+      ASSERT_EQ(a.size(), b.dim(1));
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_NEAR(a[i], b.row(0)[i], 1e-4F)
             << to_string(kind) << " step " << t << " logit " << i;
       }
     }
   }
+}
+
+TEST(Transformer, EveryEntryPointRejectsMismatchedHeadSplit) {
+  // Same layer count and row width (2 x 8 == 4 x 4) as the model, different
+  // head split: every entry point must refuse the state before any kernel
+  // reads it as a 4-head cache.
+  ModelConfig cfg = tiny_config();
+  cfg.n_heads = 4;
+  Transformer m(cfg);
+  kv::SequenceKvState state(/*n_layers=*/2, /*n_heads=*/2, /*d_head=*/8);
+  kv::FullAttentionPolicy policy;
+  const auto prompt = make_prompt(4);
+  EXPECT_THROW(m.prefill(state, prompt, policy, 1), std::invalid_argument);
+  EXPECT_THROW(m.prefill_continue(state, prompt, 0, policy, 1),
+               std::invalid_argument);
+  EXPECT_THROW(m.decode(state, 1, 0, 1, 1, policy), std::invalid_argument);
+  const DecodeSlot slot{1, 0, 1, 1, &state, &policy};
+  EXPECT_THROW(m.step_batch({&slot, 1}), std::invalid_argument);
 }
 
 TEST(Transformer, PositionModeSwitchAffectsDecodeAfterEviction) {
