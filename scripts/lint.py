@@ -17,11 +17,15 @@ Checks (each failure lists file and reason; exit code 1 on any):
      in src/mem, src/serve, src/core, or src/obs -- the annotated
      subsystems stay fully analyzed; a suppression is a finding, not a
      fix;
-  5. no `throw` inside the engine's per-request paths (Engine::run,
-     Engine::start_sequence, BatchScheduler::admit) -- run() promises a
+  5. no `throw` in the engine's per-request paths: anywhere in
+     src/serve/engine.cpp outside the Engine::Engine constructor and
+     model::generate (configuration and argument checks that run before
+     any request exists), and in BatchScheduler::admit -- run() promises a
      definite finish reason for every request, and a throw in a
      ThreadPool::parallel_for worker is std::terminate, so per-request
-     failures must be contained (kRejected/kTimeout/park), never thrown;
+     failures must be contained (kRejected/kTimeout/park), never thrown.
+     Checking the whole file keeps every phase method of the run loop
+     covered without listing them;
   6. SIMD variant TUs stay behind the dispatch table -- nobody #includes
      a *_avx2.cpp / *_avx512.cpp file (their per-file -m flags only apply
      when they compile as their own TU; textual inclusion would leak AVX
@@ -128,9 +132,9 @@ def _strip_comments(text: str) -> str:
     )
 
 
-def _function_body(text: str, signature_re: str) -> tuple[int, str] | None:
-    """Extracts the brace-matched body of the first definition matching
-    `signature_re`, returning (first line number, body) or None."""
+def _function_span(text: str, signature_re: str) -> tuple[int, int] | None:
+    """Character span [start, end) of the brace-matched body of the first
+    definition matching `signature_re`, or None."""
     match = re.search(signature_re, text)
     if match is None:
         return None
@@ -144,37 +148,44 @@ def _function_body(text: str, signature_re: str) -> tuple[int, str] | None:
         elif text[i] == "}":
             depth -= 1
             if depth == 0:
-                return (
-                    text.count("\n", 0, open_brace) + 1,
-                    text[open_brace : i + 1],
-                )
+                return open_brace, i + 1
     return None
 
 
 def check_no_throw_in_request_paths() -> list[str]:
-    """Engine::run's per-request paths contain no `throw` statement."""
+    """No `throw` in src/serve/engine.cpp outside Engine::Engine and
+    model::generate, nor in BatchScheduler::admit."""
+    # (file, signature of the checked function -- None: the whole file --,
+    # signatures of the functions exempt from the check)
     targets = [
-        ("src/serve/engine.cpp", r"std::vector<Response>\s+Engine::run\b"),
-        ("src/serve/engine.cpp", r"void\s+Engine::start_sequence\b"),
+        ("src/serve/engine.cpp", None,
+         [r"Engine::Engine\s*\(", r"GenerationResult\s+generate\s*\("]),
         ("src/serve/scheduler.cpp",
-         r"std::vector<Sequence\*>\s+BatchScheduler::admit\b"),
+         r"std::vector<Sequence\*>\s+BatchScheduler::admit\b", []),
     ]
     errors = []
-    for rel, signature in targets:
+    for rel, checked, exempt in targets:
         text = _strip_comments((REPO / rel).read_text())
-        extracted = _function_body(text, signature)
-        if extracted is None:
-            errors.append(f"{rel}: definition matching {signature!r} not "
-                          "found (lint check out of date?)")
+        spans = {}
+        for signature in ([checked] if checked else []) + exempt:
+            spans[signature] = _function_span(text, signature)
+            if spans[signature] is None:
+                errors.append(f"{rel}: definition matching {signature!r} "
+                              "not found (lint check out of date?)")
+        if None in spans.values():
             continue
-        start_line, body = extracted
-        for offset, line in enumerate(body.splitlines()):
-            if re.search(r"\bthrow\b", line):
-                errors.append(
-                    f"{rel}:{start_line + offset}: `throw` inside a "
-                    "per-request engine path (contain as kRejected/"
-                    "kTimeout instead; run() must not throw)"
-                )
+        lo, hi = spans[checked] if checked else (0, len(text))
+        for match in re.finditer(r"\bthrow\b", text):
+            pos = match.start()
+            if not lo <= pos < hi or any(
+                    spans[sig][0] <= pos < spans[sig][1] for sig in exempt):
+                continue
+            line = text.count("\n", 0, pos) + 1
+            errors.append(
+                f"{rel}:{line}: `throw` inside a per-request engine path "
+                "(contain as kRejected/kTimeout instead; run() must not "
+                "throw)"
+            )
     return errors
 
 

@@ -1,6 +1,7 @@
 #include "serve/engine.h"
 
 #include <algorithm>
+#include <deque>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -86,19 +87,6 @@ Engine::Engine(model::Transformer& model, EngineConfig cfg)
   }
 }
 
-std::size_t Engine::insertable_prefix_tokens(const Sequence& seq) const {
-  const std::size_t bt = pool_->block_tokens();
-  // At least one prompt token must stay outside the prefix: the first
-  // generated token comes from the last prompt row's logits, which must be
-  // computed, not replayed.
-  std::size_t want = seq.prompt.size() - 1;
-  if (seq.shared_prefix_hint > 0) {
-    want = std::min(want, seq.shared_prefix_hint);
-  }
-  const std::size_t m = (want / bt) * bt;
-  return m >= prefix_index_->config().min_tokens ? m : 0;
-}
-
 EngineStats Engine::stats() const {
   const LockGuard lock(stats_mu_);
   return stats_;
@@ -119,362 +107,533 @@ void Engine::publish_stats(const EngineStats& stats) {
   stats_ = snap;
 }
 
-void Engine::start_sequence(Sequence& seq, std::size_t now_step,
-                            EngineStats& stats) {
-  // Re-admission after a preemption: the prompt re-prefills exactly like
-  // the first time (policies reset in begin_sequence and are deterministic
-  // per sequence), then the parked tokens replay below.
-  const bool resume = !seq.tokens.empty();
-  KF_TRACE_SCOPE(resume ? "resume_prefill" : "prefill");
-  seq.policy->set_budget(seq.budget);
-  kv::SequenceInfo info;
-  info.prompt_len = seq.prompt.size();
-  info.total_steps = seq.gen.max_new_tokens;
-  info.n_layers = model_.config().n_layers;
-  info.n_heads = model_.config().n_heads;
-  seq.policy->begin_sequence(info);
+namespace {
 
-  seq.kv->clear();
-  const double t0 = now_seconds();
-  if (resume) seq.timeline.mark(TimelineEventKind::kResumed, t0);
-  seq.timeline.mark(TimelineEventKind::kPrefillStart, t0);
-  const std::span<const Token> prompt = seq.prompt;
-  std::size_t computed = prompt.size();  // prompt rows actually prefilled
-  Tensor prompt_logits;
+/// Counters of a sequence's paged layer caches; zero for token-mode state.
+struct PagedCounters {
+  std::size_t alloc_failures = 0;
+  std::size_t cow_copies = 0;
+};
 
-  // Resolve the prefix-cache match: the entry pinned at the admission
-  // probe, or — new this round — one an earlier sequence of the same
-  // admission batch just inserted.
-  const mem::PrefixEntry* entry = nullptr;
-  if (prefix_index_ != nullptr && seq.prefix_eligible) {
-    entry = seq.prefix_entry != nullptr
-                ? seq.prefix_entry
-                : prefix_index_->lookup(prompt, prompt.size() - 1);
+PagedCounters paged_counters(const Sequence& seq) {
+  PagedCounters c;
+  for (std::size_t l = 0; l < seq.kv->n_layers(); ++l) {
+    const auto* paged =
+        dynamic_cast<const mem::PagedKvCache*>(&seq.kv->layer(l));
+    if (paged == nullptr) continue;
+    c.alloc_failures += paged->alloc_failures();
+    c.cow_copies += paged->cow_copies();
   }
-
-  bool adopted = false;
-  if (entry != nullptr && prefix_index_->adopt(entry, *seq.kv)) {
-    // Hit: the prefix K/V replays from the shared chain; only the suffix
-    // runs. Cache-resident boundary scores were seeded by adopt();
-    // policy-resident state (shared-scope Keyformer) imports here.
-    seq.policy->import_score_state(entry->policy_scores());
-    const std::size_t m = entry->tokens();
-    prompt_logits = model_.prefill_continue(
-        *seq.kv, prompt.subspan(m), m, *seq.policy, seq.gen.max_new_tokens);
-    computed = prompt.size() - m;
-    adopted = true;
-    ++stats.prefix_hits;
-    stats.prefix_tokens_reused += m;
-    stats.prefix_blocks_shared +=
-        model_.config().n_layers * entry->blocks_per_layer();
-  }
-  if (seq.prefix_entry != nullptr) {
-    prefix_index_->unpin(seq.prefix_entry);
-    seq.prefix_entry = nullptr;
-    seq.prefix_blocks_per_layer = 0;
-  }
-
-  if (!adopted) {
-    const std::size_t m = prefix_index_ != nullptr && seq.prefix_eligible
-                              ? insertable_prefix_tokens(seq)
-                              : 0;
-    if (m > 0) {
-      // Miss worth caching: chunk the prefill at the shareable boundary.
-      // Chunk 1 runs with the budget masked so nothing evicts mid-prompt;
-      // the suffix chunk restores it and evicts once over the full prompt
-      // — the same single eviction, over the same accumulated scores, a
-      // monolithic prefill performs (rows and scores are bit-exact; see
-      // prefill_continue).
-      const kv::CacheBudget real_budget = seq.policy->budget();
-      seq.policy->set_budget(kv::CacheBudget{});
-      model_.prefill_continue(*seq.kv, prompt.first(m), 0, *seq.policy,
-                              seq.gen.max_new_tokens);
-      seq.policy->set_budget(real_budget);
-      prefix_index_->insert(prompt.first(m), *seq.kv,
-                            seq.policy->export_score_state(m));
-      // Chunk boundary: publish so the monitoring surface moves during a
-      // long prefill instead of freezing at the last decode step.
-      stats.prefilled_tokens += m;
-      publish_stats(stats);
-      stats.prefilled_tokens -= m;
-      prompt_logits = model_.prefill_continue(
-          *seq.kv, prompt.subspan(m), m, *seq.policy, seq.gen.max_new_tokens);
-      ++stats.prefix_misses;
-    } else {
-      prompt_logits = model_.prefill(*seq.kv, prompt, *seq.policy,
-                                     seq.gen.max_new_tokens);
-    }
-  }
-
-  seq.peak_cache_tokens = std::max(seq.peak_cache_tokens, prompt.size());
-  if (!resume) seq.first_decode_step = now_step;
-
-  seq.timeline.mark(TimelineEventKind::kPrefillEnd, now_seconds());
-
-  if (resume) {
-    KF_TRACE_SCOPE("resume_replay");
-    // Replay the committed tokens through the ordinary decode path:
-    // tokens[0] came from the prompt logits (already committed), each
-    // later tokens[i] from feeding tokens[i-1] at decode step i. The
-    // logits are recomputed and discarded — only the KV/score state the
-    // eviction policy built alongside them matters, and this stepwise
-    // replay reproduces it exactly (a prompt-phase prefill over the same
-    // tokens would evict once at the end instead of once per step).
-    for (std::size_t i = 1; i < seq.tokens.size(); ++i) {
-      model_.decode(*seq.kv, seq.tokens[i - 1], seq.prompt.size() + i - 1,
-                    i, seq.gen.max_new_tokens, *seq.policy);
-    }
-    stats.resume_replayed_tokens += seq.tokens.size() - 1;
-    seq.peak_cache_tokens =
-        std::max(seq.peak_cache_tokens, seq.kv->max_layer_tokens());
-  } else if (seq.gen.max_new_tokens == 0) {
-    // Nothing to generate: matches generate(), whose loop never runs.
-    seq.status = SequenceStatus::kFinished;
-    seq.finish = FinishReason::kLength;
-  } else {
-    const Token first = model::select_greedy(
-        prompt_logits.row(prompt_logits.dim(0) - 1), seq.recent_window(),
-        seq.gen.repetition_penalty, seq.gen.banned_tokens);
-    seq.commit(first);
-  }
-  if (!seq.tokens.empty()) {
-    const double t_token = now_seconds();
-    if (!seq.ttft_recorded) {
-      seq.ttft_recorded = true;
-      seq.timeline.mark(TimelineEventKind::kFirstToken, t_token);
-      hist_ttft_.record(t_token -
-                        (seq.queued_stamped ? seq.queued_seconds : t0));
-    }
-    // Inter-token gaps restart here: after a resume replay the next decode
-    // step measures from the replay's end, not across the parked interval.
-    seq.last_token_seconds = t_token;
-  }
-  const double wall = now_seconds() - t0;
-  seq.prefill_seconds += wall;
-  stats.prefilled_tokens += computed;
-  stats.prefill_seconds += wall;
+  return c;
 }
 
-std::vector<Response> Engine::run(std::span<const Request> requests) {
-  KF_TRACE_SCOPE("engine.run");
-  // Kernel-level visibility while tracing: the attention timings sink is
-  // updated only on the batch-step's calling thread (one shared sink is
-  // safe); policy timings are written per sequence inside parallel_for
-  // workers, so each sequence carries its own sink (seq.policy_timings,
-  // installed at admission). Their deltas become synthetic child spans of
-  // each step — the per-ISA kernels themselves stay trace-free.
-  const bool tracing = obs::trace_enabled();
-  model::AttentionTimings attn_timings;
-  struct AttnSinkGuard {
-    model::Transformer& model;
-    bool active;
-    ~AttnSinkGuard() {
-      if (active) model.set_attention_timings(nullptr);
-    }
-  } attn_guard{model_, tracing};
-  if (tracing) model_.set_attention_timings(&attn_timings);
+/// Policy score + evict seconds the batch's timing sinks hold.
+double policy_seconds(std::span<Sequence* const> batch) {
+  double s = 0.0;
+  for (const Sequence* seq : batch) {
+    s += seq->policy_timings.score_seconds + seq->policy_timings.evict_seconds;
+  }
+  return s;
+}
 
-  // The run accumulates into this local and publishes snapshots; readers
-  // of stats() never observe a half-updated struct.
-  EngineStats stats;
-  stats.isa = cpu::isa_name(cpu::active_isa());
-  publish_stats(stats);
-  if (pool_ != nullptr) {
-    pool_->reset_peaks();
-    stats.pool_capacity_blocks = pool_->stats().capacity_blocks;
+}  // namespace
+
+/// One run() call: the sequences, the scheduler, the step clock and the
+/// stats accumulator its phases share. Every sequence leaves through
+/// finish(); finish() and park() drop KV state through release_kv().
+class Engine::Run {
+ public:
+  explicit Run(Engine& engine)
+      : engine_(engine),
+        model_(engine.model_),
+        cfg_(engine.cfg_),
+        pool_(engine.pool_.get()),
+        prefix_index_(engine.prefix_index_.get()),
+        tracing_(obs::trace_enabled()),
+        sched_(engine.cfg_.scheduler) {
+    if (tracing_) model_.set_attention_timings(&attn_timings_);
+    stats_.isa = cpu::isa_name(cpu::active_isa());
+    engine_.publish_stats(stats_);
+    if (pool_ != nullptr) {
+      pool_->reset_peaks();
+      stats_.pool_capacity_blocks = pool_->stats().capacity_blocks;
+    }
   }
 
-  // Containment: an invalid request becomes a kRejected Response with an
-  // error string instead of an exception killing the whole batch. The
-  // rejected sequence is finished before it is ever submitted; everything
-  // else proceeds normally.
-  const auto reject = [&stats](Sequence& s, std::string why) {
-    s.status = SequenceStatus::kFinished;
-    s.finish = FinishReason::kRejected;
-    s.error = std::move(why);
-    s.timeline.mark(TimelineEventKind::kFinished, now_seconds());
-    ++stats.rejections;
-  };
-
-  // Materialize sequences (deque: stable addresses for scheduler pointers).
-  std::deque<Sequence> seqs;
-  for (const Request& req : requests) {
-    Sequence s;
-    s.id = req.id;
-    s.prompt = req.prompt;
-    s.gen = req.gen;
-    s.arrival_step = req.arrival_step;
-    s.deadline_steps = req.deadline_steps;
-    s.max_queue_steps = req.max_queue_steps;
-    s.n_layers = model_.config().n_layers;
-    s.budget = kv::make_budget(s.prompt.empty() ? 1 : s.prompt.size(),
-                               s.gen.cache_ratio, s.gen.recent_ratio);
-    // Shape the eviction-decision sink once per sequence; its counters
-    // accumulate across preemption-resume replays (decisions executed,
-    // not unique tokens) and are distilled onto the Response at retire.
-    s.eviction.begin_sequence(model_.config().n_layers,
-                              model_.config().n_heads,
-                              s.prompt.size() + s.gen.max_new_tokens);
-    if (req.policy != nullptr) {
-      s.policy = req.policy;
-    } else {
-      s.owned_policy = kv::make_policy(cfg_.policy);
-      s.policy = s.owned_policy.get();
-    }
-    // Prefix-cache participation: engine-built policies only — the cached
-    // score snapshots are specific to the engine's policy configuration,
-    // and a caller-owned instance may be anything.
-    s.prefix_eligible = prefix_index_ != nullptr && req.policy == nullptr;
-    s.shared_prefix_hint = req.shared_prefix_hint;
-    if (req.prompt.empty()) {
-      reject(s, "serve request requires a non-empty prompt");
-      seqs.push_back(std::move(s));
-      continue;
-    }
-    if (req.kv_state != nullptr) {
-      if (pool_ != nullptr) {
-        // Placement decides the shard at admission; a pre-built external
-        // state would bypass the pool's accounting entirely.
-        reject(s, "paged memory mode cannot take external kv_state instances");
-        seqs.push_back(std::move(s));
-        continue;
-      }
-      if (!req.kv_state->matches(model_.config().n_layers,
-                                 model_.config().n_heads,
-                                 model_.config().d_head())) {
-        reject(s, "external kv_state geometry does not match the model");
-        seqs.push_back(std::move(s));
-        continue;
-      }
-      s.kv = req.kv_state;
-    } else if (pool_ == nullptr) {
-      // Size the arenas for the admission peak max(prompt, k+1) — the
-      // most this sequence ever holds per layer — so prefill appends
-      // never reallocate, and budgeted sequences stop over-reserving
-      // their full prompt+gen growth.
-      s.owned_kv = std::make_unique<kv::SequenceKvState>(
-          model_.make_kv_state(s.admission_cost_tokens()));
-      s.kv = s.owned_kv.get();
-    }
-    // Paged sequences get their state at admission, once the scheduler
-    // has placed them on a shard.
-    seqs.push_back(std::move(s));
+  ~Run() {
+    if (tracing_) model_.set_attention_timings(nullptr);
   }
+  Run(const Run&) = delete;
+  Run& operator=(const Run&) = delete;
 
-  // Reject shared state up front (first request keeps the instance): two
-  // requests on one kv_state (or one policy instance) would clobber each
-  // other's caches/score state, and step_batch's own distinctness check
-  // only fires mid-run when their lifetimes happen to overlap — long
-  // after start_sequence() wiped the other request's in-flight caches.
-  {
+  void intake(std::span<const Request> requests) {
+    const model::ModelConfig& mc = model_.config();
+    // Shared state is rejected up front (the first request keeps the
+    // instance): two requests on one kv_state (or one policy instance)
+    // would clobber each other's caches/score state, and step_batch's own
+    // distinctness check only fires mid-run when their lifetimes happen to
+    // overlap — long after start_sequence() wiped the other request's
+    // in-flight caches.
     std::unordered_set<const void*> kv_seen;
     std::unordered_set<const void*> policy_seen;
-    for (Sequence& s : seqs) {
-      if (s.finished()) continue;
-      if (s.kv != nullptr && s.owned_kv == nullptr &&
-          !kv_seen.insert(s.kv).second) {
-        reject(s, "serve requests must use distinct kv_state instances");
-        continue;
+    for (const Request& req : requests) {
+      Sequence& s = seqs_.emplace_back();
+      s.id = req.id;
+      s.prompt = req.prompt;
+      s.gen = req.gen;
+      s.arrival_step = req.arrival_step;
+      s.deadline_steps = req.deadline_steps;
+      s.max_queue_steps = req.max_queue_steps;
+      s.n_layers = mc.n_layers;
+      s.budget = kv::make_budget(s.prompt.empty() ? 1 : s.prompt.size(),
+                                 s.gen.cache_ratio, s.gen.recent_ratio);
+      // Shape the eviction-decision sink once per sequence; its counters
+      // accumulate across preemption-resume replays (decisions executed,
+      // not unique tokens) and are distilled onto the Response at finish.
+      s.eviction.begin_sequence(mc.n_layers, mc.n_heads,
+                                s.prompt.size() + s.gen.max_new_tokens);
+      if (req.policy != nullptr) {
+        s.policy = req.policy;
+      } else {
+        s.owned_policy = kv::make_policy(cfg_.policy);
+        s.policy = s.owned_policy.get();
       }
-      if (s.owned_policy == nullptr && !policy_seen.insert(s.policy).second) {
-        reject(s, "serve requests must use distinct policy instances");
+      // Prefix-cache participation: engine-built policies only — the cached
+      // score snapshots are specific to the engine's policy configuration,
+      // and a caller-owned instance may be anything.
+      s.prefix_eligible = prefix_index_ != nullptr && req.policy == nullptr;
+      s.shared_prefix_hint = req.shared_prefix_hint;
+      // Containment: an invalid request becomes a kRejected Response with an
+      // error string instead of an exception killing the whole batch.
+      if (req.prompt.empty()) {
+        finish(s, FinishReason::kRejected,
+               "serve request requires a non-empty prompt");
+      } else if (req.kv_state != nullptr && pool_ != nullptr) {
+        // Placement decides the shard at admission; a pre-built external
+        // state would bypass the pool's accounting entirely.
+        finish(s, FinishReason::kRejected,
+               "paged memory mode cannot take external kv_state instances");
+      } else if (req.kv_state != nullptr &&
+                 !req.kv_state->matches(mc.n_layers, mc.n_heads, mc.d_head())) {
+        finish(s, FinishReason::kRejected,
+               "external kv_state geometry does not match the model");
+      } else if (req.kv_state != nullptr &&
+                 !kv_seen.insert(req.kv_state).second) {
+        finish(s, FinishReason::kRejected,
+               "serve requests must use distinct kv_state instances");
+      } else if (req.policy != nullptr &&
+                 !policy_seen.insert(req.policy).second) {
+        finish(s, FinishReason::kRejected,
+               "serve requests must use distinct policy instances");
+      } else if (req.kv_state != nullptr) {
+        s.kv = req.kv_state;
+      } else if (pool_ == nullptr) {
+        // Size the arenas for the admission peak max(prompt, k+1) — the
+        // most this sequence ever holds per layer — so prefill appends
+        // never reallocate, and budgeted sequences stop over-reserving
+        // their full prompt+gen growth.
+        s.owned_kv = std::make_unique<kv::SequenceKvState>(
+            model_.make_kv_state(s.admission_cost_tokens()));
+        s.kv = s.owned_kv.get();
+      }
+      // Paged sequences get their state at admission, once the scheduler
+      // has placed them on a shard.
+    }
+
+    // Submit the survivors in arrival order (stable: ties keep request
+    // order).
+    std::vector<std::size_t> order(seqs_.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return seqs_[a].arrival_step < seqs_[b].arrival_step;
+                     });
+    for (const std::size_t i : order) {
+      if (!seqs_[i].finished()) sched_.submit(&seqs_[i]);
+    }
+    engine_.publish_stats(stats_);
+  }
+
+  bool pending() const { return finished_ < seqs_.size(); }
+
+  void arrive() {
+    // Idle engine: jump the clock to the next arrival.
+    if (sched_.active_count() == 0) {
+      const auto next = sched_.next_arrival();
+      if (next.has_value() && *next > step_) step_ = *next;
+    }
+    // Timeline origin: stamp kQueued the first time the engine sees a
+    // sequence arrived (the waiting queue is arrival-ordered, so stop at the
+    // first future arrival). TTFT and queue wait measure from this stamp.
+    const double t_now = now_seconds();
+    for (Sequence* seq : sched_.waiting()) {
+      if (seq->arrival_step > step_) break;
+      if (!seq->timeline.has(TimelineEventKind::kQueued)) {
+        seq->queued_seconds = t_now;
+        seq->timeline.mark(TimelineEventKind::kQueued, t_now);
       }
     }
   }
 
-  // Submit the survivors in arrival order (stable: ties keep request
-  // order); pre-rejected sequences are already finished.
-  std::vector<std::size_t> order(seqs.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return seqs[a].arrival_step < seqs[b].arrival_step;
-                   });
-  BatchScheduler sched(cfg_.scheduler);
-  std::size_t finished = 0;
-  for (const std::size_t i : order) {
-    if (seqs[i].finished()) {
-      ++finished;
-    } else {
-      sched.submit(&seqs[i]);
+  // Deadline enforcement in the engine's virtual clock: shed expired
+  // sequences — waiting ones that overstayed deadline_steps or
+  // max_queue_steps, active ones past deadline_steps (they keep their
+  // generated-so-far tokens) — so a stuck queue frees budget instead of
+  // growing. Runs before admission, so the freed budget is admissible this
+  // same step.
+  void shed() {
+    const std::vector<Sequence*> waiting(sched_.waiting().begin(),
+                                         sched_.waiting().end());
+    for (Sequence* seq : waiting) {
+      if (past_deadline(*seq)) {
+        finish(*seq, FinishReason::kTimeout,
+               "deadline_steps expired while queued");
+      } else if (seq->max_queue_steps > 0 && step_ >= seq->queue_enter_step &&
+                 step_ - seq->queue_enter_step >= seq->max_queue_steps) {
+        finish(*seq, FinishReason::kTimeout,
+               "queue wait exceeded max_queue_steps");
+      }
+    }
+    const std::vector<Sequence*> active(sched_.active().begin(),
+                                        sched_.active().end());
+    for (Sequence* seq : active) {
+      if (past_deadline(*seq)) {
+        finish(*seq, FinishReason::kTimeout, "deadline_steps expired");
+      }
     }
   }
-  publish_stats(stats);
 
-  std::size_t step = 0;
-  std::vector<model::DecodeSlot> slots;
-
-  // Captures what the Response needs from the caches, then — in paged
-  // mode — tears the sequence's state down so its blocks go back to the
-  // shard free list *now*, while the reservation the scheduler is about
-  // to release is still backing them. Contiguous states stay alive:
-  // external kv_state callers (generate() among them) inspect them after
-  // the run.
-  const auto retire = [&](Sequence& seq) {
-    KF_TRACE_SCOPE("retire", "sched");
-    seq.timeline.mark(TimelineEventKind::kFinished, now_seconds());
-    if (tracing && seq.policy != nullptr) seq.policy->set_timing_sink(nullptr);
-    if (seq.policy != nullptr) seq.policy->set_eviction_sink(nullptr);
-    // Fold this sequence's eviction decisions into the run counters, the
-    // engine-lifetime aggregate, and the per-policy registry counters.
-    stats.eviction_decisions += seq.eviction.decisions();
-    stats.evicted_tokens += seq.eviction.tokens_evicted();
-    stats.kept_tokens += seq.eviction.tokens_kept();
-    if (seq.eviction.decisions() > 0) {
-      {
-        const LockGuard lock(stats_mu_);
-        eviction_agg_.merge(seq.eviction);
-      }
-      if (seq.policy != nullptr) {
-        const std::string base = "evict." + seq.policy->name();
-        metrics_.counter(base + ".decisions").add(seq.eviction.decisions());
-        metrics_.counter(base + ".tokens_evicted")
-            .add(seq.eviction.tokens_evicted());
-        metrics_.counter(base + ".tokens_kept")
-            .add(seq.eviction.tokens_kept());
-      }
-    }
-    seq.final_cache_sizes.clear();
-    if (seq.kv == nullptr) return;  // never started (queue-time timeout)
-    for (std::size_t l = 0; l < seq.kv->n_layers(); ++l) {
-      seq.final_cache_sizes.push_back(seq.kv->layer_size(l));
-    }
-    if (pool_ != nullptr) {
-      for (std::size_t l = 0; l < seq.kv->n_layers(); ++l) {
-        const auto* paged =
-            dynamic_cast<const mem::PagedKvCache*>(&seq.kv->layer(l));
-        if (paged == nullptr) continue;
-        if (prefix_index_ != nullptr) {
-          stats.prefix_cow_copies += paged->cow_copies();
+  // Admit + prefill newly eligible sequences; a sequence that finishes
+  // during prefill (eos first token, max_new_tokens 0) leaves at once,
+  // freeing its budget for the next waiting request this same step.
+  void admit() {
+    bool admitted_any = true;
+    while (admitted_any) {
+      admitted_any = false;
+      KF_TRACE_SCOPE("admit");
+      probe_waiting();
+      for (Sequence* seq : sched_.admit(step_)) {
+        admitted_any = true;
+        const double t_admit = now_seconds();
+        seq->timeline.mark(TimelineEventKind::kAdmitted, t_admit);
+        if (seq->timeline.has(TimelineEventKind::kQueued)) {
+          engine_.hist_queue_wait_.record(t_admit - seq->queued_seconds);
         }
-        stats.alloc_failures += paged->alloc_failures();
+        if (tracing_) seq->policy->set_timing_sink(&seq->policy_timings);
+        seq->policy->set_eviction_sink(&seq->eviction);
+        if (pool_ != nullptr) {
+          // Materialize the placement decision: layer caches drawing
+          // blocks from the shard the scheduler just reserved on.
+          seq->owned_kv = std::make_unique<kv::SequenceKvState>(
+              *pool_, seq->shard, model_.config().n_layers);
+          seq->kv = seq->owned_kv.get();
+        }
+        // The admission charge covers the transient prefill peak; record
+        // it before settling so max_tokens_in_use reflects true memory.
+        record_peak_use();
+        start_sequence(*seq);
+        if (!seq->finished() && kv_alloc_failed(*seq)) {
+          // Prefill (or resume replay) outgrew its reservation into
+          // emergency memory — an injected fault or a capacity race.
+          // Park it for a later, fully pool-backed retry.
+          park_or_reject(*seq);
+          continue;
+        }
+        {
+          KF_TRACE_SCOPE("settle");
+          sched_.settle(seq);
+        }
+        if (seq->finished()) finish(*seq, seq->finish);
       }
-      seq.owned_kv.reset();
-      seq.kv = nullptr;
+      // Admission rejections (demand above a whole shard, or a reservation
+      // denied past the retry cap) arrive finished; the queue behind them
+      // keeps moving.
+      for (Sequence* seq : sched_.take_rejected()) finish(*seq, seq->finish);
+      if (!admitted_any) {
+        const auto head = sched_.next_arrival();
+        const bool head_ready = head.has_value() && *head <= step_;
+        // Idle engine, arrived head, no admission: the prefix cache's
+        // retained blocks are squeezing the pool — reclaim and retry.
+        if (head_ready && sched_.active_count() == 0 && trim_for_progress()) {
+          admitted_any = true;
+        } else if (head_ready && pressure_preempt()) {
+          // Starved head under admission pressure: a victim was parked;
+          // retry admission against the freed budget.
+          admitted_any = true;
+        }
+      }
     }
-  };
+  }
 
-  // Did any layer outgrow its reservation into emergency heap memory?
-  // Latched by the no-throw allocation fallback; checked at every step
-  // boundary (an escaping exception inside the parallel decode workers
-  // is not an option — it would terminate the process).
-  const auto kv_alloc_failed = [this](const Sequence& seq) -> bool {
-    if (pool_ == nullptr || seq.kv == nullptr) return false;
-    for (std::size_t l = 0; l < seq.kv->n_layers(); ++l) {
-      const auto* paged =
-          dynamic_cast<const mem::PagedKvCache*>(&seq.kv->layer(l));
-      if (paged != nullptr && paged->alloc_failed()) return true;
+  // One decode step for the whole batch. The step wall covers the model
+  // call AND per-sequence sampling/bookkeeping, so decode_seconds is the
+  // true decode-phase latency (prefill_seconds likewise includes its
+  // first-token selection).
+  void decode_step() {
+    const std::vector<Sequence*> active(sched_.active().begin(),
+                                        sched_.active().end());
+    if (active.empty()) return;  // everything admitted so far finished
+    record_occupancy(active);
+
+    const double t0 = now_seconds();
+    slots_.clear();
+    for (const Sequence* seq : active) {
+      model::DecodeSlot slot;
+      slot.token = seq->feed_token();
+      slot.position = seq->next_position();
+      slot.t = seq->next_t();
+      slot.total_steps = seq->gen.max_new_tokens;
+      slot.state = seq->kv;
+      slot.policy = seq->policy;
+      slots_.push_back(slot);
     }
-    return false;
-  };
+    const Tensor logits = model_step(active);
+    {
+      KF_TRACE_SCOPE("sample");
+      for (std::size_t b = 0; b < active.size(); ++b) {
+        Sequence* seq = active[b];
+        seq->peak_cache_tokens =
+            std::max(seq->peak_cache_tokens, seq->kv->max_layer_tokens());
+        const Token next = model::select_greedy(
+            logits.row(b), seq->recent_window(), seq->gen.repetition_penalty,
+            seq->gen.banned_tokens);
+        seq->commit(next);
+        ++stats_.decoded_tokens;
+      }
+    }
+    const double dt = now_seconds() - t0;
+    stats_.decode_seconds += dt;
+    ++stats_.steps;
+    engine_.hist_step_.record(dt);
+    // Every active sequence committed one token this step: one shared
+    // timestamp bounds the per-sequence inter-token gaps.
+    const double t_tokens = t0 + dt;
+    for (Sequence* seq : active) {
+      if (seq->last_token_seconds > 0.0) {
+        const double gap = t_tokens - seq->last_token_seconds;
+        engine_.hist_inter_token_.record(gap);
+        seq->inter_token.add(gap);
+      }
+      seq->last_token_seconds = t_tokens;
+    }
+    // Keep stats() live mid-run: one snapshot per decode step is the
+    // granularity an async front-end polls at (per-token would publish
+    // the same struct under the same lock anyway).
+    stats_.reservation_retries = sched_.reservation_retries();
+    engine_.publish_stats(stats_);
+    for (Sequence* seq : active) {
+      seq->decode_seconds += dt;
+      if (seq->finished()) {
+        finish(*seq, seq->finish);
+      } else if (kv_alloc_failed(*seq)) {
+        // The step completed exactly (emergency memory holds real rows),
+        // but the sequence is over its physical budget: park it and
+        // recompute under a fresh reservation.
+        park_or_reject(*seq);
+      }
+    }
+    ++step_;
+  }
+
+  std::vector<Response> respond() {
+    if (pool_ != nullptr) {
+      stats_.pool_peak_used_blocks = pool_->stats().peak_used_blocks;
+    }
+    stats_.reservation_retries = sched_.reservation_retries();
+    stats_.active_sequences = 0;  // run drained: occupancy series settles to 0
+    stats_.waiting_sequences = 0;
+    engine_.publish_stats(stats_);
+
+    std::vector<Response> responses;
+    responses.reserve(seqs_.size());
+    for (Sequence& seq : seqs_) {
+      Response r;
+      r.id = seq.id;
+      r.tokens = std::move(seq.tokens);
+      r.prompt_len = seq.prompt.size();
+      r.budget = seq.budget;
+      r.final_cache_sizes = std::move(seq.final_cache_sizes);
+      r.peak_cache_tokens = seq.peak_cache_tokens;
+      r.finish = seq.finish;
+      r.error = std::move(seq.error);
+      r.preemptions = seq.preemptions;
+      r.arrival_step = seq.arrival_step;
+      r.first_decode_step = seq.first_decode_step;
+      r.finish_step = seq.finish_step;
+      r.prefill_seconds = seq.prefill_seconds;
+      r.decode_seconds = seq.decode_seconds;
+      r.timeline = std::move(seq.timeline);
+      r.ttft_seconds = r.timeline.ttft_seconds();
+      r.queue_wait_seconds = r.timeline.queue_wait_seconds();
+      r.inter_token = seq.inter_token;
+      r.eviction = seq.eviction.summary();
+      responses.push_back(std::move(r));
+    }
+    return responses;
+  }
+
+ private:
+  // Prefill + first-token selection for a newly admitted sequence. With
+  // the prefix cache on: adopt a matching shared chain and prefill only
+  // the suffix, or chunk the prefill at the shareable boundary and insert
+  // the prefix chain into the index for the requests behind this one.
+  // Re-admission of a preempted sequence (seq.tokens non-empty) prefills
+  // the prompt the same way, then replays the parked tokens through
+  // single-sequence decode steps — exact recomputation of the evicted
+  // state.
+  void start_sequence(Sequence& seq) {
+    // Re-admission after a preemption: the prompt re-prefills exactly like
+    // the first time (policies reset in begin_sequence and are deterministic
+    // per sequence), then the parked tokens replay below.
+    const bool resume = !seq.tokens.empty();
+    KF_TRACE_SCOPE(resume ? "resume_prefill" : "prefill");
+    seq.policy->set_budget(seq.budget);
+    kv::SequenceInfo info;
+    info.prompt_len = seq.prompt.size();
+    info.total_steps = seq.gen.max_new_tokens;
+    info.n_layers = model_.config().n_layers;
+    info.n_heads = model_.config().n_heads;
+    seq.policy->begin_sequence(info);
+
+    seq.kv->clear();
+    const double t0 = now_seconds();
+    if (resume) seq.timeline.mark(TimelineEventKind::kResumed, t0);
+    seq.timeline.mark(TimelineEventKind::kPrefillStart, t0);
+    const std::span<const Token> prompt = seq.prompt;
+    std::size_t computed = prompt.size();  // prompt rows actually prefilled
+    Tensor prompt_logits;
+
+    // Resolve the prefix-cache match: the entry pinned at the admission
+    // probe, or — new this round — one an earlier sequence of the same
+    // admission batch just inserted.
+    const mem::PrefixEntry* entry = nullptr;
+    if (prefix_index_ != nullptr && seq.prefix_eligible) {
+      entry = seq.prefix_entry != nullptr
+                  ? seq.prefix_entry
+                  : prefix_index_->lookup(prompt, prompt.size() - 1);
+    }
+
+    bool adopted = false;
+    if (entry != nullptr && prefix_index_->adopt(entry, *seq.kv)) {
+      // Hit: the prefix K/V replays from the shared chain; only the suffix
+      // runs. Cache-resident boundary scores were seeded by adopt();
+      // policy-resident state (shared-scope Keyformer) imports here.
+      seq.policy->import_score_state(entry->policy_scores());
+      const std::size_t m = entry->tokens();
+      prompt_logits = model_.prefill_continue(
+          *seq.kv, prompt.subspan(m), m, *seq.policy, seq.gen.max_new_tokens);
+      computed = prompt.size() - m;
+      adopted = true;
+      ++stats_.prefix_hits;
+      stats_.prefix_tokens_reused += m;
+      stats_.prefix_blocks_shared +=
+          model_.config().n_layers * entry->blocks_per_layer();
+    }
+    unpin_prefix(seq);
+
+    if (!adopted) {
+      const std::size_t m = prefix_index_ != nullptr && seq.prefix_eligible
+                                ? insertable_prefix_tokens(seq)
+                                : 0;
+      if (m > 0) {
+        // Miss worth caching: chunk the prefill at the shareable boundary.
+        // Chunk 1 runs with the budget masked so nothing evicts mid-prompt;
+        // the suffix chunk restores it and evicts once over the full prompt
+        // — the same single eviction, over the same accumulated scores, a
+        // monolithic prefill performs (rows and scores are bit-exact; see
+        // prefill_continue).
+        const kv::CacheBudget real_budget = seq.policy->budget();
+        seq.policy->set_budget(kv::CacheBudget{});
+        model_.prefill_continue(*seq.kv, prompt.first(m), 0, *seq.policy,
+                                seq.gen.max_new_tokens);
+        seq.policy->set_budget(real_budget);
+        prefix_index_->insert(prompt.first(m), *seq.kv,
+                              seq.policy->export_score_state(m));
+        // Chunk boundary: publish so the monitoring surface moves during a
+        // long prefill instead of freezing at the last decode step.
+        stats_.prefilled_tokens += m;
+        engine_.publish_stats(stats_);
+        stats_.prefilled_tokens -= m;
+        prompt_logits = model_.prefill_continue(
+            *seq.kv, prompt.subspan(m), m, *seq.policy, seq.gen.max_new_tokens);
+        ++stats_.prefix_misses;
+      } else {
+        prompt_logits = model_.prefill(*seq.kv, prompt, *seq.policy,
+                                       seq.gen.max_new_tokens);
+      }
+    }
+
+    seq.peak_cache_tokens = std::max(seq.peak_cache_tokens, prompt.size());
+    if (!resume) seq.first_decode_step = step_;
+
+    seq.timeline.mark(TimelineEventKind::kPrefillEnd, now_seconds());
+
+    if (resume) {
+      KF_TRACE_SCOPE("resume_replay");
+      // Replay the committed tokens through the ordinary decode path:
+      // tokens[0] came from the prompt logits (already committed), each
+      // later tokens[i] from feeding tokens[i-1] at decode step i. The
+      // logits are recomputed and discarded — only the KV/score state the
+      // eviction policy built alongside them matters, and this stepwise
+      // replay reproduces it exactly (a prompt-phase prefill over the same
+      // tokens would evict once at the end instead of once per step).
+      for (std::size_t i = 1; i < seq.tokens.size(); ++i) {
+        model_.decode(*seq.kv, seq.tokens[i - 1], seq.prompt.size() + i - 1,
+                      i, seq.gen.max_new_tokens, *seq.policy);
+      }
+      stats_.resume_replayed_tokens += seq.tokens.size() - 1;
+      seq.peak_cache_tokens =
+          std::max(seq.peak_cache_tokens, seq.kv->max_layer_tokens());
+    } else if (seq.gen.max_new_tokens == 0) {
+      // Nothing to generate: matches generate(), whose loop never runs.
+      seq.status = SequenceStatus::kFinished;
+      seq.finish = FinishReason::kLength;
+    } else {
+      const Token first = model::select_greedy(
+          prompt_logits.row(prompt_logits.dim(0) - 1), seq.recent_window(),
+          seq.gen.repetition_penalty, seq.gen.banned_tokens);
+      seq.commit(first);
+    }
+    if (!seq.tokens.empty()) {
+      const double t_token = now_seconds();
+      // Recorded once per request: a resume replay re-commits old tokens.
+      if (!seq.timeline.has(TimelineEventKind::kFirstToken)) {
+        seq.timeline.mark(TimelineEventKind::kFirstToken, t_token);
+        const bool queued = seq.timeline.has(TimelineEventKind::kQueued);
+        engine_.hist_ttft_.record(t_token - (queued ? seq.queued_seconds : t0));
+      }
+      // Inter-token gaps restart here: after a resume replay the next decode
+      // step measures from the replay's end, not across the parked interval.
+      seq.last_token_seconds = t_token;
+    }
+    const double wall = now_seconds() - t0;
+    seq.prefill_seconds += wall;
+    stats_.prefilled_tokens += computed;
+    stats_.prefill_seconds += wall;
+  }
+
+  // Prefix boundary this sequence would index on a miss (block-aligned,
+  // below the prompt end, at least the index minimum); 0 = don't index.
+  std::size_t insertable_prefix_tokens(const Sequence& seq) const {
+    const std::size_t bt = pool_->block_tokens();
+    // At least one prompt token must stay outside the prefix: the first
+    // generated token comes from the last prompt row's logits, which must be
+    // computed, not replayed.
+    std::size_t want = seq.prompt.size() - 1;
+    if (seq.shared_prefix_hint > 0) {
+      want = std::min(want, seq.shared_prefix_hint);
+    }
+    const std::size_t m = (want / bt) * bt;
+    return m >= prefix_index_->config().min_tokens ? m : 0;
+  }
 
   // Admission-time prefix probe: pin a matching shared chain for every
   // waiting eligible sequence so (a) the scheduler charges only the
   // unshared demand on shards holding the chain and (b) the chain cannot
   // be trimmed between the reduced charge and the adoption it promised.
-  const auto probe_waiting = [&]() {
+  void probe_waiting() {
     if (prefix_index_ == nullptr) return;
-    for (Sequence* seq : sched.waiting()) {
+    for (Sequence* seq : sched_.waiting()) {
       if (!seq->prefix_eligible || seq->prefix_entry != nullptr) continue;
       // A previous miss stays a miss until the entry set changes; skip
       // the longest-prefix probe until the index's revision moves.
@@ -488,433 +647,271 @@ std::vector<Response> Engine::run(std::span<const Request> requests) {
         seq->prefix_blocks_per_layer = entry->blocks_per_layer();
       }
     }
-  };
+  }
 
   // Progress guard: with the engine idle and the queue head unable to fit,
   // the index's retained chains are the only reclaimable memory — drop
   // them LRU-first (clearing any waiting sequence's pins on the victim)
   // until the head fits or nothing is left to trim.
-  const auto trim_for_progress = [&]() -> bool {
+  bool trim_for_progress() {
     if (prefix_index_ == nullptr) return false;
     const mem::PrefixEntry* victim =
         prefix_index_->lru_candidate(/*include_pinned=*/false);
     if (victim == nullptr) {
       victim = prefix_index_->lru_candidate(/*include_pinned=*/true);
       if (victim == nullptr) return false;
-      for (Sequence* seq : sched.waiting()) {
-        if (seq->prefix_entry == victim) {
-          prefix_index_->unpin(victim);
-          seq->prefix_entry = nullptr;
-          seq->prefix_blocks_per_layer = 0;
-        }
+      for (Sequence* seq : sched_.waiting()) {
+        if (seq->prefix_entry == victim) unpin_prefix(*seq);
       }
     }
     // try_drop keeps the pin check and the drop under one index-mutex
     // acquisition: a pin landing in between (ours above are cleared, but
     // external pinners exist) makes this a clean false, never a throw.
     return prefix_index_->try_drop(victim);
-  };
+  }
 
-  // Preemption: release everything the sequence holds — paged state torn
-  // down first so its blocks return while the reservation still backs
-  // them, mirroring retire() — but keep its committed tokens and re-queue
-  // it. Re-admission resumes it by recompute (see start_sequence).
-  const auto park = [&](Sequence& seq) {
+  // Admission pressure: the queue head has been starved long enough — park
+  // the scheduler's chosen victim so the head can take its budget.
+  bool pressure_preempt() {
+    if (!cfg_.preempt.enabled) return false;
+    if (sched_.waiting().empty()) return false;
+    const Sequence* head = sched_.waiting().front();
+    if (head->arrival_step > step_) return false;
+    if (step_ < head->queue_enter_step + cfg_.preempt.queue_pressure_steps) {
+      return false;
+    }
+    Sequence* victim =
+        sched_.pick_victim(step_, cfg_.preempt.min_victim_age_steps,
+                           cfg_.preempt.max_per_sequence);
+    if (victim == nullptr) return false;
+    park(*victim);
+    return true;
+  }
+
+  // Runs the batched model step; while tracing, carves the step's own
+  // project/attend/policy sink time into synthetic child spans laid out
+  // sequentially from the step start — aggregate sink deltas, not real
+  // thread-local intervals (policy observe runs per sequence in parallel,
+  // so its span can exceed the step wall).
+  Tensor model_step(std::span<Sequence* const> active) {
+    const std::uint64_t step_ticks0 = tracing_ ? trace_ticks() : 0;
+    const model::AttentionTimings before = attn_timings_;
+    const double policy_before = tracing_ ? policy_seconds(active) : 0.0;
+    Tensor logits;
+    {
+      KF_TRACE_SCOPE("step_batch");
+      logits = model_.step_batch(slots_);
+    }
+    if (tracing_) {
+      const model::AttentionTimings& after = attn_timings_;
+      const std::pair<const char*, double> spans[] = {
+          {"attn.project", after.project_seconds - before.project_seconds},
+          {"attn.attend", after.attend_seconds - before.attend_seconds},
+          {"policy.observe", policy_seconds(active) - policy_before}};
+      std::uint64_t t = step_ticks0;
+      for (const auto& [name, seconds] : spans) {
+        const std::uint64_t d = trace_seconds_to_ticks(seconds);
+        obs::trace_complete(name, "kernel", t, t + d);
+        t += d;
+      }
+    }
+    return logits;
+  }
+
+  // A sequence whose pool refused it memory mid-flight parks for a resume
+  // under a fresh reservation — unless it already exhausted its preemption
+  // cap, in which case it is contained as kRejected (keeping the tokens
+  // generated so far) rather than thrash forever.
+  void park_or_reject(Sequence& seq) {
+    if (cfg_.preempt.max_per_sequence > 0 &&
+        seq.preemptions >= cfg_.preempt.max_per_sequence) {
+      finish(seq, FinishReason::kRejected,
+             "KV block allocation kept failing after " +
+                 std::to_string(seq.preemptions) + " preemptions");
+    } else {
+      park(seq);
+    }
+  }
+
+  // Preemption: release everything the sequence holds but keep its
+  // committed tokens and re-queue it. Re-admission resumes it by recompute
+  // (see start_sequence).
+  void park(Sequence& seq) {
     KF_TRACE_SCOPE("preempt.park", "sched");
     KF_TRACE_INSTANT("preempt", "sched");
     const double t_park = now_seconds();
     seq.timeline.mark(TimelineEventKind::kPreempted, t_park);
     // Re-queue waits measure from the park, not the original arrival.
     seq.queued_seconds = t_park;
-    if (tracing && seq.policy != nullptr) seq.policy->set_timing_sink(nullptr);
-    if (seq.policy != nullptr) seq.policy->set_eviction_sink(nullptr);
-    if (pool_ != nullptr && seq.kv != nullptr) {
-      for (std::size_t l = 0; l < seq.kv->n_layers(); ++l) {
-        const auto* paged =
-            dynamic_cast<const mem::PagedKvCache*>(&seq.kv->layer(l));
-        if (paged != nullptr) stats.alloc_failures += paged->alloc_failures();
-      }
-      seq.owned_kv.reset();
-      seq.kv = nullptr;
-    } else if (seq.kv != nullptr) {
-      // Token mode: the arena stays with the sequence (it is re-sized
-      // state, not shared capacity); dropping the rows releases the
-      // abstract budget the scheduler uncharges below.
-      seq.kv->clear();
-    }
-    sched.preempt(&seq, step);
-    ++stats.preemptions;
-  };
+    release_kv(seq);
+    // Token mode: the arena stays with the sequence (it is re-sized state,
+    // not shared capacity); dropping the rows releases the abstract budget
+    // the scheduler uncharges below.
+    if (seq.kv != nullptr) seq.kv->clear();
+    sched_.preempt(&seq, step_);
+    ++stats_.preemptions;
+  }
 
-  // A sequence whose pool refused it memory mid-flight parks for a resume
-  // under a fresh reservation — unless it already exhausted its preemption
-  // cap, in which case it is contained as kRejected (keeping the tokens
-  // generated so far) rather than thrash forever.
-  const auto park_or_reject = [&](Sequence& seq) {
-    if (cfg_.preempt.max_per_sequence > 0 &&
-        seq.preemptions >= cfg_.preempt.max_per_sequence) {
+  // The one exit, wherever the sequence is: active, waiting (parked or
+  // never admitted), rejected by the scheduler, or never submitted. One
+  // that already carries its reason (Sequence::commit, a zero-token
+  // prefill, a scheduler rejection) passes it back as `reason`.
+  void finish(Sequence& seq, FinishReason reason, std::string error = {}) {
+    KF_TRACE_SCOPE("retire", "sched");
+    if (!seq.finished()) {
       seq.status = SequenceStatus::kFinished;
-      seq.finish = FinishReason::kRejected;
-      seq.error = "KV block allocation kept failing after " +
-                  std::to_string(seq.preemptions) + " preemptions";
-      seq.finish_step = step;
-      retire(seq);
-      sched.release(&seq);
-      ++finished;
-      ++stats.rejections;
-      return;
+      seq.finish = reason;
+      seq.error = std::move(error);
     }
-    park(seq);
-  };
+    seq.finish_step = step_;
+    seq.timeline.mark(TimelineEventKind::kFinished, now_seconds());
+    unpin_prefix(seq);
+    // Fold this sequence's eviction decisions (pre-park ones included) into
+    // the run counters, the engine-lifetime aggregate, and the per-policy
+    // registry counters.
+    stats_.eviction_decisions += seq.eviction.decisions();
+    stats_.evicted_tokens += seq.eviction.tokens_evicted();
+    stats_.kept_tokens += seq.eviction.tokens_kept();
+    if (seq.eviction.decisions() > 0) {
+      {
+        const LockGuard lock(engine_.stats_mu_);
+        engine_.eviction_agg_.merge(seq.eviction);
+      }
+      const std::string base = "evict." + seq.policy->name();
+      obs::MetricsRegistry& reg = engine_.metrics_;
+      reg.counter(base + ".decisions").add(seq.eviction.decisions());
+      reg.counter(base + ".tokens_evicted").add(seq.eviction.tokens_evicted());
+      reg.counter(base + ".tokens_kept").add(seq.eviction.tokens_kept());
+    }
+    const std::span<Sequence* const> active = sched_.active();
+    if (std::find(active.begin(), active.end(), &seq) != active.end()) {
+      // Capture what the Response needs from the caches; KV teardown
+      // precedes the release so freed blocks return to the shard while the
+      // reservation still backs them.
+      for (std::size_t l = 0; l < seq.kv->n_layers(); ++l) {
+        seq.final_cache_sizes.push_back(seq.kv->layer_size(l));
+      }
+      release_kv(seq);
+      sched_.release(&seq);
+    } else {
+      sched_.remove_waiting(&seq);  // a no-op unless it is queued
+    }
+    if (seq.finish == FinishReason::kTimeout) {
+      KF_TRACE_INSTANT("timeout", "sched");
+      ++stats_.timeouts;
+    } else if (seq.finish == FinishReason::kRejected) {
+      KF_TRACE_INSTANT("reject", "sched");
+      ++stats_.rejections;
+    }
+    ++finished_;
+  }
 
-  // Deadline enforcement in the engine's virtual clock: shed expired
-  // sequences — waiting ones that overstayed deadline_steps or
-  // max_queue_steps, active ones past deadline_steps (they keep their
-  // generated-so-far tokens) — so a stuck queue frees budget instead of
-  // growing.
-  const auto past_deadline = [&](const Sequence& seq) {
+  // KV release for a sequence leaving the active set (finish or park):
+  // uninstall the policy sinks; in paged mode count the layers' allocation
+  // failures and copy-on-write copies, then drop the layers so their blocks
+  // return to the pool. Token-mode state stays: external kv_state callers
+  // (generate() among them) read it after the run; park() clears it.
+  void release_kv(Sequence& seq) {
+    if (tracing_) seq.policy->set_timing_sink(nullptr);
+    seq.policy->set_eviction_sink(nullptr);
+    if (pool_ == nullptr) return;
+    const PagedCounters c = paged_counters(seq);
+    stats_.alloc_failures += c.alloc_failures;
+    stats_.prefix_cow_copies += c.cow_copies;
+    seq.owned_kv.reset();
+    seq.kv = nullptr;
+  }
+
+  void unpin_prefix(Sequence& seq) {
+    if (seq.prefix_entry == nullptr) return;
+    prefix_index_->unpin(seq.prefix_entry);
+    seq.prefix_entry = nullptr;
+    seq.prefix_blocks_per_layer = 0;
+  }
+
+  bool past_deadline(const Sequence& seq) const {
     return seq.deadline_steps > 0 &&
-           step >= seq.arrival_step + seq.deadline_steps;
-  };
-  const auto shed_timeouts = [&]() {
-    const std::vector<Sequence*> waiting(sched.waiting().begin(),
-                                         sched.waiting().end());
-    for (Sequence* seq : waiting) {
-      const bool wait_exceeded =
-          seq->max_queue_steps > 0 && step >= seq->queue_enter_step &&
-          step - seq->queue_enter_step >= seq->max_queue_steps;
-      if (!past_deadline(*seq) && !wait_exceeded) continue;
-      sched.remove_waiting(seq);
-      if (seq->prefix_entry != nullptr) {
-        prefix_index_->unpin(seq->prefix_entry);
-        seq->prefix_entry = nullptr;
-        seq->prefix_blocks_per_layer = 0;
-      }
-      seq->status = SequenceStatus::kFinished;
-      seq->finish = FinishReason::kTimeout;
-      seq->error = past_deadline(*seq)
-                       ? "deadline_steps expired while queued"
-                       : "queue wait exceeded max_queue_steps";
-      seq->finish_step = step;
-      seq->timeline.mark(TimelineEventKind::kFinished, now_seconds());
-      KF_TRACE_INSTANT("timeout", "sched");
-      ++finished;
-      ++stats.timeouts;
-    }
-    const std::vector<Sequence*> active(sched.active().begin(),
-                                        sched.active().end());
-    for (Sequence* seq : active) {
-      if (!past_deadline(*seq)) continue;
-      seq->status = SequenceStatus::kFinished;
-      seq->finish = FinishReason::kTimeout;
-      seq->error = "deadline_steps expired";
-      seq->finish_step = step;
-      KF_TRACE_INSTANT("timeout", "sched");
-      retire(*seq);
-      sched.release(seq);
-      ++finished;
-      ++stats.timeouts;
-    }
-  };
-
-  // Admission pressure: the queue head has been starved long enough —
-  // park the scheduler's chosen victim so the head can take its budget.
-  const auto pressure_preempt = [&]() -> bool {
-    if (!cfg_.preempt.enabled) return false;
-    if (sched.waiting().empty()) return false;
-    Sequence* head = sched.waiting().front();
-    if (head->arrival_step > step) return false;
-    if (step < head->queue_enter_step + cfg_.preempt.queue_pressure_steps) {
-      return false;
-    }
-    Sequence* victim =
-        sched.pick_victim(step, cfg_.preempt.min_victim_age_steps,
-                          cfg_.preempt.max_per_sequence);
-    if (victim == nullptr) return false;
-    park(*victim);
-    return true;
-  };
-
-  // Timeline origin: stamp kQueued the first time the engine sees a
-  // sequence arrived (the waiting queue is arrival-ordered, so stop at the
-  // first future arrival). TTFT and queue wait measure from this stamp.
-  const auto stamp_arrivals = [&]() {
-    const double t_now = now_seconds();
-    for (Sequence* seq : sched.waiting()) {
-      if (seq->arrival_step > step) break;
-      if (!seq->queued_stamped) {
-        seq->queued_stamped = true;
-        seq->queued_seconds = t_now;
-        seq->timeline.mark(TimelineEventKind::kQueued, t_now);
-      }
-    }
-  };
-  while (finished < seqs.size()) {
-    // Idle engine: jump the clock to the next arrival.
-    if (sched.active_count() == 0) {
-      const auto next = sched.next_arrival();
-      if (next.has_value() && *next > step) step = *next;
-    }
-    stamp_arrivals();
-
-    // Shed expired sequences first: their freed budget is admissible this
-    // same step.
-    shed_timeouts();
-
-    // Admit + prefill newly eligible sequences; a sequence that finishes
-    // during prefill (eos first token, max_new_tokens 0) retires at once,
-    // freeing its budget for the next waiting request this same step.
-    bool admitted_any = true;
-    while (admitted_any) {
-      admitted_any = false;
-      KF_TRACE_SCOPE("admit");
-      probe_waiting();
-      for (Sequence* seq : sched.admit(step)) {
-        admitted_any = true;
-        const double t_admit = now_seconds();
-        seq->timeline.mark(TimelineEventKind::kAdmitted, t_admit);
-        if (seq->queued_stamped) {
-          hist_queue_wait_.record(t_admit - seq->queued_seconds);
-        }
-        if (tracing) seq->policy->set_timing_sink(&seq->policy_timings);
-        seq->policy->set_eviction_sink(&seq->eviction);
-        if (pool_ != nullptr) {
-          // Materialize the placement decision: layer caches drawing
-          // blocks from the shard the scheduler just reserved on.
-          seq->owned_kv = std::make_unique<kv::SequenceKvState>(
-              *pool_, seq->shard, model_.config().n_layers);
-          seq->kv = seq->owned_kv.get();
-        }
-        // The admission charge covers the transient prefill peak; record
-        // it before settling so max_tokens_in_use reflects true memory.
-        stats.max_tokens_in_use =
-            std::max(stats.max_tokens_in_use, sched.tokens_in_use());
-        stats.max_blocks_in_use =
-            std::max(stats.max_blocks_in_use, sched.blocks_in_use());
-        start_sequence(*seq, step, stats);
-        if (!seq->finished() && kv_alloc_failed(*seq)) {
-          // Prefill (or resume replay) outgrew its reservation into
-          // emergency memory — an injected fault or a capacity race.
-          // Park it for a later, fully pool-backed retry.
-          park_or_reject(*seq);
-          continue;
-        }
-        {
-          KF_TRACE_SCOPE("settle");
-          sched.settle(seq);
-        }
-        if (seq->finished()) {
-          seq->finish_step = step;
-          retire(*seq);
-          sched.release(seq);
-          ++finished;
-        }
-      }
-      // Drain admission rejections (demand above a whole shard, or a
-      // reservation denied past the retry cap): each becomes a kRejected
-      // response, and the queue behind it keeps moving.
-      for (Sequence* seq : sched.take_rejected()) {
-        if (seq->prefix_entry != nullptr) {
-          prefix_index_->unpin(seq->prefix_entry);
-          seq->prefix_entry = nullptr;
-          seq->prefix_blocks_per_layer = 0;
-        }
-        seq->finish_step = step;
-        seq->timeline.mark(TimelineEventKind::kFinished, now_seconds());
-        KF_TRACE_INSTANT("reject", "sched");
-        ++finished;
-        ++stats.rejections;
-      }
-      if (!admitted_any) {
-        const auto head = sched.next_arrival();
-        const bool head_ready = head.has_value() && *head <= step;
-        // Idle engine, arrived head, no admission: the prefix cache's
-        // retained blocks are squeezing the pool — reclaim and retry.
-        if (head_ready && sched.active_count() == 0 && trim_for_progress()) {
-          admitted_any = true;
-        } else if (head_ready && pressure_preempt()) {
-          // Starved head under admission pressure: a victim was parked;
-          // retry admission against the freed budget.
-          admitted_any = true;
-        }
-      }
-    }
-
-    const std::vector<Sequence*> active(sched.active().begin(),
-                                        sched.active().end());
-    if (active.empty()) continue;  // everything admitted so far retired
-
-    stats.max_batch = std::max(stats.max_batch, active.size());
-    // Per-batch occupancy, published with this step's snapshot — the
-    // live series a Monitor samples (the engine loop owns the scheduler,
-    // so reading waiting() here is within its threading contract).
-    stats.active_sequences = active.size();
-    stats.waiting_sequences = sched.waiting().size();
-    stats.max_tokens_in_use =
-        std::max(stats.max_tokens_in_use, sched.tokens_in_use());
-    stats.max_blocks_in_use =
-        std::max(stats.max_blocks_in_use, sched.blocks_in_use());
-    if (pool_ != nullptr) {
-      // Internal fragmentation this step: tokens actually cached vs the
-      // whole-block token slots holding them. The prefix index's retained
-      // chains are excluded — they are deliberate caching, not slack (an
-      // adopted chain is double-discounted here, so the measure clamps).
-      const std::size_t index_blocks =
-          prefix_index_ != nullptr ? prefix_index_->blocks_held() : 0;
-      const std::size_t used = pool_->stats().used_blocks;
-      const std::size_t used_tokens =
-          (used > index_blocks ? used - index_blocks : 0) *
-          pool_->block_tokens();
-      if (used_tokens > 0) {
-        std::size_t live = 0;
-        for (const Sequence* seq : active) live += seq->kv->total_tokens();
-        const double frag =
-            std::max(0.0, 1.0 - static_cast<double>(live) /
-                                    static_cast<double>(used_tokens));
-        stats.cur_fragmentation = frag;
-        stats.max_fragmentation = std::max(stats.max_fragmentation, frag);
-      }
-    }
-
-    // One decode step for the whole batch. The step wall covers the model
-    // call AND per-sequence sampling/bookkeeping, so decode_seconds is the
-    // true decode-phase latency (prefill_seconds likewise includes its
-    // first-token selection).
-    const double t0 = now_seconds();
-    slots.clear();
-    for (const Sequence* seq : active) {
-      model::DecodeSlot slot;
-      slot.token = seq->feed_token();
-      slot.position = seq->next_position();
-      slot.t = seq->next_t();
-      slot.total_steps = seq->gen.max_new_tokens;
-      slot.state = seq->kv;
-      slot.policy = seq->policy;
-      slots.push_back(slot);
-    }
-    // Kernel-sink baselines: what the timing sinks held before this step,
-    // so the step's own project/attend/policy time can be carved into
-    // synthetic child spans below.
-    std::uint64_t step_ticks0 = 0;
-    model::AttentionTimings attn_before = attn_timings;
-    double policy_before = 0.0;
-    if (tracing) {
-      step_ticks0 = trace_ticks();
-      for (const Sequence* seq : active) {
-        policy_before +=
-            seq->policy_timings.score_seconds + seq->policy_timings.evict_seconds;
-      }
-    }
-    Tensor logits;
-    {
-      KF_TRACE_SCOPE("step_batch");
-      logits = model_.step_batch(slots);
-    }
-    if (tracing) {
-      double policy_after = 0.0;
-      for (const Sequence* seq : active) {
-        policy_after +=
-            seq->policy_timings.score_seconds + seq->policy_timings.evict_seconds;
-      }
-      // Sequential pseudo-spans laid out from the step start: aggregate
-      // sink deltas, not real thread-local intervals (policy observe runs
-      // per sequence in parallel, so its span can exceed the step wall).
-      std::uint64_t t = step_ticks0;
-      const auto emit = [&t](const char* name, double seconds) {
-        const std::uint64_t d = trace_seconds_to_ticks(seconds);
-        obs::trace_complete(name, "kernel", t, t + d);
-        t += d;
-      };
-      emit("attn.project",
-           attn_timings.project_seconds - attn_before.project_seconds);
-      emit("attn.attend",
-           attn_timings.attend_seconds - attn_before.attend_seconds);
-      emit("policy.observe", policy_after - policy_before);
-    }
-    {
-      KF_TRACE_SCOPE("sample");
-      for (std::size_t b = 0; b < active.size(); ++b) {
-        Sequence* seq = active[b];
-        seq->peak_cache_tokens =
-            std::max(seq->peak_cache_tokens, seq->kv->max_layer_tokens());
-        const Token next = model::select_greedy(
-            logits.row(b), seq->recent_window(), seq->gen.repetition_penalty,
-            seq->gen.banned_tokens);
-        seq->commit(next);
-        ++stats.decoded_tokens;
-      }
-    }
-    const double dt = now_seconds() - t0;
-    stats.decode_seconds += dt;
-    ++stats.steps;
-    hist_step_.record(dt);
-    // Every active sequence committed one token this step: one shared
-    // timestamp bounds the per-sequence inter-token gaps.
-    const double t_tokens = t0 + dt;
-    for (Sequence* seq : active) {
-      if (seq->last_token_seconds > 0.0) {
-        const double gap = t_tokens - seq->last_token_seconds;
-        hist_inter_token_.record(gap);
-        seq->inter_token.add(gap);
-      }
-      seq->last_token_seconds = t_tokens;
-    }
-    // Keep stats() live mid-run: one snapshot per decode step is the
-    // granularity an async front-end polls at (per-token would publish
-    // the same struct under the same lock anyway).
-    stats.reservation_retries = sched.reservation_retries();
-    publish_stats(stats);
-    for (Sequence* seq : active) {
-      seq->decode_seconds += dt;
-      if (seq->finished()) {
-        seq->finish_step = step;
-        retire(*seq);
-        sched.release(seq);
-        ++finished;
-      } else if (kv_alloc_failed(*seq)) {
-        // The step completed exactly (emergency memory holds real rows),
-        // but the sequence is over its physical budget: park it and
-        // recompute under a fresh reservation.
-        park_or_reject(*seq);
-      }
-    }
-    ++step;
+           step_ >= seq.arrival_step + seq.deadline_steps;
   }
 
-  if (pool_ != nullptr) {
-    stats.pool_peak_used_blocks = pool_->stats().peak_used_blocks;
+  // Did any layer outgrow its reservation into emergency heap memory?
+  // Latched by the no-throw allocation fallback; checked at every step
+  // boundary (an escaping exception inside the parallel decode workers
+  // is not an option — it would terminate the process).
+  bool kv_alloc_failed(const Sequence& seq) const {
+    return pool_ != nullptr && paged_counters(seq).alloc_failures > 0;
   }
-  stats.reservation_retries = sched.reservation_retries();
-  stats.active_sequences = 0;  // run drained: occupancy series settles to 0
-  stats.waiting_sequences = 0;
-  publish_stats(stats);
 
-  std::vector<Response> responses;
-  responses.reserve(seqs.size());
-  for (Sequence& seq : seqs) {
-    Response r;
-    r.id = seq.id;
-    r.tokens = std::move(seq.tokens);
-    r.prompt_len = seq.prompt.size();
-    r.budget = seq.budget;
-    r.final_cache_sizes = std::move(seq.final_cache_sizes);
-    r.peak_cache_tokens = seq.peak_cache_tokens;
-    r.finish = seq.finish;
-    r.error = std::move(seq.error);
-    r.preemptions = seq.preemptions;
-    r.arrival_step = seq.arrival_step;
-    r.first_decode_step = seq.first_decode_step;
-    r.finish_step = seq.finish_step;
-    r.prefill_seconds = seq.prefill_seconds;
-    r.decode_seconds = seq.decode_seconds;
-    r.timeline = std::move(seq.timeline);
-    r.ttft_seconds = r.timeline.ttft_seconds();
-    r.queue_wait_seconds = r.timeline.queue_wait_seconds();
-    r.inter_token = seq.inter_token;
-    r.eviction = seq.eviction.summary();
-    responses.push_back(std::move(r));
+  void record_peak_use() {
+    stats_.max_tokens_in_use =
+        std::max(stats_.max_tokens_in_use, sched_.tokens_in_use());
+    stats_.max_blocks_in_use =
+        std::max(stats_.max_blocks_in_use, sched_.blocks_in_use());
   }
-  return responses;
+
+  // Per-batch occupancy, published with this step's snapshot — the live
+  // series a Monitor samples (the engine loop owns the scheduler, so
+  // reading waiting() here is within its threading contract).
+  void record_occupancy(std::span<Sequence* const> active) {
+    stats_.max_batch = std::max(stats_.max_batch, active.size());
+    stats_.active_sequences = active.size();
+    stats_.waiting_sequences = sched_.waiting().size();
+    record_peak_use();
+    if (pool_ == nullptr) return;
+    // Internal fragmentation this step: tokens actually cached vs the
+    // whole-block token slots holding them. The prefix index's retained
+    // chains are excluded — they are deliberate caching, not slack (an
+    // adopted chain is double-discounted here, so the measure clamps).
+    const std::size_t index_blocks =
+        prefix_index_ != nullptr ? prefix_index_->blocks_held() : 0;
+    const std::size_t used = pool_->stats().used_blocks;
+    const std::size_t used_tokens =
+        (used > index_blocks ? used - index_blocks : 0) * pool_->block_tokens();
+    if (used_tokens > 0) {
+      std::size_t live = 0;
+      for (const Sequence* seq : active) live += seq->kv->total_tokens();
+      const double frag =
+          std::max(0.0, 1.0 - static_cast<double>(live) /
+                                  static_cast<double>(used_tokens));
+      stats_.cur_fragmentation = frag;
+      stats_.max_fragmentation = std::max(stats_.max_fragmentation, frag);
+    }
+  }
+
+  Engine& engine_;
+  model::Transformer& model_;
+  const EngineConfig& cfg_;
+  mem::BlockPool* const pool_;
+  mem::PrefixIndex* const prefix_index_;
+  /// Kernel-level visibility while tracing: the attention sink is updated
+  /// only on the batch step's calling thread (one shared sink is safe);
+  /// policy timings are written per sequence inside parallel_for workers,
+  /// so each sequence carries its own sink (installed at admission). Their
+  /// deltas become synthetic child spans of each step — the per-ISA
+  /// kernels themselves stay trace-free.
+  const bool tracing_;
+  model::AttentionTimings attn_timings_;
+  /// Accumulated here and published as snapshots, so readers of stats()
+  /// never observe a half-updated struct.
+  EngineStats stats_;
+  std::deque<Sequence> seqs_;  ///< stable addresses for the scheduler
+  BatchScheduler sched_;
+  std::size_t step_ = 0;
+  std::size_t finished_ = 0;
+  std::vector<model::DecodeSlot> slots_;
+};
+
+std::vector<Response> Engine::run(std::span<const Request> requests) {
+  KF_TRACE_SCOPE("engine.run");
+  Run run(*this);
+  run.intake(requests);
+  while (run.pending()) {
+    run.arrive();
+    run.shed();
+    run.admit();
+    run.decode_step();
+  }
+  return run.respond();
 }
 
 void add_engine_probes(obs::Monitor& monitor, Engine& engine) {

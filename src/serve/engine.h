@@ -4,17 +4,21 @@
 // Structure (the Table 1 serving stack):
 //   Request --> Sequence (own KV caches + own policy instance + sampling
 //   state) --> BatchScheduler (admission under a batch-size and KV-memory
-//   budget) --> Engine loop:
-//       1. admit newly arrived requests that fit, prefilling each
-//          (prefill runs one sequence at a time, like the decode-centric
-//          continuous-batching servers this models);
-//       2. decode ONE token for every active sequence with a single
-//          Transformer::step_batch call — per-row projections and
-//          per-sequence fused attention, parallel across sequences;
-//       3. sample per sequence (greedy + repetition penalty/ban list,
-//          identical to generate());
-//       4. retire finished sequences, freeing budget so waiting requests
-//          join mid-stream.
+//   budget) --> Engine::run, whose loop phases are methods of a per-run
+//   state:
+//       intake   materialize sequences, reject un-servable requests, submit
+//                the rest in arrival order; then, each step:
+//       arrive   jump an idle clock to the next arrival, stamp kQueued;
+//       shed     time out expired sequences (before admission);
+//       admit    admit arrivals that fit, prefilling each one at a time like
+//                the decode-centric continuous-batching servers this models;
+//       decode   ONE token for every active sequence in one step_batch call
+//                (per-sequence fused attention, parallel across sequences),
+//                greedy-sampled per sequence exactly like generate();
+//       respond  once all finished, distill each sequence into a Response.
+//   Every sequence leaves through one exit that frees its budget (waiting
+//   requests join mid-stream); it and park drop KV state through one
+//   release.
 // The engine clock is the decode-step index; request arrival_step is
 // expressed in it, making staggered-arrival runs deterministic.
 //
@@ -134,7 +138,9 @@ struct EngineStats {
   /// Block adoptions served by sharing instead of fresh allocation
   /// (layers x chain blocks, summed over hits).
   std::size_t prefix_blocks_shared = 0;
-  /// Shared blocks privately copied when eviction/append first wrote them.
+  /// Shared blocks privately copied when eviction/append first wrote them,
+  /// counted when a sequence's paged caches are released — at every exit
+  /// and at every park.
   std::size_t prefix_cow_copies = 0;
   // Robustness counters (published mid-run like everything else):
   std::size_t preemptions = 0;  ///< sequences parked mid-decode
@@ -156,8 +162,9 @@ struct EngineStats {
   std::size_t waiting_sequences = 0;  ///< queue depth at the last step
   /// Internal fragmentation at the last step (see max_fragmentation).
   double cur_fragmentation = 0.0;
-  // Eviction introspection, accumulated at retirement from each
-  // sequence's EvictionTelemetry (replayed resume decisions included):
+  // Eviction introspection, accumulated when each sequence finishes —
+  // whatever its exit path — from its EvictionTelemetry (decisions made
+  // before a park and replayed resume decisions included):
   std::size_t eviction_decisions = 0;  ///< compaction events executed
   std::size_t evicted_tokens = 0;      ///< cache rows dropped
   std::size_t kept_tokens = 0;         ///< cache rows retained at decisions
@@ -251,18 +258,10 @@ class Engine {
   }
 
  private:
-  /// Prefill + first-token selection for a newly admitted sequence. With
-  /// the prefix cache on: adopt a matching shared chain and prefill only
-  /// the suffix, or chunk the prefill at the shareable boundary and insert
-  /// the prefix chain into the index for the requests behind this one.
-  /// Re-admission of a preempted sequence (seq.tokens non-empty) prefills
-  /// the prompt the same way, then replays the parked tokens through
-  /// single-sequence decode steps — exact recomputation of the evicted
-  /// state. Counters accrue into `stats`, the run's local accumulator.
-  void start_sequence(Sequence& seq, std::size_t now_step, EngineStats& stats);
-  /// Prefix boundary this sequence would index on a miss (block-aligned,
-  /// below the prompt end, at least the index minimum); 0 = don't index.
-  std::size_t insertable_prefix_tokens(const Sequence& seq) const;
+  /// One run() call's state; its methods are the loop's phases (see the
+  /// file comment). Defined in engine.cpp.
+  class Run;
+
   /// Publishes a run's accumulator as the visible stats() snapshot.
   void publish_stats(const EngineStats& stats) KF_EXCLUDES(stats_mu_);
 

@@ -180,17 +180,13 @@ struct Sequence {
 
   /// Lifecycle stamps accumulating toward Response::timeline.
   obs::RequestTimeline timeline;
-  /// True once kQueued was stamped (the engine first saw the sequence
-  /// arrived); queued_seconds then holds the wall clock of that moment —
-  /// reset by a preemption so re-admission queue waits measure the park.
-  bool queued_stamped = false;
+  /// Wall clock of the kQueued stamp (the engine first saw the sequence
+  /// arrived) — reset by a preemption so re-admission queue waits measure
+  /// the park.
   double queued_seconds = 0.0;
   /// Wall clock of the last committed token (prefill first token included);
   /// 0 until one exists. Decode steps measure inter-token gaps from here.
   double last_token_seconds = 0.0;
-  /// TTFT is recorded once per request — a resume replay re-commits old
-  /// tokens and must not re-record it.
-  bool ttft_recorded = false;
   /// Wall-clock gaps between consecutive committed decode tokens.
   obs::StreamStats inter_token;
   /// Per-sequence policy timing sink, installed while tracing is enabled

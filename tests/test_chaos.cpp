@@ -12,16 +12,24 @@
 //      no leak survives any interleaving of faults and preemptions;
 //   4. sequences that complete normally (kLength) are token-exact against
 //      a fault-free solo run — faults may delay or evict work, never
-//      corrupt it (recompute-based resume replays exactly).
+//      corrupt it (recompute-based resume replays exactly);
+//   5. the engine's accounting agrees with its Responses on every exit
+//      path: EngineStats' eviction counters, eviction_report() and the
+//      evict.keyformer.* registry counters equal the sums of
+//      Response::eviction, and timeouts/rejections equal the kTimeout/
+//      kRejected counts — a sequence parked and then timed out or refused
+//      re-admission is counted like any other.
 // The suite runs under ASan and TSan in CI (see .github/workflows/ci.yml).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/rng.h"
+#include "engine_accounting.h"
 #include "kvcache/policy_factory.h"
 #include "serve/engine.h"
 #include "serve/fault.h"
@@ -112,7 +120,8 @@ void expect_definite_outcomes(const std::vector<Request>& requests,
 
 TEST(Chaos, FaultsNeverLeakBlocksOrLoseDefiniteOutcomes) {
   Transformer model(tiny_config());
-  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+  // Seed 17 parks sequences that later time out while queued.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 17u}) {
     const auto requests = chaos_requests(seed);
     const EngineConfig ec = chaos_config(requests, /*fraction=*/0.5);
     Engine engine(model, ec);
@@ -134,6 +143,12 @@ TEST(Chaos, FaultsNeverLeakBlocksOrLoseDefiniteOutcomes) {
     ASSERT_NE(engine.pool(), nullptr);
     EXPECT_EQ(engine.pool()->stats().used_blocks, 0u) << "seed " << seed;
     EXPECT_EQ(engine.pool()->stats().reserved_blocks, 0u) << "seed " << seed;
+
+    // Invariant 5: accounting matches the Responses on every exit path.
+    {
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      expect_accounting_matches_responses(engine, responses);
+    }
 
     // Invariant 4: normal finishers are token-exact against a fault-free
     // solo run — faults delay work, they never corrupt it.
@@ -180,6 +195,7 @@ TEST(Chaos, TotalReservationFailureStillTerminatesEveryRequest) {
   }
   EXPECT_EQ(engine.pool()->stats().used_blocks, 0u);
   EXPECT_EQ(engine.pool()->stats().reserved_blocks, 0u);
+  expect_accounting_matches_responses(engine, responses);
 }
 
 TEST(Chaos, AllocateFaultsForceParksButStreamsStayExact) {
@@ -200,6 +216,7 @@ TEST(Chaos, AllocateFaultsForceParksButStreamsStayExact) {
   expect_definite_outcomes(requests, responses);
   EXPECT_EQ(engine.pool()->stats().used_blocks, 0u);
   EXPECT_EQ(engine.pool()->stats().reserved_blocks, 0u);
+  expect_accounting_matches_responses(engine, responses);
   EXPECT_GT(injector.allocate_failures(), 0u);
   for (std::size_t i = 0; i < responses.size(); ++i) {
     if (responses[i].finish != FinishReason::kLength) continue;

@@ -12,6 +12,7 @@
 
 #include <atomic>
 
+#include "engine_accounting.h"
 #include "mem/block_pool.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
@@ -183,39 +184,65 @@ TEST(ServeTimeline, TraceSpansCoverARun) {
 // Edge interleavings: lifecycle stamps under preemption, rejection, and
 // degenerate workloads.
 
-TEST(ServeTimeline, PreemptThenTimeoutKeepsOrderedStamps) {
-  // A victim parked under queue pressure whose deadline expires before it
-  // can resume: the timeline must show kPreempted then kFinished (no
-  // kResumed), and the distilled TTFT from its pre-park tokens survives.
-  ModelConfig cfg = tiny_config();
-  Transformer m(cfg);
+/// The preempt-then-timeout interleaving: request 0 decodes alone until
+/// request 1 — arriving at step 4, full attention, sized to fill the whole
+/// pool once admitted — starves behind it and, with a pressure window of 3,
+/// parks it at step 7 after 8 committed tokens. Request 0's deadline (10)
+/// then expires while it is parked: the engine sheds deadlines before
+/// admission pressure each step, so it never resumes.
+std::vector<Request> preempt_then_timeout_requests() {
   std::vector<Request> requests(2);
   requests[0].prompt = make_prompt(32, 0);
   requests[0].gen.max_new_tokens = 16;
   requests[0].gen.cache_ratio = 0.5;
   requests[0].deadline_steps = 10;  // expires while parked
+  requests[1].id = 1;
   requests[1].prompt = make_prompt(32, 1);
   requests[1].gen.max_new_tokens = 8;
   // Full attention: once admitted, request 1 occupies the whole pool
   // (32 + 8 tokens = 10 blocks), so the parked victim cannot resume
-  // before its deadline — the interleaving under test.
+  // before its deadline.
   requests[1].gen.cache_ratio = 1.0;
   requests[1].arrival_step = 4;  // starved behind request 0
+  return requests;
+}
 
+EngineConfig preempt_then_timeout_config() {
   EngineConfig ec;
+  ec.policy.kind = kv::PolicyKind::kKeyformer;
   ec.paged.enabled = true;
   ec.paged.n_shards = 1;
   ec.paged.block_tokens = 8;
   ec.paged.blocks_per_shard = 10;  // one 32-token prompt fits, not two
-  // Pressure window 3: request 1 (queued at 4) parks request 0 at step 7;
-  // the parked victim's own counter-pressure would fire at step 10, but
-  // the engine sheds deadlines first each step — so request 0 leaves as a
-  // timeout while still parked, never resuming.
   ec.preempt.queue_pressure_steps = 3;
   ec.preempt.min_victim_age_steps = 2;
-  Engine engine(m, ec);
+  return ec;
+}
 
-  const auto responses = engine.run(requests);
+/// Fault injector that lets the first `allow` operations of kind `op`
+/// succeed and vetoes every one after — deterministic exhaustion.
+class FailOpsAfter final : public mem::FaultInjector {
+ public:
+  FailOpsAfter(mem::FaultOp op, std::size_t allow) : op_(op), allow_(allow) {}
+  bool should_fail(mem::FaultOp op, std::size_t /*shard*/) override {
+    if (op != op_) return false;
+    return calls_.fetch_add(1, std::memory_order_relaxed) >= allow_;
+  }
+
+ private:
+  const mem::FaultOp op_;
+  const std::size_t allow_;
+  std::atomic<std::size_t> calls_{0};
+};
+
+TEST(ServeTimeline, PreemptThenTimeoutKeepsOrderedStamps) {
+  // The victim's timeline must show kPreempted then kFinished (no
+  // kResumed), and the distilled TTFT from its pre-park tokens survives.
+  ModelConfig cfg = tiny_config();
+  Transformer m(cfg);
+  Engine engine(m, preempt_then_timeout_config());
+
+  const auto responses = engine.run(preempt_then_timeout_requests());
   ASSERT_EQ(responses.size(), 2u);
   const Response& victim = responses[0];
   EXPECT_GE(engine.stats().preemptions, 1u);
@@ -231,22 +258,72 @@ TEST(ServeTimeline, PreemptThenTimeoutKeepsOrderedStamps) {
   // The survivor is untouched by its neighbor's deadline.
   EXPECT_EQ(responses[1].finish, FinishReason::kLength);
   EXPECT_EQ(responses[1].tokens.size(), 8u);
+  // The victim's pre-park eviction decisions count although it left
+  // while queued.
+  EXPECT_GT(victim.eviction.decisions, 0u);
+  expect_accounting_matches_responses(engine, responses);
 }
 
-/// Fault injector that lets the first `allow` block allocations succeed
-/// and vetoes every one after — deterministic mid-decode exhaustion.
-class FailAllocationsAfter final : public mem::FaultInjector {
- public:
-  explicit FailAllocationsAfter(std::size_t allow) : allow_(allow) {}
-  bool should_fail(mem::FaultOp op, std::size_t /*shard*/) override {
-    if (op != mem::FaultOp::kAllocate) return false;
-    return calls_.fetch_add(1, std::memory_order_relaxed) >= allow_;
-  }
+TEST(ServeTimeline, PreemptThenRefusedReadmissionCountsEvictions) {
+  // The same interleaving without the deadline, and every block
+  // reservation after the first two admissions vetoed: the parked victim
+  // is refused re-admission until the scheduler's retry cap rejects it
+  // through take_rejected(). Its pre-park eviction decisions still count.
+  ModelConfig cfg = tiny_config();
+  Transformer m(cfg);
+  std::vector<Request> requests = preempt_then_timeout_requests();
+  requests[0].deadline_steps = 0;
+  Engine engine(m, preempt_then_timeout_config());
+  FailOpsAfter injector(mem::FaultOp::kReserve, /*allow=*/2);
+  engine.set_fault_injector(&injector);
 
- private:
-  const std::size_t allow_;
-  std::atomic<std::size_t> calls_{0};
-};
+  const auto responses = engine.run(requests);
+  engine.set_fault_injector(nullptr);
+  ASSERT_EQ(responses.size(), 2u);
+  const Response& victim = responses[0];
+  ASSERT_EQ(victim.finish, FinishReason::kRejected);
+  EXPECT_TRUE(victim.timeline.has(TimelineEventKind::kPreempted));
+  EXPECT_FALSE(victim.timeline.has(TimelineEventKind::kResumed));
+  EXPECT_GT(victim.eviction.decisions, 0u);
+  expect_accounting_matches_responses(engine, responses);
+  EXPECT_EQ(engine.pool()->stats().used_blocks, 0u);
+  EXPECT_EQ(engine.pool()->stats().reserved_blocks, 0u);
+}
+
+TEST(ServeTimeline, ParkCountsCopyOnWriteCopies) {
+  // With the prefix cache on, request 0 inserts its prompt prefix and
+  // then shares those blocks with the index, so Keyformer's evictions
+  // copy them on write. It is parked after 8 tokens and times out. Its
+  // twin — request 0 alone, timing out at step 7 with the same 8 tokens
+  // under the same max_new_tokens (so the same t/T schedule) — makes the
+  // same copies, and both runs must count them: a park drops the caches
+  // like a finish does.
+  ModelConfig cfg = tiny_config();
+  Transformer m(cfg);
+  EngineConfig ec = preempt_then_timeout_config();
+  ec.prefix.enabled = true;
+  ec.prefix.max_blocks = 6;
+  ec.paged.blocks_per_shard = 16;
+
+  Engine parked_engine(m, ec);
+  const auto parked = parked_engine.run(preempt_then_timeout_requests());
+  ASSERT_EQ(parked.size(), 2u);
+  ASSERT_EQ(parked[0].finish, FinishReason::kTimeout);
+  EXPECT_EQ(parked[0].preemptions, 1u);
+  EXPECT_EQ(parked[0].tokens.size(), 8u);
+
+  Request twin = preempt_then_timeout_requests()[0];
+  twin.deadline_steps = 7;
+  Engine twin_engine(m, ec);
+  const auto alone = twin_engine.run({&twin, 1});
+  ASSERT_EQ(alone[0].finish, FinishReason::kTimeout);
+  EXPECT_EQ(alone[0].preemptions, 0u);
+  EXPECT_EQ(alone[0].tokens, parked[0].tokens);
+
+  EXPECT_GT(twin_engine.stats().prefix_cow_copies, 0u);
+  EXPECT_EQ(parked_engine.stats().prefix_cow_copies,
+            twin_engine.stats().prefix_cow_copies);
+}
 
 TEST(ServeTimeline, ResumeThenRejectAfterPreemptionBudget) {
   // Permanent allocation failure forces a park; the resume attempt fails
@@ -268,7 +345,7 @@ TEST(ServeTimeline, ResumeThenRejectAfterPreemptionBudget) {
   Engine engine(m, ec);
   // Admission + prefill of a 16-token prompt needs 2 blocks x 2 layers;
   // allow those plus a few decode appends, then fail everything.
-  FailAllocationsAfter injector(/*allow=*/6);
+  FailOpsAfter injector(mem::FaultOp::kAllocate, /*allow=*/6);
   engine.set_fault_injector(&injector);
 
   const auto responses = engine.run(requests);
