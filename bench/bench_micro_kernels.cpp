@@ -2,7 +2,7 @@
 // the analytical model — attention step, plain softmax vs Gumbel softmax
 // (Keyformer's score overhead, Fig 10), cache compaction, matmul.
 //
-// Kernels with runtime-dispatched SIMD variants (matvec, vecmat, dot,
+// Kernels with runtime-dispatched SIMD variants (matmul, matvec, dot,
 // axpy, max_value, logsumexp, softmax, and the fused decode attend inside
 // the attention step) are registered once per ISA available on this
 // host/build — "BM_Dot<scalar>/4096" vs "BM_Dot<avx2>/4096" rows give the
@@ -32,17 +32,22 @@ class IsaGuard {
   IsaGuard& operator=(const IsaGuard&) = delete;
 };
 
-void BM_Matmul(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<float> a(n * n, 1.0F), b(n * n, 0.5F), c(n * n);
+void BM_Matmul(benchmark::State& state, cpu::CpuIsa isa) {
+  // C[m, n] = A[m, k] * B[k, n] at the model's dense-layer shapes: m rows
+  // of a decode batch or a prompt chunk against one weight.
+  const IsaGuard guard(isa);
+  const std::size_t m = static_cast<std::size_t>(state.range(0));
+  const std::size_t k = static_cast<std::size_t>(state.range(1));
+  const std::size_t n = static_cast<std::size_t>(state.range(2));
+  std::vector<float> a(m * k, 1.0F), b(k * n, 0.5F), c(m * n);
   for (auto _ : state) {
-    matmul(a, b, c, n, n, n);
+    matmul(a, b, c, m, k, n);
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * n * n));
+                          static_cast<std::int64_t>(m * k * n));
 }
-BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_Matvec(benchmark::State& state, cpu::CpuIsa isa) {
   // The decode kernel's dot-product shape: [key_len, d_head] keys
@@ -57,19 +62,6 @@ void BM_Matvec(benchmark::State& state, cpu::CpuIsa isa) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * k));
-}
-
-void BM_VecMat(benchmark::State& state, cpu::CpuIsa isa) {
-  // Row-vector times matrix: decode-path QKV/output projection shape.
-  const IsaGuard guard(isa);
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<float> a(n * n, 0.5F), x(n, 1.0F), y(n);
-  for (auto _ : state) {
-    vecmat(x, a, y, n, n);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * n));
 }
 
 void BM_Dot(benchmark::State& state, cpu::CpuIsa isa) {
@@ -208,17 +200,17 @@ void BM_TopKSelection(benchmark::State& state) {
 BENCHMARK(BM_TopKSelection)->Arg(1024)->Arg(4096)->Arg(16384);
 
 /// Registers `fn` once per ISA available on this host/build, as
-/// "<name><isa>" with the given size arguments.
+/// "<name><isa>", with one run per argument list.
 template <typename Fn>
 void register_per_isa(const char* name, Fn fn,
-                      const std::vector<std::int64_t>& sizes) {
+                      const std::vector<std::vector<std::int64_t>>& args) {
   for (int i = 0; i < cpu::kIsaCount; ++i) {
     const auto isa = static_cast<cpu::CpuIsa>(i);
     if (!cpu::isa_available(isa)) continue;
     const std::string full =
         std::string(name) + "<" + cpu::isa_name(isa) + ">";
     auto* b = benchmark::RegisterBenchmark(full.c_str(), fn, isa);
-    for (const std::int64_t n : sizes) b->Arg(n);
+    for (const auto& a : args) b->Args(a);
   }
 }
 
@@ -226,15 +218,23 @@ void register_per_isa(const char* name, Fn fn,
 
 int main(int argc, char** argv) {
   std::cout << kf::cpu::describe() << '\n';
-  register_per_isa("BM_Matvec", BM_Matvec, {512, 2048, 8192});
-  register_per_isa("BM_VecMat", BM_VecMat, {128, 256, 1024});
-  register_per_isa("BM_Dot", BM_Dot, {64, 512, 4096});
-  register_per_isa("BM_Axpy", BM_Axpy, {64, 512, 4096});
-  register_per_isa("BM_MaxValue", BM_MaxValue, {512, 2048, 8192});
-  register_per_isa("BM_Logsumexp", BM_Logsumexp, {512, 2048, 8192});
-  register_per_isa("BM_Softmax", BM_Softmax, {512, 2048, 8192});
+  // {m, k, n}: decode batches of 1 and 8 and a 48-row prompt chunk
+  // against a d_model x d_model projection, then the chunk through the
+  // two MLP weights.
+  register_per_isa("BM_Matmul", BM_Matmul,
+                   {{1, 128, 128},
+                    {8, 128, 128},
+                    {48, 128, 128},
+                    {48, 128, 256},
+                    {48, 256, 128}});
+  register_per_isa("BM_Matvec", BM_Matvec, {{512}, {2048}, {8192}});
+  register_per_isa("BM_Dot", BM_Dot, {{64}, {512}, {4096}});
+  register_per_isa("BM_Axpy", BM_Axpy, {{64}, {512}, {4096}});
+  register_per_isa("BM_MaxValue", BM_MaxValue, {{512}, {2048}, {8192}});
+  register_per_isa("BM_Logsumexp", BM_Logsumexp, {{512}, {2048}, {8192}});
+  register_per_isa("BM_Softmax", BM_Softmax, {{512}, {2048}, {8192}});
   register_per_isa("BM_AttentionDecodeStep", BM_AttentionDecodeStep,
-                   {256, 1024, 4096});
+                   {{256}, {1024}, {4096}});
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

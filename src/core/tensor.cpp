@@ -61,62 +61,16 @@ void Tensor::reshape(const std::vector<std::size_t>& shape) {
   shape_ = shape;
 }
 
-namespace {
-
-// Inner kernel for one row-block of C = A * B.
-void matmul_rows(const float* a, const float* b, float* c, std::size_t m0,
-                 std::size_t m1, std::size_t k, std::size_t n) {
-  constexpr std::size_t kBlockK = 64;
-  for (std::size_t i = m0; i < m1; ++i) {
-    float* crow = c + i * n;
-    for (std::size_t j = 0; j < n; ++j) crow[j] = 0.0F;
-    for (std::size_t kb = 0; kb < k; kb += kBlockK) {
-      const std::size_t ke = std::min(k, kb + kBlockK);
-      for (std::size_t kk = kb; kk < ke; ++kk) {
-        const float aik = a[i * k + kk];
-        const float* brow = b + kk * n;
-        for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-      }
-    }
-  }
-}
-
-}  // namespace
-
 void matmul(std::span<const float> a, std::span<const float> b,
             std::span<float> c, std::size_t m, std::size_t k, std::size_t n) {
   assert(a.size() >= m * k && b.size() >= k * n && c.size() >= m * n);
-  const std::size_t work = m * k * n;
-  if (work > (1u << 18) && m > 1) {
-    ThreadPool::global().parallel_for(
-        m,
-        [&](std::size_t r0, std::size_t r1) {
-          matmul_rows(a.data(), b.data(), c.data(), r0, r1, k, n);
-        },
-        /*grain=*/4);
-  } else {
-    matmul_rows(a.data(), b.data(), c.data(), 0, m, k, n);
-  }
-}
-
-void matmul_transposed_b(std::span<const float> a, std::span<const float> b,
-                         std::span<float> c, std::size_t m, std::size_t k,
-                         std::size_t n) {
-  assert(a.size() >= m * k && b.size() >= n * k && c.size() >= m * n);
-  const auto kernel = [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      const float* arow = a.data() + i * k;
-      float* crow = c.data() + i * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        const float* brow = b.data() + j * k;
-        float acc = 0.0F;
-        for (std::size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-        crow[j] = acc;
-      }
-    }
+  // ISA resolved once per call; every worker of a row split runs the same
+  // row kernel, whose row bits do not depend on the split.
+  const cpu::GemmRowsFn rows = cpu::gemm_rows_stub.get();
+  const auto kernel = [&, rows](std::size_t r0, std::size_t r1) {
+    rows(a.data(), b.data(), c.data(), r0, r1, k, n);
   };
-  const std::size_t work = m * k * n;
-  if (work > (1u << 18) && m > 1) {
+  if (m * k * n > (1u << 18) && m > 1) {
     ThreadPool::global().parallel_for(m, kernel, /*grain=*/4);
   } else {
     kernel(0, m);
@@ -136,23 +90,6 @@ void matvec(std::span<const float> a, std::span<const float> x,
     ThreadPool::global().parallel_for(n, kernel, /*grain=*/16);
   } else {
     kernel(0, n);
-  }
-}
-
-void vecmat(std::span<const float> x, std::span<const float> a,
-            std::span<float> y, std::size_t n, std::size_t k) {
-  assert(a.size() >= n * k && x.size() >= n && y.size() >= k);
-  // Each chunk owns a column range [j0, j1): it walks every row but only
-  // touches its own slice of y, so chunks are independent and the row
-  // slices it reads stay contiguous.
-  const cpu::VecmatColsFn cols = cpu::vecmat_cols_stub.get();
-  const auto kernel = [&, cols](std::size_t j0, std::size_t j1) {
-    cols(x.data(), a.data(), y.data(), n, k, j0, j1);
-  };
-  if (n * k > (1u << 18) && k > 1) {
-    ThreadPool::global().parallel_for(k, kernel, /*grain=*/64);
-  } else {
-    kernel(0, k);
   }
 }
 

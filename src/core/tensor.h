@@ -1,7 +1,8 @@
 // Minimal row-major float tensor plus the dense kernels the transformer
-// needs: blocked (optionally threaded) matmul, matvec, bias/activation
-// fusions, and LayerNorm. The reproduction is CPU-only and fp32; fp16
-// effects appear only in the analytical performance model (src/perf).
+// needs: the dispatched (optionally threaded) matmul and matvec,
+// bias/activation fusions, and LayerNorm. The reproduction is CPU-only
+// and fp32; fp16 effects appear only in the analytical performance model
+// (src/perf).
 #pragma once
 
 #include <cstddef>
@@ -59,24 +60,16 @@ class Tensor {
   std::vector<float> data_;
 };
 
-/// C[m,n] = A[m,k] * B[k,n]. Blocked, threaded via ThreadPool::global()
-/// when the problem is large enough. Aliasing between C and A/B is not
-/// allowed.
+/// C[m,n] = A[m,k] * B[k,n] through the dispatched gemm_rows kernel, split
+/// by rows across ThreadPool::global() when the problem is large enough.
+/// Row i of C is bit-identical to the same product over row i alone (any
+/// m, any thread split), so m = 1 is the vector-matrix product. Aliasing
+/// between C and A/B is not allowed.
 void matmul(std::span<const float> a, std::span<const float> b,
             std::span<float> c, std::size_t m, std::size_t k, std::size_t n);
 
-/// C[m,n] = A[m,k] * B[n,k]^T — the natural layout for Q*K^T where keys
-/// are stored row-major per token.
-void matmul_transposed_b(std::span<const float> a, std::span<const float> b,
-                         std::span<float> c, std::size_t m, std::size_t k,
-                         std::size_t n);
-
 /// y[n] = A[n,k] * x[k].
 void matvec(std::span<const float> a, std::span<const float> x,
-            std::span<float> y, std::size_t n, std::size_t k);
-
-/// y[k] = x[n] * A[n,k] (vector-matrix; used for attention prob * V).
-void vecmat(std::span<const float> x, std::span<const float> a,
             std::span<float> y, std::size_t n, std::size_t k);
 
 /// Dot product of two equal-length spans. Unrolled into independent

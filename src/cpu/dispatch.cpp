@@ -30,8 +30,7 @@ namespace {
 
 const DispatchStub<MatvecRowsFn> matvec_rows_stub = {
     KF_FILL_TABLE(matvec_rows)};
-const DispatchStub<VecmatColsFn> vecmat_cols_stub = {
-    KF_FILL_TABLE(vecmat_cols)};
+const DispatchStub<GemmRowsFn> gemm_rows_stub = {KF_FILL_TABLE(gemm_rows)};
 const DispatchStub<DotFn> dot_stub = {KF_FILL_TABLE(dot)};
 const DispatchStub<AxpyFn> axpy_stub = {KF_FILL_TABLE(axpy)};
 const DispatchStub<MaxValueFn> max_value_stub = {KF_FILL_TABLE(max_value)};

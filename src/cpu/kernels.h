@@ -1,4 +1,6 @@
-// Dispatch tables for the decode hot-path kernels.
+// Dispatch tables for the hot kernels: the dense-layer GEMM behind every
+// projection and MLP, the decode attend's dots and softmax family, and
+// the fused decode attend itself.
 //
 // Each kernel is a DispatchStub-style table: one function-pointer slot
 // per CpuIsa, filled at static-init time with the widest variant compiled
@@ -16,6 +18,12 @@
 // Contracts shared by every variant (the scalar variant is the
 // semantics reference — it is the pre-dispatch code moved verbatim, so a
 // KF_CPU_ISA=scalar run is bit-identical to the historical scalar build):
+//   - gemm_rows: every C[i][j] accumulates from 0 in ascending k, one
+//     multiply-add per step (fused on the wide variants). Under a given
+//     ISA a row's bits never depend on which other rows share the call,
+//     how rows are grouped into register blocks, or how [m0, m1) is split
+//     across threads — so a decode row is bit-identical whatever else is
+//     in its batch, and chunked prefill is row-exact.
 //   - softmax: tau == 1.0 is the plain softmax; an all-(-inf) input row
 //     produces an all-zero output (no NaN), and any individually -inf
 //     entry produces an exactly-0.0f probability. in == out aliasing is
@@ -46,10 +54,11 @@ struct KvSegmentView {
 using MatvecRowsFn = void (*)(const float* a, const float* x, float* y,
                               std::size_t r0, std::size_t r1, std::size_t k);
 
-/// y[j] = sum_i x[i] * a[i][j] for columns [j0, j1) of the [n, k] matrix.
-using VecmatColsFn = void (*)(const float* x, const float* a, float* y,
-                              std::size_t n, std::size_t k, std::size_t j0,
-                              std::size_t j1);
+/// Rows [m0, m1) of C[m, n] = A[m, k] * B[k, n], all row-major. C may not
+/// alias A or B; see the row-bits contract above.
+using GemmRowsFn = void (*)(const float* a, const float* b, float* c,
+                            std::size_t m0, std::size_t m1, std::size_t k,
+                            std::size_t n);
 
 using DotFn = float (*)(const float* a, const float* b, std::size_t n);
 
@@ -93,7 +102,7 @@ struct DispatchStub {
 };
 
 extern const DispatchStub<MatvecRowsFn> matvec_rows_stub;
-extern const DispatchStub<VecmatColsFn> vecmat_cols_stub;
+extern const DispatchStub<GemmRowsFn> gemm_rows_stub;
 extern const DispatchStub<DotFn> dot_stub;
 extern const DispatchStub<AxpyFn> axpy_stub;
 extern const DispatchStub<MaxValueFn> max_value_stub;

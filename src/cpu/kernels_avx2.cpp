@@ -2,7 +2,9 @@
 // -mavx2 -mfma; it is only ever reached through the dispatch tables,
 // and only on hosts where cpu_isa.cpp detected AVX2 support.
 //
-// Numerics: dots/accumulations run 8 float lanes with FMA; exp runs a
+// Numerics: dots/accumulations run 8 float lanes with FMA; gemm_rows
+// gives every output element one FMA per k step, in ascending k, whether
+// it lands in a register block, a vector or a scalar std::fma; exp runs a
 // Cephes-style degree-5 polynomial (~1 ulp over the reduced range), and
 // softmax/logsumexp sums accumulate in double lanes, keeping every
 // variant within the 1e-5 parity budget against the scalar reference
@@ -100,6 +102,49 @@ inline __m256 exp256_ps(__m256 x) {
   return _mm256_andnot_ps(zero_mask, p);
 }
 
+/// Columns [j0, j1) of the row y = x * B for the [k, n] matrix B: each
+/// y[j] starts at 0 and takes fma(x[kk], B[kk][j], y[j]) for kk ascending.
+/// Four vectors at a time accumulate in registers across k, then single
+/// vectors, then scalar std::fma columns. A gemm_rows row computed alone
+/// is this over [0, n).
+void vecmat_cols(const float* x, const float* b, float* y, std::size_t k,
+                 std::size_t n, std::size_t j0, std::size_t j1) {
+  std::size_t j = j0;
+  for (; j + 32 <= j1; j += 32) {
+    __m256 y0 = _mm256_setzero_ps();
+    __m256 y1 = _mm256_setzero_ps();
+    __m256 y2 = _mm256_setzero_ps();
+    __m256 y3 = _mm256_setzero_ps();
+    const float* bk = b + j;
+    for (std::size_t kk = 0; kk < k; ++kk, bk += n) {
+      const __m256 vx = _mm256_set1_ps(x[kk]);
+      y0 = _mm256_fmadd_ps(vx, _mm256_loadu_ps(bk), y0);
+      y1 = _mm256_fmadd_ps(vx, _mm256_loadu_ps(bk + 8), y1);
+      y2 = _mm256_fmadd_ps(vx, _mm256_loadu_ps(bk + 16), y2);
+      y3 = _mm256_fmadd_ps(vx, _mm256_loadu_ps(bk + 24), y3);
+    }
+    _mm256_storeu_ps(y + j, y0);
+    _mm256_storeu_ps(y + j + 8, y1);
+    _mm256_storeu_ps(y + j + 16, y2);
+    _mm256_storeu_ps(y + j + 24, y3);
+  }
+  for (; j + 8 <= j1; j += 8) {
+    __m256 y0 = _mm256_setzero_ps();
+    const float* bk = b + j;
+    for (std::size_t kk = 0; kk < k; ++kk, bk += n) {
+      y0 = _mm256_fmadd_ps(_mm256_set1_ps(x[kk]), _mm256_loadu_ps(bk), y0);
+    }
+    _mm256_storeu_ps(y + j, y0);
+  }
+  for (; j < j1; ++j) {
+    float acc = 0.0F;
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      acc = std::fma(x[kk], b[kk * n + j], acc);
+    }
+    y[j] = acc;
+  }
+}
+
 }  // namespace
 
 float dot(const float* a, const float* b, std::size_t n) {
@@ -126,21 +171,65 @@ void matvec_rows(const float* a, const float* x, float* y, std::size_t r0,
   for (std::size_t i = r0; i < r1; ++i) y[i] = dot(a + i * k, x, k);
 }
 
-void vecmat_cols(const float* x, const float* a, float* y, std::size_t n,
-                 std::size_t k, std::size_t j0, std::size_t j1) {
-  for (std::size_t j = j0; j < j1; ++j) y[j] = 0.0F;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float xi = x[i];
-    if (xi == 0.0F) continue;
-    const float* arow = a + i * k;
-    const __m256 vx = _mm256_set1_ps(xi);
-    std::size_t j = j0;
-    for (; j + 8 <= j1; j += 8) {
-      const __m256 vy = _mm256_fmadd_ps(vx, _mm256_loadu_ps(arow + j),
-                                        _mm256_loadu_ps(y + j));
-      _mm256_storeu_ps(y + j, vy);
+void gemm_rows(const float* a, const float* b, float* c, std::size_t m0,
+               std::size_t m1, std::size_t k, std::size_t n) {
+  // Register blocks of 4 rows x 16 columns (8 accumulators): each pair of
+  // B vectors loaded per k step feeds four rows. Column strips are the
+  // outer loop, so a strip of B is reused by every row block while it is
+  // still cached. Column tails and leftover rows go through vecmat_cols.
+  // Every path gives an element the same FMA chain over ascending k from
+  // 0, so a row's bits equal the row computed alone.
+  constexpr std::size_t kRows = 4;
+  constexpr std::size_t kCols = 16;
+  const std::size_t n_block = n - n % kCols;
+  const std::size_t m_block = m0 + (m1 - m0) / kRows * kRows;
+  for (std::size_t j = 0; j < n_block; j += kCols) {
+    for (std::size_t i = m0; i < m_block; i += kRows) {
+      const float* a0 = a + i * k;
+      const float* a1 = a0 + k;
+      const float* a2 = a1 + k;
+      const float* a3 = a2 + k;
+      __m256 c00 = _mm256_setzero_ps();
+      __m256 c01 = _mm256_setzero_ps();
+      __m256 c10 = _mm256_setzero_ps();
+      __m256 c11 = _mm256_setzero_ps();
+      __m256 c20 = _mm256_setzero_ps();
+      __m256 c21 = _mm256_setzero_ps();
+      __m256 c30 = _mm256_setzero_ps();
+      __m256 c31 = _mm256_setzero_ps();
+      const float* bk = b + j;
+      for (std::size_t kk = 0; kk < k; ++kk, bk += n) {
+        const __m256 b0 = _mm256_loadu_ps(bk);
+        const __m256 b1 = _mm256_loadu_ps(bk + 8);
+        __m256 x = _mm256_set1_ps(a0[kk]);
+        c00 = _mm256_fmadd_ps(x, b0, c00);
+        c01 = _mm256_fmadd_ps(x, b1, c01);
+        x = _mm256_set1_ps(a1[kk]);
+        c10 = _mm256_fmadd_ps(x, b0, c10);
+        c11 = _mm256_fmadd_ps(x, b1, c11);
+        x = _mm256_set1_ps(a2[kk]);
+        c20 = _mm256_fmadd_ps(x, b0, c20);
+        c21 = _mm256_fmadd_ps(x, b1, c21);
+        x = _mm256_set1_ps(a3[kk]);
+        c30 = _mm256_fmadd_ps(x, b0, c30);
+        c31 = _mm256_fmadd_ps(x, b1, c31);
+      }
+      float* c0 = c + i * n + j;
+      _mm256_storeu_ps(c0, c00);
+      _mm256_storeu_ps(c0 + 8, c01);
+      _mm256_storeu_ps(c0 + n, c10);
+      _mm256_storeu_ps(c0 + n + 8, c11);
+      _mm256_storeu_ps(c0 + 2 * n, c20);
+      _mm256_storeu_ps(c0 + 2 * n + 8, c21);
+      _mm256_storeu_ps(c0 + 3 * n, c30);
+      _mm256_storeu_ps(c0 + 3 * n + 8, c31);
     }
-    for (; j < j1; ++j) y[j] += xi * arow[j];
+  }
+  for (std::size_t i = m0; i < m_block; ++i) {
+    vecmat_cols(a + i * k, b, c + i * n, k, n, n_block, n);
+  }
+  for (std::size_t i = m_block; i < m1; ++i) {
+    vecmat_cols(a + i * k, b, c + i * n, k, n, 0, n);
   }
 }
 

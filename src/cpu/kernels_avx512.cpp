@@ -1,9 +1,10 @@
 // AVX-512 (F/BW/DQ/VL + FMA) kernel variants: the AVX2 structure widened
 // to 16 float lanes. This TU (alone) is compiled with -mavx512* flags and
 // is only reached through the dispatch tables on hosts that support it.
-// See kernels_avx2.cpp for the numerics notes (exp polynomial, double
-// sum accumulation, exact-zero underflow for masked logits) — identical
-// here, lane width aside.
+// See kernels_avx2.cpp for the numerics notes (one FMA per gemm_rows
+// element and k step, exp polynomial, double sum accumulation,
+// exact-zero underflow for masked logits) — identical here, lane width
+// aside.
 
 #include <immintrin.h>
 
@@ -65,6 +66,49 @@ inline __m512 exp512_ps(__m512 x) {
   return _mm512_maskz_mov_ps(live, p);
 }
 
+/// Columns [j0, j1) of the row y = x * B for the [k, n] matrix B: each
+/// y[j] starts at 0 and takes fma(x[kk], B[kk][j], y[j]) for kk ascending.
+/// Four vectors at a time accumulate in registers across k, then single
+/// vectors, then scalar std::fma columns. A gemm_rows row computed alone
+/// is this over [0, n).
+void vecmat_cols(const float* x, const float* b, float* y, std::size_t k,
+                 std::size_t n, std::size_t j0, std::size_t j1) {
+  std::size_t j = j0;
+  for (; j + 64 <= j1; j += 64) {
+    __m512 y0 = _mm512_setzero_ps();
+    __m512 y1 = _mm512_setzero_ps();
+    __m512 y2 = _mm512_setzero_ps();
+    __m512 y3 = _mm512_setzero_ps();
+    const float* bk = b + j;
+    for (std::size_t kk = 0; kk < k; ++kk, bk += n) {
+      const __m512 vx = _mm512_set1_ps(x[kk]);
+      y0 = _mm512_fmadd_ps(vx, _mm512_loadu_ps(bk), y0);
+      y1 = _mm512_fmadd_ps(vx, _mm512_loadu_ps(bk + 16), y1);
+      y2 = _mm512_fmadd_ps(vx, _mm512_loadu_ps(bk + 32), y2);
+      y3 = _mm512_fmadd_ps(vx, _mm512_loadu_ps(bk + 48), y3);
+    }
+    _mm512_storeu_ps(y + j, y0);
+    _mm512_storeu_ps(y + j + 16, y1);
+    _mm512_storeu_ps(y + j + 32, y2);
+    _mm512_storeu_ps(y + j + 48, y3);
+  }
+  for (; j + 16 <= j1; j += 16) {
+    __m512 y0 = _mm512_setzero_ps();
+    const float* bk = b + j;
+    for (std::size_t kk = 0; kk < k; ++kk, bk += n) {
+      y0 = _mm512_fmadd_ps(_mm512_set1_ps(x[kk]), _mm512_loadu_ps(bk), y0);
+    }
+    _mm512_storeu_ps(y + j, y0);
+  }
+  for (; j < j1; ++j) {
+    float acc = 0.0F;
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      acc = std::fma(x[kk], b[kk * n + j], acc);
+    }
+    y[j] = acc;
+  }
+}
+
 }  // namespace
 
 float dot(const float* a, const float* b, std::size_t n) {
@@ -91,20 +135,62 @@ void matvec_rows(const float* a, const float* x, float* y, std::size_t r0,
   for (std::size_t i = r0; i < r1; ++i) y[i] = dot(a + i * k, x, k);
 }
 
-void vecmat_cols(const float* x, const float* a, float* y, std::size_t n,
-                 std::size_t k, std::size_t j0, std::size_t j1) {
-  for (std::size_t j = j0; j < j1; ++j) y[j] = 0.0F;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float xi = x[i];
-    if (xi == 0.0F) continue;
-    const float* arow = a + i * k;
-    const __m512 vx = _mm512_set1_ps(xi);
-    std::size_t j = j0;
-    for (; j + 16 <= j1; j += 16) {
-      _mm512_storeu_ps(y + j, _mm512_fmadd_ps(vx, _mm512_loadu_ps(arow + j),
-                                              _mm512_loadu_ps(y + j)));
+void gemm_rows(const float* a, const float* b, float* c, std::size_t m0,
+               std::size_t m1, std::size_t k, std::size_t n) {
+  // The AVX2 blocking widened: 4 rows x 32 columns in 8 accumulators,
+  // column strips outermost, tails and leftover rows through vecmat_cols;
+  // every path gives an element the same FMA chain over ascending k.
+  constexpr std::size_t kRows = 4;
+  constexpr std::size_t kCols = 32;
+  const std::size_t n_block = n - n % kCols;
+  const std::size_t m_block = m0 + (m1 - m0) / kRows * kRows;
+  for (std::size_t j = 0; j < n_block; j += kCols) {
+    for (std::size_t i = m0; i < m_block; i += kRows) {
+      const float* a0 = a + i * k;
+      const float* a1 = a0 + k;
+      const float* a2 = a1 + k;
+      const float* a3 = a2 + k;
+      __m512 c00 = _mm512_setzero_ps();
+      __m512 c01 = _mm512_setzero_ps();
+      __m512 c10 = _mm512_setzero_ps();
+      __m512 c11 = _mm512_setzero_ps();
+      __m512 c20 = _mm512_setzero_ps();
+      __m512 c21 = _mm512_setzero_ps();
+      __m512 c30 = _mm512_setzero_ps();
+      __m512 c31 = _mm512_setzero_ps();
+      const float* bk = b + j;
+      for (std::size_t kk = 0; kk < k; ++kk, bk += n) {
+        const __m512 b0 = _mm512_loadu_ps(bk);
+        const __m512 b1 = _mm512_loadu_ps(bk + 16);
+        __m512 x = _mm512_set1_ps(a0[kk]);
+        c00 = _mm512_fmadd_ps(x, b0, c00);
+        c01 = _mm512_fmadd_ps(x, b1, c01);
+        x = _mm512_set1_ps(a1[kk]);
+        c10 = _mm512_fmadd_ps(x, b0, c10);
+        c11 = _mm512_fmadd_ps(x, b1, c11);
+        x = _mm512_set1_ps(a2[kk]);
+        c20 = _mm512_fmadd_ps(x, b0, c20);
+        c21 = _mm512_fmadd_ps(x, b1, c21);
+        x = _mm512_set1_ps(a3[kk]);
+        c30 = _mm512_fmadd_ps(x, b0, c30);
+        c31 = _mm512_fmadd_ps(x, b1, c31);
+      }
+      float* c0 = c + i * n + j;
+      _mm512_storeu_ps(c0, c00);
+      _mm512_storeu_ps(c0 + 16, c01);
+      _mm512_storeu_ps(c0 + n, c10);
+      _mm512_storeu_ps(c0 + n + 16, c11);
+      _mm512_storeu_ps(c0 + 2 * n, c20);
+      _mm512_storeu_ps(c0 + 2 * n + 16, c21);
+      _mm512_storeu_ps(c0 + 3 * n, c30);
+      _mm512_storeu_ps(c0 + 3 * n + 16, c31);
     }
-    for (; j < j1; ++j) y[j] += xi * arow[j];
+  }
+  for (std::size_t i = m0; i < m_block; ++i) {
+    vecmat_cols(a + i * k, b, c + i * n, k, n, n_block, n);
+  }
+  for (std::size_t i = m_block; i < m1; ++i) {
+    vecmat_cols(a + i * k, b, c + i * n, k, n, 0, n);
   }
 }
 

@@ -21,14 +21,20 @@ void matvec_rows(const float* a, const float* x, float* y, std::size_t r0,
   }
 }
 
-void vecmat_cols(const float* x, const float* a, float* y, std::size_t n,
-                 std::size_t k, std::size_t j0, std::size_t j1) {
-  for (std::size_t j = j0; j < j1; ++j) y[j] = 0.0F;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float xi = x[i];
-    if (xi == 0.0F) continue;
+void gemm_rows(const float* a, const float* b, float* c, std::size_t m0,
+               std::size_t m1, std::size_t k, std::size_t n) {
+  // One row at a time: c_row = 0, then c_row += a[i][kk] * B[kk] for kk
+  // ascending — the pre-dispatch matmul's arithmetic, so a scalar run
+  // reproduces it bit for bit.
+  for (std::size_t i = m0; i < m1; ++i) {
     const float* arow = a + i * k;
-    for (std::size_t j = j0; j < j1; ++j) y[j] += xi * arow[j];
+    float* crow = c + i * n;
+    for (std::size_t j = 0; j < n; ++j) crow[j] = 0.0F;
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      const float aik = arow[kk];
+      const float* brow = b + kk * n;
+      for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
+    }
   }
 }
 

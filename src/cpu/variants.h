@@ -16,8 +16,8 @@ namespace kf::cpu {
 #define KF_CPU_DECLARE_VARIANTS                                               \
   void matvec_rows(const float* a, const float* x, float* y, std::size_t r0,  \
                    std::size_t r1, std::size_t k);                            \
-  void vecmat_cols(const float* x, const float* a, float* y, std::size_t n,   \
-                   std::size_t k, std::size_t j0, std::size_t j1);            \
+  void gemm_rows(const float* a, const float* b, float* c, std::size_t m0,   \
+                 std::size_t m1, std::size_t k, std::size_t n);               \
   float dot(const float* a, const float* b, std::size_t n);                   \
   void axpy(float a, const float* x, float* y, std::size_t n);                \
   float max_value(const float* x, std::size_t n);                             \

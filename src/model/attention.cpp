@@ -56,11 +56,12 @@ void append_projected(const ModelConfig& cfg, Tensor& k, const Tensor& v,
 /// weighted-value accumulation together. The new token's K/V row must
 /// already be appended; `q_row` is the un-rotated projected query
 /// (d_model floats). Sizes `out` for the cache's length, fills its logits
-/// and probs, and writes the merged head contexts into out.context
-/// *without* the W_o projection.
+/// and probs, and writes the merged head contexts into `ctx_row` (d_model
+/// floats) *without* the W_o projection; out.context is sized for the
+/// caller to fill with the projected row.
 void fused_decode_attend(const ModelConfig& cfg, std::span<const float> q_row,
                          std::size_t q_position, const kv::KvCache& cache,
-                         AttentionResult& out) {
+                         AttentionResult& out, std::span<float> ctx_row) {
   const std::size_t h_count = cfg.n_heads;
   const std::size_t dh = cfg.d_head();
   const std::size_t key_len = cache.size();
@@ -152,8 +153,7 @@ void fused_decode_attend(const ModelConfig& cfg, std::span<const float> q_row,
     // scale/bias, then one pass of stable softmax + weighted-V accumulate.
     attend(segs.data(), n_segs, q_head.data(), dh, inv_sqrt_dh, bias_ptr,
            keys_override, out.logits.data() + h * key_len,
-           out.probs.data() + h * key_len, out.context.data() + h * dh,
-           key_len);
+           out.probs.data() + h * key_len, ctx_row.data() + h * dh, key_len);
   }
 }
 
@@ -341,25 +341,26 @@ std::vector<AttentionResult> attention_decode_batch(
   assert(x.dim(0) == b_count && x.dim(1) == d);
   std::vector<AttentionResult> results(b_count);
 
-  // QKV projections one row at a time: matvec-shaped, and row b's bits
-  // never depend on the other rows of the batch.
+  // QKV projections: one GEMM per weight over the whole batch. Row b's
+  // bits equal a batch of one (the gemm_rows contract), so no sequence's
+  // result depends on its companions.
   double t0 = timings != nullptr ? now_seconds() : 0.0;
   Tensor q({b_count, d});
   Tensor k({b_count, d});
   Tensor v({b_count, d});
-  for (std::size_t b = 0; b < b_count; ++b) {
-    vecmat(x.row(b), w.wq.span(), q.row(b), d, d);
-    vecmat(x.row(b), w.wk.span(), k.row(b), d, d);
-    vecmat(x.row(b), w.wv.span(), v.row(b), d, d);
-  }
+  matmul(x.span(), w.wq.span(), q.span(), b_count, d, d);
+  matmul(x.span(), w.wk.span(), k.span(), b_count, d, d);
+  matmul(x.span(), w.wv.span(), v.span(), b_count, d, d);
   if (timings != nullptr) {
     timings->project_seconds += now_seconds() - t0;
     t0 = now_seconds();  // append counts toward attend on both kernels
   }
 
   // Per-sequence append + fused attend, parallel across sequences: every
-  // slot touches only its own cache and its own result, so the loop is
-  // embarrassingly parallel (callers guarantee distinct caches).
+  // slot touches only its own cache, its own result and its own row of
+  // the merged head contexts, so the loop is embarrassingly parallel
+  // (callers guarantee distinct caches).
+  Tensor merged({b_count, d});
   ThreadPool::global().parallel_for(
       b_count,
       [&](std::size_t b0, std::size_t b1) {
@@ -368,7 +369,7 @@ std::vector<AttentionResult> attention_decode_batch(
           append_projected_row(cfg, k.row(b), v.row(b), slots[b].q_position,
                                cache);
           fused_decode_attend(cfg, q.row(b), slots[b].q_position, cache,
-                              results[b]);
+                              results[b], merged.row(b));
         }
       },
       /*grain=*/1);
@@ -377,13 +378,13 @@ std::vector<AttentionResult> attention_decode_batch(
     t0 = now_seconds();
   }
 
-  // Output projection, again one row at a time (vecmat may not alias its
-  // input and output, hence the copy of the merged head contexts).
-  std::vector<float> merged(d);
-  for (AttentionResult& out : results) {
-    const auto ctx = out.context.row(0);
-    std::copy(ctx.begin(), ctx.end(), merged.begin());
-    vecmat(merged, w.wo.span(), ctx, d, d);
+  // Output projection: one GEMM over the gathered contexts, then each row
+  // back to its sequence's result.
+  Tensor projected({b_count, d});
+  matmul(merged.span(), w.wo.span(), projected.span(), b_count, d, d);
+  for (std::size_t b = 0; b < b_count; ++b) {
+    const auto row = projected.row(b);
+    std::copy(row.begin(), row.end(), results[b].context.data());
   }
   if (timings != nullptr) timings->project_seconds += now_seconds() - t0;
   return results;

@@ -23,14 +23,16 @@
 //     prompt chunks). It is also the oracle the decode kernel is
 //     parity-tested against.
 //   - attention_decode_batch: B >= 1 sequences decoding one token each —
-//     per-row vecmat QKV and output projections, then, in parallel across
+//     one [B, d_model] GEMM per Q/K/V weight, then, in parallel across
 //     sequences, the append and a fused per-head attend over each
 //     sequence's own cache (per-head dots streaming the cache's
 //     contiguous head-major key segments, one per head for the classic
 //     arena or one per block for a paged cache, then one pass doing
-//     softmax + weighted-value accumulation). Every row runs the same
-//     arithmetic whatever else shares its batch, so a sequence's bits are
-//     independent of batch composition.
+//     softmax + weighted-value accumulation), then one W_o GEMM over the
+//     gathered contexts. Every projection is a `matmul`, whose row bits
+//     never depend on the other rows, and the attend never spans
+//     sequences, so a sequence's bits are independent of batch
+//     composition.
 #pragma once
 
 #include <cstddef>
@@ -78,11 +80,13 @@ struct DecodeBatchSlot {
 /// The decode kernel, for any batch size B >= 1: row b of `x`
 /// ([B, d_model]) is the new token of the sequence in slots[b], whose
 /// `q_position` must exceed every position cached in its own cache. Q/K/V
-/// and the output are projected one row at a time with vecmat; each
-/// sequence's append + per-head fused attend runs against its own cache,
-/// in parallel across sequences (callers guarantee distinct caches).
-/// Sequences never read each other's caches and no arithmetic spans rows,
-/// so each slot's result is bit-identical to a batch of one.
+/// are projected by one `matmul` each over the batch, on the calling
+/// thread; each sequence's append + per-head fused attend runs against
+/// its own cache, in parallel across sequences (callers guarantee
+/// distinct caches); W_o is one more `matmul` over the gathered contexts,
+/// again on the calling thread. Sequences never read each other's caches
+/// and a `matmul` row's bits never depend on the other rows, so each
+/// slot's result is bit-identical to a batch of one.
 std::vector<AttentionResult> attention_decode_batch(
     const ModelConfig& cfg, const LayerWeights& w, const Tensor& x,
     std::span<const DecodeBatchSlot> slots,

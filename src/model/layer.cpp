@@ -1,11 +1,41 @@
 #include "model/layer.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "core/threadpool.h"
 
 namespace kf::model {
+
+namespace {
+
+/// The MLP block over the contiguous residual-stream rows `x`, in place:
+/// LN2 per row, then one GEMM per weight over all the rows.
+void mlp_block(const ModelConfig& cfg, const LayerWeights& w,
+               std::span<float> x) {
+  const std::size_t d = cfg.d_model;
+  const std::size_t f = cfg.d_ff;
+  const std::size_t n_q = x.size() / d;
+
+  Tensor normed({n_q, d});
+  for (std::size_t i = 0; i < n_q; ++i) {
+    layer_norm(x.subspan(i * d, d), w.ln2_gamma.span(), w.ln2_beta.span(),
+               normed.row(i));
+  }
+  Tensor hidden({n_q, f});
+  matmul(normed.span(), w.w_ff1.span(), hidden.span(), n_q, d, f);
+  for (std::size_t i = 0; i < n_q; ++i) {
+    add_inplace(hidden.row(i), w.b_ff1.span());
+  }
+  gelu_inplace(hidden.span());
+  Tensor out({n_q, d});
+  matmul(hidden.span(), w.w_ff2.span(), out.span(), n_q, f, d);
+  for (std::size_t i = 0; i < n_q; ++i) {
+    add_inplace(out.row(i), w.b_ff2.span());
+  }
+  add_inplace(x, out.span());
+}
+
+}  // namespace
 
 AttentionResult decoder_attention(const ModelConfig& cfg,
                                   const LayerWeights& w, Tensor& x,
@@ -48,44 +78,16 @@ std::vector<AttentionResult> decoder_attention_batch(
 }
 
 void decoder_mlp(const ModelConfig& cfg, const LayerWeights& w, Tensor& x) {
-  const std::size_t n_q = x.dim(0);
-  const std::size_t d = cfg.d_model;
-  const std::size_t f = cfg.d_ff;
-
-  Tensor normed({n_q, d});
-  for (std::size_t i = 0; i < n_q; ++i) {
-    layer_norm(x.row(i), w.ln2_gamma.span(), w.ln2_beta.span(),
-               normed.row(i));
-  }
-  Tensor hidden({n_q, f});
-  matmul(normed.span(), w.w_ff1.span(), hidden.span(), n_q, d, f);
-  for (std::size_t i = 0; i < n_q; ++i) {
-    add_inplace(hidden.row(i), w.b_ff1.span());
-  }
-  gelu_inplace(hidden.span());
-  Tensor out({n_q, d});
-  matmul(hidden.span(), w.w_ff2.span(), out.span(), n_q, f, d);
-  for (std::size_t i = 0; i < n_q; ++i) {
-    add_inplace(out.row(i), w.b_ff2.span());
-  }
-  add_inplace(x.span(), out.span());
+  mlp_block(cfg, w, x.span());
 }
 
 void decoder_mlp_rows(const ModelConfig& cfg, const LayerWeights& w,
                       Tensor& x) {
-  const std::size_t n_q = x.dim(0);
   const std::size_t d = cfg.d_model;
   ThreadPool::global().parallel_for(
-      n_q,
+      x.dim(0),
       [&](std::size_t i0, std::size_t i1) {
-        Tensor row({1, d});
-        for (std::size_t i = i0; i < i1; ++i) {
-          auto src = x.row(i);
-          const auto tmp = row.row(0);
-          std::copy(src.begin(), src.end(), tmp.begin());
-          decoder_mlp(cfg, w, row);
-          std::copy(tmp.begin(), tmp.end(), src.begin());
-        }
+        mlp_block(cfg, w, x.span().subspan(i0 * d, (i1 - i0) * d));
       },
       /*grain=*/1);
 }

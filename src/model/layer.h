@@ -35,11 +35,12 @@ std::vector<AttentionResult> decoder_attention_batch(
 /// Runs the MLP block over `x` in place.
 void decoder_mlp(const ModelConfig& cfg, const LayerWeights& w, Tensor& x);
 
-/// decoder_mlp applied to each row of `x` in parallel across rows. Used by
-/// the decode step, where rows are independent sequences and the per-row
-/// GEMMs sit below the kernels' internal parallel thresholds (so
-/// decoder_mlp would run the whole batch serially). Per-row numerics are
-/// identical to decoder_mlp.
+/// decoder_mlp with the rows of `x` split across the thread pool. Used by
+/// the decode step, where rows are independent sequences and a batch's
+/// GEMMs can sit below matmul's own parallel threshold (so decoder_mlp
+/// would run the whole batch serially). Each chunk runs its whole row
+/// range through one GEMM per weight; on a one-thread pool the chunk is
+/// the whole batch. Per-row numerics are identical to decoder_mlp.
 void decoder_mlp_rows(const ModelConfig& cfg, const LayerWeights& w,
                       Tensor& x);
 

@@ -71,6 +71,9 @@ void add_head_identity(Tensor& w, std::size_t h, std::size_t d_head,
 }
 
 /// y = x^T W for a [rows, cols] weight (x length rows, y length cols).
+/// Deliberately a fixed scalar loop, not the dispatched matmul: the
+/// b_ff2 calibration below runs through it, and the weights must not
+/// depend on the host's ISA.
 void matvec_like(const Tensor& w, std::span<const float> x,
                  std::span<float> y, std::size_t rows, std::size_t cols) {
   for (std::size_t j = 0; j < cols; ++j) y[j] = 0.0F;

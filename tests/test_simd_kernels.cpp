@@ -2,7 +2,8 @@
 // (src/cpu): every variant the host/build provides must reproduce the
 // scalar reference — element-wise at 1e-5-scale tolerances for the
 // arithmetic kernels, exactly for max_value and the softmax masking
-// contract, and end to end through attention and the full transformer
+// contract, bit for bit between a GEMM row and the same row computed
+// alone, and end to end through attention and the full transformer
 // (contiguous and paged caches, all eviction policies, all positional
 // families). The suite is parameterized over CpuIsa; variants the host
 // cannot run are GTEST_SKIPped, never silently passed.
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "cpu/kernels.h"
 #include "keyformer/keyformer.h"
 
 namespace kf {
@@ -96,23 +98,76 @@ TEST_P(SimdParity, MatvecMatchesScalar) {
   }
 }
 
-TEST_P(SimdParity, VecmatMatchesScalar) {
+TEST_P(SimdParity, GemmRowsMatchesScalar) {
+  // Every tail path of the blocked kernels: m below, at and past the
+  // 4-row register block; n below one vector, at the AVX2 and AVX-512
+  // widths, and past the 16/32-column blocks with vector and scalar
+  // tails; k = 1 up to the model's widths.
   Rng rng(13);
-  const std::pair<std::size_t, std::size_t> shapes[] = {
-      {1, 1}, {5, 3}, {8, 7}, {17, 9}, {32, 33}, {33, 64}, {100, 128}};
-  for (const auto& [n, k] : shapes) {
-    const auto a = random_vec(rng, n * k);
-    const auto x = random_vec(rng, n);
-    std::vector<float> ref(k), got(k);
-    under_isa(cpu::CpuIsa::kScalar, [&] { vecmat(x, a, ref, n, k); return 0; });
-    under_isa(GetParam(), [&] { vecmat(x, a, got, n, k); return 0; });
-    for (std::size_t j = 0; j < k; ++j) {
-      double mag = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        mag += std::abs(static_cast<double>(x[i]) * a[i * k + j]);
+  for (const std::size_t m : {1, 2, 3, 4, 5, 9}) {
+    for (const std::size_t n : {1, 7, 8, 16, 33, 40, 128, 256}) {
+      for (const std::size_t k : {1, 3, 128, 256}) {
+        const auto a = random_vec(rng, m * k);
+        const auto b = random_vec(rng, k * n);
+        std::vector<float> ref(m * n), got(m * n);
+        under_isa(cpu::CpuIsa::kScalar,
+                  [&] { matmul(a, b, ref, m, k, n); return 0; });
+        under_isa(GetParam(), [&] { matmul(a, b, got, m, k, n); return 0; });
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            double mag = 0.0;
+            for (std::size_t kk = 0; kk < k; ++kk) {
+              mag += std::abs(static_cast<double>(a[i * k + kk]) *
+                              b[kk * n + j]);
+            }
+            EXPECT_NEAR(got[i * n + j], ref[i * n + j], 1e-5 * (1.0 + mag))
+                << m << "x" << k << "x" << n << " at " << i << "," << j;
+          }
+        }
       }
-      EXPECT_NEAR(got[j], ref[j], 1e-5 * (1.0 + mag))
-          << n << "x" << k << " col " << j;
+    }
+  }
+}
+
+TEST_P(SimdParity, GemmRowBitsIndependentOfRowCount) {
+  // The batching contract: under one ISA a row's bits never depend on
+  // the rows sharing its product — not on m, not on how rows fall into
+  // register blocks, and not on the [m0, m1) ranges a thread split hands
+  // the kernel (m = 9 at k = 256, n = 128 crosses matmul's threshold).
+  const IsaOverride scoped(GetParam());
+  const cpu::GemmRowsFn rows = cpu::gemm_rows_stub.get();
+  constexpr std::size_t kMaxRows = 9;
+  constexpr float kUntouched = 7.0F;
+  Rng rng(20);
+  const std::pair<std::size_t, std::size_t> shapes[] = {  // {k, n}
+      {3, 7}, {128, 40}, {128, 128}, {256, 128}, {128, 256}, {33, 257}};
+  for (const auto& [k, n] : shapes) {
+    const auto a = random_vec(rng, kMaxRows * k);
+    const auto b = random_vec(rng, k * n);
+    std::vector<float> solo(kMaxRows * n);
+    for (std::size_t i = 0; i < kMaxRows; ++i) {
+      matmul({a.data() + i * k, k}, b, {solo.data() + i * n, n}, 1, k, n);
+    }
+    for (std::size_t m = 1; m <= kMaxRows; ++m) {
+      std::vector<float> c(m * n);
+      matmul(a, b, c, m, k, n);
+      for (std::size_t e = 0; e < m * n; ++e) {
+        EXPECT_EQ(c[e], solo[e]) << "k=" << k << " n=" << n << " m=" << m
+                                 << " row " << e / n << " col " << e % n;
+      }
+    }
+    const std::pair<std::size_t, std::size_t> ranges[] = {
+        {1, 6}, {3, 8}, {5, 9}, {7, 8}, {1, 2}, {0, 9}};
+    for (const auto& [m0, m1] : ranges) {
+      std::vector<float> c(kMaxRows * n, kUntouched);
+      rows(a.data(), b.data(), c.data(), m0, m1, k, n);
+      for (std::size_t e = 0; e < kMaxRows * n; ++e) {
+        const std::size_t i = e / n;
+        const float want = i >= m0 && i < m1 ? solo[e] : kUntouched;
+        EXPECT_EQ(c[e], want) << "k=" << k << " n=" << n << " rows [" << m0
+                              << ", " << m1 << ") row " << i << " col "
+                              << e % n;
+      }
     }
   }
 }
