@@ -3,10 +3,10 @@
 // (Keyformer's score overhead, Fig 10), cache compaction, matmul.
 //
 // Kernels with runtime-dispatched SIMD variants (matmul, matvec, dot,
-// axpy, max_value, logsumexp, softmax, and the fused decode attend inside
-// the attention step) are registered once per ISA available on this
-// host/build — "BM_Dot<scalar>/4096" vs "BM_Dot<avx2>/4096" rows give the
-// speedup matrix directly. Variants the host cannot run are simply not
+// axpy, max_value, logsumexp, softmax, and the fused attend inside the
+// decode step and the prompt chunk) are registered once per ISA available
+// on this host/build — "BM_Dot<scalar>/4096" vs "BM_Dot<avx2>/4096" rows
+// give the speedup matrix directly. Variants the host cannot run are simply not
 // registered. Benchmarks run sequentially, so the process-wide ISA
 // override each one installs cannot race another benchmark.
 #include <benchmark/benchmark.h>
@@ -170,6 +170,39 @@ void BM_AttentionDecodeStep(benchmark::State& state, cpu::CpuIsa isa) {
                           static_cast<std::int64_t>(ctx));
 }
 
+void BM_AttentionPromptChunk(benchmark::State& state, cpu::CpuIsa isa) {
+  // One prompt chunk through attention_forward_general (projections, the
+  // append and the fused attend over each row's causal prefix): `rows` new
+  // tokens over `cached` keys already in the cache.
+  const IsaGuard guard(isa);
+  const std::size_t cached = static_cast<std::size_t>(state.range(0));
+  const std::size_t rows = static_cast<std::size_t>(state.range(1));
+  model::ModelConfig cfg = model::ModelConfig::gptj_like();
+  const model::ModelWeights w = model::build_weights(cfg);
+  kv::ContiguousKvCache prefilled(cfg.n_heads, cfg.d_head(), cached + rows);
+  Rng rng(1);
+  std::vector<float> row(prefilled.row_width());
+  for (std::size_t i = 0; i < cached; ++i) {
+    for (float& v : row) v = static_cast<float>(rng.normal());
+    prefilled.append(row, row, i);
+  }
+  Tensor x({rows, cfg.d_model});
+  for (float& v : x.span()) v = static_cast<float>(rng.normal());
+  std::vector<std::size_t> positions(rows);
+  std::iota(positions.begin(), positions.end(), cached);
+  kv::ContiguousKvCache cache = prefilled;
+  for (auto _ : state) {
+    state.PauseTiming();
+    cache = prefilled;
+    state.ResumeTiming();
+    auto r = model::attention_forward_general(cfg, w.layers[0], x, positions,
+                                              cache);
+    benchmark::DoNotOptimize(r.context.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows));
+}
+
 void BM_CacheCompaction(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   model::ModelConfig cfg = model::ModelConfig::mpt_like();
@@ -235,6 +268,10 @@ int main(int argc, char** argv) {
   register_per_isa("BM_Softmax", BM_Softmax, {{512}, {2048}, {8192}});
   register_per_isa("BM_AttentionDecodeStep", BM_AttentionDecodeStep,
                    {{256}, {1024}, {4096}});
+  // {cached, rows}: a shared_prefix-shaped chunk after the 768-token
+  // context, and a 64-row prompt from an empty cache.
+  register_per_isa("BM_AttentionPromptChunk", BM_AttentionPromptChunk,
+                   {{768, 24}, {0, 64}});
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -1,6 +1,6 @@
 // Dispatch tables for the hot kernels: the dense-layer GEMM behind every
-// projection and MLP, the decode attend's dots and softmax family, and
-// the fused decode attend itself.
+// projection and MLP, the attend's dots and softmax family, and the fused
+// attend itself (named decode_attend, it serves prompt rows too).
 //
 // Each kernel is a DispatchStub-style table: one function-pointer slot
 // per CpuIsa, filled at static-init time with the widest variant compiled
@@ -8,16 +8,20 @@
 // callable on any host that can select it). A call resolves the active
 // ISA (one relaxed atomic load, see cpu_isa.h) and jumps through the
 // table — the portable wrappers in core/tensor.h, core/numerics.h and the
-// fused decode attend in model/attention.cpp all route through here.
+// attend in model/attention.cpp all route through here.
 //
 // Variant TUs (kernels_scalar.cpp / kernels_avx2.cpp / kernels_avx512.cpp)
 // are compiled with per-file flags and must only be reached through these
 // tables (scripts/lint.py check 6 enforces it); nothing outside src/cpu
 // names a variant namespace.
 //
-// Contracts shared by every variant (the scalar variant is the
-// semantics reference — it is the pre-dispatch code moved verbatim, so a
-// KF_CPU_ISA=scalar run is bit-identical to the historical scalar build):
+// Contracts shared by every variant. The scalar variant is the semantics
+// reference: the pre-dispatch kernel code moved verbatim, so under
+// KF_CPU_ISA=scalar each kernel call is bit-identical to the historical
+// scalar build's. That holds per call, not per run: prompt rows attend
+// through decode_attend over their causal prefix, so under every ISA a
+// prompt row is bit-identical to its token decoded alone, not to the
+// historical build's prompt rows.
 //   - gemm_rows: every C[i][j] accumulates from 0 in ascending k, one
 //     multiply-add per step (fused on the wide variants). Under a given
 //     ISA a row's bits never depend on which other rows share the call,
@@ -31,7 +35,11 @@
 //   - decode_attend: one query head against `count`-row head-major
 //     [count, dh] K/V segment streams; logits are pre-scaled/biased by
 //     the caller-provided scale and optional bias row, then one fused
-//     pass does stable softmax + weighted-V accumulation.
+//     pass does stable softmax + weighted-V accumulation. The caller
+//     passes only the keys a row may see: a decode row the whole cache,
+//     a prompt row the segments clipped to its causal prefix, so no
+//     variant handles masking. A row's bits depend only on its query,
+//     scale, bias and visible K/V rows, never on how they are segmented.
 #pragma once
 
 #include <cstddef>
@@ -73,9 +81,9 @@ using LogsumexpFn = double (*)(const float* x, std::size_t n);
 using SoftmaxFn = void (*)(const float* x, float* out, std::size_t n,
                            double tau);
 
-/// Fused single-query decode attend for ONE head:
+/// Fused single-query attend for ONE head, decode and prompt rows alike:
 ///   - `segs`/`n_segs`: the head's K/V segment streams, jointly covering
-///     [0, key_len);
+///     [0, key_len) — a prompt row's causal prefix, clipped by the caller;
 ///   - `q_head`: the (already rotated, if RoPE) dh-float query;
 ///   - logits[i] = dot(K_i, q) * scale (+ bias[i] when bias != nullptr);
 ///   - `keys_override`, when non-null, is a contiguous [key_len, dh] key

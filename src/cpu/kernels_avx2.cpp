@@ -343,8 +343,9 @@ void decode_attend(const KvSegmentView* segs, std::size_t n_segs,
     for (; i < key_len; ++i) lrow[i] *= scale;
   }
 
-  // Unnormalized softmax over the logits (decode rows are never masked,
-  // so no -inf handling is needed here), then a second pass accumulates
+  // Unnormalized softmax over the logits (the caller passes only the
+  // visible keys: a decode row the whole cache, a prompt row its clipped
+  // prefix, so no -inf reaches here), then a second pass accumulates
   // p_i * V_i with vectorized row axpys; one final 1/sum normalizes
   // probabilities and context together.
   const float m = max_value(lrow, key_len);

@@ -16,9 +16,9 @@
 //     allocated from a sharded BlockPool, so evicted memory returns to a
 //     store other sequences draw from.
 //
-// The decode kernels never assume one contiguous span per head; they
-// iterate *segments* — maximal contiguous [count, d_head] runs of a
-// head's K (or V) rows. A contiguous cache exposes exactly one segment
+// The attend never assumes one contiguous span per head; it iterates
+// *segments* — maximal contiguous [count, d_head] runs of a head's K (or
+// V) rows. A contiguous cache exposes exactly one segment
 // per head, a paged cache one per block. Per-row arithmetic is identical
 // either way, so the two layouts are bit-exact (pinned by tests).
 //

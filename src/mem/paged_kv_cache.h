@@ -3,8 +3,8 @@
 // shard, instead of a private contiguous arena.
 //
 // Layout inside each block is the same head-major [n_heads][block_tokens]
-// [d_head] the contiguous cache uses per segment, so the decode kernels
-// stream per-block runs with identical per-row arithmetic — the paged and
+// [d_head] the contiguous cache uses per segment, so the attend streams
+// per-block runs with identical per-row arithmetic — the paged and
 // contiguous paths are bit-exact (pinned by the parity property tests).
 //
 // Chain invariant: blocks_.size() == ceil(size() / block_tokens) — the

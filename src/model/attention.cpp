@@ -6,7 +6,6 @@
 #include <limits>
 #include <vector>
 
-#include "core/numerics.h"
 #include "core/threadpool.h"
 #include "core/timing.h"
 #include "cpu/kernels.h"
@@ -22,7 +21,7 @@ constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 std::size_t key_position(const ModelConfig& cfg, const kv::KvCache& cache,
                          std::size_t i) {
   return cfg.position_mode == PositionMode::kOriginal
-             ? cache.original_position(i)
+             ? cache.original_positions()[i]
              : i;
 }
 
@@ -41,119 +40,138 @@ void append_projected_row(const ModelConfig& cfg, std::span<float> k_row,
   cache.append(k_row, v_row, position);
 }
 
-/// Row-batched append_projected_row over all rows of `k`/`v`.
-void append_projected(const ModelConfig& cfg, Tensor& k, const Tensor& v,
-                      std::span<const std::size_t> q_positions,
-                      kv::KvCache& cache) {
-  const std::size_t n_q = k.dim(0);
-  for (std::size_t i = 0; i < n_q; ++i) {
-    append_projected_row(cfg, k.row(i), v.row(i), q_positions[i], cache);
-  }
+/// An AttentionResult sized for n_q query rows over key_len cached keys.
+AttentionResult make_result(const ModelConfig& cfg, std::size_t n_q,
+                            std::size_t key_len) {
+  AttentionResult r;
+  r.n_q = n_q;
+  r.key_len = key_len;
+  r.context = Tensor({n_q, cfg.d_model});
+  r.logits = Tensor({cfg.n_heads, n_q, key_len});
+  r.probs = Tensor({cfg.n_heads, n_q, key_len});
+  return r;
 }
 
-/// The fused per-head attend of the decode kernel: per-head dots over the
-/// cache's contiguous key segments, then one pass doing stable softmax and
-/// weighted-value accumulation together. The new token's K/V row must
-/// already be appended; `q_row` is the un-rotated projected query
-/// (d_model floats). Sizes `out` for the cache's length, fills its logits
-/// and probs, and writes the merged head contexts into `ctx_row` (d_model
-/// floats) *without* the W_o projection; out.context is sized for the
-/// caller to fill with the projected row.
-void fused_decode_attend(const ModelConfig& cfg, std::span<const float> q_row,
-                         std::size_t q_position, const kv::KvCache& cache,
-                         AttentionResult& out, std::span<float> ctx_row) {
-  const std::size_t h_count = cfg.n_heads;
+/// RoPE + kNew cannot pre-rotate stored keys (their effective positions
+/// move on compaction), so each call rotates every cached key once into a
+/// contiguous [h, key_len, dh] scratch the fused attend dots against (V
+/// still streams from the segments). Empty in every other mode.
+std::vector<float> rotated_keys(const ModelConfig& cfg,
+                                const kv::KvCache& cache) {
+  if (cfg.positional != PositionalKind::kRoPE || keys_stored_rotated(cfg)) {
+    return {};
+  }
   const std::size_t dh = cfg.d_head();
   const std::size_t key_len = cache.size();
   const std::size_t n_segs = cache.segment_count();
-  assert(key_len > 0);
-  out.n_q = 1;
-  out.key_len = key_len;
-  out.context = Tensor({1, cfg.d_model});
-  out.logits = Tensor({h_count, 1, key_len});
-  out.probs = Tensor({h_count, 1, key_len});
+  std::vector<float> rotated(cfg.n_heads * key_len * dh);
+  ThreadPool::global().parallel_for(
+      key_len,
+      [&](std::size_t i0, std::size_t i1) {
+        for (std::size_t h = 0; h < cfg.n_heads; ++h) {
+          for (std::size_t s = 0; s < n_segs; ++s) {
+            const kv::KvSegment seg = cache.segment(h, s);
+            const std::size_t end = std::min(i1, seg.first + seg.count);
+            for (std::size_t i = std::max(i0, seg.first); i < end; ++i) {
+              const float* src = seg.keys + (i - seg.first) * dh;
+              float* dst = rotated.data() + (h * key_len + i) * dh;
+              std::copy(src, src + dh, dst);
+              rope_rotate({dst, dh}, key_position(cfg, cache, i),
+                          cfg.rope_base);
+            }
+          }
+        }
+      },
+      /*grain=*/16);
+  return rotated;
+}
+
+/// The one attend, for prompt and decode rows alike: query rows [r0, r1)
+/// of one sequence's chunk against that sequence's cache. The chunk's
+/// n_q = q_positions.size() tokens are the cache's newest entries (already
+/// appended; cached positions ascend), so row qi sees exactly the prefix
+/// [0, key_len - n_q + qi + 1). Each head's segment views are clipped to
+/// that prefix and handed to the dispatched fused attend, then the masked
+/// tail is filled with -inf logits and 0 probabilities. A decode step is
+/// the one-row chunk, so a prompt row's bits equal that token decoded
+/// alone. `q` holds the chunk's un-rotated projected queries (row qi at
+/// q + qi * d_model); `rotated` is rotated_keys' scratch for this cache;
+/// `out` is sized by make_result; `ctx` receives each row's merged head
+/// contexts (d_model floats per row) before W_o.
+void attend_rows(const ModelConfig& cfg, const float* q,
+                 std::span<const std::size_t> q_positions,
+                 const kv::KvCache& cache, std::span<const float> rotated,
+                 std::size_t r0, std::size_t r1, AttentionResult& out,
+                 float* ctx) {
+  const std::size_t h_count = cfg.n_heads;
+  const std::size_t d = cfg.d_model;
+  const std::size_t dh = cfg.d_head();
+  const std::size_t n_q = q_positions.size();
+  const std::size_t key_len = cache.size();
+  const std::size_t n_segs = cache.segment_count();
+  assert(out.n_q == n_q && out.key_len == key_len && key_len >= n_q);
+  assert(rotated.empty() || rotated.size() == h_count * key_len * dh);
+  const std::size_t first_q = key_len - n_q;  // cache index of row 0
 
   const bool use_rope = cfg.positional == PositionalKind::kRoPE;
   const bool use_alibi = cfg.positional == PositionalKind::kALiBi;
-  const bool stored_rotated = keys_stored_rotated(cfg);
   const float inv_sqrt_dh = 1.0F / std::sqrt(static_cast<float>(dh));
 
-  // The decode token is the newest append, so every cached key is causally
-  // visible (original positions ascend) — no masking pass needed.
-  assert(cache.original_position(key_len - 1) == q_position);
-
-  const std::size_t q_eff = cfg.position_mode == PositionMode::kOriginal
-                                ? q_position
-                                : key_len - 1;
-
   std::vector<float> q_head(dh);
-  // Scratch for the one storage mode that cannot pre-rotate (RoPE + kNew).
-  std::vector<float> rotated_scratch;
-  if (use_rope && !stored_rotated) rotated_scratch.resize(key_len * dh);
-
-  // Per-head segment views handed to the dispatched kernel (POD mirror of
-  // kv::KvSegment, resolved fresh per head).
+  // Per-head segment views (POD mirror of kv::KvSegment) and one row's
+  // clipped copy of them.
   std::vector<cpu::KvSegmentView> segs(n_segs);
-
-  // ALiBi: effective key positions are head-independent; the bias row is
-  // refilled per head (the slope changes) with the exact float-cast
-  // expression the fused loop historically applied inline.
-  std::vector<std::size_t> kpos;
-  std::vector<float> bias;
-  if (use_alibi) {
-    kpos.resize(key_len);
-    for (std::size_t i = 0; i < key_len; ++i) {
-      kpos[i] = key_position(cfg, cache, i);
-    }
-    bias.resize(key_len);
-  }
+  std::vector<cpu::KvSegmentView> visible(n_segs);
+  // ALiBi bias row, refilled per (head, row) as the slope and query move.
+  std::vector<float> bias(use_alibi ? first_q + r1 : 0);
 
   const cpu::DecodeAttendFn attend = cpu::decode_attend_stub.get();
 
   for (std::size_t h = 0; h < h_count; ++h) {
-    const float* q_src = q_row.data() + h * dh;
-    for (std::size_t j = 0; j < dh; ++j) q_head[j] = q_src[j];
-    if (use_rope) rope_rotate({q_head.data(), dh}, q_eff, cfg.rope_base);
-
     for (std::size_t s = 0; s < n_segs; ++s) {
       const kv::KvSegment seg = cache.segment(h, s);
       segs[s] = {seg.keys, seg.values, seg.first, seg.count};
     }
+    const float* keys_override =
+        rotated.empty() ? nullptr : rotated.data() + h * key_len * dh;
+    const double slope = use_alibi ? alibi_slope(h, h_count) : 0.0;
 
-    // RoPE + kNew cannot pre-rotate stored keys: rotate a contiguous
-    // scratch copy and let the kernel dot against it (V still streams
-    // from the segments). Every other mode dots the segments directly —
-    // per-row dots are independent, so segmentation never changes the
-    // arithmetic and paged/contiguous caches stay bit-exact.
-    const float* keys_override = nullptr;
-    if (use_rope && !stored_rotated) {
-      for (std::size_t s = 0; s < n_segs; ++s) {
-        const kv::KvSegment seg = cache.segment(h, s);
-        for (std::size_t r = 0; r < seg.count; ++r) {
-          const std::size_t i = seg.first + r;
-          float* dst = rotated_scratch.data() + i * dh;
-          for (std::size_t j = 0; j < dh; ++j) dst[j] = seg.keys[r * dh + j];
-          rope_rotate({dst, dh}, key_position(cfg, cache, i), cfg.rope_base);
+    for (std::size_t qi = r0; qi < r1; ++qi) {
+      const std::size_t vis = first_q + qi + 1;
+      assert(cache.original_position(vis - 1) == q_positions[qi]);
+      const std::size_t q_eff = cfg.position_mode == PositionMode::kOriginal
+                                    ? q_positions[qi]
+                                    : vis - 1;
+
+      const float* q_src = q + qi * d + h * dh;
+      std::copy(q_src, q_src + dh, q_head.begin());
+      if (use_rope) rope_rotate(q_head, q_eff, cfg.rope_base);
+
+      // Clip the views to [0, vis): whole segments before the boundary,
+      // then the one it falls in, shortened.
+      std::size_t n_vis = 0;
+      for (; n_vis < n_segs && segs[n_vis].first < vis; ++n_vis) {
+        visible[n_vis] = segs[n_vis];
+      }
+      visible[n_vis - 1].count = vis - visible[n_vis - 1].first;
+
+      const float* bias_ptr = nullptr;
+      if (use_alibi) {
+        for (std::size_t i = 0; i < vis; ++i) {
+          bias[i] = static_cast<float>(
+              -slope *
+              static_cast<double>(q_eff - key_position(cfg, cache, i)));
         }
+        bias_ptr = bias.data();
       }
-      keys_override = rotated_scratch.data();
-    }
 
-    const float* bias_ptr = nullptr;
-    if (use_alibi) {
-      const double slope = alibi_slope(h, h_count);
-      for (std::size_t i = 0; i < key_len; ++i) {
-        bias[i] = static_cast<float>(
-            -slope * static_cast<double>(q_eff - kpos[i]));
-      }
-      bias_ptr = bias.data();
+      float* lrow = out.logits.data() + (h * n_q + qi) * key_len;
+      float* prow = out.probs.data() + (h * n_q + qi) * key_len;
+      attend(visible.data(), n_vis, q_head.data(), dh, inv_sqrt_dh, bias_ptr,
+             keys_override, lrow, prow, ctx + qi * d + h * dh, vis);
+      std::fill(lrow + vis, lrow + key_len, kNegInf);
+      std::fill(prow + vis, prow + key_len, 0.0F);
     }
-
-    // Dispatched fused kernel: per-row QK dots over the segment streams,
-    // scale/bias, then one pass of stable softmax + weighted-V accumulate.
-    attend(segs.data(), n_segs, q_head.data(), dh, inv_sqrt_dh, bias_ptr,
-           keys_override, out.logits.data() + h * key_len,
-           out.probs.data() + h * key_len, ctx_row.data() + h * dh, key_len);
   }
 }
 
@@ -165,8 +183,6 @@ AttentionResult attention_forward_general(
     AttentionTimings* timings) {
   const std::size_t n_q = x.dim(0);
   const std::size_t d = cfg.d_model;
-  const std::size_t h_count = cfg.n_heads;
-  const std::size_t dh = cfg.d_head();
   assert(x.dim(1) == d && q_positions.size() == n_q);
 
   // Project Q, K, V for all new rows at once.
@@ -182,143 +198,17 @@ AttentionResult attention_forward_general(
     t0 = now_seconds();  // append counts toward attend on every path
   }
 
-  append_projected(cfg, k, v, q_positions, cache);
-
-  const std::size_t key_len = cache.size();
-  AttentionResult out;
-  out.n_q = n_q;
-  out.key_len = key_len;
-  out.context = Tensor({n_q, d});
-  out.logits = Tensor({h_count, n_q, key_len});
-  out.probs = Tensor({h_count, n_q, key_len});
-
-  const bool use_rope = cfg.positional == PositionalKind::kRoPE;
-  const bool use_alibi = cfg.positional == PositionalKind::kALiBi;
-  const bool stored_rotated = keys_stored_rotated(cfg);
-  const float inv_sqrt_dh = 1.0F / std::sqrt(static_cast<float>(dh));
-
-  // Per-(head, index) K/V row pointers, resolved once from the cache's
-  // segment list (one segment per head for the contiguous arena, one per
-  // block for a paged cache) so the parallel loops below never pay a
-  // virtual lookup per row.
-  std::vector<const float*> key_at(h_count * key_len);
-  std::vector<const float*> value_at(h_count * key_len);
-  {
-    const std::size_t n_segs = cache.segment_count();
-    for (std::size_t h = 0; h < h_count; ++h) {
-      for (std::size_t s = 0; s < n_segs; ++s) {
-        const kv::KvSegment seg = cache.segment(h, s);
-        for (std::size_t r = 0; r < seg.count; ++r) {
-          key_at[h * key_len + seg.first + r] = seg.keys + r * dh;
-          value_at[h * key_len + seg.first + r] = seg.values + r * dh;
-        }
-      }
-    }
+  for (std::size_t i = 0; i < n_q; ++i) {
+    append_projected_row(cfg, k.row(i), v.row(i), q_positions[i], cache);
   }
-
-  // Effective key positions (fixed for this call).
-  std::vector<std::size_t> key_pos(key_len);
-  for (std::size_t i = 0; i < key_len; ++i) {
-    key_pos[i] = key_position(cfg, cache, i);
-  }
-  // Effective query positions. Queries occupy the trailing n_q cache slots.
-  std::vector<std::size_t> q_eff(n_q);
-  for (std::size_t qi = 0; qi < n_q; ++qi) {
-    q_eff[qi] = cfg.position_mode == PositionMode::kOriginal
-                    ? q_positions[qi]
-                    : key_len - n_q + qi;
-  }
-
-  // RoPE with mutable effective positions (PositionMode::kNew) is the one
-  // case where keys cannot be stored pre-rotated: rotate a scratch copy
-  // for this call. Under kOriginal the cache already holds rotated keys.
-  std::vector<float> rotated_keys;  // [h, key_len, dh]
-  if (use_rope && !stored_rotated) {
-    rotated_keys.resize(h_count * key_len * dh);
-    ThreadPool::global().parallel_for(
-        key_len,
-        [&](std::size_t i0, std::size_t i1) {
-          for (std::size_t i = i0; i < i1; ++i) {
-            for (std::size_t h = 0; h < h_count; ++h) {
-              const float* src = key_at[h * key_len + i];
-              float* dst = rotated_keys.data() + (h * key_len + i) * dh;
-              for (std::size_t j = 0; j < dh; ++j) dst[j] = src[j];
-              rope_rotate({dst, dh}, key_pos[i], cfg.rope_base);
-            }
-          }
-        },
-        /*grain=*/16);
-  }
-
-  // ALiBi slopes per head.
-  std::vector<double> slopes(h_count, 0.0);
-  if (use_alibi) {
-    for (std::size_t h = 0; h < h_count; ++h) {
-      slopes[h] = alibi_slope(h, h_count);
-    }
-  }
-
-  float* logits_base = out.logits.data();
-  float* probs_base = out.probs.data();
-  float* ctx_base = out.context.data();
-
+  AttentionResult out = make_result(cfg, n_q, cache.size());
+  const std::vector<float> rotated = rotated_keys(cfg, cache);
+  Tensor merged({n_q, d});
   ThreadPool::global().parallel_for(
       n_q,
       [&](std::size_t q0, std::size_t q1) {
-        std::vector<float> q_head(dh);
-        std::vector<float> ctx_head(dh);
-        for (std::size_t qi = q0; qi < q1; ++qi) {
-          const std::size_t q_orig = q_positions[qi];
-          for (std::size_t h = 0; h < h_count; ++h) {
-            // Query head vector, rotated if RoPE.
-            const float* q_src = q.data() + qi * d + h * dh;
-            for (std::size_t j = 0; j < dh; ++j) q_head[j] = q_src[j];
-            if (use_rope) {
-              rope_rotate({q_head.data(), dh}, q_eff[qi], cfg.rope_base);
-            }
-
-            float* lrow = logits_base + (h * n_q + qi) * key_len;
-            for (std::size_t i = 0; i < key_len; ++i) {
-              // Causality on original order.
-              if (cache.original_position(i) > q_orig) {
-                lrow[i] = kNegInf;
-                continue;
-              }
-              const float* k_vec =
-                  use_rope && !stored_rotated
-                      ? rotated_keys.data() + (h * key_len + i) * dh
-                      : key_at[h * key_len + i];
-              float acc = 0.0F;
-              for (std::size_t j = 0; j < dh; ++j) acc += q_head[j] * k_vec[j];
-              acc *= inv_sqrt_dh;
-              if (use_alibi) {
-                acc += static_cast<float>(
-                    -slopes[h] *
-                    static_cast<double>(q_eff[qi] >= key_pos[i]
-                                            ? q_eff[qi] - key_pos[i]
-                                            : 0));
-              }
-              lrow[i] = acc;
-            }
-
-            // Softmax (masked -inf entries become exactly 0).
-            float* prow = probs_base + (h * n_q + qi) * key_len;
-            softmax({lrow, key_len}, {prow, key_len});
-
-            // Context for this head.
-            for (std::size_t j = 0; j < dh; ++j) ctx_head[j] = 0.0F;
-            for (std::size_t i = 0; i < key_len; ++i) {
-              const float p = prow[i];
-              if (p == 0.0F) continue;
-              const float* v_vec = value_at[h * key_len + i];
-              for (std::size_t j = 0; j < dh; ++j) {
-                ctx_head[j] += p * v_vec[j];
-              }
-            }
-            float* ctx_dst = ctx_base + qi * d + h * dh;
-            for (std::size_t j = 0; j < dh; ++j) ctx_dst[j] = ctx_head[j];
-          }
-        }
+        attend_rows(cfg, q.data(), q_positions, cache, rotated, q0, q1, out,
+                    merged.data());
       },
       /*grain=*/4);
   if (timings != nullptr) {
@@ -326,8 +216,6 @@ AttentionResult attention_forward_general(
     t0 = now_seconds();
   }
 
-  // Output projection (in place over a copy).
-  Tensor merged = out.context;
   matmul(merged.span(), w.wo.span(), out.context.span(), n_q, d, d);
   if (timings != nullptr) timings->project_seconds += now_seconds() - t0;
   return out;
@@ -353,13 +241,13 @@ std::vector<AttentionResult> attention_decode_batch(
   matmul(x.span(), w.wv.span(), v.span(), b_count, d, d);
   if (timings != nullptr) {
     timings->project_seconds += now_seconds() - t0;
-    t0 = now_seconds();  // append counts toward attend on both kernels
+    t0 = now_seconds();  // append counts toward attend on both paths
   }
 
-  // Per-sequence append + fused attend, parallel across sequences: every
-  // slot touches only its own cache, its own result and its own row of
-  // the merged head contexts, so the loop is embarrassingly parallel
-  // (callers guarantee distinct caches).
+  // Per-sequence append + attend (a one-row chunk), parallel across
+  // sequences: every slot touches only its own cache, its own result and
+  // its own row of the merged head contexts, so the loop is
+  // embarrassingly parallel (callers guarantee distinct caches).
   Tensor merged({b_count, d});
   ThreadPool::global().parallel_for(
       b_count,
@@ -368,8 +256,10 @@ std::vector<AttentionResult> attention_decode_batch(
           kv::KvCache& cache = *slots[b].cache;
           append_projected_row(cfg, k.row(b), v.row(b), slots[b].q_position,
                                cache);
-          fused_decode_attend(cfg, q.row(b), slots[b].q_position, cache,
-                              results[b], merged.row(b));
+          results[b] = make_result(cfg, 1, cache.size());
+          attend_rows(cfg, q.row(b).data(), {&slots[b].q_position, 1}, cache,
+                      rotated_keys(cfg, cache), 0, 1, results[b],
+                      merged.row(b).data());
         }
       },
       /*grain=*/1);

@@ -12,26 +12,30 @@
 //     rotated. No per-step re-rotation of the whole cache.
 //   - RoPE + PositionMode::kNew (Table 3 ablation): the effective position
 //     is the token's current slot index, which changes on compaction — so
-//     keys are stored unrotated and rotated at attention time.
+//     keys are stored unrotated and rotated at attention time, each
+//     cached key once per call.
 //   - ALiBi / learned: keys are stored as projected.
 // Causal masking always uses original order. Switching position_mode only
 // takes effect for caches (re)filled after the switch — callers reset the
 // cache between mode changes (all in-repo callers do).
 //
-// Two kernels, no knobs:
+// One attend, two projection batchings, no knobs. Every query row, prompt
+// or decode, attends the cache prefix its position makes visible (cached
+// positions ascend, so causality is a prefix) through the dispatched
+// fused attend: per-head dots streaming the cache's contiguous head-major
+// key segments (one per head for the classic arena, one per block for a
+// paged cache) clipped to that prefix, then one pass doing softmax +
+// weighted-value accumulation; the masked tail gets -inf logits and 0
+// probabilities. A prompt row's bits therefore equal that token decoded
+// alone. The two entry points differ only in how rows are batched:
 //   - attention_forward_general: n_q rows of one sequence (prefill and
-//     prompt chunks). It is also the oracle the decode kernel is
-//     parity-tested against.
+//     prompt chunks), projected by one `matmul` per weight over the chunk.
 //   - attention_decode_batch: B >= 1 sequences decoding one token each —
 //     one [B, d_model] GEMM per Q/K/V weight, then, in parallel across
-//     sequences, the append and a fused per-head attend over each
-//     sequence's own cache (per-head dots streaming the cache's
-//     contiguous head-major key segments, one per head for the classic
-//     arena or one per block for a paged cache, then one pass doing
-//     softmax + weighted-value accumulation), then one W_o GEMM over the
-//     gathered contexts. Every projection is a `matmul`, whose row bits
-//     never depend on the other rows, and the attend never spans
-//     sequences, so a sequence's bits are independent of batch
+//     sequences, the append and a one-row attend over each sequence's own
+//     cache, then one W_o GEMM over the gathered contexts. A `matmul`
+//     row's bits never depend on the other rows, and the attend never
+//     spans sequences, so a sequence's bits are independent of batch
 //     composition.
 #pragma once
 
@@ -59,12 +63,13 @@ struct AttentionResult {
 struct AttentionTimings {
   double project_seconds = 0.0;  ///< QKV + output projections
   double attend_seconds = 0.0;   ///< KV append + dots + softmax + weighted
-                                 ///< values (same split on both kernels)
+                                 ///< values (same split on both paths)
 };
 
 /// Projects `x` (n_q rows that continue the sequence) to Q/K/V, appends the
 /// new K/V rows to `cache` at `q_positions` (strictly increasing original
-/// positions), then attends each query against the full cache.
+/// positions, above every cached one), then attends each query against
+/// its causal prefix of the cache, rows split across the thread pool.
 AttentionResult attention_forward_general(
     const ModelConfig& cfg, const LayerWeights& w, const Tensor& x,
     std::span<const std::size_t> q_positions, kv::KvCache& cache,
@@ -77,11 +82,11 @@ struct DecodeBatchSlot {
   kv::KvCache* cache = nullptr;
 };
 
-/// The decode kernel, for any batch size B >= 1: row b of `x`
+/// The decode step, for any batch size B >= 1: row b of `x`
 /// ([B, d_model]) is the new token of the sequence in slots[b], whose
 /// `q_position` must exceed every position cached in its own cache. Q/K/V
 /// are projected by one `matmul` each over the batch, on the calling
-/// thread; each sequence's append + per-head fused attend runs against
+/// thread; each sequence's append + one-row attend runs against
 /// its own cache, in parallel across sequences (callers guarantee
 /// distinct caches); W_o is one more `matmul` over the gathered contexts,
 /// again on the calling thread. Sequences never read each other's caches

@@ -16,7 +16,8 @@ namespace kf::model {
 /// Runs the prompt attention block over `x` ([n_q, d_model] residual-stream
 /// rows of one sequence) through attention_forward_general, updating `x` in
 /// place and returning the attention internals for score functions /
-/// instrumentation.
+/// instrumentation. Row i's bits equal decoder_attention_batch run on that
+/// row alone against the cache prefix before it.
 AttentionResult decoder_attention(const ModelConfig& cfg,
                                   const LayerWeights& w, Tensor& x,
                                   std::span<const std::size_t> positions,

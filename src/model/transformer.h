@@ -18,7 +18,8 @@
 // Every decode step, solo or batched, is a step_batch: one token for *each*
 // of N >= 1 sequences through attention_decode_batch, so a sequence's
 // logits are bit-identical whatever else shares its batch. Every prompt
-// row runs attention_forward_general.
+// row runs attention_forward_general, whose attend is the decode step's:
+// a prompt row's logits equal that token decoded alone.
 #pragma once
 
 #include <cstdint>
@@ -125,11 +126,11 @@ class Transformer {
   /// Prompt-phase continuation: processes `tokens` (original positions
   /// first_pos..first_pos+n-1) against a state whose every layer already
   /// caches exactly `first_pos` rows — an adopted shared prefix, or the
-  /// earlier chunk of a chunked prefill. Runs the general attention
-  /// kernel, so each row's arithmetic is identical to the corresponding
-  /// row of one monolithic prefill over the full prompt (the prefix-cache
-  /// parity contract). Returns LM logits for these rows only, shape
-  /// [tokens.size(), vocab].
+  /// earlier chunk of a chunked prefill. Each row attends its causal
+  /// prefix, so its arithmetic is identical to the corresponding row of
+  /// one monolithic prefill over the full prompt (the prefix-cache parity
+  /// contract) and to decoding that token alone. Returns LM logits for
+  /// these rows only, shape [tokens.size(), vocab].
   Tensor prefill_continue(kv::SequenceKvState& state,
                           std::span<const Token> tokens,
                           std::size_t first_pos, kv::EvictionPolicy& policy,

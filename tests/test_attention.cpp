@@ -6,7 +6,9 @@
 #include <numeric>
 #include <vector>
 
+#include "attention_reference.h"
 #include "core/rng.h"
+#include "mem/paged_kv_cache.h"
 #include "model/positional.h"
 #include "model/weights.h"
 
@@ -202,9 +204,9 @@ TEST(Attention, AlibiBiasFavorsRecencyOnPositionalHead) {
 }
 
 // ---------------------------------------------------------------------------
-// Decode-kernel parity: attention_decode_batch must reproduce the general
-// kernel within float rounding for every positional family and both
-// position modes, on compacted and uncompacted caches.
+// Reference parity: prompt chunks and decode steps share one attend, so
+// each is checked against the naive oracle in attention_reference.h for
+// every positional family and both position modes, on compacted caches.
 // ---------------------------------------------------------------------------
 
 struct ParityCase {
@@ -214,54 +216,107 @@ struct ParityCase {
 
 class DecodeParity : public ::testing::TestWithParam<ParityCase> {};
 
-TEST_P(DecodeParity, DecodeKernelMatchesGeneralKernel) {
+/// Checks `got` (the kernel's result for rows `x`, already appended to
+/// `cache`) against the oracle: logits, probs and context within 1e-5,
+/// every masked entry exactly -inf / 0, and the appended K/V rows.
+void expect_matches_reference(const ModelConfig& cfg, const LayerWeights& w,
+                              const Tensor& x,
+                              std::span<const std::size_t> positions,
+                              const kv::KvCache& cache,
+                              const AttentionResult& got) {
+  const AttentionResult want =
+      reference::attend(cfg, w, x, positions, cache);
+  ASSERT_EQ(got.n_q, want.n_q);
+  ASSERT_EQ(got.key_len, want.key_len);
+  for (std::size_t i = 0; i < want.logits.size(); ++i) {
+    const float wl = want.logits.span()[i];
+    if (std::isinf(wl)) {
+      EXPECT_EQ(got.logits.span()[i], wl) << "masked logit " << i;
+      EXPECT_EQ(got.probs.span()[i], 0.0F) << "masked prob " << i;
+    } else {
+      EXPECT_NEAR(got.logits.span()[i], wl, 1e-5F) << "logit " << i;
+      EXPECT_NEAR(got.probs.span()[i], want.probs.span()[i], 1e-5F)
+          << "prob " << i;
+    }
+  }
+  for (std::size_t i = 0; i < want.context.size(); ++i) {
+    EXPECT_NEAR(got.context.span()[i], want.context.span()[i], 1e-5F)
+        << "context " << i;
+  }
+  const Tensor keys = reference::expected_keys(cfg, w, x, positions);
+  const Tensor values = reference::project(x, w.wv);
+  const std::size_t dh = cfg.d_head();
+  const std::size_t first = cache.size() - x.dim(0);
+  for (std::size_t r = 0; r < x.dim(0); ++r) {
+    for (std::size_t h = 0; h < cfg.n_heads; ++h) {
+      const auto k = cache.key_head(first + r, h);
+      const auto v = cache.value_head(first + r, h);
+      for (std::size_t j = 0; j < dh; ++j) {
+        EXPECT_NEAR(k[j], keys.at(r, h * dh + j), 1e-5F) << "key row " << r;
+        EXPECT_NEAR(v[j], values.at(r, h * dh + j), 1e-5F)
+            << "value row " << r;
+      }
+    }
+  }
+}
+
+/// Ten prompt rows through the kernel, then a compaction that scatters
+/// slot indices away from original positions (6 rows survive).
+void prefill_and_compact(const ModelConfig& cfg, const LayerWeights& w,
+                         kv::KvCache& cache) {
+  const Tensor x = random_rows(10, cfg.d_model, 21);
+  attention_forward_general(cfg, w, x, iota_positions(10), cache);
+  cache.compact(std::vector<std::size_t>{0, 1, 5, 7, 8, 9});
+}
+
+TEST_P(DecodeParity, DecodeStepsMatchReference) {
+  ModelConfig cfg = tiny_config(GetParam().positional);
+  cfg.position_mode = GetParam().mode;
+  const ModelWeights w = build_weights(cfg);
+  kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
+  prefill_and_compact(cfg, w.layers[0], cache);
+
+  // Several decode steps so the parity covers growing caches too.
+  for (std::size_t step = 0; step < 3; ++step) {
+    SCOPED_TRACE(step);
+    const Tensor q = random_rows(1, cfg.d_model, 22 + step);
+    const std::size_t pos = 10 + step;
+    const AttentionResult got = decode_one(cfg, w.layers[0], q, pos, cache);
+    expect_matches_reference(cfg, w.layers[0], q, iota_positions(1, pos),
+                             cache, got);
+  }
+}
+
+TEST_P(DecodeParity, PromptChunkMatchesReference) {
   ModelConfig cfg = tiny_config(GetParam().positional);
   cfg.position_mode = GetParam().mode;
   const ModelWeights w = build_weights(cfg);
 
-  // Populate two independent caches with the same prefill + a compaction
-  // that scatters slot indices away from original positions.
-  const auto prefill_one = [&](kv::KvCache& cache) {
-    Tensor x = random_rows(10, cfg.d_model, 21);
-    attention_forward_general(cfg, w.layers[0], x, iota_positions(10), cache);
-    cache.compact(std::vector<std::size_t>{0, 1, 5, 7, 8, 9});
+  // A five-row chunk after the compaction sees prefixes of 7..11 rows. On
+  // the paged cache's 4-token blocks every prefix but 8 ends mid-block.
+  const auto run_chunk = [&](kv::KvCache& cache) {
+    prefill_and_compact(cfg, w.layers[0], cache);
+    const Tensor x = random_rows(5, cfg.d_model, 31);
+    const auto positions = iota_positions(5, 10);
+    const AttentionResult got =
+        attention_forward_general(cfg, w.layers[0], x, positions, cache);
+    expect_matches_reference(cfg, w.layers[0], x, positions, cache, got);
   };
-  kv::ContiguousKvCache cache_general(cfg.n_heads, cfg.d_head());
-  kv::ContiguousKvCache cache_decode(cfg.n_heads, cfg.d_head());
-  prefill_one(cache_general);
-  prefill_one(cache_decode);
-
-  // Several decode steps so the parity covers growing caches too.
-  for (std::size_t step = 0; step < 3; ++step) {
-    Tensor q = random_rows(1, cfg.d_model, 22 + step);
-    const std::size_t pos = 10 + step;
-    const AttentionResult general = attention_forward_general(
-        cfg, w.layers[0], q, iota_positions(1, pos), cache_general);
-    const AttentionResult decoded =
-        decode_one(cfg, w.layers[0], q, pos, cache_decode);
-
-    ASSERT_EQ(general.key_len, decoded.key_len);
-    for (std::size_t i = 0; i < general.logits.size(); ++i) {
-      EXPECT_NEAR(general.logits.span()[i], decoded.logits.span()[i], 1e-5F)
-          << "logit " << i << " at step " << step;
-    }
-    for (std::size_t i = 0; i < general.probs.size(); ++i) {
-      EXPECT_NEAR(general.probs.span()[i], decoded.probs.span()[i], 1e-5F)
-          << "prob " << i << " at step " << step;
-    }
-    for (std::size_t i = 0; i < general.context.size(); ++i) {
-      EXPECT_NEAR(general.context.span()[i], decoded.context.span()[i], 1e-5F)
-          << "context " << i << " at step " << step;
-    }
-    // The two caches must also stay identical (same appended K/V rows).
-    ASSERT_EQ(cache_general.size(), cache_decode.size());
-    for (std::size_t h = 0; h < cfg.n_heads; ++h) {
-      const auto kg = cache_general.keys_head(h);
-      const auto kd = cache_decode.keys_head(h);
-      for (std::size_t i = 0; i < kg.size(); ++i) {
-        EXPECT_NEAR(kg[i], kd[i], 1e-6F);
-      }
-    }
+  {
+    SCOPED_TRACE("contiguous");
+    kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
+    run_chunk(cache);
+  }
+  {
+    SCOPED_TRACE("paged");
+    mem::BlockPoolConfig pc;
+    pc.block_tokens = 4;
+    pc.n_heads = cfg.n_heads;
+    pc.d_head = cfg.d_head();
+    mem::BlockPool pool(pc);
+    mem::PagedKvCache cache(pool, 0);
+    run_chunk(cache);
+    ASSERT_EQ(cache.segment_count(), 3u);
   }
 }
 
@@ -282,8 +337,8 @@ TEST(Attention, RotateAtAppendMatchesRotateAtAttendBeforeEviction) {
   // Under RoPE, kOriginal stores keys rotated at append and kNew stores raw
   // keys rotated at attention time. On an uncompacted cache every slot
   // index equals its original position, so both contracts apply the same
-  // rotations and must agree — through the general kernel (prompt) and the
-  // decode kernel (each following step).
+  // rotations and must agree — for a prompt chunk and for each decode step
+  // that follows.
   const ModelConfig org = tiny_config(PositionalKind::kRoPE);
   ModelConfig newpos = org;
   newpos.position_mode = PositionMode::kNew;
