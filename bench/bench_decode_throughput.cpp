@@ -21,6 +21,7 @@
 
 #include "bench_common.h"
 #include "core/timing.h"
+#include "obs/trace.h"
 
 using namespace kf;
 
@@ -80,11 +81,10 @@ IsaResult run_isa(cpu::CpuIsa isa, const BenchSetup& s) {
   m.prefill(prompt, *policy, s.gen_tokens);
   r.prefill_seconds = now_seconds() - t0;
 
-  model::AttentionTimings attn;
-  kv::PolicyTimings pol;
-  m.set_attention_timings(&attn);
-  policy->set_timing_sink(&pol);
-
+  // The breakdown comes from the model's own trace spans over the decode
+  // loop (prefill is untraced).
+  obs::trace_reset();
+  obs::set_trace_enabled(true);
   t0 = now_seconds();
   for (std::size_t t = 1; t <= s.gen_tokens; ++t) {
     const std::size_t position = s.prompt_len + t - 1;
@@ -92,16 +92,20 @@ IsaResult run_isa(cpu::CpuIsa isa, const BenchSetup& s) {
         m.decode(feed[t - 1], position, t, s.gen_tokens, *policy));
   }
   const double decode_seconds = now_seconds() - t0;
-  m.set_attention_timings(nullptr);
-  policy->set_timing_sink(nullptr);
+  obs::set_trace_enabled(false);
+  const auto spans = obs::trace_totals();
+  const auto span_ms = [&](const char* name) {
+    const auto it = spans.find(name);
+    return it == spans.end() ? 0.0 : 1e3 * it->second.seconds;
+  };
 
   const double n = static_cast<double>(s.gen_tokens);
   r.tokens_per_s = n / decode_seconds;
   r.ms_per_token = 1e3 * decode_seconds / n;
-  r.project_ms = 1e3 * attn.project_seconds / n;
-  r.attend_ms = 1e3 * attn.attend_seconds / n;
-  r.score_ms = 1e3 * pol.score_seconds / n;
-  r.evict_ms = 1e3 * pol.evict_seconds / n;
+  r.project_ms = span_ms("attn.project") / n;
+  r.attend_ms = span_ms("attn.attend") / n;
+  r.score_ms = span_ms("policy.score") / n;
+  r.evict_ms = span_ms("policy.evict") / n;
   r.other_ms = r.ms_per_token - r.project_ms - r.attend_ms - r.score_ms -
                r.evict_ms;
   cpu::clear_isa_override();

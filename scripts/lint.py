@@ -36,7 +36,8 @@ Checks (each failure lists file and reason; exit code 1 on any):
   7. no KF_TRACE_SCOPE / KF_TRACE_INSTANT in the per-ISA variant TUs
      (src/cpu/kernels_avx2.cpp, kernels_avx512.cpp) -- the innermost SIMD
      loops must stay branch-free of tracing; kernel time reaches the
-     tracer through the AttentionTimings / PolicyTimings sinks instead.
+     tracer through the spans src/model and src/kvcache open around the
+     dispatched calls instead.
 """
 
 from __future__ import annotations
@@ -223,7 +224,8 @@ def check_simd_variants_behind_dispatch() -> list[str]:
 def check_no_tracing_in_isa_variants() -> list[str]:
     """The per-ISA kernel TUs never carry trace macros: the hot SIMD loops
     stay identical across variants, and kernel time flows to the tracer
-    through the timing sinks the generic layer reads."""
+    through the spans src/model and src/kvcache open around the
+    dispatched calls."""
     errors = []
     for rel in ("src/cpu/kernels_avx2.cpp", "src/cpu/kernels_avx512.cpp"):
         path = REPO / rel
@@ -234,7 +236,8 @@ def check_no_tracing_in_isa_variants() -> list[str]:
             if "KF_TRACE_SCOPE" in line or "KF_TRACE_INSTANT" in line:
                 errors.append(
                     f"{rel}:{lineno}: trace macro in a per-ISA variant TU "
-                    "(report kernel time through the timing sinks instead)"
+                    "(span the dispatched call in src/model or src/kvcache "
+                    "instead)"
                 )
     return errors
 

@@ -6,7 +6,8 @@ that the artifacts actually round-trip:
 
   1. the Chrome trace file parses as JSON, has the Trace Event envelope
      (displayTimeUnit + traceEvents), and contains complete ("X") spans
-     with non-negative durations covering the engine phases;
+     with non-negative durations covering the engine phases and the
+     model phases of decode steps and prompt chunks;
   2. the metrics CSV carries the shared percentile-column schema
      ({series}_p50_ms/_p95_ms/_p99_ms for ttft/itl/queue_wait/step) and
      one data row of finite numbers;
@@ -26,7 +27,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-REQUIRED_SPANS = {"engine.run", "prefill", "step_batch", "sample", "retire"}
+# Engine phases, then the model phases of decode steps and prompt chunks.
+REQUIRED_SPANS = {
+    "engine.run", "prefill", "step_batch", "sample", "retire",
+    "attn.project", "attn.attend", "policy.observe", "mlp", "lm_head",
+    "prefill_chunk", "prompt.project", "prompt.attend", "prompt.observe",
+    "prompt.mlp", "prompt.lm_head",
+}
 SERIES = ("ttft", "itl", "queue_wait", "step")
 SUFFIXES = ("_p50_ms", "_p95_ms", "_p99_ms")
 

@@ -91,11 +91,4 @@ double trace_ticks_to_seconds(std::uint64_t ticks_delta) {
   return static_cast<double>(ticks_delta) / ticks_per_second();
 }
 
-std::uint64_t trace_seconds_to_ticks(double seconds) {
-  if (seconds <= 0.0) {
-    return 0;
-  }
-  return static_cast<std::uint64_t>(seconds * ticks_per_second());
-}
-
 }  // namespace kf

@@ -1,8 +1,8 @@
-// Shared wall-clock helper for the perf-instrumentation sinks
-// (AttentionTimings, PolicyTimings) and the throughput benches, plus the
-// trace clock backing src/obs: a raw monotonic tick counter (TSC where the
-// target has one) with lazy steady_clock calibration, so a trace span costs
-// one TSC read instead of a clock_gettime syscall path.
+// Shared wall-clock helper for the engine's latency stamps and the
+// benches, plus the trace clock behind the spans src/model, src/kvcache and
+// src/serve open: a raw monotonic tick counter (TSC where the target has
+// one) with lazy steady_clock calibration, so a trace span costs one TSC
+// read instead of a clock_gettime syscall path.
 #pragma once
 
 #include <chrono>
@@ -37,9 +37,6 @@ std::uint64_t trace_clock_anchor();
 /// rate (exact when the nanosecond fallback is active). The first call may
 /// block ~200us to measure a usable rate; afterwards the rate is cached.
 double trace_ticks_to_seconds(std::uint64_t ticks_delta);
-
-/// Inverse of trace_ticks_to_seconds (same cached rate).
-std::uint64_t trace_seconds_to_ticks(double seconds);
 
 #if defined(KF_TRACE_TSC)
 namespace detail {

@@ -7,9 +7,9 @@
 // report the position distribution of evicted tokens instead of only
 // the offline sweep.
 //
-// Threading model: identical to PolicyTimings — one telemetry instance
-// per sequence, written single-threaded by that sequence's policy inside
-// the batched decode step's parallel_for worker, read by the engine loop
+// Threading model: one telemetry instance per sequence, written
+// single-threaded by that sequence's policy inside the batched decode
+// step's parallel_for worker, read by the engine loop
 // after the step joins (and merged into an engine-lifetime aggregate at
 // retirement, behind the engine's stats mutex). Never shared between
 // concurrently-observed sequences.

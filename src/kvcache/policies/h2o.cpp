@@ -2,8 +2,8 @@
 
 #include <stdexcept>
 
-#include "core/timing.h"
 #include "kvcache/policies/key_attention.h"
+#include "obs/trace.h"
 
 namespace kf::kv {
 
@@ -15,14 +15,13 @@ H2OPolicy::H2OPolicy(double damping) : damping_(damping) {
 
 void H2OPolicy::observe(const PolicyContext& ctx) {
   KvCache& cache = *ctx.cache;
-  double t0 = timings_sink_ != nullptr ? now_seconds() : 0.0;
-  if (damping_ < 1.0) cache.damp_scores(damping_);
-  accumulate_attention_probs(ctx);
-  if (timings_sink_ != nullptr) {
-    timings_sink_->score_seconds += now_seconds() - t0;
-    t0 = now_seconds();
+  {
+    KF_TRACE_SCOPE("policy.score", "policy");
+    if (damping_ < 1.0) cache.damp_scores(damping_);
+    accumulate_attention_probs(ctx);
   }
   if (!over_budget(cache)) return;
+  KF_TRACE_SCOPE("policy.evict", "policy");
 
   const std::size_t n = cache.size();
   const std::size_t k = budget_.max_tokens;
@@ -32,9 +31,6 @@ void H2OPolicy::observe(const PolicyContext& ctx) {
   const std::vector<double> total = head_aggregated_scores(cache);
   const auto keep = keep_topk_plus_recent(total, n, prefix, k - w);
   compact_cache(ctx, keep);
-  if (timings_sink_ != nullptr) {
-    timings_sink_->evict_seconds += now_seconds() - t0;
-  }
 }
 
 }  // namespace kf::kv

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "core/timing.h"
+#include "obs/trace.h"
 
 namespace kf::kv {
 
@@ -66,14 +66,13 @@ void KeyformerPolicy::accumulate(const PolicyContext& ctx) {
 }
 
 void KeyformerPolicy::observe(const PolicyContext& ctx) {
-  double t0 = timings_sink_ != nullptr ? now_seconds() : 0.0;
-  accumulate(ctx);
-  if (timings_sink_ != nullptr) {
-    timings_sink_->score_seconds += now_seconds() - t0;
-    t0 = now_seconds();
+  {
+    KF_TRACE_SCOPE("policy.score", "policy");
+    accumulate(ctx);
   }
   KvCache& cache = *ctx.cache;
   if (!over_budget(cache)) return;
+  KF_TRACE_SCOPE("policy.evict", "policy");
 
   const std::size_t n = cache.size();
   const std::size_t k = budget_.max_tokens;
@@ -93,9 +92,6 @@ void KeyformerPolicy::observe(const PolicyContext& ctx) {
   }
   const auto keep = keep_topk_plus_recent(ranking, n, prefix, k - w);
   compact_cache(ctx, keep);
-  if (timings_sink_ != nullptr) {
-    timings_sink_->evict_seconds += now_seconds() - t0;
-  }
 }
 
 }  // namespace kf::kv

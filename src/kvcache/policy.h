@@ -62,15 +62,6 @@ struct SequenceInfo {
   std::size_t n_heads = 0;
 };
 
-/// Wall-clock accumulator for the per-step policy-cost breakdown
-/// (bench_decode_throughput): score accumulation vs keep-set selection +
-/// compaction. Policies that don't distinguish phases may attribute all
-/// their observe() time to evict_seconds.
-struct PolicyTimings {
-  double score_seconds = 0.0;
-  double evict_seconds = 0.0;
-};
-
 /// Base class for all eviction policies.
 class EvictionPolicy {
  public:
@@ -92,6 +83,9 @@ class EvictionPolicy {
   virtual void begin_sequence(const SequenceInfo& info) { sequence_ = info; }
 
   /// Observes one layer's attention output; may compact ctx.cache.
+  /// Keyformer and H2O trace the two phases as `policy.score` (score
+  /// accumulation) and `policy.evict` (keep-set selection + compaction,
+  /// only when over budget), inside the caller's observe span.
   virtual void observe(const PolicyContext& ctx) = 0;
 
   /// Prefix-cache hooks. A policy whose accumulated score state lives
@@ -109,18 +103,13 @@ class EvictionPolicy {
     (void)state;
   }
 
-  /// Installs a timing sink (nullptr disables). Instrumented policies
-  /// (Keyformer, H2O) split observe() time into score vs evict phases.
-  void set_timing_sink(PolicyTimings* sink) { timings_sink_ = sink; }
-
   /// Installs an eviction-introspection sink (nullptr disables): every
   /// keep/evict decision this policy executes is recorded into it before
-  /// the cache is compacted (see kvcache/eviction_telemetry.h). Same
-  /// per-sequence, single-writer contract as the timing sink.
+  /// the cache is compacted (see kvcache/eviction_telemetry.h). The sink
+  /// is per sequence, written only by this policy's observe().
   void set_eviction_sink(EvictionTelemetry* sink) { eviction_sink_ = sink; }
 
  protected:
-  PolicyTimings* timings_sink_ = nullptr;
   EvictionTelemetry* eviction_sink_ = nullptr;
 
   /// Records the decision into the eviction sink (when installed) and

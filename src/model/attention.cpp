@@ -7,9 +7,9 @@
 #include <vector>
 
 #include "core/threadpool.h"
-#include "core/timing.h"
 #include "cpu/kernels.h"
 #include "model/positional.h"
+#include "obs/trace.h"
 
 namespace kf::model {
 
@@ -179,51 +179,48 @@ void attend_rows(const ModelConfig& cfg, const float* q,
 
 AttentionResult attention_forward_general(
     const ModelConfig& cfg, const LayerWeights& w, const Tensor& x,
-    std::span<const std::size_t> q_positions, kv::KvCache& cache,
-    AttentionTimings* timings) {
+    std::span<const std::size_t> q_positions, kv::KvCache& cache) {
   const std::size_t n_q = x.dim(0);
   const std::size_t d = cfg.d_model;
   assert(x.dim(1) == d && q_positions.size() == n_q);
 
   // Project Q, K, V for all new rows at once.
-  double t0 = timings != nullptr ? now_seconds() : 0.0;
   Tensor q({n_q, d});
   Tensor k({n_q, d});
   Tensor v({n_q, d});
-  matmul(x.span(), w.wq.span(), q.span(), n_q, d, d);
-  matmul(x.span(), w.wk.span(), k.span(), n_q, d, d);
-  matmul(x.span(), w.wv.span(), v.span(), n_q, d, d);
-  if (timings != nullptr) {
-    timings->project_seconds += now_seconds() - t0;
-    t0 = now_seconds();  // append counts toward attend on every path
+  {
+    KF_TRACE_SCOPE("prompt.project", "model");
+    matmul(x.span(), w.wq.span(), q.span(), n_q, d, d);
+    matmul(x.span(), w.wk.span(), k.span(), n_q, d, d);
+    matmul(x.span(), w.wv.span(), v.span(), n_q, d, d);
   }
 
-  for (std::size_t i = 0; i < n_q; ++i) {
-    append_projected_row(cfg, k.row(i), v.row(i), q_positions[i], cache);
-  }
-  AttentionResult out = make_result(cfg, n_q, cache.size());
-  const std::vector<float> rotated = rotated_keys(cfg, cache);
+  AttentionResult out;
   Tensor merged({n_q, d});
-  ThreadPool::global().parallel_for(
-      n_q,
-      [&](std::size_t q0, std::size_t q1) {
-        attend_rows(cfg, q.data(), q_positions, cache, rotated, q0, q1, out,
-                    merged.data());
-      },
-      /*grain=*/4);
-  if (timings != nullptr) {
-    timings->attend_seconds += now_seconds() - t0;
-    t0 = now_seconds();
+  {
+    KF_TRACE_SCOPE("prompt.attend", "model");
+    for (std::size_t i = 0; i < n_q; ++i) {
+      append_projected_row(cfg, k.row(i), v.row(i), q_positions[i], cache);
+    }
+    out = make_result(cfg, n_q, cache.size());
+    const std::vector<float> rotated = rotated_keys(cfg, cache);
+    ThreadPool::global().parallel_for(
+        n_q,
+        [&](std::size_t q0, std::size_t q1) {
+          attend_rows(cfg, q.data(), q_positions, cache, rotated, q0, q1, out,
+                      merged.data());
+        },
+        /*grain=*/4);
   }
 
+  KF_TRACE_SCOPE("prompt.project", "model");
   matmul(merged.span(), w.wo.span(), out.context.span(), n_q, d, d);
-  if (timings != nullptr) timings->project_seconds += now_seconds() - t0;
   return out;
 }
 
 std::vector<AttentionResult> attention_decode_batch(
     const ModelConfig& cfg, const LayerWeights& w, const Tensor& x,
-    std::span<const DecodeBatchSlot> slots, AttentionTimings* timings) {
+    std::span<const DecodeBatchSlot> slots) {
   const std::size_t b_count = slots.size();
   const std::size_t d = cfg.d_model;
   assert(x.dim(0) == b_count && x.dim(1) == d);
@@ -232,16 +229,14 @@ std::vector<AttentionResult> attention_decode_batch(
   // QKV projections: one GEMM per weight over the whole batch. Row b's
   // bits equal a batch of one (the gemm_rows contract), so no sequence's
   // result depends on its companions.
-  double t0 = timings != nullptr ? now_seconds() : 0.0;
   Tensor q({b_count, d});
   Tensor k({b_count, d});
   Tensor v({b_count, d});
-  matmul(x.span(), w.wq.span(), q.span(), b_count, d, d);
-  matmul(x.span(), w.wk.span(), k.span(), b_count, d, d);
-  matmul(x.span(), w.wv.span(), v.span(), b_count, d, d);
-  if (timings != nullptr) {
-    timings->project_seconds += now_seconds() - t0;
-    t0 = now_seconds();  // append counts toward attend on both paths
+  {
+    KF_TRACE_SCOPE("attn.project", "model");
+    matmul(x.span(), w.wq.span(), q.span(), b_count, d, d);
+    matmul(x.span(), w.wk.span(), k.span(), b_count, d, d);
+    matmul(x.span(), w.wv.span(), v.span(), b_count, d, d);
   }
 
   // Per-sequence append + attend (a one-row chunk), parallel across
@@ -249,34 +244,33 @@ std::vector<AttentionResult> attention_decode_batch(
   // its own row of the merged head contexts, so the loop is
   // embarrassingly parallel (callers guarantee distinct caches).
   Tensor merged({b_count, d});
-  ThreadPool::global().parallel_for(
-      b_count,
-      [&](std::size_t b0, std::size_t b1) {
-        for (std::size_t b = b0; b < b1; ++b) {
-          kv::KvCache& cache = *slots[b].cache;
-          append_projected_row(cfg, k.row(b), v.row(b), slots[b].q_position,
-                               cache);
-          results[b] = make_result(cfg, 1, cache.size());
-          attend_rows(cfg, q.row(b).data(), {&slots[b].q_position, 1}, cache,
-                      rotated_keys(cfg, cache), 0, 1, results[b],
-                      merged.row(b).data());
-        }
-      },
-      /*grain=*/1);
-  if (timings != nullptr) {
-    timings->attend_seconds += now_seconds() - t0;
-    t0 = now_seconds();
+  {
+    KF_TRACE_SCOPE("attn.attend", "model");
+    ThreadPool::global().parallel_for(
+        b_count,
+        [&](std::size_t b0, std::size_t b1) {
+          for (std::size_t b = b0; b < b1; ++b) {
+            kv::KvCache& cache = *slots[b].cache;
+            append_projected_row(cfg, k.row(b), v.row(b),
+                                 slots[b].q_position, cache);
+            results[b] = make_result(cfg, 1, cache.size());
+            attend_rows(cfg, q.row(b).data(), {&slots[b].q_position, 1},
+                        cache, rotated_keys(cfg, cache), 0, 1, results[b],
+                        merged.row(b).data());
+          }
+        },
+        /*grain=*/1);
   }
 
   // Output projection: one GEMM over the gathered contexts, then each row
   // back to its sequence's result.
+  KF_TRACE_SCOPE("attn.project", "model");
   Tensor projected({b_count, d});
   matmul(merged.span(), w.wo.span(), projected.span(), b_count, d, d);
   for (std::size_t b = 0; b < b_count; ++b) {
     const auto row = projected.row(b);
     std::copy(row.begin(), row.end(), results[b].context.data());
   }
-  if (timings != nullptr) timings->project_seconds += now_seconds() - t0;
   return results;
 }
 

@@ -58,22 +58,15 @@ struct AttentionResult {
   std::size_t key_len = 0;
 };
 
-/// Wall-clock accumulator for the decode-latency breakdown
-/// (bench_decode_throughput). Pass nullptr to skip timing entirely.
-struct AttentionTimings {
-  double project_seconds = 0.0;  ///< QKV + output projections
-  double attend_seconds = 0.0;   ///< KV append + dots + softmax + weighted
-                                 ///< values (same split on both paths)
-};
-
 /// Projects `x` (n_q rows that continue the sequence) to Q/K/V, appends the
 /// new K/V rows to `cache` at `q_positions` (strictly increasing original
 /// positions, above every cached one), then attends each query against
 /// its causal prefix of the cache, rows split across the thread pool.
+/// Traced as `prompt.project` (Q/K/V, then W_o) and `prompt.attend`
+/// (append + attend).
 AttentionResult attention_forward_general(
     const ModelConfig& cfg, const LayerWeights& w, const Tensor& x,
-    std::span<const std::size_t> q_positions, kv::KvCache& cache,
-    AttentionTimings* timings = nullptr);
+    std::span<const std::size_t> q_positions, kv::KvCache& cache);
 
 /// One sequence's slot in a batched decode step: the new token's original
 /// sequence position and the sequence's own cache for this layer.
@@ -91,11 +84,11 @@ struct DecodeBatchSlot {
 /// distinct caches); W_o is one more `matmul` over the gathered contexts,
 /// again on the calling thread. Sequences never read each other's caches
 /// and a `matmul` row's bits never depend on the other rows, so each
-/// slot's result is bit-identical to a batch of one.
+/// slot's result is bit-identical to a batch of one. Traced as
+/// `attn.project` (Q/K/V, then W_o) and `attn.attend` (append + attend).
 std::vector<AttentionResult> attention_decode_batch(
     const ModelConfig& cfg, const LayerWeights& w, const Tensor& x,
-    std::span<const DecodeBatchSlot> slots,
-    AttentionTimings* timings = nullptr);
+    std::span<const DecodeBatchSlot> slots);
 
 /// True when cached keys are stored pre-rotated: RoPE with immutable
 /// effective positions (PositionMode::kOriginal).

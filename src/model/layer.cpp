@@ -40,8 +40,7 @@ void mlp_block(const ModelConfig& cfg, const LayerWeights& w,
 AttentionResult decoder_attention(const ModelConfig& cfg,
                                   const LayerWeights& w, Tensor& x,
                                   std::span<const std::size_t> positions,
-                                  kv::KvCache& cache,
-                                  AttentionTimings* timings) {
+                                  kv::KvCache& cache) {
   const std::size_t n_q = x.dim(0);
   const std::size_t d = cfg.d_model;
   assert(x.dim(1) == d);
@@ -52,14 +51,14 @@ AttentionResult decoder_attention(const ModelConfig& cfg,
                normed.row(i));
   }
   AttentionResult attn =
-      attention_forward_general(cfg, w, normed, positions, cache, timings);
+      attention_forward_general(cfg, w, normed, positions, cache);
   add_inplace(x.span(), attn.context.span());
   return attn;
 }
 
 std::vector<AttentionResult> decoder_attention_batch(
     const ModelConfig& cfg, const LayerWeights& w, Tensor& x,
-    std::span<const DecodeBatchSlot> slots, AttentionTimings* timings) {
+    std::span<const DecodeBatchSlot> slots) {
   const std::size_t b_count = x.dim(0);
   const std::size_t d = cfg.d_model;
   assert(x.dim(1) == d && slots.size() == b_count);
@@ -70,7 +69,7 @@ std::vector<AttentionResult> decoder_attention_batch(
                normed.row(b));
   }
   std::vector<AttentionResult> results =
-      attention_decode_batch(cfg, w, normed, slots, timings);
+      attention_decode_batch(cfg, w, normed, slots);
   for (std::size_t b = 0; b < b_count; ++b) {
     add_inplace(x.row(b), results[b].context.row(0));
   }

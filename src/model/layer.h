@@ -17,21 +17,23 @@ namespace kf::model {
 /// rows of one sequence) through attention_forward_general, updating `x` in
 /// place and returning the attention internals for score functions /
 /// instrumentation. Row i's bits equal decoder_attention_batch run on that
-/// row alone against the cache prefix before it.
+/// row alone against the cache prefix before it. Traced by the kernel's
+/// prompt.project and prompt.attend spans; LN1 and the residual add count
+/// toward the caller's span.
 AttentionResult decoder_attention(const ModelConfig& cfg,
                                   const LayerWeights& w, Tensor& x,
                                   std::span<const std::size_t> positions,
-                                  kv::KvCache& cache,
-                                  AttentionTimings* timings = nullptr);
+                                  kv::KvCache& cache);
 
 /// Decode attention block: LN1 per row, one attention_decode_batch over the
 /// per-sequence caches in `slots` (row b of `x` is sequence b's
 /// residual-stream row), residual add per row. Returns the per-sequence
-/// attention internals in slot order.
+/// attention internals in slot order. Traced by the kernel's attn.project
+/// and attn.attend spans; LN1 and the residual add count toward the
+/// caller's span.
 std::vector<AttentionResult> decoder_attention_batch(
     const ModelConfig& cfg, const LayerWeights& w, Tensor& x,
-    std::span<const DecodeBatchSlot> slots,
-    AttentionTimings* timings = nullptr);
+    std::span<const DecodeBatchSlot> slots);
 
 /// Runs the MLP block over `x` in place.
 void decoder_mlp(const ModelConfig& cfg, const LayerWeights& w, Tensor& x);

@@ -129,8 +129,8 @@ Tensor Transformer::prefill_continue(kv::SequenceKvState& state,
 
   for (std::size_t layer = 0; layer < cfg_.n_layers; ++layer) {
     kv::KvCache& cache = state.layer(layer);
-    AttentionResult attn = decoder_attention(cfg_, weights_.layers[layer], x,
-                                             positions, cache, attn_timings_);
+    AttentionResult attn =
+        decoder_attention(cfg_, weights_.layers[layer], x, positions, cache);
 
     if (observer_) {
       AttentionObservation obs;
@@ -151,10 +151,15 @@ Tensor Transformer::prefill_continue(kv::SequenceKvState& state,
     ctx.is_prompt = true;
     ctx.total_steps = total_steps;
     ctx.cache = &cache;
-    policy.observe(ctx);
+    {
+      KF_TRACE_SCOPE("prompt.observe", "model");
+      policy.observe(ctx);
+    }
 
+    KF_TRACE_SCOPE("prompt.mlp", "model");
     decoder_mlp(cfg_, weights_.layers[layer], x);
   }
+  KF_TRACE_SCOPE("prompt.lm_head", "model");
   return lm_logits(x);
 }
 
@@ -179,6 +184,7 @@ std::vector<float> Transformer::decode(kv::SequenceKvState& state,
 Tensor Transformer::step_batch(std::span<const DecodeSlot> slots) {
   const std::size_t b_count = slots.size();
   if (b_count == 0) return Tensor({0, cfg_.vocab_size});
+  KF_TRACE_SCOPE("step_batch", "model");
   for (const auto& s : slots) {
     if (s.state == nullptr || s.policy == nullptr) {
       throw std::invalid_argument("step_batch slot missing state or policy");
@@ -214,8 +220,8 @@ Tensor Transformer::step_batch(std::span<const DecodeSlot> slots) {
     for (std::size_t b = 0; b < b_count; ++b) {
       aslots[b] = {slots[b].position, &slots[b].state->layer(layer)};
     }
-    const std::vector<AttentionResult> results = decoder_attention_batch(
-        cfg_, weights_.layers[layer], x, aslots, attn_timings_);
+    const std::vector<AttentionResult> results =
+        decoder_attention_batch(cfg_, weights_.layers[layer], x, aslots);
 
     // Observer fires before policies may compact (key_positions must match
     // the cache the attention actually ran against).
@@ -235,28 +241,33 @@ Tensor Transformer::step_batch(std::span<const DecodeSlot> slots) {
     // Per-sequence policy observation (score accumulation + eviction),
     // parallel across sequences: each slot's policy touches only its own
     // cache and its own score state.
-    ThreadPool::global().parallel_for(
-        b_count,
-        [&](std::size_t b0, std::size_t b1) {
-          for (std::size_t b = b0; b < b1; ++b) {
-            kv::PolicyContext ctx;
-            ctx.layer = layer;
-            ctx.n_heads = cfg_.n_heads;
-            ctx.n_queries = 1;
-            ctx.key_len = results[b].key_len;
-            ctx.logits = results[b].logits.span();
-            ctx.probs = results[b].probs.span();
-            ctx.is_prompt = false;
-            ctx.decode_step = slots[b].t;
-            ctx.total_steps = slots[b].total_steps;
-            ctx.cache = aslots[b].cache;
-            slots[b].policy->observe(ctx);
-          }
-        },
-        /*grain=*/1);
+    {
+      KF_TRACE_SCOPE("policy.observe", "model");
+      ThreadPool::global().parallel_for(
+          b_count,
+          [&](std::size_t b0, std::size_t b1) {
+            for (std::size_t b = b0; b < b1; ++b) {
+              kv::PolicyContext ctx;
+              ctx.layer = layer;
+              ctx.n_heads = cfg_.n_heads;
+              ctx.n_queries = 1;
+              ctx.key_len = results[b].key_len;
+              ctx.logits = results[b].logits.span();
+              ctx.probs = results[b].probs.span();
+              ctx.is_prompt = false;
+              ctx.decode_step = slots[b].t;
+              ctx.total_steps = slots[b].total_steps;
+              ctx.cache = aslots[b].cache;
+              slots[b].policy->observe(ctx);
+            }
+          },
+          /*grain=*/1);
+    }
 
+    KF_TRACE_SCOPE("mlp", "model");
     decoder_mlp_rows(cfg_, weights_.layers[layer], x);
   }
+  KF_TRACE_SCOPE("lm_head", "model");
   return lm_logits(x);
 }
 

@@ -20,6 +20,14 @@
 // logits are bit-identical whatever else shares its batch. Every prompt
 // row runs attention_forward_general, whose attend is the decode step's:
 // a prompt row's logits equal that token decoded alone.
+//
+// Tracing (obs/trace.h): a step_batch call is one `step_batch` span; per
+// layer it holds `attn.project` (twice: Q/K/V, then W_o), `attn.attend`,
+// `policy.observe` and `mlp`, then one `lm_head`. A prompt chunk is one
+// `prefill_chunk` span with the same phases named `prompt.project`,
+// `prompt.attend`, `prompt.observe`, `prompt.mlp` and `prompt.lm_head`,
+// so decode shares never count prompt work. Embedding and the attention
+// block's LayerNorm and residual add are the enclosing span's self time.
 #pragma once
 
 #include <cstdint>
@@ -99,12 +107,6 @@ class Transformer {
   /// Installs an attention observer (pass nullptr-equivalent {} to clear).
   void set_observer(AttentionObserver observer);
 
-  /// Installs a wall-clock sink for the attention-phase breakdown
-  /// (bench_decode_throughput); nullptr disables timing.
-  void set_attention_timings(AttentionTimings* sink) {
-    attn_timings_ = sink;
-  }
-
   /// Switches the position mode (Table 3 org-pos vs new-pos ablation).
   /// Takes effect for caches filled after the next reset()/prefill() —
   /// under RoPE the key-storage contract (pre-rotated vs raw, see
@@ -169,7 +171,6 @@ class Transformer {
   ModelWeights weights_;
   kv::SequenceKvState state_;  ///< default sequence state
   AttentionObserver observer_;
-  AttentionTimings* attn_timings_ = nullptr;
 };
 
 }  // namespace kf::model

@@ -22,9 +22,11 @@ struct TraceEvent {
 
 /// Per-thread event buffer. The owning thread writes slots_[head] then
 /// publishes with a release store of head_; readers acquire-load head_
-/// and see complete slots. head_ only grows until trace_reset().
+/// and see complete slots. head_ only grows until trace_reset(). The
+/// slots are left uninitialized, so only pages that hold events become
+/// resident.
 struct ThreadBuffer {
-  static constexpr std::size_t kCapacity = 1 << 14;  ///< 16K events/thread
+  static constexpr std::size_t kCapacity = std::size_t{1} << 20;  ///< 1M/thread
 
   void record(const TraceEvent& ev) noexcept {
     const std::uint64_t h = head_.load(std::memory_order_relaxed);
@@ -36,7 +38,8 @@ struct ThreadBuffer {
     head_.store(h + 1, std::memory_order_release);
   }
 
-  std::vector<TraceEvent> slots_ = std::vector<TraceEvent>(kCapacity);
+  std::unique_ptr<TraceEvent[]> slots_ =
+      std::make_unique_for_overwrite<TraceEvent[]>(kCapacity);
   std::atomic<std::uint64_t> head_{0};
   std::atomic<std::uint64_t> dropped_{0};
   std::uint32_t tid = 0;
@@ -93,6 +96,12 @@ void append_json_string(std::string& out, const char* s) {
     }
   }
   out.push_back('"');
+}
+
+/// Duration of a complete span in ticks; an end before its start clamps
+/// to 0.
+std::uint64_t span_ticks(const TraceEvent& ev) {
+  return ev.end_ticks >= ev.start_ticks ? ev.end_ticks - ev.start_ticks : 0;
 }
 
 void append_micros(std::string& out, double us) {
@@ -187,10 +196,7 @@ bool write_chrome_trace(const std::string& path) {
         json.append(",\"ph\":\"i\",\"s\":\"t\",\"ts\":");
         append_micros(json, ts);
       } else {
-        const std::uint64_t span = ev.end_ticks >= ev.start_ticks
-                                       ? ev.end_ticks - ev.start_ticks
-                                       : 0;
-        const double dur = trace_ticks_to_seconds(span) * 1e6;
+        const double dur = trace_ticks_to_seconds(span_ticks(ev)) * 1e6;
         json.append(",\"ph\":\"X\",\"ts\":");
         append_micros(json, ts);
         json.append(",\"dur\":");
@@ -204,6 +210,21 @@ bool write_chrome_trace(const std::string& path) {
   json.append("]}\n");
   out << json;
   return static_cast<bool>(out);
+}
+
+std::map<std::string, SpanTotal> trace_totals() {
+  std::map<std::string, SpanTotal> totals;
+  for (ThreadBuffer* b : all_buffers()) {
+    const std::uint64_t n = b->head_.load(std::memory_order_acquire);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const TraceEvent& ev = b->slots_[i];
+      if (ev.instant) continue;
+      SpanTotal& t = totals[ev.name];
+      ++t.count;
+      t.seconds += trace_ticks_to_seconds(span_ticks(ev));
+    }
+  }
+  return totals;
 }
 
 }  // namespace kf::obs

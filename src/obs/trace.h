@@ -16,7 +16,9 @@
 // complete file. trace_reset() additionally requires quiescence.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
 
 #include "core/timing.h"
@@ -54,6 +56,17 @@ void trace_instant(const char* name, const char* cat = "engine") noexcept;
 /// Returns false when the file cannot be written.
 bool write_chrome_trace(const std::string& path);
 
+/// Count and summed duration of the buffered complete spans of one name.
+struct SpanTotal {
+  std::size_t count = 0;
+  double seconds = 0.0;
+};
+
+/// Totals per span name (compared by content) over every thread's
+/// buffered complete spans; instants are skipped. Same concurrency
+/// contract as write_chrome_trace.
+std::map<std::string, SpanTotal> trace_totals();
+
 /// RAII span: records [construction, destruction] when tracing was
 /// enabled at construction.
 class TraceScope {
@@ -85,7 +98,8 @@ class TraceScope {
 // KF_TRACE_SCOPE(name[, cat]): names a span covering the rest of the
 // enclosing block. Compiles to nothing under -DKF_TRACE_DISABLED. Keep
 // out of per-ISA src/cpu variant TUs (scripts/lint.py enforces this):
-// the innermost kernels are measured through their timing sinks instead.
+// the innermost kernels are measured by the spans src/model and
+// src/kvcache open around their dispatched calls.
 #if defined(KF_TRACE_DISABLED)
 #define KF_TRACE_SCOPE(...) \
   do {                      \

@@ -127,15 +127,6 @@ PagedCounters paged_counters(const Sequence& seq) {
   return c;
 }
 
-/// Policy score + evict seconds the batch's timing sinks hold.
-double policy_seconds(std::span<Sequence* const> batch) {
-  double s = 0.0;
-  for (const Sequence* seq : batch) {
-    s += seq->policy_timings.score_seconds + seq->policy_timings.evict_seconds;
-  }
-  return s;
-}
-
 }  // namespace
 
 /// One run() call: the sequences, the scheduler, the step clock and the
@@ -149,9 +140,7 @@ class Engine::Run {
         cfg_(engine.cfg_),
         pool_(engine.pool_.get()),
         prefix_index_(engine.prefix_index_.get()),
-        tracing_(obs::trace_enabled()),
         sched_(engine.cfg_.scheduler) {
-    if (tracing_) model_.set_attention_timings(&attn_timings_);
     stats_.isa = cpu::isa_name(cpu::active_isa());
     engine_.publish_stats(stats_);
     if (pool_ != nullptr) {
@@ -160,9 +149,6 @@ class Engine::Run {
     }
   }
 
-  ~Run() {
-    if (tracing_) model_.set_attention_timings(nullptr);
-  }
   Run(const Run&) = delete;
   Run& operator=(const Run&) = delete;
 
@@ -319,7 +305,6 @@ class Engine::Run {
         if (seq->timeline.has(TimelineEventKind::kQueued)) {
           engine_.hist_queue_wait_.record(t_admit - seq->queued_seconds);
         }
-        if (tracing_) seq->policy->set_timing_sink(&seq->policy_timings);
         seq->policy->set_eviction_sink(&seq->eviction);
         if (pool_ != nullptr) {
           // Materialize the placement decision: layer caches drawing
@@ -387,7 +372,7 @@ class Engine::Run {
       slot.policy = seq->policy;
       slots_.push_back(slot);
     }
-    const Tensor logits = model_step(active);
+    const Tensor logits = model_.step_batch(slots_);
     {
       KF_TRACE_SCOPE("sample");
       for (std::size_t b = 0; b < active.size(); ++b) {
@@ -688,36 +673,6 @@ class Engine::Run {
     return true;
   }
 
-  // Runs the batched model step; while tracing, carves the step's own
-  // project/attend/policy sink time into synthetic child spans laid out
-  // sequentially from the step start — aggregate sink deltas, not real
-  // thread-local intervals (policy observe runs per sequence in parallel,
-  // so its span can exceed the step wall).
-  Tensor model_step(std::span<Sequence* const> active) {
-    const std::uint64_t step_ticks0 = tracing_ ? trace_ticks() : 0;
-    const model::AttentionTimings before = attn_timings_;
-    const double policy_before = tracing_ ? policy_seconds(active) : 0.0;
-    Tensor logits;
-    {
-      KF_TRACE_SCOPE("step_batch");
-      logits = model_.step_batch(slots_);
-    }
-    if (tracing_) {
-      const model::AttentionTimings& after = attn_timings_;
-      const std::pair<const char*, double> spans[] = {
-          {"attn.project", after.project_seconds - before.project_seconds},
-          {"attn.attend", after.attend_seconds - before.attend_seconds},
-          {"policy.observe", policy_seconds(active) - policy_before}};
-      std::uint64_t t = step_ticks0;
-      for (const auto& [name, seconds] : spans) {
-        const std::uint64_t d = trace_seconds_to_ticks(seconds);
-        obs::trace_complete(name, "kernel", t, t + d);
-        t += d;
-      }
-    }
-    return logits;
-  }
-
   // A sequence whose pool refused it memory mid-flight parks for a resume
   // under a fresh reservation — unless it already exhausted its preemption
   // cap, in which case it is contained as kRejected (keeping the tokens
@@ -807,12 +762,11 @@ class Engine::Run {
   }
 
   // KV release for a sequence leaving the active set (finish or park):
-  // uninstall the policy sinks; in paged mode count the layers' allocation
+  // uninstall the eviction sink; in paged mode count the layers' allocation
   // failures and copy-on-write copies, then drop the layers so their blocks
   // return to the pool. Token-mode state stays: external kv_state callers
   // (generate() among them) read it after the run; park() clears it.
   void release_kv(Sequence& seq) {
-    if (tracing_) seq.policy->set_timing_sink(nullptr);
     seq.policy->set_eviction_sink(nullptr);
     if (pool_ == nullptr) return;
     const PagedCounters c = paged_counters(seq);
@@ -883,14 +837,6 @@ class Engine::Run {
   const EngineConfig& cfg_;
   mem::BlockPool* const pool_;
   mem::PrefixIndex* const prefix_index_;
-  /// Kernel-level visibility while tracing: the attention sink is updated
-  /// only on the batch step's calling thread (one shared sink is safe);
-  /// policy timings are written per sequence inside parallel_for workers,
-  /// so each sequence carries its own sink (installed at admission). Their
-  /// deltas become synthetic child spans of each step — the per-ISA
-  /// kernels themselves stay trace-free.
-  const bool tracing_;
-  model::AttentionTimings attn_timings_;
   /// Accumulated here and published as snapshots, so readers of stats()
   /// never observe a half-updated struct.
   EngineStats stats_;

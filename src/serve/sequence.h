@@ -189,12 +189,9 @@ struct Sequence {
   double last_token_seconds = 0.0;
   /// Wall-clock gaps between consecutive committed decode tokens.
   obs::StreamStats inter_token;
-  /// Per-sequence policy timing sink, installed while tracing is enabled
-  /// (policy observe() runs per sequence inside the batched decode step's
-  /// parallel_for, so sequences cannot share one sink).
-  kv::PolicyTimings policy_timings;
-  /// Per-sequence eviction-decision sink (same single-writer contract as
-  /// policy_timings); shaped by the engine at sequence creation, merged
+  /// Per-sequence eviction-decision sink: policy observe() runs per
+  /// sequence inside the batched decode step's parallel_for, so sequences
+  /// cannot share one. Shaped by the engine at sequence creation, merged
   /// into the engine-lifetime aggregate and distilled onto the Response
   /// at retirement.
   kv::EvictionTelemetry eviction;

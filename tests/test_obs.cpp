@@ -303,6 +303,46 @@ TEST(Trace, ChromeJsonRoundTrip) {
   trace_reset();
 }
 
+TEST(Trace, OneThreadRecordsAHundredThousandSpans) {
+  set_trace_enabled(false);
+  trace_reset();
+  set_trace_enabled(true);
+  for (int i = 0; i < 100000; ++i) {
+    KF_TRACE_SCOPE("many", "test");
+  }
+  set_trace_enabled(false);
+  EXPECT_EQ(trace_dropped_count(), 0u);
+  EXPECT_EQ(trace_event_count(), 100000u);
+  trace_reset();
+}
+
+TEST(Trace, TotalsSumCompleteSpansByNameContent) {
+  set_trace_enabled(false);
+  trace_reset();
+  set_trace_enabled(true);
+  // Two distinct arrays with equal content: one name, not two.
+  static const char kFirst[] = "phase";
+  static const char kSecond[] = "phase";
+  ASSERT_NE(static_cast<const void*>(kFirst),
+            static_cast<const void*>(kSecond));
+  trace_complete(kFirst, "test", 100, 100 + 2000);
+  trace_complete(kSecond, "test", 500, 500 + 3000);
+  trace_complete("backwards", "test", 900, 100);  // clamps to 0
+  KF_TRACE_INSTANT("phase", "test");              // instants are not spans
+  std::thread worker([] { KF_TRACE_SCOPE("phase", "test"); });
+  worker.join();
+  set_trace_enabled(false);
+
+  const auto totals = trace_totals();
+  ASSERT_EQ(totals.size(), 2u);
+  const SpanTotal& phase = totals.at("phase");
+  EXPECT_EQ(phase.count, 3u);
+  EXPECT_GT(phase.seconds, 0.0);
+  EXPECT_EQ(totals.at("backwards").count, 1u);
+  EXPECT_EQ(totals.at("backwards").seconds, 0.0);
+  trace_reset();
+}
+
 TEST(Trace, SpanDurationsAreOrderedAndNonNegative) {
   set_trace_enabled(false);
   trace_reset();

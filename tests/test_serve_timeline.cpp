@@ -4,9 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -154,29 +151,67 @@ TEST(ServeTimeline, TraceSpansCoverARun) {
   obs::set_trace_enabled(false);
   obs::trace_reset();
 
+  // Keyformer under admission pressure: request 1 starves behind request
+  // 0 until the engine parks request 0, which resumes by replay once
+  // request 1 is done. Decode spans fire in engine steps and in replays,
+  // prompt spans in first prefills and in the resume. Request 1 runs full
+  // attention, so it scores but never evicts.
   ModelConfig cfg = tiny_config();
   Transformer m(cfg);
+  std::vector<Request> requests = make_requests(2, 32, 16);
+  requests[1].gen.max_new_tokens = 8;
+  requests[1].gen.cache_ratio = 1.0;
+  requests[1].arrival_step = 4;
   EngineConfig ec;
-  ec.scheduler.max_batch_size = 2;
+  ec.policy.kind = kv::PolicyKind::kKeyformer;
+  ec.paged.enabled = true;
+  ec.paged.n_shards = 1;
+  ec.paged.block_tokens = 8;
+  ec.paged.blocks_per_shard = 10;  // request 1 alone fills the pool
+  ec.preempt.queue_pressure_steps = 3;
+  ec.preempt.min_victim_age_steps = 2;
   Engine engine(m, ec);
 
   obs::set_trace_enabled(true);
-  engine.run(make_requests(3, 16, 4));
+  engine.run(requests);
   obs::set_trace_enabled(false);
-  EXPECT_GT(obs::trace_event_count(), 0u);
+  const EngineStats stats = engine.stats();
+  ASSERT_GT(stats.preemptions, 0u);
+  ASSERT_GT(stats.resume_replayed_tokens, 0u);
+  EXPECT_EQ(obs::trace_dropped_count(), 0u);
 
-  const std::string path = testing::TempDir() + "kf_engine_trace.json";
-  ASSERT_TRUE(obs::write_chrome_trace(path));
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string json = ss.str();
-  for (const char* span : {"\"engine.run\"", "\"prefill\"", "\"step_batch\"",
-                           "\"sample\"", "\"attn.project\"",
-                           "\"attn.attend\"", "\"retire\""}) {
-    EXPECT_NE(json.find(span), std::string::npos) << span;
+  const auto totals = obs::trace_totals();
+  const auto count = [&](const char* name) -> std::size_t {
+    const auto it = totals.find(name);
+    return it == totals.end() ? 0 : it->second.count;
+  };
+  const std::size_t layers = cfg.n_layers;
+  const std::size_t steps = count("step_batch");
+  const std::size_t chunks = count("prefill_chunk");
+  EXPECT_EQ(steps, stats.steps + stats.resume_replayed_tokens);
+  EXPECT_EQ(count("attn.project"), 2 * layers * steps);
+  EXPECT_EQ(count("attn.attend"), layers * steps);
+  EXPECT_EQ(count("policy.observe"), layers * steps);
+  EXPECT_EQ(count("mlp"), layers * steps);
+  EXPECT_EQ(count("lm_head"), steps);
+  EXPECT_GT(chunks, 0u);
+  EXPECT_EQ(count("prompt.project"), 2 * layers * chunks);
+  EXPECT_EQ(count("prompt.attend"), layers * chunks);
+  EXPECT_EQ(count("prompt.observe"), layers * chunks);
+  EXPECT_EQ(count("prompt.mlp"), layers * chunks);
+  EXPECT_EQ(count("prompt.lm_head"), chunks);
+  // One score per sequence per layer in every chunk and decode row; one
+  // evict per executed eviction decision, which request 1 never makes.
+  const std::size_t scores = count("policy.score");
+  EXPECT_EQ(scores, layers * (chunks + stats.decoded_tokens +
+                              stats.resume_replayed_tokens));
+  EXPECT_EQ(count("policy.evict"), stats.eviction_decisions);
+  EXPECT_GT(stats.eviction_decisions, 0u);
+  EXPECT_LT(stats.eviction_decisions, scores);
+  for (const char* name : {"engine.run", "prefill", "resume_prefill",
+                           "resume_replay", "sample", "retire"}) {
+    EXPECT_GT(count(name), 0u) << name;
   }
-  std::remove(path.c_str());
   obs::trace_reset();
 }
 
