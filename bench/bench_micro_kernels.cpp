@@ -144,8 +144,8 @@ void BM_GumbelSoftmaxScore(benchmark::State& state) {
 BENCHMARK(BM_GumbelSoftmaxScore)->Arg(512)->Arg(2048)->Arg(8192);
 
 void BM_AttentionDecodeStep(benchmark::State& state, cpu::CpuIsa isa) {
-  // Whole decode attention layer for one sequence (a one-slot
-  // attention_decode_batch: projections + fused attend) over a pre-filled
+  // Whole decode attention layer for one sequence (a one-row
+  // self_attention call: projections + fused attend) over a pre-filled
   // cache — the end-to-end consumer of the kernels above.
   const IsaGuard guard(isa);
   const std::size_t ctx = static_cast<std::size_t>(state.range(0));
@@ -162,8 +162,10 @@ void BM_AttentionDecodeStep(benchmark::State& state, cpu::CpuIsa isa) {
   for (float& v : x.span()) v = static_cast<float>(rng.normal());
   std::size_t pos = ctx;
   for (auto _ : state) {
-    const model::DecodeBatchSlot slot{pos++, &cache};
-    auto r = model::attention_decode_batch(cfg, w.layers[0], x, {&slot, 1});
+    const model::AttentionRun run{{&pos, 1}, &cache};
+    auto r = model::self_attention(cfg, w.layers[0], x, {&run, 1},
+                                   model::Phase::kDecode);
+    ++pos;
     benchmark::DoNotOptimize(r.front().context.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -171,9 +173,9 @@ void BM_AttentionDecodeStep(benchmark::State& state, cpu::CpuIsa isa) {
 }
 
 void BM_AttentionPromptChunk(benchmark::State& state, cpu::CpuIsa isa) {
-  // One prompt chunk through attention_forward_general (projections, the
-  // append and the fused attend over each row's causal prefix): `rows` new
-  // tokens over `cached` keys already in the cache.
+  // One prompt chunk through self_attention (a one-run call: projections,
+  // the append and the fused attend over each row's causal prefix): `rows`
+  // new tokens over `cached` keys already in the cache.
   const IsaGuard guard(isa);
   const std::size_t cached = static_cast<std::size_t>(state.range(0));
   const std::size_t rows = static_cast<std::size_t>(state.range(1));
@@ -195,9 +197,10 @@ void BM_AttentionPromptChunk(benchmark::State& state, cpu::CpuIsa isa) {
     state.PauseTiming();
     cache = prefilled;
     state.ResumeTiming();
-    auto r = model::attention_forward_general(cfg, w.layers[0], x, positions,
-                                              cache);
-    benchmark::DoNotOptimize(r.context.data());
+    const model::AttentionRun run{positions, &cache};
+    auto r = model::self_attention(cfg, w.layers[0], x, {&run, 1},
+                                   model::Phase::kPrompt);
+    benchmark::DoNotOptimize(r.front().context.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(rows));

@@ -177,99 +177,77 @@ void attend_rows(const ModelConfig& cfg, const float* q,
 
 }  // namespace
 
-AttentionResult attention_forward_general(
-    const ModelConfig& cfg, const LayerWeights& w, const Tensor& x,
-    std::span<const std::size_t> q_positions, kv::KvCache& cache) {
-  const std::size_t n_q = x.dim(0);
+std::vector<AttentionResult> self_attention(const ModelConfig& cfg,
+                                            const LayerWeights& w,
+                                            const Tensor& x,
+                                            std::span<const AttentionRun> runs,
+                                            Phase phase) {
+  [[maybe_unused]] const bool prompt = phase == Phase::kPrompt;  // span names
+  const std::size_t n = x.dim(0);
   const std::size_t d = cfg.d_model;
-  assert(x.dim(1) == d && q_positions.size() == n_q);
+  std::vector<std::size_t> first_row(runs.size());
+  std::size_t rows = 0;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    assert(!runs[r].positions.empty());
+    first_row[r] = rows;
+    rows += runs[r].positions.size();
+  }
+  assert(x.dim(1) == d && rows == n);
 
-  // Project Q, K, V for all new rows at once.
-  Tensor q({n_q, d});
-  Tensor k({n_q, d});
-  Tensor v({n_q, d});
+  // Q/K/V: one GEMM per weight over every row of the call.
+  Tensor q({n, d});
+  Tensor k({n, d});
+  Tensor v({n, d});
   {
-    KF_TRACE_SCOPE("prompt.project", "model");
-    matmul(x.span(), w.wq.span(), q.span(), n_q, d, d);
-    matmul(x.span(), w.wk.span(), k.span(), n_q, d, d);
-    matmul(x.span(), w.wv.span(), v.span(), n_q, d, d);
+    KF_TRACE_SCOPE(prompt ? "prompt.project" : "attn.project", "model");
+    matmul(x.span(), w.wq.span(), q.span(), n, d, d);
+    matmul(x.span(), w.wk.span(), k.span(), n, d, d);
+    matmul(x.span(), w.wv.span(), v.span(), n, d, d);
   }
 
-  AttentionResult out;
-  Tensor merged({n_q, d});
+  std::vector<AttentionResult> results(runs.size());
+  Tensor merged({n, d});
   {
-    KF_TRACE_SCOPE("prompt.attend", "model");
-    for (std::size_t i = 0; i < n_q; ++i) {
-      append_projected_row(cfg, k.row(i), v.row(i), q_positions[i], cache);
-    }
-    out = make_result(cfg, n_q, cache.size());
-    const std::vector<float> rotated = rotated_keys(cfg, cache);
+    KF_TRACE_SCOPE(prompt ? "prompt.attend" : "attn.attend", "model");
+    // Append + attend per run, in parallel across runs: each run touches
+    // only its own cache, result and rows (callers guarantee distinct
+    // caches). A lone run, such as a prompt chunk, stays on the caller and
+    // splits its rows across the pool instead; inside a worker the row
+    // split runs inline, so a decode step enters the pool once.
     ThreadPool::global().parallel_for(
-        n_q,
-        [&](std::size_t q0, std::size_t q1) {
-          attend_rows(cfg, q.data(), q_positions, cache, rotated, q0, q1, out,
-                      merged.data());
-        },
-        /*grain=*/4);
-  }
-
-  KF_TRACE_SCOPE("prompt.project", "model");
-  matmul(merged.span(), w.wo.span(), out.context.span(), n_q, d, d);
-  return out;
-}
-
-std::vector<AttentionResult> attention_decode_batch(
-    const ModelConfig& cfg, const LayerWeights& w, const Tensor& x,
-    std::span<const DecodeBatchSlot> slots) {
-  const std::size_t b_count = slots.size();
-  const std::size_t d = cfg.d_model;
-  assert(x.dim(0) == b_count && x.dim(1) == d);
-  std::vector<AttentionResult> results(b_count);
-
-  // QKV projections: one GEMM per weight over the whole batch. Row b's
-  // bits equal a batch of one (the gemm_rows contract), so no sequence's
-  // result depends on its companions.
-  Tensor q({b_count, d});
-  Tensor k({b_count, d});
-  Tensor v({b_count, d});
-  {
-    KF_TRACE_SCOPE("attn.project", "model");
-    matmul(x.span(), w.wq.span(), q.span(), b_count, d, d);
-    matmul(x.span(), w.wk.span(), k.span(), b_count, d, d);
-    matmul(x.span(), w.wv.span(), v.span(), b_count, d, d);
-  }
-
-  // Per-sequence append + attend (a one-row chunk), parallel across
-  // sequences: every slot touches only its own cache, its own result and
-  // its own row of the merged head contexts, so the loop is
-  // embarrassingly parallel (callers guarantee distinct caches).
-  Tensor merged({b_count, d});
-  {
-    KF_TRACE_SCOPE("attn.attend", "model");
-    ThreadPool::global().parallel_for(
-        b_count,
-        [&](std::size_t b0, std::size_t b1) {
-          for (std::size_t b = b0; b < b1; ++b) {
-            kv::KvCache& cache = *slots[b].cache;
-            append_projected_row(cfg, k.row(b), v.row(b),
-                                 slots[b].q_position, cache);
-            results[b] = make_result(cfg, 1, cache.size());
-            attend_rows(cfg, q.row(b).data(), {&slots[b].q_position, 1},
-                        cache, rotated_keys(cfg, cache), 0, 1, results[b],
-                        merged.row(b).data());
+        runs.size(),
+        [&](std::size_t r0, std::size_t r1) {
+          for (std::size_t r = r0; r < r1; ++r) {
+            const AttentionRun& run = runs[r];
+            const std::size_t row0 = first_row[r];
+            for (std::size_t i = 0; i < run.positions.size(); ++i) {
+              append_projected_row(cfg, k.row(row0 + i), v.row(row0 + i),
+                                   run.positions[i], *run.cache);
+            }
+            results[r] =
+                make_result(cfg, run.positions.size(), run.cache->size());
+            const std::vector<float> rotated = rotated_keys(cfg, *run.cache);
+            ThreadPool::global().parallel_for(
+                run.positions.size(),
+                [&](std::size_t q0, std::size_t q1) {
+                  attend_rows(cfg, q.row(row0).data(), run.positions,
+                              *run.cache, rotated, q0, q1, results[r],
+                              merged.row(row0).data());
+                },
+                /*grain=*/4);
           }
         },
         /*grain=*/1);
   }
 
-  // Output projection: one GEMM over the gathered contexts, then each row
-  // back to its sequence's result.
-  KF_TRACE_SCOPE("attn.project", "model");
-  Tensor projected({b_count, d});
-  matmul(merged.span(), w.wo.span(), projected.span(), b_count, d, d);
-  for (std::size_t b = 0; b < b_count; ++b) {
-    const auto row = projected.row(b);
-    std::copy(row.begin(), row.end(), results[b].context.data());
+  // W_o: one GEMM over the gathered contexts, then each run's rows back
+  // to its result.
+  KF_TRACE_SCOPE(prompt ? "prompt.project" : "attn.project", "model");
+  Tensor projected({n, d});
+  matmul(merged.span(), w.wo.span(), projected.span(), n, d, d);
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    const float* src = projected.row(first_row[r]).data();
+    std::copy(src, src + results[r].context.size(), results[r].context.data());
   }
   return results;
 }

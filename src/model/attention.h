@@ -19,28 +19,26 @@
 // takes effect for caches (re)filled after the switch — callers reset the
 // cache between mode changes (all in-repo callers do).
 //
-// One attend, two projection batchings, no knobs. Every query row, prompt
-// or decode, attends the cache prefix its position makes visible (cached
-// positions ascend, so causality is a prefix) through the dispatched
-// fused attend: per-head dots streaming the cache's contiguous head-major
-// key segments (one per head for the classic arena, one per block for a
-// paged cache) clipped to that prefix, then one pass doing softmax +
-// weighted-value accumulation; the masked tail gets -inf logits and 0
-// probabilities. A prompt row's bits therefore equal that token decoded
-// alone. The two entry points differ only in how rows are batched:
-//   - attention_forward_general: n_q rows of one sequence (prefill and
-//     prompt chunks), projected by one `matmul` per weight over the chunk.
-//   - attention_decode_batch: B >= 1 sequences decoding one token each —
-//     one [B, d_model] GEMM per Q/K/V weight, then, in parallel across
-//     sequences, the append and a one-row attend over each sequence's own
-//     cache, then one W_o GEMM over the gathered contexts. A `matmul`
-//     row's bits never depend on the other rows, and the attend never
-//     spans sequences, so a sequence's bits are independent of batch
-//     composition.
+// One call for prompt and decode rows, no knobs. A call takes the rows
+// of one or more sequences, each sequence's rows a consecutive *run* of
+// `x` (a prompt chunk is one run of n rows; a decode step is B runs of one
+// row each). Q/K/V are one GEMM per weight over every row of the call;
+// each run's K/V rows are appended to its own cache; every query row then
+// attends the cache prefix its position makes visible (cached positions
+// ascend, so causality is a prefix) through the dispatched fused attend:
+// per-head dots streaming the cache's contiguous head-major key segments
+// (one per head for the classic arena, one per block for a paged cache)
+// clipped to that prefix, then one pass doing softmax + weighted-value
+// accumulation; the masked tail gets -inf logits and 0 probabilities.
+// W_o is one more GEMM over every row. A GEMM row's bits never depend on
+// the other rows, and the attend never spans sequences, so a row's bits
+// depend neither on the rest of its call nor on whether it came from a
+// prompt or a decode step: a prompt row equals its token decoded alone.
 #pragma once
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "core/tensor.h"
 #include "kvcache/kv_cache.h"
@@ -58,37 +56,32 @@ struct AttentionResult {
   std::size_t key_len = 0;
 };
 
-/// Projects `x` (n_q rows that continue the sequence) to Q/K/V, appends the
-/// new K/V rows to `cache` at `q_positions` (strictly increasing original
-/// positions, above every cached one), then attends each query against
-/// its causal prefix of the cache, rows split across the thread pool.
-/// Traced as `prompt.project` (Q/K/V, then W_o) and `prompt.attend`
-/// (append + attend).
-AttentionResult attention_forward_general(
-    const ModelConfig& cfg, const LayerWeights& w, const Tensor& x,
-    std::span<const std::size_t> q_positions, kv::KvCache& cache);
-
-/// One sequence's slot in a batched decode step: the new token's original
-/// sequence position and the sequence's own cache for this layer.
-struct DecodeBatchSlot {
-  std::size_t q_position = 0;
+/// One sequence's rows in an attention call: its tokens' original
+/// positions (strictly increasing, above every position cached in `cache`)
+/// and its own cache for this layer.
+struct AttentionRun {
+  std::span<const std::size_t> positions;
   kv::KvCache* cache = nullptr;
 };
 
-/// The decode step, for any batch size B >= 1: row b of `x`
-/// ([B, d_model]) is the new token of the sequence in slots[b], whose
-/// `q_position` must exceed every position cached in its own cache. Q/K/V
-/// are projected by one `matmul` each over the batch, on the calling
-/// thread; each sequence's append + one-row attend runs against
-/// its own cache, in parallel across sequences (callers guarantee
-/// distinct caches); W_o is one more `matmul` over the gathered contexts,
-/// again on the calling thread. Sequences never read each other's caches
-/// and a `matmul` row's bits never depend on the other rows, so each
-/// slot's result is bit-identical to a batch of one. Traced as
-/// `attn.project` (Q/K/V, then W_o) and `attn.attend` (append + attend).
-std::vector<AttentionResult> attention_decode_batch(
-    const ModelConfig& cfg, const LayerWeights& w, const Tensor& x,
-    std::span<const DecodeBatchSlot> slots);
+/// The inference phase a call serves (paper Section 2.1). Attention uses
+/// it only to name its trace spans: `prompt.*` for prompt chunks, `attn.*`
+/// for decode steps, so decode shares never count prompt work.
+enum class Phase { kPrompt, kDecode };
+
+/// Multi-head causal self-attention over every row of `x` ([rows, d_model],
+/// the runs' rows back to back). Appends each run's new K/V rows to its
+/// cache, then attends each row against its causal prefix of that cache.
+/// Runs must name distinct caches. Returns one result per run, in run
+/// order. Runs append and attend in parallel on the thread pool; a lone
+/// run (a prompt chunk, or a one-sequence step) splits its rows across
+/// the pool instead. Traced as `prompt.project`/`attn.project` (Q/K/V,
+/// then W_o) and `prompt.attend`/`attn.attend` (append + attend).
+std::vector<AttentionResult> self_attention(const ModelConfig& cfg,
+                                            const LayerWeights& w,
+                                            const Tensor& x,
+                                            std::span<const AttentionRun> runs,
+                                            Phase phase);
 
 /// True when cached keys are stored pre-rotated: RoPE with immutable
 /// effective positions (PositionMode::kOriginal).

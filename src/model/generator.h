@@ -68,7 +68,10 @@ struct GenerationResult {
 /// budget from `cfg.cache_ratio`, runs prefill + max_new_tokens decode
 /// steps (or until eos). Deterministic. Implemented as a batch-of-one
 /// serve::Engine run against the model's default KV state — token-for-token
-/// identical to the classic single-sequence loop.
+/// identical to the classic single-sequence loop. Throws
+/// std::invalid_argument when the engine rejects the request (empty
+/// prompt, a token outside the vocabulary, learned positions past
+/// max_seq_len), with the engine's error as the message.
 GenerationResult generate(Transformer& model, std::span<const Token> prompt,
                           kv::EvictionPolicy& policy,
                           const GenerationConfig& cfg);

@@ -37,56 +37,42 @@ void mlp_block(const ModelConfig& cfg, const LayerWeights& w,
 
 }  // namespace
 
-AttentionResult decoder_attention(const ModelConfig& cfg,
-                                  const LayerWeights& w, Tensor& x,
-                                  std::span<const std::size_t> positions,
-                                  kv::KvCache& cache) {
-  const std::size_t n_q = x.dim(0);
+std::vector<AttentionResult> decoder_attention(
+    const ModelConfig& cfg, const LayerWeights& w, Tensor& x,
+    std::span<const AttentionRun> runs, Phase phase) {
+  const std::size_t n = x.dim(0);
   const std::size_t d = cfg.d_model;
   assert(x.dim(1) == d);
 
-  Tensor normed({n_q, d});
-  for (std::size_t i = 0; i < n_q; ++i) {
+  Tensor normed({n, d});
+  for (std::size_t i = 0; i < n; ++i) {
     layer_norm(x.row(i), w.ln1_gamma.span(), w.ln1_beta.span(),
                normed.row(i));
   }
-  AttentionResult attn =
-      attention_forward_general(cfg, w, normed, positions, cache);
-  add_inplace(x.span(), attn.context.span());
-  return attn;
-}
-
-std::vector<AttentionResult> decoder_attention_batch(
-    const ModelConfig& cfg, const LayerWeights& w, Tensor& x,
-    std::span<const DecodeBatchSlot> slots) {
-  const std::size_t b_count = x.dim(0);
-  const std::size_t d = cfg.d_model;
-  assert(x.dim(1) == d && slots.size() == b_count);
-
-  Tensor normed({b_count, d});
-  for (std::size_t b = 0; b < b_count; ++b) {
-    layer_norm(x.row(b), w.ln1_gamma.span(), w.ln1_beta.span(),
-               normed.row(b));
-  }
   std::vector<AttentionResult> results =
-      attention_decode_batch(cfg, w, normed, slots);
-  for (std::size_t b = 0; b < b_count; ++b) {
-    add_inplace(x.row(b), results[b].context.row(0));
+      self_attention(cfg, w, normed, runs, phase);
+  std::size_t row = 0;
+  for (const AttentionResult& r : results) {
+    add_inplace(x.span().subspan(row * d, r.n_q * d), r.context.span());
+    row += r.n_q;
   }
   return results;
 }
 
-void decoder_mlp(const ModelConfig& cfg, const LayerWeights& w, Tensor& x) {
-  mlp_block(cfg, w, x.span());
-}
-
-void decoder_mlp_rows(const ModelConfig& cfg, const LayerWeights& w,
-                      Tensor& x) {
+void decoder_mlp(const ModelConfig& cfg, const LayerWeights& w, Tensor& x,
+                 std::span<const AttentionRun> runs) {
   const std::size_t d = cfg.d_model;
+  std::vector<std::size_t> first_row(runs.size() + 1, 0);
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    first_row[r + 1] = first_row[r] + runs[r].positions.size();
+  }
+  assert(first_row.back() == x.dim(0));
   ThreadPool::global().parallel_for(
-      x.dim(0),
-      [&](std::size_t i0, std::size_t i1) {
-        mlp_block(cfg, w, x.span().subspan(i0 * d, (i1 - i0) * d));
+      runs.size(),
+      [&](std::size_t r0, std::size_t r1) {
+        mlp_block(cfg, w,
+                  x.span().subspan(first_row[r0] * d,
+                                   (first_row[r1] - first_row[r0]) * d));
       },
       /*grain=*/1);
 }

@@ -1,50 +1,37 @@
-// Pre-LayerNorm decoder-layer blocks:
+// Pre-LayerNorm decoder-layer blocks, over every row of a forward pass
+// (the rows of one or more sequences' runs, see model/attention.h):
 //   x += W_o * Attention(LN1(x))     (attention block, returns internals)
 //   x += W2 * GELU(W1 * LN2(x) + b1) + b2
+// Every row's arithmetic is its own, so a row's bits do not depend on the
+// other rows of the call.
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "core/tensor.h"
-#include "kvcache/kv_cache.h"
 #include "model/attention.h"
 #include "model/config.h"
 #include "model/weights.h"
 
 namespace kf::model {
 
-/// Runs the prompt attention block over `x` ([n_q, d_model] residual-stream
-/// rows of one sequence) through attention_forward_general, updating `x` in
-/// place and returning the attention internals for score functions /
-/// instrumentation. Row i's bits equal decoder_attention_batch run on that
-/// row alone against the cache prefix before it. Traced by the kernel's
-/// prompt.project and prompt.attend spans; LN1 and the residual add count
-/// toward the caller's span.
-AttentionResult decoder_attention(const ModelConfig& cfg,
-                                  const LayerWeights& w, Tensor& x,
-                                  std::span<const std::size_t> positions,
-                                  kv::KvCache& cache);
-
-/// Decode attention block: LN1 per row, one attention_decode_batch over the
-/// per-sequence caches in `slots` (row b of `x` is sequence b's
-/// residual-stream row), residual add per row. Returns the per-sequence
-/// attention internals in slot order. Traced by the kernel's attn.project
-/// and attn.attend spans; LN1 and the residual add count toward the
-/// caller's span.
-std::vector<AttentionResult> decoder_attention_batch(
+/// The attention block: LN1 per row, one self_attention over `runs` (the
+/// runs' rows of `x`, back to back), residual add per row, updating `x` in
+/// place. Returns each run's attention internals, in run order, for score
+/// functions and instrumentation. Traced by self_attention's spans; LN1
+/// and the residual add count toward the caller's span.
+std::vector<AttentionResult> decoder_attention(
     const ModelConfig& cfg, const LayerWeights& w, Tensor& x,
-    std::span<const DecodeBatchSlot> slots);
+    std::span<const AttentionRun> runs, Phase phase);
 
-/// Runs the MLP block over `x` in place.
-void decoder_mlp(const ModelConfig& cfg, const LayerWeights& w, Tensor& x);
-
-/// decoder_mlp with the rows of `x` split across the thread pool. Used by
-/// the decode step, where rows are independent sequences and a batch's
-/// GEMMs can sit below matmul's own parallel threshold (so decoder_mlp
-/// would run the whole batch serially). Each chunk runs its whole row
-/// range through one GEMM per weight; on a one-thread pool the chunk is
-/// the whole batch. Per-row numerics are identical to decoder_mlp.
-void decoder_mlp_rows(const ModelConfig& cfg, const LayerWeights& w,
-                      Tensor& x);
+/// The MLP block over the rows of `x` in place, split across the thread
+/// pool by run: a worker runs whole runs' rows through one GEMM per
+/// weight. A decode step's runs are its rows, whose GEMMs can sit below
+/// matmul's own parallel threshold; a lone run (a prompt chunk, or a
+/// one-sequence step) stays on the caller, where matmul splits a large
+/// GEMM itself. Per-row numerics do not depend on the split.
+void decoder_mlp(const ModelConfig& cfg, const LayerWeights& w, Tensor& x,
+                 std::span<const AttentionRun> runs);
 
 }  // namespace kf::model

@@ -45,15 +45,6 @@ void Transformer::set_observer(AttentionObserver observer) {
   observer_ = std::move(observer);
 }
 
-Tensor Transformer::embed(std::span<const Token> tokens,
-                          std::size_t first_pos) const {
-  Tensor x({tokens.size(), cfg_.d_model});
-  for (std::size_t i = 0; i < tokens.size(); ++i) {
-    embed_row(tokens[i], first_pos + i, x.row(i));
-  }
-  return x;
-}
-
 void Transformer::embed_row(Token token, std::size_t position,
                             std::span<float> dst) const {
   if (token < 0 || static_cast<std::size_t>(token) >= cfg_.vocab_size) {
@@ -61,8 +52,10 @@ void Transformer::embed_row(Token token, std::size_t position,
   }
   const auto src = weights_.embedding.row(static_cast<std::size_t>(token));
   std::copy(src.begin(), src.end(), dst.begin());
-  if (cfg_.positional == PositionalKind::kLearned &&
-      position < weights_.pos_embedding.dim(0)) {
+  if (cfg_.positional == PositionalKind::kLearned) {
+    if (position >= weights_.pos_embedding.dim(0)) {
+      throw std::out_of_range("learned position past the position table");
+    }
     add_inplace(dst, weights_.pos_embedding.row(position));
   }
 }
@@ -110,7 +103,6 @@ Tensor Transformer::prefill_continue(kv::SequenceKvState& state,
   if (tokens.empty()) {
     throw std::invalid_argument("prefill requires a non-empty prompt");
   }
-  KF_TRACE_SCOPE("prefill_chunk", "model");
   if (!state.matches(cfg_.n_layers, cfg_.n_heads, cfg_.d_head())) {
     throw std::invalid_argument(
         "sequence state geometry does not match the model");
@@ -122,45 +114,13 @@ Tensor Transformer::prefill_continue(kv::SequenceKvState& state,
           "(reset() before a fresh prompt)");
     }
   }
-  const std::size_t n_q = tokens.size();
-  std::vector<std::size_t> positions(n_q);
-  for (std::size_t i = 0; i < n_q; ++i) positions[i] = first_pos + i;
-  Tensor x = embed(tokens, first_pos);
-
-  for (std::size_t layer = 0; layer < cfg_.n_layers; ++layer) {
-    kv::KvCache& cache = state.layer(layer);
-    AttentionResult attn =
-        decoder_attention(cfg_, weights_.layers[layer], x, positions, cache);
-
-    if (observer_) {
-      AttentionObservation obs;
-      obs.layer = layer;
-      obs.attn = &attn;
-      obs.key_positions = cache.original_positions();
-      obs.is_prompt = true;
-      observer_(obs);
-    }
-
-    kv::PolicyContext ctx;
-    ctx.layer = layer;
-    ctx.n_heads = cfg_.n_heads;
-    ctx.n_queries = n_q;
-    ctx.key_len = attn.key_len;
-    ctx.logits = attn.logits.span();
-    ctx.probs = attn.probs.span();
-    ctx.is_prompt = true;
-    ctx.total_steps = total_steps;
-    ctx.cache = &cache;
-    {
-      KF_TRACE_SCOPE("prompt.observe", "model");
-      policy.observe(ctx);
-    }
-
-    KF_TRACE_SCOPE("prompt.mlp", "model");
-    decoder_mlp(cfg_, weights_.layers[layer], x);
+  std::vector<std::size_t> positions(tokens.size());
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    positions[i] = first_pos + i;
   }
-  KF_TRACE_SCOPE("prompt.lm_head", "model");
-  return lm_logits(x);
+  const RowRun run{tokens, positions, /*decode_step=*/0, total_steps, &state,
+                   &policy};
+  return forward({&run, 1}, Phase::kPrompt);
 }
 
 std::vector<float> Transformer::decode(Token token, std::size_t position,
@@ -182,9 +142,7 @@ std::vector<float> Transformer::decode(kv::SequenceKvState& state,
 }
 
 Tensor Transformer::step_batch(std::span<const DecodeSlot> slots) {
-  const std::size_t b_count = slots.size();
-  if (b_count == 0) return Tensor({0, cfg_.vocab_size});
-  KF_TRACE_SCOPE("step_batch", "model");
+  if (slots.empty()) return Tensor({0, cfg_.vocab_size});
   for (const auto& s : slots) {
     if (s.state == nullptr || s.policy == nullptr) {
       throw std::invalid_argument("step_batch slot missing state or policy");
@@ -208,66 +166,83 @@ Tensor Transformer::step_batch(std::span<const DecodeSlot> slots) {
     }
   }
 #endif
+  std::vector<RowRun> runs(slots.size());
+  for (std::size_t b = 0; b < slots.size(); ++b) {
+    const DecodeSlot& s = slots[b];
+    runs[b] = {{&s.token, 1}, {&s.position, 1}, s.t, s.total_steps, s.state,
+               s.policy};
+  }
+  return forward(runs, Phase::kDecode);
+}
 
-  // Embed each sequence's token at its own position, straight into its row.
-  Tensor x({b_count, cfg_.d_model});
-  for (std::size_t b = 0; b < b_count; ++b) {
-    embed_row(slots[b].token, slots[b].position, x.row(b));
+Tensor Transformer::forward(std::span<const RowRun> runs, Phase phase) {
+  const bool prompt = phase == Phase::kPrompt;
+  KF_TRACE_SCOPE(prompt ? "prefill_chunk" : "step_batch", "model");
+  std::size_t rows = 0;
+  for (const RowRun& run : runs) rows += run.tokens.size();
+  // Embed each token at its own position, straight into its row.
+  Tensor x({rows, cfg_.d_model});
+  std::size_t row = 0;
+  for (const RowRun& run : runs) {
+    for (std::size_t i = 0; i < run.tokens.size(); ++i) {
+      embed_row(run.tokens[i], run.positions[i], x.row(row++));
+    }
   }
 
-  std::vector<DecodeBatchSlot> aslots(b_count);
+  std::vector<AttentionRun> aruns(runs.size());
   for (std::size_t layer = 0; layer < cfg_.n_layers; ++layer) {
-    for (std::size_t b = 0; b < b_count; ++b) {
-      aslots[b] = {slots[b].position, &slots[b].state->layer(layer)};
+    const LayerWeights& w = weights_.layers[layer];
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      aruns[r] = {runs[r].positions, &runs[r].state->layer(layer)};
     }
     const std::vector<AttentionResult> results =
-        decoder_attention_batch(cfg_, weights_.layers[layer], x, aslots);
+        decoder_attention(cfg_, w, x, aruns, phase);
 
     // Observer fires before policies may compact (key_positions must match
     // the cache the attention actually ran against).
     if (observer_) {
-      for (std::size_t b = 0; b < b_count; ++b) {
+      for (std::size_t r = 0; r < runs.size(); ++r) {
         AttentionObservation obs;
         obs.layer = layer;
-        obs.attn = &results[b];
-        obs.key_positions = aslots[b].cache->original_positions();
-        obs.is_prompt = false;
-        obs.decode_step = slots[b].t;
-        obs.batch_slot = b;
+        obs.attn = &results[r];
+        obs.key_positions = aruns[r].cache->original_positions();
+        obs.is_prompt = prompt;
+        obs.decode_step = runs[r].decode_step;
+        obs.batch_slot = r;
         observer_(obs);
       }
     }
 
-    // Per-sequence policy observation (score accumulation + eviction),
-    // parallel across sequences: each slot's policy touches only its own
-    // cache and its own score state.
+    // Per-run policy observation (score accumulation + eviction), parallel
+    // across runs: each run's policy touches only its own cache and its
+    // own score state.
     {
-      KF_TRACE_SCOPE("policy.observe", "model");
+      KF_TRACE_SCOPE(prompt ? "prompt.observe" : "policy.observe", "model");
       ThreadPool::global().parallel_for(
-          b_count,
-          [&](std::size_t b0, std::size_t b1) {
-            for (std::size_t b = b0; b < b1; ++b) {
+          runs.size(),
+          [&](std::size_t r0, std::size_t r1) {
+            for (std::size_t r = r0; r < r1; ++r) {
               kv::PolicyContext ctx;
               ctx.layer = layer;
               ctx.n_heads = cfg_.n_heads;
-              ctx.n_queries = 1;
-              ctx.key_len = results[b].key_len;
-              ctx.logits = results[b].logits.span();
-              ctx.probs = results[b].probs.span();
-              ctx.is_prompt = false;
-              ctx.decode_step = slots[b].t;
-              ctx.total_steps = slots[b].total_steps;
-              ctx.cache = aslots[b].cache;
-              slots[b].policy->observe(ctx);
+              ctx.n_queries = results[r].n_q;
+              ctx.key_len = results[r].key_len;
+              ctx.logits = results[r].logits.span();
+              ctx.probs = results[r].probs.span();
+              ctx.is_prompt = prompt;
+              ctx.decode_step = runs[r].decode_step;
+              ctx.total_steps = runs[r].total_steps;
+              ctx.cache = aruns[r].cache;
+              runs[r].policy->observe(ctx);
             }
           },
           /*grain=*/1);
     }
 
-    KF_TRACE_SCOPE("mlp", "model");
-    decoder_mlp_rows(cfg_, weights_.layers[layer], x);
+    KF_TRACE_SCOPE(prompt ? "prompt.mlp" : "mlp", "model");
+    decoder_mlp(cfg_, w, x, aruns);
   }
-  KF_TRACE_SCOPE("lm_head", "model");
+  KF_TRACE_SCOPE(prompt ? "prompt.lm_head" : "lm_head", "model");
   return lm_logits(x);
 }
 

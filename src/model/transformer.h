@@ -15,19 +15,23 @@
 // — each prefill/decode/step_batch call names the state it runs against.
 // The no-state overloads operate on a model-owned default state, keeping
 // the classic "one model, one sequence" usage working unchanged.
-// Every decode step, solo or batched, is a step_batch: one token for *each*
-// of N >= 1 sequences through attention_decode_batch, so a sequence's
-// logits are bit-identical whatever else shares its batch. Every prompt
-// row runs attention_forward_general, whose attend is the decode step's:
-// a prompt row's logits equal that token decoded alone.
+// One forward pass serves both phases. prefill_continue and step_batch
+// validate their inputs and hand a private layer loop a list of row runs
+// (a prompt chunk is one run of n rows, a decode step N >= 1 runs of one
+// row each) and the phase. Per layer the loop runs one attention call and
+// one MLP over every row, and between them each run's policy over its own
+// cache. No row's arithmetic depends on the other rows or on the phase, so
+// a sequence's logits are bit-identical whatever else shares its batch,
+// and a prompt row's logits equal that token decoded alone.
 //
-// Tracing (obs/trace.h): a step_batch call is one `step_batch` span; per
-// layer it holds `attn.project` (twice: Q/K/V, then W_o), `attn.attend`,
-// `policy.observe` and `mlp`, then one `lm_head`. A prompt chunk is one
-// `prefill_chunk` span with the same phases named `prompt.project`,
-// `prompt.attend`, `prompt.observe`, `prompt.mlp` and `prompt.lm_head`,
-// so decode shares never count prompt work. Embedding and the attention
-// block's LayerNorm and residual add are the enclosing span's self time.
+// Tracing (obs/trace.h): the phase only names the spans. A step_batch
+// call is one `step_batch` span; per layer it holds `attn.project` (twice:
+// Q/K/V, then W_o), `attn.attend`, `policy.observe` and `mlp`, then one
+// `lm_head`. A prompt chunk is one `prefill_chunk` span with the same
+// phases named `prompt.project`, `prompt.attend`, `prompt.observe`,
+// `prompt.mlp` and `prompt.lm_head`, so decode shares never count prompt
+// work. Embedding and the attention block's LayerNorm and residual add
+// are the enclosing span's self time.
 #pragma once
 
 #include <cstdint>
@@ -153,16 +157,33 @@ class Transformer {
                             kv::EvictionPolicy& policy);
 
   /// One decode step for each of N >= 1 independent sequences sharing
-  /// these weights: per layer, attention_decode_batch over each slot's own
-  /// cache, then each slot's policy observing (and possibly compacting)
-  /// only its own cache. Returns LM logits, shape [N, vocab], row per slot;
-  /// each row is bit-identical to decoding that sequence alone.
+  /// these weights: per layer, one attention call over every slot's row,
+  /// each against its own cache, then each slot's policy observing (and
+  /// possibly compacting) only its own cache. Returns LM logits, shape
+  /// [N, vocab], row per slot; each row is bit-identical to decoding that
+  /// sequence alone.
   Tensor step_batch(std::span<const DecodeSlot> slots);
 
  private:
-  Tensor embed(std::span<const Token> tokens, std::size_t first_pos) const;
-  /// Embeds one token at `position` directly into `dst` (d_model floats) —
-  /// the allocation-free form step_batch uses per batch row.
+  /// One sequence's consecutive rows in a forward pass: a prompt chunk,
+  /// or one decode slot's row.
+  struct RowRun {
+    std::span<const Token> tokens;
+    std::span<const std::size_t> positions;  ///< original, one per token
+    std::size_t decode_step = 0;             ///< t; 0 in a prompt chunk
+    std::size_t total_steps = 0;
+    kv::SequenceKvState* state = nullptr;
+    kv::EvictionPolicy* policy = nullptr;
+  };
+
+  /// The layer loop behind prefill_continue and step_batch: embeds every
+  /// run's tokens, then per layer runs decoder_attention over all rows,
+  /// each run's policy over its own cache, and decoder_mlp. Returns LM
+  /// logits, one row per token, runs in order.
+  Tensor forward(std::span<const RowRun> runs, Phase phase);
+  /// Embeds one token at `position` into `dst` (d_model floats). Throws
+  /// std::out_of_range for a token outside the vocabulary, or a learned
+  /// position past the position table.
   void embed_row(Token token, std::size_t position, std::span<float> dst) const;
   /// Final LayerNorm + tied LM head over every row of `x`.
   Tensor lm_logits(const Tensor& x) const;

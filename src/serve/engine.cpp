@@ -127,6 +127,21 @@ PagedCounters paged_counters(const Sequence& seq) {
   return c;
 }
 
+/// True when a token of `prompt` lies outside [0, vocab_size).
+bool outside_vocabulary(std::span<const Token> prompt, std::size_t vocab_size) {
+  return std::any_of(prompt.begin(), prompt.end(), [&](Token t) {
+    return t < 0 || static_cast<std::size_t>(t) >= vocab_size;
+  });
+}
+
+/// The largest position the model embeds for `seq`: its last prompt row,
+/// or the input of its last decode step (the final generated token is
+/// never fed back).
+std::size_t last_embedded_position(const Sequence& seq) {
+  const std::size_t gen = seq.gen.max_new_tokens;
+  return seq.prompt.size() - 1 + (gen > 1 ? gen - 1 : 0);
+}
+
 }  // namespace
 
 /// One run() call: the sequences, the scheduler, the step clock and the
@@ -194,6 +209,13 @@ class Engine::Run {
       if (req.prompt.empty()) {
         finish(s, FinishReason::kRejected,
                "serve request requires a non-empty prompt");
+      } else if (outside_vocabulary(req.prompt, mc.vocab_size)) {
+        finish(s, FinishReason::kRejected,
+               "prompt token id outside the model vocabulary");
+      } else if (mc.positional == model::PositionalKind::kLearned &&
+                 last_embedded_position(s) >= mc.max_seq_len) {
+        finish(s, FinishReason::kRejected,
+               "learned positions would run past max_seq_len");
       } else if (req.kv_state != nullptr && pool_ != nullptr) {
         // Placement decides the shard at admission; a pre-built external
         // state would bypass the pool's accounting entirely.
@@ -912,9 +934,6 @@ namespace kf::model {
 GenerationResult generate(Transformer& model, std::span<const Token> prompt,
                           kv::EvictionPolicy& policy,
                           const GenerationConfig& cfg) {
-  if (prompt.empty()) {
-    throw std::invalid_argument("generate requires a non-empty prompt");
-  }
   // Batch of one through the serving engine: same prefill/decode calls,
   // same sampling, same budget derivation as the classic loop. The model's
   // default KV state is passed through — cleared by start_sequence like any
@@ -928,6 +947,9 @@ GenerationResult generate(Transformer& model, std::span<const Token> prompt,
   req.kv_state = &model.default_kv_state();
   auto responses = engine.run({&req, 1});
   serve::Response& r = responses.front();
+  if (r.finish == serve::FinishReason::kRejected) {
+    throw std::invalid_argument(r.error);
+  }
 
   GenerationResult result;
   result.tokens = std::move(r.tokens);

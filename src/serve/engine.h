@@ -237,10 +237,12 @@ class Engine {
   /// Drives every request to completion under continuous batching.
   /// Responses are returned in the order of `requests` (not completion
   /// order). Every request terminates with a definite finish reason:
-  /// invalid or un-servable requests (empty prompt, mismatched external
-  /// KV state, shared kv_state/policy instances, demand above a whole
-  /// shard) are contained as kRejected responses with an error string —
-  /// they never throw, and the rest of the batch keeps decoding.
+  /// invalid or un-servable requests (empty prompt, a prompt token
+  /// outside the vocabulary, learned positions past max_seq_len,
+  /// mismatched external KV state, shared kv_state/policy instances,
+  /// demand above a whole shard) are contained as kRejected responses
+  /// with an error string — they never throw, and the rest of the batch
+  /// keeps decoding.
   std::vector<Response> run(std::span<const Request> requests);
 
   /// Aggregate eviction telemetry over the engine's lifetime: every

@@ -33,20 +33,6 @@ void BatchScheduler::submit(Sequence* seq) {
 std::optional<std::size_t> BatchScheduler::pick_shard(
     const std::vector<std::size_t>& candidates, std::size_t demand) const {
   if (candidates.empty()) return std::nullopt;
-  if (cfg_.placement == ShardPlacement::kRoundRobin) {
-    // Pure lookup: the cursor advances only when admit() actually places
-    // a sequence (fits() probes this too and must not burn a turn).
-    const std::size_t n = cfg_.pool->n_shards();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t s = (rr_next_ + i) % n;
-      if (std::find(candidates.begin(), candidates.end(), s) ==
-          candidates.end()) {
-        continue;
-      }
-      if (cfg_.pool->unreserved_blocks(s) >= demand) return s;
-    }
-    return std::nullopt;
-  }
   // Least loaded: fewest reserved blocks (capacity is uniform per shard,
   // so this equals most-free in bounded mode and still spreads load when
   // the pool is unbounded). Ties break to the lowest id so admission
@@ -184,7 +170,6 @@ std::vector<Sequence*> BatchScheduler::admit(std::size_t now_step) {
         const LockGuard lock(counters_mu_);
         blocks_in_use_ += placement->demand;
       }
-      rr_next_ = (placement->shard + 1) % cfg_.pool->n_shards();
     }
     head->admitted_step = now_step;
     active_.push_back(head);

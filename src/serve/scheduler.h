@@ -8,7 +8,7 @@
 //       token mode (pool == nullptr): max_concurrent_tokens caps the
 //       summed per-layer KV cache tokens — an abstract proxy;
 //       block mode (pool != nullptr): admission *reserves real blocks*
-//       on one BlockPool shard, chosen by the placement policy. The
+//       on the least-loaded BlockPool shard that fits it. The
 //       reservation covers the sequence's whole-block demand across all
 //       its layers (ceil per layer — internal fragmentation is charged,
 //       not hidden), so pool capacity is an exact physical memory cap: an
@@ -73,12 +73,6 @@ class MetricsRegistry;
 
 namespace kf::serve {
 
-/// How block mode picks a shard for a joining sequence.
-enum class ShardPlacement {
-  kLeastLoaded,  ///< shard with the most unreserved blocks (ties: lowest id)
-  kRoundRobin,   ///< cycle shards, skipping ones the sequence doesn't fit
-};
-
 struct SchedulerConfig {
   /// Max sequences decoding together; 0 = unlimited.
   std::size_t max_batch_size = 8;
@@ -92,7 +86,6 @@ struct SchedulerConfig {
   /// The engine's prefix index (for chain-residency placement queries);
   /// null when the prefix cache is disabled. Must outlive the scheduler.
   const mem::PrefixIndex* prefix_index = nullptr;
-  ShardPlacement placement = ShardPlacement::kLeastLoaded;
   /// Consecutive failed block reservations (fits() said yes, try_reserve
   /// said no) a sequence tolerates before admission rejects it. Generous:
   /// a genuine TOCTOU loss resolves in one round; only a pathological
@@ -201,7 +194,8 @@ class BatchScheduler {
     std::size_t demand = 0;
   };
   std::optional<Placement> choose_shard(const Sequence& seq) const;
-  /// Placement policy over one candidate shard set; nullopt when none fit.
+  /// The least-loaded shard of one candidate set (fewest reserved blocks,
+  /// ties to the lowest id) if it fits `demand`; nullopt otherwise.
   std::optional<std::size_t> pick_shard(
       const std::vector<std::size_t>& candidates, std::size_t demand) const;
 
@@ -217,7 +211,6 @@ class BatchScheduler {
   std::size_t tokens_in_use_ KF_GUARDED_BY(counters_mu_) = 0;
   std::size_t blocks_in_use_ KF_GUARDED_BY(counters_mu_) = 0;
   std::size_t reservation_retries_ KF_GUARDED_BY(counters_mu_) = 0;
-  std::size_t rr_next_ = 0;  ///< round-robin cursor (advances on placement)
   /// Registry-owned counters, resolved once in the constructor; null when
   /// cfg_.metrics is null. The engine-loop-only call sites bump them with
   /// one relaxed sharded add.

@@ -42,12 +42,23 @@ std::vector<std::size_t> iota_positions(std::size_t n, std::size_t start = 0) {
   return p;
 }
 
-/// One decode step of a single sequence: a one-slot attention_decode_batch.
+/// One sequence's prompt chunk: a one-run self_attention call.
+AttentionResult prompt_chunk(const ModelConfig& cfg, const LayerWeights& w,
+                             const Tensor& x,
+                             std::span<const std::size_t> positions,
+                             kv::KvCache& cache) {
+  const AttentionRun run{positions, &cache};
+  return std::move(
+      self_attention(cfg, w, x, {&run, 1}, Phase::kPrompt).front());
+}
+
+/// One decode step of a single sequence: a one-row self_attention call.
 AttentionResult decode_one(const ModelConfig& cfg, const LayerWeights& w,
                            const Tensor& x, std::size_t q_position,
                            kv::KvCache& cache) {
-  const DecodeBatchSlot slot{q_position, &cache};
-  return std::move(attention_decode_batch(cfg, w, x, {&slot, 1}).front());
+  const AttentionRun run{{&q_position, 1}, &cache};
+  return std::move(
+      self_attention(cfg, w, x, {&run, 1}, Phase::kDecode).front());
 }
 
 class AttentionAllPositional
@@ -60,8 +71,7 @@ TEST_P(AttentionAllPositional, ProbsRowsSumToOneAndCausal) {
   const std::size_t n = 12;
   Tensor x = random_rows(n, cfg.d_model, 5);
   const auto positions = iota_positions(n);
-  const AttentionResult r =
-      attention_forward_general(cfg, w.layers[0], x, positions, cache);
+  const AttentionResult r = prompt_chunk(cfg, w.layers[0], x, positions, cache);
 
   ASSERT_EQ(r.key_len, n);
   for (std::size_t h = 0; h < cfg.n_heads; ++h) {
@@ -92,7 +102,7 @@ TEST(Attention, AppendsToCache) {
   const ModelWeights w = build_weights(cfg);
   kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
   Tensor x = random_rows(4, cfg.d_model, 6);
-  attention_forward_general(cfg, w.layers[0], x, iota_positions(4), cache);
+  prompt_chunk(cfg, w.layers[0], x, iota_positions(4), cache);
   EXPECT_EQ(cache.size(), 4u);
   Tensor y = random_rows(1, cfg.d_model, 7);
   decode_one(cfg, w.layers[0], y, 4, cache);
@@ -105,7 +115,7 @@ TEST(Attention, DecodeRowAttendsWholeCache) {
   const ModelWeights w = build_weights(cfg);
   kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
   Tensor x = random_rows(6, cfg.d_model, 8);
-  attention_forward_general(cfg, w.layers[0], x, iota_positions(6), cache);
+  prompt_chunk(cfg, w.layers[0], x, iota_positions(6), cache);
   Tensor q = random_rows(1, cfg.d_model, 9);
   const AttentionResult r = decode_one(cfg, w.layers[0], q, 6, cache);
   EXPECT_EQ(r.key_len, 7u);
@@ -129,7 +139,7 @@ TEST(Attention, IdenticalTokensAttractContentAttention) {
     x.at(2, j) = x.at(0, j);
   }
   const AttentionResult r =
-      attention_forward_general(cfg, w.layers[0], x, iota_positions(3), cache);
+      prompt_chunk(cfg, w.layers[0], x, iota_positions(3), cache);
   // Find the content head (head 0 at layer 0 for the cycle assignment).
   const float* row = r.probs.data() + (0 * 3 + 2) * 3;  // head 0, query 2
   EXPECT_GT(row[0], row[1]);
@@ -144,7 +154,7 @@ TEST(Attention, RopePositionModeChangesLogitsAfterCompaction) {
   const auto run = [&](const ModelConfig& cfg) {
     kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
     Tensor x = random_rows(8, cfg.d_model, 11);
-    attention_forward_general(cfg, w.layers[0], x, iota_positions(8), cache);
+    prompt_chunk(cfg, w.layers[0], x, iota_positions(8), cache);
     // Evict tokens 1..4 — kept tokens now have index != original position.
     cache.compact(std::vector<std::size_t>{0, 5, 6, 7});
     Tensor q = random_rows(1, cfg.d_model, 12);
@@ -172,8 +182,7 @@ TEST(Attention, PositionModeIrrelevantBeforeEviction) {
   const auto run = [&](const ModelConfig& cfg) {
     kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
     Tensor x = random_rows(6, cfg.d_model, 13);
-    return attention_forward_general(cfg, w.layers[0], x, iota_positions(6),
-                                     cache);
+    return prompt_chunk(cfg, w.layers[0], x, iota_positions(6), cache);
   };
   const AttentionResult a = run(org);
   const AttentionResult b = run(newpos);
@@ -195,7 +204,7 @@ TEST(Attention, AlibiBiasFavorsRecencyOnPositionalHead) {
     for (std::size_t j = 0; j < cfg.d_model; ++j) x.at(i, j) = proto[j];
   }
   const AttentionResult r =
-      attention_forward_general(cfg, w.layers[0], x, iota_positions(24), cache);
+      prompt_chunk(cfg, w.layers[0], x, iota_positions(24), cache);
   // Positional head = head 0 (steepest slope). Mass on the most recent
   // non-self key should exceed mass on the most distant key.
   const std::size_t q = 23;
@@ -265,7 +274,7 @@ void expect_matches_reference(const ModelConfig& cfg, const LayerWeights& w,
 void prefill_and_compact(const ModelConfig& cfg, const LayerWeights& w,
                          kv::KvCache& cache) {
   const Tensor x = random_rows(10, cfg.d_model, 21);
-  attention_forward_general(cfg, w, x, iota_positions(10), cache);
+  prompt_chunk(cfg, w, x, iota_positions(10), cache);
   cache.compact(std::vector<std::size_t>{0, 1, 5, 7, 8, 9});
 }
 
@@ -299,7 +308,7 @@ TEST_P(DecodeParity, PromptChunkMatchesReference) {
     const Tensor x = random_rows(5, cfg.d_model, 31);
     const auto positions = iota_positions(5, 10);
     const AttentionResult got =
-        attention_forward_general(cfg, w.layers[0], x, positions, cache);
+        prompt_chunk(cfg, w.layers[0], x, positions, cache);
     expect_matches_reference(cfg, w.layers[0], x, positions, cache, got);
   };
   {
@@ -370,11 +379,8 @@ TEST(Attention, RotateAtAppendMatchesRotateAtAttendBeforeEviction) {
   kv::ContiguousKvCache rotated(org.n_heads, org.d_head());
   kv::ContiguousKvCache raw(org.n_heads, org.d_head());
   const Tensor x = random_rows(8, org.d_model, 51);
-  expect_close(
-      attention_forward_general(org, w.layers[0], x, iota_positions(8),
-                                rotated),
-      attention_forward_general(newpos, w.layers[0], x, iota_positions(8),
-                                raw));
+  expect_close(prompt_chunk(org, w.layers[0], x, iota_positions(8), rotated),
+               prompt_chunk(newpos, w.layers[0], x, iota_positions(8), raw));
   for (std::size_t pos = 8; pos < 11; ++pos) {
     const Tensor q = random_rows(1, org.d_model, 52 + pos);
     SCOPED_TRACE(pos);
@@ -396,9 +402,9 @@ TEST(Attention, RopeKeysStoredPreRotatedUnderOriginalMode) {
 
   Tensor x = random_rows(3, cfg.d_model, 41);
   kv::ContiguousKvCache rotated(cfg.n_heads, cfg.d_head());
-  attention_forward_general(cfg, w.layers[0], x, iota_positions(3), rotated);
+  prompt_chunk(cfg, w.layers[0], x, iota_positions(3), rotated);
   kv::ContiguousKvCache raw(cfg.n_heads, cfg.d_head());
-  attention_forward_general(newpos, w.layers[0], x, iota_positions(3), raw);
+  prompt_chunk(newpos, w.layers[0], x, iota_positions(3), raw);
 
   for (std::size_t i = 0; i < 3; ++i) {
     for (std::size_t h = 0; h < cfg.n_heads; ++h) {
@@ -419,7 +425,7 @@ TEST(Attention, ContextShapeAndFiniteness) {
   kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
   Tensor x = random_rows(5, cfg.d_model, 15);
   const AttentionResult r =
-      attention_forward_general(cfg, w.layers[0], x, iota_positions(5), cache);
+      prompt_chunk(cfg, w.layers[0], x, iota_positions(5), cache);
   EXPECT_EQ(r.context.dim(0), 5u);
   EXPECT_EQ(r.context.dim(1), cfg.d_model);
   for (const float v : r.context.span()) {

@@ -32,7 +32,7 @@ Tensor random_rows(std::size_t n, std::size_t d, std::uint64_t seed) {
   return x;
 }
 
-/// A cache pre-filled with `len` tokens through the general path (the same
+/// A cache pre-filled with `len` tokens through one prompt chunk (the same
 /// appends a prefill performs).
 kv::ContiguousKvCache filled_cache(const ModelConfig& cfg,
                                    const LayerWeights& w, std::size_t len,
@@ -41,7 +41,8 @@ kv::ContiguousKvCache filled_cache(const ModelConfig& cfg,
   Tensor x = random_rows(len, cfg.d_model, seed);
   std::vector<std::size_t> positions(len);
   for (std::size_t i = 0; i < len; ++i) positions[i] = i;
-  attention_forward_general(cfg, w, x, positions, cache);
+  const AttentionRun run{positions, &cache};
+  self_attention(cfg, w, x, {&run, 1}, Phase::kPrompt);
   return cache;
 }
 
@@ -64,23 +65,24 @@ TEST_P(BatchDecodeParity, MatchesSingleSequenceDecodePerSlot) {
     batch_caches.push_back(single_caches.back());  // identical clone
   }
   const Tensor xq = random_rows(kBatch, cfg.d_model, 7);
+  const std::vector<std::size_t> positions(kBatch, kPrefill);
 
-  // Reference: B separate one-slot calls.
+  // Reference: B separate one-row calls.
   std::vector<AttentionResult> expected;
   for (std::size_t b = 0; b < kBatch; ++b) {
     Tensor row({1, cfg.d_model});
     for (std::size_t j = 0; j < cfg.d_model; ++j) row.row(0)[j] = xq.row(b)[j];
-    const DecodeBatchSlot slot{kPrefill, &single_caches[b]};
-    expected.push_back(
-        std::move(attention_decode_batch(cfg, w, row, {&slot, 1}).front()));
+    const AttentionRun run{{&positions[b], 1}, &single_caches[b]};
+    expected.push_back(std::move(
+        self_attention(cfg, w, row, {&run, 1}, Phase::kDecode).front()));
   }
 
-  // Batched: one B-slot call.
-  std::vector<DecodeBatchSlot> slots(kBatch);
+  // Batched: one call over B one-row runs.
+  std::vector<AttentionRun> runs(kBatch);
   for (std::size_t b = 0; b < kBatch; ++b) {
-    slots[b] = {kPrefill, &batch_caches[b]};
+    runs[b] = {{&positions[b], 1}, &batch_caches[b]};
   }
-  const auto results = attention_decode_batch(cfg, w, xq, slots);
+  const auto results = self_attention(cfg, w, xq, runs, Phase::kDecode);
 
   // Bit for bit: no arithmetic spans rows, so batching must not move a
   // single last digit of any slot's output or cache.
@@ -131,11 +133,13 @@ TEST_P(BatchDecodeParity, SlotResultIndependentOfBatchComposition) {
     for (std::size_t j = 0; j < cfg.d_model; ++j) {
       xq.row(s_slot)[j] = s_query.row(0)[j];
     }
-    std::vector<DecodeBatchSlot> slots(batch);
+    std::vector<std::size_t> positions(batch);
+    std::vector<AttentionRun> runs(batch);
     for (std::size_t b = 0; b < batch; ++b) {
-      slots[b] = {b == s_slot ? std::size_t{12} : 6 + batch + b, &caches[b]};
+      positions[b] = b == s_slot ? std::size_t{12} : 6 + batch + b;
+      runs[b] = {{&positions[b], 1}, &caches[b]};
     }
-    auto results = attention_decode_batch(cfg, w, xq, slots);
+    auto results = self_attention(cfg, w, xq, runs, Phase::kDecode);
     return std::move(results[s_slot]);
   };
 
@@ -147,6 +151,81 @@ TEST_P(BatchDecodeParity, SlotResultIndependentOfBatchComposition) {
   }
   for (std::size_t i = 0; i < a.logits.size(); ++i) {
     EXPECT_EQ(a.logits.span()[i], b.logits.span()[i]) << "logit " << i;
+  }
+}
+
+TEST_P(BatchDecodeParity, PromptChunkAndDecodeRowsShareOneCall) {
+  // One call may mix runs of any length: a 5-row prompt chunk between two
+  // one-row decode runs. Each run's result and appended cache rows must
+  // equal that run's own call bit for bit, in both position modes.
+  for (const PositionMode mode :
+       {PositionMode::kOriginal, PositionMode::kNew}) {
+    SCOPED_TRACE(to_string(mode));
+    ModelConfig cfg = tiny_config(GetParam());
+    cfg.position_mode = mode;
+    const Transformer m(cfg);
+    const LayerWeights& w = m.weights().layers[0];
+
+    const std::vector<std::size_t> cached = {6, 10, 8};
+    const std::vector<std::size_t> rows = {1, 5, 1};
+    std::vector<kv::ContiguousKvCache> solo_caches;
+    std::vector<kv::ContiguousKvCache> mixed_caches;
+    std::vector<std::vector<std::size_t>> positions(rows.size());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      solo_caches.push_back(filled_cache(cfg, w, cached[r], 200 + r));
+      mixed_caches.push_back(solo_caches.back());
+      for (std::size_t i = 0; i < rows[r]; ++i) {
+        positions[r].push_back(cached[r] + i);
+      }
+    }
+    const Tensor x = random_rows(7, cfg.d_model, 9);
+
+    // Reference: each run in its own call.
+    std::vector<AttentionResult> expected;
+    std::size_t row0 = 0;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      Tensor xr({rows[r], cfg.d_model});
+      for (std::size_t i = 0; i < rows[r]; ++i) {
+        for (std::size_t j = 0; j < cfg.d_model; ++j) {
+          xr.row(i)[j] = x.row(row0 + i)[j];
+        }
+      }
+      row0 += rows[r];
+      const AttentionRun run{positions[r], &solo_caches[r]};
+      expected.push_back(std::move(
+          self_attention(cfg, w, xr, {&run, 1}, Phase::kPrompt).front()));
+    }
+
+    // Mixed: all three runs in one call.
+    std::vector<AttentionRun> runs(rows.size());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      runs[r] = {positions[r], &mixed_caches[r]};
+    }
+    const auto results = self_attention(cfg, w, x, runs, Phase::kDecode);
+
+    ASSERT_EQ(results.size(), rows.size());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      ASSERT_EQ(results[r].n_q, rows[r]) << "run " << r;
+      ASSERT_EQ(results[r].key_len, expected[r].key_len) << "run " << r;
+      for (std::size_t i = 0; i < expected[r].logits.size(); ++i) {
+        EXPECT_EQ(results[r].logits.span()[i], expected[r].logits.span()[i])
+            << "run " << r << " logit " << i;
+        EXPECT_EQ(results[r].probs.span()[i], expected[r].probs.span()[i])
+            << "run " << r << " prob " << i;
+      }
+      for (std::size_t i = 0; i < expected[r].context.size(); ++i) {
+        EXPECT_EQ(results[r].context.span()[i], expected[r].context.span()[i])
+            << "run " << r << " ctx " << i;
+      }
+      ASSERT_EQ(mixed_caches[r].size(), solo_caches[r].size());
+      for (std::size_t i = cached[r]; i < mixed_caches[r].size(); ++i) {
+        const auto km = mixed_caches[r].key_row(i);
+        const auto ks = solo_caches[r].key_row(i);
+        for (std::size_t j = 0; j < km.size(); ++j) {
+          EXPECT_EQ(km[j], ks[j]) << "run " << r << " key " << i;
+        }
+      }
+    }
   }
 }
 

@@ -279,47 +279,6 @@ TEST(BatchScheduler, LeastLoadedPlacementSpreadsAcrossShards) {
   EXPECT_NE(a.shard, b.shard);
 }
 
-TEST(BatchScheduler, RoundRobinPlacementCyclesShards) {
-  mem::BlockPool pool(block_pool_config(3, 32));
-  SchedulerConfig cfg;
-  cfg.max_batch_size = 0;
-  cfg.pool = &pool;
-  cfg.placement = ShardPlacement::kRoundRobin;
-  BatchScheduler sched(cfg);
-
-  std::vector<Sequence> seqs;
-  for (std::size_t i = 0; i < 3; ++i) {
-    seqs.push_back(make_block_seq(16, 0.5));
-  }
-  for (auto& s : seqs) sched.submit(&s);
-  ASSERT_EQ(sched.admit(0).size(), 3u);
-  EXPECT_EQ(seqs[0].shard, 0u);
-  EXPECT_EQ(seqs[1].shard, 1u);
-  EXPECT_EQ(seqs[2].shard, 2u);
-}
-
-TEST(BatchScheduler, RoundRobinSkipsShardsThatCannotFit) {
-  // Shard 0's capacity is consumed; the cursor must move on to shard 1
-  // instead of stalling the queue, and the cursor advances from the shard
-  // actually used.
-  mem::BlockPool pool(block_pool_config(3, 10));
-  ASSERT_TRUE(pool.try_reserve(0, 10));  // shard 0 full
-  SchedulerConfig cfg;
-  cfg.max_batch_size = 0;
-  cfg.pool = &pool;
-  cfg.placement = ShardPlacement::kRoundRobin;
-  BatchScheduler sched(cfg);
-
-  Sequence a = make_block_seq(40, 0.5);  // 10 admission blocks
-  Sequence b = make_block_seq(40, 0.5);
-  sched.submit(&a);
-  sched.submit(&b);
-  ASSERT_EQ(sched.admit(0).size(), 2u);
-  EXPECT_EQ(a.shard, 1u);  // skipped full shard 0
-  EXPECT_EQ(b.shard, 2u);  // cursor continued past a's placement
-  pool.unreserve(0, 10);
-}
-
 TEST(BatchScheduler, LeastLoadedPicksFewestReservedAndTieBreaksLowestId) {
   mem::BlockPool pool(block_pool_config(3, 32));
   ASSERT_TRUE(pool.try_reserve(0, 8));  // load: 8 / 2 / 2
@@ -343,24 +302,19 @@ TEST(BatchScheduler, LeastLoadedPicksFewestReservedAndTieBreaksLowestId) {
   EXPECT_EQ(b.shard, 1u);  // strictly least loaded
 }
 
-TEST(BatchScheduler, RoundRobinVsLeastLoadedDivergeUnderAsymmetricLoad) {
-  // Same workload, same pool state: round-robin marches on (0, 1, ...)
-  // while least-loaded steers to the emptiest shard first — the
-  // observable difference between the two policies.
-  for (const bool round_robin : {false, true}) {
-    mem::BlockPool pool(block_pool_config(2, 32));
-    ASSERT_TRUE(pool.try_reserve(0, 6));  // shard 0 pre-loaded
-    SchedulerConfig cfg;
-    cfg.max_batch_size = 0;
-    cfg.pool = &pool;
-    cfg.placement = round_robin ? ShardPlacement::kRoundRobin
-                                : ShardPlacement::kLeastLoaded;
-    BatchScheduler sched(cfg);
-    Sequence s = make_block_seq(16, 0.5);
-    sched.submit(&s);
-    ASSERT_EQ(sched.admit(0).size(), 1u);
-    EXPECT_EQ(s.shard, round_robin ? 0u : 1u);
-  }
+TEST(BatchScheduler, LeastLoadedSteersAwayFromPreloadedShard) {
+  // Shard 0 is pre-loaded: least-loaded placement steers the sequence to
+  // the emptier shard 1 rather than the lowest id.
+  mem::BlockPool pool(block_pool_config(2, 32));
+  ASSERT_TRUE(pool.try_reserve(0, 6));  // shard 0 pre-loaded
+  SchedulerConfig cfg;
+  cfg.max_batch_size = 0;
+  cfg.pool = &pool;
+  BatchScheduler sched(cfg);
+  Sequence s = make_block_seq(16, 0.5);
+  sched.submit(&s);
+  ASSERT_EQ(sched.admit(0).size(), 1u);
+  EXPECT_EQ(s.shard, 1u);
 }
 
 TEST(BatchScheduler, BlockModeOversizedDemandIsRejectedNotDeadlocked) {

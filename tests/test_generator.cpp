@@ -71,6 +71,14 @@ TEST(Generate, RejectsEmptyPrompt) {
                std::invalid_argument);
 }
 
+TEST(Generate, RejectsTokenOutsideVocabulary) {
+  Transformer m(tiny_config());
+  auto policy = kv::make_policy(kv::PolicyKind::kFull);
+  const std::vector<Token> bad{1, 200, 3};
+  EXPECT_THROW(generate(m, bad, *policy, GenerationConfig{}),
+               std::invalid_argument);
+}
+
 TEST(Generate, Deterministic) {
   Transformer m(tiny_config());
   auto policy = kv::make_policy(kv::PolicyKind::kKeyformer);

@@ -311,6 +311,75 @@ TEST(Engine, RejectsEmptyPromptAndBatchKeepsDecoding) {
   EXPECT_EQ(engine.stats().rejections, 1u);
 }
 
+TEST(Engine, RejectsOutOfVocabularyPromptAndBatchKeepsDecoding) {
+  // A prompt token outside [0, vocab_size) is contained as a kRejected
+  // response instead of an exception out of run(), and the request next
+  // to it still finishes with exactly its solo tokens.
+  Transformer model(tiny_config());  // 64-token vocabulary
+  GenerationConfig g;
+  g.max_new_tokens = 6;
+  g.cache_ratio = 0.5;
+  Request good;
+  good.prompt = make_prompt(12);
+  good.gen = g;
+  Engine solo_engine(model, EngineConfig{});
+  const std::vector<Token> solo = solo_engine.run({&good, 1})[0].tokens;
+  ASSERT_EQ(solo.size(), 6u);
+
+  for (const std::vector<Token>& bad : {std::vector<Token>{1, 200, 3},
+                                        std::vector<Token>{1, -1, 3}}) {
+    Engine engine(model, EngineConfig{});
+    std::vector<Request> requests(2, good);
+    requests[1].id = 1;
+    requests[1].prompt = bad;
+    const auto responses = engine.run(requests);
+    ASSERT_EQ(responses.size(), 2u);
+    EXPECT_EQ(responses[0].finish, FinishReason::kLength);
+    EXPECT_EQ(responses[0].tokens, solo);
+    EXPECT_EQ(responses[1].finish, FinishReason::kRejected);
+    EXPECT_FALSE(responses[1].error.empty());
+    EXPECT_TRUE(responses[1].tokens.empty());
+    EXPECT_EQ(engine.stats().rejections, 1u);
+  }
+}
+
+TEST(Engine, RejectsLearnedPositionsPastTheTable) {
+  // Under learned positions the largest embedded position,
+  // max(prompt_len - 1, prompt_len + max_new_tokens - 2), must stay below
+  // max_seq_len (the last generated token is never fed back). On a
+  // 32-row table a 30-token prompt may generate 3 tokens but not 4, and a
+  // 32-token prompt may generate 1 token but a 33-token prompt none.
+  ModelConfig cfg = tiny_config(PositionalKind::kLearned);
+  cfg.max_seq_len = 32;
+  Transformer model(cfg);
+  struct Case {
+    std::size_t prompt_len, max_new_tokens;
+    bool accepted;
+  };
+  const std::vector<Case> cases = {
+      {30, 3, true}, {30, 4, false}, {32, 1, true}, {33, 1, false}};
+  std::vector<Request> requests(cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    requests[i].id = i;
+    requests[i].prompt = make_prompt(cases[i].prompt_len, i);
+    requests[i].gen.max_new_tokens = cases[i].max_new_tokens;
+  }
+  Engine engine(model, EngineConfig{});
+  const auto responses = engine.run(requests);
+  ASSERT_EQ(responses.size(), cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(i);
+    if (cases[i].accepted) {
+      EXPECT_EQ(responses[i].finish, FinishReason::kLength);
+      EXPECT_EQ(responses[i].tokens.size(), cases[i].max_new_tokens);
+    } else {
+      EXPECT_EQ(responses[i].finish, FinishReason::kRejected);
+      EXPECT_FALSE(responses[i].error.empty());
+      EXPECT_TRUE(responses[i].tokens.empty());
+    }
+  }
+}
+
 TEST(Engine, RejectsExternalKvStateWithWrongGeometry) {
   Transformer model(tiny_config());  // 2 layers, 2 heads, d_head 8
   Engine engine(model, EngineConfig{});

@@ -353,9 +353,10 @@ model::AttentionResult attend_once(const model::ModelConfig& cfg,
   }
   Tensor x({1, cfg.d_model});
   for (float& v : x.span()) v = static_cast<float>(rng.normal());
-  const model::DecodeBatchSlot slot{ctx, &cache};
-  return std::move(
-      model::attention_decode_batch(cfg, w.layers[0], x, {&slot, 1}).front());
+  const model::AttentionRun run{{&ctx, 1}, &cache};
+  auto results = model::self_attention(cfg, w.layers[0], x, {&run, 1},
+                                       model::Phase::kDecode);
+  return std::move(results.front());
 }
 
 void expect_attention_parity(const model::AttentionResult& got,

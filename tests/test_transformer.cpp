@@ -65,6 +65,23 @@ TEST(Transformer, RejectsOutOfVocabToken) {
   EXPECT_THROW(m.prefill(neg, policy, 1), std::out_of_range);
 }
 
+TEST(Transformer, RejectsLearnedPositionPastTable) {
+  // A learned-position model has one table row per position below
+  // max_seq_len: position 15 is the last it can embed, 16 the first it
+  // cannot, whether a prompt row or a decode step feeds it.
+  ModelConfig cfg = tiny_config(PositionalKind::kLearned);
+  cfg.max_seq_len = 16;
+  Transformer m(cfg);
+  kv::FullAttentionPolicy policy;
+  EXPECT_NO_THROW(m.prefill(make_prompt(16), policy, 1));
+  m.reset();
+  EXPECT_THROW(m.prefill(make_prompt(17), policy, 1), std::out_of_range);
+  m.reset();
+  m.prefill(make_prompt(15), policy, 2);
+  EXPECT_NO_THROW(m.decode(1, 15, 1, 2, policy));
+  EXPECT_THROW(m.decode(1, 16, 2, 2, policy), std::out_of_range);
+}
+
 TEST(Transformer, DeterministicAcrossInstances) {
   const ModelConfig cfg = tiny_config();
   Transformer a(cfg);
@@ -161,11 +178,12 @@ TEST(Transformer, LogitsAreFinite) {
 }
 
 TEST(Transformer, DecodeMatchesOneTokenPromptChunks) {
-  // Full-stack parity of the two entry points: the same token stream fed
-  // through decode() (attention_decode_batch) and through one-token
-  // prefill_continue chunks (attention_forward_general), every layer,
-  // under full attention so both caches keep identical rows. Both run one
-  // attend, so LM logits must be bit-identical at every step.
+  // Full-stack parity of the two phases: the same token stream fed through
+  // decode() (a decode step) and through one-token prefill_continue chunks
+  // (a prompt chunk), every layer, under full attention so both caches keep
+  // identical rows. Both run the one forward pass, whose phase only names
+  // trace spans and sets PolicyContext::is_prompt, so LM logits must be
+  // bit-identical at every step.
   for (const auto kind : {PositionalKind::kRoPE, PositionalKind::kALiBi,
                           PositionalKind::kLearned}) {
     const ModelConfig cfg = tiny_config(kind);
