@@ -12,9 +12,10 @@ that the artifacts actually round-trip:
      ({series}_p50_ms/_p95_ms/_p99_ms for ttft/itl/queue_wait/step) and
      one data row of finite numbers;
   3. the --metrics stdout report prints the latency-percentile table;
-  4. the Prometheus text exposition has well-formed # TYPE lines and
+  4. the Prometheus text exposition has well-formed # TYPE lines,
      counter/histogram families with cumulative le= buckets, +Inf,
-     _sum and _count;
+     _sum and _count, and the engine's decoded-token, prefilled-token,
+     preemption and copy-on-write counters;
   5. the monitor time-series JSON parses, reports polls > 0, and every
      series carries [t, value] sample pairs with monotone timestamps.
 
@@ -34,6 +35,11 @@ REQUIRED_SPANS = {
     "prefill_chunk", "prompt.project", "prompt.attend", "prompt.observe",
     "prompt.mlp", "prompt.lm_head",
 }
+# Engine counts every run must export (EngineStats reads them back).
+REQUIRED_COUNTERS = (
+    "kf_serve_decoded_tokens_total", "kf_serve_prefilled_tokens_total",
+    "kf_sched_preempted_total", "kf_pool_cow_copies_total",
+)
 SERIES = ("ttft", "itl", "queue_wait", "step")
 SUFFIXES = ("_p50_ms", "_p95_ms", "_p99_ms")
 
@@ -132,6 +138,9 @@ def check_prometheus(path: Path) -> None:
     for name in counters:
         if not name.endswith("_total"):
             fail(f"counter family {name!r} lacks the _total suffix")
+    missing = [name for name in REQUIRED_COUNTERS if name not in counters]
+    if missing:
+        fail(f"prometheus exposition lacks engine counters: {missing}")
     hist_families = [m for m, t in types.items() if t == "histogram"]
     if not hist_families:
         fail("prometheus exposition declares no histograms")

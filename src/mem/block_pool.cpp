@@ -18,6 +18,7 @@ BlockPool::BlockPool(BlockPoolConfig cfg) : cfg_(cfg) {
     ctr_reserves_ = &cfg_.metrics->counter("pool.reserves");
     ctr_reserve_failures_ = &cfg_.metrics->counter("pool.reserve_failures");
     ctr_emergency_ = &cfg_.metrics->counter("pool.emergency_blocks");
+    ctr_cow_copies_ = &cfg_.metrics->counter("pool.cow_copies");
   }
   if (cfg_.block_tokens == 0) {
     throw std::invalid_argument("BlockPool requires block_tokens > 0");
@@ -207,6 +208,10 @@ bool BlockPool::try_reserve(std::size_t shard, std::size_t blocks) {
 
 void BlockPool::note_emergency_block() noexcept {
   if (ctr_emergency_ != nullptr) ctr_emergency_->add();
+}
+
+void BlockPool::note_cow_copy() noexcept {
+  if (ctr_cow_copies_ != nullptr) ctr_cow_copies_->add();
 }
 
 void BlockPool::unreserve(std::size_t shard, std::size_t blocks) {

@@ -68,8 +68,8 @@ struct BlockPoolConfig {
   std::size_t d_head = 0;
   /// Observability registry for allocation/reservation counters
   /// (pool.allocs, pool.alloc_failures, pool.reserves,
-  /// pool.reserve_failures, pool.emergency_blocks); null disables them.
-  /// Must outlive the pool.
+  /// pool.reserve_failures, pool.emergency_blocks, pool.cow_copies); null
+  /// disables them. Must outlive the pool.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -195,11 +195,11 @@ class BlockPool {
     injector_.store(injector, std::memory_order_release);
   }
 
-  /// Observability hook for PagedKvCache's emergency-heap fallback: a
-  /// cache that could not get a pool block and fell back to owned heap
-  /// memory reports it here (the pool never sees that allocation
-  /// otherwise). No-op without a metrics registry.
+  /// Observability hooks for PagedKvCache events the pool never sees: a
+  /// fallback to an owned heap block, and a private copy of a shared block
+  /// before a write. No-ops without a metrics registry.
   void note_emergency_block() noexcept;
+  void note_cow_copy() noexcept;
 
  private:
   /// Blocks per arena slab: small enough that an unbounded shard does not
@@ -265,6 +265,7 @@ class BlockPool {
   obs::Counter* ctr_reserves_ = nullptr;
   obs::Counter* ctr_reserve_failures_ = nullptr;
   obs::Counter* ctr_emergency_ = nullptr;
+  obs::Counter* ctr_cow_copies_ = nullptr;
 };
 
 }  // namespace kf::mem

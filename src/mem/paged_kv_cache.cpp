@@ -24,7 +24,7 @@ BlockRef PagedKvCache::new_block() {
   // Pool refusal (exhaustion or injected fault): fall back to a private
   // heap block so the in-flight decode step completes with exact rows,
   // and latch the failure for the engine's next-step-boundary check.
-  ++alloc_failures_;
+  alloc_failed_ = true;
   pool_.note_emergency_block();
   emergency_.push_back(make_aligned_floats(2 * pool_.section_floats()));
   return BlockRef{kEmergencyShard,
@@ -102,7 +102,7 @@ void PagedKvCache::cow_block(std::size_t chain_idx) {
     }
     pool_.release(old);
     blocks_[chain_idx] = fresh;
-    ++cow_copies_;
+    pool_.note_cow_copy();
   }
   shared_[chain_idx] = false;
 }

@@ -32,11 +32,11 @@
 // instead of copying it. Shared blocks are read exactly like owned ones;
 // the first *mutation* that would touch one — an append landing in a
 // shared tail slot, or a compact gather writing into a shared destination
-// block — copies that block into a freshly allocated private block first,
-// so per-sequence score-based eviction keeps working over shared storage
-// without ever perturbing the other readers. Releasing (clear, compact
-// drains, destructor) decrements refcounts; the chain itself survives as
-// long as the index or any reader holds it.
+// block — copies that block into a freshly allocated private block first
+// (counted as pool.cow_copies), so per-sequence score-based eviction keeps
+// working over shared storage without ever perturbing the other readers.
+// Releasing (clear, compact drains, destructor) decrements refcounts; the
+// chain itself survives as long as the index or any reader holds it.
 #pragma once
 
 #include <cstdint>
@@ -83,15 +83,11 @@ class PagedKvCache final : public kv::KvCache {
   /// Blocks of this chain still shared (refcounted with other readers).
   std::size_t shared_blocks() const noexcept;
 
-  /// Blocks privately copied by the copy-on-write path so far.
-  std::size_t cow_copies() const noexcept { return cow_copies_; }
-
   /// True once any block acquisition fell back to emergency heap memory:
   /// this cache holds rows the pool never granted, so its sequence must be
-  /// preempted (or retired) rather than keep decoding past the cap.
-  bool alloc_failed() const noexcept { return alloc_failures_ > 0; }
-  /// Emergency fallbacks taken so far.
-  std::size_t alloc_failures() const noexcept { return alloc_failures_; }
+  /// preempted (or retired) rather than keep decoding past the cap. The
+  /// pool counts each fallback (pool.emergency_blocks).
+  bool alloc_failed() const noexcept { return alloc_failed_; }
 
   std::span<const float> key_head(std::size_t idx,
                                   std::size_t head) const override;
@@ -141,8 +137,7 @@ class PagedKvCache final : public kv::KvCache {
   /// these blocks — they are invisible to the pool, the scheduler, and
   /// the prefix index.
   std::vector<AlignedFloatArray> emergency_;
-  std::size_t cow_copies_ = 0;
-  std::size_t alloc_failures_ = 0;
+  bool alloc_failed_ = false;
 };
 
 }  // namespace kf::mem

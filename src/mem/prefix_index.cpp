@@ -63,10 +63,7 @@ std::uint64_t PrefixIndex::hash_run(std::span<const PrefixToken> run) {
 
 PrefixIndexStats PrefixIndex::stats() const {
   const LockGuard lock(mu_);
-  PrefixIndexStats st = stats_;
-  st.entries = entries_.size();
-  st.blocks_held = blocks_held_;
-  return st;
+  return PrefixIndexStats{entries_.size(), blocks_held_};
 }
 
 std::size_t PrefixIndex::blocks_held() const {
@@ -82,7 +79,6 @@ std::uint64_t PrefixIndex::revision() const {
 const PrefixEntry* PrefixIndex::lookup(std::span<const PrefixToken> prompt,
                                        std::size_t max_tokens) {
   const LockGuard lock(mu_);
-  ++stats_.lookups;
   std::size_t longest = 0;
   for (const EntryRec& rec : entries_) {
     longest = std::max(longest, rec.entry->tokens());
@@ -114,7 +110,6 @@ const PrefixEntry* PrefixIndex::lookup(std::span<const PrefixToken> prompt,
   }
   if (best != nullptr) {
     best->last_use = ++tick_;
-    ++stats_.lookup_hits;
     if (ctr_hits_ != nullptr) ctr_hits_->add();
     return best->entry.get();
   }
@@ -220,7 +215,6 @@ void PrefixIndex::drop_locked(const PrefixEntry* entry) {
       std::find_if(entries_.begin(), entries_.end(),
                    [&](const EntryRec& r) { return &r == &rec; });
   entries_.erase(it);
-  ++stats_.trims;
   if (ctr_trims_ != nullptr) ctr_trims_->add();
   ++revision_;
 }
@@ -345,7 +339,6 @@ const PrefixEntry* PrefixIndex::insert(std::span<const PrefixToken> run,
     }
   }
   blocks_held_ += needed;
-  ++stats_.insertions;
   if (ctr_insertions_ != nullptr) ctr_insertions_->add();
   ++revision_;
   rec.entry = std::move(entry);
@@ -398,7 +391,6 @@ bool PrefixIndex::replicate_locked(EntryRec& rec, std::size_t shard) {
     }
   }
   blocks_held_ += needed;
-  ++stats_.replications;
   if (ctr_replications_ != nullptr) ctr_replications_->add();
   return true;
 }

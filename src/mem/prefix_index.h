@@ -33,7 +33,7 @@
 //
 // Thread safety: internally synchronized. One index mutex guards the
 // entry set, each entry's chain replicas, the LRU stamps, pin counts,
-// the revision counter, and the stats — all annotated for clang's
+// and the revision counter — all annotated for clang's
 // -Wthread-safety. A PrefixEntry itself is immutable after insert(), so
 // the pointer lookup()/insert() return can be read (tokens, run,
 // boundary scores) without the lock; only its index bookkeeping —
@@ -76,14 +76,10 @@ struct PrefixIndexConfig {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
+/// The index's occupancy; its events are the registry's prefix.* counters.
 struct PrefixIndexStats {
   std::size_t entries = 0;
   std::size_t blocks_held = 0;  ///< across entries and shard replicas
-  std::size_t lookups = 0;
-  std::size_t lookup_hits = 0;
-  std::size_t insertions = 0;
-  std::size_t replications = 0;  ///< lazy cross-shard chain copies
-  std::size_t trims = 0;         ///< entries dropped (LRU or pressure)
 };
 
 /// One indexed prefix: the immutable payload only. Everything mutable
@@ -236,9 +232,7 @@ class PrefixIndex {
   std::size_t blocks_held_ KF_GUARDED_BY(mu_) = 0;
   std::uint64_t tick_ KF_GUARDED_BY(mu_) = 0;
   std::uint64_t revision_ KF_GUARDED_BY(mu_) = 0;
-  PrefixIndexStats stats_ KF_GUARDED_BY(mu_);
-  /// Registry-owned counters mirroring stats_ for the metrics surface;
-  /// null when cfg_.metrics is null.
+  /// Registry-owned event counters; null when cfg_.metrics is null.
   obs::Counter* ctr_hits_ = nullptr;
   obs::Counter* ctr_misses_ = nullptr;
   obs::Counter* ctr_insertions_ = nullptr;

@@ -227,6 +227,31 @@ Histogram& MetricsRegistry::histogram(const std::string& name) {
   return find_or_create<decltype(histograms_), Histogram>(histograms_, name);
 }
 
+std::uint64_t MetricsRegistry::counter_sum(std::string_view pattern) const {
+  const std::size_t star = pattern.find('*');
+  const std::string head(pattern.substr(0, star));
+  const std::string_view tail =
+      star == std::string_view::npos ? "" : pattern.substr(star + 1);
+  std::uint64_t total = 0;
+  LockGuard lock(mu_);
+  for (auto it = counters_.lower_bound(head);
+       it != counters_.end() && it->first.starts_with(head); ++it) {
+    const std::string& name = it->first;
+    const bool match = star == std::string_view::npos
+                           ? name.size() == head.size()
+                           : name.size() >= head.size() + tail.size() &&
+                                 name.ends_with(tail);
+    if (match) total += it->second->value();
+  }
+  return total;
+}
+
+double MetricsRegistry::gauge_value(const std::string& name) const {
+  LockGuard lock(mu_);
+  const auto it = gauges_.find(name);
+  return it == gauges_.end() ? 0.0 : it->second->value();
+}
+
 std::vector<MetricRow> MetricsRegistry::rows() const {
   std::vector<MetricRow> out;
   LockGuard lock(mu_);

@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/annotations.h"
@@ -201,6 +202,13 @@ class MetricsRegistry {
   Counter& counter(const std::string& name) KF_EXCLUDES(mu_);
   Gauge& gauge(const std::string& name) KF_EXCLUDES(mu_);
   Histogram& histogram(const std::string& name) KF_EXCLUDES(mu_);
+
+  /// Sum of the counters `pattern` names: one exact name, or a family
+  /// where one '*' stands for any run of characters (evict.*.decisions:
+  /// one counter per eviction policy). 0 when none exists; creates none.
+  std::uint64_t counter_sum(std::string_view pattern) const KF_EXCLUDES(mu_);
+  /// The named gauge's value; 0 when it does not exist (creates none).
+  double gauge_value(const std::string& name) const KF_EXCLUDES(mu_);
 
   /// All metrics, sorted by name (counters, then gauges, then histograms).
   std::vector<MetricRow> rows() const KF_EXCLUDES(mu_);

@@ -87,44 +87,38 @@ Engine::Engine(model::Transformer& model, EngineConfig cfg)
   }
 }
 
-EngineStats Engine::stats() const {
-  const LockGuard lock(stats_mu_);
-  return stats_;
-}
-
-kv::EvictionTelemetry Engine::eviction_report() const {
-  const LockGuard lock(stats_mu_);
-  return eviction_agg_;
-}
-
-void Engine::publish_stats(const EngineStats& stats) {
-  EngineStats snap = stats;
-  snap.ttft = hist_ttft_.snapshot();
-  snap.inter_token = hist_inter_token_.snapshot();
-  snap.queue_wait = hist_queue_wait_.snapshot();
-  snap.step_latency = hist_step_.snapshot();
-  const LockGuard lock(stats_mu_);
-  stats_ = snap;
-}
-
 namespace {
 
-/// Counters of a sequence's paged layer caches; zero for token-mode state.
-struct PagedCounters {
-  std::size_t alloc_failures = 0;
-  std::size_t cow_copies = 0;
+/// The registry counter behind each EngineStats count ('*' sums a family:
+/// one counter per eviction policy). stats() reports each as its change
+/// since the run began, as it does steps and decode_seconds: the
+/// serve.step_seconds histogram's count and sum.
+struct CountField {
+  std::size_t EngineStats::*field;
+  const char* metric;
+};
+constexpr CountField kCountFields[] = {
+    {&EngineStats::decoded_tokens, "serve.decoded_tokens"},
+    {&EngineStats::prefilled_tokens, "serve.prefilled_tokens"},
+    {&EngineStats::resume_replayed_tokens, "serve.replayed_tokens"},
+    {&EngineStats::timeouts, "serve.timeouts"},
+    {&EngineStats::rejections, "serve.rejections"},
+    {&EngineStats::prefix_hits, "serve.prefix_hit_prompts"},
+    {&EngineStats::prefix_misses, "serve.prefix_miss_prompts"},
+    {&EngineStats::prefix_tokens_reused, "serve.prefix_reused_tokens"},
+    {&EngineStats::prefix_blocks_shared, "serve.prefix_shared_blocks"},
+    {&EngineStats::prefix_cow_copies, "pool.cow_copies"},
+    {&EngineStats::preemptions, "sched.preempted"},
+    {&EngineStats::reservation_retries, "sched.reservation_retries"},
+    {&EngineStats::alloc_failures, "pool.emergency_blocks"},
+    {&EngineStats::eviction_decisions, "evict.*.decisions"},
+    {&EngineStats::evicted_tokens, "evict.*.tokens_evicted"},
+    {&EngineStats::kept_tokens, "evict.*.tokens_kept"},
 };
 
-PagedCounters paged_counters(const Sequence& seq) {
-  PagedCounters c;
-  for (std::size_t l = 0; l < seq.kv->n_layers(); ++l) {
-    const auto* paged =
-        dynamic_cast<const mem::PagedKvCache*>(&seq.kv->layer(l));
-    if (paged == nullptr) continue;
-    c.alloc_failures += paged->alloc_failures();
-    c.cow_copies += paged->cow_copies();
-  }
-  return c;
+/// Raises a per-run peak gauge; the engine thread is its only writer.
+void raise_peak(obs::Gauge& peak, double value) {
+  if (value > peak.value()) peak.set(value);
 }
 
 /// True when a token of `prompt` lies outside [0, vocab_size).
@@ -144,8 +138,50 @@ std::size_t last_embedded_position(const Sequence& seq) {
 
 }  // namespace
 
+EngineStats Engine::read_metrics() const {
+  EngineStats st;
+  for (const CountField& f : kCountFields) {
+    st.*f.field = metrics_.counter_sum(f.metric);
+  }
+  st.steps = hist_step_.count();
+  st.decode_seconds = hist_step_.sum();
+  const auto peak = [&](const char* name) {
+    return static_cast<std::size_t>(metrics_.gauge_value(name));
+  };
+  st.max_batch = peak("serve.max_batch");
+  st.max_tokens_in_use = peak("serve.max_tokens_in_use");
+  st.max_blocks_in_use = peak("serve.max_blocks_in_use");
+  st.max_fragmentation = metrics_.gauge_value("serve.max_fragmentation");
+  if (pool_ != nullptr) {
+    const mem::PoolStats ps = pool_->stats();
+    st.pool_peak_used_blocks = ps.peak_used_blocks;
+    st.pool_capacity_blocks = ps.capacity_blocks;
+  }
+  st.ttft = hist_ttft_.snapshot();
+  st.inter_token = hist_inter_token_.snapshot();
+  st.queue_wait = hist_queue_wait_.snapshot();
+  st.step_latency = hist_step_.snapshot();
+  return st;
+}
+
+EngineStats Engine::stats() const {
+  // Under the lock a run cannot start between the two reads.
+  const LockGuard lock(stats_mu_);
+  EngineStats st = read_metrics();
+  for (const CountField& f : kCountFields) st.*f.field -= run_start_.*f.field;
+  st.steps -= run_start_.steps;
+  st.decode_seconds -= run_start_.decode_seconds;
+  st.isa = run_start_.isa;
+  return st;
+}
+
+kv::EvictionTelemetry Engine::eviction_report() const {
+  const LockGuard lock(stats_mu_);
+  return eviction_agg_;
+}
+
 /// One run() call: the sequences, the scheduler, the step clock and the
-/// stats accumulator its phases share. Every sequence leaves through
+/// registry metrics its phases write. Every sequence leaves through
 /// finish(); finish() and park() drop KV state through release_kv().
 class Engine::Run {
  public:
@@ -156,12 +192,14 @@ class Engine::Run {
         pool_(engine.pool_.get()),
         prefix_index_(engine.prefix_index_.get()),
         sched_(engine.cfg_.scheduler) {
-    stats_.isa = cpu::isa_name(cpu::active_isa());
-    engine_.publish_stats(stats_);
-    if (pool_ != nullptr) {
-      pool_->reset_peaks();
-      stats_.pool_capacity_blocks = pool_->stats().capacity_blocks;
+    if (pool_ != nullptr) pool_->reset_peaks();
+    for (obs::Gauge* peak :
+         {&max_batch_, &max_tokens_, &max_blocks_, &max_fragmentation_}) {
+      peak->set(0.0);
     }
+    const LockGuard lock(engine_.stats_mu_);
+    engine_.run_start_ = engine_.read_metrics();
+    engine_.run_start_.isa = cpu::isa_name(cpu::active_isa());
   }
 
   Run(const Run&) = delete;
@@ -259,7 +297,6 @@ class Engine::Run {
     for (const std::size_t i : order) {
       if (!seqs_[i].finished()) sched_.submit(&seqs_[i]);
     }
-    engine_.publish_stats(stats_);
   }
 
   bool pending() const { return finished_ < seqs_.size(); }
@@ -374,8 +411,8 @@ class Engine::Run {
 
   // One decode step for the whole batch. The step wall covers the model
   // call AND per-sequence sampling/bookkeeping, so decode_seconds is the
-  // true decode-phase latency (prefill_seconds likewise includes its
-  // first-token selection).
+  // true decode-phase latency (a sequence's prefill_seconds likewise
+  // includes its first-token selection).
   void decode_step() {
     const std::vector<Sequence*> active(sched_.active().begin(),
                                         sched_.active().end());
@@ -405,12 +442,10 @@ class Engine::Run {
             logits.row(b), seq->recent_window(), seq->gen.repetition_penalty,
             seq->gen.banned_tokens);
         seq->commit(next);
-        ++stats_.decoded_tokens;
       }
     }
+    decoded_.add(active.size());
     const double dt = now_seconds() - t0;
-    stats_.decode_seconds += dt;
-    ++stats_.steps;
     engine_.hist_step_.record(dt);
     // Every active sequence committed one token this step: one shared
     // timestamp bounds the per-sequence inter-token gaps.
@@ -423,11 +458,6 @@ class Engine::Run {
       }
       seq->last_token_seconds = t_tokens;
     }
-    // Keep stats() live mid-run: one snapshot per decode step is the
-    // granularity an async front-end polls at (per-token would publish
-    // the same struct under the same lock anyway).
-    stats_.reservation_retries = sched_.reservation_retries();
-    engine_.publish_stats(stats_);
     for (Sequence* seq : active) {
       seq->decode_seconds += dt;
       if (seq->finished()) {
@@ -443,13 +473,8 @@ class Engine::Run {
   }
 
   std::vector<Response> respond() {
-    if (pool_ != nullptr) {
-      stats_.pool_peak_used_blocks = pool_->stats().peak_used_blocks;
-    }
-    stats_.reservation_retries = sched_.reservation_retries();
-    stats_.active_sequences = 0;  // run drained: occupancy series settles to 0
-    stats_.waiting_sequences = 0;
-    engine_.publish_stats(stats_);
+    active_.set(0.0);  // run drained: occupancy series settle to 0
+    waiting_.set(0.0);
 
     std::vector<Response> responses;
     responses.reserve(seqs_.size());
@@ -507,7 +532,6 @@ class Engine::Run {
     if (resume) seq.timeline.mark(TimelineEventKind::kResumed, t0);
     seq.timeline.mark(TimelineEventKind::kPrefillStart, t0);
     const std::span<const Token> prompt = seq.prompt;
-    std::size_t computed = prompt.size();  // prompt rows actually prefilled
     Tensor prompt_logits;
 
     // Resolve the prefix-cache match: the entry pinned at the admission
@@ -529,12 +553,11 @@ class Engine::Run {
       const std::size_t m = entry->tokens();
       prompt_logits = model_.prefill_continue(
           *seq.kv, prompt.subspan(m), m, *seq.policy, seq.gen.max_new_tokens);
-      computed = prompt.size() - m;
+      prefilled_.add(prompt.size() - m);
       adopted = true;
-      ++stats_.prefix_hits;
-      stats_.prefix_tokens_reused += m;
-      stats_.prefix_blocks_shared +=
-          model_.config().n_layers * entry->blocks_per_layer();
+      prefix_hits_.add();
+      prefix_reused_.add(m);
+      prefix_shared_.add(model_.config().n_layers * entry->blocks_per_layer());
     }
     unpin_prefix(seq);
 
@@ -553,20 +576,18 @@ class Engine::Run {
         seq.policy->set_budget(kv::CacheBudget{});
         model_.prefill_continue(*seq.kv, prompt.first(m), 0, *seq.policy,
                                 seq.gen.max_new_tokens);
+        prefilled_.add(m);
         seq.policy->set_budget(real_budget);
         prefix_index_->insert(prompt.first(m), *seq.kv,
                               seq.policy->export_score_state(m));
-        // Chunk boundary: publish so the monitoring surface moves during a
-        // long prefill instead of freezing at the last decode step.
-        stats_.prefilled_tokens += m;
-        engine_.publish_stats(stats_);
-        stats_.prefilled_tokens -= m;
         prompt_logits = model_.prefill_continue(
             *seq.kv, prompt.subspan(m), m, *seq.policy, seq.gen.max_new_tokens);
-        ++stats_.prefix_misses;
+        prefilled_.add(prompt.size() - m);
+        prefix_misses_.add();
       } else {
         prompt_logits = model_.prefill(*seq.kv, prompt, *seq.policy,
                                        seq.gen.max_new_tokens);
+        prefilled_.add(prompt.size());
       }
     }
 
@@ -588,7 +609,7 @@ class Engine::Run {
         model_.decode(*seq.kv, seq.tokens[i - 1], seq.prompt.size() + i - 1,
                       i, seq.gen.max_new_tokens, *seq.policy);
       }
-      stats_.resume_replayed_tokens += seq.tokens.size() - 1;
+      replayed_.add(seq.tokens.size() - 1);
       seq.peak_cache_tokens =
           std::max(seq.peak_cache_tokens, seq.kv->max_layer_tokens());
     } else if (seq.gen.max_new_tokens == 0) {
@@ -613,10 +634,7 @@ class Engine::Run {
       // step measures from the replay's end, not across the parked interval.
       seq.last_token_seconds = t_token;
     }
-    const double wall = now_seconds() - t0;
-    seq.prefill_seconds += wall;
-    stats_.prefilled_tokens += computed;
-    stats_.prefill_seconds += wall;
+    seq.prefill_seconds += now_seconds() - t0;
   }
 
   // Prefix boundary this sequence would index on a miss (block-aligned,
@@ -726,7 +744,6 @@ class Engine::Run {
     // the scheduler uncharges below.
     if (seq.kv != nullptr) seq.kv->clear();
     sched_.preempt(&seq, step_);
-    ++stats_.preemptions;
   }
 
   // The one exit, wherever the sequence is: active, waiting (parked or
@@ -744,11 +761,7 @@ class Engine::Run {
     seq.timeline.mark(TimelineEventKind::kFinished, now_seconds());
     unpin_prefix(seq);
     // Fold this sequence's eviction decisions (pre-park ones included) into
-    // the run counters, the engine-lifetime aggregate, and the per-policy
-    // registry counters.
-    stats_.eviction_decisions += seq.eviction.decisions();
-    stats_.evicted_tokens += seq.eviction.tokens_evicted();
-    stats_.kept_tokens += seq.eviction.tokens_kept();
+    // the engine-lifetime aggregate and the per-policy registry counters.
     if (seq.eviction.decisions() > 0) {
       {
         const LockGuard lock(engine_.stats_mu_);
@@ -775,25 +788,22 @@ class Engine::Run {
     }
     if (seq.finish == FinishReason::kTimeout) {
       KF_TRACE_INSTANT("timeout", "sched");
-      ++stats_.timeouts;
+      timeouts_.add();
     } else if (seq.finish == FinishReason::kRejected) {
       KF_TRACE_INSTANT("reject", "sched");
-      ++stats_.rejections;
+      rejections_.add();
     }
     ++finished_;
   }
 
   // KV release for a sequence leaving the active set (finish or park):
-  // uninstall the eviction sink; in paged mode count the layers' allocation
-  // failures and copy-on-write copies, then drop the layers so their blocks
-  // return to the pool. Token-mode state stays: external kv_state callers
-  // (generate() among them) read it after the run; park() clears it.
+  // uninstall the eviction sink; in paged mode drop the layers so their
+  // blocks return to the pool. Token-mode state stays: external kv_state
+  // callers (generate() among them) read it after the run; park() clears
+  // it.
   void release_kv(Sequence& seq) {
     seq.policy->set_eviction_sink(nullptr);
     if (pool_ == nullptr) return;
-    const PagedCounters c = paged_counters(seq);
-    stats_.alloc_failures += c.alloc_failures;
-    stats_.prefix_cow_copies += c.cow_copies;
     seq.owned_kv.reset();
     seq.kv = nullptr;
   }
@@ -815,23 +825,27 @@ class Engine::Run {
   // boundary (an escaping exception inside the parallel decode workers
   // is not an option — it would terminate the process).
   bool kv_alloc_failed(const Sequence& seq) const {
-    return pool_ != nullptr && paged_counters(seq).alloc_failures > 0;
+    if (pool_ == nullptr) return false;
+    for (std::size_t l = 0; l < seq.kv->n_layers(); ++l) {
+      const auto* paged =
+          dynamic_cast<const mem::PagedKvCache*>(&seq.kv->layer(l));
+      if (paged != nullptr && paged->alloc_failed()) return true;
+    }
+    return false;
   }
 
   void record_peak_use() {
-    stats_.max_tokens_in_use =
-        std::max(stats_.max_tokens_in_use, sched_.tokens_in_use());
-    stats_.max_blocks_in_use =
-        std::max(stats_.max_blocks_in_use, sched_.blocks_in_use());
+    raise_peak(max_tokens_, static_cast<double>(sched_.tokens_in_use()));
+    raise_peak(max_blocks_, static_cast<double>(sched_.blocks_in_use()));
   }
 
-  // Per-batch occupancy, published with this step's snapshot — the live
-  // series a Monitor samples (the engine loop owns the scheduler, so
-  // reading waiting() here is within its threading contract).
+  // Per-batch occupancy: the live gauges a Monitor samples (the engine
+  // loop owns the scheduler, so reading waiting() here is within its
+  // threading contract).
   void record_occupancy(std::span<Sequence* const> active) {
-    stats_.max_batch = std::max(stats_.max_batch, active.size());
-    stats_.active_sequences = active.size();
-    stats_.waiting_sequences = sched_.waiting().size();
+    active_.set(static_cast<double>(active.size()));
+    waiting_.set(static_cast<double>(sched_.waiting().size()));
+    raise_peak(max_batch_, static_cast<double>(active.size()));
     record_peak_use();
     if (pool_ == nullptr) return;
     // Internal fragmentation this step: tokens actually cached vs the
@@ -849,8 +863,8 @@ class Engine::Run {
       const double frag =
           std::max(0.0, 1.0 - static_cast<double>(live) /
                                   static_cast<double>(used_tokens));
-      stats_.cur_fragmentation = frag;
-      stats_.max_fragmentation = std::max(stats_.max_fragmentation, frag);
+      fragmentation_.set(frag);
+      raise_peak(max_fragmentation_, frag);
     }
   }
 
@@ -859,14 +873,31 @@ class Engine::Run {
   const EngineConfig& cfg_;
   mem::BlockPool* const pool_;
   mem::PrefixIndex* const prefix_index_;
-  /// Accumulated here and published as snapshots, so readers of stats()
-  /// never observe a half-updated struct.
-  EngineStats stats_;
   std::deque<Sequence> seqs_;  ///< stable addresses for the scheduler
   BatchScheduler sched_;
   std::size_t step_ = 0;
   std::size_t finished_ = 0;
   std::vector<model::DecodeSlot> slots_;
+  // The registry metrics this run writes, resolved once (lookups lock).
+  // Prefix hits and misses count prompts, unlike the index's per-lookup
+  // prefix.hits/prefix.misses. The max_* peaks restart at zero each run.
+  obs::MetricsRegistry& reg_ = engine_.metrics_;
+  obs::Counter& decoded_ = reg_.counter("serve.decoded_tokens");
+  obs::Counter& prefilled_ = reg_.counter("serve.prefilled_tokens");
+  obs::Counter& replayed_ = reg_.counter("serve.replayed_tokens");
+  obs::Counter& timeouts_ = reg_.counter("serve.timeouts");
+  obs::Counter& rejections_ = reg_.counter("serve.rejections");
+  obs::Counter& prefix_hits_ = reg_.counter("serve.prefix_hit_prompts");
+  obs::Counter& prefix_misses_ = reg_.counter("serve.prefix_miss_prompts");
+  obs::Counter& prefix_reused_ = reg_.counter("serve.prefix_reused_tokens");
+  obs::Counter& prefix_shared_ = reg_.counter("serve.prefix_shared_blocks");
+  obs::Gauge& active_ = reg_.gauge("serve.active_sequences");
+  obs::Gauge& waiting_ = reg_.gauge("serve.waiting_sequences");
+  obs::Gauge& fragmentation_ = reg_.gauge("serve.fragmentation");
+  obs::Gauge& max_batch_ = reg_.gauge("serve.max_batch");
+  obs::Gauge& max_tokens_ = reg_.gauge("serve.max_tokens_in_use");
+  obs::Gauge& max_blocks_ = reg_.gauge("serve.max_blocks_in_use");
+  obs::Gauge& max_fragmentation_ = reg_.gauge("serve.max_fragmentation");
 };
 
 std::vector<Response> Engine::run(std::span<const Request> requests) {
@@ -883,25 +914,25 @@ std::vector<Response> Engine::run(std::span<const Request> requests) {
 }
 
 void add_engine_probes(obs::Monitor& monitor, Engine& engine) {
-  Engine* e = &engine;
-  monitor.add_probe("engine.steps", [e] {
-    return static_cast<double>(e->stats().steps);
-  });
-  monitor.add_probe("engine.decoded_tokens", [e] {
-    return static_cast<double>(e->stats().decoded_tokens);
-  });
-  monitor.add_probe("engine.prefilled_tokens", [e] {
-    return static_cast<double>(e->stats().prefilled_tokens);
-  });
-  monitor.add_probe("engine.active_sequences", [e] {
-    return static_cast<double>(e->stats().active_sequences);
-  });
-  monitor.add_probe("engine.waiting_sequences", [e] {
-    return static_cast<double>(e->stats().waiting_sequences);
-  });
-  monitor.add_probe("engine.evicted_tokens", [e] {
-    return static_cast<double>(e->stats().evicted_tokens);
-  });
+  const obs::MetricsRegistry& reg = engine.metrics();
+  // Registry probes look their metric up by name on every poll.
+  const auto counter = [&](const char* series, const char* metric) {
+    monitor.add_probe(series, [&reg, metric] {
+      return static_cast<double>(reg.counter_sum(metric));
+    });
+  };
+  const auto gauge = [&](const char* series, const char* metric) {
+    monitor.add_probe(series,
+                      [&reg, metric] { return reg.gauge_value(metric); });
+  };
+  obs::Histogram& steps = engine.metrics().histogram("serve.step_seconds");
+  monitor.add_probe("engine.steps",
+                    [&steps] { return static_cast<double>(steps.count()); });
+  counter("engine.decoded_tokens", "serve.decoded_tokens");
+  counter("engine.prefilled_tokens", "serve.prefilled_tokens");
+  gauge("engine.active_sequences", "serve.active_sequences");
+  gauge("engine.waiting_sequences", "serve.waiting_sequences");
+  counter("engine.evicted_tokens", "evict.*.tokens_evicted");
   if (engine.pool() != nullptr) {
     const mem::BlockPool* pool = engine.pool();
     monitor.add_probe("pool.used_blocks", [pool] {
@@ -910,17 +941,19 @@ void add_engine_probes(obs::Monitor& monitor, Engine& engine) {
     monitor.add_probe("pool.reserved_blocks", [pool] {
       return static_cast<double>(pool->stats().reserved_blocks);
     });
-    monitor.add_probe("pool.fragmentation",
-                      [e] { return e->stats().cur_fragmentation; });
+    gauge("pool.fragmentation", "serve.fragmentation");
   }
   if (engine.prefix_index() != nullptr) {
-    monitor.add_probe("prefix.hit_rate",
-                      [e] { return e->stats().prefix_hit_rate(); });
+    monitor.add_probe("prefix.hit_rate", [&reg] {
+      EngineStats st;
+      st.prefix_hits = reg.counter_sum("serve.prefix_hit_prompts");
+      st.prefix_misses = reg.counter_sum("serve.prefix_miss_prompts");
+      return st.prefix_hit_rate();
+    });
   }
   // Per-window latency series (rate + window percentiles) for the two
   // distributions that move every step.
-  monitor.add_histogram_probe("step",
-                              engine.metrics().histogram("serve.step_seconds"));
+  monitor.add_histogram_probe("step", steps);
   monitor.add_histogram_probe(
       "itl", engine.metrics().histogram("serve.inter_token_seconds"));
 }

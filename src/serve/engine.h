@@ -115,7 +115,8 @@ struct EngineConfig {
   PreemptionConfig preempt;
 };
 
-/// Aggregate counters of one run() call.
+/// One run() call's figures, as Engine::stats() reads them from the
+/// metrics registry: counts and peaks since the run began.
 struct EngineStats {
   std::size_t steps = 0;             ///< decode iterations executed
   std::size_t decoded_tokens = 0;    ///< tokens produced by decode steps
@@ -138,11 +139,9 @@ struct EngineStats {
   /// Block adoptions served by sharing instead of fresh allocation
   /// (layers x chain blocks, summed over hits).
   std::size_t prefix_blocks_shared = 0;
-  /// Shared blocks privately copied when eviction/append first wrote them,
-  /// counted when a sequence's paged caches are released — at every exit
-  /// and at every park.
+  /// Shared blocks privately copied when eviction/append first wrote them.
   std::size_t prefix_cow_copies = 0;
-  // Robustness counters (published mid-run like everything else):
+  // Robustness counters:
   std::size_t preemptions = 0;  ///< sequences parked mid-decode
   std::size_t timeouts = 0;     ///< kTimeout finishes (deadline/queue cap)
   std::size_t rejections = 0;   ///< kRejected finishes (containment)
@@ -156,24 +155,17 @@ struct EngineStats {
   /// Block allocations that fell back to emergency heap memory (the
   /// no-throw decode path); every one forces a park or retirement.
   std::size_t alloc_failures = 0;
-  // Live-occupancy fields (current values at the publish point, not
-  // peaks — what a Monitor's per-batch occupancy series samples):
-  std::size_t active_sequences = 0;   ///< batch size at the last step
-  std::size_t waiting_sequences = 0;  ///< queue depth at the last step
-  /// Internal fragmentation at the last step (see max_fragmentation).
-  double cur_fragmentation = 0.0;
-  // Eviction introspection, accumulated when each sequence finishes —
+  // Eviction introspection, counted when each sequence finishes —
   // whatever its exit path — from its EvictionTelemetry (decisions made
   // before a park and replayed resume decisions included):
   std::size_t eviction_decisions = 0;  ///< compaction events executed
   std::size_t evicted_tokens = 0;      ///< cache rows dropped
   std::size_t kept_tokens = 0;         ///< cache rows retained at decisions
-  double prefill_seconds = 0.0;
   double decode_seconds = 0.0;  ///< summed batch-step walls
-  // Latency distributions (seconds), extracted from the engine's metrics
-  // histograms at every publish point. The histograms accumulate over the
-  // engine's *lifetime* — a monitoring surface, like the prefix index —
-  // so across several run() calls these summarize all of them.
+  // Latency distributions (seconds) from the engine's metrics histograms.
+  // The histograms accumulate over the engine's *lifetime* — a monitoring
+  // surface, like the prefix index — so across several run() calls these
+  // summarize all of them.
   obs::Percentiles ttft;          ///< first token minus first-seen-queued
   obs::Percentiles inter_token;   ///< gaps between committed decode tokens
   obs::Percentiles queue_wait;    ///< admission minus queued (per admission)
@@ -206,17 +198,15 @@ class Engine {
   explicit Engine(model::Transformer& model, EngineConfig cfg = {});
 
   const EngineConfig& config() const noexcept { return cfg_; }
-  /// The engine's metrics registry: serving counters and the latency
-  /// histograms behind EngineStats' percentile fields. The scheduler,
-  /// block pool, and prefix index it owns record here too. Internally
-  /// synchronized — safe to read from a monitoring thread mid-run.
+  /// The engine's metrics registry: every serving count, gauge and
+  /// latency histogram, recorded once where it happens (by the engine and
+  /// its scheduler, block pool and prefix index). Internally synchronized
+  /// — safe to read from a monitoring thread mid-run.
   const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
   obs::MetricsRegistry& metrics() noexcept { return metrics_; }
-  /// Snapshot of the most recent run()'s counters. run() accumulates
-  /// into run-local state and publishes under the stats mutex — at start,
-  /// after every decode step, and at finish — so this is safe to call
-  /// from any thread and tracks a run in flight at decode-step
-  /// granularity: the monitoring hook the async front-end will poll.
+  /// The most recent run()'s figures, built from the registry and the
+  /// pool on each call. Safe from any thread, and live while a run is in
+  /// flight: the monitoring hook the async front-end will poll.
   EngineStats stats() const KF_EXCLUDES(stats_mu_);
   /// The engine-owned block pool; null unless cfg.paged.enabled. Between
   /// run() calls the only blocks off the free lists are the prefix
@@ -264,15 +254,16 @@ class Engine {
   /// file comment). Defined in engine.cpp.
   class Run;
 
-  /// Publishes a run's accumulator as the visible stats() snapshot.
-  void publish_stats(const EngineStats& stats) KF_EXCLUDES(stats_mu_);
+  /// EngineStats straight from the registry and the pool: its counts are
+  /// engine-lifetime totals, which stats() offsets by run_start_.
+  EngineStats read_metrics() const;
 
   model::Transformer& model_;
   EngineConfig cfg_;
-  /// Guards the published stats snapshot: run() works on a local
-  /// accumulator and publishes here, so readers never see a torn update.
+  /// Guards what run() writes for other threads besides the registry.
   mutable Mutex stats_mu_;
-  EngineStats stats_ KF_GUARDED_BY(stats_mu_);
+  /// read_metrics() and the ISA when the current run() began.
+  EngineStats run_start_ KF_GUARDED_BY(stats_mu_);
   /// Engine-lifetime eviction aggregate (see eviction_report()).
   kv::EvictionTelemetry eviction_agg_ KF_GUARDED_BY(stats_mu_);
   /// Declared before the pool/index so it outlives them on destruction
@@ -292,9 +283,9 @@ class Engine {
 /// occupancy (active/waiting sequences), pool used/reserved blocks and
 /// fragmentation, prefix-cache hit rate, plus per-window rate/percentile
 /// histogram probes for the step and inter-token latency distributions.
-/// Every probe reads a thread-safe surface (Engine::stats(),
-/// BlockPool::stats(), registry histograms), so the monitor may poll a
-/// run in flight. `engine` must outlive the polling.
+/// Counter series are engine-lifetime. Every probe reads a thread-safe
+/// surface (registry metrics, BlockPool::stats()), so the monitor may
+/// poll a run in flight. `engine` must outlive the polling.
 void add_engine_probes(obs::Monitor& monitor, Engine& engine);
 
 }  // namespace kf::serve

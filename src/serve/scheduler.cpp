@@ -126,10 +126,7 @@ std::vector<Sequence*> BatchScheduler::admit(std::size_t now_step) {
     waiting_.pop_front();
     head->status = SequenceStatus::kActive;
     head->charged_tokens = head->admission_cost_tokens();
-    {
-      const LockGuard lock(counters_mu_);
-      tokens_in_use_ += head->charged_tokens;
-    }
+    tokens_in_use_ += head->charged_tokens;
     if (cfg_.pool != nullptr) {
       const auto placement = choose_shard(*head);
       // fits() said yes a moment ago, but the reservation can still be
@@ -140,11 +137,7 @@ std::vector<Sequence*> BatchScheduler::admit(std::size_t now_step) {
       // for a race to be the explanation.
       if (!placement.has_value() ||
           !cfg_.pool->try_reserve(placement->shard, placement->demand)) {
-        {
-          const LockGuard lock(counters_mu_);
-          tokens_in_use_ -= head->charged_tokens;
-          ++reservation_retries_;
-        }
+        tokens_in_use_ -= head->charged_tokens;
         if (ctr_retries_ != nullptr) ctr_retries_->add();
         head->charged_tokens = 0;
         ++head->reserve_failures;
@@ -166,10 +159,7 @@ std::vector<Sequence*> BatchScheduler::admit(std::size_t now_step) {
       head->reserve_failures = 0;
       head->shard = placement->shard;
       head->reserved_blocks = placement->demand;
-      {
-        const LockGuard lock(counters_mu_);
-        blocks_in_use_ += placement->demand;
-      }
+      blocks_in_use_ += placement->demand;
     }
     head->admitted_step = now_step;
     active_.push_back(head);
@@ -191,17 +181,11 @@ void BatchScheduler::preempt(Sequence* seq, std::size_t now_step) {
     throw std::invalid_argument("preempt of a sequence that is not active");
   }
   active_.erase(it);
-  {
-    const LockGuard lock(counters_mu_);
-    tokens_in_use_ -= seq->charged_tokens;
-  }
+  tokens_in_use_ -= seq->charged_tokens;
   seq->charged_tokens = 0;
   if (cfg_.pool != nullptr && seq->shard != Sequence::kNoShard) {
     cfg_.pool->unreserve(seq->shard, seq->reserved_blocks);
-    {
-      const LockGuard lock(counters_mu_);
-      blocks_in_use_ -= seq->reserved_blocks;
-    }
+    blocks_in_use_ -= seq->reserved_blocks;
     seq->reserved_blocks = 0;
     seq->shard = Sequence::kNoShard;
   }
@@ -247,11 +231,7 @@ void BatchScheduler::settle(Sequence* seq) {
     throw std::invalid_argument("settle of a sequence that is not active");
   }
   const std::size_t steady = seq->cost_tokens();
-  {
-    const LockGuard lock(counters_mu_);
-    tokens_in_use_ -=
-        seq->charged_tokens - std::min(seq->charged_tokens, steady);
-  }
+  tokens_in_use_ -= seq->charged_tokens - std::min(seq->charged_tokens, steady);
   seq->charged_tokens = std::min(seq->charged_tokens, steady);
   if (cfg_.pool != nullptr && seq->shard != Sequence::kNoShard) {
     const std::size_t steady_blocks =
@@ -261,7 +241,6 @@ void BatchScheduler::settle(Sequence* seq) {
     if (excess > 0) {
       cfg_.pool->unreserve(seq->shard, excess);
       seq->reserved_blocks = steady_blocks;
-      const LockGuard lock(counters_mu_);
       blocks_in_use_ -= excess;
     }
   }
@@ -273,17 +252,11 @@ void BatchScheduler::release(Sequence* seq) {
     throw std::invalid_argument("release of a sequence that is not active");
   }
   active_.erase(it);
-  {
-    const LockGuard lock(counters_mu_);
-    tokens_in_use_ -= seq->charged_tokens;
-  }
+  tokens_in_use_ -= seq->charged_tokens;
   seq->charged_tokens = 0;
   if (cfg_.pool != nullptr && seq->shard != Sequence::kNoShard) {
     cfg_.pool->unreserve(seq->shard, seq->reserved_blocks);
-    {
-      const LockGuard lock(counters_mu_);
-      blocks_in_use_ -= seq->reserved_blocks;
-    }
+    blocks_in_use_ -= seq->reserved_blocks;
     seq->reserved_blocks = 0;
     seq->shard = Sequence::kNoShard;
   }

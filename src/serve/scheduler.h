@@ -57,8 +57,6 @@
 #include <span>
 #include <vector>
 
-#include "core/annotations.h"
-#include "core/mutex.h"
 #include "serve/sequence.h"
 
 namespace kf::mem {
@@ -160,24 +158,9 @@ class BatchScheduler {
   /// matches before each admission round).
   const std::deque<Sequence*>& waiting() const noexcept { return waiting_; }
   /// Summed charged tokens of the active set (tracked in both modes).
-  /// Guarded: safe to read from a monitoring thread while the engine loop
-  /// admits/settles/releases.
-  std::size_t tokens_in_use() const KF_EXCLUDES(counters_mu_) {
-    const LockGuard lock(counters_mu_);
-    return tokens_in_use_;
-  }
+  std::size_t tokens_in_use() const noexcept { return tokens_in_use_; }
   /// Summed reserved blocks of the active set (block mode; 0 otherwise).
-  /// Guarded like tokens_in_use().
-  std::size_t blocks_in_use() const KF_EXCLUDES(counters_mu_) {
-    const LockGuard lock(counters_mu_);
-    return blocks_in_use_;
-  }
-  /// Admissions rolled back because a block reservation failed after
-  /// fits() (TOCTOU losses and injected faults). Guarded for monitors.
-  std::size_t reservation_retries() const KF_EXCLUDES(counters_mu_) {
-    const LockGuard lock(counters_mu_);
-    return reservation_retries_;
-  }
+  std::size_t blocks_in_use() const noexcept { return blocks_in_use_; }
 
   /// Arrival step of the queue head (the next sequence to admit), empty
   /// when no sequence is waiting. The engine jumps its clock here when the
@@ -200,17 +183,14 @@ class BatchScheduler {
       const std::vector<std::size_t>& candidates, std::size_t demand) const;
 
   SchedulerConfig cfg_;
-  /// Queue/active-set structure is engine-loop-only (single writer, no
-  /// concurrent readers); only the in-use counters below are shared with
-  /// monitoring readers and guarded.
+  /// Engine-loop-only state (single writer, no concurrent readers): the
+  /// monitoring surface is the registry counters below.
   std::deque<Sequence*> waiting_;
   std::vector<Sequence*> active_;
   /// Admission-rejected sequences awaiting the engine's drain.
   std::vector<Sequence*> rejected_;
-  mutable Mutex counters_mu_;
-  std::size_t tokens_in_use_ KF_GUARDED_BY(counters_mu_) = 0;
-  std::size_t blocks_in_use_ KF_GUARDED_BY(counters_mu_) = 0;
-  std::size_t reservation_retries_ KF_GUARDED_BY(counters_mu_) = 0;
+  std::size_t tokens_in_use_ = 0;
+  std::size_t blocks_in_use_ = 0;
   /// Registry-owned counters, resolved once in the constructor; null when
   /// cfg_.metrics is null. The engine-loop-only call sites bump them with
   /// one relaxed sharded add.

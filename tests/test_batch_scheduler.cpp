@@ -7,6 +7,7 @@
 #include "kvcache/policy_factory.h"
 #include "mem/block_pool.h"
 #include "mem/prefix_index.h"
+#include "obs/metrics.h"
 
 namespace kf::serve {
 namespace {
@@ -531,9 +532,11 @@ TEST(BatchScheduler, ReservationDeniedRetriesThenRejectsAtCap) {
   mem::BlockPool pool(block_pool_config(1, 12));
   AlwaysFailReserve inject;
   pool.set_fault_injector(&inject);
+  obs::MetricsRegistry reg;
   SchedulerConfig cfg;
   cfg.pool = &pool;
   cfg.max_reserve_retries = 3;
+  cfg.metrics = &reg;
   BatchScheduler sched(cfg);
   Sequence s = make_block_seq(16, 0.5);
   sched.submit(&s);
@@ -546,7 +549,7 @@ TEST(BatchScheduler, ReservationDeniedRetriesThenRejectsAtCap) {
     EXPECT_EQ(sched.tokens_in_use(), 0u);
     EXPECT_EQ(sched.waiting_count(), 1u);
   }
-  EXPECT_EQ(sched.reservation_retries(), 3u);
+  EXPECT_EQ(reg.counter("sched.reservation_retries").value(), 3u);
   // Round 4 crosses max_reserve_retries: rejected, queue drained.
   EXPECT_TRUE(sched.admit(0).empty());
   EXPECT_EQ(s.finish, FinishReason::kRejected);

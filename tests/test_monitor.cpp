@@ -182,6 +182,11 @@ TEST(Monitor, PollsLiveEngineRun) {
 
   Monitor monitor({.period_ms = 1.0});
   serve::add_engine_probes(monitor, engine);
+  // The EngineStats view itself, polled mid-run: TSan checks its reads of
+  // the run-start capture, the registry and the pool against the run.
+  monitor.add_probe("test.stats_decoded_tokens", [&engine] {
+    return static_cast<double>(engine.stats().decoded_tokens);
+  });
   monitor.start();
   std::vector<serve::Response> responses;
   std::thread runner([&] { responses = engine.run(requests); });
@@ -198,6 +203,8 @@ TEST(Monitor, PollsLiveEngineRun) {
   ASSERT_FALSE(steps.empty());
   EXPECT_DOUBLE_EQ(steps.last(), static_cast<double>(st.steps));
   EXPECT_DOUBLE_EQ(monitor.series("engine.decoded_tokens").last(),
+                   static_cast<double>(st.decoded_tokens));
+  EXPECT_DOUBLE_EQ(monitor.series("test.stats_decoded_tokens").last(),
                    static_cast<double>(st.decoded_tokens));
   // Occupancy probes return to zero once the run drains.
   EXPECT_DOUBLE_EQ(monitor.series("engine.active_sequences").last(),

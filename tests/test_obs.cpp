@@ -228,6 +228,28 @@ TEST(MetricsRegistry, LookupIsStableAndCreatesOnce) {
   EXPECT_EQ(rows[2].percentiles.count, 1u);
 }
 
+TEST(MetricsRegistry, ReadOnlyLookupsSumFamiliesAndCreateNothing) {
+  MetricsRegistry reg;
+  reg.counter("evict.h2o.decisions").add(2);
+  reg.counter("evict.keyformer.decisions").add(5);
+  reg.counter("evict.keyformer.tokens_kept").add(100);
+  reg.counter("evict.decisions_total").add(1000);
+  reg.counter("sched.preempted").add(3);
+  reg.counter("sched.preempted_x").add(7);
+  reg.gauge("serve.max_batch").set(4.0);
+  // A family sums every name around the star, and nothing else.
+  EXPECT_EQ(reg.counter_sum("evict.*.decisions"), 7u);
+  EXPECT_EQ(reg.counter_sum("evict.*.tokens_kept"), 100u);
+  // An exact name reads that counter alone, not ones it prefixes.
+  EXPECT_EQ(reg.counter_sum("sched.preempted"), 3u);
+  EXPECT_DOUBLE_EQ(reg.gauge_value("serve.max_batch"), 4.0);
+  // Absent names read 0 and are not created.
+  EXPECT_EQ(reg.counter_sum("serve.timeouts"), 0u);
+  EXPECT_EQ(reg.counter_sum("evict.*.tokens_evicted"), 0u);
+  EXPECT_DOUBLE_EQ(reg.gauge_value("serve.active_sequences"), 0.0);
+  EXPECT_EQ(reg.rows().size(), 7u);
+}
+
 TEST(MetricsRegistry, PercentileColumnSchema) {
   const std::vector<std::string> cols = percentile_columns("ttft");
   ASSERT_EQ(cols.size(), 3u);

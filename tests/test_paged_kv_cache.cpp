@@ -7,6 +7,7 @@
 
 #include "core/rng.h"
 #include "kvcache/kv_cache.h"
+#include "obs/metrics.h"
 
 namespace kf::mem {
 namespace {
@@ -19,6 +20,13 @@ BlockPoolConfig pool_config(std::size_t block_tokens = 4,
   cfg.block_tokens = block_tokens;
   cfg.n_heads = n_heads;
   cfg.d_head = d_head;
+  return cfg;
+}
+
+/// pool_config(4) counting into `reg` (pool.cow_copies and the rest).
+BlockPoolConfig metered_config(obs::MetricsRegistry& reg) {
+  BlockPoolConfig cfg = pool_config(/*block_tokens=*/4);
+  cfg.metrics = &reg;
   return cfg;
 }
 
@@ -244,7 +252,8 @@ std::vector<std::vector<double>> snapshot_scores(const PagedKvCache& c,
 }
 
 TEST(PagedKvCache, AdoptPrefixSharesBlocksAndSeedsMetadata) {
-  BlockPool pool(pool_config(/*block_tokens=*/4));
+  obs::MetricsRegistry reg;
+  BlockPool pool(metered_config(reg));
   PagedKvCache donor(pool, 0);
   fill_prefix(donor, 8);  // exactly 2 blocks
   const std::vector<BlockRef> chain(donor.blocks().begin(),
@@ -272,7 +281,7 @@ TEST(PagedKvCache, AdoptPrefixSharesBlocksAndSeedsMetadata) {
   reader.append(k, k, 8);
   EXPECT_EQ(reader.blocks_held(), 3u);
   EXPECT_EQ(reader.shared_blocks(), 2u);
-  EXPECT_EQ(reader.cow_copies(), 0u);
+  EXPECT_EQ(reg.counter("pool.cow_copies").value(), 0u);
 }
 
 TEST(PagedKvCache, AdoptPrefixValidatesAlignmentAndEmptiness) {
@@ -294,7 +303,8 @@ TEST(PagedKvCache, AdoptPrefixValidatesAlignmentAndEmptiness) {
 }
 
 TEST(PagedKvCache, CompactCopiesSharedDestinationBlocksOnWrite) {
-  BlockPool pool(pool_config(/*block_tokens=*/4));
+  obs::MetricsRegistry reg;
+  BlockPool pool(metered_config(reg));
   PagedKvCache donor(pool, 0);
   fill_prefix(donor, 12);  // 3 blocks
   const std::vector<BlockRef> chain(donor.blocks().begin(),
@@ -308,7 +318,7 @@ TEST(PagedKvCache, CompactCopiesSharedDestinationBlocksOnWrite) {
   reader.compact(keep);
   EXPECT_EQ(reader.size(), 8u);
   EXPECT_EQ(reader.blocks_held(), 2u);
-  EXPECT_EQ(reader.cow_copies(), 1u);
+  EXPECT_EQ(reg.counter("pool.cow_copies").value(), 1u);
   EXPECT_EQ(reader.shared_blocks(), 1u);  // block 0 still shared
   EXPECT_EQ(reader.blocks()[0].id, chain[0].id);
   EXPECT_NE(reader.blocks()[1].id, chain[1].id);
@@ -330,7 +340,8 @@ TEST(PagedKvCache, CompactCopiesSharedDestinationBlocksOnWrite) {
 }
 
 TEST(PagedKvCache, AppendIntoSharedPartialTailCopiesFirst) {
-  BlockPool pool(pool_config(/*block_tokens=*/4));
+  obs::MetricsRegistry reg;
+  BlockPool pool(metered_config(reg));
   PagedKvCache donor(pool, 0);
   fill_prefix(donor, 8);
   const std::vector<BlockRef> chain(donor.blocks().begin(),
@@ -341,20 +352,21 @@ TEST(PagedKvCache, AppendIntoSharedPartialTailCopiesFirst) {
   // tail block now has free slots.
   const std::vector<std::size_t> identity{0, 1, 2, 3, 4, 5};
   reader.compact(identity);
-  EXPECT_EQ(reader.cow_copies(), 0u);
+  EXPECT_EQ(reg.counter("pool.cow_copies").value(), 0u);
   EXPECT_EQ(reader.shared_blocks(), 2u);
   // Appending into the shared tail's free slot must copy it first — the
   // donor still reads its own rows 6 and 7 through that block.
   const auto k = ramp_row(reader.row_width(), 77.0F);
   reader.append(k, k, 20);
-  EXPECT_EQ(reader.cow_copies(), 1u);
+  EXPECT_EQ(reg.counter("pool.cow_copies").value(), 1u);
   EXPECT_EQ(reader.key_row(6), k);
   EXPECT_EQ(donor.key_row(6), ramp_row(donor.row_width(), 6.0F));
   EXPECT_EQ(donor.key_row(7), ramp_row(donor.row_width(), 7.0F));
 }
 
 TEST(PagedKvCache, CowSkipsCopyWhenLastReader) {
-  BlockPool pool(pool_config(/*block_tokens=*/4));
+  obs::MetricsRegistry reg;
+  BlockPool pool(metered_config(reg));
   std::vector<BlockRef> chain;
   {
     PagedKvCache donor(pool, 0);
@@ -370,7 +382,7 @@ TEST(PagedKvCache, CowSkipsCopyWhenLastReader) {
   // A mutating compact now writes in place: no copy, block id unchanged.
   const std::vector<std::size_t> keep{0, 2, 3};
   reader.compact(keep);
-  EXPECT_EQ(reader.cow_copies(), 0u);
+  EXPECT_EQ(reg.counter("pool.cow_copies").value(), 0u);
   EXPECT_EQ(reader.shared_blocks(), 0u);
   EXPECT_EQ(reader.blocks()[0].id, chain[0].id);
 }
@@ -388,7 +400,8 @@ TEST(PagedKvCache, AllocationFailureFallsBackToEmergencyBlocksExactly) {
   // alloc_failed() and keeps the step numerically exact on emergency heap
   // memory — reads return the real rows, and teardown never touches the
   // pool for emergency refs.
-  BlockPool pool(pool_config(/*block_tokens=*/4));
+  obs::MetricsRegistry reg;
+  BlockPool pool(metered_config(reg));
   PagedKvCache c(pool, 0);
   // First block from the pool, then cut the supply.
   for (std::size_t t = 0; t < 4; ++t) {
@@ -403,7 +416,8 @@ TEST(PagedKvCache, AllocationFailureFallsBackToEmergencyBlocksExactly) {
     c.append(k, k, t);
   }
   EXPECT_TRUE(c.alloc_failed());
-  EXPECT_EQ(c.alloc_failures(), 1u);  // one emergency block covers 4..6
+  // One emergency block covers 4..6.
+  EXPECT_EQ(reg.counter("pool.emergency_blocks").value(), 1u);
   EXPECT_EQ(c.size(), 7u);
   // The pool only ever granted the first block.
   EXPECT_EQ(pool.shard_stats(0).used_blocks, 1u);

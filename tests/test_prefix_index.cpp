@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "mem/paged_kv_cache.h"
+#include "obs/metrics.h"
 
 namespace kf::mem {
 namespace {
@@ -26,10 +27,12 @@ BlockPoolConfig pool_config(std::size_t shards = 1,
   return cfg;
 }
 
-PrefixIndexConfig index_config(std::size_t max_blocks = 0) {
+PrefixIndexConfig index_config(std::size_t max_blocks = 0,
+                               obs::MetricsRegistry* metrics = nullptr) {
   PrefixIndexConfig cfg;
   cfg.n_layers = kLayers;
   cfg.max_blocks = max_blocks;
+  cfg.metrics = metrics;
   return cfg;
 }
 
@@ -86,7 +89,8 @@ TEST(PrefixIndex, InsertSharesTheLiveChainWithoutCopying) {
 
 TEST(PrefixIndex, InsertRejectsIneligibleRuns) {
   BlockPool pool(pool_config());
-  PrefixIndex index(pool, index_config());
+  obs::MetricsRegistry reg;
+  PrefixIndex index(pool, index_config(0, &reg));
   const auto run = make_run(8);
   auto state = fill_state(pool, 0, run);
   // Not block-aligned.
@@ -97,12 +101,13 @@ TEST(PrefixIndex, InsertRejectsIneligibleRuns) {
   const PrefixEntry* a = index.insert(run, state, {});
   const PrefixEntry* b = index.insert(run, state, {});
   EXPECT_EQ(a, b);
-  EXPECT_EQ(index.stats().insertions, 1u);
+  EXPECT_EQ(reg.counter("prefix.insertions").value(), 1u);
 }
 
 TEST(PrefixIndex, LookupFindsLongestIndexedPrefix) {
   BlockPool pool(pool_config());
-  PrefixIndex index(pool, index_config());
+  obs::MetricsRegistry reg;
+  PrefixIndex index(pool, index_config(0, &reg));
   const auto long_run = make_run(12);
   const std::span<const PrefixToken> short_run(long_run.data(), 4);
   auto state_a = fill_state(pool, 0, short_run);
@@ -122,8 +127,10 @@ TEST(PrefixIndex, LookupFindsLongestIndexedPrefix) {
   // A prompt diverging immediately misses.
   prompt[0] = 999;
   EXPECT_EQ(index.lookup(prompt, prompt.size() - 1), nullptr);
-  EXPECT_EQ(index.stats().lookups, 4u);
-  EXPECT_EQ(index.stats().lookup_hits, 3u);
+  EXPECT_EQ(reg.counter("prefix.hits").value() +
+                reg.counter("prefix.misses").value(),
+            4u);
+  EXPECT_EQ(reg.counter("prefix.hits").value(), 3u);
 }
 
 TEST(PrefixIndex, AdoptSeedsCachesFromTheSharedChain) {
@@ -154,7 +161,8 @@ TEST(PrefixIndex, AdoptSeedsCachesFromTheSharedChain) {
 
 TEST(PrefixIndex, AdoptReplicatesAcrossShards) {
   BlockPool pool(pool_config(/*shards=*/2, /*blocks_per_shard=*/16));
-  PrefixIndex index(pool, index_config());
+  obs::MetricsRegistry reg;
+  PrefixIndex index(pool, index_config(0, &reg));
   const auto run = make_run(8);
   auto donor = fill_state(pool, 0, run);
   const PrefixEntry* entry = index.insert(run, donor, {});
@@ -164,7 +172,7 @@ TEST(PrefixIndex, AdoptReplicatesAcrossShards) {
   kv::SequenceKvState reader(pool, 1, kLayers);
   ASSERT_TRUE(index.adopt(entry, reader));
   EXPECT_TRUE(index.resident_on(entry, 1));
-  EXPECT_EQ(index.stats().replications, 1u);
+  EXPECT_EQ(reg.counter("prefix.replications").value(), 1u);
   // The replica is a real copy on shard 1, reserved there.
   EXPECT_EQ(pool.shard_stats(1).used_blocks, kLayers * 2);
   EXPECT_EQ(pool.shard_stats(1).reserved_blocks, kLayers * 2);
@@ -172,14 +180,15 @@ TEST(PrefixIndex, AdoptReplicatesAcrossShards) {
   // A second shard-1 adopter shares the replica instead of copying again.
   kv::SequenceKvState reader2(pool, 1, kLayers);
   ASSERT_TRUE(index.adopt(entry, reader2));
-  EXPECT_EQ(index.stats().replications, 1u);
+  EXPECT_EQ(reg.counter("prefix.replications").value(), 1u);
   EXPECT_EQ(pool.shard_stats(1).used_blocks, kLayers * 2);
 }
 
 TEST(PrefixIndex, LruTrimUnderBlockBudgetSkipsPinned) {
   BlockPool pool(pool_config());
   // Budget fits exactly two 2-block-per-layer entries.
-  PrefixIndex index(pool, index_config(/*max_blocks=*/2 * kLayers * 2));
+  obs::MetricsRegistry reg;
+  PrefixIndex index(pool, index_config(/*max_blocks=*/2 * kLayers * 2, &reg));
   const auto run_a = make_run(8, 0);
   const auto run_b = make_run(8, 100);
   const auto run_c = make_run(8, 200);
@@ -195,7 +204,7 @@ TEST(PrefixIndex, LruTrimUnderBlockBudgetSkipsPinned) {
   index.lookup(run_a, run_a.size());
   ASSERT_NE(index.insert(run_c, state_c, {}), nullptr);
   EXPECT_EQ(index.stats().entries, 2u);
-  EXPECT_EQ(index.stats().trims, 1u);
+  EXPECT_EQ(reg.counter("prefix.trims").value(), 1u);
   EXPECT_EQ(index.lookup(run_b, run_b.size()), nullptr);
   EXPECT_NE(index.lookup(run_a, run_a.size()), nullptr);
 
@@ -246,7 +255,8 @@ TEST(PrefixIndex, AdoptReplicationTrimKeepsSurvivingRecordsStable) {
   // trims of other entries.
   BlockPool pool(pool_config(/*shards=*/2, /*blocks_per_shard=*/16));
   // Budget fits exactly two 2-block-per-layer chains: A plus B, no replica.
-  PrefixIndex index(pool, index_config(/*max_blocks=*/2 * kLayers * 2));
+  obs::MetricsRegistry reg;
+  PrefixIndex index(pool, index_config(/*max_blocks=*/2 * kLayers * 2, &reg));
   const auto run_a = make_run(8, 0);
   const auto run_b = make_run(8, 100);
   auto state_a = fill_state(pool, 0, run_a);
@@ -261,7 +271,7 @@ TEST(PrefixIndex, AdoptReplicationTrimKeepsSurvivingRecordsStable) {
   kv::SequenceKvState reader(pool, 1, kLayers);
   ASSERT_TRUE(index.adopt(b, reader));
   EXPECT_EQ(index.stats().entries, 1u);
-  EXPECT_EQ(index.stats().trims, 1u);
+  EXPECT_EQ(reg.counter("prefix.trims").value(), 1u);
   EXPECT_TRUE(index.resident_on(b, 1));
   // The adopt-internal pin was taken and released on the SAME record.
   EXPECT_EQ(index.pins(b), 0u);
@@ -335,7 +345,8 @@ TEST(PrefixIndex, InsertReservationPressureTrimsResidentEntries) {
   // leaves 2 unreserved, so indexing a second state must trim the first
   // entry to find room (its blocks are the only reclaimable ones).
   BlockPool pool(pool_config(/*shards=*/1, /*blocks_per_shard=*/10));
-  PrefixIndex index(pool, index_config());
+  obs::MetricsRegistry reg;
+  PrefixIndex index(pool, index_config(0, &reg));
   const auto run_a = make_run(8, 0);
   const auto run_b = make_run(8, 100);
   auto state_a = fill_state(pool, 0, run_a);
@@ -345,7 +356,7 @@ TEST(PrefixIndex, InsertReservationPressureTrimsResidentEntries) {
   ASSERT_TRUE(pool.try_reserve(0, 4));  // squeeze: 4 index + 4 fake = 8/12
   const PrefixEntry* b = index.insert(run_b, state_b, {});
   ASSERT_NE(b, nullptr);  // trimmed entry a to fit
-  EXPECT_EQ(index.stats().trims, 1u);
+  EXPECT_EQ(reg.counter("prefix.trims").value(), 1u);
   EXPECT_EQ(index.lookup(run_a, run_a.size()), nullptr);
   pool.unreserve(0, 4);
 }

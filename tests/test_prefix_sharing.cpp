@@ -246,7 +246,7 @@ TEST(PrefixSharing, CallerOwnedPoliciesBypassTheCache) {
   engine.run(requests);
   EXPECT_EQ(engine.stats().prefix_hits, 0u);
   EXPECT_EQ(engine.stats().prefix_misses, 0u);
-  EXPECT_EQ(engine.prefix_index()->stats().insertions, 0u);
+  EXPECT_EQ(engine.metrics().counter("prefix.insertions").value(), 0u);
 }
 
 TEST(PrefixSharing, StaggeredArrivalsNeverChargeMoreThanUnshared) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,7 @@
 
 #include "engine_accounting.h"
 #include "mem/block_pool.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
@@ -358,6 +360,159 @@ TEST(ServeTimeline, ParkCountsCopyOnWriteCopies) {
   EXPECT_GT(twin_engine.stats().prefix_cow_copies, 0u);
   EXPECT_EQ(parked_engine.stats().prefix_cow_copies,
             twin_engine.stats().prefix_cow_copies);
+}
+
+/// EngineStats' counts and per-run peaks: everything but the timings and
+/// the engine-lifetime latency distributions.
+constexpr std::size_t EngineStats::*kRunCounts[] = {
+    &EngineStats::steps,
+    &EngineStats::decoded_tokens,
+    &EngineStats::prefilled_tokens,
+    &EngineStats::max_batch,
+    &EngineStats::max_tokens_in_use,
+    &EngineStats::max_blocks_in_use,
+    &EngineStats::pool_peak_used_blocks,
+    &EngineStats::pool_capacity_blocks,
+    &EngineStats::prefix_hits,
+    &EngineStats::prefix_misses,
+    &EngineStats::prefix_tokens_reused,
+    &EngineStats::prefix_blocks_shared,
+    &EngineStats::prefix_cow_copies,
+    &EngineStats::preemptions,
+    &EngineStats::timeouts,
+    &EngineStats::rejections,
+    &EngineStats::resume_replayed_tokens,
+    &EngineStats::reservation_retries,
+    &EngineStats::alloc_failures,
+    &EngineStats::eviction_decisions,
+    &EngineStats::evicted_tokens,
+    &EngineStats::kept_tokens,
+};
+
+TEST(ServeTimeline, StatsArePerRunOnAReusedEngine) {
+  // stats() views one run even when the engine has run before: the
+  // second of two identical paged runs (prefix cache off, one
+  // preemption each) reports exactly what a fresh engine's only run
+  // does, while the registry's counters hold both runs.
+  ModelConfig cfg = tiny_config();
+  Transformer m(cfg);
+  const std::vector<Request> requests = preempt_then_timeout_requests();
+
+  Engine fresh(m, preempt_then_timeout_config());
+  fresh.run(requests);
+  const EngineStats once = fresh.stats();
+  ASSERT_EQ(once.preemptions, 1u);
+  ASSERT_GT(once.decoded_tokens, 0u);
+
+  Engine reused(m, preempt_then_timeout_config());
+  reused.run(requests);
+  reused.run(requests);
+  const EngineStats second = reused.stats();
+  for (std::size_t i = 0; i < std::size(kRunCounts); ++i) {
+    EXPECT_EQ(second.*kRunCounts[i], once.*kRunCounts[i]) << "field " << i;
+  }
+  EXPECT_EQ(second.max_fragmentation, once.max_fragmentation);
+  EXPECT_EQ(reused.metrics().counter("sched.preempted").value(),
+            2 * once.preemptions);
+  EXPECT_EQ(reused.metrics().counter("serve.decoded_tokens").value(),
+            2 * once.decoded_tokens);
+}
+
+/// The value of Prometheus sample `name` in `text`; -1 when absent.
+double prometheus_sample(const std::string& text, const std::string& name) {
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind(name + " ", 0) == 0) {
+      return std::stod(line.substr(name.size() + 1));
+    }
+  }
+  return -1.0;
+}
+
+TEST(ServeTimeline, PrometheusExportsEveryEngineCount) {
+  // One paged run with the prefix cache touching every count: requests 0
+  // and 1 contend for a small pool, each inserting its prompt prefix,
+  // copying the shared blocks it evicts into, being parked, and resuming
+  // by adopting a cached prefix (a per-prompt hit) and replaying its
+  // tokens. Request 2 times out in the queue and request 3 (empty prompt)
+  // is rejected. Each count's kf_*_total sample must equal stats().
+  ModelConfig cfg = tiny_config();
+  Transformer m(cfg);
+  EngineConfig ec = preempt_then_timeout_config();
+  ec.prefix.enabled = true;
+  ec.prefix.max_blocks = 6;
+  ec.paged.blocks_per_shard = 16;
+  std::vector<Request> requests = preempt_then_timeout_requests();
+  requests[0].deadline_steps = 0;
+  requests.resize(4);
+  requests[2].id = 2;
+  requests[2].prompt = make_prompt(32, 2);
+  requests[2].arrival_step = 5;
+  requests[2].max_queue_steps = 1;
+  requests[3].id = 3;
+  Engine engine(m, ec);
+  const auto responses = engine.run(requests);
+  ASSERT_EQ(responses.size(), 4u);
+  EXPECT_EQ(responses[0].finish, FinishReason::kLength);
+  EXPECT_EQ(responses[1].finish, FinishReason::kLength);
+
+  const EngineStats st = engine.stats();
+  const std::string text = obs::to_prometheus(engine.metrics());
+  const std::pair<const char*, std::size_t> counts[] = {
+      {"kf_serve_decoded_tokens_total", st.decoded_tokens},
+      {"kf_serve_prefilled_tokens_total", st.prefilled_tokens},
+      {"kf_serve_replayed_tokens_total", st.resume_replayed_tokens},
+      {"kf_serve_timeouts_total", st.timeouts},
+      {"kf_serve_rejections_total", st.rejections},
+      {"kf_serve_prefix_hit_prompts_total", st.prefix_hits},
+      {"kf_serve_prefix_miss_prompts_total", st.prefix_misses},
+      {"kf_serve_prefix_reused_tokens_total", st.prefix_tokens_reused},
+      {"kf_serve_prefix_shared_blocks_total", st.prefix_blocks_shared},
+      {"kf_pool_cow_copies_total", st.prefix_cow_copies},
+  };
+  for (const auto& [name, value] : counts) {
+    EXPECT_GT(value, 0u) << name;
+    EXPECT_EQ(prometheus_sample(text, name), static_cast<double>(value))
+        << name;
+  }
+}
+
+TEST(ServeTimeline, StatsAreLiveMidRun) {
+  // stats() read inside a run (an attention observer fires on the engine
+  // thread) already shows the pool's peak and the copy-on-write copies of
+  // the one sequence still decoding: its prefix insert shared its first
+  // blocks with the index, and its prompt-end eviction wrote into them.
+  ModelConfig cfg = tiny_config();
+  Transformer m(cfg);
+  EngineConfig ec;
+  ec.policy.kind = kv::PolicyKind::kKeyformer;
+  ec.paged.enabled = true;
+  ec.paged.block_tokens = 8;
+  ec.prefix.enabled = true;
+  Engine engine(m, ec);
+  std::vector<Request> requests(1);
+  requests[0].prompt = make_prompt(32, 0);
+  requests[0].gen.max_new_tokens = 8;
+  requests[0].gen.cache_ratio = 0.5;
+
+  std::size_t decode_calls = 0;
+  std::size_t peak_used = 0;
+  std::size_t cow_copies = 0;
+  m.set_observer([&](const model::AttentionObservation& o) {
+    if (o.is_prompt) return;
+    ++decode_calls;
+    const EngineStats st = engine.stats();
+    peak_used = std::max(peak_used, st.pool_peak_used_blocks);
+    cow_copies = std::max(cow_copies, st.prefix_cow_copies);
+  });
+  const auto responses = engine.run(requests);
+  m.set_observer({});
+  ASSERT_EQ(responses[0].finish, FinishReason::kLength);
+  ASSERT_GT(decode_calls, 0u);
+  EXPECT_GT(peak_used, 0u);
+  EXPECT_GT(cow_copies, 0u);
+  EXPECT_LE(cow_copies, engine.stats().prefix_cow_copies);
 }
 
 TEST(ServeTimeline, ResumeThenRejectAfterPreemptionBudget) {
