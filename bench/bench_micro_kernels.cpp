@@ -3,10 +3,11 @@
 // (Keyformer's score overhead, Fig 10), cache compaction, matmul.
 //
 // Kernels with runtime-dispatched SIMD variants (matmul, matvec, dot,
-// axpy, max_value, logsumexp, softmax, and the fused attend inside the
-// decode step and the prompt chunk) are registered once per ISA available
-// on this host/build — "BM_Dot<scalar>/4096" vs "BM_Dot<avx2>/4096" rows
-// give the speedup matrix directly. Variants the host cannot run are simply not
+// axpy, max_value, logsumexp, softmax, the Gumbel-softmax score, and the
+// fused attend inside the decode step and the prompt chunk) are
+// registered once per ISA available on this host/build —
+// "BM_Dot<scalar>/4096" vs "BM_Dot<avx2>/4096" rows give the speedup
+// matrix directly. Variants the host cannot run are simply not
 // registered. Benchmarks run sequentially, so the process-wide ISA
 // override each one installs cannot race another benchmark.
 #include <benchmark/benchmark.h>
@@ -125,9 +126,11 @@ void BM_Softmax(benchmark::State& state, cpu::CpuIsa isa) {
                           static_cast<std::int64_t>(n));
 }
 
-void BM_GumbelSoftmaxScore(benchmark::State& state) {
-  // Keyformer's per-head score increment over a cache row — the overhead
-  // Fig 10 charges against the Gumbel softmax.
+void BM_GumbelSoftmaxScore(benchmark::State& state, cpu::CpuIsa isa) {
+  // Keyformer's per-head score increment over one cache row — the
+  // overhead Fig 10 charges against the Gumbel softmax: the frozen noise
+  // row's gather plus the dispatched score kernel, as a decode row pays.
+  const IsaGuard guard(isa);
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   std::vector<float> logits(n);
   std::vector<std::size_t> positions(n);
@@ -139,9 +142,11 @@ void BM_GumbelSoftmaxScore(benchmark::State& state) {
   for (auto _ : state) {
     fn.increments(logits, positions, 0, 0, t++ % 64, 64, out);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_GumbelSoftmaxScore)->Arg(512)->Arg(2048)->Arg(8192);
 
 void BM_AttentionDecodeStep(benchmark::State& state, cpu::CpuIsa isa) {
   // Whole decode attention layer for one sequence (a one-row
@@ -224,16 +229,25 @@ void BM_CacheCompaction(benchmark::State& state) {
 BENCHMARK(BM_CacheCompaction)->Arg(1024)->Arg(4096);
 
 void BM_TopKSelection(benchmark::State& state) {
+  // {n, keep}: the top `keep` of the prefix [0, n - n/10) plus the recent
+  // tenth. keep = n/2 is a prompt-sized cut; keep = prefix - 1 is a decode
+  // step at budget, where one token leaves.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::size_t keep_count = static_cast<std::size_t>(state.range(1));
   std::vector<double> scores(n);
   Rng rng(2);
   for (auto& s : scores) s = rng.uniform();
   for (auto _ : state) {
-    auto keep = kv::keep_topk_plus_recent(scores, n, n - n / 10, n / 2);
+    auto keep = kv::keep_topk_plus_recent(scores, n, n - n / 10, keep_count);
     benchmark::DoNotOptimize(keep.data());
   }
 }
-BENCHMARK(BM_TopKSelection)->Arg(1024)->Arg(4096)->Arg(16384);
+BENCHMARK(BM_TopKSelection)
+    ->Args({1024, 512})
+    ->Args({4096, 2048})
+    ->Args({16384, 8192})
+    ->Args({398, 358})
+    ->Args({4096, 3686});
 
 /// Registers `fn` once per ISA available on this host/build, as
 /// "<name><isa>", with one run per argument list.
@@ -269,6 +283,10 @@ int main(int argc, char** argv) {
   register_per_isa("BM_MaxValue", BM_MaxValue, {{512}, {2048}, {8192}});
   register_per_isa("BM_Logsumexp", BM_Logsumexp, {{512}, {2048}, {8192}});
   register_per_isa("BM_Softmax", BM_Softmax, {{512}, {2048}, {8192}});
+  // A decode row at shared_prefix's budget, that workload's prompt, and a
+  // long row.
+  register_per_isa("BM_GumbelSoftmaxScore", BM_GumbelSoftmaxScore,
+                   {{398}, {792}, {2048}});
   register_per_isa("BM_AttentionDecodeStep", BM_AttentionDecodeStep,
                    {{256}, {1024}, {4096}});
   // {cached, rows}: a shared_prefix-shaped chunk after the 768-token

@@ -38,5 +38,7 @@ const DispatchStub<LogsumexpFn> logsumexp_stub = {KF_FILL_TABLE(logsumexp)};
 const DispatchStub<SoftmaxFn> softmax_stub = {KF_FILL_TABLE(softmax)};
 const DispatchStub<DecodeAttendFn> decode_attend_stub = {
     KF_FILL_TABLE(decode_attend)};
+const DispatchStub<ScoreIncrementsFn> score_increments_stub = {
+    KF_FILL_TABLE(score_increments)};
 
 }  // namespace kf::cpu

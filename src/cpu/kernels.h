@@ -1,6 +1,7 @@
 // Dispatch tables for the hot kernels: the dense-layer GEMM behind every
-// projection and MLP, the attend's dots and softmax family, and the fused
-// attend itself (named decode_attend, it serves prompt rows too).
+// projection and MLP, the attend's dots and softmax family, the fused
+// attend itself (named decode_attend, it serves prompt rows too), and
+// Keyformer's score increments.
 //
 // Each kernel is a DispatchStub-style table: one function-pointer slot
 // per CpuIsa, filled at static-init time with the widest variant compiled
@@ -40,6 +41,17 @@
 //     a prompt row the segments clipped to its causal prefix, so no
 //     variant handles masking. A row's bits depend only on its query,
 //     scale, bias and visible K/V rows, never on how they are segmented.
+//   - score_increments: out = softmax((logit + noise) / tau) over one row
+//     in double: y_i = double(logit_i) + noise_i, the max of y (from
+//     -1e300), e_i = exp((y_i - max) / tau), then e_i * (1 / sum). A -inf
+//     logit gives exactly 0.0; a row whose every entry is -inf (sum == 0)
+//     gives all zeros, never NaN. The wide variants add, take the max and
+//     sum in double lanes but evaluate each exp in float (exp256_ps /
+//     exp512_ps) of (y_i - max) / tau rounded to float, so an element is
+//     within 1e-5 relative of the scalar variant's, and one whose
+//     exponent is below float exp's underflow cutoff (about -87.3) is
+//     exactly 0 where scalar keeps a value under 1.2e-38. noise == out
+//     aliasing is allowed.
 #pragma once
 
 #include <cstddef>
@@ -98,6 +110,12 @@ using DecodeAttendFn = void (*)(const KvSegmentView* segs, std::size_t n_segs,
                                 const float* keys_override, float* lrow,
                                 float* prow, float* ctx, std::size_t key_len);
 
+/// Keyformer's score increments for one query row of one head (see the
+/// contract above): `logits` and `out` hold n entries; `noise`, when
+/// non-null, holds the n frozen logit adjustments (nullptr adds none).
+using ScoreIncrementsFn = void (*)(const float* logits, const double* noise,
+                                   double* out, std::size_t n, double tau);
+
 /// One function-pointer slot per CpuIsa. Slots are filled once during
 /// static initialization (narrow fallbacks for variants not compiled in)
 /// and never change, so lookups are data-race free without atomics.
@@ -117,5 +135,6 @@ extern const DispatchStub<MaxValueFn> max_value_stub;
 extern const DispatchStub<LogsumexpFn> logsumexp_stub;
 extern const DispatchStub<SoftmaxFn> softmax_stub;
 extern const DispatchStub<DecodeAttendFn> decode_attend_stub;
+extern const DispatchStub<ScoreIncrementsFn> score_increments_stub;
 
 }  // namespace kf::cpu

@@ -40,6 +40,20 @@ inline double hsum_pd(__m256 v) {
   return _mm_cvtsd_f64(_mm_add_sd(s2, _mm_unpackhi_pd(s2, s2)));
 }
 
+/// Horizontal sum of 4 double lanes.
+inline double hsum_pd(__m256d v) {
+  const __m128d s =
+      _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
+  return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
+}
+
+/// Horizontal max of 4 double lanes.
+inline double hmax_pd(__m256d v) {
+  const __m128d m =
+      _mm_max_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
+  return _mm_cvtsd_f64(_mm_max_sd(m, _mm_unpackhi_pd(m, m)));
+}
+
 /// Horizontal sum of 8 float lanes in float.
 inline float hsum_ps(__m256 v) {
   const __m128 s =
@@ -379,6 +393,71 @@ void decode_attend(const KvSegmentView* segs, std::size_t n_segs,
   }
   for (; i < key_len; ++i) prow[i] *= inv;
   for (std::size_t j = 0; j < dh; ++j) ctx[j] *= inv;
+}
+
+void score_increments(const float* logits, const double* noise, double* out,
+                      std::size_t n, double tau) {
+  // The scalar variant's three passes, 8 entries a step: y and the max
+  // in double lanes, (y - max) / tau narrowed to float for exp256_ps and
+  // widened back, the sum and the 1/sum scale in double lanes. Tails take
+  // the scalar expressions. A -inf y stays -inf through the narrowing, so
+  // its exp lane is exactly 0.
+  __m256d vmax = _mm256_set1_pd(-1e300);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256d y0 = _mm256_cvtps_pd(_mm_loadu_ps(logits + i));
+    __m256d y1 = _mm256_cvtps_pd(_mm_loadu_ps(logits + i + 4));
+    if (noise != nullptr) {
+      y0 = _mm256_add_pd(y0, _mm256_loadu_pd(noise + i));
+      y1 = _mm256_add_pd(y1, _mm256_loadu_pd(noise + i + 4));
+    }
+    _mm256_storeu_pd(out + i, y0);
+    _mm256_storeu_pd(out + i + 4, y1);
+    vmax = _mm256_max_pd(vmax, _mm256_max_pd(y0, y1));
+  }
+  double max_y = hmax_pd(vmax);
+  for (; i < n; ++i) {
+    const double z = noise != nullptr ? noise[i] : 0.0;
+    const double y = static_cast<double>(logits[i]) + z;
+    out[i] = y;
+    max_y = y > max_y ? y : max_y;
+  }
+
+  const __m256d vm = _mm256_set1_pd(max_y);
+  const __m256d v_inv_tau = _mm256_set1_pd(1.0 / tau);
+  __m256d vsum0 = _mm256_setzero_pd();
+  __m256d vsum1 = _mm256_setzero_pd();
+  i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256d d0 = _mm256_sub_pd(_mm256_loadu_pd(out + i), vm);
+    const __m256d d1 = _mm256_sub_pd(_mm256_loadu_pd(out + i + 4), vm);
+    const __m128 t0 = _mm256_cvtpd_ps(_mm256_mul_pd(d0, v_inv_tau));
+    const __m128 t1 = _mm256_cvtpd_ps(_mm256_mul_pd(d1, v_inv_tau));
+    const __m256 e =
+        exp256_ps(_mm256_insertf128_ps(_mm256_castps128_ps256(t0), t1, 1));
+    const __m256d e0 = _mm256_cvtps_pd(_mm256_castps256_ps128(e));
+    const __m256d e1 = _mm256_cvtps_pd(_mm256_extractf128_ps(e, 1));
+    _mm256_storeu_pd(out + i, e0);
+    _mm256_storeu_pd(out + i + 4, e1);
+    vsum0 = _mm256_add_pd(vsum0, e0);
+    vsum1 = _mm256_add_pd(vsum1, e1);
+  }
+  double sum = hsum_pd(_mm256_add_pd(vsum0, vsum1));
+  for (; i < n; ++i) {
+    out[i] = std::exp((out[i] - max_y) / tau);
+    sum += out[i];
+  }
+  if (sum == 0.0) {
+    for (i = 0; i < n; ++i) out[i] = 0.0;
+    return;
+  }
+  const double inv = 1.0 / sum;
+  const __m256d vinv = _mm256_set1_pd(inv);
+  i = 0;
+  for (; i + 4 <= n; i += 4) {
+    _mm256_storeu_pd(out + i, _mm256_mul_pd(_mm256_loadu_pd(out + i), vinv));
+  }
+  for (; i < n; ++i) out[i] *= inv;
 }
 
 }  // namespace kf::cpu::avx2

@@ -333,4 +333,69 @@ void decode_attend(const KvSegmentView* segs, std::size_t n_segs,
   for (std::size_t j = 0; j < dh; ++j) ctx[j] *= inv;
 }
 
+void score_increments(const float* logits, const double* noise, double* out,
+                      std::size_t n, double tau) {
+  // The scalar variant's three passes, 16 entries a step: y and the max
+  // in double lanes, (y - max) / tau narrowed to float for exp512_ps and
+  // widened back, the sum and the 1/sum scale in double lanes. Tails take
+  // the scalar expressions. A -inf y stays -inf through the narrowing, so
+  // its exp lane is exactly 0.
+  __m512d vmax = _mm512_set1_pd(-1e300);
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    __m512d y0 = _mm512_cvtps_pd(_mm256_loadu_ps(logits + i));
+    __m512d y1 = _mm512_cvtps_pd(_mm256_loadu_ps(logits + i + 8));
+    if (noise != nullptr) {
+      y0 = _mm512_add_pd(y0, _mm512_loadu_pd(noise + i));
+      y1 = _mm512_add_pd(y1, _mm512_loadu_pd(noise + i + 8));
+    }
+    _mm512_storeu_pd(out + i, y0);
+    _mm512_storeu_pd(out + i + 8, y1);
+    vmax = _mm512_max_pd(vmax, _mm512_max_pd(y0, y1));
+  }
+  double max_y = _mm512_reduce_max_pd(vmax);
+  for (; i < n; ++i) {
+    const double z = noise != nullptr ? noise[i] : 0.0;
+    const double y = static_cast<double>(logits[i]) + z;
+    out[i] = y;
+    max_y = y > max_y ? y : max_y;
+  }
+
+  const __m512d vm = _mm512_set1_pd(max_y);
+  const __m512d v_inv_tau = _mm512_set1_pd(1.0 / tau);
+  __m512d vsum0 = _mm512_setzero_pd();
+  __m512d vsum1 = _mm512_setzero_pd();
+  i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512d d0 = _mm512_sub_pd(_mm512_loadu_pd(out + i), vm);
+    const __m512d d1 = _mm512_sub_pd(_mm512_loadu_pd(out + i + 8), vm);
+    const __m256 t0 = _mm512_cvtpd_ps(_mm512_mul_pd(d0, v_inv_tau));
+    const __m256 t1 = _mm512_cvtpd_ps(_mm512_mul_pd(d1, v_inv_tau));
+    const __m512 e =
+        exp512_ps(_mm512_insertf32x8(_mm512_castps256_ps512(t0), t1, 1));
+    const __m512d e0 = _mm512_cvtps_pd(_mm512_castps512_ps256(e));
+    const __m512d e1 = _mm512_cvtps_pd(_mm512_extractf32x8_ps(e, 1));
+    _mm512_storeu_pd(out + i, e0);
+    _mm512_storeu_pd(out + i + 8, e1);
+    vsum0 = _mm512_add_pd(vsum0, e0);
+    vsum1 = _mm512_add_pd(vsum1, e1);
+  }
+  double sum = _mm512_reduce_add_pd(_mm512_add_pd(vsum0, vsum1));
+  for (; i < n; ++i) {
+    out[i] = std::exp((out[i] - max_y) / tau);
+    sum += out[i];
+  }
+  if (sum == 0.0) {
+    for (i = 0; i < n; ++i) out[i] = 0.0;
+    return;
+  }
+  const double inv = 1.0 / sum;
+  const __m512d vinv = _mm512_set1_pd(inv);
+  i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm512_storeu_pd(out + i, _mm512_mul_pd(_mm512_loadu_pd(out + i), vinv));
+  }
+  for (; i < n; ++i) out[i] *= inv;
+}
+
 }  // namespace kf::cpu::avx512

@@ -148,4 +148,29 @@ void decode_attend(const KvSegmentView* segs, std::size_t n_segs,
   for (std::size_t j = 0; j < dh; ++j) ctx[j] *= inv;
 }
 
+void score_increments(const float* logits, const double* noise, double* out,
+                      std::size_t n, double tau) {
+  // ScoreFunction::increments' loop moved verbatim; a null noise row is
+  // its zero adjustment. noise[i] is read before out[i] is written, so
+  // noise == out aliasing is fine.
+  double max_y = -1e300;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double z = noise != nullptr ? noise[i] : 0.0;
+    const double y = static_cast<double>(logits[i]) + z;
+    out[i] = y;
+    max_y = y > max_y ? y : max_y;
+  }
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = std::exp((out[i] - max_y) / tau);
+    sum += out[i];
+  }
+  if (sum == 0.0) {  // fully masked row: no distribution, emit zeros
+    for (std::size_t i = 0; i < n; ++i) out[i] = 0.0;
+    return;
+  }
+  const double inv = 1.0 / sum;
+  for (std::size_t i = 0; i < n; ++i) out[i] *= inv;
+}
+
 }  // namespace kf::cpu::scalar

@@ -3,7 +3,7 @@
 // dispatch.cpp (which wires them into the tables) — never by code
 // outside src/cpu (scripts/lint.py check 6).
 //
-// Every namespace implements the same eight signatures from kernels.h;
+// Every namespace implements the same nine signatures from kernels.h;
 // the scalar namespace is the semantics reference.
 #pragma once
 
@@ -27,7 +27,9 @@ namespace kf::cpu {
                      const float* q_head, std::size_t dh, float scale,        \
                      const float* bias, const float* keys_override,           \
                      float* lrow, float* prow, float* ctx,                    \
-                     std::size_t key_len)
+                     std::size_t key_len);                                    \
+  void score_increments(const float* logits, const double* noise,             \
+                        double* out, std::size_t n, double tau)
 
 namespace scalar {
 KF_CPU_DECLARE_VARIANTS;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "cpu/kernels.h"
 #include "obs/trace.h"
 
 namespace kf::kv {
@@ -38,27 +39,41 @@ void KeyformerPolicy::import_score_state(std::span<const double> state) {
 
 void KeyformerPolicy::accumulate(const PolicyContext& ctx) {
   KvCache& cache = *ctx.cache;
-  assert(ctx.key_len == cache.size());
+  assert(ctx.key_len == cache.size() && ctx.n_queries <= ctx.key_len);
   const auto positions = cache.original_positions();
-  increments_.resize(ctx.key_len);
+  // Scratch rows shared by every policy on this thread: an engine-built
+  // policy lives as long as its request, so rows held per policy would
+  // keep one cache row each for a whole run.
+  thread_local std::vector<double> increments;
+  thread_local std::vector<double> head_noise;
+  increments.resize(ctx.key_len);
+  head_noise.resize(ctx.key_len);
+  const double tau =
+      config_.score.temperature.at(ctx.decode_step, ctx.total_steps);
+  const cpu::ScoreIncrementsFn score = cpu::score_increments_stub.get();
 
   if (config_.score.damping < 1.0) cache.damp_scores(config_.score.damping);
 
+  // Query row q sees the first first_q + q + 1 keys; its masked tail
+  // (-inf logits) would only add exact zeros, so the kernel runs over the
+  // visible prefix alone. A decode row sees the whole cache.
+  const std::size_t first_q = ctx.key_len - ctx.n_queries;
   for (std::size_t h = 0; h < ctx.n_heads; ++h) {
+    const bool noisy = score_fn_.noise_row(ctx.layer, h, positions, head_noise);
+    const double* noise = noisy ? head_noise.data() : nullptr;
     const float* base = ctx.logits.data() + h * ctx.n_queries * ctx.key_len;
     for (std::size_t q = 0; q < ctx.n_queries; ++q) {
-      const std::span<const float> row(base + q * ctx.key_len, ctx.key_len);
-      score_fn_.increments(row, positions, ctx.layer, h, ctx.decode_step,
-                           ctx.total_steps, increments_);
+      const std::size_t vis = first_q + q + 1;
+      score(base + q * ctx.key_len, noise, increments.data(), vis, tau);
       if (config_.scope == ScoreScope::kPerLayer) {
         const auto scores = cache.scores(h);
-        for (std::size_t i = 0; i < ctx.key_len; ++i) {
-          scores[i] += increments_[i];
-        }
+        for (std::size_t i = 0; i < vis; ++i) scores[i] += increments[i];
       } else {
-        for (std::size_t i = 0; i < ctx.key_len; ++i) {
+        for (std::size_t i = 0; i < vis; ++i) {
           const std::size_t pos = positions[i];
-          if (pos < shared_scores_.size()) shared_scores_[pos] += increments_[i];
+          if (pos < shared_scores_.size()) {
+            shared_scores_[pos] += increments[i];
+          }
         }
       }
     }

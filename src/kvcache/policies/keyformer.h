@@ -60,7 +60,6 @@ class KeyformerPolicy final : public EvictionPolicy {
   KeyformerConfig config_;
   ScoreFunction score_fn_;
   std::vector<double> shared_scores_;  // indexed by original position
-  std::vector<double> increments_;     // scratch, one cache row
 };
 
 }  // namespace kf::kv

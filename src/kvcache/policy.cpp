@@ -43,20 +43,37 @@ std::vector<std::size_t> keep_topk_plus_recent(std::span<const double> scores,
                                                std::size_t keep_count) {
   assert(prefix_len <= n && scores.size() >= prefix_len);
   keep_count = std::min(keep_count, prefix_len);
-
-  std::vector<std::size_t> order(prefix_len);
-  for (std::size_t i = 0; i < prefix_len; ++i) order[i] = i;
-  std::partial_sort(order.begin(), order.begin() + keep_count, order.end(),
-                    [&](std::size_t a, std::size_t b) {
-                      if (scores[a] != scores[b]) return scores[a] > scores[b];
-                      return a < b;
-                    });
-  order.resize(keep_count);
-  std::sort(order.begin(), order.end());
+  // The strict order: higher score first, the lower index wins ties.
+  const auto before = [&](std::size_t a, std::size_t b) {
+    if (scores[a] != scores[b]) return scores[a] > scores[b];
+    return a < b;
+  };
 
   std::vector<std::size_t> keep;
   keep.reserve(keep_count + (n - prefix_len));
-  keep.insert(keep.end(), order.begin(), order.end());
+  if (keep_count < prefix_len) {
+    // The first prefix token the order leaves out; exactly keep_count
+    // tokens precede it, and one pass in index order collects them sorted.
+    std::size_t cut = 0;
+    if (keep_count + 1 == prefix_len) {
+      // One token leaves (every decode step once the cache is at budget):
+      // the last in the order, found in one pass.
+      for (std::size_t i = 1; i < prefix_len; ++i) {
+        if (before(cut, i)) cut = i;
+      }
+    } else {
+      std::vector<std::size_t> order(prefix_len);
+      for (std::size_t i = 0; i < prefix_len; ++i) order[i] = i;
+      std::nth_element(order.begin(), order.begin() + keep_count, order.end(),
+                       before);
+      cut = order[keep_count];
+    }
+    for (std::size_t i = 0; i < prefix_len; ++i) {
+      if (before(i, cut)) keep.push_back(i);
+    }
+  } else {
+    for (std::size_t i = 0; i < prefix_len; ++i) keep.push_back(i);
+  }
   for (std::size_t i = prefix_len; i < n; ++i) keep.push_back(i);
   return keep;
 }

@@ -44,7 +44,9 @@ struct PolicyContext {
   std::size_t n_queries = 0;  ///< rows processed (prompt_len during prefill)
   std::size_t key_len = 0;    ///< cache length the attention ran against
   /// Scaled unnormalized logits, layout [head][query][key]; entry (h,q,i) is
-  /// x_i for query q. Causally masked entries hold -inf.
+  /// x_i for query q. The queries are the cache's newest n_queries rows, so
+  /// query q sees keys [0, key_len - n_queries + q + 1); the causally
+  /// masked tail after them holds -inf.
   std::span<const float> logits;
   /// Post-softmax probabilities, same layout; masked entries hold 0.
   std::span<const float> probs;

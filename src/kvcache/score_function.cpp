@@ -1,11 +1,13 @@
 #include "kvcache/score_function.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 
 #include "core/rng.h"
+#include "cpu/kernels.h"
 
 namespace kf::kv {
 
@@ -93,63 +95,54 @@ double ScoreFunction::compute_noise(std::size_t layer, std::size_t head,
   return 0.0;
 }
 
+bool ScoreFunction::noise_row(std::size_t layer, std::size_t head,
+                              std::span<const std::size_t> positions,
+                              std::span<double> out) const {
+  assert(out.size() == positions.size());
+  switch (config_.adjustment) {
+    case LogitAdjustment::kNone:
+      return false;
+    case LogitAdjustment::kConstant:
+      std::fill(out.begin(), out.end(),
+                config_.noise_scale * config_.constant);
+      return true;
+    case LogitAdjustment::kGaussian:
+    case LogitAdjustment::kGumbel:
+      break;
+  }
+  // One table covering the largest position turns every per-slot read
+  // into a flat array access. Cache positions ascend in practice, but the
+  // table is sized from the actual maximum so an unsorted span can never
+  // index past the end. Slots beyond the memo bound fall back to the
+  // (identical) direct computation.
+  std::size_t max_pos = 0;
+  for (const std::size_t p : positions) max_pos = p > max_pos ? p : max_pos;
+  if (layer >= kMaxTableLayers || head >= kMaxTableHeads ||
+      max_pos >= kMaxTablePositions) {
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+      out[i] = noise(layer, head, positions[i]);
+    }
+    return true;
+  }
+  std::vector<double>& table = noise_table(layer, head, max_pos + 1);
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    double& slot = table[positions[i]];
+    if (std::isnan(slot)) slot = compute_noise(layer, head, positions[i]);
+    out[i] = slot;
+  }
+  return true;
+}
+
 void ScoreFunction::increments(std::span<const float> logits,
                                std::span<const std::size_t> positions,
                                std::size_t layer, std::size_t head,
                                std::size_t t, std::size_t total_steps,
                                std::span<double> out) const {
   assert(logits.size() == positions.size() && out.size() == logits.size());
-  if (logits.empty()) return;
-  const double tau = config_.temperature.at(t, total_steps);
-
-  const bool stochastic = config_.adjustment == LogitAdjustment::kGaussian ||
-                          config_.adjustment == LogitAdjustment::kGumbel;
-  // Hot path: one table covering the largest position turns every per-slot
-  // noise read into a flat array access. Cache positions ascend in
-  // practice, but the table is sized from the actual maximum so an
-  // unsorted span can never index past the end. Slots beyond the memo
-  // bound fall back to the (identical) direct computation.
-  std::vector<double>* table = nullptr;
-  if (stochastic && layer < kMaxTableLayers && head < kMaxTableHeads) {
-    std::size_t max_pos = 0;
-    for (const std::size_t p : positions) max_pos = p > max_pos ? p : max_pos;
-    if (max_pos < kMaxTablePositions) {
-      table = &noise_table(layer, head, max_pos + 1);
-    }
-  }
-  const double constant_noise =
-      config_.adjustment == LogitAdjustment::kConstant
-          ? config_.noise_scale * config_.constant
-          : 0.0;
-
-  // Stable softmax of (x + zeta) / tau in double precision.
-  double max_y = -1e300;
-  for (std::size_t i = 0; i < logits.size(); ++i) {
-    double z = constant_noise;
-    if (stochastic) {
-      if (table != nullptr) {
-        double& slot = (*table)[positions[i]];
-        if (std::isnan(slot)) slot = compute_noise(layer, head, positions[i]);
-        z = slot;
-      } else {
-        z = noise(layer, head, positions[i]);
-      }
-    }
-    const double y = static_cast<double>(logits[i]) + z;
-    out[i] = y;
-    max_y = y > max_y ? y : max_y;
-  }
-  double sum = 0.0;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = std::exp((out[i] - max_y) / tau);
-    sum += out[i];
-  }
-  if (sum == 0.0) {  // fully masked row: no distribution, emit zeros
-    for (double& v : out) v = 0.0;
-    return;
-  }
-  const double inv = 1.0 / sum;
-  for (double& v : out) v *= inv;
+  const bool noisy = noise_row(layer, head, positions, out);
+  cpu::score_increments_stub.get()(logits.data(), noisy ? out.data() : nullptr,
+                                   out.data(), logits.size(),
+                                   config_.temperature.at(t, total_steps));
 }
 
 }  // namespace kf::kv

@@ -77,6 +77,15 @@ class ScoreFunction {
   double noise(std::size_t layer, std::size_t head,
                std::size_t original_pos) const;
 
+  /// Gathers the frozen adjustments zeta for one head's cached slots into
+  /// `out` (same length as `positions`): the memo table is looked up once
+  /// for the whole row, then read per slot. Returns false, leaving `out`
+  /// untouched, for LogitAdjustment::kNone: there is no noise row, and the
+  /// score kernel takes nullptr for it.
+  bool noise_row(std::size_t layer, std::size_t head,
+                 std::span<const std::size_t> positions,
+                 std::span<double> out) const;
+
   /// Drops every memoized noise table. Policies call this at sequence
   /// start so memo memory stays bounded by one sequence's positions
   /// instead of growing across every sequence a long-lived process serves.
@@ -96,7 +105,8 @@ class ScoreFunction {
  public:
 
   /// Computes increments f_i = softmax((x_i + zeta_i) / tau) for one head
-  /// over the current cache contents.
+  /// over the current cache contents: noise_row() into `out`, then the
+  /// dispatched score kernel (cpu::score_increments_stub) in place.
   ///   logits            one query row, length == positions.size()
   ///   positions         original positions of the cached tokens
   ///   layer/head        identify the noise stream

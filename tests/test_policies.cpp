@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "core/numerics.h"
+#include "core/rng.h"
+#include "cpu/cpu_isa.h"
 #include "kvcache/policies/full.h"
 #include "kvcache/policies/h2o.h"
 #include "kvcache/policies/key_attention.h"
@@ -15,6 +17,7 @@
 #include "kvcache/policies/window.h"
 #include "kvcache/policy.h"
 #include "kvcache/policy_factory.h"
+#include "score_reference.h"
 
 namespace kf::kv {
 namespace {
@@ -123,6 +126,27 @@ TEST(KeepTopK, OutputSortedAscending) {
   const std::vector<double> scores{0.1, 9.0, 0.2, 8.0, 0.3};
   const auto keep = keep_topk_plus_recent(scores, 7, 5, 3);
   EXPECT_TRUE(std::is_sorted(keep.begin(), keep.end()));
+}
+
+TEST(KeepTopK, MatchesPartialSortReference) {
+  // Tie-heavy integer scores against the partial_sort selection: one
+  // prefix token leaving (the arg-min path), none, all, and random keeps
+  // (the nth_element path), with and without a recent suffix.
+  Rng rng(31);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = 1 + rng.uniform_u64(80);
+    const std::size_t prefix = rng.uniform_u64(n + 1);
+    std::vector<double> scores(n);
+    for (double& v : scores) v = static_cast<double>(rng.uniform_u64(5));
+    std::vector<std::size_t> keeps = {0, prefix, prefix + 1 + trial % 3,
+                                      rng.uniform_u64(prefix + 1)};
+    if (prefix > 0) keeps.push_back(prefix - 1);
+    for (const std::size_t keep : keeps) {
+      EXPECT_EQ(keep_topk_plus_recent(scores, n, prefix, keep),
+                reference::keep_topk_plus_recent(scores, n, prefix, keep))
+          << "n=" << n << " prefix=" << prefix << " keep=" << keep;
+    }
+  }
 }
 
 // ----------------------------------------------------------------- full
@@ -406,6 +430,80 @@ TEST(Keyformer, SharedScopeSurvivesCompaction) {
   policy.observe(s.ctx());
   const auto pos = s.cache.original_positions();
   EXPECT_NE(std::find(pos.begin(), pos.end(), 3u), pos.end());
+}
+
+TEST(Keyformer, PromptChunkScoresMatchFullRowReference) {
+  // A multi-row prompt chunk: query q sees the first
+  // key_len - n_queries + q + 1 keys and the tail is masked to -inf. The
+  // policy scores each row's visible prefix only; under the scalar kernel
+  // the per-layer scores must equal the historical full-row loop bit for
+  // bit, masked entries and all, and so must a decode row after it.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr std::size_t kHeads = Scenario::kHeads;
+  constexpr std::size_t kSteps = 8;
+  Scenario s(12);
+  KeyformerPolicy policy;  // Gumbel noise, dynamic tau
+  policy.set_budget(CacheBudget{});
+  policy.begin_sequence(seq_info(12, kSteps));
+  const ScoreFunction noise_fn(policy.config().score);
+  Rng rng(32);
+  std::vector<std::vector<double>> expected(kHeads);
+
+  // Observes `n_queries` rows over the whole cache at `decode_step`, then
+  // adds the full-row reference increments to `expected`.
+  const auto observe_rows = [&](std::size_t n_queries,
+                                std::size_t decode_step) {
+    const std::size_t key_len = s.cache.size();
+    std::vector<float> logits(kHeads * n_queries * key_len);
+    for (std::size_t h = 0; h < kHeads; ++h) {
+      for (std::size_t q = 0; q < n_queries; ++q) {
+        const std::size_t vis = key_len - n_queries + q + 1;
+        float* row = logits.data() + (h * n_queries + q) * key_len;
+        for (std::size_t i = 0; i < key_len; ++i) {
+          row[i] = i < vis ? static_cast<float>(2.0 * rng.normal()) : -kInf;
+        }
+      }
+    }
+    const std::vector<float> probs(logits.size(), 0.0F);
+    PolicyContext c = s.ctx(decode_step, kSteps);
+    c.n_queries = n_queries;
+    c.logits = logits;
+    c.probs = probs;
+    c.is_prompt = decode_step == 0;
+    policy.observe(c);
+
+    const auto positions = s.cache.original_positions();
+    const double tau =
+        policy.config().score.temperature.at(decode_step, kSteps);
+    std::vector<double> noise(key_len);
+    std::vector<double> inc(key_len);
+    for (std::size_t h = 0; h < kHeads; ++h) {
+      for (std::size_t i = 0; i < key_len; ++i) {
+        noise[i] = noise_fn.noise(0, h, positions[i]);
+      }
+      expected[h].resize(key_len, 0.0);
+      for (std::size_t q = 0; q < n_queries; ++q) {
+        reference::score_increments(
+            {logits.data() + (h * n_queries + q) * key_len, key_len}, noise,
+            tau, inc);
+        for (std::size_t i = 0; i < key_len; ++i) expected[h][i] += inc[i];
+      }
+    }
+  };
+  cpu::set_isa_override(cpu::CpuIsa::kScalar);
+  observe_rows(5, 0);
+  std::vector<float> row(kHeads * Scenario::kDHead, 0.0F);
+  s.cache.append(row, row, 12);
+  observe_rows(1, 1);
+  cpu::clear_isa_override();
+
+  for (std::size_t h = 0; h < kHeads; ++h) {
+    const auto scores = s.cache.scores(h);
+    ASSERT_EQ(scores.size(), expected[h].size());
+    for (std::size_t i = 0; i < scores.size(); ++i) {
+      EXPECT_EQ(scores[i], expected[h][i]) << "head " << h << " key " << i;
+    }
+  }
 }
 
 TEST(Keyformer, NoiseChangesSelectionSomewhere) {

@@ -3,12 +3,14 @@
 // scalar reference — element-wise at 1e-5-scale tolerances for the
 // arithmetic kernels, exactly for max_value and the softmax masking
 // contract, bit for bit between a GEMM row and the same row computed
-// alone, and end to end through attention and the full transformer
+// alone and between the scalar score kernel and its historical loop, and
+// end to end through attention and the full transformer
 // (contiguous and paged caches, all eviction policies, all positional
 // families). The suite is parameterized over CpuIsa; variants the host
 // cannot run are GTEST_SKIPped, never silently passed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -17,6 +19,7 @@
 
 #include "cpu/kernels.h"
 #include "keyformer/keyformer.h"
+#include "score_reference.h"
 
 namespace kf {
 namespace {
@@ -318,6 +321,67 @@ TEST_P(SimdParity, SoftmaxSupportsAliasedInputOutput) {
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(inplace_t[i], ref[i], 1e-5F) << "n=" << n << " i=" << i;
     }
+  }
+}
+
+TEST_P(SimdParity, ScoreIncrementsMatchesScalar) {
+  // Keyformer's score kernel. The scalar variant is the historical loop
+  // bit for bit (score_reference.h). A wide variant evaluates exp in
+  // float, so each element is held to a relative budget of 1e-5 against
+  // scalar, plus an absolute 1e-37 for entries below float exp's
+  // underflow cutoff, which are exactly 0 there and under 1.2e-38 in
+  // scalar. Masked (-inf) entries are exactly 0 in every variant.
+  const cpu::ScoreIncrementsFn scalar =
+      cpu::score_increments_stub.get(cpu::CpuIsa::kScalar);
+  const cpu::ScoreIncrementsFn variant =
+      cpu::score_increments_stub.get(GetParam());
+  Rng rng(21);
+  for (const std::size_t n : {1, 7, 8, 15, 16, 17, 33, 398, 1023}) {
+    // Cases: tau 1.0 or 1.37, with or without a noise row, with or
+    // without masked entries.
+    for (int c = 0; c < 8; ++c) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " case=" + std::to_string(c));
+      const double tau = (c & 1) != 0 ? 1.37 : 1.0;
+      const bool with_noise = (c & 2) != 0;
+      const bool masked = (c & 4) != 0 && n >= 3;
+      auto logits = random_vec(rng, n, 3.0F);
+      std::vector<double> noise;
+      for (std::size_t i = 0; with_noise && i < n; ++i) {
+        noise.push_back(0.5 * rng.gumbel());
+      }
+      std::vector<std::size_t> masked_at;
+      if (masked) masked_at = {0, n / 2, n - 1};
+      for (const std::size_t i : masked_at) logits[i] = -kInf;
+      const double* noise_ptr = with_noise ? noise.data() : nullptr;
+
+      std::vector<double> oracle(n), ref(n), got(n);
+      kv::reference::score_increments(logits, noise, tau, oracle);
+      scalar(logits.data(), noise_ptr, ref.data(), n, tau);
+      variant(logits.data(), noise_ptr, got.data(), n, tau);
+      double sum = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(ref[i], oracle[i]) << "i=" << i;
+        EXPECT_NEAR(got[i], ref[i], 1e-5 * ref[i] + 1e-37) << "i=" << i;
+        sum += got[i];
+      }
+      EXPECT_NEAR(sum, 1.0, 1e-12);
+      for (const std::size_t i : masked_at) EXPECT_EQ(got[i], 0.0) << i;
+      if (with_noise) {  // noise == out, as ScoreFunction::increments
+        std::vector<double> aliased = noise;
+        variant(logits.data(), aliased.data(), aliased.data(), n, tau);
+        EXPECT_EQ(aliased, got);
+      }
+    }
+  }
+  for (const std::size_t n : {1, 7, 8, 17, 398}) {
+    const std::vector<float> all_masked(n, -kInf);
+    const std::vector<double> noise(n, 0.25);
+    std::vector<double> out(n, 7.0);
+    variant(all_masked.data(), noise.data(), out.data(), n, 1.37);
+    EXPECT_EQ(out, std::vector<double>(n, 0.0)) << "n=" << n;
+    std::fill(out.begin(), out.end(), 7.0);
+    variant(all_masked.data(), nullptr, out.data(), n, 1.0);
+    EXPECT_EQ(out, std::vector<double>(n, 0.0)) << "n=" << n;
   }
 }
 
