@@ -1,5 +1,5 @@
 // Serving-throughput bench: the measured version of Table 1's "bigger
-// batch" row. Three sweeps over the real serve::Engine (not the cost
+// batch" row. Two sweeps over the real serve::Engine (not the cost
 // model):
 //
 //   1. batch scaling — aggregate decode tokens/s vs max batch size at a
@@ -10,25 +10,18 @@
 //      (max_concurrent_tokens), sweep cache_ratio: a reduced cache costs
 //      ~ratio * prompt_len per sequence, so smaller ratios admit larger
 //      batches into the same memory and win aggregate tokens/s — the
-//      compounding effect behind the paper's 2.4x claim;
-//   3. shard scaling (with --shards N) — paged KV memory, sweeping the
-//      pool's shard count 1..N at the largest batch: per-sequence caches
-//      land on separate shards, so allocation/eviction contention and
-//      (on NUMA hosts) memory-domain locality stop serializing decode.
-//      Like sweep 1, this is parallel across sequences — flat on a
-//      single-core host.
+//      compounding effect behind the paper's 2.4x claim.
 //
 //   ./bench/bench_serve_throughput [--quick] [--gen N] [--seed S]
-//                                  [--csv DIR] [--shards N]
+//                                  [--csv DIR] [--paged]
 //                                  [--block-tokens N]
 //                                  [--monitor-period-ms N]
 //                                  [--prom-out FILE] [--timeseries-out FILE]
 //
-// --shards N additionally switches sweeps 1-2 onto the paged allocator so
-// their pool_util / frag columns are live (0 under contiguous caches).
-// --csv DIR writes serve_throughput.csv + serve_frontier.csv (+
-// serve_shards.csv with --shards) — the CI artifact recording the
-// serving-throughput trajectory.
+// --paged switches both sweeps onto the paged allocator so their
+// pool_util / frag columns are live (0 under contiguous caches).
+// --csv DIR writes serve_throughput.csv + serve_frontier.csv — the CI
+// artifact recording the serving-throughput trajectory.
 // --monitor-period-ms N attaches a background Monitor thread to every
 // cell's engine run; --prom-out / --timeseries-out write that cell's
 // metrics registry / time-series rings after each cell (last cell wins),
@@ -53,7 +46,7 @@ struct Workload {
 };
 
 struct PagedOptions {
-  std::size_t shards = 0;  ///< 0 = contiguous caches
+  bool enabled = false;  ///< false = contiguous caches
   std::size_t block_tokens = 16;
 };
 
@@ -89,11 +82,8 @@ serve::EngineStats run_cell(model::Transformer& m, const Workload& wl,
   ec.policy.kind = kv::PolicyKind::kKeyformer;
   ec.scheduler.max_batch_size = max_batch;
   ec.scheduler.max_concurrent_tokens = max_tokens;
-  if (po.shards > 0) {
-    ec.paged.enabled = true;
-    ec.paged.n_shards = po.shards;
-    ec.paged.block_tokens = po.block_tokens;
-  }
+  ec.paged.enabled = po.enabled;
+  ec.paged.block_tokens = po.block_tokens;
   serve::Engine engine(m, ec);
   obs::Monitor monitor(
       {.period_ms = static_cast<double>(mo.period_ms)});
@@ -154,8 +144,8 @@ int main(int argc, char** argv) {
       }
       return value;
     };
-    if (arg == "--shards") {
-      po.shards = next_count("--shards");
+    if (arg == "--paged") {
+      po.enabled = true;
     } else if (arg == "--block-tokens") {
       po.block_tokens = next_count("--block-tokens");
       if (po.block_tokens == 0) {
@@ -195,15 +185,12 @@ int main(int argc, char** argv) {
             << wl.n_requests << " requests, prompt " << wl.prompt_len
             << ", gen " << wl.gen_tokens << ", "
             << ThreadPool::global().size() << " worker threads, "
-            << (po.shards > 0 ? "paged KV: " + std::to_string(po.shards) +
-                                    " shard(s) x " +
-                                    std::to_string(po.block_tokens) +
-                                    "-token blocks"
-                              : std::string("contiguous KV caches"))
+            << (po.enabled ? "paged KV: " + std::to_string(po.block_tokens) +
+                                 "-token blocks"
+                           : std::string("contiguous KV caches"))
             << ")\n"
-            << "note: batch and shard scaling are parallel across sequences "
-               "— on a single-core host those sweeps are expected to be "
-               "flat\n\n";
+            << "note: batch scaling is parallel across sequences — on a "
+               "single-core host that sweep is expected to be flat\n\n";
 
   // Sweep 1: batch scaling at fixed cache_ratio.
   const double fixed_ratio = 0.5;
@@ -268,44 +255,12 @@ int main(int argc, char** argv) {
   t2.print(std::cout);
   bench::maybe_write_csv(opt, t2, "serve_frontier");
 
-  // Sweep 3: shard scaling — paged pool, shard count 1..N, biggest batch.
-  if (po.shards > 0) {
-    std::cout << '\n';
-    Table t3("aggregate decode throughput vs pool shard count (batch " +
-             std::to_string(batches.back()) + ", cache_ratio 0.5)");
-    t3.header({"shards", "isa", "decode_tok_per_s", "speedup_vs_s1",
-               "peak_blocks_reserved", "pool_util", "frag"});
-    double s1_tps = 0.0;
-    // Doubling steps, but always ending exactly at the requested count
-    // (a --shards 3 run must measure 3 shards, not stop at 2).
-    std::vector<std::size_t> shard_counts;
-    for (std::size_t s = 1; s < po.shards; s *= 2) shard_counts.push_back(s);
-    shard_counts.push_back(po.shards);
-    for (const std::size_t s : shard_counts) {
-      PagedOptions cell = po;
-      cell.shards = s;
-      const serve::EngineStats stats = run_cell(
-          m, wl, fixed_ratio, batches.back(), /*max_tokens=*/0, cell, mo);
-      const double tps = stats.decode_tokens_per_s();
-      if (s == 1) s1_tps = tps;
-      t3.row({Table::num(static_cast<long long>(s)), stats.isa,
-              Table::num(tps, 1),
-              Table::num(s1_tps > 0.0 ? tps / s1_tps : 0.0, 2) + "x",
-              Table::num(static_cast<long long>(stats.max_blocks_in_use)),
-              Table::num(pool_util(stats), 3),
-              Table::num(stats.max_fragmentation, 3)});
-    }
-    t3.print(std::cout);
-    bench::maybe_write_csv(opt, t3, "serve_shards");
-  }
-
   std::cout << "\nReading guide: sweep 1 shows continuous batching scaling "
                "aggregate decode tokens/s with batch size on one set of "
                "weights; sweep 2 holds KV memory fixed and shows a reduced "
                "cache ratio converting freed memory into batch size and "
                "throughput — the measured form of Table 1's bigger-batch "
-               "row. With --shards, sweep 3 spreads the paged sequences "
-               "over more pool shards; pool_util is peak used blocks over "
+               "row. With --paged, pool_util is peak used blocks over "
                "capacity and frag is the worst-step share of block-resident "
                "token slots holding no live token.\n";
   return 0;

@@ -51,7 +51,6 @@ void prefix_serving_row(Table& table, const model::ModelConfig& cfg,
   ec.policy.keyformer.score.seed = opt.seed;
   ec.scheduler.max_batch_size = n_requests;
   ec.paged.enabled = true;
-  ec.paged.n_shards = 1;
   ec.paged.block_tokens = 16;
 
   serve::Engine off(m, ec);

@@ -8,20 +8,20 @@
 // (per-sequence KV caches + Keyformer eviction at 50% cache ratio).
 //
 //   ./examples/serve_sim [--max-batch N] [--kv-budget N]
-//                        [--shards N] [--block-tokens N]
+//                        [--paged] [--block-tokens N]
 //                        [--shared-prefix N] [--trace FILE]
 //                        [--metrics] [--metrics-csv FILE]
 //     --max-batch N       max concurrent sequences (default 4)
 //     --kv-budget N       scheduler memory budget in per-layer tokens;
 //                         0 = unlimited (default 600)
-//     --shards N          enable paged KV memory on an N-shard block pool
-//                         (default 0 = classic contiguous caches)
+//     --paged             enable paged KV memory on a block pool
+//                         (default: classic contiguous caches)
 //     --block-tokens N    tokens per pool block (default 16; paged only)
 //     --shared-prefix N   switch to a shared-context workload: every
 //                         request opens with the same ~N-token few-shot
 //                         context (from src/data/fewshot) and the engine's
 //                         prefix cache replays it instead of re-prefilling
-//                         (requires --shards; prints hit-rate / blocks-
+//                         (requires --paged; prints hit-rate / blocks-
 //                         saved summary)
 //     --trace FILE        record engine/kernel spans and write a Chrome
 //                         trace-event JSON to FILE (open in Perfetto or
@@ -40,8 +40,8 @@
 //                         JSON to FILE (implies a 5 ms monitor period
 //                         when --monitor-period-ms is not given)
 //
-// With --shards the budget stops being an abstract token count: admission
-// reserves real blocks on a shard, and the summary reports pool
+// With --paged the budget stops being an abstract token count: admission
+// reserves real blocks in the pool, and the summary reports pool
 // utilization and internal fragmentation. With --shared-prefix it also
 // becomes a multi-tenant cache: one copy of the shared context's KV
 // backs every request that carries it, copy-on-write under eviction.
@@ -84,7 +84,7 @@ serve::Request make_request(std::uint64_t id, std::size_t prompt_len,
 [[noreturn]] void usage_exit(const std::string& message) {
   std::cerr << "error: " << message
             << "\nusage: serve_sim [--max-batch N] [--kv-budget N] "
-               "[--shards N] [--block-tokens N] [--shared-prefix N]\n";
+               "[--paged] [--block-tokens N] [--shared-prefix N]\n";
   std::exit(1);
 }
 
@@ -119,7 +119,7 @@ std::size_t parse_count_arg(const char* arg, const char* name) {
 int main(int argc, char** argv) {
   std::size_t max_batch = 4;
   std::size_t kv_budget = 600;
-  std::size_t shards = 0;
+  bool paged = false;
   std::size_t block_tokens = 16;
   std::size_t shared_prefix = 0;
   std::string trace_path;
@@ -138,8 +138,8 @@ int main(int argc, char** argv) {
       max_batch = parse_count_arg(next("--max-batch"), "--max-batch");
     } else if (arg == "--kv-budget") {
       kv_budget = parse_count_arg(next("--kv-budget"), "--kv-budget");
-    } else if (arg == "--shards") {
-      shards = parse_count_arg(next("--shards"), "--shards");
+    } else if (arg == "--paged") {
+      paged = true;
     } else if (arg == "--block-tokens") {
       block_tokens = parse_count_arg(next("--block-tokens"), "--block-tokens");
       if (block_tokens == 0) usage_exit("--block-tokens must be positive");
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: serve_sim [--max-batch N] [--kv-budget N] "
-                   "[--shards N] [--block-tokens N] [--shared-prefix N] "
+                   "[--paged] [--block-tokens N] [--shared-prefix N] "
                    "[--trace FILE] [--metrics] [--metrics-csv FILE] "
                    "[--monitor-period-ms N] [--prom-out FILE] "
                    "[--timeseries-out FILE]\n";
@@ -178,8 +178,8 @@ int main(int argc, char** argv) {
       usage_exit("unknown argument \"" + arg + "\"");
     }
   }
-  if (shared_prefix > 0 && shards == 0) {
-    usage_exit("--shared-prefix requires --shards (the prefix cache shares "
+  if (shared_prefix > 0 && !paged) {
+    usage_exit("--shared-prefix requires --paged (the prefix cache shares "
                "pool blocks)");
   }
 
@@ -224,9 +224,8 @@ int main(int argc, char** argv) {
   ec.policy.kind = kv::PolicyKind::kKeyformer;
   ec.scheduler.max_batch_size = max_batch;
   ec.scheduler.max_concurrent_tokens = kv_budget;
-  if (shards > 0) {
+  if (paged) {
     ec.paged.enabled = true;
-    ec.paged.n_shards = shards;
     ec.paged.block_tokens = block_tokens;
   }
   if (shared_prefix > 0) ec.prefix.enabled = true;
@@ -238,11 +237,9 @@ int main(int argc, char** argv) {
             << (kv_budget == 0 ? std::string("unlimited")
                                : std::to_string(kv_budget) + " tokens")
             << ", keyformer @50% cache, "
-            << (shards > 0 ? "paged: " + std::to_string(shards) +
-                                 " shard(s) x " +
-                                 std::to_string(block_tokens) +
-                                 "-token blocks"
-                           : std::string("contiguous caches"))
+            << (paged ? "paged: " + std::to_string(block_tokens) +
+                            "-token blocks"
+                      : std::string("contiguous caches"))
             << (shared_prefix > 0
                     ? ", shared " +
                           std::to_string(requests[0].shared_prefix_hint) +
@@ -323,7 +320,7 @@ int main(int argc, char** argv) {
             << " tokens, aggregate decode throughput "
             << Table::num(st.decode_tokens_per_s(), 1) << " tok/s (isa "
             << st.isa << ")\n";
-  if (shards > 0) {
+  if (paged) {
     const double util =
         st.pool_capacity_blocks > 0
             ? static_cast<double>(st.pool_peak_used_blocks) /
@@ -494,8 +491,8 @@ int main(int argc, char** argv) {
                "when the batch or the KV-memory budget is full, and join "
                "mid-stream as earlier sequences retire. Lowering the cache "
                "ratio shrinks each sequence's footprint, admitting more of "
-               "them at once (see bench_serve_throughput). With --shards the "
+               "them at once (see bench_serve_throughput). With --paged the "
                "budget is enforced as whole-block reservations on a real "
-               "pool, so fragmentation and placement become visible above.\n";
+               "pool, so fragmentation becomes visible above.\n";
   return 0;
 }

@@ -204,7 +204,7 @@ def main() -> None:
         prom_path = Path(tmp) / "metrics.prom"
         ts_path = Path(tmp) / "timeseries.json"
         cmd = [
-            serve_sim, "--shards", "2", "--block-tokens", "16",
+            serve_sim, "--paged", "--block-tokens", "16",
             "--kv-budget", "1200", "--metrics",
             "--trace", str(trace_path), "--metrics-csv", str(csv_path),
             "--monitor-period-ms", "5", "--prom-out", str(prom_path),

@@ -1,6 +1,6 @@
 // Clang Thread Safety Analysis capability macros.
 //
-// The serving stack's locks — the BlockPool's per-shard mutexes, the
+// The serving stack's locks — the BlockPool's mutex, the
 // PrefixIndex's entry lock, the ThreadPool queue — protect refcount and
 // reservation invariants that every correctness claim in the repo rests
 // on (bit-exact paged vs contiguous caches, copy-on-write prefix

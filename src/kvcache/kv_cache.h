@@ -13,7 +13,7 @@
 //     [capacity, d_head] rows per head, geometric growth — the classic
 //     single-sequence layout;
 //   - mem::PagedKvCache (src/mem): a chain of fixed-size token blocks
-//     allocated from a sharded BlockPool, so evicted memory returns to a
+//     allocated from a shared BlockPool, so evicted memory returns to a
 //     store other sequences draw from.
 //
 // The attend never assumes one contiguous span per head; it iterates

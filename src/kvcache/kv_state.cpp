@@ -14,11 +14,10 @@ SequenceKvState::SequenceKvState(std::size_t n_layers, std::size_t n_heads,
   }
 }
 
-SequenceKvState::SequenceKvState(mem::BlockPool& pool, std::size_t shard,
-                                 std::size_t n_layers) {
+SequenceKvState::SequenceKvState(mem::BlockPool& pool, std::size_t n_layers) {
   caches_.reserve(n_layers);
   for (std::size_t l = 0; l < n_layers; ++l) {
-    caches_.push_back(std::make_unique<mem::PagedKvCache>(pool, shard));
+    caches_.push_back(std::make_unique<mem::PagedKvCache>(pool));
   }
 }
 

@@ -9,8 +9,8 @@
 //
 // The state is storage-agnostic: the contiguous constructor builds classic
 // private-arena caches; the pool constructor builds paged caches whose
-// blocks come from (and return to) one shard of a mem::BlockPool — the
-// scheduler's placement decision materialized.
+// blocks come from (and return to) a mem::BlockPool — the memory the
+// scheduler's admission reserved.
 #pragma once
 
 #include <cstddef>
@@ -35,10 +35,9 @@ class SequenceKvState {
   SequenceKvState(std::size_t n_layers, std::size_t n_heads,
                   std::size_t d_head, std::size_t capacity_hint = 0);
 
-  /// One paged cache per layer, all drawing blocks from `pool`'s shard
-  /// `shard` (geometry comes from the pool config).
-  SequenceKvState(mem::BlockPool& pool, std::size_t shard,
-                  std::size_t n_layers);
+  /// One paged cache per layer, all drawing blocks from `pool` (geometry
+  /// comes from the pool config).
+  SequenceKvState(mem::BlockPool& pool, std::size_t n_layers);
 
   SequenceKvState(SequenceKvState&&) = default;
   SequenceKvState& operator=(SequenceKvState&&) = default;

@@ -1,17 +1,14 @@
 #include "mem/block_pool.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
-#include <string>
 
 #include "obs/metrics.h"
 
 namespace kf::mem {
 
 BlockPool::BlockPool(BlockPoolConfig cfg) : cfg_(cfg) {
-  if (cfg_.n_shards == 0) {
-    throw std::invalid_argument("BlockPool requires n_shards > 0");
-  }
   if (cfg_.metrics != nullptr) {
     ctr_allocs_ = &cfg_.metrics->counter("pool.allocs");
     ctr_alloc_failures_ = &cfg_.metrics->counter("pool.alloc_failures");
@@ -29,179 +26,120 @@ BlockPool::BlockPool(BlockPoolConfig cfg) : cfg_(cfg) {
   }
   section_floats_ = cfg_.n_heads * cfg_.block_tokens * cfg_.d_head;
   block_floats_ = 2 * section_floats_;
-  shards_.reserve(cfg_.n_shards);
-  for (std::size_t s = 0; s < cfg_.n_shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    const std::size_t max_slabs =
-        cfg_.blocks_per_shard > 0
-            ? (cfg_.blocks_per_shard + kBlocksPerSlab - 1) / kBlocksPerSlab
-            : kUnboundedSlabs;
-    // Directory only; arenas come lazily. The base-pointer directory is
-    // what lock-free readers touch, so it is fully sized up front and
-    // its entries only ever transition nullptr -> slab base.
-    shard->slabs.resize(max_slabs);
-    shard->slab_bases = std::make_unique<std::atomic<float*>[]>(max_slabs);
-    for (std::size_t i = 0; i < max_slabs; ++i) {
-      shard->slab_bases[i].store(nullptr, std::memory_order_relaxed);
-    }
-    shard->slab_slots = max_slabs;
-    shards_.push_back(std::move(shard));
+  slab_slots_ =
+      cfg_.capacity_blocks > 0
+          ? (cfg_.capacity_blocks + kBlocksPerSlab - 1) / kBlocksPerSlab
+          : kUnboundedSlabs;
+  // Directory only; arenas come lazily. The base-pointer directory is
+  // what lock-free readers touch, so it is fully sized up front and its
+  // entries only ever transition nullptr -> slab base.
+  slabs_.resize(slab_slots_);
+  slab_bases_ = std::make_unique<std::atomic<float*>[]>(slab_slots_);
+  for (std::size_t i = 0; i < slab_slots_; ++i) {
+    slab_bases_[i].store(nullptr, std::memory_order_relaxed);
   }
 }
 
 float* BlockPool::block_base(BlockRef ref) const noexcept {
-  assert(ref.shard < shards_.size());
-  const Shard& sh = *shards_[ref.shard];
   const std::size_t slab = ref.id / kBlocksPerSlab;
   const std::size_t offset = ref.id % kBlocksPerSlab;
-  assert(slab < sh.slab_slots);
+  assert(slab < slab_slots_);
   // Acquire pairs with the release store in carve_slab_locked: a reader
-  // holding a BlockRef sees the slab payload without the shard mutex.
-  float* base = sh.slab_bases[slab].load(std::memory_order_acquire);
+  // holding a BlockRef sees the slab payload without the pool mutex.
+  float* base = slab_bases_[slab].load(std::memory_order_acquire);
   assert(base != nullptr);
   return base + offset * block_floats_;
 }
 
-bool BlockPool::carve_slab_locked(Shard& sh) {
-  // Carve a fresh slab — unless the shard is at capacity or the
-  // directory (the unbounded mode's implementation limit) is full.
-  if (cfg_.blocks_per_shard > 0 && sh.created >= cfg_.blocks_per_shard) {
+bool BlockPool::carve_slab_locked() {
+  // Carve a fresh slab — unless the pool is at capacity or the directory
+  // (the unbounded mode's implementation limit) is full.
+  const std::size_t created = refs_.size();
+  if (cfg_.capacity_blocks > 0 && created >= cfg_.capacity_blocks) {
     return false;
   }
-  const std::size_t slab = sh.created / kBlocksPerSlab;
-  if (slab >= sh.slab_slots) return false;
-  assert(sh.created % kBlocksPerSlab == 0);
+  const std::size_t slab = created / kBlocksPerSlab;
+  if (slab >= slab_slots_) return false;
+  assert(created % kBlocksPerSlab == 0);
   // 64-byte-aligned (and zeroed) slab so SIMD loads on head-major block
   // payloads start on cache-line boundaries.
-  sh.slabs[slab] = make_aligned_floats(kBlocksPerSlab * block_floats_);
-  assert(is_simd_aligned(sh.slabs[slab].get()));
-  sh.slab_bases[slab].store(sh.slabs[slab].get(), std::memory_order_release);
+  slabs_[slab] = make_aligned_floats(kBlocksPerSlab * block_floats_);
+  assert(is_simd_aligned(slabs_[slab].get()));
+  slab_bases_[slab].store(slabs_[slab].get(), std::memory_order_release);
   std::size_t batch = kBlocksPerSlab;
-  if (cfg_.blocks_per_shard > 0) {
-    batch = std::min(batch, cfg_.blocks_per_shard - sh.created);
+  if (cfg_.capacity_blocks > 0) {
+    batch = std::min(batch, cfg_.capacity_blocks - created);
   }
   // Push in reverse so blocks hand out in ascending id order.
   for (std::size_t i = batch; i > 0; --i) {
-    sh.free_list.push_back(static_cast<std::uint32_t>(sh.created + i - 1));
+    free_list_.push_back(static_cast<std::uint32_t>(created + i - 1));
   }
-  sh.created += batch;
+  refs_.resize(created + batch, 0);
   return true;
 }
 
-BlockRef BlockPool::allocate(std::size_t shard) {
-  const auto ref = try_allocate(shard);
-  if (!ref.has_value()) {
-    const ShardStats st = shard_stats(shard);
-    throw std::runtime_error(
-        "BlockPool: shard " + std::to_string(shard) + " exhausted (" +
-        std::to_string(cfg_.blocks_per_shard) + " blocks, used " +
-        std::to_string(st.used_blocks) + ", reserved " +
-        std::to_string(st.reserved_blocks) +
-        "); admission reservations should have prevented this");
-  }
-  return *ref;
-}
-
-std::optional<BlockRef> BlockPool::try_allocate(std::size_t shard) {
-  if (shard >= shards_.size()) {
-    throw std::invalid_argument("BlockPool::allocate: shard out of range");
-  }
-  Shard& sh = *shards_[shard];
-  const LockGuard lock(sh.mu);
+std::optional<BlockRef> BlockPool::try_allocate() {
+  const LockGuard lock(mu_);
   if (auto* injector = injector_.load(std::memory_order_acquire)) {
-    if (injector->should_fail(FaultOp::kAllocate, shard)) {
+    if (injector->should_fail(FaultOp::kAllocate)) {
       if (ctr_alloc_failures_ != nullptr) ctr_alloc_failures_->add();
       return std::nullopt;
     }
   }
-  if (sh.free_list.empty() && !carve_slab_locked(sh)) {
+  if (free_list_.empty() && !carve_slab_locked()) {
     if (ctr_alloc_failures_ != nullptr) ctr_alloc_failures_->add();
     return std::nullopt;
   }
-  const std::uint32_t id = sh.free_list.back();
-  sh.free_list.pop_back();
-  if (sh.live.size() < sh.created) {
-    sh.live.resize(sh.created, false);
-    sh.refs.resize(sh.created, 0);
-  }
-  sh.live[id] = true;
-  sh.refs[id] = 1;
-  ++sh.used;
-  if (sh.used > sh.peak_used) sh.peak_used = sh.used;
-  raise_peak(peak_total_used_, total_used_.fetch_add(1) + 1);
+  const std::uint32_t id = free_list_.back();
+  free_list_.pop_back();
+  refs_[id] = 1;
+  ++used_;
+  peak_used_ = std::max(peak_used_, used_);
   if (ctr_allocs_ != nullptr) ctr_allocs_->add();
-  return BlockRef{static_cast<std::uint32_t>(shard), id};
-}
-
-void BlockPool::raise_peak(std::atomic<std::size_t>& peak,
-                           std::size_t value) {
-  std::size_t seen = peak.load();
-  while (seen < value && !peak.compare_exchange_weak(seen, value)) {
-  }
+  return BlockRef{id};
 }
 
 void BlockPool::retain(BlockRef ref) {
-  if (ref.shard >= shards_.size()) {
-    throw std::invalid_argument("BlockPool::retain: shard out of range");
-  }
-  Shard& sh = *shards_[ref.shard];
-  const LockGuard lock(sh.mu);
-  if (ref.id >= sh.created || ref.id >= sh.live.size() || !sh.live[ref.id]) {
+  const LockGuard lock(mu_);
+  if (ref.id >= refs_.size() || refs_[ref.id] == 0) {
     throw std::invalid_argument(
         "BlockPool::retain: block is not currently allocated");
   }
-  ++sh.refs[ref.id];
+  ++refs_[ref.id];
 }
 
 void BlockPool::release(BlockRef ref) {
-  if (ref.shard >= shards_.size()) {
-    throw std::invalid_argument("BlockPool::release: shard out of range");
-  }
-  Shard& sh = *shards_[ref.shard];
-  const LockGuard lock(sh.mu);
-  if (ref.id >= sh.created || ref.id >= sh.live.size() || !sh.live[ref.id]) {
+  const LockGuard lock(mu_);
+  if (ref.id >= refs_.size() || refs_[ref.id] == 0) {
     // Never-allocated or over-released: putting the id on the free list
     // twice would hand one payload to two caches.
     throw std::invalid_argument(
         "BlockPool::release: block is not currently allocated");
   }
-  if (--sh.refs[ref.id] > 0) return;  // other readers keep it alive
-  sh.live[ref.id] = false;
-  sh.free_list.push_back(ref.id);
-  --sh.used;
-  total_used_.fetch_sub(1);
+  if (--refs_[ref.id] > 0) return;  // other readers keep it alive
+  free_list_.push_back(ref.id);
+  --used_;
 }
 
 std::uint32_t BlockPool::refcount(BlockRef ref) const {
-  if (ref.shard >= shards_.size()) {
-    throw std::invalid_argument("BlockPool::refcount: shard out of range");
-  }
-  const Shard& sh = *shards_[ref.shard];
-  const LockGuard lock(sh.mu);
-  if (ref.id >= sh.refs.size()) return 0;
-  return sh.refs[ref.id];
+  const LockGuard lock(mu_);
+  return ref.id < refs_.size() ? refs_[ref.id] : 0;
 }
 
-bool BlockPool::try_reserve(std::size_t shard, std::size_t blocks) {
-  if (shard >= shards_.size()) {
-    throw std::invalid_argument("BlockPool::try_reserve: shard out of range");
-  }
-  Shard& sh = *shards_[shard];
-  const LockGuard lock(sh.mu);
-  if (cfg_.blocks_per_shard > 0 &&
-      sh.reserved + blocks > cfg_.blocks_per_shard) {
+bool BlockPool::try_reserve(std::size_t blocks) {
+  const LockGuard lock(mu_);
+  if (cfg_.capacity_blocks > 0 && reserved_ + blocks > cfg_.capacity_blocks) {
     if (ctr_reserve_failures_ != nullptr) ctr_reserve_failures_->add();
     return false;
   }
   if (auto* injector = injector_.load(std::memory_order_acquire)) {
-    if (injector->should_fail(FaultOp::kReserve, shard)) {
+    if (injector->should_fail(FaultOp::kReserve)) {
       if (ctr_reserve_failures_ != nullptr) ctr_reserve_failures_->add();
       return false;
     }
   }
-  sh.reserved += blocks;
-  if (sh.reserved > sh.peak_reserved) sh.peak_reserved = sh.reserved;
-  raise_peak(peak_total_reserved_, total_reserved_.fetch_add(blocks) + blocks);
+  reserved_ += blocks;
+  peak_reserved_ = std::max(peak_reserved_, reserved_);
   if (ctr_reserves_ != nullptr) ctr_reserves_->add();
   return true;
 }
@@ -214,29 +152,19 @@ void BlockPool::note_cow_copy() noexcept {
   if (ctr_cow_copies_ != nullptr) ctr_cow_copies_->add();
 }
 
-void BlockPool::unreserve(std::size_t shard, std::size_t blocks) {
-  if (shard >= shards_.size()) {
-    throw std::invalid_argument("BlockPool::unreserve: shard out of range");
-  }
-  Shard& sh = *shards_[shard];
-  const LockGuard lock(sh.mu);
-  if (blocks > sh.reserved) {
+void BlockPool::unreserve(std::size_t blocks) {
+  const LockGuard lock(mu_);
+  if (blocks > reserved_) {
     throw std::invalid_argument(
         "BlockPool::unreserve: releasing more than reserved");
   }
-  sh.reserved -= blocks;
-  total_reserved_.fetch_sub(blocks);
+  reserved_ -= blocks;
 }
 
-std::size_t BlockPool::unreserved_blocks(std::size_t shard) const {
-  if (shard >= shards_.size()) {
-    throw std::invalid_argument(
-        "BlockPool::unreserved_blocks: shard out of range");
-  }
-  const Shard& sh = *shards_[shard];
-  const LockGuard lock(sh.mu);
-  if (cfg_.blocks_per_shard == 0) return static_cast<std::size_t>(-1);
-  return cfg_.blocks_per_shard - sh.reserved;
+std::size_t BlockPool::unreserved_blocks() const {
+  const LockGuard lock(mu_);
+  if (cfg_.capacity_blocks == 0) return static_cast<std::size_t>(-1);
+  return cfg_.capacity_blocks - reserved_;
 }
 
 float* BlockPool::keys(BlockRef ref, std::size_t head) noexcept {
@@ -261,48 +189,22 @@ const float* BlockPool::values(BlockRef ref, std::size_t head) const noexcept {
          head * cfg_.block_tokens * cfg_.d_head;
 }
 
-ShardStats BlockPool::shard_stats(std::size_t shard) const {
-  if (shard >= shards_.size()) {
-    throw std::invalid_argument("BlockPool::shard_stats: shard out of range");
-  }
-  const Shard& sh = *shards_[shard];
-  const LockGuard lock(sh.mu);
-  ShardStats st;
-  st.capacity_blocks = cfg_.blocks_per_shard;
-  st.allocated_blocks = sh.created;
-  st.used_blocks = sh.used;
-  st.reserved_blocks = sh.reserved;
-  st.peak_used_blocks = sh.peak_used;
-  st.peak_reserved_blocks = sh.peak_reserved;
+PoolStats BlockPool::stats() const {
+  const LockGuard lock(mu_);
+  PoolStats st;
+  st.capacity_blocks = cfg_.capacity_blocks;
+  st.allocated_blocks = refs_.size();
+  st.used_blocks = used_;
+  st.reserved_blocks = reserved_;
+  st.peak_used_blocks = peak_used_;
+  st.peak_reserved_blocks = peak_reserved_;
   return st;
 }
 
-PoolStats BlockPool::stats() const {
-  PoolStats agg;
-  agg.n_shards = shards_.size();
-  agg.capacity_blocks =
-      cfg_.blocks_per_shard > 0 ? cfg_.blocks_per_shard * shards_.size() : 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const ShardStats st = shard_stats(s);
-    agg.allocated_blocks += st.allocated_blocks;
-    agg.used_blocks += st.used_blocks;
-    agg.reserved_blocks += st.reserved_blocks;
-  }
-  // True simultaneous pool-wide peaks; summing per-shard peaks would
-  // overstate the high-water mark when shards peak at different times.
-  agg.peak_used_blocks = peak_total_used_.load();
-  agg.peak_reserved_blocks = peak_total_reserved_.load();
-  return agg;
-}
-
 void BlockPool::reset_peaks() {
-  for (auto& shard : shards_) {
-    const LockGuard lock(shard->mu);
-    shard->peak_used = shard->used;
-    shard->peak_reserved = shard->reserved;
-  }
-  peak_total_used_.store(total_used_.load());
-  peak_total_reserved_.store(total_reserved_.load());
+  const LockGuard lock(mu_);
+  peak_used_ = used_;
+  peak_reserved_ = reserved_;
 }
 
 }  // namespace kf::mem

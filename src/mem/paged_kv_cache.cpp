@@ -6,53 +6,41 @@
 
 namespace kf::mem {
 
-PagedKvCache::PagedKvCache(BlockPool& pool, std::size_t shard)
-    : kv::KvCache(pool.config().n_heads, pool.config().d_head),
-      pool_(pool),
-      shard_(shard) {
-  if (shard >= pool.n_shards()) {
-    throw std::invalid_argument("PagedKvCache: shard out of range");
+PagedKvCache::PagedKvCache(BlockPool& pool)
+    : kv::KvCache(pool.config().n_heads, pool.config().d_head), pool_(pool) {}
+
+PagedKvCache::~PagedKvCache() {
+  for (std::size_t i = 0; i < blocks_.size(); ++i) {
+    if (!emergency_[i]) pool_.release(blocks_[i]);
   }
 }
 
-PagedKvCache::~PagedKvCache() {
-  for (const BlockRef ref : blocks_) release_ref(ref);
-}
-
-BlockRef PagedKvCache::new_block() {
-  if (const auto ref = pool_.try_allocate(shard_)) return *ref;
+void PagedKvCache::fill_block(std::size_t chain_idx) {
+  if (const auto ref = pool_.try_allocate()) {
+    blocks_[chain_idx] = *ref;
+    return;
+  }
   // Pool refusal (exhaustion or injected fault): fall back to a private
   // heap block so the in-flight decode step completes with exact rows,
   // and latch the failure for the engine's next-step-boundary check.
   alloc_failed_ = true;
   pool_.note_emergency_block();
-  emergency_.push_back(make_aligned_floats(2 * pool_.section_floats()));
-  return BlockRef{kEmergencyShard,
-                  static_cast<std::uint32_t>(emergency_.size() - 1)};
+  emergency_[chain_idx] = make_aligned_floats(2 * pool_.section_floats());
 }
 
-void PagedKvCache::release_ref(BlockRef ref) {
-  if (is_emergency(ref)) {
-    emergency_[ref.id].reset();
-    return;
+float* PagedKvCache::keys_of(std::size_t chain_idx, std::size_t head) const {
+  if (const auto& heap = emergency_[chain_idx]) {
+    return heap.get() + head * pool_.block_tokens() * d_head();
   }
-  pool_.release(ref);
+  return pool_.keys(blocks_[chain_idx], head);
 }
 
-float* PagedKvCache::keys_of(BlockRef ref, std::size_t head) const {
-  if (is_emergency(ref)) {
-    return emergency_[ref.id].get() +
+float* PagedKvCache::values_of(std::size_t chain_idx, std::size_t head) const {
+  if (const auto& heap = emergency_[chain_idx]) {
+    return heap.get() + pool_.section_floats() +
            head * pool_.block_tokens() * d_head();
   }
-  return pool_.keys(ref, head);
-}
-
-float* PagedKvCache::values_of(BlockRef ref, std::size_t head) const {
-  if (is_emergency(ref)) {
-    return emergency_[ref.id].get() + pool_.section_floats() +
-           head * pool_.block_tokens() * d_head();
-  }
-  return pool_.values(ref, head);
+  return pool_.values(blocks_[chain_idx], head);
 }
 
 void PagedKvCache::adopt_prefix(std::span<const BlockRef> chain,
@@ -70,6 +58,7 @@ void PagedKvCache::adopt_prefix(std::span<const BlockRef> chain,
   for (const BlockRef ref : chain) pool_.retain(ref);
   blocks_.assign(chain.begin(), chain.end());
   shared_.assign(blocks_.size(), true);
+  emergency_.resize(blocks_.size());
   std::vector<std::size_t> positions(tokens);
   for (std::size_t i = 0; i < tokens; ++i) positions[i] = i;
   seed_metadata(positions, scores);
@@ -90,18 +79,19 @@ std::size_t PagedKvCache::shared_blocks() const noexcept {
 }
 
 void PagedKvCache::cow_block(std::size_t chain_idx) {
+  // Shared blocks always come from the pool (an adopted chain, or this
+  // cache's own prefix the index retained), never from emergency memory.
   const BlockRef old = blocks_[chain_idx];
   // The prefix index (and every other reader) holds its own reference, so
   // refcount 1 means this cache became the sole owner — write in place.
   if (pool_.refcount(old) > 1) {
-    const BlockRef fresh = new_block();
+    fill_block(chain_idx);
     const std::size_t section = pool_.block_tokens() * d_head();
     for (std::size_t h = 0; h < n_heads(); ++h) {
-      std::copy_n(keys_of(old, h), section, keys_of(fresh, h));
-      std::copy_n(values_of(old, h), section, values_of(fresh, h));
+      std::copy_n(pool_.keys(old, h), section, keys_of(chain_idx, h));
+      std::copy_n(pool_.values(old, h), section, values_of(chain_idx, h));
     }
     pool_.release(old);
-    blocks_[chain_idx] = fresh;
     pool_.note_cow_copy();
   }
   shared_[chain_idx] = false;
@@ -113,20 +103,22 @@ void PagedKvCache::append_rows(std::span<const float> k_row,
   const std::size_t t = size();  // metadata not pushed yet: t is our index
   const std::size_t slot = t % bt;
   if (slot == 0) {
-    blocks_.push_back(new_block());
+    blocks_.emplace_back();
     shared_.push_back(false);
+    emergency_.emplace_back();
+    fill_block(blocks_.size() - 1);
   } else if (shared_.back()) {
     // A partially filled shared tail (left by a compact that kept a prefix
     // of an adopted chain): writing the free slot would race other readers
     // of the block, so take a private copy first.
     cow_block(blocks_.size() - 1);
   }
-  const BlockRef ref = blocks_.back();
+  const std::size_t tail = blocks_.size() - 1;
   for (std::size_t h = 0; h < n_heads(); ++h) {
     std::copy_n(k_row.data() + h * d_head(), d_head(),
-                keys_of(ref, h) + slot * d_head());
+                keys_of(tail, h) + slot * d_head());
     std::copy_n(v_row.data() + h * d_head(), d_head(),
-                values_of(ref, h) + slot * d_head());
+                values_of(tail, h) + slot * d_head());
   }
 }
 
@@ -134,24 +126,22 @@ std::span<const float> PagedKvCache::key_head(std::size_t idx,
                                               std::size_t head) const {
   assert(idx < size() && head < n_heads());
   const std::size_t bt = pool_.block_tokens();
-  return {keys_of(blocks_[idx / bt], head) + (idx % bt) * d_head(),
-          d_head()};
+  return {keys_of(idx / bt, head) + (idx % bt) * d_head(), d_head()};
 }
 
 std::span<const float> PagedKvCache::value_head(std::size_t idx,
                                                 std::size_t head) const {
   assert(idx < size() && head < n_heads());
   const std::size_t bt = pool_.block_tokens();
-  return {values_of(blocks_[idx / bt], head) + (idx % bt) * d_head(),
-          d_head()};
+  return {values_of(idx / bt, head) + (idx % bt) * d_head(), d_head()};
 }
 
 kv::KvSegment PagedKvCache::segment(std::size_t head, std::size_t s) const {
   assert(head < n_heads() && s < blocks_.size());
   const std::size_t bt = pool_.block_tokens();
   kv::KvSegment seg;
-  seg.keys = keys_of(blocks_[s], head);
-  seg.values = values_of(blocks_[s], head);
+  seg.keys = keys_of(s, head);
+  seg.values = values_of(s, head);
   seg.first = s * bt;
   seg.count = std::min(bt, size() - seg.first);
   return seg;
@@ -174,8 +164,8 @@ void PagedKvCache::compact_rows(std::span<const std::size_t> keep) {
   std::size_t out = 0;
   for (const std::size_t idx : keep) {
     if (idx != out) {
-      const BlockRef src = blocks_[idx / bt];
-      const BlockRef dst = blocks_[out / bt];
+      const std::size_t src = idx / bt;
+      const std::size_t dst = out / bt;
       const std::size_t s_off = (idx % bt) * d_head();
       const std::size_t d_off = (out % bt) * d_head();
       for (std::size_t h = 0; h < n_heads(); ++h) {
@@ -196,9 +186,10 @@ void PagedKvCache::free_blocks_beyond(std::size_t live_tokens) {
   const std::size_t bt = pool_.block_tokens();
   const std::size_t live_blocks = (live_tokens + bt - 1) / bt;
   while (blocks_.size() > live_blocks) {
-    release_ref(blocks_.back());
+    if (!emergency_.back()) pool_.release(blocks_.back());
     blocks_.pop_back();
     shared_.pop_back();
+    emergency_.pop_back();
   }
 }
 

@@ -1,6 +1,6 @@
 // Paged implementation of the kv::KvCache surface: one layer's K/V rows
-// live in a chain of fixed-size token blocks allocated from a BlockPool
-// shard, instead of a private contiguous arena.
+// live in a chain of fixed-size token blocks allocated from a BlockPool,
+// instead of a private contiguous arena.
 //
 // Layout inside each block is the same head-major [n_heads][block_tokens]
 // [d_head] the contiguous cache uses per segment, so the attend streams
@@ -11,20 +11,21 @@
 // tail block is the only partially filled one and a fully-drained block is
 // returned to the pool immediately (compact frees emptied tail blocks,
 // clear and the destructor free everything). Freed memory therefore goes
-// back to the *shared* shard free list, where the scheduler's admission
+// back to the *shared* pool free list, where the scheduler's admission
 // reservations can hand it to another sequence — the mechanism that turns
 // Keyformer's discarded tokens into serving capacity.
 //
 // No-throw growth: append_rows and the copy-on-write path run inside the
 // batched decode step's parallel_for workers, where an escaping exception
 // would take the whole process down — so block acquisition never throws.
-// When the pool cannot hand out a block (shard exhausted mid-decode, or a
+// When the pool cannot hand out a block (pool exhausted mid-decode, or a
 // chaos-test FaultInjector vetoed it), the cache falls back to a private
-// heap "emergency block" (sentinel shard id, same payload layout) and
-// latches alloc_failed(). The step's numerics stay exact — the rows are
-// real, just not pool-backed — but the sequence is now over its physical
-// budget, so the engine preempts it at the next step boundary and resumes
-// it by recompute once a reservation is granted again.
+// heap "emergency block" (same payload layout, held in the chain slot
+// itself) and latches alloc_failed(). The step's numerics stay exact —
+// the rows are real, just not pool-backed — but the sequence is now over
+// its physical budget, so the engine preempts it at the next step
+// boundary and resumes it by recompute once a reservation is granted
+// again.
 //
 // Copy-on-write sharing: adopt_prefix() lets an empty cache take over an
 // immutable block chain (a prompt prefix another sequence already
@@ -39,7 +40,6 @@
 // chain itself survives as long as the index or any reader holds it.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -50,20 +50,20 @@ namespace kf::mem {
 
 class PagedKvCache final : public kv::KvCache {
  public:
-  /// Builds an empty cache drawing blocks from `pool`'s shard `shard`.
-  /// Geometry (n_heads/d_head/block_tokens) comes from the pool config.
-  PagedKvCache(BlockPool& pool, std::size_t shard);
+  /// Builds an empty cache drawing blocks from `pool`. Geometry
+  /// (n_heads/d_head/block_tokens) comes from the pool config.
+  explicit PagedKvCache(BlockPool& pool);
   ~PagedKvCache() override;
 
   PagedKvCache(const PagedKvCache&) = delete;
   PagedKvCache& operator=(const PagedKvCache&) = delete;
 
-  std::size_t shard() const noexcept { return shard_; }
   /// Blocks currently held (== ceil(size()/block_tokens)).
   std::size_t blocks_held() const noexcept { return blocks_.size(); }
   std::size_t block_tokens() const noexcept { return pool_.block_tokens(); }
 
-  /// The block chain backing this cache, in token order.
+  /// The block chain backing this cache, in token order. An emergency
+  /// slot's entry names no pool block (see alloc_failed()).
   std::span<const BlockRef> blocks() const noexcept { return blocks_; }
 
   /// Adopts `chain` as this cache's first rows: retains every block
@@ -106,36 +106,28 @@ class PagedKvCache final : public kv::KvCache {
   void clear_rows() override;
 
  private:
-  /// Sentinel BlockRef::shard for emergency heap blocks (never a valid
-  /// pool shard: pools are bounded far below 2^32 shards).
-  static constexpr std::uint32_t kEmergencyShard = 0xffffffffU;
-  static bool is_emergency(BlockRef ref) noexcept {
-    return ref.shard == kEmergencyShard;
-  }
-
   void free_blocks_beyond(std::size_t live_tokens);
   /// Replaces a (possibly) shared chain block with a private copy before a
   /// write; no-op beyond unmarking when this cache is the last reader.
   void cow_block(std::size_t chain_idx);
-  /// A fresh private block: from the pool, or — on failure — an emergency
-  /// heap block (latches alloc_failed). Never throws for capacity.
-  BlockRef new_block();
-  /// Releases one chain block back to where it came from.
-  void release_ref(BlockRef ref);
-  /// Payload access that dispatches on pool vs emergency blocks.
-  float* keys_of(BlockRef ref, std::size_t head) const;
-  float* values_of(BlockRef ref, std::size_t head) const;
+  /// Points chain slot `chain_idx` at a fresh private block: from the
+  /// pool, or — on failure — an emergency heap block (latches
+  /// alloc_failed). Never throws for capacity.
+  void fill_block(std::size_t chain_idx);
+  /// Payload access to chain slot `chain_idx`, pool or emergency block.
+  float* keys_of(std::size_t chain_idx, std::size_t head) const;
+  float* values_of(std::size_t chain_idx, std::size_t head) const;
 
   BlockPool& pool_;
-  std::size_t shard_;
   std::vector<BlockRef> blocks_;
   /// shared_[i]: blocks_[i] was adopted and may still have other readers —
   /// mutations must go through cow_block() first. Parallel to blocks_.
   std::vector<bool> shared_;
-  /// Emergency heap payloads (64-byte aligned like pool slabs), indexed
-  /// by the ref id; slots null once released. Only this cache ever sees
-  /// these blocks — they are invisible to the pool, the scheduler, and
-  /// the prefix index.
+  /// emergency_[i]: the heap payload (64-byte aligned like pool slabs)
+  /// backing chain slot i when the pool refused it a block (blocks_[i]
+  /// then names no pool block); null for pool blocks. Parallel to
+  /// blocks_. Only this cache ever sees these payloads — they are
+  /// invisible to the pool, the scheduler, and the prefix index.
   std::vector<AlignedFloatArray> emergency_;
   bool alloc_failed_ = false;
 };

@@ -21,18 +21,13 @@ PrefixIndex::PrefixIndex(BlockPool& pool, PrefixIndexConfig cfg)
     ctr_hits_ = &cfg_.metrics->counter("prefix.hits");
     ctr_misses_ = &cfg_.metrics->counter("prefix.misses");
     ctr_insertions_ = &cfg_.metrics->counter("prefix.insertions");
-    ctr_replications_ = &cfg_.metrics->counter("prefix.replications");
     ctr_trims_ = &cfg_.metrics->counter("prefix.trims");
   }
 }
 
 PrefixIndex::~PrefixIndex() {
   const LockGuard lock(mu_);
-  for (EntryRec& rec : entries_) {
-    for (std::size_t s = 0; s < rec.chains.size(); ++s) {
-      release_chain_locked(rec.chains[s], s);
-    }
-  }
+  for (EntryRec& rec : entries_) release_chains_locked(rec);
 }
 
 namespace {
@@ -151,13 +146,6 @@ std::size_t PrefixIndex::pins(const PrefixEntry* entry) const {
   return find_rec_locked(entry).pins;
 }
 
-bool PrefixIndex::resident_on(const PrefixEntry* entry,
-                              std::size_t shard) const {
-  const LockGuard lock(mu_);
-  const EntryRec& rec = find_rec_locked(entry);
-  return shard < rec.chains.size() && !rec.chains[shard].empty();
-}
-
 const PrefixIndex::EntryRec* PrefixIndex::lru_candidate_locked(
     bool include_pinned) const {
   const EntryRec* best = nullptr;
@@ -187,19 +175,17 @@ bool PrefixIndex::make_room_locked(std::size_t blocks) {
   return true;
 }
 
-void PrefixIndex::release_chain_locked(
-    std::vector<std::vector<BlockRef>>& chain, std::size_t shard) {
-  if (chain.empty()) return;
+void PrefixIndex::release_chains_locked(EntryRec& rec) {
   std::size_t released = 0;
-  for (auto& layer : chain) {
+  for (const auto& layer : rec.chains) {
     for (const BlockRef ref : layer) {
       pool_.release(ref);
       ++released;
     }
   }
-  pool_.unreserve(shard, released);
+  pool_.unreserve(released);
   blocks_held_ -= released;
-  chain.clear();
+  rec.chains.clear();
 }
 
 void PrefixIndex::drop_locked(const PrefixEntry* entry) {
@@ -208,9 +194,7 @@ void PrefixIndex::drop_locked(const PrefixEntry* entry) {
   if (rec.pins > 0) {
     throw std::logic_error("PrefixIndex::drop of a pinned entry");
   }
-  for (std::size_t s = 0; s < rec.chains.size(); ++s) {
-    release_chain_locked(rec.chains[s], s);
-  }
+  release_chains_locked(rec);
   const auto it =
       std::find_if(entries_.begin(), entries_.end(),
                    [&](const EntryRec& r) { return &r == &rec; });
@@ -266,11 +250,10 @@ const PrefixEntry* PrefixIndex::insert(std::span<const PrefixToken> run,
   }
 
   const std::size_t bpl = m / bt;
-  // Validate every layer before touching refcounts: paged caches on one
-  // shard whose leading rows are exactly tokens 0..m-1.
+  // Validate every layer before touching refcounts: paged caches whose
+  // leading rows are exactly tokens 0..m-1.
   std::vector<PagedKvCache*> layers;
   layers.reserve(cfg_.n_layers);
-  std::size_t shard = 0;
   for (std::size_t l = 0; l < cfg_.n_layers; ++l) {
     auto* paged = dynamic_cast<PagedKvCache*>(&state.layer(l));
     if (paged == nullptr || paged->size() < m) return nullptr;
@@ -278,11 +261,6 @@ const PrefixEntry* PrefixIndex::insert(std::span<const PrefixToken> run,
     // does not own; indexing such a chain would retain unretainable
     // blocks. Treat it as uncacheable.
     if (paged->alloc_failed()) return nullptr;
-    if (l == 0) {
-      shard = paged->shard();
-    } else if (paged->shard() != shard) {
-      return nullptr;
-    }
     const auto positions = paged->original_positions();
     for (std::size_t i = 0; i < m; ++i) {
       if (positions[i] != i) return nullptr;
@@ -293,20 +271,10 @@ const PrefixEntry* PrefixIndex::insert(std::span<const PrefixToken> run,
   const std::size_t needed = cfg_.n_layers * bpl;
   if (!make_room_locked(needed)) return nullptr;
   // The index is a memory tenant like any admitted sequence: its blocks
-  // are reserved on the shard so placement and admission see the truth.
-  // Under reservation pressure, trim LRU entries resident on this shard
-  // (dropping entries elsewhere frees nothing here).
-  while (!pool_.try_reserve(shard, needed)) {
-    const EntryRec* victim = nullptr;
-    for (const EntryRec& rec : entries_) {
-      if (rec.pins > 0 || shard >= rec.chains.size() ||
-          rec.chains[shard].empty()) {
-        continue;
-      }
-      if (victim == nullptr || rec.last_use < victim->last_use) {
-        victim = &rec;
-      }
-    }
+  // are reserved so admission sees the truth. Under reservation pressure,
+  // trim LRU entries until the claim fits.
+  while (!pool_.try_reserve(needed)) {
+    const EntryRec* victim = lru_candidate_locked(/*include_pinned=*/false);
     if (victim == nullptr) return nullptr;
     drop_locked(victim->entry.get());
   }
@@ -319,15 +287,13 @@ const PrefixEntry* PrefixIndex::insert(std::span<const PrefixToken> run,
   entry->policy_scores_ = std::move(policy_scores);
 
   EntryRec rec;
-  rec.chains.resize(pool_.n_shards());
   rec.last_use = ++tick_;
-
-  auto& chain = rec.chains[shard];
-  chain.resize(cfg_.n_layers);
+  rec.chains.resize(cfg_.n_layers);
   for (std::size_t l = 0; l < cfg_.n_layers; ++l) {
     const auto blocks = layers[l]->blocks();
-    chain[l].assign(blocks.begin(), blocks.begin() + static_cast<long>(bpl));
-    for (const BlockRef ref : chain[l]) pool_.retain(ref);
+    rec.chains[l].assign(blocks.begin(),
+                         blocks.begin() + static_cast<long>(bpl));
+    for (const BlockRef ref : rec.chains[l]) pool_.retain(ref);
     // Flip the donor to copy-on-write over the now-shared chain: its own
     // eviction must never write through into the indexed blocks.
     layers[l]->mark_shared_prefix(bpl);
@@ -346,56 +312,7 @@ const PrefixEntry* PrefixIndex::insert(std::span<const PrefixToken> run,
   return entries_.back().entry.get();
 }
 
-bool PrefixIndex::replicate_locked(EntryRec& rec, std::size_t shard) {
-  if (shard >= pool_.n_shards()) return false;
-  // Source: any resident replica.
-  const std::vector<std::vector<BlockRef>>* src = nullptr;
-  for (const auto& chain : rec.chains) {
-    if (!chain.empty()) {
-      src = &chain;
-      break;
-    }
-  }
-  if (src == nullptr) return false;
-
-  const std::size_t needed = cfg_.n_layers * rec.entry->blocks_per_layer();
-  if (!make_room_locked(needed)) return false;
-  if (!pool_.try_reserve(shard, needed)) return false;
-
-  const std::size_t section =
-      pool_.config().block_tokens * pool_.config().d_head;
-  auto& dst = rec.chains[shard];
-  dst.resize(cfg_.n_layers);
-  for (std::size_t l = 0; l < cfg_.n_layers; ++l) {
-    dst[l].reserve(rec.entry->blocks_per_layer());
-    for (const BlockRef from : (*src)[l]) {
-      // Allocation can fail even under a successful reservation (a fault
-      // injector vetoes individual allocations); roll the half-built
-      // replica back and report a clean miss rather than throw out of
-      // adopt() on the engine thread.
-      const auto to = pool_.try_allocate(shard);
-      if (!to.has_value()) {
-        for (auto& layer_chain : dst) {
-          for (const BlockRef ref : layer_chain) pool_.release(ref);
-          layer_chain.clear();
-        }
-        dst.clear();
-        pool_.unreserve(shard, needed);
-        return false;
-      }
-      for (std::size_t h = 0; h < pool_.config().n_heads; ++h) {
-        std::copy_n(pool_.keys(from, h), section, pool_.keys(*to, h));
-        std::copy_n(pool_.values(from, h), section, pool_.values(*to, h));
-      }
-      dst[l].push_back(*to);
-    }
-  }
-  blocks_held_ += needed;
-  if (ctr_replications_ != nullptr) ctr_replications_->add();
-  return true;
-}
-
-bool PrefixIndex::adopt(const PrefixEntry* entry, kv::SequenceKvState& state) {
+void PrefixIndex::adopt(const PrefixEntry* entry, kv::SequenceKvState& state) {
   const LockGuard lock(mu_);
   KF_TRACE_SCOPE("prefix.adopt", "prefix");
   EntryRec& rec = find_rec_locked(entry);
@@ -403,33 +320,15 @@ bool PrefixIndex::adopt(const PrefixEntry* entry, kv::SequenceKvState& state) {
     throw std::invalid_argument(
         "PrefixIndex::adopt requires an empty state with matching layers");
   }
-  auto* first = dynamic_cast<PagedKvCache*>(&state.layer(0));
-  if (first == nullptr) {
-    throw std::invalid_argument("PrefixIndex::adopt requires paged caches");
-  }
-  const std::size_t shard = first->shard();
-  if (shard >= rec.chains.size() || rec.chains[shard].empty()) {
-    // Pin across replication: make_room_locked()'s LRU trim must never
-    // pick the very entry being replicated (the caller may have reached
-    // it through an unpinned lookup), or replicate would read freed
-    // chains.
-    ++rec.pins;
-    const bool replicated = replicate_locked(rec, shard);
-    --rec.pins;
-    if (!replicated) return false;
-  }
-
-  const auto& chain = rec.chains[shard];
   for (std::size_t l = 0; l < cfg_.n_layers; ++l) {
     auto* paged = dynamic_cast<PagedKvCache*>(&state.layer(l));
-    if (paged == nullptr || paged->shard() != shard) {
-      throw std::invalid_argument(
-          "PrefixIndex::adopt requires paged caches on one shard");
+    if (paged == nullptr) {
+      throw std::invalid_argument("PrefixIndex::adopt requires paged caches");
     }
-    paged->adopt_prefix(chain[l], rec.entry->tokens(), rec.entry->scores_[l]);
+    paged->adopt_prefix(rec.chains[l], rec.entry->tokens(),
+                        rec.entry->scores_[l]);
   }
   rec.last_use = ++tick_;
-  return true;
 }
 
 }  // namespace kf::mem

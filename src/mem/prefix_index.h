@@ -13,10 +13,8 @@
 //
 // What an entry holds, per prefix run of M tokens (always a whole number
 // of pool blocks, so adopters' appends start on a fresh block):
-//   - per (layer, shard): the block chain — the K/V rows of tokens
-//     0..M-1, exactly as a prefill of those M tokens writes them. The
-//     chain is born on the inserting sequence's shard and lazily
-//     *replicated* to other shards on demand, keeping reads domain-local;
+//   - per layer: the block chain — the K/V rows of tokens 0..M-1, exactly
+//     as a prefill of those M tokens writes them;
 //   - per layer, per head: the accumulated score-function values at the
 //     prefix boundary (what the policy had added after observing the
 //     prefix queries), so an adopting sequence's eviction ranking is
@@ -25,29 +23,28 @@
 //     accumulation lives outside the cache (Keyformer's shared scope).
 //
 // Memory accounting: every block the index holds is *reserved* against
-// its pool shard, exactly like a scheduler admission, so placement and
-// admission see true remaining capacity; `max_blocks` caps the index's
-// total footprint and LRU entries are trimmed to fit (pinned entries —
-// ones a waiting sequence's reduced admission charge depends on — are
-// exempt until their pins drop).
+// the pool, exactly like a scheduler admission, so admission sees true
+// remaining capacity; `max_blocks` caps the index's total footprint and
+// LRU entries are trimmed to fit (pinned entries — ones a waiting
+// sequence's reduced admission charge depends on — are exempt until
+// their pins drop).
 //
 // Thread safety: internally synchronized. One index mutex guards the
-// entry set, each entry's chain replicas, the LRU stamps, pin counts,
-// and the revision counter — all annotated for clang's
-// -Wthread-safety. A PrefixEntry itself is immutable after insert(), so
-// the pointer lookup()/insert() return can be read (tokens, run,
-// boundary scores) without the lock; only its index bookkeeping —
-// residency, pins, recency — lives behind the mutex, reachable through
-// the index's own accessors. Lock ordering: the index mutex is acquired
-// BEFORE any BlockPool shard mutex (insert/adopt/drop call into the
-// pool while holding it); the pool never calls back into the index.
+// entry set, each entry's chains, the LRU stamps, pin counts, and the
+// revision counter — all annotated for clang's -Wthread-safety. A
+// PrefixEntry itself is immutable after insert(), so the pointer
+// lookup()/insert() return can be read (tokens, run, boundary scores)
+// without the lock; only its index bookkeeping — chains, pins, recency —
+// lives behind the mutex, reachable through the index's own accessors.
+// Lock ordering: the index mutex is acquired BEFORE the BlockPool mutex
+// (insert/adopt/drop call into the pool while holding it); the pool
+// never calls back into the index.
 // Concurrent readers of *adopted* chains are safe because chains are
 // immutable and refcounted.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <span>
 #include <vector>
@@ -65,13 +62,13 @@ using PrefixToken = std::int32_t;
 struct PrefixIndexConfig {
   /// Decoder layers per entry (one chain per layer).
   std::size_t n_layers = 0;
-  /// Cap on blocks the index may hold across all entries and replicas;
-  /// 0 = bounded only by pool capacity (reservations still apply).
+  /// Cap on blocks the index may hold across all entries; 0 = bounded
+  /// only by pool capacity (reservations still apply).
   std::size_t max_blocks = 0;
   /// Shortest prefix worth indexing, in tokens; rounded up to at least
   /// one pool block.
   std::size_t min_tokens = 0;
-  /// Observability registry for hit/miss/insert/replicate/trim counters
+  /// Observability registry for hit/miss/insert/trim counters
   /// (prefix.*); null disables them. Must outlive the index.
   obs::MetricsRegistry* metrics = nullptr;
 };
@@ -79,15 +76,14 @@ struct PrefixIndexConfig {
 /// The index's occupancy; its events are the registry's prefix.* counters.
 struct PrefixIndexStats {
   std::size_t entries = 0;
-  std::size_t blocks_held = 0;  ///< across entries and shard replicas
+  std::size_t blocks_held = 0;  ///< across entries
 };
 
 /// One indexed prefix: the immutable payload only. Everything mutable
-/// about an entry — which shards its chain is resident on, its LRU
-/// stamp, its pin count — is bookkeeping the PrefixIndex keeps under its
-/// own mutex (see PrefixIndex::resident_on / pins); keeping it out of
-/// this class is what lets entry pointers be read lock-free after
-/// lookup()/insert().
+/// about an entry — its chains, its LRU stamp, its pin count — is
+/// bookkeeping the PrefixIndex keeps under its own mutex (see
+/// PrefixIndex::pins); keeping it out of this class is what lets entry
+/// pointers be read lock-free after lookup()/insert().
 class PrefixEntry {
  public:
   /// Prefix length in tokens (a whole number of pool blocks).
@@ -106,7 +102,7 @@ class PrefixEntry {
   std::uint64_t run_hash_ = 0;
   std::size_t blocks_per_layer_ = 0;
   /// scores_[layer][head][token]: accumulated score-function values at the
-  /// prefix boundary (shard-independent metadata).
+  /// prefix boundary.
   std::vector<std::vector<std::vector<double>>> scores_;
   std::vector<double> policy_scores_;
 };
@@ -141,12 +137,6 @@ class PrefixIndex {
   /// Current pin count of an entry.
   std::size_t pins(const PrefixEntry* entry) const KF_EXCLUDES(mu_);
 
-  /// True when the entry's chain has a replica on `shard` (adoptable
-  /// without a copy; admission may charge only the unshared demand
-  /// there).
-  bool resident_on(const PrefixEntry* entry, std::size_t shard) const
-      KF_EXCLUDES(mu_);
-
   /// Indexes the first `run.size()` tokens of `state`'s layer caches as a
   /// new entry, *sharing* (retaining) the underlying block chain — the
   /// donor caches keep using the same blocks, now flipped to
@@ -163,12 +153,11 @@ class PrefixIndex {
                             std::vector<double> policy_scores)
       KF_EXCLUDES(mu_);
 
-  /// Adopts `entry` into `state`'s (empty, paged, single-shard) layer
-  /// caches: replicates the chain onto that shard first when it is not
-  /// resident there, then retains it into each cache with positions and
-  /// boundary scores seeded. False when the replica cannot be
-  /// materialized — the caller falls back to a full prefill.
-  bool adopt(const PrefixEntry* entry, kv::SequenceKvState& state)
+  /// Adopts `entry` into `state`'s (empty, paged) layer caches: retains
+  /// each layer's chain into its cache with positions and boundary scores
+  /// seeded. Throws std::invalid_argument for an unknown entry or a state
+  /// that is not empty, paged and shaped like the index.
+  void adopt(const PrefixEntry* entry, kv::SequenceKvState& state)
       KF_EXCLUDES(mu_);
 
   /// Least-recently-used entry, optionally considering pinned ones; null
@@ -176,8 +165,8 @@ class PrefixIndex {
   const PrefixEntry* lru_candidate(bool include_pinned) const
       KF_EXCLUDES(mu_);
 
-  /// Releases an entry's chains (all replicas) and removes it. The entry
-  /// must be unpinned.
+  /// Releases an entry's chains and removes it. The entry must be
+  /// unpinned.
   void drop(const PrefixEntry* entry) KF_EXCLUDES(mu_);
 
   /// drop() iff the entry is unpinned, with the pin check and the drop
@@ -195,9 +184,8 @@ class PrefixIndex {
   /// is guarded by mu_ like the list holding it.
   struct EntryRec {
     std::unique_ptr<PrefixEntry> entry;
-    /// chains[shard][layer] — block chain replica on that shard; outer
-    /// slot empty when the chain is not resident there.
-    std::vector<std::vector<std::vector<BlockRef>>> chains;
+    /// chains[layer]: the entry's block chain for that layer.
+    std::vector<std::vector<BlockRef>> chains;
     std::uint64_t last_use = 0;
     std::size_t pins = 0;
   };
@@ -210,25 +198,20 @@ class PrefixIndex {
   /// Frees enough unpinned LRU entries that `blocks` more fit under
   /// max_blocks; true on success (always true when max_blocks == 0).
   bool make_room_locked(std::size_t blocks) KF_REQUIRES(mu_);
-  /// Reserves + allocates a chain replica of `rec`'s entry on `shard` by
-  /// copying from an existing replica; false when the shard cannot take
-  /// it.
-  bool replicate_locked(EntryRec& rec, std::size_t shard) KF_REQUIRES(mu_);
-  void release_chain_locked(std::vector<std::vector<BlockRef>>& chain,
-                            std::size_t shard) KF_REQUIRES(mu_);
+  /// Releases `rec`'s chains and their reservation.
+  void release_chains_locked(EntryRec& rec) KF_REQUIRES(mu_);
   void drop_locked(const PrefixEntry* entry) KF_REQUIRES(mu_);
   static std::uint64_t hash_run(std::span<const PrefixToken> run);
 
   BlockPool& pool_;
   PrefixIndexConfig cfg_;
-  /// Guards every mutable member below; acquired before any BlockPool
-  /// shard mutex, never the other way around.
+  /// Guards every mutable member below; acquired before the BlockPool
+  /// mutex, never the other way around.
   mutable Mutex mu_;
-  /// A list, not a vector, on purpose: adopt()/replicate_locked() hold an
-  /// EntryRec& across make_room_locked(), whose LRU trim erases *other*
-  /// records. List erasure leaves surviving records address-stable; a
-  /// vector would shift them and leave the held reference dangling.
-  std::list<EntryRec> entries_ KF_GUARDED_BY(mu_);
+  /// In insertion order. A trim erases records and shifts the rest, so no
+  /// EntryRec reference is held across one; callers name records by
+  /// their heap-owned (address-stable) PrefixEntry instead.
+  std::vector<EntryRec> entries_ KF_GUARDED_BY(mu_);
   std::size_t blocks_held_ KF_GUARDED_BY(mu_) = 0;
   std::uint64_t tick_ KF_GUARDED_BY(mu_) = 0;
   std::uint64_t revision_ KF_GUARDED_BY(mu_) = 0;
@@ -236,7 +219,6 @@ class PrefixIndex {
   obs::Counter* ctr_hits_ = nullptr;
   obs::Counter* ctr_misses_ = nullptr;
   obs::Counter* ctr_insertions_ = nullptr;
-  obs::Counter* ctr_replications_ = nullptr;
   obs::Counter* ctr_trims_ = nullptr;
 };
 

@@ -48,30 +48,26 @@ Engine::Engine(model::Transformer& model, EngineConfig cfg)
     }
   }
   if (cfg_.paged.enabled) {
-    if (cfg_.paged.n_shards == 0 || cfg_.paged.block_tokens == 0) {
-      throw std::invalid_argument(
-          "paged memory requires n_shards > 0 and block_tokens > 0");
+    if (cfg_.paged.block_tokens == 0) {
+      throw std::invalid_argument("paged memory requires block_tokens > 0");
     }
     mem::BlockPoolConfig pc;
-    pc.n_shards = cfg_.paged.n_shards;
     pc.block_tokens = cfg_.paged.block_tokens;
     pc.n_heads = model_.config().n_heads;
     pc.d_head = model_.config().d_head();
-    pc.blocks_per_shard = cfg_.paged.blocks_per_shard;
+    pc.capacity_blocks = cfg_.paged.capacity_blocks;
     pc.metrics = &metrics_;
-    if (pc.blocks_per_shard == 0 && cfg_.scheduler.max_concurrent_tokens > 0) {
+    if (pc.capacity_blocks == 0 && cfg_.scheduler.max_concurrent_tokens > 0) {
       // Translate the abstract token budget into physical capacity: the
       // budget is per-layer tokens across the active set, so the pool
-      // holds n_layers times its block equivalent, split across shards.
-      // A bounded prefix cache rides on top, so caching prefixes never
-      // eats into the admission capacity the budget promised.
-      const std::size_t budget_blocks =
+      // holds n_layers times its block equivalent. A bounded prefix cache
+      // rides on top, so caching prefixes never eats into the admission
+      // capacity the budget promised.
+      pc.capacity_blocks =
           model_.config().n_layers *
               ((cfg_.scheduler.max_concurrent_tokens + pc.block_tokens - 1) /
                pc.block_tokens) +
           (cfg_.prefix.enabled ? cfg_.prefix.max_blocks : 0);
-      pc.blocks_per_shard =
-          (budget_blocks + pc.n_shards - 1) / pc.n_shards;
     }
     pool_ = std::make_unique<mem::BlockPool>(pc);
     cfg_.scheduler.pool = pool_.get();
@@ -82,7 +78,6 @@ Engine::Engine(model::Transformer& model, EngineConfig cfg)
       ic.min_tokens = cfg_.prefix.min_tokens;
       ic.metrics = &metrics_;
       prefix_index_ = std::make_unique<mem::PrefixIndex>(*pool_, ic);
-      cfg_.scheduler.prefix_index = prefix_index_.get();
     }
   }
 }
@@ -255,8 +250,9 @@ class Engine::Run {
         finish(s, FinishReason::kRejected,
                "learned positions would run past max_seq_len");
       } else if (req.kv_state != nullptr && pool_ != nullptr) {
-        // Placement decides the shard at admission; a pre-built external
-        // state would bypass the pool's accounting entirely.
+        // Paged caches are built against the admission reservation; a
+        // pre-built external state would bypass the pool's accounting
+        // entirely.
         finish(s, FinishReason::kRejected,
                "paged memory mode cannot take external kv_state instances");
       } else if (req.kv_state != nullptr &&
@@ -283,7 +279,7 @@ class Engine::Run {
         s.kv = s.owned_kv.get();
       }
       // Paged sequences get their state at admission, once the scheduler
-      // has placed them on a shard.
+      // has reserved their blocks.
     }
 
     // Submit the survivors in arrival order (stable: ties keep request
@@ -366,10 +362,10 @@ class Engine::Run {
         }
         seq->policy->set_eviction_sink(&seq->eviction);
         if (pool_ != nullptr) {
-          // Materialize the placement decision: layer caches drawing
-          // blocks from the shard the scheduler just reserved on.
+          // Layer caches drawing blocks from the pool the scheduler just
+          // reserved in.
           seq->owned_kv = std::make_unique<kv::SequenceKvState>(
-              *pool_, seq->shard, model_.config().n_layers);
+              *pool_, model_.config().n_layers);
           seq->kv = seq->owned_kv.get();
         }
         // The admission charge covers the transient prefill peak; record
@@ -389,7 +385,7 @@ class Engine::Run {
         }
         if (seq->finished()) finish(*seq, seq->finish);
       }
-      // Admission rejections (demand above a whole shard, or a reservation
+      // Admission rejections (demand above the whole pool, or a reservation
       // denied past the retry cap) arrive finished; the queue behind them
       // keeps moving.
       for (Sequence* seq : sched_.take_rejected()) finish(*seq, seq->finish);
@@ -544,24 +540,21 @@ class Engine::Run {
                   : prefix_index_->lookup(prompt, prompt.size() - 1);
     }
 
-    bool adopted = false;
-    if (entry != nullptr && prefix_index_->adopt(entry, *seq.kv)) {
+    if (entry != nullptr) {
       // Hit: the prefix K/V replays from the shared chain; only the suffix
       // runs. Cache-resident boundary scores were seeded by adopt();
       // policy-resident state (shared-scope Keyformer) imports here.
+      prefix_index_->adopt(entry, *seq.kv);
+      unpin_prefix(seq);  // the caches now hold the chain themselves
       seq.policy->import_score_state(entry->policy_scores());
       const std::size_t m = entry->tokens();
       prompt_logits = model_.prefill_continue(
           *seq.kv, prompt.subspan(m), m, *seq.policy, seq.gen.max_new_tokens);
       prefilled_.add(prompt.size() - m);
-      adopted = true;
       prefix_hits_.add();
       prefix_reused_.add(m);
       prefix_shared_.add(model_.config().n_layers * entry->blocks_per_layer());
-    }
-    unpin_prefix(seq);
-
-    if (!adopted) {
+    } else {
       const std::size_t m = prefix_index_ != nullptr && seq.prefix_eligible
                                 ? insertable_prefix_tokens(seq)
                                 : 0;
@@ -654,8 +647,8 @@ class Engine::Run {
 
   // Admission-time prefix probe: pin a matching shared chain for every
   // waiting eligible sequence so (a) the scheduler charges only the
-  // unshared demand on shards holding the chain and (b) the chain cannot
-  // be trimmed between the reduced charge and the adoption it promised.
+  // unshared demand and (b) the chain cannot be trimmed between the
+  // reduced charge and the adoption it promised.
   void probe_waiting() {
     if (prefix_index_ == nullptr) return;
     for (Sequence* seq : sched_.waiting()) {
@@ -776,7 +769,7 @@ class Engine::Run {
     const std::span<Sequence* const> active = sched_.active();
     if (std::find(active.begin(), active.end(), &seq) != active.end()) {
       // Capture what the Response needs from the caches; KV teardown
-      // precedes the release so freed blocks return to the shard while the
+      // precedes the release so freed blocks return to the pool while the
       // reservation still backs them.
       for (std::size_t l = 0; l < seq.kv->n_layers(); ++l) {
         seq.final_cache_sizes.push_back(seq.kv->layer_size(l));

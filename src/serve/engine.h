@@ -47,17 +47,16 @@ class Monitor;
 
 namespace kf::serve {
 
-/// Paged KV memory: the engine owns a sharded mem::BlockPool, sequences
-/// get PagedKvCache layers placed on a shard at admission, and the
-/// scheduler's budget becomes a real block reservation (see scheduler.h).
+/// Paged KV memory: the engine owns a mem::BlockPool, sequences get
+/// PagedKvCache layers drawing on it at admission, and the scheduler's
+/// budget becomes a real block reservation (see scheduler.h).
 struct PagedMemoryConfig {
   bool enabled = false;
-  std::size_t n_shards = 1;
   std::size_t block_tokens = 16;
-  /// Hard per-shard cap; 0 derives it from the scheduler token budget
-  /// (n_layers * ceil(max_concurrent_tokens / block_tokens), split across
-  /// shards) or leaves the pool unbounded when that budget is 0 too.
-  std::size_t blocks_per_shard = 0;
+  /// Hard pool cap; 0 derives it from the scheduler token budget
+  /// (n_layers * ceil(max_concurrent_tokens / block_tokens)) or leaves the
+  /// pool unbounded when that budget is 0 too.
+  std::size_t capacity_blocks = 0;
 };
 
 /// Cross-request prefix cache (requires paged memory): prompts sharing a
@@ -69,10 +68,10 @@ struct PagedMemoryConfig {
 /// policy-specific.
 struct PrefixCacheConfig {
   bool enabled = false;
-  /// Block budget for the index (entries + shard replicas); LRU entries
-  /// are trimmed to fit. 0 = bounded only by pool capacity. When the pool
-  /// capacity is derived from the scheduler token budget, this budget is
-  /// added on top so caching never shrinks admission capacity.
+  /// Block budget for the index's entries; LRU entries are trimmed to
+  /// fit. 0 = bounded only by pool capacity. When the pool capacity is
+  /// derived from the scheduler token budget, this budget is added on top
+  /// so caching never shrinks admission capacity.
   std::size_t max_blocks = 0;
   /// Shortest prefix worth indexing, in tokens (default: one pool block).
   std::size_t min_tokens = 0;
@@ -127,7 +126,7 @@ struct EngineStats {
   // Paged-pool visibility (all zero when paging is disabled):
   std::size_t max_blocks_in_use = 0;     ///< peak scheduler-reserved blocks
   std::size_t pool_peak_used_blocks = 0; ///< peak physically held blocks
-  std::size_t pool_capacity_blocks = 0;  ///< aggregate cap (0 = unbounded)
+  std::size_t pool_capacity_blocks = 0;  ///< pool cap (0 = unbounded)
   /// Worst per-step internal fragmentation: 1 - live_tokens /
   /// (used_blocks * block_tokens) — the whole-block surcharge paging pays.
   double max_fragmentation = 0.0;
@@ -230,7 +229,7 @@ class Engine {
   /// invalid or un-servable requests (empty prompt, a prompt token
   /// outside the vocabulary, learned positions past max_seq_len,
   /// mismatched external KV state, shared kv_state/policy instances,
-  /// demand above a whole shard) are contained as kRejected responses
+  /// demand above the whole pool) are contained as kRejected responses
   /// with an error string — they never throw, and the rest of the batch
   /// keeps decoding.
   std::vector<Response> run(std::span<const Request> requests);

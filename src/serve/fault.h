@@ -34,17 +34,16 @@ struct FaultInjectorConfig {
 };
 
 /// Deterministic probabilistic failures for BlockPool reserve/allocate.
-/// Thread-safe: the pool consults it under shard mutexes from concurrent
+/// Thread-safe: the pool consults it under the pool mutex from concurrent
 /// decode workers, so the draw stream sits behind its own mutex (acquired
-/// after a shard mutex; the injector takes no other locks, so the order
+/// after the pool mutex; the injector takes no other locks, so the order
 /// is acyclic).
 class SeededFaultInjector final : public mem::FaultInjector {
  public:
   explicit SeededFaultInjector(FaultInjectorConfig cfg)
       : cfg_(cfg), rng_(cfg.seed) {}
 
-  bool should_fail(mem::FaultOp op, std::size_t /*shard*/) override
-      KF_EXCLUDES(mu_) {
+  bool should_fail(mem::FaultOp op) override KF_EXCLUDES(mu_) {
     const double rate = op == mem::FaultOp::kReserve
                             ? cfg_.reserve_failure_rate
                             : cfg_.allocate_failure_rate;

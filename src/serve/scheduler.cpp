@@ -5,7 +5,6 @@
 #include <string>
 
 #include "mem/block_pool.h"
-#include "mem/prefix_index.h"
 #include "obs/metrics.h"
 
 namespace kf::serve {
@@ -30,51 +29,10 @@ void BatchScheduler::submit(Sequence* seq) {
   waiting_.push_back(seq);
 }
 
-std::optional<std::size_t> BatchScheduler::pick_shard(
-    const std::vector<std::size_t>& candidates, std::size_t demand) const {
-  if (candidates.empty()) return std::nullopt;
-  // Least loaded: fewest reserved blocks (capacity is uniform per shard,
-  // so this equals most-free in bounded mode and still spreads load when
-  // the pool is unbounded). Ties break to the lowest id so admission
-  // stays deterministic.
-  std::size_t best = candidates.front();
-  std::size_t best_load = cfg_.pool->shard_stats(best).reserved_blocks;
-  for (const std::size_t s : candidates) {
-    const std::size_t load = cfg_.pool->shard_stats(s).reserved_blocks;
-    if (load < best_load) {
-      best = s;
-      best_load = load;
-    }
-  }
-  if (cfg_.pool->unreserved_blocks(best) >= demand) return best;
-  return std::nullopt;
-}
-
-std::optional<BatchScheduler::Placement> BatchScheduler::choose_shard(
-    const Sequence& seq) const {
+std::size_t BatchScheduler::demand_blocks(const Sequence& seq) const {
   const std::size_t bt = cfg_.pool->block_tokens();
-  const std::size_t n = cfg_.pool->n_shards();
-  const std::size_t full = seq.admission_cost_blocks(bt);
-  // Prefix affinity first: shards already holding the sequence's shared
-  // chain serve it at the unshared demand — both cheaper for the pool and
-  // the only placement that keeps chain reads shard-local.
-  if (seq.prefix_entry != nullptr && seq.prefix_blocks_per_layer > 0 &&
-      cfg_.prefix_index != nullptr) {
-    const std::size_t reduced = seq.unshared_admission_blocks(bt);
-    std::vector<std::size_t> resident;
-    for (std::size_t s = 0; s < n; ++s) {
-      if (cfg_.prefix_index->resident_on(seq.prefix_entry, s)) {
-        resident.push_back(s);
-      }
-    }
-    if (const auto s = pick_shard(resident, reduced)) {
-      return Placement{*s, reduced};
-    }
-  }
-  std::vector<std::size_t> all(n);
-  for (std::size_t s = 0; s < n; ++s) all[s] = s;
-  if (const auto s = pick_shard(all, full)) return Placement{*s, full};
-  return std::nullopt;
+  return seq.prefix_entry != nullptr ? seq.unshared_admission_blocks(bt)
+                                     : seq.admission_cost_blocks(bt);
 }
 
 bool BatchScheduler::fits(const Sequence& seq) const {
@@ -82,7 +40,7 @@ bool BatchScheduler::fits(const Sequence& seq) const {
     return false;
   }
   if (cfg_.pool != nullptr) {
-    return choose_shard(seq).has_value();
+    return demand_blocks(seq) <= cfg_.pool->unreserved_blocks();
   }
   if (cfg_.max_concurrent_tokens == 0) return true;
   const std::size_t cost = seq.admission_cost_tokens();
@@ -98,25 +56,18 @@ std::vector<Sequence*> BatchScheduler::admit(std::size_t now_step) {
     Sequence* head = waiting_.front();
     if (head->arrival_step > now_step) break;
     if (cfg_.pool != nullptr) {
-      // A demand above a whole (bounded) shard can never be satisfied —
+      // A demand above the whole (bounded) pool can never be satisfied —
       // the cap is physical, there is no run-solo override. Reject the
       // request instead of deadlocking the FIFO; admission moves on to
-      // the next waiting sequence. The check uses the smallest
-      // conceivable charge: a pinned prefix match shrinks demand on its
-      // resident shards.
-      const std::size_t per_shard = cfg_.pool->config().blocks_per_shard;
-      const std::size_t bt = cfg_.pool->block_tokens();
-      const std::size_t min_demand =
-          head->prefix_entry != nullptr
-              ? head->unshared_admission_blocks(bt)
-              : head->admission_cost_blocks(bt);
-      if (per_shard > 0 && min_demand > per_shard) {
+      // the next waiting sequence.
+      const std::size_t capacity = cfg_.pool->config().capacity_blocks;
+      if (capacity > 0 && demand_blocks(*head) > capacity) {
         waiting_.pop_front();
         head->status = SequenceStatus::kFinished;
         head->finish = FinishReason::kRejected;
         head->error =
-            "sequence KV demand exceeds a whole pool shard; grow "
-            "blocks_per_shard or reduce the request";
+            "sequence KV demand exceeds the whole block pool; grow "
+            "capacity_blocks or reduce the request";
         rejected_.push_back(head);
         if (ctr_rejected_ != nullptr) ctr_rejected_->add();
         continue;
@@ -128,15 +79,14 @@ std::vector<Sequence*> BatchScheduler::admit(std::size_t now_step) {
     head->charged_tokens = head->admission_cost_tokens();
     tokens_in_use_ += head->charged_tokens;
     if (cfg_.pool != nullptr) {
-      const auto placement = choose_shard(*head);
+      const std::size_t demand = demand_blocks(*head);
       // fits() said yes a moment ago, but the reservation can still be
-      // refused: a prefix-index insert/replication on another code path
-      // claimed the capacity in between (TOCTOU), or a fault injector
-      // vetoed it. Roll the admission back and retry next round — or
-      // reject once the same sequence has lost too many rounds in a row
-      // for a race to be the explanation.
-      if (!placement.has_value() ||
-          !cfg_.pool->try_reserve(placement->shard, placement->demand)) {
+      // refused: a prefix-index insert on another code path claimed the
+      // capacity in between (TOCTOU), or a fault injector vetoed it. Roll
+      // the admission back and retry next round — or reject once the same
+      // sequence has lost too many rounds in a row for a race to be the
+      // explanation.
+      if (!cfg_.pool->try_reserve(demand)) {
         tokens_in_use_ -= head->charged_tokens;
         if (ctr_retries_ != nullptr) ctr_retries_->add();
         head->charged_tokens = 0;
@@ -157,9 +107,8 @@ std::vector<Sequence*> BatchScheduler::admit(std::size_t now_step) {
         break;
       }
       head->reserve_failures = 0;
-      head->shard = placement->shard;
-      head->reserved_blocks = placement->demand;
-      blocks_in_use_ += placement->demand;
+      head->reserved_blocks = demand;
+      blocks_in_use_ += demand;
     }
     head->admitted_step = now_step;
     active_.push_back(head);
@@ -181,14 +130,7 @@ void BatchScheduler::preempt(Sequence* seq, std::size_t now_step) {
     throw std::invalid_argument("preempt of a sequence that is not active");
   }
   active_.erase(it);
-  tokens_in_use_ -= seq->charged_tokens;
-  seq->charged_tokens = 0;
-  if (cfg_.pool != nullptr && seq->shard != Sequence::kNoShard) {
-    cfg_.pool->unreserve(seq->shard, seq->reserved_blocks);
-    blocks_in_use_ -= seq->reserved_blocks;
-    seq->reserved_blocks = 0;
-    seq->shard = Sequence::kNoShard;
-  }
+  release_charges(*seq);
   ++seq->preemptions;
   if (ctr_preempted_ != nullptr) ctr_preempted_->add();
   seq->status = SequenceStatus::kWaiting;
@@ -233,13 +175,13 @@ void BatchScheduler::settle(Sequence* seq) {
   const std::size_t steady = seq->cost_tokens();
   tokens_in_use_ -= seq->charged_tokens - std::min(seq->charged_tokens, steady);
   seq->charged_tokens = std::min(seq->charged_tokens, steady);
-  if (cfg_.pool != nullptr && seq->shard != Sequence::kNoShard) {
+  if (cfg_.pool != nullptr) {
     const std::size_t steady_blocks =
         std::min(seq->reserved_blocks,
                  seq->cost_blocks(cfg_.pool->block_tokens()));
     const std::size_t excess = seq->reserved_blocks - steady_blocks;
     if (excess > 0) {
-      cfg_.pool->unreserve(seq->shard, excess);
+      cfg_.pool->unreserve(excess);
       seq->reserved_blocks = steady_blocks;
       blocks_in_use_ -= excess;
     }
@@ -252,13 +194,16 @@ void BatchScheduler::release(Sequence* seq) {
     throw std::invalid_argument("release of a sequence that is not active");
   }
   active_.erase(it);
-  tokens_in_use_ -= seq->charged_tokens;
-  seq->charged_tokens = 0;
-  if (cfg_.pool != nullptr && seq->shard != Sequence::kNoShard) {
-    cfg_.pool->unreserve(seq->shard, seq->reserved_blocks);
-    blocks_in_use_ -= seq->reserved_blocks;
-    seq->reserved_blocks = 0;
-    seq->shard = Sequence::kNoShard;
+  release_charges(*seq);
+}
+
+void BatchScheduler::release_charges(Sequence& seq) {
+  tokens_in_use_ -= seq.charged_tokens;
+  seq.charged_tokens = 0;
+  if (cfg_.pool != nullptr) {
+    cfg_.pool->unreserve(seq.reserved_blocks);
+    blocks_in_use_ -= seq.reserved_blocks;
+    seq.reserved_blocks = 0;
   }
 }
 

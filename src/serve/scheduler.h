@@ -8,16 +8,14 @@
 //       token mode (pool == nullptr): max_concurrent_tokens caps the
 //       summed per-layer KV cache tokens — an abstract proxy;
 //       block mode (pool != nullptr): admission *reserves real blocks*
-//       on the least-loaded BlockPool shard that fits it. The
-//       reservation covers the sequence's whole-block demand across all
-//       its layers (ceil per layer — internal fragmentation is charged,
-//       not hidden), so pool capacity is an exact physical memory cap: an
-//       admitted sequence can always allocate what it was charged.
-//       When the sequence has a pinned prefix-cache match (seq.prefix_*),
-//       shards already holding the shared chain are tried first and charge
-//       only the *unshared* demand — the shared prefix blocks are resident
-//       and paid for by the index; other shards charge the full demand
-//       (the chain would have to be replicated or recomputed there).
+//       in the BlockPool. The reservation covers the sequence's
+//       whole-block demand across all its layers (ceil per layer —
+//       internal fragmentation is charged, not hidden), so pool capacity
+//       is an exact physical memory cap: an admitted sequence can always
+//       allocate what it was charged. When the sequence has a pinned
+//       prefix-cache match (seq.prefix_*), admission charges only the
+//       *unshared* demand — the shared prefix blocks are resident and
+//       paid for by the index.
 //   In both modes a joining sequence is charged its transient prefill
 //   peak (admission_cost: the full prompt is resident per layer until the
 //   policy trims it) and settles down to its steady-state cost once
@@ -33,7 +31,7 @@
 // an oversized sequence (cost above the entire budget) is admitted only
 // when the active set is empty, running solo rather than deadlocking the
 // queue. In block mode there is no such override — the cap is physical —
-// so a sequence whose admission demand exceeds a whole shard is marked
+// so a sequence whose admission demand exceeds the whole pool is marked
 // kRejected and parked on the rejected list (take_rejected()) instead of
 // deadlocking; admission moves on to the next waiting sequence.
 //
@@ -42,7 +40,7 @@
 //     against concurrent prefix-index trims/inserts, or an injected
 //     fault) rolls the admission back and retries next round; after
 //     max_reserve_retries consecutive losses the sequence is rejected so
-//     a shard that never grants the claim cannot spin the engine forever.
+//     a pool that never grants the claim cannot spin the engine forever.
 //   - preempt() is release()'s mid-flight sibling: it frees an active
 //     sequence's charges/blocks but re-queues it (keeping its generated
 //     tokens) behind every already-arrived waiter, so the starved head
@@ -61,7 +59,6 @@
 
 namespace kf::mem {
 class BlockPool;
-class PrefixIndex;
 }
 
 namespace kf::obs {
@@ -78,12 +75,9 @@ struct SchedulerConfig {
   /// (transient prefill peak until settle(), then steady-state cost);
   /// 0 = unlimited. Ignored for admission when `pool` is set.
   std::size_t max_concurrent_tokens = 0;
-  /// Block mode: admission reserves blocks against this pool's shards.
-  /// The pool must outlive the scheduler. Null = token mode.
+  /// Block mode: admission reserves blocks against this pool. The pool
+  /// must outlive the scheduler. Null = token mode.
   mem::BlockPool* pool = nullptr;
-  /// The engine's prefix index (for chain-residency placement queries);
-  /// null when the prefix cache is disabled. Must outlive the scheduler.
-  const mem::PrefixIndex* prefix_index = nullptr;
   /// Consecutive failed block reservations (fits() said yes, try_reserve
   /// said no) a sequence tolerates before admission rejects it. Generous:
   /// a genuine TOCTOU loss resolves in one round; only a pathological
@@ -108,12 +102,12 @@ class BatchScheduler {
 
   /// Moves every admissible waiting sequence (arrived by `now_step`, fits
   /// both limits) into the active set and returns the newly admitted ones
-  /// in admission order. Block mode: each admitted sequence has its shard
-  /// chosen and its admission block demand reserved. A sequence whose
-  /// demand exceeds a whole shard (it could never run) is marked
-  /// kRejected and moved to the rejected list instead of blocking the
-  /// queue; a reservation lost to a TOCTOU race rolls back and retries
-  /// next round (see the header comment).
+  /// in admission order. Block mode: each admitted sequence has its
+  /// admission block demand reserved. A sequence whose demand exceeds the
+  /// whole pool (it could never run) is marked kRejected and moved to the
+  /// rejected list instead of blocking the queue; a reservation lost to a
+  /// TOCTOU race rolls back and retries next round (see the header
+  /// comment).
   std::vector<Sequence*> admit(std::size_t now_step);
 
   /// Sequences admission rejected since the last call (status kFinished,
@@ -169,18 +163,11 @@ class BatchScheduler {
 
  private:
   bool fits(const Sequence& seq) const;
-  /// Block mode: a shard able to host the sequence and what admission
-  /// would charge it there (unshared demand on shards holding its shared
-  /// prefix chain, full demand elsewhere).
-  struct Placement {
-    std::size_t shard = 0;
-    std::size_t demand = 0;
-  };
-  std::optional<Placement> choose_shard(const Sequence& seq) const;
-  /// The least-loaded shard of one candidate set (fewest reserved blocks,
-  /// ties to the lowest id) if it fits `demand`; nullopt otherwise.
-  std::optional<std::size_t> pick_shard(
-      const std::vector<std::size_t>& candidates, std::size_t demand) const;
+  /// Block mode: the blocks admission charges `seq` — its unshared demand
+  /// when a prefix entry is pinned for it, its full demand otherwise.
+  std::size_t demand_blocks(const Sequence& seq) const;
+  /// Returns a leaving sequence's token charge and block reservation.
+  void release_charges(Sequence& seq);
 
   SchedulerConfig cfg_;
   /// Engine-loop-only state (single writer, no concurrent readers): the
@@ -193,7 +180,7 @@ class BatchScheduler {
   std::size_t blocks_in_use_ = 0;
   /// Registry-owned counters, resolved once in the constructor; null when
   /// cfg_.metrics is null. The engine-loop-only call sites bump them with
-  /// one relaxed sharded add.
+  /// one relaxed per-thread add.
   obs::Counter* ctr_admitted_ = nullptr;
   obs::Counter* ctr_rejected_ = nullptr;
   obs::Counter* ctr_preempted_ = nullptr;

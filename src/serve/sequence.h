@@ -162,7 +162,7 @@ struct Sequence {
   /// Consecutive admission rounds lost to a failed block reservation
   /// (fits() said yes, try_reserve lost the race — or a fault injector
   /// vetoed it). Cleared on successful admission; capped by the scheduler
-  /// so a shard that never grants the claim rejects instead of spinning.
+  /// so a pool that never grants the claim rejects instead of spinning.
   std::size_t reserve_failures = 0;
 
   /// Cache/policy used for this sequence; point at the owned_* members or
@@ -237,11 +237,8 @@ struct Sequence {
   /// engine from the model config; block demands are per layer).
   std::size_t n_layers = 0;
 
-  /// Block-pool placement: the shard this sequence's caches draw from
-  /// (kNoShard until admitted under a paged scheduler) and the blocks the
-  /// scheduler currently holds reserved on it.
-  static constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
-  std::size_t shard = kNoShard;
+  /// Blocks the scheduler currently holds reserved for this sequence in
+  /// the block pool (0 outside block mode or while not active).
   std::size_t reserved_blocks = 0;
 
   /// cost_tokens() expressed in pool blocks: every layer rounds its token
@@ -276,7 +273,7 @@ struct Sequence {
   std::size_t shared_prefix_hint = 0;
 
   /// admission_cost_blocks() minus what the shared prefix already pays
-  /// for, valid on shards where the entry's chain is resident. Per layer
+  /// for, valid while the entry is pinned (its chain resident). Per layer
   /// the unshared transient demand is the fresh suffix blocks plus the
   /// worst-case copy-on-write conversion of the live shared blocks
   /// (bounded by the steady footprint: eviction never keeps more), floored

@@ -323,7 +323,7 @@ TEST_P(DecodeParity, PromptChunkMatchesReference) {
     pc.n_heads = cfg.n_heads;
     pc.d_head = cfg.d_head();
     mem::BlockPool pool(pc);
-    mem::PagedKvCache cache(pool, 0);
+    mem::PagedKvCache cache(pool);
     run_chunk(cache);
     ASSERT_EQ(cache.segment_count(), 3u);
   }

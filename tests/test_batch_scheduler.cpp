@@ -190,12 +190,10 @@ TEST(BatchScheduler, ReleaseOrSettleOfInactiveThrows) {
 // ---------------------------------------------------------------------------
 // Block mode: admission backed by real reservations on a mem::BlockPool.
 
-mem::BlockPoolConfig block_pool_config(std::size_t shards,
-                                       std::size_t blocks_per_shard,
+mem::BlockPoolConfig block_pool_config(std::size_t capacity_blocks,
                                        std::size_t block_tokens = 8) {
   mem::BlockPoolConfig cfg;
-  cfg.n_shards = shards;
-  cfg.blocks_per_shard = blocks_per_shard;
+  cfg.capacity_blocks = capacity_blocks;
   cfg.block_tokens = block_tokens;
   cfg.n_heads = 2;
   cfg.d_head = 4;
@@ -218,7 +216,7 @@ TEST(SequenceCost, BlockDemandRoundsPerLayer) {
 }
 
 TEST(BatchScheduler, BlockModeReservesAndSettlesRealBlocks) {
-  mem::BlockPool pool(block_pool_config(1, 12));
+  mem::BlockPool pool(block_pool_config(12));
   SchedulerConfig cfg;
   cfg.max_batch_size = 0;
   cfg.pool = &pool;
@@ -227,19 +225,18 @@ TEST(BatchScheduler, BlockModeReservesAndSettlesRealBlocks) {
   Sequence s = make_block_seq(40, 0.5);  // admit 10 blocks, steady 6
   sched.submit(&s);
   ASSERT_EQ(sched.admit(0).size(), 1u);
-  EXPECT_EQ(s.shard, 0u);
   EXPECT_EQ(s.reserved_blocks, 10u);
   EXPECT_EQ(sched.blocks_in_use(), 10u);
-  EXPECT_EQ(pool.shard_stats(0).reserved_blocks, 10u);
+  EXPECT_EQ(pool.stats().reserved_blocks, 10u);
 
   sched.settle(&s);
   EXPECT_EQ(s.reserved_blocks, 6u);
-  EXPECT_EQ(pool.shard_stats(0).reserved_blocks, 6u);
+  EXPECT_EQ(pool.stats().reserved_blocks, 6u);
 
   sched.release(&s);
   EXPECT_EQ(sched.blocks_in_use(), 0u);
-  EXPECT_EQ(pool.shard_stats(0).reserved_blocks, 0u);
-  EXPECT_EQ(s.shard, Sequence::kNoShard);
+  EXPECT_EQ(pool.stats().reserved_blocks, 0u);
+  EXPECT_EQ(s.reserved_blocks, 0u);
 }
 
 TEST(BatchScheduler, BlockModeChargesFragmentationTokenModeHides) {
@@ -248,7 +245,7 @@ TEST(BatchScheduler, BlockModeChargesFragmentationTokenModeHides) {
   // 12 blocks fits them only sequentially: the second must wait for the
   // first's settle, and a third can never join while both are resident —
   // even though a 48-token *token* budget would have admitted 2 at once.
-  mem::BlockPool pool(block_pool_config(1, 12));
+  mem::BlockPool pool(block_pool_config(12));
   SchedulerConfig cfg;
   cfg.max_batch_size = 0;
   cfg.pool = &pool;
@@ -265,64 +262,11 @@ TEST(BatchScheduler, BlockModeChargesFragmentationTokenModeHides) {
   ASSERT_EQ(sched.admit(0).size(), 1u);
 }
 
-TEST(BatchScheduler, LeastLoadedPlacementSpreadsAcrossShards) {
-  mem::BlockPool pool(block_pool_config(2, 16));
-  SchedulerConfig cfg;
-  cfg.max_batch_size = 0;
-  cfg.pool = &pool;
-  BatchScheduler sched(cfg);
-
-  Sequence a = make_block_seq(40, 0.5);
-  Sequence b = make_block_seq(40, 0.5);
-  sched.submit(&a);
-  sched.submit(&b);
-  ASSERT_EQ(sched.admit(0).size(), 2u);
-  EXPECT_NE(a.shard, b.shard);
-}
-
-TEST(BatchScheduler, LeastLoadedPicksFewestReservedAndTieBreaksLowestId) {
-  mem::BlockPool pool(block_pool_config(3, 32));
-  ASSERT_TRUE(pool.try_reserve(0, 8));  // load: 8 / 2 / 2
-  ASSERT_TRUE(pool.try_reserve(1, 2));
-  ASSERT_TRUE(pool.try_reserve(2, 2));
-  SchedulerConfig cfg;
-  cfg.max_batch_size = 0;
-  cfg.pool = &pool;
-  BatchScheduler sched(cfg);
-
-  Sequence a = make_block_seq(16, 0.5);
-  sched.submit(&a);
-  ASSERT_EQ(sched.admit(0).size(), 1u);
-  EXPECT_EQ(a.shard, 1u);  // 1 and 2 tie at 2 reserved; lowest id wins
-  sched.release(&a);
-
-  ASSERT_TRUE(pool.try_reserve(2, 1));  // load: 8 / 2 / 3
-  Sequence b = make_block_seq(16, 0.5);
-  sched.submit(&b);
-  ASSERT_EQ(sched.admit(0).size(), 1u);
-  EXPECT_EQ(b.shard, 1u);  // strictly least loaded
-}
-
-TEST(BatchScheduler, LeastLoadedSteersAwayFromPreloadedShard) {
-  // Shard 0 is pre-loaded: least-loaded placement steers the sequence to
-  // the emptier shard 1 rather than the lowest id.
-  mem::BlockPool pool(block_pool_config(2, 32));
-  ASSERT_TRUE(pool.try_reserve(0, 6));  // shard 0 pre-loaded
-  SchedulerConfig cfg;
-  cfg.max_batch_size = 0;
-  cfg.pool = &pool;
-  BatchScheduler sched(cfg);
-  Sequence s = make_block_seq(16, 0.5);
-  sched.submit(&s);
-  ASSERT_EQ(sched.admit(0).size(), 1u);
-  EXPECT_EQ(s.shard, 1u);
-}
-
 TEST(BatchScheduler, BlockModeOversizedDemandIsRejectedNotDeadlocked) {
-  // A demand above a whole shard can never be satisfied; the scheduler
+  // A demand above the whole pool can never be satisfied; the scheduler
   // marks it kRejected and moves on so the FIFO head cannot deadlock the
   // queue — and the sequence behind it is admitted in the same round.
-  mem::BlockPool pool(block_pool_config(1, 4));
+  mem::BlockPool pool(block_pool_config(4));
   SchedulerConfig cfg;
   cfg.pool = &pool;
   BatchScheduler sched(cfg);
@@ -346,13 +290,13 @@ TEST(BatchScheduler, BlockModeOversizedDemandIsRejectedNotDeadlocked) {
 // ---------------------------------------------------------------------------
 // Prefix-cache-aware admission: shared chains reduce the charged demand.
 
-/// Indexes a `tokens`-long run (must be whole blocks) built on `shard`,
-/// returning the entry (the builder state is torn down; the index keeps
-/// the chain alive).
+/// Indexes a `tokens`-long run (must be whole blocks), returning the
+/// entry (the builder state is torn down; the index keeps the chain
+/// alive).
 const mem::PrefixEntry* index_prefix(mem::BlockPool& pool,
                                      mem::PrefixIndex& index,
-                                     std::size_t shard, std::size_t tokens) {
-  kv::SequenceKvState state(pool, shard, 2);
+                                     std::size_t tokens) {
+  kv::SequenceKvState state(pool, 2);
   std::vector<mem::PrefixToken> run(tokens);
   for (std::size_t i = 0; i < tokens; ++i) {
     run[i] = static_cast<mem::PrefixToken>(i);
@@ -391,21 +335,18 @@ TEST(SequenceCost, UnsharedAdmissionBlocksSubtractResidentPrefix) {
   EXPECT_EQ(full_s.unshared_admission_blocks(8), 4u);  // (6 - 4) * 2
 }
 
-TEST(BatchScheduler, PrefixAffinityPlacesOnResidentShardAtReducedCharge) {
-  mem::BlockPool pool(block_pool_config(2, 32));
+TEST(BatchScheduler, PinnedPrefixIsChargedOnlyItsUnsharedDemand) {
+  mem::BlockPool pool(block_pool_config(32));
   mem::PrefixIndexConfig ic;
   ic.n_layers = 2;
   mem::PrefixIndex index(pool, ic);
-  // Chain resident on shard 1 only (least-loaded alone would pick the
-  // emptier shard 0: shard 1 already carries the index's reservation).
-  const mem::PrefixEntry* entry = index_prefix(pool, index, 1, 32);
+  const mem::PrefixEntry* entry = index_prefix(pool, index, 32);
   ASSERT_NE(entry, nullptr);
-  ASSERT_EQ(pool.shard_stats(1).reserved_blocks, 8u);
+  ASSERT_EQ(pool.stats().reserved_blocks, 8u);  // the index's chain
 
   SchedulerConfig cfg;
   cfg.max_batch_size = 0;
   cfg.pool = &pool;
-  cfg.prefix_index = &index;
   BatchScheduler sched(cfg);
 
   Sequence s = make_block_seq(40, 0.5);
@@ -413,39 +354,54 @@ TEST(BatchScheduler, PrefixAffinityPlacesOnResidentShardAtReducedCharge) {
   s.prefix_blocks_per_layer = 4;
   sched.submit(&s);
   ASSERT_EQ(sched.admit(0).size(), 1u);
-  EXPECT_EQ(s.shard, 1u);  // affinity beats least-loaded
   EXPECT_EQ(s.reserved_blocks, s.unshared_admission_blocks(8));
   EXPECT_LT(s.reserved_blocks, s.admission_cost_blocks(8));
+  EXPECT_EQ(pool.stats().reserved_blocks, 8u + s.reserved_blocks);
 }
 
-TEST(BatchScheduler, PrefixSequenceFallsBackToFullChargeElsewhere) {
-  // The resident shard cannot take even the reduced demand; placement
-  // falls back to another shard at the full charge.
-  mem::BlockPool pool(block_pool_config(2, 12));
+TEST(BatchScheduler, PinnedPrefixWaitsUntilItsUnsharedDemandFits) {
+  // Capacity 17 with the index holding 8 blocks leaves 9: room for the
+  // prefix sequence's 8-block unshared demand, not its 10-block full one.
+  mem::BlockPool pool(block_pool_config(17));
   mem::PrefixIndexConfig ic;
   ic.n_layers = 2;
   mem::PrefixIndex index(pool, ic);
-  const mem::PrefixEntry* entry = index_prefix(pool, index, 1, 32);
+  const mem::PrefixEntry* entry = index_prefix(pool, index, 32);
   ASSERT_NE(entry, nullptr);
-  ASSERT_TRUE(pool.try_reserve(1, 4));  // shard 1: 8 index + 4 = full
+  ASSERT_EQ(pool.stats().reserved_blocks, 8u);
 
   SchedulerConfig cfg;
   cfg.max_batch_size = 0;
   cfg.pool = &pool;
-  cfg.prefix_index = &index;
   BatchScheduler sched(cfg);
+  Sequence blocker = make_block_seq(16, 0.5);
   Sequence s = make_block_seq(40, 0.5);
   s.prefix_entry = entry;
   s.prefix_blocks_per_layer = 4;
+  ASSERT_EQ(blocker.admission_cost_blocks(8), 4u);
+  ASSERT_EQ(s.unshared_admission_blocks(8), 8u);
+  ASSERT_EQ(s.admission_cost_blocks(8), 10u);
+  sched.submit(&blocker);
   sched.submit(&s);
+
+  // The blocker leaves 5 blocks free: the prefix sequence waits at the
+  // queue head — neither admitted nor rejected.
   ASSERT_EQ(sched.admit(0).size(), 1u);
-  EXPECT_EQ(s.shard, 0u);
-  EXPECT_EQ(s.reserved_blocks, s.admission_cost_blocks(8));
-  pool.unreserve(1, 4);
+  EXPECT_EQ(sched.admit(1).size(), 0u);
+  EXPECT_EQ(s.status, SequenceStatus::kWaiting);
+  EXPECT_TRUE(sched.take_rejected().empty());
+
+  sched.release(&blocker);
+  const auto admitted = sched.admit(2);
+  ASSERT_EQ(admitted.size(), 1u);
+  EXPECT_EQ(admitted[0], &s);
+  EXPECT_EQ(s.reserved_blocks, 8u);
+  EXPECT_EQ(pool.stats().reserved_blocks, 16u);
+  sched.release(&s);
 }
 
 TEST(BatchScheduler, BlockModeRequiresLayerCount) {
-  mem::BlockPool pool(block_pool_config(1, 8));
+  mem::BlockPool pool(block_pool_config(8));
   SchedulerConfig cfg;
   cfg.pool = &pool;
   BatchScheduler sched(cfg);
@@ -457,7 +413,7 @@ TEST(BatchScheduler, BlockModeRequiresLayerCount) {
 // Robustness: preemption bookkeeping, victim selection, reservation retry.
 
 TEST(BatchScheduler, PreemptFreesChargesAndRequeuesBehindArrivedWaiters) {
-  mem::BlockPool pool(block_pool_config(1, 12));
+  mem::BlockPool pool(block_pool_config(12));
   SchedulerConfig cfg;
   cfg.pool = &pool;
   BatchScheduler sched(cfg);
@@ -479,7 +435,6 @@ TEST(BatchScheduler, PreemptFreesChargesAndRequeuesBehindArrivedWaiters) {
   EXPECT_EQ(a.queue_enter_step, 5u);
   EXPECT_EQ(a.charged_tokens, 0u);
   EXPECT_EQ(a.reserved_blocks, 0u);
-  EXPECT_EQ(a.shard, Sequence::kNoShard);
   EXPECT_EQ(sched.blocks_in_use(), 0u);
   EXPECT_EQ(sched.tokens_in_use(), 0u);
   EXPECT_EQ(pool.stats().reserved_blocks, 0u);
@@ -495,7 +450,7 @@ TEST(BatchScheduler, PreemptFreesChargesAndRequeuesBehindArrivedWaiters) {
 }
 
 TEST(BatchScheduler, PickVictimHonorsAgeFloorAndPreemptionCap) {
-  mem::BlockPool pool(block_pool_config(1, 32));
+  mem::BlockPool pool(block_pool_config(32));
   SchedulerConfig cfg;
   cfg.pool = &pool;
   BatchScheduler sched(cfg);
@@ -523,13 +478,13 @@ TEST(BatchScheduler, PickVictimHonorsAgeFloorAndPreemptionCap) {
 /// Injector that vetoes every reservation, forever.
 class AlwaysFailReserve final : public mem::FaultInjector {
  public:
-  bool should_fail(mem::FaultOp op, std::size_t /*shard*/) override {
+  bool should_fail(mem::FaultOp op) override {
     return op == mem::FaultOp::kReserve;
   }
 };
 
 TEST(BatchScheduler, ReservationDeniedRetriesThenRejectsAtCap) {
-  mem::BlockPool pool(block_pool_config(1, 12));
+  mem::BlockPool pool(block_pool_config(12));
   AlwaysFailReserve inject;
   pool.set_fault_injector(&inject);
   obs::MetricsRegistry reg;

@@ -11,11 +11,9 @@
 namespace kf::mem {
 namespace {
 
-BlockPoolConfig small_config(std::size_t shards = 2,
-                             std::size_t blocks_per_shard = 8) {
+BlockPoolConfig small_config(std::size_t capacity_blocks = 8) {
   BlockPoolConfig cfg;
-  cfg.n_shards = shards;
-  cfg.blocks_per_shard = blocks_per_shard;
+  cfg.capacity_blocks = capacity_blocks;
   cfg.block_tokens = 4;
   cfg.n_heads = 2;
   cfg.d_head = 3;
@@ -24,9 +22,6 @@ BlockPoolConfig small_config(std::size_t shards = 2,
 
 TEST(BlockPool, RejectsDegenerateConfig) {
   auto cfg = small_config();
-  cfg.n_shards = 0;
-  EXPECT_THROW(BlockPool{cfg}, std::invalid_argument);
-  cfg = small_config();
   cfg.block_tokens = 0;
   EXPECT_THROW(BlockPool{cfg}, std::invalid_argument);
   cfg = small_config();
@@ -34,19 +29,24 @@ TEST(BlockPool, RejectsDegenerateConfig) {
   EXPECT_THROW(BlockPool{cfg}, std::invalid_argument);
 }
 
+/// try_allocate() for a pool the test sized to have room.
+BlockRef take(BlockPool& pool) {
+  const auto ref = pool.try_allocate();
+  EXPECT_TRUE(ref.has_value());
+  return ref.value_or(BlockRef{});
+}
+
 TEST(BlockPool, AllocateFreeRoundTrip) {
   BlockPool pool(small_config());
-  const BlockRef a = pool.allocate(0);
-  const BlockRef b = pool.allocate(0);
-  EXPECT_EQ(a.shard, 0u);
+  const BlockRef a = take(pool);
+  const BlockRef b = take(pool);
   EXPECT_NE(a.id, b.id);
-  EXPECT_EQ(pool.shard_stats(0).used_blocks, 2u);
-  EXPECT_EQ(pool.shard_stats(1).used_blocks, 0u);
-  pool.free(a);
-  pool.free(b);
-  EXPECT_EQ(pool.shard_stats(0).used_blocks, 0u);
+  EXPECT_EQ(pool.stats().used_blocks, 2u);
+  pool.release(a);
+  pool.release(b);
+  EXPECT_EQ(pool.stats().used_blocks, 0u);
   // Everything freed: the next allocations reuse the same ids.
-  const BlockRef c = pool.allocate(0);
+  const BlockRef c = take(pool);
   EXPECT_LT(c.id, 2u);
 }
 
@@ -54,10 +54,10 @@ TEST(BlockPool, PayloadPointersAreStableAndDisjoint) {
   // Write a distinct pattern into every head section of every block, then
   // verify nothing overlapped — the addressing math carves disjoint
   // [block][K/V][head][token][d_head] regions.
-  BlockPool pool(small_config(1, 6));
+  BlockPool pool(small_config(6));
   const auto& cfg = pool.config();
   std::vector<BlockRef> refs;
-  for (std::size_t i = 0; i < 6; ++i) refs.push_back(pool.allocate(0));
+  for (std::size_t i = 0; i < 6; ++i) refs.push_back(take(pool));
   const std::size_t head_floats = cfg.block_tokens * cfg.d_head;
   for (std::size_t i = 0; i < refs.size(); ++i) {
     for (std::size_t h = 0; h < cfg.n_heads; ++h) {
@@ -82,147 +82,98 @@ TEST(BlockPool, PayloadPointersAreStableAndDisjoint) {
 TEST(BlockPool, SlabAllocationsAre64ByteAligned) {
   // Slab arenas allocate at kSimdAlign (core/aligned.h) so SIMD loads on
   // head-major block payloads start cache-line aligned. Block 0 of every
-  // slab IS the slab base; the property must hold across slab growth and
-  // across shards.
-  BlockPoolConfig cfg = small_config(2, 0);  // unbounded: slabs on demand
-  BlockPool pool(cfg);
-  for (std::size_t s = 0; s < 2; ++s) {
-    std::vector<BlockRef> refs;
-    for (std::size_t i = 0; i < 130; ++i) refs.push_back(pool.allocate(s));
-    for (const BlockRef r : refs) {
-      if (r.id % 64 == 0) {  // kBlocksPerSlab: this block is a slab base
-        EXPECT_TRUE(is_simd_aligned(pool.keys(r, 0)))
-            << "shard " << s << " block " << r.id;
-      }
-    }
-    for (const BlockRef r : refs) pool.free(r);
-  }
-}
-
-TEST(BlockPool, ExhaustionThrowsAndFreeRecovers) {
-  BlockPool pool(small_config(1, 3));
+  // slab IS the slab base; the property must hold across slab growth.
+  BlockPool pool(small_config(0));  // unbounded: slabs on demand
   std::vector<BlockRef> refs;
-  for (std::size_t i = 0; i < 3; ++i) refs.push_back(pool.allocate(0));
-  EXPECT_THROW(pool.allocate(0), std::runtime_error);
-  pool.free(refs.back());
-  refs.pop_back();
-  EXPECT_NO_THROW(refs.push_back(pool.allocate(0)));
+  for (std::size_t i = 0; i < 260; ++i) refs.push_back(take(pool));
+  for (const BlockRef r : refs) {
+    if (r.id % 64 == 0) {  // kBlocksPerSlab: this block is a slab base
+      EXPECT_TRUE(is_simd_aligned(pool.keys(r, 0))) << "block " << r.id;
+    }
+  }
+  for (const BlockRef r : refs) pool.release(r);
 }
 
 TEST(BlockPool, ReservationAccounting) {
-  BlockPool pool(small_config(2, 8));
-  EXPECT_TRUE(pool.try_reserve(0, 5));
-  EXPECT_EQ(pool.unreserved_blocks(0), 3u);
-  EXPECT_FALSE(pool.try_reserve(0, 4));  // 5 + 4 > 8: no change
-  EXPECT_EQ(pool.shard_stats(0).reserved_blocks, 5u);
-  EXPECT_TRUE(pool.try_reserve(0, 3));
-  EXPECT_EQ(pool.unreserved_blocks(0), 0u);
-  // Shard 1 is independent.
-  EXPECT_TRUE(pool.try_reserve(1, 8));
-  pool.unreserve(0, 8);
-  EXPECT_EQ(pool.unreserved_blocks(0), 8u);
-  EXPECT_THROW(pool.unreserve(0, 1), std::invalid_argument);
+  BlockPool pool(small_config(8));
+  EXPECT_TRUE(pool.try_reserve(5));
+  EXPECT_EQ(pool.unreserved_blocks(), 3u);
+  EXPECT_FALSE(pool.try_reserve(4));  // 5 + 4 > 8: no change
+  EXPECT_EQ(pool.stats().reserved_blocks, 5u);
+  EXPECT_TRUE(pool.try_reserve(3));
+  EXPECT_EQ(pool.unreserved_blocks(), 0u);
+  pool.unreserve(8);
+  EXPECT_EQ(pool.unreserved_blocks(), 8u);
+  EXPECT_THROW(pool.unreserve(1), std::invalid_argument);
 }
 
 TEST(BlockPool, UnboundedPoolGrowsOnDemand) {
-  BlockPool pool(small_config(1, /*blocks_per_shard=*/0));
-  EXPECT_EQ(pool.unreserved_blocks(0), static_cast<std::size_t>(-1));
+  BlockPool pool(small_config(/*capacity_blocks=*/0));
+  EXPECT_EQ(pool.unreserved_blocks(), static_cast<std::size_t>(-1));
   std::vector<BlockRef> refs;
-  for (std::size_t i = 0; i < 200; ++i) refs.push_back(pool.allocate(0));
-  EXPECT_EQ(pool.shard_stats(0).used_blocks, 200u);
-  EXPECT_GE(pool.shard_stats(0).allocated_blocks, 200u);
-  for (const BlockRef r : refs) pool.free(r);
-  EXPECT_EQ(pool.shard_stats(0).used_blocks, 0u);
+  for (std::size_t i = 0; i < 200; ++i) refs.push_back(take(pool));
+  EXPECT_EQ(pool.stats().used_blocks, 200u);
+  EXPECT_GE(pool.stats().allocated_blocks, 200u);
+  for (const BlockRef r : refs) pool.release(r);
+  EXPECT_EQ(pool.stats().used_blocks, 0u);
 }
 
 TEST(BlockPool, PeaksTrackHighWaterAndReset) {
-  BlockPool pool(small_config(1, 8));
+  BlockPool pool(small_config(8));
   std::vector<BlockRef> refs;
-  for (std::size_t i = 0; i < 6; ++i) refs.push_back(pool.allocate(0));
-  for (const BlockRef r : refs) pool.free(r);
-  EXPECT_EQ(pool.shard_stats(0).peak_used_blocks, 6u);
+  for (std::size_t i = 0; i < 6; ++i) refs.push_back(take(pool));
+  for (const BlockRef r : refs) pool.release(r);
+  ASSERT_TRUE(pool.try_reserve(4));
+  pool.unreserve(4);
+  EXPECT_EQ(pool.stats().peak_used_blocks, 6u);
+  EXPECT_EQ(pool.stats().peak_reserved_blocks, 4u);
   pool.reset_peaks();
-  EXPECT_EQ(pool.shard_stats(0).peak_used_blocks, 0u);
+  EXPECT_EQ(pool.stats().peak_used_blocks, 0u);
+  EXPECT_EQ(pool.stats().peak_reserved_blocks, 0u);
 }
 
 TEST(BlockPool, RandomizedAllocFreeNeverLeaks) {
-  // N random alloc/free cycles across shards; at the end every freed
-  // block must be reusable and used counts must be exactly what is still
-  // held — the pool-invariant half of the leak test (the engine half
-  // lives in test_serve_engine).
-  BlockPool pool(small_config(3, 16));
+  // N random alloc/free cycles; at the end every freed block must be
+  // reusable and used counts must be exactly what is still held — the
+  // pool-invariant half of the leak test (the engine half lives in
+  // test_serve_engine).
+  constexpr std::size_t kCapacity = 48;
+  BlockPool pool(small_config(kCapacity));
   Rng rng(99);
   std::vector<BlockRef> held;
   for (std::size_t step = 0; step < 2000; ++step) {
-    const bool can_alloc = [&] {
-      for (std::size_t s = 0; s < 3; ++s) {
-        if (pool.shard_stats(s).used_blocks < 16) return true;
-      }
-      return false;
-    }();
+    const bool can_alloc = held.size() < kCapacity;
     if (!held.empty() && (!can_alloc || rng.uniform_u64(2) == 0)) {
       const std::size_t pick = rng.uniform_u64(held.size());
-      pool.free(held[pick]);
+      pool.release(held[pick]);
       held[pick] = held.back();
       held.pop_back();
     } else if (can_alloc) {
-      std::size_t shard = rng.uniform_u64(3);
-      while (pool.shard_stats(shard).used_blocks >= 16) {
-        shard = (shard + 1) % 3;
-      }
-      held.push_back(pool.allocate(shard));
+      held.push_back(take(pool));
     }
-    std::size_t used = 0;
-    for (std::size_t s = 0; s < 3; ++s) {
-      used += pool.shard_stats(s).used_blocks;
-    }
-    ASSERT_EQ(used, held.size()) << "step " << step;
+    ASSERT_EQ(pool.stats().used_blocks, held.size()) << "step " << step;
   }
-  for (const BlockRef r : held) pool.free(r);
+  for (const BlockRef r : held) pool.release(r);
   const PoolStats st = pool.stats();
   EXPECT_EQ(st.used_blocks, 0u);
   EXPECT_LE(st.allocated_blocks, st.capacity_blocks);
 }
 
 TEST(BlockPool, FreeDetectsDoubleFree) {
-  BlockPool pool(small_config(1, 4));
-  const BlockRef a = pool.allocate(0);
-  const BlockRef b = pool.allocate(0);
-  pool.free(a);
-  EXPECT_THROW(pool.free(a), std::invalid_argument);  // double free
-  BlockRef never;  // never allocated on this shard
-  never.shard = 0;
-  never.id = 3;
-  EXPECT_THROW(pool.free(never), std::invalid_argument);
-  pool.free(b);
-  EXPECT_EQ(pool.shard_stats(0).used_blocks, 0u);
-}
-
-TEST(BlockPool, AggregatePeakIsSimultaneousNotSumOfShardPeaks) {
-  // Shard 0 peaks at 3, then drains; shard 1 peaks at 3 afterwards. The
-  // pool never holds more than 3 at once, so the aggregate peak must be
-  // 3 — not the 6 that summing per-shard peaks would report.
-  BlockPool pool(small_config(2, 8));
-  std::vector<BlockRef> held;
-  for (std::size_t i = 0; i < 3; ++i) held.push_back(pool.allocate(0));
-  for (const BlockRef r : held) pool.free(r);
-  held.clear();
-  for (std::size_t i = 0; i < 3; ++i) held.push_back(pool.allocate(1));
-  for (const BlockRef r : held) pool.free(r);
-  EXPECT_EQ(pool.shard_stats(0).peak_used_blocks, 3u);
-  EXPECT_EQ(pool.shard_stats(1).peak_used_blocks, 3u);
-  EXPECT_EQ(pool.stats().peak_used_blocks, 3u);
-  // Same rule for reservations.
-  ASSERT_TRUE(pool.try_reserve(0, 4));
-  pool.unreserve(0, 4);
-  ASSERT_TRUE(pool.try_reserve(1, 4));
-  pool.unreserve(1, 4);
-  EXPECT_EQ(pool.stats().peak_reserved_blocks, 4u);
+  BlockPool pool(small_config(4));
+  const BlockRef a = take(pool);
+  const BlockRef b = take(pool);
+  pool.release(a);
+  EXPECT_THROW(pool.release(a), std::invalid_argument);  // double free
+  const BlockRef never{3};  // never allocated
+  EXPECT_THROW(pool.release(never), std::invalid_argument);
+  pool.release(b);
+  EXPECT_EQ(pool.stats().used_blocks, 0u);
 }
 
 TEST(BlockPool, RefcountRetainKeepsBlockAliveUntilLastRelease) {
-  BlockPool pool(small_config(1, 8));
-  const BlockRef r = pool.allocate(0);
+  BlockPool pool(small_config(8));
+  const BlockRef r = take(pool);
   EXPECT_EQ(pool.refcount(r), 1u);
   pool.retain(r);
   pool.retain(r);
@@ -231,14 +182,14 @@ TEST(BlockPool, RefcountRetainKeepsBlockAliveUntilLastRelease) {
   pool.release(r);
   // Still alive: one reader left, used still counts it once.
   EXPECT_EQ(pool.refcount(r), 1u);
-  EXPECT_EQ(pool.shard_stats(0).used_blocks, 1u);
+  EXPECT_EQ(pool.stats().used_blocks, 1u);
   pool.release(r);
   EXPECT_EQ(pool.refcount(r), 0u);
-  EXPECT_EQ(pool.shard_stats(0).used_blocks, 0u);
+  EXPECT_EQ(pool.stats().used_blocks, 0u);
   // Fully released: further touches are errors, and the id is reusable.
   EXPECT_THROW(pool.retain(r), std::invalid_argument);
   EXPECT_THROW(pool.release(r), std::invalid_argument);
-  const BlockRef again = pool.allocate(0);
+  const BlockRef again = take(pool);
   EXPECT_EQ(again.id, r.id);
   EXPECT_EQ(pool.refcount(again), 1u);
   pool.release(again);
@@ -247,30 +198,27 @@ TEST(BlockPool, RefcountRetainKeepsBlockAliveUntilLastRelease) {
 TEST(BlockPool, SharedBlockChargesUsedOnce) {
   // Sharing N ways is the whole point of the prefix cache: the pool must
   // charge the physical block once no matter how many readers hold it.
-  BlockPool pool(small_config(1, 4));
-  const BlockRef r = pool.allocate(0);
+  BlockPool pool(small_config(4));
+  const BlockRef r = take(pool);
   for (int i = 0; i < 5; ++i) pool.retain(r);
-  EXPECT_EQ(pool.shard_stats(0).used_blocks, 1u);
   EXPECT_EQ(pool.stats().used_blocks, 1u);
   for (int i = 0; i < 6; ++i) pool.release(r);
   EXPECT_EQ(pool.stats().used_blocks, 0u);
 }
 
 TEST(BlockPool, RandomizedRefcountChurnNeverLeaks) {
-  // Interleaved allocate/retain/release across shards; live refcount
-  // bookkeeping mirrored locally. After draining, every block must be at
-  // refcount 0 with used back to zero — the no-leak half of the
-  // prefix-cache acceptance criteria at the pool level.
-  BlockPool pool(small_config(2, 16));
+  // Interleaved allocate/retain/release; live refcount bookkeeping
+  // mirrored locally. After draining, every block must be at refcount 0
+  // with used back to zero — the no-leak half of the prefix-cache
+  // acceptance criteria at the pool level.
+  constexpr std::size_t kCapacity = 32;
+  BlockPool pool(small_config(kCapacity));
   Rng rng(99);
   std::vector<std::pair<BlockRef, std::size_t>> live;  // ref, local count
   for (std::size_t step = 0; step < 2000; ++step) {
     const std::uint64_t op = rng.uniform_u64(10);
     if (op < 4 || live.empty()) {
-      const std::size_t shard = rng.uniform_u64(2);
-      if (pool.shard_stats(shard).used_blocks < 16) {
-        live.emplace_back(pool.allocate(shard), 1u);
-      }
+      if (live.size() < kCapacity) live.emplace_back(take(pool), 1u);
     } else if (op < 6) {
       auto& [ref, count] = live[rng.uniform_u64(live.size())];
       pool.retain(ref);
@@ -298,22 +246,22 @@ TEST(BlockPool, RandomizedRefcountChurnNeverLeaks) {
 }
 
 TEST(BlockPool, TryAllocateReturnsNulloptAtCapacityInsteadOfThrowing) {
-  BlockPool pool(small_config(1, 2));
+  BlockPool pool(small_config(2));
   std::vector<BlockRef> held;
   for (;;) {
-    const auto ref = pool.try_allocate(0);
+    const auto ref = pool.try_allocate();
     if (!ref.has_value()) break;
     held.push_back(*ref);
   }
   EXPECT_EQ(held.size(), 2u);
-  EXPECT_EQ(pool.shard_stats(0).used_blocks, 2u);
+  EXPECT_EQ(pool.stats().used_blocks, 2u);
   // Freeing one makes try_allocate succeed again.
-  pool.free(held.back());
+  pool.release(held.back());
   held.pop_back();
-  const auto again = pool.try_allocate(0);
+  const auto again = pool.try_allocate();
   ASSERT_TRUE(again.has_value());
   held.push_back(*again);
-  for (const BlockRef r : held) pool.free(r);
+  for (const BlockRef r : held) pool.release(r);
   EXPECT_EQ(pool.stats().used_blocks, 0u);
 }
 
@@ -321,7 +269,7 @@ TEST(BlockPool, TryAllocateReturnsNulloptAtCapacityInsteadOfThrowing) {
 class CountdownInjector final : public FaultInjector {
  public:
   CountdownInjector(FaultOp op, std::size_t n) : op_(op), left_(n) {}
-  bool should_fail(FaultOp op, std::size_t /*shard*/) override {
+  bool should_fail(FaultOp op) override {
     if (op != op_ || left_ == 0) return false;
     --left_;
     return true;
@@ -333,51 +281,35 @@ class CountdownInjector final : public FaultInjector {
 };
 
 TEST(BlockPool, FaultInjectorVetoesReserveThenRecovers) {
-  BlockPool pool(small_config(1, 8));
+  BlockPool pool(small_config(8));
   CountdownInjector inject(FaultOp::kReserve, 2);
   pool.set_fault_injector(&inject);
   // Capacity is plentiful, but the injector vetoes the first two claims —
   // and a vetoed reserve must leave the counters untouched.
-  EXPECT_FALSE(pool.try_reserve(0, 2));
-  EXPECT_FALSE(pool.try_reserve(0, 2));
-  EXPECT_EQ(pool.shard_stats(0).reserved_blocks, 0u);
-  EXPECT_TRUE(pool.try_reserve(0, 2));
-  EXPECT_EQ(pool.shard_stats(0).reserved_blocks, 2u);
-  pool.unreserve(0, 2);
+  EXPECT_FALSE(pool.try_reserve(2));
+  EXPECT_FALSE(pool.try_reserve(2));
+  EXPECT_EQ(pool.stats().reserved_blocks, 0u);
+  EXPECT_TRUE(pool.try_reserve(2));
+  EXPECT_EQ(pool.stats().reserved_blocks, 2u);
+  pool.unreserve(2);
   pool.set_fault_injector(nullptr);
 }
 
 TEST(BlockPool, FaultInjectorVetoesAllocateThenRecovers) {
-  BlockPool pool(small_config(1, 8));
+  BlockPool pool(small_config(8));
   CountdownInjector inject(FaultOp::kAllocate, 1);
   pool.set_fault_injector(&inject);
-  EXPECT_FALSE(pool.try_allocate(0).has_value());
-  EXPECT_EQ(pool.shard_stats(0).used_blocks, 0u);
-  const auto ref = pool.try_allocate(0);
-  ASSERT_TRUE(ref.has_value());
-  EXPECT_EQ(pool.shard_stats(0).used_blocks, 1u);
-  // Clearing the injector stops all vetoes; allocate() (the throwing
-  // wrapper) also works again.
-  pool.set_fault_injector(nullptr);
-  const BlockRef b = pool.allocate(0);
-  pool.free(*ref);
-  pool.free(b);
+  EXPECT_FALSE(pool.try_allocate().has_value());
   EXPECT_EQ(pool.stats().used_blocks, 0u);
-}
-
-TEST(BlockPool, StatsAggregateAcrossShards) {
-  BlockPool pool(small_config(2, 8));
-  const BlockRef a = pool.allocate(0);
-  const BlockRef b = pool.allocate(1);
-  ASSERT_TRUE(pool.try_reserve(1, 2));
-  const PoolStats st = pool.stats();
-  EXPECT_EQ(st.n_shards, 2u);
-  EXPECT_EQ(st.capacity_blocks, 16u);
-  EXPECT_EQ(st.used_blocks, 2u);
-  EXPECT_EQ(st.reserved_blocks, 2u);
-  pool.free(a);
-  pool.free(b);
-  pool.unreserve(1, 2);
+  const auto ref = pool.try_allocate();
+  ASSERT_TRUE(ref.has_value());
+  EXPECT_EQ(pool.stats().used_blocks, 1u);
+  // Clearing the injector stops all vetoes.
+  pool.set_fault_injector(nullptr);
+  const BlockRef b = take(pool);
+  pool.release(*ref);
+  pool.release(b);
+  EXPECT_EQ(pool.stats().used_blocks, 0u);
 }
 
 }  // namespace

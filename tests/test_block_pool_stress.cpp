@@ -1,16 +1,16 @@
 // Randomized multi-threaded stress of the BlockPool: the regression net
-// for the pool's concurrency contract (shard-mutex-guarded bookkeeping,
+// for the pool's concurrency contract (mutex-guarded bookkeeping,
 // lock-free slab-directory publication for payload access). Run under
 // ThreadSanitizer in CI; single-threaded runs still exercise the
 // invariants.
 //
-// Each worker loops: reserve a random claim on a random shard, allocate
-// blocks against it, stamp and verify payloads (catches two owners
-// aliasing one block and a torn slab publication alike), churn refcounts,
-// release everything, unreserve. A dedicated observer hammers the stats
-// accessors, asserting the per-shard invariant used <= reserved <=
-// capacity on every consistent snapshot. After the join the pool must be
-// empty: every block back on a free list, every reservation returned.
+// Each worker loops: reserve a random claim, allocate blocks against it,
+// stamp and verify payloads (catches two owners aliasing one block and a
+// torn slab publication alike), churn refcounts, release everything,
+// unreserve. A dedicated observer hammers the stats accessor, asserting
+// the invariant used <= reserved <= capacity on every snapshot. After
+// the join the pool must be empty: every block back on the free list,
+// every reservation returned.
 #include "mem/block_pool.h"
 
 #include <gtest/gtest.h>
@@ -25,13 +25,13 @@
 namespace kf::mem {
 namespace {
 
-constexpr std::size_t kShards = 3;
-constexpr std::size_t kBlocksPerShard = 24;
+/// Pre-shared blocks the workers retain and read concurrently.
+constexpr std::size_t kShared = 3;
+constexpr std::size_t kCapacity = 72;
 
 BlockPoolConfig stress_config() {
   BlockPoolConfig cfg;
-  cfg.n_shards = kShards;
-  cfg.blocks_per_shard = kBlocksPerShard;
+  cfg.capacity_blocks = kCapacity;
   cfg.block_tokens = 4;
   cfg.n_heads = 2;
   cfg.d_head = 3;
@@ -39,9 +39,13 @@ BlockPoolConfig stress_config() {
 }
 
 // A value no other block's stamp collides with.
-float stamp_of(BlockRef ref) {
-  return static_cast<float>(ref.shard) * 1000.0F +
-         static_cast<float>(ref.id) + 0.5F;
+float stamp_of(BlockRef ref) { return static_cast<float>(ref.id) + 0.5F; }
+
+/// try_allocate() where the test guarantees room.
+BlockRef take(BlockPool& pool) {
+  const auto ref = pool.try_allocate();
+  EXPECT_TRUE(ref.has_value());
+  return ref.value_or(BlockRef{});
 }
 
 void stamp(BlockPool& pool, BlockRef ref) {
@@ -73,13 +77,13 @@ bool verify_stamp(const BlockPool& pool, BlockRef ref) {
 TEST(BlockPoolStress, ConcurrentReserveAllocateChurnLeavesPoolEmpty) {
   BlockPool pool(stress_config());
 
-  // One pre-shared block per shard: workers retain/release and read it
-  // concurrently, stressing refcounts above 1 the way prefix-cache chains
-  // do. Backed by a reservation so used <= reserved holds throughout.
+  // Pre-shared blocks: workers retain/release and read them concurrently,
+  // stressing refcounts above 1 the way prefix-cache chains do. Backed by
+  // a reservation so used <= reserved holds throughout.
   std::vector<BlockRef> shared;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    ASSERT_TRUE(pool.try_reserve(s, 1));
-    shared.push_back(pool.allocate(s));
+  ASSERT_TRUE(pool.try_reserve(kShared));
+  for (std::size_t s = 0; s < kShared; ++s) {
+    shared.push_back(take(pool));
     stamp(pool, shared.back());
   }
 
@@ -90,15 +94,15 @@ TEST(BlockPoolStress, ConcurrentReserveAllocateChurnLeavesPoolEmpty) {
 
   const auto worker = [&](std::size_t tid) {
     std::mt19937 rng(static_cast<std::mt19937::result_type>(tid) + 1);
-    std::uniform_int_distribution<std::size_t> shard_dist(0, kShards - 1);
+    std::uniform_int_distribution<std::size_t> shared_dist(0, kShared - 1);
     std::uniform_int_distribution<std::size_t> claim_dist(1, 3);
     for (std::size_t round = 0; round < kRounds && !failed; ++round) {
-      const std::size_t s = shard_dist(rng);
+      const std::size_t s = shared_dist(rng);
       const std::size_t claim = claim_dist(rng);
-      if (!pool.try_reserve(s, claim)) continue;  // shard contended: skip
+      if (!pool.try_reserve(claim)) continue;  // pool contended: skip
       std::vector<BlockRef> mine;
       for (std::size_t i = 0; i < claim; ++i) {
-        mine.push_back(pool.allocate(s));
+        mine.push_back(take(pool));
         stamp(pool, mine.back());
       }
       // Refcount churn on an owned block and on the shared one.
@@ -113,23 +117,19 @@ TEST(BlockPoolStress, ConcurrentReserveAllocateChurnLeavesPoolEmpty) {
         if (!verify_stamp(pool, ref)) failed = true;
       }
       for (const BlockRef ref : mine) pool.release(ref);
-      pool.unreserve(s, claim);
+      pool.unreserve(claim);
     }
   };
 
-  // Stats observer: every consistent snapshot must satisfy the accounting
+  // Stats observer: every snapshot must satisfy the accounting
   // invariant; allocate/release never run outside a reservation here.
   const auto observer = [&] {
     while (!stop_observer) {
-      for (std::size_t s = 0; s < kShards; ++s) {
-        const ShardStats st = pool.shard_stats(s);
-        if (st.used_blocks > st.reserved_blocks ||
-            st.reserved_blocks > st.capacity_blocks) {
-          failed = true;
-        }
+      const PoolStats st = pool.stats();
+      if (st.used_blocks > st.reserved_blocks ||
+          st.reserved_blocks > st.capacity_blocks) {
+        failed = true;
       }
-      const PoolStats total = pool.stats();
-      if (total.used_blocks > total.reserved_blocks) failed = true;
       std::this_thread::yield();
     }
   };
@@ -146,43 +146,35 @@ TEST(BlockPoolStress, ConcurrentReserveAllocateChurnLeavesPoolEmpty) {
 
   EXPECT_FALSE(failed) << "invariant violated or payload corrupted";
 
-  // The shared chains survived the churn intact at refcount 1.
-  for (std::size_t s = 0; s < kShards; ++s) {
-    EXPECT_EQ(pool.refcount(shared[s]), 1u);
-    EXPECT_TRUE(verify_stamp(pool, shared[s]));
-    pool.release(shared[s]);
-    pool.unreserve(s, 1);
+  // The shared blocks survived the churn intact at refcount 1.
+  for (const BlockRef ref : shared) {
+    EXPECT_EQ(pool.refcount(ref), 1u);
+    EXPECT_TRUE(verify_stamp(pool, ref));
+    pool.release(ref);
   }
+  pool.unreserve(kShared);
 
   // Empty pool: every block returned, every claim released, peaks sane.
   const PoolStats st = pool.stats();
   EXPECT_EQ(st.used_blocks, 0u);
   EXPECT_EQ(st.reserved_blocks, 0u);
   EXPECT_LE(st.peak_used_blocks, st.peak_reserved_blocks);
-  EXPECT_LE(st.peak_reserved_blocks, kShards * kBlocksPerShard);
-  for (std::size_t s = 0; s < kShards; ++s) {
-    const ShardStats ss = pool.shard_stats(s);
-    EXPECT_EQ(ss.used_blocks, 0u);
-    EXPECT_EQ(ss.reserved_blocks, 0u);
-    EXPECT_LE(ss.allocated_blocks, ss.capacity_blocks);
-  }
+  EXPECT_LE(st.peak_reserved_blocks, kCapacity);
+  EXPECT_LE(st.allocated_blocks, st.capacity_blocks);
 
   // Emptied means reusable: a full-capacity sweep still succeeds.
   std::vector<BlockRef> sweep;
-  ASSERT_TRUE(pool.try_reserve(0, kBlocksPerShard));
-  for (std::size_t i = 0; i < kBlocksPerShard; ++i) {
-    sweep.push_back(pool.allocate(0));
-  }
+  ASSERT_TRUE(pool.try_reserve(kCapacity));
+  for (std::size_t i = 0; i < kCapacity; ++i) sweep.push_back(take(pool));
   for (const BlockRef ref : sweep) pool.release(ref);
-  pool.unreserve(0, kBlocksPerShard);
+  pool.unreserve(kCapacity);
 }
 
-// Unbounded shards grow by slabs while readers touch already-published
+// An unbounded pool grows by slabs while readers touch already-published
 // payloads: the acquire/release slab-directory handshake under fire.
 TEST(BlockPoolStress, ConcurrentSlabGrowthKeepsPublishedPayloadsStable) {
   BlockPoolConfig cfg = stress_config();
-  cfg.n_shards = 1;
-  cfg.blocks_per_shard = 0;  // unbounded: every carve goes through a slab
+  cfg.capacity_blocks = 0;  // unbounded: every carve goes through a slab
   BlockPool pool(cfg);
 
   constexpr std::size_t kThreads = 6;
@@ -194,7 +186,7 @@ TEST(BlockPoolStress, ConcurrentSlabGrowthKeepsPublishedPayloadsStable) {
     std::uniform_int_distribution<int> coin(0, 3);
     std::vector<BlockRef> mine;
     for (std::size_t i = 0; i < kPerThread && !failed; ++i) {
-      mine.push_back(pool.allocate(0));
+      mine.push_back(take(pool));
       stamp(pool, mine.back());
       // Re-read a random earlier block: its slab may have been published
       // long ago or by another thread a moment ago.

@@ -166,7 +166,6 @@ TEST(Monitor, PollsLiveEngineRun) {
   ec.scheduler.max_batch_size = 2;
   ec.scheduler.max_concurrent_tokens = 256;
   ec.paged.enabled = true;
-  ec.paged.n_shards = 2;
   ec.paged.block_tokens = 8;
   ec.prefix.enabled = true;
   serve::Engine engine(m, ec);

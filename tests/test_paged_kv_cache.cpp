@@ -15,8 +15,7 @@ namespace {
 BlockPoolConfig pool_config(std::size_t block_tokens = 4,
                             std::size_t n_heads = 2, std::size_t d_head = 3) {
   BlockPoolConfig cfg;
-  cfg.n_shards = 1;
-  cfg.blocks_per_shard = 0;  // unbounded: the cache under test decides
+  cfg.capacity_blocks = 0;  // unbounded: the cache under test decides
   cfg.block_tokens = block_tokens;
   cfg.n_heads = n_heads;
   cfg.d_head = d_head;
@@ -40,19 +39,19 @@ std::vector<float> ramp_row(std::size_t width, float base) {
 
 TEST(PagedKvCache, ChainInvariantAcrossAppends) {
   BlockPool pool(pool_config(/*block_tokens=*/4));
-  PagedKvCache c(pool, 0);
+  PagedKvCache c(pool);
   EXPECT_EQ(c.blocks_held(), 0u);
   for (std::size_t t = 0; t < 10; ++t) {
     const auto k = ramp_row(c.row_width(), static_cast<float>(t));
     c.append(k, k, t);
     EXPECT_EQ(c.blocks_held(), (t + 1 + 3) / 4) << "token " << t;
-    EXPECT_EQ(pool.shard_stats(0).used_blocks, c.blocks_held());
+    EXPECT_EQ(pool.stats().used_blocks, c.blocks_held());
   }
 }
 
 TEST(PagedKvCache, SegmentsTileTheCacheInOrder) {
   BlockPool pool(pool_config(/*block_tokens=*/4));
-  PagedKvCache c(pool, 0);
+  PagedKvCache c(pool);
   for (std::size_t t = 0; t < 10; ++t) {
     const auto k = ramp_row(c.row_width(), static_cast<float>(t));
     c.append(k, k, t);
@@ -80,7 +79,7 @@ TEST(PagedKvCache, SegmentsTileTheCacheInOrder) {
 
 TEST(PagedKvCache, CompactFreesEmptiedTailBlocks) {
   BlockPool pool(pool_config(/*block_tokens=*/4));
-  PagedKvCache c(pool, 0);
+  PagedKvCache c(pool);
   for (std::size_t t = 0; t < 12; ++t) {
     const auto k = ramp_row(c.row_width(), static_cast<float>(t));
     c.append(k, k, t);
@@ -91,7 +90,7 @@ TEST(PagedKvCache, CompactFreesEmptiedTailBlocks) {
   c.compact(keep);
   EXPECT_EQ(c.size(), 5u);
   EXPECT_EQ(c.blocks_held(), 2u);
-  EXPECT_EQ(pool.shard_stats(0).used_blocks, 2u);
+  EXPECT_EQ(pool.stats().used_blocks, 2u);
   // Kept rows gathered in order.
   EXPECT_EQ(c.original_position(0), 0u);
   EXPECT_EQ(c.original_position(4), 11u);
@@ -102,22 +101,22 @@ TEST(PagedKvCache, CompactFreesEmptiedTailBlocks) {
 TEST(PagedKvCache, ClearAndDestructorReturnEveryBlock) {
   BlockPool pool(pool_config());
   {
-    PagedKvCache c(pool, 0);
+    PagedKvCache c(pool);
     for (std::size_t t = 0; t < 9; ++t) {
       const auto k = ramp_row(c.row_width(), static_cast<float>(t));
       c.append(k, k, t);
     }
-    EXPECT_GT(pool.shard_stats(0).used_blocks, 0u);
+    EXPECT_GT(pool.stats().used_blocks, 0u);
     c.clear();
-    EXPECT_EQ(pool.shard_stats(0).used_blocks, 0u);
+    EXPECT_EQ(pool.stats().used_blocks, 0u);
     EXPECT_EQ(c.size(), 0u);
     for (std::size_t t = 0; t < 5; ++t) {  // reusable after clear
       const auto k = ramp_row(c.row_width(), static_cast<float>(t));
       c.append(k, k, t);
     }
-    EXPECT_EQ(pool.shard_stats(0).used_blocks, 2u);
+    EXPECT_EQ(pool.stats().used_blocks, 2u);
   }
-  EXPECT_EQ(pool.shard_stats(0).used_blocks, 0u);  // destructor freed
+  EXPECT_EQ(pool.stats().used_blocks, 0u);  // destructor freed
 }
 
 /// The core acceptance property: identical append/compact/clear/score op
@@ -129,7 +128,7 @@ TEST(PagedKvCache, RandomizedOpsBitExactVsContiguous) {
     const std::size_t n_heads = 2;
     const std::size_t d_head = 3;
     BlockPool pool(pool_config(block_tokens, n_heads, d_head));
-    PagedKvCache paged(pool, 0);
+    PagedKvCache paged(pool);
     kv::ContiguousKvCache contiguous(n_heads, d_head, /*capacity_hint=*/2);
     Rng rng(7 + block_tokens);
 
@@ -153,7 +152,7 @@ TEST(PagedKvCache, RandomizedOpsBitExactVsContiguous) {
       ASSERT_EQ(paged.blocks_held(),
                 (paged.size() + block_tokens - 1) / block_tokens)
           << "step " << step;
-      ASSERT_EQ(pool.shard_stats(0).used_blocks, paged.blocks_held())
+      ASSERT_EQ(pool.stats().used_blocks, paged.blocks_held())
           << "step " << step;
     };
 
@@ -193,17 +192,12 @@ TEST(PagedKvCache, RandomizedOpsBitExactVsContiguous) {
   }
 }
 
-TEST(PagedKvCache, RejectsOutOfRangeShard) {
-  BlockPool pool(pool_config());
-  EXPECT_THROW(PagedKvCache(pool, 1), std::invalid_argument);
-}
-
 TEST(PagedKvCache, CompactToEmptyThenRegrow) {
   // Satellite coverage: a cache drained to zero by compaction must return
   // every block and then grow again from scratch exactly like a fresh
   // cache (chain invariant, stats, and contents all intact).
   BlockPool pool(pool_config(/*block_tokens=*/4));
-  PagedKvCache c(pool, 0);
+  PagedKvCache c(pool);
   for (std::size_t t = 0; t < 11; ++t) {
     const auto k = ramp_row(c.row_width(), static_cast<float>(t));
     c.append(k, k, t);
@@ -212,7 +206,7 @@ TEST(PagedKvCache, CompactToEmptyThenRegrow) {
   c.compact({});  // keep nothing
   EXPECT_EQ(c.size(), 0u);
   EXPECT_EQ(c.blocks_held(), 0u);
-  EXPECT_EQ(pool.shard_stats(0).used_blocks, 0u);
+  EXPECT_EQ(pool.stats().used_blocks, 0u);
   // Regrowth: positions may restart (the cache is empty), contents land
   // in freshly allocated blocks.
   for (std::size_t t = 0; t < 6; ++t) {
@@ -220,7 +214,7 @@ TEST(PagedKvCache, CompactToEmptyThenRegrow) {
     c.append(k, k, t);
     EXPECT_EQ(c.blocks_held(), (t + 1 + 3) / 4);
   }
-  EXPECT_EQ(pool.shard_stats(0).used_blocks, 2u);
+  EXPECT_EQ(pool.stats().used_blocks, 2u);
   EXPECT_EQ(c.key_row(4), ramp_row(c.row_width(), 104.0F));
   EXPECT_EQ(c.original_position(5), 5u);
 }
@@ -254,19 +248,19 @@ std::vector<std::vector<double>> snapshot_scores(const PagedKvCache& c,
 TEST(PagedKvCache, AdoptPrefixSharesBlocksAndSeedsMetadata) {
   obs::MetricsRegistry reg;
   BlockPool pool(metered_config(reg));
-  PagedKvCache donor(pool, 0);
+  PagedKvCache donor(pool);
   fill_prefix(donor, 8);  // exactly 2 blocks
   const std::vector<BlockRef> chain(donor.blocks().begin(),
                                     donor.blocks().end());
   const auto scores = snapshot_scores(donor, 8);
 
-  PagedKvCache reader(pool, 0);
+  PagedKvCache reader(pool);
   reader.adopt_prefix(chain, 8, scores);
   EXPECT_EQ(reader.size(), 8u);
   EXPECT_EQ(reader.blocks_held(), 2u);
   EXPECT_EQ(reader.shared_blocks(), 2u);
   // Physically the same blocks: used counts them once, refcount twice.
-  EXPECT_EQ(pool.shard_stats(0).used_blocks, 2u);
+  EXPECT_EQ(pool.stats().used_blocks, 2u);
   EXPECT_EQ(pool.refcount(chain[0]), 2u);
   for (std::size_t t = 0; t < 8; ++t) {
     EXPECT_EQ(reader.key_row(t), donor.key_row(t)) << "token " << t;
@@ -286,11 +280,11 @@ TEST(PagedKvCache, AdoptPrefixSharesBlocksAndSeedsMetadata) {
 
 TEST(PagedKvCache, AdoptPrefixValidatesAlignmentAndEmptiness) {
   BlockPool pool(pool_config(/*block_tokens=*/4));
-  PagedKvCache donor(pool, 0);
+  PagedKvCache donor(pool);
   fill_prefix(donor, 8);
   const std::vector<BlockRef> chain(donor.blocks().begin(),
                                     donor.blocks().end());
-  PagedKvCache reader(pool, 0);
+  PagedKvCache reader(pool);
   // 7 tokens is not block-aligned; 8 tokens over one block is a mismatch.
   EXPECT_THROW(reader.adopt_prefix(chain, 7, snapshot_scores(donor, 7)),
                std::invalid_argument);
@@ -305,11 +299,11 @@ TEST(PagedKvCache, AdoptPrefixValidatesAlignmentAndEmptiness) {
 TEST(PagedKvCache, CompactCopiesSharedDestinationBlocksOnWrite) {
   obs::MetricsRegistry reg;
   BlockPool pool(metered_config(reg));
-  PagedKvCache donor(pool, 0);
+  PagedKvCache donor(pool);
   fill_prefix(donor, 12);  // 3 blocks
   const std::vector<BlockRef> chain(donor.blocks().begin(),
                                     donor.blocks().end());
-  PagedKvCache reader(pool, 0);
+  PagedKvCache reader(pool);
   reader.adopt_prefix(chain, 12, snapshot_scores(donor, 12));
 
   // Keep rows 0..3 untouched (identity gather: block 0 stays shared) and
@@ -342,11 +336,11 @@ TEST(PagedKvCache, CompactCopiesSharedDestinationBlocksOnWrite) {
 TEST(PagedKvCache, AppendIntoSharedPartialTailCopiesFirst) {
   obs::MetricsRegistry reg;
   BlockPool pool(metered_config(reg));
-  PagedKvCache donor(pool, 0);
+  PagedKvCache donor(pool);
   fill_prefix(donor, 8);
   const std::vector<BlockRef> chain(donor.blocks().begin(),
                                     donor.blocks().end());
-  PagedKvCache reader(pool, 0);
+  PagedKvCache reader(pool);
   reader.adopt_prefix(chain, 8, snapshot_scores(donor, 8));
   // Evict to 6 rows with an identity keep: both blocks stay shared, the
   // tail block now has free slots.
@@ -369,12 +363,12 @@ TEST(PagedKvCache, CowSkipsCopyWhenLastReader) {
   BlockPool pool(metered_config(reg));
   std::vector<BlockRef> chain;
   {
-    PagedKvCache donor(pool, 0);
+    PagedKvCache donor(pool);
     fill_prefix(donor, 4);
     chain.assign(donor.blocks().begin(), donor.blocks().end());
     for (const BlockRef r : chain) pool.retain(r);  // stand-in for an index
   }  // donor gone; "index" still holds the chain
-  PagedKvCache reader(pool, 0);
+  PagedKvCache reader(pool);
   const std::vector<std::vector<double>> zeros(2, std::vector<double>(4, 0.0));
   reader.adopt_prefix(chain, 4, zeros);
   for (const BlockRef r : chain) pool.release(r);  // index drops the entry
@@ -390,7 +384,7 @@ TEST(PagedKvCache, CowSkipsCopyWhenLastReader) {
 /// Injector that vetoes every allocation, forever.
 class AlwaysFailAllocate final : public FaultInjector {
  public:
-  bool should_fail(FaultOp op, std::size_t /*shard*/) override {
+  bool should_fail(FaultOp op) override {
     return op == FaultOp::kAllocate;
   }
 };
@@ -402,7 +396,7 @@ TEST(PagedKvCache, AllocationFailureFallsBackToEmergencyBlocksExactly) {
   // pool for emergency refs.
   obs::MetricsRegistry reg;
   BlockPool pool(metered_config(reg));
-  PagedKvCache c(pool, 0);
+  PagedKvCache c(pool);
   // First block from the pool, then cut the supply.
   for (std::size_t t = 0; t < 4; ++t) {
     const auto k = ramp_row(c.row_width(), static_cast<float>(t));
@@ -420,7 +414,7 @@ TEST(PagedKvCache, AllocationFailureFallsBackToEmergencyBlocksExactly) {
   EXPECT_EQ(reg.counter("pool.emergency_blocks").value(), 1u);
   EXPECT_EQ(c.size(), 7u);
   // The pool only ever granted the first block.
-  EXPECT_EQ(pool.shard_stats(0).used_blocks, 1u);
+  EXPECT_EQ(pool.stats().used_blocks, 1u);
   // Every row — pool-backed and emergency alike — reads back exactly.
   for (std::size_t t = 0; t < 7; ++t) {
     const auto expect = ramp_row(c.row_width(), static_cast<float>(t));

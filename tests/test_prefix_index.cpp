@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "mem/paged_kv_cache.h"
@@ -16,11 +17,9 @@ constexpr std::size_t kHeads = 2;
 constexpr std::size_t kDHead = 3;
 constexpr std::size_t kBlockTokens = 4;
 
-BlockPoolConfig pool_config(std::size_t shards = 1,
-                            std::size_t blocks_per_shard = 0) {
+BlockPoolConfig pool_config(std::size_t capacity_blocks = 0) {
   BlockPoolConfig cfg;
-  cfg.n_shards = shards;
-  cfg.blocks_per_shard = blocks_per_shard;
+  cfg.capacity_blocks = capacity_blocks;
   cfg.block_tokens = kBlockTokens;
   cfg.n_heads = kHeads;
   cfg.d_head = kDHead;
@@ -36,12 +35,11 @@ PrefixIndexConfig index_config(std::size_t max_blocks = 0,
   return cfg;
 }
 
-/// A paged state on `shard` whose layer caches hold `run` as rows
-/// 0..run-1 (K row value encodes (layer, token)) with scores token * (h+1)
-/// + layer.
-kv::SequenceKvState fill_state(BlockPool& pool, std::size_t shard,
+/// A paged state whose layer caches hold `run` as rows 0..run-1 (K row
+/// value encodes (layer, token)) with scores token * (h+1) + layer.
+kv::SequenceKvState fill_state(BlockPool& pool,
                                std::span<const PrefixToken> run) {
-  kv::SequenceKvState state(pool, shard, kLayers);
+  kv::SequenceKvState state(pool, kLayers);
   for (std::size_t l = 0; l < kLayers; ++l) {
     auto& cache = state.layer(l);
     for (std::size_t t = 0; t < run.size(); ++t) {
@@ -68,18 +66,17 @@ TEST(PrefixIndex, InsertSharesTheLiveChainWithoutCopying) {
   BlockPool pool(pool_config());
   PrefixIndex index(pool, index_config());
   const auto run = make_run(8);
-  auto state = fill_state(pool, 0, run);
+  auto state = fill_state(pool, run);
 
   const PrefixEntry* entry = index.insert(run, state, {});
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->tokens(), 8u);
   EXPECT_EQ(entry->blocks_per_layer(), 2u);
-  EXPECT_TRUE(index.resident_on(entry, 0));
   // Shared, not copied: physical used stays at the state's own blocks,
   // each now refcounted by the index too; the index reserved its share.
   EXPECT_EQ(pool.stats().used_blocks, kLayers * 2);
   EXPECT_EQ(index.blocks_held(), kLayers * 2);
-  EXPECT_EQ(pool.shard_stats(0).reserved_blocks, kLayers * 2);
+  EXPECT_EQ(pool.stats().reserved_blocks, kLayers * 2);
   const auto* paged = dynamic_cast<const PagedKvCache*>(&state.layer(0));
   EXPECT_EQ(pool.refcount(paged->blocks()[0]), 2u);
   // The chain survives the inserting sequence.
@@ -92,7 +89,7 @@ TEST(PrefixIndex, InsertRejectsIneligibleRuns) {
   obs::MetricsRegistry reg;
   PrefixIndex index(pool, index_config(0, &reg));
   const auto run = make_run(8);
-  auto state = fill_state(pool, 0, run);
+  auto state = fill_state(pool, run);
   // Not block-aligned.
   EXPECT_EQ(index.insert(std::span(run).first(6), state, {}), nullptr);
   // Shorter than one block (min_tokens floor).
@@ -110,8 +107,8 @@ TEST(PrefixIndex, LookupFindsLongestIndexedPrefix) {
   PrefixIndex index(pool, index_config(0, &reg));
   const auto long_run = make_run(12);
   const std::span<const PrefixToken> short_run(long_run.data(), 4);
-  auto state_a = fill_state(pool, 0, short_run);
-  auto state_b = fill_state(pool, 0, long_run);
+  auto state_a = fill_state(pool, short_run);
+  auto state_b = fill_state(pool, long_run);
   ASSERT_NE(index.insert(short_run, state_a, {}), nullptr);
   const PrefixEntry* longer = index.insert(long_run, state_b, {});
   ASSERT_NE(longer, nullptr);
@@ -137,13 +134,13 @@ TEST(PrefixIndex, AdoptSeedsCachesFromTheSharedChain) {
   BlockPool pool(pool_config());
   PrefixIndex index(pool, index_config());
   const auto run = make_run(8);
-  auto donor = fill_state(pool, 0, run);
+  auto donor = fill_state(pool, run);
   const PrefixEntry* entry = index.insert(run, donor, {1.0, 2.0});
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->policy_scores().size(), 2u);
 
-  kv::SequenceKvState reader(pool, 0, kLayers);
-  ASSERT_TRUE(index.adopt(entry, reader));
+  kv::SequenceKvState reader(pool, kLayers);
+  index.adopt(entry, reader);
   for (std::size_t l = 0; l < kLayers; ++l) {
     const auto& cache = reader.layer(l);
     ASSERT_EQ(cache.size(), 8u);
@@ -159,31 +156,6 @@ TEST(PrefixIndex, AdoptSeedsCachesFromTheSharedChain) {
   EXPECT_EQ(pool.stats().used_blocks, kLayers * 2);
 }
 
-TEST(PrefixIndex, AdoptReplicatesAcrossShards) {
-  BlockPool pool(pool_config(/*shards=*/2, /*blocks_per_shard=*/16));
-  obs::MetricsRegistry reg;
-  PrefixIndex index(pool, index_config(0, &reg));
-  const auto run = make_run(8);
-  auto donor = fill_state(pool, 0, run);
-  const PrefixEntry* entry = index.insert(run, donor, {});
-  ASSERT_NE(entry, nullptr);
-  EXPECT_FALSE(index.resident_on(entry, 1));
-
-  kv::SequenceKvState reader(pool, 1, kLayers);
-  ASSERT_TRUE(index.adopt(entry, reader));
-  EXPECT_TRUE(index.resident_on(entry, 1));
-  EXPECT_EQ(reg.counter("prefix.replications").value(), 1u);
-  // The replica is a real copy on shard 1, reserved there.
-  EXPECT_EQ(pool.shard_stats(1).used_blocks, kLayers * 2);
-  EXPECT_EQ(pool.shard_stats(1).reserved_blocks, kLayers * 2);
-  EXPECT_EQ(reader.layer(0).key_row(3), donor.layer(0).key_row(3));
-  // A second shard-1 adopter shares the replica instead of copying again.
-  kv::SequenceKvState reader2(pool, 1, kLayers);
-  ASSERT_TRUE(index.adopt(entry, reader2));
-  EXPECT_EQ(reg.counter("prefix.replications").value(), 1u);
-  EXPECT_EQ(pool.shard_stats(1).used_blocks, kLayers * 2);
-}
-
 TEST(PrefixIndex, LruTrimUnderBlockBudgetSkipsPinned) {
   BlockPool pool(pool_config());
   // Budget fits exactly two 2-block-per-layer entries.
@@ -192,9 +164,9 @@ TEST(PrefixIndex, LruTrimUnderBlockBudgetSkipsPinned) {
   const auto run_a = make_run(8, 0);
   const auto run_b = make_run(8, 100);
   const auto run_c = make_run(8, 200);
-  auto state_a = fill_state(pool, 0, run_a);
-  auto state_b = fill_state(pool, 0, run_b);
-  auto state_c = fill_state(pool, 0, run_c);
+  auto state_a = fill_state(pool, run_a);
+  auto state_b = fill_state(pool, run_b);
+  auto state_c = fill_state(pool, run_c);
 
   const PrefixEntry* a = index.insert(run_a, state_a, {});
   const PrefixEntry* b = index.insert(run_b, state_b, {});
@@ -213,7 +185,7 @@ TEST(PrefixIndex, LruTrimUnderBlockBudgetSkipsPinned) {
   ASSERT_NE(lru, nullptr);
   index.pin(lru);
   const auto run_d = make_run(8, 300);
-  auto state_d = fill_state(pool, 0, run_d);
+  auto state_d = fill_state(pool, run_d);
   EXPECT_NE(index.lru_candidate(/*include_pinned=*/false), lru);
   index.pin(index.lru_candidate(/*include_pinned=*/false));
   EXPECT_EQ(index.insert(run_d, state_d, {}), nullptr);
@@ -221,81 +193,29 @@ TEST(PrefixIndex, LruTrimUnderBlockBudgetSkipsPinned) {
   ASSERT_NE(index.insert(run_d, state_d, {}), nullptr);
 }
 
-TEST(PrefixIndex, ReplicationUnderTightBudgetNeverDropsTheSourceEntry) {
-  // Regression: with a block budget that fits exactly one chain, adopting
-  // on a second shard needs room for a replica, and the LRU victim
-  // make_room() finds is the very entry being replicated. The replication
-  // must fail cleanly (entry intact, usable on its home shard) — not
-  // read through a freed chain.
-  BlockPool pool(pool_config(/*shards=*/2, /*blocks_per_shard=*/16));
-  PrefixIndex index(pool, index_config(/*max_blocks=*/kLayers * 2));
+TEST(PrefixIndex, AdoptRejectsBadInput) {
+  BlockPool pool(pool_config());
+  PrefixIndex index(pool, index_config());
   const auto run = make_run(8);
-  auto donor = fill_state(pool, 0, run);
+  auto donor = fill_state(pool, run);
   const PrefixEntry* entry = index.insert(run, donor, {});
   ASSERT_NE(entry, nullptr);
-
-  kv::SequenceKvState cross(pool, 1, kLayers);
-  EXPECT_FALSE(index.adopt(entry, cross));  // no room for a replica
-  // The entry survived and still adopts on its resident shard.
-  EXPECT_EQ(index.stats().entries, 1u);
-  EXPECT_EQ(index.lookup(run, run.size()), entry);
-  kv::SequenceKvState local(pool, 0, kLayers);
-  EXPECT_TRUE(index.adopt(entry, local));
-  EXPECT_EQ(local.layer(0).key_row(3), donor.layer(0).key_row(3));
-}
-
-TEST(PrefixIndex, AdoptReplicationTrimKeepsSurvivingRecordsStable) {
-  // Regression: adopt() holds the adoptee's EntryRec across
-  // replicate_locked() -> make_room_locked(), which erases the LRU victim
-  // from the entry container. When entries lived in a std::vector, erasing
-  // a victim inserted *earlier* than the adoptee shifted the vector and
-  // left the held reference dangling — the post-replication pin decrement
-  // and chain read then touched the wrong record (pins(B) stuck at 1
-  // below, chains corrupted). Records must stay address-stable across
-  // trims of other entries.
-  BlockPool pool(pool_config(/*shards=*/2, /*blocks_per_shard=*/16));
-  // Budget fits exactly two 2-block-per-layer chains: A plus B, no replica.
-  obs::MetricsRegistry reg;
-  PrefixIndex index(pool, index_config(/*max_blocks=*/2 * kLayers * 2, &reg));
-  const auto run_a = make_run(8, 0);
-  const auto run_b = make_run(8, 100);
-  auto state_a = fill_state(pool, 0, run_a);
-  auto state_b = fill_state(pool, 0, run_b);
-  const PrefixEntry* a = index.insert(run_a, state_a, {});
-  const PrefixEntry* b = index.insert(run_b, state_b, {});
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);  // b is newer, so a is the LRU victim
-
-  // Replicating b onto shard 1 needs 4 blocks over budget: make_room
-  // drops a (the earlier-inserted record) mid-adopt.
-  kv::SequenceKvState reader(pool, 1, kLayers);
-  ASSERT_TRUE(index.adopt(b, reader));
-  EXPECT_EQ(index.stats().entries, 1u);
-  EXPECT_EQ(reg.counter("prefix.trims").value(), 1u);
-  EXPECT_TRUE(index.resident_on(b, 1));
-  // The adopt-internal pin was taken and released on the SAME record.
-  EXPECT_EQ(index.pins(b), 0u);
-  // The adopted rows came from b's chain, untouched by the trim.
-  for (std::size_t l = 0; l < kLayers; ++l) {
-    ASSERT_EQ(reader.layer(l).size(), 8u);
-    for (std::size_t t = 0; t < 8; ++t) {
-      EXPECT_EQ(reader.layer(l).key_row(t), state_b.layer(l).key_row(t));
-    }
-  }
-  // b's bookkeeping is intact: recency, lookup, and a clean drop.
-  EXPECT_EQ(index.lookup(run_b, run_b.size()), b);
-  EXPECT_EQ(index.lookup(run_a, run_a.size()), nullptr);
-  reader.clear();
-  EXPECT_NO_THROW(index.drop(b));
-  EXPECT_EQ(index.blocks_held(), 0u);
-  EXPECT_EQ(pool.stats().reserved_blocks, 0u);
+  // A state that already holds rows, or one of contiguous caches.
+  EXPECT_THROW(index.adopt(entry, donor), std::invalid_argument);
+  kv::SequenceKvState contiguous(kLayers, kHeads, kDHead);
+  EXPECT_THROW(index.adopt(entry, contiguous), std::invalid_argument);
+  // An entry the index does not hold.
+  const PrefixEntry stranger;
+  kv::SequenceKvState reader(pool, kLayers);
+  EXPECT_THROW(index.adopt(&stranger, reader), std::invalid_argument);
+  EXPECT_TRUE(reader.empty());
 }
 
 TEST(PrefixIndex, TryDropIsAtomicOnPinState) {
   BlockPool pool(pool_config());
   PrefixIndex index(pool, index_config());
   const auto run = make_run(8);
-  auto state = fill_state(pool, 0, run);
+  auto state = fill_state(pool, run);
   const PrefixEntry* entry = index.insert(run, state, {});
   ASSERT_NE(entry, nullptr);
   index.pin(entry);
@@ -312,7 +232,7 @@ TEST(PrefixIndex, RevisionMovesOnInsertAndDrop) {
   PrefixIndex index(pool, index_config());
   const std::uint64_t r0 = index.revision();
   const auto run = make_run(8);
-  auto state = fill_state(pool, 0, run);
+  auto state = fill_state(pool, run);
   const PrefixEntry* entry = index.insert(run, state, {});
   ASSERT_NE(entry, nullptr);
   EXPECT_GT(index.revision(), r0);
@@ -328,7 +248,7 @@ TEST(PrefixIndex, DropAndClearReturnEveryBlockAndReservation) {
   PrefixIndex index(pool, index_config());
   const auto run = make_run(8);
   {
-    auto state = fill_state(pool, 0, run);
+    auto state = fill_state(pool, run);
     ASSERT_NE(index.insert(run, state, {}), nullptr);
   }  // inserting state gone; the index holds the only references
   EXPECT_EQ(pool.stats().used_blocks, kLayers * 2);
@@ -341,24 +261,24 @@ TEST(PrefixIndex, DropAndClearReturnEveryBlockAndReservation) {
 }
 
 TEST(PrefixIndex, InsertReservationPressureTrimsResidentEntries) {
-  // Pool of 10 blocks per shard: one 4-block entry plus a 4-block state
-  // leaves 2 unreserved, so indexing a second state must trim the first
-  // entry to find room (its blocks are the only reclaimable ones).
-  BlockPool pool(pool_config(/*shards=*/1, /*blocks_per_shard=*/10));
+  // Pool of 10 blocks: one 4-block entry plus a 4-block state leaves 2
+  // unreserved, so indexing a second state must trim the first entry to
+  // find room (its blocks are the only reclaimable ones).
+  BlockPool pool(pool_config(/*capacity_blocks=*/10));
   obs::MetricsRegistry reg;
   PrefixIndex index(pool, index_config(0, &reg));
   const auto run_a = make_run(8, 0);
   const auto run_b = make_run(8, 100);
-  auto state_a = fill_state(pool, 0, run_a);
+  auto state_a = fill_state(pool, run_a);
   ASSERT_NE(index.insert(run_a, state_a, {}), nullptr);
   state_a.clear();
-  auto state_b = fill_state(pool, 0, run_b);
-  ASSERT_TRUE(pool.try_reserve(0, 4));  // squeeze: 4 index + 4 fake = 8/12
+  auto state_b = fill_state(pool, run_b);
+  ASSERT_TRUE(pool.try_reserve(4));  // squeeze: 4 index + 4 fake = 8/10
   const PrefixEntry* b = index.insert(run_b, state_b, {});
   ASSERT_NE(b, nullptr);  // trimmed entry a to fit
   EXPECT_EQ(reg.counter("prefix.trims").value(), 1u);
   EXPECT_EQ(index.lookup(run_a, run_a.size()), nullptr);
-  pool.unreserve(0, 4);
+  pool.unreserve(4);
 }
 
 }  // namespace

@@ -69,13 +69,11 @@ std::vector<Request> shared_context_requests(std::size_t n,
   return requests;
 }
 
-EngineConfig paged_config(kv::PolicyKind kind, bool prefix_on,
-                          std::size_t n_shards = 2) {
+EngineConfig paged_config(kv::PolicyKind kind, bool prefix_on) {
   EngineConfig ec;
   ec.policy.kind = kind;
   ec.scheduler.max_batch_size = 4;
   ec.paged.enabled = true;
-  ec.paged.n_shards = n_shards;
   ec.paged.block_tokens = 8;
   ec.prefix.enabled = prefix_on;
   return ec;

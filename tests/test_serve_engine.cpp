@@ -473,7 +473,6 @@ TEST_P(EngineParity, PagedMemoryMatchesContiguousTokenExactly) {
   for (const std::size_t block_tokens : {3, 16}) {
     EngineConfig pc = contiguous_cfg;
     pc.paged.enabled = true;
-    pc.paged.n_shards = 2;
     pc.paged.block_tokens = block_tokens;
     Engine paged(model, pc);
     const auto got = paged.run({&req, 1});
@@ -514,7 +513,6 @@ TEST(Engine, PagedMixedBatchMatchesContiguousAndLeaksNothing) {
 
   EngineConfig pc = ec;
   pc.paged.enabled = true;
-  pc.paged.n_shards = 2;
   pc.paged.block_tokens = 8;
   Engine paged(model, pc);
   const auto got = paged.run(requests);
@@ -542,12 +540,11 @@ TEST(Engine, PagedModeDerivesPoolCapacityFromTokenBudget) {
   EngineConfig ec;
   ec.scheduler.max_concurrent_tokens = 100;
   ec.paged.enabled = true;
-  ec.paged.n_shards = 2;
   ec.paged.block_tokens = 8;
   Engine engine(model, ec);
   ASSERT_NE(engine.pool(), nullptr);
-  // 2 layers * ceil(100/8)=13 -> 26 blocks, split over 2 shards = 13 each.
-  EXPECT_EQ(engine.pool()->config().blocks_per_shard, 13u);
+  // 2 layers * ceil(100/8)=13 -> 26 blocks.
+  EXPECT_EQ(engine.pool()->config().capacity_blocks, 26u);
   EXPECT_EQ(engine.pool()->stats().capacity_blocks, 26u);
 }
 
@@ -628,10 +625,9 @@ TEST(EngineRobustness, PreemptResumeIsTokenExactAcrossPolicies) {
     EngineConfig ec;
     ec.policy.kind = kind;
     ec.paged.enabled = true;
-    ec.paged.n_shards = 1;
     ec.paged.block_tokens = 8;
-    // One shard, room for one 32-token prompt (8 blocks) but not two.
-    ec.paged.blocks_per_shard = 10;
+    // Room for one 32-token prompt (8 blocks) but not two.
+    ec.paged.capacity_blocks = 10;
     ec.preempt.queue_pressure_steps = 2;
     ec.preempt.min_victim_age_steps = 2;
     Engine engine(model, ec);
@@ -646,7 +642,7 @@ TEST(EngineRobustness, PreemptResumeIsTokenExactAcrossPolicies) {
     // Solo, unpressured runs: identical streams.
     for (std::size_t i = 0; i < 2; ++i) {
       EngineConfig solo_cfg = ec;
-      solo_cfg.paged.blocks_per_shard = 0;  // derive: effectively unbounded
+      solo_cfg.paged.capacity_blocks = 0;  // derive: effectively unbounded
       Engine solo(model, solo_cfg);
       Request alone = requests[i];
       alone.arrival_step = 0;
@@ -699,9 +695,9 @@ TEST(EngineRobustness, MaxQueueStepsTimesOutStarvedWaiter) {
   EXPECT_EQ(engine.stats().timeouts, 1u);
 }
 
-TEST(EngineRobustness, OversizedForShardRejectedRestOfBatchCompletes) {
-  // PR 4 threw out of run() for a demand above a whole shard; now the
-  // request is contained as kRejected and its batchmates still decode —
+TEST(EngineRobustness, OversizedForPoolRejectedRestOfBatchCompletes) {
+  // A demand above the whole pool is contained as kRejected instead of
+  // throwing out of run(), and its batchmates still decode —
   // token-exactly.
   Transformer model(tiny_config());
   std::vector<Request> requests(2);
@@ -713,9 +709,8 @@ TEST(EngineRobustness, OversizedForShardRejectedRestOfBatchCompletes) {
   EngineConfig ec;
   ec.policy.kind = kv::PolicyKind::kKeyformer;
   ec.paged.enabled = true;
-  ec.paged.n_shards = 1;
   ec.paged.block_tokens = 8;
-  ec.paged.blocks_per_shard = 8;
+  ec.paged.capacity_blocks = 8;
   Engine engine(model, ec);
   const auto responses = engine.run(requests);
   EXPECT_EQ(responses[0].finish, FinishReason::kRejected);

@@ -140,7 +140,6 @@ TEST(ServeTimeline, PoolCountersUnderPagedMemory) {
   ec.scheduler.max_batch_size = 2;
   ec.scheduler.max_concurrent_tokens = 256;
   ec.paged.enabled = true;
-  ec.paged.n_shards = 2;
   ec.paged.block_tokens = 8;
   Engine engine(m, ec);
   engine.run(make_requests(4, 24, 8));
@@ -167,9 +166,8 @@ TEST(ServeTimeline, TraceSpansCoverARun) {
   EngineConfig ec;
   ec.policy.kind = kv::PolicyKind::kKeyformer;
   ec.paged.enabled = true;
-  ec.paged.n_shards = 1;
   ec.paged.block_tokens = 8;
-  ec.paged.blocks_per_shard = 10;  // request 1 alone fills the pool
+  ec.paged.capacity_blocks = 10;  // request 1 alone fills the pool
   ec.preempt.queue_pressure_steps = 3;
   ec.preempt.min_victim_age_steps = 2;
   Engine engine(m, ec);
@@ -248,9 +246,8 @@ EngineConfig preempt_then_timeout_config() {
   EngineConfig ec;
   ec.policy.kind = kv::PolicyKind::kKeyformer;
   ec.paged.enabled = true;
-  ec.paged.n_shards = 1;
   ec.paged.block_tokens = 8;
-  ec.paged.blocks_per_shard = 10;  // one 32-token prompt fits, not two
+  ec.paged.capacity_blocks = 10;  // one 32-token prompt fits, not two
   ec.preempt.queue_pressure_steps = 3;
   ec.preempt.min_victim_age_steps = 2;
   return ec;
@@ -261,7 +258,7 @@ EngineConfig preempt_then_timeout_config() {
 class FailOpsAfter final : public mem::FaultInjector {
  public:
   FailOpsAfter(mem::FaultOp op, std::size_t allow) : op_(op), allow_(allow) {}
-  bool should_fail(mem::FaultOp op, std::size_t /*shard*/) override {
+  bool should_fail(mem::FaultOp op) override {
     if (op != op_) return false;
     return calls_.fetch_add(1, std::memory_order_relaxed) >= allow_;
   }
@@ -340,7 +337,7 @@ TEST(ServeTimeline, ParkCountsCopyOnWriteCopies) {
   EngineConfig ec = preempt_then_timeout_config();
   ec.prefix.enabled = true;
   ec.prefix.max_blocks = 6;
-  ec.paged.blocks_per_shard = 16;
+  ec.paged.capacity_blocks = 16;
 
   Engine parked_engine(m, ec);
   const auto parked = parked_engine.run(preempt_then_timeout_requests());
@@ -442,7 +439,7 @@ TEST(ServeTimeline, PrometheusExportsEveryEngineCount) {
   EngineConfig ec = preempt_then_timeout_config();
   ec.prefix.enabled = true;
   ec.prefix.max_blocks = 6;
-  ec.paged.blocks_per_shard = 16;
+  ec.paged.capacity_blocks = 16;
   std::vector<Request> requests = preempt_then_timeout_requests();
   requests[0].deadline_steps = 0;
   requests.resize(4);
@@ -529,7 +526,6 @@ TEST(ServeTimeline, ResumeThenRejectAfterPreemptionBudget) {
 
   EngineConfig ec;
   ec.paged.enabled = true;
-  ec.paged.n_shards = 1;
   ec.paged.block_tokens = 8;
   ec.preempt.max_per_sequence = 2;
   Engine engine(m, ec);

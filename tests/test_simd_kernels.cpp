@@ -462,18 +462,17 @@ TEST_P(SimdParity, FusedDecodeAttendMatchesScalarContiguous) {
 TEST_P(SimdParity, FusedDecodeAttendMatchesScalarPaged) {
   const model::ModelConfig cfg = tiny_config(model::PositionalKind::kRoPE);
   mem::BlockPoolConfig pc;
-  pc.n_shards = 1;
   pc.block_tokens = 16;
   pc.n_heads = cfg.n_heads;
   pc.d_head = cfg.d_head();
   const std::size_t ctx = 37;  // 2 full blocks + a 5-row tail
   mem::BlockPool pool_ref(pc), pool_got(pc);
   const auto ref = under_isa(cpu::CpuIsa::kScalar, [&] {
-    mem::PagedKvCache cache(pool_ref, 0);
+    mem::PagedKvCache cache(pool_ref);
     return attend_once(cfg, cache, ctx);
   });
   const auto got = under_isa(GetParam(), [&] {
-    mem::PagedKvCache cache(pool_got, 0);
+    mem::PagedKvCache cache(pool_got);
     return attend_once(cfg, cache, ctx);
   });
   expect_attention_parity(got, ref);
@@ -541,13 +540,12 @@ TEST_P(SimdParity, TransformerPagedStateMatchesScalar) {
   const auto run = [&](cpu::CpuIsa isa) {
     return under_isa(isa, [&] {
       mem::BlockPoolConfig pc;
-      pc.n_shards = 1;
-      pc.block_tokens = 4;  // multi-block chains from a 16-token prompt
+          pc.block_tokens = 4;  // multi-block chains from a 16-token prompt
       pc.n_heads = cfg.n_heads;
       pc.d_head = cfg.d_head();
       mem::BlockPool pool(pc);
       model::Transformer m(cfg);
-      kv::SequenceKvState state(pool, 0, cfg.n_layers);
+      kv::SequenceKvState state(pool, cfg.n_layers);
       kv::KeyformerPolicy policy;
       policy.set_budget(kv::make_budget(prompt.size(), 0.5));
       kv::SequenceInfo info;
