@@ -2,14 +2,13 @@
 // the analytical model — attention step, plain softmax vs Gumbel softmax
 // (Keyformer's score overhead, Fig 10), cache compaction, matmul.
 //
-// Kernels with runtime-dispatched SIMD variants (matmul, matvec, dot,
-// axpy, max_value, logsumexp, softmax, the Gumbel-softmax score, and the
-// fused attend inside the decode step and the prompt chunk) are
-// registered once per ISA available on this host/build —
-// "BM_Dot<scalar>/4096" vs "BM_Dot<avx2>/4096" rows give the speedup
-// matrix directly. Variants the host cannot run are simply not
-// registered. Benchmarks run sequentially, so the process-wide ISA
-// override each one installs cannot race another benchmark.
+// Kernels with runtime-dispatched SIMD variants (matmul, matvec, softmax,
+// the Gumbel-softmax score, and the fused attend inside the decode step
+// and the prompt chunk) are registered once per ISA available on this
+// host/build — "BM_Softmax<scalar>/2048" vs "BM_Softmax<avx2>/2048" rows
+// give the speedup matrix directly. Variants the host cannot run are
+// simply not registered. Benchmarks run sequentially, so the process-wide
+// ISA override each one installs cannot race another benchmark.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
@@ -63,54 +62,6 @@ void BM_Matvec(benchmark::State& state, cpu::CpuIsa isa) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * k));
-}
-
-void BM_Dot(benchmark::State& state, cpu::CpuIsa isa) {
-  const IsaGuard guard(isa);
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<float> a(n, 0.5F), b(n, 0.25F);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dot(a, b));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-
-void BM_Axpy(benchmark::State& state, cpu::CpuIsa isa) {
-  // The fused attend's V accumulation shape: ctx += p_i * V_row.
-  const IsaGuard guard(isa);
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<float> x(n, 0.5F), y(n, 0.0F);
-  for (auto _ : state) {
-    axpy(0.125F, x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-
-void BM_MaxValue(benchmark::State& state, cpu::CpuIsa isa) {
-  const IsaGuard guard(isa);
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<float> x(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = static_cast<float>(i % 31);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(max_value(x));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-
-void BM_Logsumexp(benchmark::State& state, cpu::CpuIsa isa) {
-  const IsaGuard guard(isa);
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<float> x(n);
-  for (std::size_t i = 0; i < n; ++i) x[i] = static_cast<float>(i % 23);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(logsumexp(x));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
 }
 
 void BM_Softmax(benchmark::State& state, cpu::CpuIsa isa) {
@@ -278,10 +229,6 @@ int main(int argc, char** argv) {
                     {48, 128, 256},
                     {48, 256, 128}});
   register_per_isa("BM_Matvec", BM_Matvec, {{512}, {2048}, {8192}});
-  register_per_isa("BM_Dot", BM_Dot, {{64}, {512}, {4096}});
-  register_per_isa("BM_Axpy", BM_Axpy, {{64}, {512}, {4096}});
-  register_per_isa("BM_MaxValue", BM_MaxValue, {{512}, {2048}, {8192}});
-  register_per_isa("BM_Logsumexp", BM_Logsumexp, {{512}, {2048}, {8192}});
   register_per_isa("BM_Softmax", BM_Softmax, {{512}, {2048}, {8192}});
   // A decode row at shared_prefix's budget, that workload's prompt, and a
   // long row.

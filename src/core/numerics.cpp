@@ -7,18 +7,9 @@
 
 namespace kf {
 
-// max_value/logsumexp/softmax bodies live in the per-ISA variants under
-// src/cpu (the scalar variant is the historical loop, moved verbatim);
-// these wrappers keep the spans/asserts and resolve the dispatch table.
-
-float max_value(std::span<const float> x) {
-  assert(!x.empty());
-  return cpu::max_value_stub.get()(x.data(), x.size());
-}
-
-double logsumexp(std::span<const float> x) {
-  return cpu::logsumexp_stub.get()(x.data(), x.size());
-}
+// The softmax body lives in the per-ISA variants under src/cpu (the
+// scalar variant is the historical loop, moved verbatim); these wrappers
+// keep the spans/asserts and resolve the dispatch table.
 
 void softmax(std::span<const float> x, std::span<float> out) {
   assert(x.size() == out.size() && !x.empty());
@@ -31,14 +22,6 @@ void softmax_temperature(std::span<const float> x, std::span<float> out,
                          double tau) {
   assert(tau > 0.0 && x.size() == out.size() && !x.empty());
   cpu::softmax_stub.get()(x.data(), out.data(), x.size(), tau);
-}
-
-void log_softmax(std::span<const float> x, std::span<float> out) {
-  assert(x.size() == out.size() && !x.empty());
-  const double lse = logsumexp(x);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = static_cast<float>(static_cast<double>(x[i]) - lse);
-  }
 }
 
 double entropy(std::span<const float> p) {

@@ -1,16 +1,11 @@
-// Numerically stable softmax-family primitives shared by the attention
-// kernel, the eviction-score functions, and the evaluation metrics.
+// The dispatched softmax (plain and with temperature) and the
+// distribution metrics (entropy, KL divergence) the evaluation benches
+// report.
 #pragma once
 
 #include <span>
 
 namespace kf {
-
-/// max(x). Requires non-empty input.
-float max_value(std::span<const float> x);
-
-/// log(sum_i exp(x_i)) computed stably. Requires non-empty input.
-double logsumexp(std::span<const float> x);
 
 /// out_i = exp(x_i - max) / sum_j exp(x_j - max). `x` and `out` may alias.
 void softmax(std::span<const float> x, std::span<float> out);
@@ -18,9 +13,6 @@ void softmax(std::span<const float> x, std::span<float> out);
 /// Softmax with temperature: softmax(x / tau). Requires tau > 0.
 void softmax_temperature(std::span<const float> x, std::span<float> out,
                          double tau);
-
-/// out_i = x_i - logsumexp(x) (log-probabilities).
-void log_softmax(std::span<const float> x, std::span<float> out);
 
 /// Shannon entropy of a probability vector (natural log). Zero entries are
 /// skipped. Requires p to sum approximately to 1 for a meaningful value.

@@ -93,16 +93,6 @@ void matvec(std::span<const float> a, std::span<const float> x,
   }
 }
 
-float dot(std::span<const float> a, std::span<const float> b) {
-  assert(a.size() == b.size());
-  return cpu::dot_stub.get()(a.data(), b.data(), a.size());
-}
-
-void axpy(float a, std::span<const float> x, std::span<float> y) {
-  assert(y.size() == x.size());
-  cpu::axpy_stub.get()(a, x.data(), y.data(), y.size());
-}
-
 void add_inplace(std::span<float> y, std::span<const float> x) {
   assert(y.size() == x.size());
   for (std::size_t i = 0; i < y.size(); ++i) y[i] += x[i];

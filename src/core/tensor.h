@@ -72,14 +72,6 @@ void matmul(std::span<const float> a, std::span<const float> b,
 void matvec(std::span<const float> a, std::span<const float> x,
             std::span<float> y, std::size_t n, std::size_t k);
 
-/// Dot product of two equal-length spans. Unrolled into independent
-/// accumulators so the compiler can auto-vectorize.
-float dot(std::span<const float> a, std::span<const float> b);
-
-/// y += a * x (equal lengths) — the weighted-value accumulation primitive
-/// of the fused decode attention kernel.
-void axpy(float a, std::span<const float> x, std::span<float> y);
-
 /// y += x (equal lengths).
 void add_inplace(std::span<float> y, std::span<const float> x);
 

@@ -31,10 +31,6 @@ namespace {
 const DispatchStub<MatvecRowsFn> matvec_rows_stub = {
     KF_FILL_TABLE(matvec_rows)};
 const DispatchStub<GemmRowsFn> gemm_rows_stub = {KF_FILL_TABLE(gemm_rows)};
-const DispatchStub<DotFn> dot_stub = {KF_FILL_TABLE(dot)};
-const DispatchStub<AxpyFn> axpy_stub = {KF_FILL_TABLE(axpy)};
-const DispatchStub<MaxValueFn> max_value_stub = {KF_FILL_TABLE(max_value)};
-const DispatchStub<LogsumexpFn> logsumexp_stub = {KF_FILL_TABLE(logsumexp)};
 const DispatchStub<SoftmaxFn> softmax_stub = {KF_FILL_TABLE(softmax)};
 const DispatchStub<DecodeAttendFn> decode_attend_stub = {
     KF_FILL_TABLE(decode_attend)};

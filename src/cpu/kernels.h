@@ -1,7 +1,7 @@
 // Dispatch tables for the hot kernels: the dense-layer GEMM behind every
-// projection and MLP, the attend's dots and softmax family, the fused
-// attend itself (named decode_attend, it serves prompt rows too), and
-// Keyformer's score increments.
+// projection and MLP, the row matvec behind the LM head, the fused attend
+// (named decode_attend, it serves prompt rows too), Keyformer's score
+// increments, and the standalone softmax.
 //
 // Each kernel is a DispatchStub-style table: one function-pointer slot
 // per CpuIsa, filled at static-init time with the widest variant compiled
@@ -80,15 +80,6 @@ using GemmRowsFn = void (*)(const float* a, const float* b, float* c,
                             std::size_t m0, std::size_t m1, std::size_t k,
                             std::size_t n);
 
-using DotFn = float (*)(const float* a, const float* b, std::size_t n);
-
-/// y[i] += a * x[i].
-using AxpyFn = void (*)(float a, const float* x, float* y, std::size_t n);
-
-using MaxValueFn = float (*)(const float* x, std::size_t n);
-
-using LogsumexpFn = double (*)(const float* x, std::size_t n);
-
 /// out = softmax(x / tau); see the aliasing / -inf contract above.
 using SoftmaxFn = void (*)(const float* x, float* out, std::size_t n,
                            double tau);
@@ -129,10 +120,6 @@ struct DispatchStub {
 
 extern const DispatchStub<MatvecRowsFn> matvec_rows_stub;
 extern const DispatchStub<GemmRowsFn> gemm_rows_stub;
-extern const DispatchStub<DotFn> dot_stub;
-extern const DispatchStub<AxpyFn> axpy_stub;
-extern const DispatchStub<MaxValueFn> max_value_stub;
-extern const DispatchStub<LogsumexpFn> logsumexp_stub;
 extern const DispatchStub<SoftmaxFn> softmax_stub;
 extern const DispatchStub<DecodeAttendFn> decode_attend_stub;
 extern const DispatchStub<ScoreIncrementsFn> score_increments_stub;

@@ -6,9 +6,9 @@
 // gives every output element one FMA per k step, in ascending k, whether
 // it lands in a register block, a vector or a scalar std::fma; exp runs a
 // Cephes-style degree-5 polynomial (~1 ulp over the reduced range), and
-// softmax/logsumexp sums accumulate in double lanes, keeping every
-// variant within the 1e-5 parity budget against the scalar reference
-// (pinned by test_simd_kernels). Inputs below the exp underflow cutoff
+// softmax sums accumulate in double lanes, keeping every variant within
+// the 1e-5 parity budget against the scalar reference (pinned by
+// test_simd_kernels). Inputs below the exp underflow cutoff
 // flush to exactly 0.0f — masked (-inf) logits must produce probability
 // exactly 0, same as the scalar std::exp(-inf) path.
 //
@@ -159,8 +159,6 @@ void vecmat_cols(const float* x, const float* b, float* y, std::size_t k,
   }
 }
 
-}  // namespace
-
 float dot(const float* a, const float* b, std::size_t n) {
   __m256 acc0 = _mm256_setzero_ps();
   __m256 acc1 = _mm256_setzero_ps();
@@ -179,6 +177,33 @@ float dot(const float* a, const float* b, std::size_t n) {
   for (; i < n; ++i) acc += a[i] * b[i];
   return acc;
 }
+
+void axpy(float a, const float* x, float* y, std::size_t n) {
+  const __m256 va = _mm256_set1_ps(a);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 vy =
+        _mm256_fmadd_ps(va, _mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i));
+    _mm256_storeu_ps(y + i, vy);
+  }
+  for (; i < n; ++i) y[i] += a * x[i];
+}
+
+float max_value(const float* x, std::size_t n) {
+  float m = x[0];
+  std::size_t i = 0;
+  if (n >= 8) {
+    __m256 vm = _mm256_loadu_ps(x);
+    for (i = 8; i + 8 <= n; i += 8) {
+      vm = _mm256_max_ps(vm, _mm256_loadu_ps(x + i));
+    }
+    m = hmax_ps(vm);
+  }
+  for (; i < n; ++i) m = x[i] > m ? x[i] : m;
+  return m;
+}
+
+}  // namespace
 
 void matvec_rows(const float* a, const float* x, float* y, std::size_t r0,
                  std::size_t r1, std::size_t k) {
@@ -245,51 +270,6 @@ void gemm_rows(const float* a, const float* b, float* c, std::size_t m0,
   for (std::size_t i = m_block; i < m1; ++i) {
     vecmat_cols(a + i * k, b, c + i * n, k, n, 0, n);
   }
-}
-
-void axpy(float a, const float* x, float* y, std::size_t n) {
-  const __m256 va = _mm256_set1_ps(a);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 vy =
-        _mm256_fmadd_ps(va, _mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i));
-    _mm256_storeu_ps(y + i, vy);
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
-float max_value(const float* x, std::size_t n) {
-  float m = x[0];
-  std::size_t i = 0;
-  if (n >= 8) {
-    __m256 vm = _mm256_loadu_ps(x);
-    for (i = 8; i + 8 <= n; i += 8) {
-      vm = _mm256_max_ps(vm, _mm256_loadu_ps(x + i));
-    }
-    m = hmax_ps(vm);
-  }
-  for (; i < n; ++i) m = x[i] > m ? x[i] : m;
-  return m;
-}
-
-double logsumexp(const float* x, std::size_t n) {
-  const float m = max_value(x, n);
-  if (m == -std::numeric_limits<float>::infinity()) {
-    // Degenerate all-(-inf) input: reproduce the scalar NaN propagation.
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += std::exp(static_cast<double>(x[i] - m));
-    }
-    return static_cast<double>(m) + std::log(acc);
-  }
-  const __m256 vm = _mm256_set1_ps(m);
-  double sum = 0.0;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    sum += hsum_pd(exp256_ps(_mm256_sub_ps(_mm256_loadu_ps(x + i), vm)));
-  }
-  for (; i < n; ++i) sum += std::exp(static_cast<double>(x[i] - m));
-  return static_cast<double>(m) + std::log(sum);
 }
 
 void softmax(const float* x, float* out, std::size_t n, double tau) {

@@ -18,12 +18,64 @@ namespace kf::cpu::avx512 {
 
 namespace {
 
+// GCC 12's unmasked forms of _mm512_min_ps, _mm512_cvtps_pd,
+// _mm512_extractf64x4_pd (behind _mm512_castps512_ps256 and the
+// _mm512_reduce_* macros) and others pass _mm512_undefined_*(), which is
+// `__Y = __Y`, as the merge operand, and -Wmaybe-uninitialized reports it
+// wherever they inline. This TU calls the zero-masking forms under a full
+// mask instead: the same operation on every lane, with nothing merged.
+constexpr __mmask8 kAll8 = 0xFF;
+constexpr __mmask16 kAll16 = 0xFFFF;
+
+/// Horizontal sum of 8 double lanes, paired as _mm512_reduce_add_pd
+/// pairs them: lane i with i + 4, then with i + 2, then lane 0 with 1.
+inline double hsum_pd(__m512d v) {
+  const __m256d s = _mm256_add_pd(_mm512_maskz_extractf64x4_pd(kAll8, v, 1),
+                                  _mm512_maskz_extractf64x4_pd(kAll8, v, 0));
+  const __m128d s2 =
+      _mm_add_pd(_mm256_extractf128_pd(s, 1), _mm256_castpd256_pd128(s));
+  return _mm_cvtsd_f64(_mm_add_sd(s2, _mm_unpackhi_pd(s2, s2)));
+}
+
 /// Horizontal sum of 16 float lanes, accumulated in double.
 inline double hsum_pd(__m512 v) {
-  const __m512d lo = _mm512_cvtps_pd(_mm512_castps512_ps256(v));
+  const __m512d lo =
+      _mm512_maskz_cvtps_pd(kAll8, _mm512_extractf32x8_ps(v, 0));
   const __m512d hi =
-      _mm512_cvtps_pd(_mm512_extractf32x8_ps(v, 1));
-  return _mm512_reduce_add_pd(_mm512_add_pd(lo, hi));
+      _mm512_maskz_cvtps_pd(kAll8, _mm512_extractf32x8_ps(v, 1));
+  return hsum_pd(_mm512_add_pd(lo, hi));
+}
+
+/// Horizontal max of 8 double lanes, in _mm512_reduce_max_pd's operand
+/// order (max returns its second operand on ties and NaNs).
+inline double hmax_pd(__m512d v) {
+  const __m256d m = _mm256_max_pd(_mm512_maskz_extractf64x4_pd(kAll8, v, 1),
+                                  _mm512_maskz_extractf64x4_pd(kAll8, v, 0));
+  const __m128d m2 =
+      _mm_max_pd(_mm256_extractf128_pd(m, 1), _mm256_castpd256_pd128(m));
+  return _mm_cvtsd_f64(_mm_max_sd(m2, _mm_unpackhi_pd(m2, m2)));
+}
+
+/// Horizontal sum of 16 float lanes in float, paired as
+/// _mm512_reduce_add_ps pairs them.
+inline float hsum_ps(__m512 v) {
+  const __m256 s = _mm256_add_ps(_mm512_extractf32x8_ps(v, 1),
+                                 _mm512_extractf32x8_ps(v, 0));
+  const __m128 s2 =
+      _mm_add_ps(_mm256_extractf128_ps(s, 1), _mm256_castps256_ps128(s));
+  const __m128 s3 = _mm_add_ps(s2, _mm_movehl_ps(s2, s2));
+  return _mm_cvtss_f32(_mm_add_ss(s3, _mm_shuffle_ps(s3, s3, 1)));
+}
+
+/// Horizontal max of 16 float lanes, in _mm512_reduce_max_ps's operand
+/// order.
+inline float hmax_ps(__m512 v) {
+  const __m256 m = _mm256_max_ps(_mm512_extractf32x8_ps(v, 1),
+                                 _mm512_extractf32x8_ps(v, 0));
+  const __m128 m2 =
+      _mm_max_ps(_mm256_extractf128_ps(m, 1), _mm256_castps256_ps128(m));
+  const __m128 m3 = _mm_max_ps(m2, _mm_movehl_ps(m2, m2));
+  return _mm_cvtss_f32(_mm_max_ss(m3, _mm_shuffle_ps(m3, m3, 1)));
 }
 
 /// e^x for 16 lanes; same Cephes-style reduction and polynomial as the
@@ -44,10 +96,11 @@ inline __m512 exp512_ps(__m512 x) {
   const __m512 k_highest = _mm512_set1_ps(88.72283F);
 
   const __mmask16 live = _mm512_cmp_ps_mask(x, k_lowest, _CMP_GE_OQ);
-  x = _mm512_min_ps(x, k_highest);
+  x = _mm512_maskz_min_ps(kAll16, x, k_highest);
 
-  const __m512 n = _mm512_roundscale_ps(
-      _mm512_mul_ps(x, k_log2e), _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  const __m512 n =
+      _mm512_maskz_roundscale_ps(kAll16, _mm512_mul_ps(x, k_log2e),
+                                 _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
   __m512 r = _mm512_fnmadd_ps(n, k_c1, x);
   r = _mm512_fnmadd_ps(n, k_c2, r);
   const __m512 r2 = _mm512_mul_ps(r, r);
@@ -60,9 +113,10 @@ inline __m512 exp512_ps(__m512 x) {
   p = _mm512_fmadd_ps(p, r, k_p5);
   p = _mm512_fmadd_ps(p, r2, _mm512_add_ps(r, k_one));
 
-  const __m512i biased =
-      _mm512_add_epi32(_mm512_cvtps_epi32(n), _mm512_set1_epi32(127));
-  p = _mm512_mul_ps(p, _mm512_castsi512_ps(_mm512_slli_epi32(biased, 23)));
+  const __m512i biased = _mm512_add_epi32(_mm512_maskz_cvtps_epi32(kAll16, n),
+                                          _mm512_set1_epi32(127));
+  p = _mm512_mul_ps(
+      p, _mm512_castsi512_ps(_mm512_maskz_slli_epi32(kAll16, biased, 23)));
   return _mm512_maskz_mov_ps(live, p);
 }
 
@@ -109,8 +163,6 @@ void vecmat_cols(const float* x, const float* b, float* y, std::size_t k,
   }
 }
 
-}  // namespace
-
 float dot(const float* a, const float* b, std::size_t n) {
   __m512 acc0 = _mm512_setzero_ps();
   __m512 acc1 = _mm512_setzero_ps();
@@ -125,10 +177,36 @@ float dot(const float* a, const float* b, std::size_t n) {
     acc0 = _mm512_fmadd_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i),
                            acc0);
   }
-  float acc = _mm512_reduce_add_ps(_mm512_add_ps(acc0, acc1));
+  float acc = hsum_ps(_mm512_add_ps(acc0, acc1));
   for (; i < n; ++i) acc += a[i] * b[i];
   return acc;
 }
+
+void axpy(float a, const float* x, float* y, std::size_t n) {
+  const __m512 va = _mm512_set1_ps(a);
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    _mm512_storeu_ps(y + i, _mm512_fmadd_ps(va, _mm512_loadu_ps(x + i),
+                                            _mm512_loadu_ps(y + i)));
+  }
+  for (; i < n; ++i) y[i] += a * x[i];
+}
+
+float max_value(const float* x, std::size_t n) {
+  float m = x[0];
+  std::size_t i = 0;
+  if (n >= 16) {
+    __m512 vm = _mm512_loadu_ps(x);
+    for (i = 16; i + 16 <= n; i += 16) {
+      vm = _mm512_maskz_max_ps(kAll16, vm, _mm512_loadu_ps(x + i));
+    }
+    m = hmax_ps(vm);
+  }
+  for (; i < n; ++i) m = x[i] > m ? x[i] : m;
+  return m;
+}
+
+}  // namespace
 
 void matvec_rows(const float* a, const float* x, float* y, std::size_t r0,
                  std::size_t r1, std::size_t k) {
@@ -192,49 +270,6 @@ void gemm_rows(const float* a, const float* b, float* c, std::size_t m0,
   for (std::size_t i = m_block; i < m1; ++i) {
     vecmat_cols(a + i * k, b, c + i * n, k, n, 0, n);
   }
-}
-
-void axpy(float a, const float* x, float* y, std::size_t n) {
-  const __m512 va = _mm512_set1_ps(a);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(y + i, _mm512_fmadd_ps(va, _mm512_loadu_ps(x + i),
-                                            _mm512_loadu_ps(y + i)));
-  }
-  for (; i < n; ++i) y[i] += a * x[i];
-}
-
-float max_value(const float* x, std::size_t n) {
-  float m = x[0];
-  std::size_t i = 0;
-  if (n >= 16) {
-    __m512 vm = _mm512_loadu_ps(x);
-    for (i = 16; i + 16 <= n; i += 16) {
-      vm = _mm512_max_ps(vm, _mm512_loadu_ps(x + i));
-    }
-    m = _mm512_reduce_max_ps(vm);
-  }
-  for (; i < n; ++i) m = x[i] > m ? x[i] : m;
-  return m;
-}
-
-double logsumexp(const float* x, std::size_t n) {
-  const float m = max_value(x, n);
-  if (m == -std::numeric_limits<float>::infinity()) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += std::exp(static_cast<double>(x[i] - m));
-    }
-    return static_cast<double>(m) + std::log(acc);
-  }
-  const __m512 vm = _mm512_set1_ps(m);
-  double sum = 0.0;
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    sum += hsum_pd(exp512_ps(_mm512_sub_ps(_mm512_loadu_ps(x + i), vm)));
-  }
-  for (; i < n; ++i) sum += std::exp(static_cast<double>(x[i] - m));
-  return static_cast<double>(m) + std::log(sum);
 }
 
 void softmax(const float* x, float* out, std::size_t n, double tau) {
@@ -343,17 +378,18 @@ void score_increments(const float* logits, const double* noise, double* out,
   __m512d vmax = _mm512_set1_pd(-1e300);
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    __m512d y0 = _mm512_cvtps_pd(_mm256_loadu_ps(logits + i));
-    __m512d y1 = _mm512_cvtps_pd(_mm256_loadu_ps(logits + i + 8));
+    __m512d y0 = _mm512_maskz_cvtps_pd(kAll8, _mm256_loadu_ps(logits + i));
+    __m512d y1 = _mm512_maskz_cvtps_pd(kAll8, _mm256_loadu_ps(logits + i + 8));
     if (noise != nullptr) {
       y0 = _mm512_add_pd(y0, _mm512_loadu_pd(noise + i));
       y1 = _mm512_add_pd(y1, _mm512_loadu_pd(noise + i + 8));
     }
     _mm512_storeu_pd(out + i, y0);
     _mm512_storeu_pd(out + i + 8, y1);
-    vmax = _mm512_max_pd(vmax, _mm512_max_pd(y0, y1));
+    vmax = _mm512_maskz_max_pd(kAll8, vmax,
+                               _mm512_maskz_max_pd(kAll8, y0, y1));
   }
-  double max_y = _mm512_reduce_max_pd(vmax);
+  double max_y = hmax_pd(vmax);
   for (; i < n; ++i) {
     const double z = noise != nullptr ? noise[i] : 0.0;
     const double y = static_cast<double>(logits[i]) + z;
@@ -369,18 +405,22 @@ void score_increments(const float* logits, const double* noise, double* out,
   for (; i + 16 <= n; i += 16) {
     const __m512d d0 = _mm512_sub_pd(_mm512_loadu_pd(out + i), vm);
     const __m512d d1 = _mm512_sub_pd(_mm512_loadu_pd(out + i + 8), vm);
-    const __m256 t0 = _mm512_cvtpd_ps(_mm512_mul_pd(d0, v_inv_tau));
-    const __m256 t1 = _mm512_cvtpd_ps(_mm512_mul_pd(d1, v_inv_tau));
+    const __m256 t0 =
+        _mm512_maskz_cvtpd_ps(kAll8, _mm512_mul_pd(d0, v_inv_tau));
+    const __m256 t1 =
+        _mm512_maskz_cvtpd_ps(kAll8, _mm512_mul_pd(d1, v_inv_tau));
     const __m512 e =
         exp512_ps(_mm512_insertf32x8(_mm512_castps256_ps512(t0), t1, 1));
-    const __m512d e0 = _mm512_cvtps_pd(_mm512_castps512_ps256(e));
-    const __m512d e1 = _mm512_cvtps_pd(_mm512_extractf32x8_ps(e, 1));
+    const __m512d e0 =
+        _mm512_maskz_cvtps_pd(kAll8, _mm512_extractf32x8_ps(e, 0));
+    const __m512d e1 =
+        _mm512_maskz_cvtps_pd(kAll8, _mm512_extractf32x8_ps(e, 1));
     _mm512_storeu_pd(out + i, e0);
     _mm512_storeu_pd(out + i + 8, e1);
     vsum0 = _mm512_add_pd(vsum0, e0);
     vsum1 = _mm512_add_pd(vsum1, e1);
   }
-  double sum = _mm512_reduce_add_pd(_mm512_add_pd(vsum0, vsum1));
+  double sum = hsum_pd(_mm512_add_pd(vsum0, vsum1));
   for (; i < n; ++i) {
     out[i] = std::exp((out[i] - max_y) / tau);
     sum += out[i];

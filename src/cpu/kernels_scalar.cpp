@@ -11,6 +11,20 @@
 
 namespace kf::cpu::scalar {
 
+namespace {
+
+void axpy(float a, const float* x, float* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
+}
+
+float max_value(const float* x, std::size_t n) {
+  float m = x[0];
+  for (std::size_t i = 0; i < n; ++i) m = x[i] > m ? x[i] : m;
+  return m;
+}
+
+}  // namespace
+
 void matvec_rows(const float* a, const float* x, float* y, std::size_t r0,
                  std::size_t r1, std::size_t k) {
   for (std::size_t i = r0; i < r1; ++i) {
@@ -36,44 +50,6 @@ void gemm_rows(const float* a, const float* b, float* c, std::size_t m0,
       for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
     }
   }
-}
-
-float dot(const float* a, const float* b, std::size_t n) {
-  // Four independent accumulators break the loop-carried dependence so the
-  // compiler can keep several FMA lanes in flight.
-  float acc0 = 0.0F;
-  float acc1 = 0.0F;
-  float acc2 = 0.0F;
-  float acc3 = 0.0F;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc0 += a[i] * b[i];
-    acc1 += a[i + 1] * b[i + 1];
-    acc2 += a[i + 2] * b[i + 2];
-    acc3 += a[i + 3] * b[i + 3];
-  }
-  float acc = (acc0 + acc1) + (acc2 + acc3);
-  for (; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-void axpy(float a, const float* x, float* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
-}
-
-float max_value(const float* x, std::size_t n) {
-  float m = x[0];
-  for (std::size_t i = 0; i < n; ++i) m = x[i] > m ? x[i] : m;
-  return m;
-}
-
-double logsumexp(const float* x, std::size_t n) {
-  const float m = max_value(x, n);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += std::exp(static_cast<double>(x[i] - m));
-  }
-  return static_cast<double>(m) + std::log(acc);
 }
 
 void softmax(const float* x, float* out, std::size_t n, double tau) {

@@ -3,8 +3,9 @@
 // dispatch.cpp (which wires them into the tables) — never by code
 // outside src/cpu (scripts/lint.py check 6).
 //
-// Every namespace implements the same nine signatures from kernels.h;
-// the scalar namespace is the semantics reference.
+// Every namespace implements the same five signatures from kernels.h;
+// the scalar namespace is the semantics reference. Helpers a variant's
+// kernels share (its dot, axpy and max) stay file-local to its TU.
 #pragma once
 
 #include <cstddef>
@@ -18,10 +19,6 @@ namespace kf::cpu {
                    std::size_t r1, std::size_t k);                            \
   void gemm_rows(const float* a, const float* b, float* c, std::size_t m0,   \
                  std::size_t m1, std::size_t k, std::size_t n);               \
-  float dot(const float* a, const float* b, std::size_t n);                   \
-  void axpy(float a, const float* x, float* y, std::size_t n);                \
-  float max_value(const float* x, std::size_t n);                             \
-  double logsumexp(const float* x, std::size_t n);                            \
   void softmax(const float* x, float* out, std::size_t n, double tau);        \
   void decode_attend(const KvSegmentView* segs, std::size_t n_segs,           \
                      const float* q_head, std::size_t dh, float scale,        \

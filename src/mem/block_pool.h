@@ -117,11 +117,6 @@ class BlockPool {
   /// Floats in one block's K (or V) section: n_heads*block_tokens*d_head.
   std::size_t section_floats() const noexcept { return section_floats_; }
 
-  /// Blocks needed to hold `tokens` cache tokens (one layer's demand).
-  std::size_t blocks_for_tokens(std::size_t tokens) const noexcept {
-    return (tokens + cfg_.block_tokens - 1) / cfg_.block_tokens;
-  }
-
   /// Takes one block from the free list (growing the arena by a slab
   /// when the free list is dry and capacity allows) at refcount 1;
   /// nullopt when the pool is exhausted or the installed fault injector

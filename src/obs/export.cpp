@@ -87,9 +87,9 @@ std::string to_timeseries_json(const Monitor& monitor) {
     out += "\n    {\"name\": \"" + name + "\", \"dropped\": " +
            format_u64(series.dropped()) + ", \"samples\": [";
     for (std::size_t i = 0; i < series.size(); ++i) {
-      if (i > 0) out += ", ";
       const TimeSample& s = series.at(i);
-      out += "[" + format_double(s.t) + ", " + format_double(s.value) + "]";
+      out += i > 0 ? ", [" : "[";
+      out += format_double(s.t) + ", " + format_double(s.value) + "]";
     }
     out += "]}";
   }

@@ -91,23 +91,6 @@ TEST(SoftmaxTemperature, EntropyIncreasesWithTau) {
   EXPECT_GT(entropy(p2), entropy(p1));
 }
 
-TEST(LogSumExp, MatchesDirectComputation) {
-  std::vector<float> x{0.1F, 0.2F, 0.3F};
-  double direct = 0.0;
-  for (const float v : x) direct += std::exp(static_cast<double>(v));
-  EXPECT_NEAR(logsumexp(x), std::log(direct), 1e-6);
-}
-
-TEST(LogSoftmax, ExponentiatesToSoftmax) {
-  std::vector<float> x{1.0F, -2.0F, 0.5F};
-  std::vector<float> ls(3), sm(3);
-  log_softmax(x, ls);
-  softmax(x, sm);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_NEAR(std::exp(static_cast<double>(ls[i])), sm[i], 1e-6);
-  }
-}
-
 TEST(Entropy, UniformIsMaximal) {
   std::vector<float> uniform{0.25F, 0.25F, 0.25F, 0.25F};
   std::vector<float> peaked{0.97F, 0.01F, 0.01F, 0.01F};
@@ -137,11 +120,6 @@ TEST(KlDivergence, HandlesZeroQSafely) {
   const double kl = kl_divergence(p, q);
   EXPECT_TRUE(std::isfinite(kl));
   EXPECT_GT(kl, 1.0);
-}
-
-TEST(MaxValue, Basic) {
-  std::vector<float> x{-3.0F, 7.0F, 2.0F};
-  EXPECT_EQ(max_value(x), 7.0F);
 }
 
 }  // namespace

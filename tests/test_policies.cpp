@@ -342,6 +342,63 @@ TEST(KeyAttention, PureTopKNoRecentGuarantee) {
   EXPECT_EQ(s.cache.original_position(5), 5u);
 }
 
+TEST(KeyAttention, PromptChunkScoresMatchFullRowSum) {
+  // H2O and Key Attention add each query row's probabilities to the
+  // scores. In a multi-row prompt chunk, row q sees the first
+  // key_len - n_queries + q + 1 keys and its masked tail holds exact
+  // zeros, so through a chunk and a decode row after it the scores equal
+  // the sum of the full probability rows, bit for bit.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr std::size_t kHeads = Scenario::kHeads;
+  H2OPolicy h2o;
+  KeyAttentionPolicy key_attention;
+  EvictionPolicy* const policies[] = {&h2o, &key_attention};
+  for (EvictionPolicy* policy : policies) {
+    Scenario s(12);
+    policy->set_budget(CacheBudget{});
+    Rng rng(33);
+    std::vector<std::vector<double>> expected(kHeads);
+
+    const auto observe_rows = [&](std::size_t n_queries) {
+      const std::size_t key_len = s.cache.size();
+      std::vector<float> logits(kHeads * n_queries * key_len);
+      std::vector<float> probs(logits.size());
+      for (std::size_t h = 0; h < kHeads; ++h) {
+        expected[h].resize(key_len, 0.0);
+        for (std::size_t q = 0; q < n_queries; ++q) {
+          const std::size_t vis = key_len - n_queries + q + 1;
+          float* lrow = logits.data() + (h * n_queries + q) * key_len;
+          float* prow = probs.data() + (h * n_queries + q) * key_len;
+          for (std::size_t i = 0; i < key_len; ++i) {
+            lrow[i] = i < vis ? static_cast<float>(2.0 * rng.normal()) : -kInf;
+          }
+          softmax({lrow, key_len}, {prow, key_len});
+          for (std::size_t i = 0; i < key_len; ++i) expected[h][i] += prow[i];
+        }
+      }
+      PolicyContext c = s.ctx(n_queries > 1 ? 0 : 1);
+      c.n_queries = n_queries;
+      c.logits = logits;
+      c.probs = probs;
+      c.is_prompt = n_queries > 1;
+      policy->observe(c);
+    };
+    observe_rows(5);
+    std::vector<float> row(kHeads * Scenario::kDHead, 0.0F);
+    s.cache.append(row, row, 12);
+    observe_rows(1);
+
+    for (std::size_t h = 0; h < kHeads; ++h) {
+      const auto scores = s.cache.scores(h);
+      ASSERT_EQ(scores.size(), expected[h].size());
+      for (std::size_t i = 0; i < scores.size(); ++i) {
+        EXPECT_EQ(scores[i], expected[h][i])
+            << policy->name() << " head " << h << " key " << i;
+      }
+    }
+  }
+}
+
 // -------------------------------------------------------------- keyformer
 
 KeyformerConfig quiet_keyformer() {

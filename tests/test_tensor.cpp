@@ -101,39 +101,6 @@ TEST(Matvec, MatchesNaive) {
   }
 }
 
-TEST(Dot, Basic) {
-  std::vector<float> a{1, 2, 3};
-  std::vector<float> b{4, 5, 6};
-  EXPECT_FLOAT_EQ(dot(a, b), 32.0F);
-}
-
-TEST(Dot, UnrolledTailsMatchNaive) {
-  // Lengths around the 4-wide unroll boundary, including the remainder
-  // loop.
-  Rng rng(7);
-  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 63u, 64u, 65u}) {
-    std::vector<float> a(n), b(n);
-    for (auto& v : a) v = static_cast<float>(rng.normal());
-    for (auto& v : b) v = static_cast<float>(rng.normal());
-    double expect = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      expect += static_cast<double>(a[i]) * b[i];
-    }
-    EXPECT_NEAR(dot(a, b), expect, 1e-4) << "n=" << n;
-  }
-}
-
-TEST(Axpy, AccumulatesScaledVector) {
-  std::vector<float> y{1.0F, 2.0F, 3.0F};
-  std::vector<float> x{10.0F, 20.0F, 30.0F};
-  axpy(0.5F, x, y);
-  EXPECT_FLOAT_EQ(y[0], 6.0F);
-  EXPECT_FLOAT_EQ(y[1], 12.0F);
-  EXPECT_FLOAT_EQ(y[2], 18.0F);
-  axpy(0.0F, x, y);  // no-op scale
-  EXPECT_FLOAT_EQ(y[0], 6.0F);
-}
-
 TEST(AddScale, InPlace) {
   std::vector<float> y{1, 2};
   std::vector<float> x{3, 4};
