@@ -32,6 +32,20 @@ class IsaGuard {
   IsaGuard& operator=(const IsaGuard&) = delete;
 };
 
+/// An unbounded pool for cfg's K/V rows in `block_tokens`-token blocks.
+mem::BlockPool make_pool(const model::ModelConfig& cfg,
+                         std::size_t block_tokens) {
+  mem::BlockPoolConfig pc;
+  pc.block_tokens = block_tokens;
+  pc.n_heads = cfg.n_heads;
+  pc.d_head = cfg.d_head();
+  return mem::BlockPool(pc);
+}
+
+/// The serving engine's block size: the layout its attends stream.
+constexpr std::size_t kEngineBlockTokens =
+    serve::PagedMemoryConfig{}.block_tokens;
+
 void BM_Matmul(benchmark::State& state, cpu::CpuIsa isa) {
   // C[m, n] = A[m, k] * B[k, n] at the model's dense-layer shapes: m rows
   // of a decode batch or a prompt chunk against one weight.
@@ -102,12 +116,14 @@ void BM_GumbelSoftmaxScore(benchmark::State& state, cpu::CpuIsa isa) {
 void BM_AttentionDecodeStep(benchmark::State& state, cpu::CpuIsa isa) {
   // Whole decode attention layer for one sequence (a one-row
   // self_attention call: projections + fused attend) over a pre-filled
-  // cache — the end-to-end consumer of the kernels above.
+  // cache in the engine's blocks — the end-to-end consumer of the
+  // kernels above.
   const IsaGuard guard(isa);
   const std::size_t ctx = static_cast<std::size_t>(state.range(0));
   model::ModelConfig cfg = model::ModelConfig::mpt_like();
   const model::ModelWeights w = model::build_weights(cfg);
-  kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head(), ctx + 8);
+  mem::BlockPool pool = make_pool(cfg, kEngineBlockTokens);
+  kv::KvCache cache(pool);
   Rng rng(1);
   std::vector<float> row(cache.row_width());
   for (std::size_t i = 0; i < ctx; ++i) {
@@ -131,27 +147,30 @@ void BM_AttentionDecodeStep(benchmark::State& state, cpu::CpuIsa isa) {
 void BM_AttentionPromptChunk(benchmark::State& state, cpu::CpuIsa isa) {
   // One prompt chunk through self_attention (a one-run call: projections,
   // the append and the fused attend over each row's causal prefix): `rows`
-  // new tokens over `cached` keys already in the cache.
+  // new tokens over `cached` keys already in the cache, in the engine's
+  // blocks.
   const IsaGuard guard(isa);
   const std::size_t cached = static_cast<std::size_t>(state.range(0));
   const std::size_t rows = static_cast<std::size_t>(state.range(1));
   model::ModelConfig cfg = model::ModelConfig::gptj_like();
   const model::ModelWeights w = model::build_weights(cfg);
-  kv::ContiguousKvCache prefilled(cfg.n_heads, cfg.d_head(), cached + rows);
+  mem::BlockPool pool = make_pool(cfg, kEngineBlockTokens);
+  kv::KvCache cache(pool);
   Rng rng(1);
-  std::vector<float> row(prefilled.row_width());
+  std::vector<float> row(cache.row_width());
   for (std::size_t i = 0; i < cached; ++i) {
     for (float& v : row) v = static_cast<float>(rng.normal());
-    prefilled.append(row, row, i);
+    cache.append(row, row, i);
   }
   Tensor x({rows, cfg.d_model});
   for (float& v : x.span()) v = static_cast<float>(rng.normal());
   std::vector<std::size_t> positions(rows);
   std::iota(positions.begin(), positions.end(), cached);
-  kv::ContiguousKvCache cache = prefilled;
+  std::vector<std::size_t> prefilled(cached);
+  std::iota(prefilled.begin(), prefilled.end(), std::size_t{0});
   for (auto _ : state) {
     state.PauseTiming();
-    cache = prefilled;
+    cache.compact(prefilled);  // drop the previous iteration's chunk
     state.ResumeTiming();
     const model::AttentionRun run{positions, &cache};
     auto r = model::self_attention(cfg, w.layers[0], x, {&run, 1},
@@ -163,21 +182,29 @@ void BM_AttentionPromptChunk(benchmark::State& state, cpu::CpuIsa isa) {
 }
 
 void BM_CacheCompaction(benchmark::State& state) {
+  // {n, block_tokens}: keep every other row of an n-row cache, at the
+  // engine's block size and at a private pool's.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   model::ModelConfig cfg = model::ModelConfig::mpt_like();
+  mem::BlockPool pool =
+      make_pool(cfg, static_cast<std::size_t>(state.range(1)));
   std::vector<float> row(cfg.d_model, 1.0F);
   std::vector<std::size_t> keep;
   for (std::size_t i = 0; i < n; i += 2) keep.push_back(i);
   for (auto _ : state) {
     state.PauseTiming();
-    kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head(), n);
+    kv::KvCache cache(pool);
     for (std::size_t i = 0; i < n; ++i) cache.append(row, row, i);
     state.ResumeTiming();
     cache.compact(keep);
     benchmark::DoNotOptimize(cache.size());
   }
 }
-BENCHMARK(BM_CacheCompaction)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_CacheCompaction)
+    ->ArgsProduct({{1024, 4096},
+                   {static_cast<std::int64_t>(kEngineBlockTokens),
+                    static_cast<std::int64_t>(
+                        kv::SequenceKvState::kPrivateBlockTokens)}});
 
 void BM_TopKSelection(benchmark::State& state) {
   // {n, keep}: the top `keep` of the prefix [0, n - n/10) plus the recent

@@ -18,8 +18,9 @@
 //                                  [--monitor-period-ms N]
 //                                  [--prom-out FILE] [--timeseries-out FILE]
 //
-// --paged switches both sweeps onto the paged allocator so their
-// pool_util / frag columns are live (0 under contiguous caches).
+// --paged switches both sweeps to block-reserved admission over a capped
+// pool, so their pool_util column is live (0 under token-counted
+// admission, whose pool is unbounded).
 // --csv DIR writes serve_throughput.csv + serve_frontier.csv — the CI
 // artifact recording the serving-throughput trajectory.
 // --monitor-period-ms N attaches a background Monitor thread to every
@@ -46,7 +47,7 @@ struct Workload {
 };
 
 struct PagedOptions {
-  bool enabled = false;  ///< false = contiguous caches
+  bool enabled = false;  ///< false = token-counted admission
   std::size_t block_tokens = 16;
 };
 
@@ -108,8 +109,8 @@ serve::EngineStats run_cell(model::Transformer& m, const Workload& wl,
   return engine.stats();
 }
 
-/// Peak pool utilization of one cell (0 under contiguous caches or an
-/// unbounded pool).
+/// Peak pool utilization of one cell (0 for an unbounded pool, as under
+/// token-counted admission).
 double pool_util(const serve::EngineStats& stats) {
   return stats.pool_capacity_blocks > 0
              ? static_cast<double>(stats.pool_peak_used_blocks) /
@@ -187,7 +188,7 @@ int main(int argc, char** argv) {
             << ThreadPool::global().size() << " worker threads, "
             << (po.enabled ? "paged KV: " + std::to_string(po.block_tokens) +
                                  "-token blocks"
-                           : std::string("contiguous KV caches"))
+                           : std::string("token-counted KV admission"))
             << ")\n"
             << "note: batch scaling is parallel across sequences — on a "
                "single-core host that sweep is expected to be flat\n\n";

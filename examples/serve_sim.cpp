@@ -14,8 +14,8 @@
 //     --max-batch N       max concurrent sequences (default 4)
 //     --kv-budget N       scheduler memory budget in per-layer tokens;
 //                         0 = unlimited (default 600)
-//     --paged             enable paged KV memory on a block pool
-//                         (default: classic contiguous caches)
+//     --paged             reserve pool blocks at admission under a capped
+//                         pool (default: token-counted admission)
 //     --block-tokens N    tokens per pool block (default 16; paged only)
 //     --shared-prefix N   switch to a shared-context workload: every
 //                         request opens with the same ~N-token few-shot
@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
             << ", keyformer @50% cache, "
             << (paged ? "paged: " + std::to_string(block_tokens) +
                             "-token blocks"
-                      : std::string("contiguous caches"))
+                      : std::string("token-counted admission"))
             << (shared_prefix > 0
                     ? ", shared " +
                           std::to_string(requests[0].shared_prefix_hint) +

@@ -4,16 +4,15 @@
 // alignment is never a correctness requirement — but a 64-byte
 // allocation base means AVX-512 loads on head-major segment starts never
 // straddle a cache line, and keeps K/V rows from sharing lines with
-// unrelated heap data. BlockPool slabs and ContiguousKvCache arenas
-// allocate through these helpers and assert the base alignment in debug
-// builds (pinned by the randomized property tests).
+// unrelated heap data. BlockPool slabs and KvCache emergency blocks
+// allocate through these helpers; the pool asserts the slab alignment in
+// debug builds (pinned by BlockPool.SlabAllocationsAre64ByteAligned).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <vector>
 
 namespace kf {
 
@@ -44,33 +43,5 @@ inline AlignedFloatArray make_aligned_floats(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) p[i] = 0.0F;
   return AlignedFloatArray{p};
 }
-
-/// Minimal stateless allocator handing out kSimdAlign-aligned storage;
-/// all instances are interchangeable.
-template <typename T>
-struct AlignedAllocator {
-  using value_type = T;
-
-  AlignedAllocator() noexcept = default;
-  template <typename U>
-  explicit AlignedAllocator(const AlignedAllocator<U>&) noexcept {}
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t{kSimdAlign}));
-  }
-  void deallocate(T* p, std::size_t) noexcept {
-    ::operator delete(p, std::align_val_t{kSimdAlign});
-  }
-
-  template <typename U>
-  bool operator==(const AlignedAllocator<U>&) const noexcept {
-    return true;
-  }
-};
-
-/// std::vector whose data() is always kSimdAlign-aligned.
-template <typename T>
-using AlignedVector = std::vector<T, AlignedAllocator<T>>;
 
 }  // namespace kf

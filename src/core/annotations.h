@@ -3,7 +3,7 @@
 // The serving stack's locks — the BlockPool's mutex, the
 // PrefixIndex's entry lock, the ThreadPool queue — protect refcount and
 // reservation invariants that every correctness claim in the repo rests
-// on (bit-exact paged vs contiguous caches, copy-on-write prefix
+// on (bit-exact caches across block sizes, copy-on-write prefix
 // sharing, used <= reserved <= capacity). TSan only sees the
 // interleavings the tests happen to run; these macros let clang prove at
 // compile time (-Wthread-safety) that every access to guarded state

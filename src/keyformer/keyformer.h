@@ -39,7 +39,6 @@
 #include "kvcache/policy_factory.h"
 #include "kvcache/score_function.h"
 #include "mem/block_pool.h"
-#include "mem/paged_kv_cache.h"
 #include "model/attention.h"
 #include "model/config.h"
 #include "model/generator.h"

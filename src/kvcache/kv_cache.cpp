@@ -7,15 +7,14 @@
 
 namespace kf::kv {
 
-// ---------------------------------------------------------------------------
-// KvCache: metadata + validation shared by every storage implementation.
+KvCache::KvCache(mem::BlockPool& pool)
+    : pool_(pool),
+      n_heads_(pool.config().n_heads),
+      d_head_(pool.config().d_head),
+      block_tokens_(pool.block_tokens()),
+      scores_(n_heads_) {}
 
-KvCache::KvCache(std::size_t n_heads, std::size_t d_head)
-    : n_heads_(n_heads), d_head_(d_head), scores_(n_heads) {
-  if (n_heads == 0 || d_head == 0) {
-    throw std::invalid_argument("KvCache requires n_heads > 0 and d_head > 0");
-  }
-}
+KvCache::~KvCache() { free_blocks_beyond(0); }
 
 void KvCache::append(std::span<const float> k_row,
                      std::span<const float> v_row, std::size_t original_pos) {
@@ -26,7 +25,25 @@ void KvCache::append(std::span<const float> k_row,
     throw std::invalid_argument(
         "KvCache::append: original positions must be strictly increasing");
   }
-  append_rows(k_row, v_row);  // size() is still the new token's index here
+  const std::size_t slot = size() % block_tokens_;
+  if (slot == 0) {
+    blocks_.emplace_back();
+    shared_.push_back(false);
+    emergency_.emplace_back();
+    fill_block(blocks_.size() - 1);
+  } else if (shared_.back()) {
+    // A partially filled shared tail (left by a compact that kept a prefix
+    // of an adopted chain): writing the free slot would race other readers
+    // of the block, so take a private copy first.
+    cow_block(blocks_.size() - 1);
+  }
+  const std::size_t tail = blocks_.size() - 1;
+  for (std::size_t h = 0; h < n_heads_; ++h) {
+    std::copy_n(k_row.data() + h * d_head_, d_head_,
+                keys_of(tail, h) + slot * d_head_);
+    std::copy_n(v_row.data() + h * d_head_, d_head_,
+                values_of(tail, h) + slot * d_head_);
+  }
   positions_.push_back(original_pos);
   for (auto& s : scores_) s.push_back(0.0);
 }
@@ -49,6 +66,32 @@ std::vector<float> KvCache::value_row(std::size_t idx) const {
     std::copy(head.begin(), head.end(), row.begin() + h * d_head_);
   }
   return row;
+}
+
+std::span<const float> KvCache::key_head(std::size_t idx,
+                                         std::size_t head) const {
+  assert(idx < size() && head < n_heads_);
+  return {keys_of(idx / block_tokens_, head) +
+              (idx % block_tokens_) * d_head_,
+          d_head_};
+}
+
+std::span<const float> KvCache::value_head(std::size_t idx,
+                                           std::size_t head) const {
+  assert(idx < size() && head < n_heads_);
+  return {values_of(idx / block_tokens_, head) +
+              (idx % block_tokens_) * d_head_,
+          d_head_};
+}
+
+KvSegment KvCache::segment(std::size_t head, std::size_t s) const {
+  assert(head < n_heads_ && s < blocks_.size());
+  KvSegment seg;
+  seg.keys = keys_of(s, head);
+  seg.values = values_of(s, head);
+  seg.first = s * block_tokens_;
+  seg.count = std::min(block_tokens_, size() - seg.first);
+  return seg;
 }
 
 std::size_t KvCache::original_position(std::size_t idx) const {
@@ -85,7 +128,7 @@ double KvCache::total_score(std::size_t idx) const {
 }
 
 void KvCache::compact(std::span<const std::size_t> keep) {
-  // Validate once; storage gathers can then move rows without re-checking.
+  // Validate once; the gather can then move rows without re-checking.
   std::size_t prev = 0;
   for (std::size_t j = 0; j < keep.size(); ++j) {
     const std::size_t idx = keep[j];
@@ -98,146 +141,165 @@ void KvCache::compact(std::span<const std::size_t> keep) {
     }
     prev = idx;
   }
-  compact_rows(keep);
-  std::size_t out = 0;
-  for (const std::size_t idx : keep) {
-    if (idx != out) {
-      positions_[out] = positions_[idx];
-      for (auto& per_head : scores_) per_head[out] = per_head[idx];
+  const std::size_t n = keep.size();
+  const std::size_t bt = block_tokens_;
+  // keep ascends strictly, so keep[j] >= j, and once one row moves
+  // (keep[j] > j) every later row does: rows [0, moved) stay in place.
+  std::size_t moved = 0;
+  while (moved < n && keep[moved] == moved) ++moved;
+  if (moved < n) {
+    // Copy-on-write pass, before any write: the gather writes exactly the
+    // destination blocks from row `moved`'s block to the new tail, so
+    // those that are still shared get a private copy now, while their
+    // contents are untouched. Blocks wholly before `moved` are never
+    // written and stay shared (the common case when eviction keeps an
+    // early prefix).
+    for (std::size_t b = moved / bt; b * bt < n; ++b) {
+      if (shared_[b]) cow_block(b);
     }
-    ++out;
+    // Head-major forward gather. A destination index never exceeds its
+    // source index, so a write cannot clobber a row still to be read, in
+    // one block or across blocks. Each block's K/V bases are resolved
+    // once per head, and destination slots advance by counting.
+    for (std::size_t h = 0; h < n_heads_; ++h) {
+      std::size_t dst_block = moved / bt;
+      std::size_t dst_slot = moved % bt;
+      float* dk = keys_of(dst_block, h);
+      float* dv = values_of(dst_block, h);
+      std::size_t src_block = keep[moved] / bt;
+      std::size_t src_first = src_block * bt;
+      const float* sk = keys_of(src_block, h);
+      const float* sv = values_of(src_block, h);
+      for (std::size_t j = moved; j < n; ++j) {
+        if (dst_slot == bt) {
+          ++dst_block;
+          dst_slot = 0;
+          dk = keys_of(dst_block, h);
+          dv = values_of(dst_block, h);
+        }
+        const std::size_t idx = keep[j];
+        if (idx - src_first >= bt) {  // keep ascends: a later source block
+          src_block = idx / bt;
+          src_first = src_block * bt;
+          sk = keys_of(src_block, h);
+          sv = values_of(src_block, h);
+        }
+        const std::size_t src_off = (idx - src_first) * d_head_;
+        std::copy_n(sk + src_off, d_head_, dk + dst_slot * d_head_);
+        std::copy_n(sv + src_off, d_head_, dv + dst_slot * d_head_);
+        ++dst_slot;
+      }
+    }
+    for (std::size_t j = moved; j < n; ++j) positions_[j] = positions_[keep[j]];
+    for (auto& per_head : scores_) {
+      for (std::size_t j = moved; j < n; ++j) per_head[j] = per_head[keep[j]];
+    }
   }
-  positions_.resize(out);
-  for (auto& per_head : scores_) per_head.resize(out);
+  positions_.resize(n);
+  for (auto& per_head : scores_) per_head.resize(n);
+  free_blocks_beyond(n);
 }
 
 void KvCache::clear() {
-  clear_rows();
+  free_blocks_beyond(0);
   positions_.clear();
   for (auto& per_head : scores_) per_head.clear();
+  alloc_failed_ = false;  // no emergency block survives the clear
 }
 
-void KvCache::seed_metadata(std::span<const std::size_t> positions,
-                            std::span<const std::vector<double>> scores) {
-  if (!positions_.empty()) {
-    throw std::logic_error("KvCache::seed_metadata requires an empty cache");
+void KvCache::adopt_prefix(std::span<const mem::BlockRef> chain,
+                           std::size_t tokens,
+                           std::span<const std::vector<double>> scores) {
+  if (!empty()) {
+    throw std::logic_error("KvCache::adopt_prefix on a non-empty cache");
   }
-  if (scores.size() != n_heads_) {
+  if (tokens == 0 || tokens % block_tokens_ != 0 ||
+      chain.size() != tokens / block_tokens_) {
     throw std::invalid_argument(
-        "KvCache::seed_metadata: one score vector per head required");
+        "KvCache::adopt_prefix: tokens must fill chain.size() whole blocks");
   }
-  for (const auto& per_head : scores) {
-    if (per_head.size() != positions.size()) {
-      throw std::invalid_argument(
-          "KvCache::seed_metadata: score length must match positions");
+  if (scores.size() != n_heads_ ||
+      std::any_of(scores.begin(), scores.end(),
+                  [&](const auto& s) { return s.size() != tokens; })) {
+    throw std::invalid_argument(
+        "KvCache::adopt_prefix: one score vector of `tokens` per head");
+  }
+  for (const mem::BlockRef ref : chain) pool_.retain(ref);
+  blocks_.assign(chain.begin(), chain.end());
+  shared_.assign(blocks_.size(), true);
+  emergency_.resize(blocks_.size());
+  positions_.resize(tokens);
+  std::iota(positions_.begin(), positions_.end(), std::size_t{0});
+  std::copy(scores.begin(), scores.end(), scores_.begin());
+}
+
+void KvCache::mark_shared_prefix(std::size_t blocks) {
+  if (blocks > blocks_.size()) {
+    throw std::invalid_argument(
+        "KvCache::mark_shared_prefix: beyond the chain");
+  }
+  for (std::size_t i = 0; i < blocks; ++i) shared_[i] = true;
+}
+
+std::size_t KvCache::shared_blocks() const noexcept {
+  return static_cast<std::size_t>(
+      std::count(shared_.begin(), shared_.end(), true));
+}
+
+void KvCache::fill_block(std::size_t chain_idx) {
+  if (const auto ref = pool_.try_allocate()) {
+    blocks_[chain_idx] = *ref;
+    return;
+  }
+  // Pool refusal (exhaustion or injected fault): fall back to a private
+  // heap block so the in-flight decode step completes with exact rows,
+  // and latch the failure for the engine's next-step-boundary check.
+  alloc_failed_ = true;
+  pool_.note_emergency_block();
+  emergency_[chain_idx] = make_aligned_floats(2 * pool_.section_floats());
+}
+
+float* KvCache::keys_of(std::size_t chain_idx, std::size_t head) const {
+  if (const auto& heap = emergency_[chain_idx]) {
+    return heap.get() + head * block_tokens_ * d_head_;
+  }
+  return pool_.keys(blocks_[chain_idx], head);
+}
+
+float* KvCache::values_of(std::size_t chain_idx, std::size_t head) const {
+  if (const auto& heap = emergency_[chain_idx]) {
+    return heap.get() + pool_.section_floats() + head * block_tokens_ * d_head_;
+  }
+  return pool_.values(blocks_[chain_idx], head);
+}
+
+void KvCache::cow_block(std::size_t chain_idx) {
+  // Shared blocks always come from the pool (an adopted chain, or this
+  // cache's own prefix the index retained), never from emergency memory.
+  const mem::BlockRef old = blocks_[chain_idx];
+  // The prefix index (and every other reader) holds its own reference, so
+  // refcount 1 means this cache became the sole owner: write in place.
+  if (pool_.refcount(old) > 1) {
+    fill_block(chain_idx);
+    const std::size_t section = block_tokens_ * d_head_;
+    for (std::size_t h = 0; h < n_heads_; ++h) {
+      std::copy_n(pool_.keys(old, h), section, keys_of(chain_idx, h));
+      std::copy_n(pool_.values(old, h), section, values_of(chain_idx, h));
     }
+    pool_.release(old);
+    pool_.note_cow_copy();
   }
-  for (std::size_t i = 1; i < positions.size(); ++i) {
-    if (positions[i] <= positions[i - 1]) {
-      throw std::invalid_argument(
-          "KvCache::seed_metadata: positions must be strictly increasing");
-    }
-  }
-  positions_.assign(positions.begin(), positions.end());
-  for (std::size_t h = 0; h < n_heads_; ++h) scores_[h] = scores[h];
+  shared_[chain_idx] = false;
 }
 
-// ---------------------------------------------------------------------------
-// ContiguousKvCache: one private head-major arena.
-
-ContiguousKvCache::ContiguousKvCache(std::size_t n_heads, std::size_t d_head,
-                                     std::size_t capacity_hint)
-    : KvCache(n_heads, d_head) {
-  if (capacity_hint > 0) ensure_capacity(capacity_hint);
-}
-
-void ContiguousKvCache::ensure_capacity(std::size_t need) {
-  if (need <= capacity_) return;
-  // Geometric growth: at least double every reallocation, so an append
-  // stream costs O(log n) full-segment copies, not O(n).
-  std::size_t new_cap = std::max({need, capacity_ * 2, std::size_t{16}});
-  // Round the per-head stride up so capacity * d_head is a multiple of
-  // kSimdAlign floats: with the arena base 64-byte aligned, every head's
-  // segment then starts on an alignment boundary too.
-  const std::size_t align_floats = kSimdAlign / sizeof(float);
-  const std::size_t mult = align_floats / std::gcd(d_head(), align_floats);
-  new_cap = (new_cap + mult - 1) / mult * mult;
-  AlignedVector<float> new_keys(n_heads() * new_cap * d_head());
-  AlignedVector<float> new_values(n_heads() * new_cap * d_head());
-  assert(is_simd_aligned(new_keys.data()) &&
-         is_simd_aligned(new_values.data()));
-  const std::size_t live = size() * d_head();
-  for (std::size_t h = 0; h < n_heads(); ++h) {
-    std::copy_n(keys_.data() + h * capacity_ * d_head(), live,
-                new_keys.data() + h * new_cap * d_head());
-    std::copy_n(values_.data() + h * capacity_ * d_head(), live,
-                new_values.data() + h * new_cap * d_head());
-  }
-  keys_ = std::move(new_keys);
-  values_ = std::move(new_values);
-  if (capacity_ > 0) ++reallocations_;  // first sizing is not a *re*alloc
-  capacity_ = new_cap;
-}
-
-void ContiguousKvCache::append_rows(std::span<const float> k_row,
-                                    std::span<const float> v_row) {
-  const std::size_t t = size();
-  ensure_capacity(t + 1);
-  for (std::size_t h = 0; h < n_heads(); ++h) {
-    const std::size_t dst = (h * capacity_ + t) * d_head();
-    std::copy_n(k_row.data() + h * d_head(), d_head(), keys_.data() + dst);
-    std::copy_n(v_row.data() + h * d_head(), d_head(), values_.data() + dst);
-  }
-}
-
-std::span<const float> ContiguousKvCache::key_head(std::size_t idx,
-                                                   std::size_t head) const {
-  assert(idx < size() && head < n_heads());
-  return {keys_.data() + (head * capacity_ + idx) * d_head(), d_head()};
-}
-
-std::span<const float> ContiguousKvCache::value_head(std::size_t idx,
-                                                     std::size_t head) const {
-  assert(idx < size() && head < n_heads());
-  return {values_.data() + (head * capacity_ + idx) * d_head(), d_head()};
-}
-
-KvSegment ContiguousKvCache::segment(std::size_t head, std::size_t s) const {
-  assert(head < n_heads() && s < segment_count());
-  (void)s;
-  KvSegment seg;
-  seg.keys = keys_.data() + head * capacity_ * d_head();
-  seg.values = values_.data() + head * capacity_ * d_head();
-  seg.first = 0;
-  seg.count = size();
-  return seg;
-}
-
-std::span<const float> ContiguousKvCache::keys_head(std::size_t head) const {
-  assert(head < n_heads());
-  return {keys_.data() + head * capacity_ * d_head(), size() * d_head()};
-}
-
-std::span<const float> ContiguousKvCache::values_head(std::size_t head) const {
-  assert(head < n_heads());
-  return {values_.data() + head * capacity_ * d_head(), size() * d_head()};
-}
-
-void ContiguousKvCache::compact_rows(std::span<const std::size_t> keep) {
-  // Head-major gather: within each head's contiguous segment, move the kept
-  // d_head-wide rows forward. Source index >= destination index always, so
-  // rows never overlap.
-  for (std::size_t h = 0; h < n_heads(); ++h) {
-    float* kbase = keys_.data() + h * capacity_ * d_head();
-    float* vbase = values_.data() + h * capacity_ * d_head();
-    std::size_t out = 0;
-    for (const std::size_t idx : keep) {
-      if (idx != out) {
-        std::copy_n(kbase + idx * d_head(), d_head(), kbase + out * d_head());
-        std::copy_n(vbase + idx * d_head(), d_head(), vbase + out * d_head());
-      }
-      ++out;
-    }
+void KvCache::free_blocks_beyond(std::size_t live_tokens) {
+  const std::size_t live_blocks =
+      (live_tokens + block_tokens_ - 1) / block_tokens_;
+  while (blocks_.size() > live_blocks) {
+    if (!emergency_.back()) pool_.release(blocks_.back());
+    blocks_.pop_back();
+    shared_.pop_back();
+    emergency_.pop_back();
   }
 }
 

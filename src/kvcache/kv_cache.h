@@ -6,21 +6,40 @@
 //   - per-head accumulated score-function values f_theta that survive
 //     compaction (Sections 3.3.2 and 2.3.1).
 //
-// KvCache is the storage-agnostic interface: positions and scores (small
-// metadata) live here, while K/V float storage is the derived class's
-// business. Two implementations exist:
-//   - ContiguousKvCache (this header): one private head-major arena of
-//     [capacity, d_head] rows per head, geometric growth — the classic
-//     single-sequence layout;
-//   - mem::PagedKvCache (src/mem): a chain of fixed-size token blocks
-//     allocated from a shared BlockPool, so evicted memory returns to a
-//     store other sequences draw from.
+// Storage: one layer's K/V rows live in a chain of fixed-size token blocks
+// allocated from a mem::BlockPool. Inside each block the layout is head-
+// major, [n_heads][block_tokens][d_head] for K and then for V, so a head's
+// rows in one block are one contiguous run. The attend iterates these
+// runs as *segments*, one per block. Per-row arithmetic never depends on
+// where a segment boundary falls, so outputs are bit-identical across
+// block sizes (pinned by tests). A serving engine's sequences share one
+// pool, so evicted memory returns to a store other sequences draw from;
+// a standalone kv::SequenceKvState owns a private pool.
 //
-// The attend never assumes one contiguous span per head; it iterates
-// *segments* — maximal contiguous [count, d_head] runs of a head's K (or
-// V) rows. A contiguous cache exposes exactly one segment
-// per head, a paged cache one per block. Per-row arithmetic is identical
-// either way, so the two layouts are bit-exact (pinned by tests).
+// Chain invariant: blocks().size() == ceil(size() / block_tokens). The
+// tail block is the only partially filled one, and a block that holds no
+// live row goes back to the pool at once (compact frees emptied tail
+// blocks; clear and the destructor free everything).
+//
+// No-throw growth: appends and the copy-on-write path run inside the
+// batched decode step's parallel_for workers, where an escaping exception
+// would take the whole process down, so block acquisition never throws.
+// When the pool cannot hand out a block (exhausted mid-decode, or a
+// chaos-test FaultInjector vetoed it), the cache falls back to a private
+// heap "emergency block" (same payload layout, held in the chain slot
+// itself) and latches alloc_failed(). The step's numerics stay exact, but
+// the sequence is now over its physical budget, so the engine preempts it
+// at the next step boundary and resumes it by recompute.
+//
+// Copy-on-write sharing: adopt_prefix() lets an empty cache take over an
+// immutable block chain (a prompt prefix another sequence prefilled,
+// handed out by the mem::PrefixIndex) by retaining each block instead of
+// copying it. Shared blocks are read exactly like owned ones; the first
+// mutation that would touch one (an append landing in a shared tail slot,
+// or a compact gather writing into a shared destination block) copies
+// that block into a fresh private block first (counted as
+// pool.cow_copies), so per-sequence eviction never perturbs other
+// readers.
 //
 // Rotation contract: the cache stores whatever the attention layer appends.
 // Under RoPE with PositionMode::kOriginal the attention layer appends keys
@@ -39,6 +58,7 @@
 #include <vector>
 
 #include "core/aligned.h"
+#include "mem/block_pool.h"
 
 namespace kf::kv {
 
@@ -52,11 +72,16 @@ struct KvSegment {
   std::size_t count = 0;
 };
 
-/// KV store interface for one decoder layer. Metadata (positions, scores)
-/// and all validation live here; K/V float storage is virtual.
+/// KV store of one decoder layer over a chain of pool blocks.
 class KvCache {
  public:
-  virtual ~KvCache() = default;
+  /// An empty cache drawing blocks from `pool`, which must outlive it.
+  /// Geometry (n_heads, d_head, block_tokens) comes from the pool config.
+  explicit KvCache(mem::BlockPool& pool);
+  ~KvCache();
+
+  KvCache(const KvCache&) = delete;
+  KvCache& operator=(const KvCache&) = delete;
 
   std::size_t n_heads() const noexcept { return n_heads_; }
   std::size_t d_head() const noexcept { return d_head_; }
@@ -83,17 +108,15 @@ class KvCache {
   std::vector<float> value_row(std::size_t idx) const;
 
   /// Per-head, per-token slices (d_head contiguous floats).
-  virtual std::span<const float> key_head(std::size_t idx,
-                                          std::size_t head) const = 0;
-  virtual std::span<const float> value_head(std::size_t idx,
-                                            std::size_t head) const = 0;
+  std::span<const float> key_head(std::size_t idx, std::size_t head) const;
+  std::span<const float> value_head(std::size_t idx, std::size_t head) const;
 
-  /// Number of contiguous segments each head's rows split into (identical
-  /// across heads; 0 when empty).
-  virtual std::size_t segment_count() const noexcept = 0;
+  /// Number of contiguous segments each head's rows split into: one per
+  /// block (0 when empty).
+  std::size_t segment_count() const noexcept { return blocks_.size(); }
   /// Segment s of one head, ascending by `first`, jointly covering
   /// [0, size()).
-  virtual KvSegment segment(std::size_t head, std::size_t s) const = 0;
+  KvSegment segment(std::size_t head, std::size_t s) const;
 
   /// Original sequence position of cached token idx.
   std::size_t original_position(std::size_t idx) const;
@@ -117,96 +140,79 @@ class KvCache {
 
   /// Keeps exactly the rows in `keep` (indices into the current layout,
   /// strictly ascending); drops everything else. Scores and positions
-  /// are gathered along with K/V rows.
+  /// are gathered along with K/V rows; emptied tail blocks return to the
+  /// pool.
   void compact(std::span<const std::size_t> keep);
 
-  /// Removes all tokens and scores (capacity is retained where the
-  /// storage has any; a paged cache returns its blocks to the pool).
+  /// Removes all tokens and scores and returns every block to the pool.
   void clear();
 
- protected:
-  KvCache(std::size_t n_heads, std::size_t d_head);
-  KvCache(const KvCache&) = default;
-  KvCache& operator=(const KvCache&) = default;
+  /// The pool this cache draws its blocks from.
+  const mem::BlockPool& pool() const noexcept { return pool_; }
 
-  /// Storage hooks. append_rows runs with size() still the *new* token's
-  /// index (metadata is pushed after); compact_rows gathers K/V only —
-  /// the base gathers positions/scores; `keep` is pre-validated.
-  virtual void append_rows(std::span<const float> k_row,
-                           std::span<const float> v_row) = 0;
-  virtual void compact_rows(std::span<const std::size_t> keep) = 0;
-  virtual void clear_rows() = 0;
+  /// Blocks currently held (== ceil(size() / block_tokens)).
+  std::size_t blocks_held() const noexcept { return blocks_.size(); }
 
-  /// Installs positions and per-head accumulated scores wholesale for rows
-  /// the derived storage adopted without going through append() — a paged
-  /// cache taking over a shared prefix chain. The cache must be empty;
-  /// `scores` is one vector per head, each positions.size() long.
-  void seed_metadata(std::span<const std::size_t> positions,
-                     std::span<const std::vector<double>> scores);
+  /// The block chain backing this cache, in token order. An emergency
+  /// slot's entry names no pool block (see alloc_failed()).
+  std::span<const mem::BlockRef> blocks() const noexcept { return blocks_; }
+
+  /// Adopts `chain` as this cache's first rows: retains every block
+  /// (copy-on-write; nothing is copied until a mutation lands in one) and
+  /// seeds positions 0..tokens-1 plus per-head accumulated scores
+  /// (`scores` is one vector per head, each `tokens` long). The cache
+  /// must be empty and `tokens` a whole number of blocks, so later
+  /// appends open fresh private blocks.
+  void adopt_prefix(std::span<const mem::BlockRef> chain, std::size_t tokens,
+                    std::span<const std::vector<double>> scores);
+
+  /// Marks the first `blocks` chain blocks as shared: another reader (the
+  /// prefix index) just retained them, so future mutations must
+  /// copy-on-write. The donor side of adopt_prefix.
+  void mark_shared_prefix(std::size_t blocks);
+
+  /// Blocks of this chain still shared (refcounted with other readers).
+  std::size_t shared_blocks() const noexcept;
+
+  /// True once any block acquisition fell back to emergency heap memory:
+  /// this cache holds rows the pool never granted, so its sequence must be
+  /// preempted (or retired) rather than keep decoding past the cap. The
+  /// pool counts each fallback (pool.emergency_blocks). clear() resets it
+  /// with the blocks.
+  bool alloc_failed() const noexcept { return alloc_failed_; }
 
  private:
+  /// Returns every chain block past the first ceil(live_tokens / bt).
+  void free_blocks_beyond(std::size_t live_tokens);
+  /// Replaces a (possibly) shared chain block with a private copy before a
+  /// write; no copy, only the unmark, when this cache is the last reader.
+  void cow_block(std::size_t chain_idx);
+  /// Points chain slot `chain_idx` at a fresh private block: from the
+  /// pool, or on failure an emergency heap block (latches alloc_failed).
+  /// Never throws for capacity.
+  void fill_block(std::size_t chain_idx);
+  /// Payload access to chain slot `chain_idx`, pool or emergency block:
+  /// one head's [block_tokens, d_head] rows.
+  float* keys_of(std::size_t chain_idx, std::size_t head) const;
+  float* values_of(std::size_t chain_idx, std::size_t head) const;
+
+  mem::BlockPool& pool_;
   std::size_t n_heads_;
   std::size_t d_head_;
+  std::size_t block_tokens_;
   std::vector<std::size_t> positions_;
   std::vector<std::vector<double>> scores_;  // [n_heads][size]
-};
-
-/// The classic single-arena implementation: each head owns one contiguous
-/// segment of [capacity, d_head] rows, grown geometrically, so the decode
-/// hot path streams over one run per head. `keys_head(h)` / `values_head(h)`
-/// expose a head's whole live segment — the single-segment special case of
-/// the KvSegment API.
-class ContiguousKvCache final : public KvCache {
- public:
-  /// n_heads/d_head describe row layout; capacity_hint preallocates.
-  ContiguousKvCache(std::size_t n_heads, std::size_t d_head,
-                    std::size_t capacity_hint = 0);
-
-  ContiguousKvCache(const ContiguousKvCache&) = default;
-  ContiguousKvCache& operator=(const ContiguousKvCache&) = default;
-
-  std::span<const float> key_head(std::size_t idx,
-                                  std::size_t head) const override;
-  std::span<const float> value_head(std::size_t idx,
-                                    std::size_t head) const override;
-
-  std::size_t segment_count() const noexcept override {
-    return empty() ? 0 : 1;
-  }
-  KvSegment segment(std::size_t head, std::size_t s) const override;
-
-  /// One head's whole live K segment: [size, d_head] row-major, contiguous.
-  std::span<const float> keys_head(std::size_t head) const;
-  /// One head's whole live V segment: [size, d_head] row-major, contiguous.
-  std::span<const float> values_head(std::size_t head) const;
-
-  /// Tokens per head segment currently reserved.
-  std::size_t capacity() const noexcept { return capacity_; }
-
-  /// Full-arena reallocations performed so far. Growth is geometric
-  /// (capacity at least doubles per reallocation), so a generation that
-  /// starts from a capacity_hint covering its steady-state footprint pays
-  /// zero reallocations, and a cold cache pays O(log size) — pinned by
-  /// tests and relied on by the engine's capacity_hint derivation.
-  std::size_t reallocations() const noexcept { return reallocations_; }
-
- protected:
-  void append_rows(std::span<const float> k_row,
-                   std::span<const float> v_row) override;
-  void compact_rows(std::span<const std::size_t> keep) override;
-  void clear_rows() override {}  // capacity retained; metadata clears size
-
- private:
-  /// Grows the per-head segments to hold at least `need` tokens.
-  void ensure_capacity(std::size_t need);
-
-  std::size_t capacity_ = 0;  ///< tokens per head segment
-  std::size_t reallocations_ = 0;
-  /// Head-major: head h's token t lives at (h * capacity_ + t) * d_head_.
-  /// 64-byte-aligned arenas with capacity_ rounded so every head's
-  /// segment also starts on an alignment boundary (see ensure_capacity).
-  AlignedVector<float> keys_;
-  AlignedVector<float> values_;
+  std::vector<mem::BlockRef> blocks_;
+  /// shared_[i]: blocks_[i] was adopted or indexed and may still have
+  /// other readers; mutations go through cow_block() first.
+  std::vector<bool> shared_;
+  /// emergency_[i]: the heap payload (64-byte aligned like pool slabs)
+  /// backing chain slot i when the pool refused it a block (blocks_[i]
+  /// then names no pool block); null for pool blocks. Only this cache
+  /// ever sees these payloads: they are invisible to the pool, the
+  /// scheduler and the prefix index.
+  std::vector<AlignedFloatArray> emergency_;
+  bool alloc_failed_ = false;
 };
 
 }  // namespace kf::kv

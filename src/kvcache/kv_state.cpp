@@ -1,24 +1,39 @@
 #include "kvcache/kv_state.h"
 
-#include "mem/paged_kv_cache.h"
-
 namespace kf::kv {
 
-SequenceKvState::SequenceKvState(std::size_t n_layers, std::size_t n_heads,
-                                 std::size_t d_head,
-                                 std::size_t capacity_hint) {
-  caches_.reserve(n_layers);
+namespace {
+
+std::vector<std::unique_ptr<KvCache>> layer_caches(mem::BlockPool& pool,
+                                                   std::size_t n_layers) {
+  std::vector<std::unique_ptr<KvCache>> caches;
+  caches.reserve(n_layers);
   for (std::size_t l = 0; l < n_layers; ++l) {
-    caches_.push_back(
-        std::make_unique<ContiguousKvCache>(n_heads, d_head, capacity_hint));
+    caches.push_back(std::make_unique<KvCache>(pool));
   }
+  return caches;
 }
 
-SequenceKvState::SequenceKvState(mem::BlockPool& pool, std::size_t n_layers) {
-  caches_.reserve(n_layers);
-  for (std::size_t l = 0; l < n_layers; ++l) {
-    caches_.push_back(std::make_unique<mem::PagedKvCache>(pool));
+}  // namespace
+
+SequenceKvState::SequenceKvState(std::size_t n_layers, std::size_t n_heads,
+                                 std::size_t d_head)
+    : own_pool_(std::make_unique<mem::BlockPool>(
+          mem::BlockPoolConfig{.block_tokens = kPrivateBlockTokens,
+                               .n_heads = n_heads,
+                               .d_head = d_head})),
+      caches_(layer_caches(*own_pool_, n_layers)) {}
+
+SequenceKvState::SequenceKvState(mem::BlockPool& pool, std::size_t n_layers)
+    : caches_(layer_caches(pool, n_layers)) {}
+
+SequenceKvState& SequenceKvState::operator=(SequenceKvState&& other) noexcept {
+  if (this != &other) {
+    caches_.clear();  // release into the old pool while it still exists
+    own_pool_ = std::move(other.own_pool_);
+    caches_ = std::move(other.caches_);
   }
+  return *this;
 }
 
 std::size_t SequenceKvState::total_tokens() const noexcept {

@@ -7,10 +7,10 @@
 // EvictionPolicy instance for score state) — the structure continuous
 // batching schedules over.
 //
-// The state is storage-agnostic: the contiguous constructor builds classic
-// private-arena caches; the pool constructor builds paged caches whose
-// blocks come from (and return to) a mem::BlockPool — the memory the
-// scheduler's admission reserved.
+// Every layer cache draws its blocks from a mem::BlockPool. A serving
+// engine hands each sequence its shared pool, the memory the scheduler's
+// admission reserved; a state built without one owns a private, unbounded
+// pool (the model's default state, make_kv_state(), standalone callers).
 #pragma once
 
 #include <cstddef>
@@ -18,29 +18,31 @@
 #include <vector>
 
 #include "kvcache/kv_cache.h"
-
-namespace kf::mem {
-class BlockPool;
-}
+#include "mem/block_pool.h"
 
 namespace kf::kv {
 
 /// All per-layer KV caches of one sequence.
 class SequenceKvState {
  public:
+  /// Tokens per block of a state's private pool. Large blocks keep a
+  /// single sequence's attend and compaction on few segments.
+  static constexpr std::size_t kPrivateBlockTokens = 64;
+
   SequenceKvState() = default;
 
-  /// One contiguous cache per layer, each laid out for n_heads x d_head
-  /// rows.
+  /// One cache per layer, each laid out for n_heads x d_head rows, over a
+  /// private unbounded pool of kPrivateBlockTokens-token blocks.
   SequenceKvState(std::size_t n_layers, std::size_t n_heads,
-                  std::size_t d_head, std::size_t capacity_hint = 0);
+                  std::size_t d_head);
 
-  /// One paged cache per layer, all drawing blocks from `pool` (geometry
-  /// comes from the pool config).
+  /// One cache per layer, all drawing blocks from `pool` (geometry comes
+  /// from the pool config), which must outlive the state.
   SequenceKvState(mem::BlockPool& pool, std::size_t n_layers);
 
   SequenceKvState(SequenceKvState&&) = default;
-  SequenceKvState& operator=(SequenceKvState&&) = default;
+  /// Destroys this state's caches before the pool they release into.
+  SequenceKvState& operator=(SequenceKvState&& other) noexcept;
 
   std::size_t n_layers() const noexcept { return caches_.size(); }
 
@@ -67,10 +69,13 @@ class SequenceKvState {
   bool matches(std::size_t n_layers, std::size_t n_heads,
                std::size_t d_head) const noexcept;
 
-  /// Clears every layer cache (a paged state returns its blocks).
+  /// Clears every layer cache, returning its blocks to the pool.
   void clear();
 
  private:
+  /// The private pool, when the state was built without one. Declared
+  /// before the caches so they are destroyed first.
+  std::unique_ptr<mem::BlockPool> own_pool_;
   std::vector<std::unique_ptr<KvCache>> caches_;
 };
 

@@ -6,7 +6,7 @@
 // BlockPool is that store: an arena carved into fixed-size blocks of
 // `block_tokens` tokens, head-major inside the block ([n_heads]
 // [block_tokens][d_head] for K, then the same for V), handed out through
-// one free list. PagedKvCache chains blocks per layer; compaction and
+// one free list. Each kv::KvCache chains blocks per layer; compaction and
 // sequence retirement free whole blocks back to the pool.
 //
 // Two accounting layers:
@@ -165,7 +165,7 @@ class BlockPool {
     injector_.store(injector, std::memory_order_release);
   }
 
-  /// Observability hooks for PagedKvCache events the pool never sees: a
+  /// Observability hooks for KvCache events the pool never sees: a
   /// fallback to an owned heap block, and a private copy of a shared block
   /// before a write. No-ops without a metrics registry.
   void note_emergency_block() noexcept;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "mem/paged_kv_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -250,22 +249,21 @@ const PrefixEntry* PrefixIndex::insert(std::span<const PrefixToken> run,
   }
 
   const std::size_t bpl = m / bt;
-  // Validate every layer before touching refcounts: paged caches whose
-  // leading rows are exactly tokens 0..m-1.
-  std::vector<PagedKvCache*> layers;
-  layers.reserve(cfg_.n_layers);
+  // Validate every layer before touching refcounts or reservations:
+  // caches on this index's pool whose leading rows are exactly tokens
+  // 0..m-1.
   for (std::size_t l = 0; l < cfg_.n_layers; ++l) {
-    auto* paged = dynamic_cast<PagedKvCache*>(&state.layer(l));
-    if (paged == nullptr || paged->size() < m) return nullptr;
+    const kv::KvCache& cache = state.layer(l);
+    // Another pool's block ids name other memory here.
+    if (&cache.pool() != &pool_ || cache.size() < m) return nullptr;
     // A donor that fell back to emergency heap blocks holds refs the pool
     // does not own; indexing such a chain would retain unretainable
     // blocks. Treat it as uncacheable.
-    if (paged->alloc_failed()) return nullptr;
-    const auto positions = paged->original_positions();
+    if (cache.alloc_failed()) return nullptr;
+    const auto positions = cache.original_positions();
     for (std::size_t i = 0; i < m; ++i) {
       if (positions[i] != i) return nullptr;
     }
-    layers.push_back(paged);
   }
 
   const std::size_t needed = cfg_.n_layers * bpl;
@@ -290,16 +288,17 @@ const PrefixEntry* PrefixIndex::insert(std::span<const PrefixToken> run,
   rec.last_use = ++tick_;
   rec.chains.resize(cfg_.n_layers);
   for (std::size_t l = 0; l < cfg_.n_layers; ++l) {
-    const auto blocks = layers[l]->blocks();
+    kv::KvCache& cache = state.layer(l);
+    const auto blocks = cache.blocks();
     rec.chains[l].assign(blocks.begin(),
                          blocks.begin() + static_cast<long>(bpl));
     for (const BlockRef ref : rec.chains[l]) pool_.retain(ref);
     // Flip the donor to copy-on-write over the now-shared chain: its own
     // eviction must never write through into the indexed blocks.
-    layers[l]->mark_shared_prefix(bpl);
-    entry->scores_[l].reserve(layers[l]->n_heads());
-    for (std::size_t h = 0; h < layers[l]->n_heads(); ++h) {
-      const auto scores = layers[l]->scores(h);
+    cache.mark_shared_prefix(bpl);
+    entry->scores_[l].reserve(cache.n_heads());
+    for (std::size_t h = 0; h < cache.n_heads(); ++h) {
+      const auto scores = cache.scores(h);
       entry->scores_[l].emplace_back(scores.begin(),
                                      scores.begin() + static_cast<long>(m));
     }
@@ -321,12 +320,14 @@ void PrefixIndex::adopt(const PrefixEntry* entry, kv::SequenceKvState& state) {
         "PrefixIndex::adopt requires an empty state with matching layers");
   }
   for (std::size_t l = 0; l < cfg_.n_layers; ++l) {
-    auto* paged = dynamic_cast<PagedKvCache*>(&state.layer(l));
-    if (paged == nullptr) {
-      throw std::invalid_argument("PrefixIndex::adopt requires paged caches");
+    if (&state.layer(l).pool() != &pool_) {
+      throw std::invalid_argument(
+          "PrefixIndex::adopt requires caches on the index's pool");
     }
-    paged->adopt_prefix(rec.chains[l], rec.entry->tokens(),
-                        rec.entry->scores_[l]);
+  }
+  for (std::size_t l = 0; l < cfg_.n_layers; ++l) {
+    state.layer(l).adopt_prefix(rec.chains[l], rec.entry->tokens(),
+                                rec.entry->scores_[l]);
   }
   rec.last_use = ++tick_;
 }

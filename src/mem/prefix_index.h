@@ -142,8 +142,9 @@ class PrefixIndex {
   /// donor caches keep using the same blocks, now flipped to
   /// copy-on-write so the donor's own eviction can never corrupt the
   /// indexed chain. Requirements: run length is a whole number of blocks
-  /// and >= min_tokens; every layer cache is paged, holds at least
-  /// run.size() rows, and its leading positions are 0..run-1.
+  /// and >= min_tokens; every layer cache draws from this index's pool,
+  /// holds at least run.size() rows, and its leading positions are
+  /// 0..run-1.
   /// `policy_scores` is opaque policy-exported state stored alongside.
   /// Returns the entry (the pre-existing one for an already-indexed run),
   /// or null when the run is ineligible or memory cannot be found even
@@ -153,10 +154,11 @@ class PrefixIndex {
                             std::vector<double> policy_scores)
       KF_EXCLUDES(mu_);
 
-  /// Adopts `entry` into `state`'s (empty, paged) layer caches: retains
-  /// each layer's chain into its cache with positions and boundary scores
-  /// seeded. Throws std::invalid_argument for an unknown entry or a state
-  /// that is not empty, paged and shaped like the index.
+  /// Adopts `entry` into `state`'s empty layer caches: retains each
+  /// layer's chain into its cache with positions and boundary scores
+  /// seeded. Throws std::invalid_argument, leaving the state empty, for
+  /// an unknown entry or a state that is not empty, shaped like the index
+  /// and drawing from its pool.
   void adopt(const PrefixEntry* entry, kv::SequenceKvState& state)
       KF_EXCLUDES(mu_);
 

@@ -27,9 +27,9 @@
 // attends the cache prefix its position makes visible (cached positions
 // ascend, so causality is a prefix) through the dispatched fused attend:
 // per-head dots streaming the cache's contiguous head-major key segments
-// (one per head for the classic arena, one per block for a paged cache)
-// clipped to that prefix, then one pass doing softmax + weighted-value
-// accumulation; the masked tail gets -inf logits and 0 probabilities.
+// (one per cache block) clipped to that prefix, then one pass doing
+// softmax + weighted-value accumulation; the masked tail gets -inf logits
+// and 0 probabilities.
 // W_o is one more GEMM over every row. A GEMM row's bits never depend on
 // the other rows, and the attend never spans sequences, so a row's bits
 // depend neither on the rest of its call nor on whether it came from a

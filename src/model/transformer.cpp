@@ -14,13 +14,10 @@ namespace kf::model {
 Transformer::Transformer(ModelConfig cfg)
     : cfg_(std::move(cfg)),
       weights_(build_weights(cfg_)),
-      state_(cfg_.n_layers, cfg_.n_heads, cfg_.d_head(),
-             /*capacity_hint=*/256) {}
+      state_(make_kv_state()) {}
 
-kv::SequenceKvState Transformer::make_kv_state(
-    std::size_t capacity_hint) const {
-  return kv::SequenceKvState(cfg_.n_layers, cfg_.n_heads, cfg_.d_head(),
-                             capacity_hint);
+kv::SequenceKvState Transformer::make_kv_state() const {
+  return kv::SequenceKvState(cfg_.n_layers, cfg_.n_heads, cfg_.d_head());
 }
 
 std::size_t Transformer::cache_size(std::size_t layer) const {

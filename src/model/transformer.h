@@ -89,8 +89,9 @@ class Transformer {
   const ModelConfig& config() const noexcept { return cfg_; }
   const ModelWeights& weights() const noexcept { return weights_; }
 
-  /// A fresh per-sequence KV state sized for this model.
-  kv::SequenceKvState make_kv_state(std::size_t capacity_hint = 256) const;
+  /// A fresh per-sequence KV state shaped for this model, over its own
+  /// private block pool.
+  kv::SequenceKvState make_kv_state() const;
 
   /// The model-owned state the no-state overloads run against.
   kv::SequenceKvState& default_kv_state() noexcept { return state_; }

@@ -10,7 +10,6 @@
 
 #include "core/timing.h"
 #include "cpu/cpu_isa.h"
-#include "mem/paged_kv_cache.h"
 #include "obs/monitor.h"
 #include "obs/trace.h"
 
@@ -47,16 +46,16 @@ Engine::Engine(model::Transformer& model, EngineConfig cfg)
           "snapshots do not compose with exponential damping)");
     }
   }
+  if (cfg_.paged.block_tokens == 0) {
+    throw std::invalid_argument("the engine's pool requires block_tokens > 0");
+  }
+  mem::BlockPoolConfig pc;
+  pc.block_tokens = cfg_.paged.block_tokens;
+  pc.n_heads = model_.config().n_heads;
+  pc.d_head = model_.config().d_head();
+  pc.metrics = &metrics_;
   if (cfg_.paged.enabled) {
-    if (cfg_.paged.block_tokens == 0) {
-      throw std::invalid_argument("paged memory requires block_tokens > 0");
-    }
-    mem::BlockPoolConfig pc;
-    pc.block_tokens = cfg_.paged.block_tokens;
-    pc.n_heads = model_.config().n_heads;
-    pc.d_head = model_.config().d_head();
     pc.capacity_blocks = cfg_.paged.capacity_blocks;
-    pc.metrics = &metrics_;
     if (pc.capacity_blocks == 0 && cfg_.scheduler.max_concurrent_tokens > 0) {
       // Translate the abstract token budget into physical capacity: the
       // budget is per-layer tokens across the active set, so the pool
@@ -69,16 +68,18 @@ Engine::Engine(model::Transformer& model, EngineConfig cfg)
                pc.block_tokens) +
           (cfg_.prefix.enabled ? cfg_.prefix.max_blocks : 0);
     }
-    pool_ = std::make_unique<mem::BlockPool>(pc);
-    cfg_.scheduler.pool = pool_.get();
-    if (cfg_.prefix.enabled) {
-      mem::PrefixIndexConfig ic;
-      ic.n_layers = model_.config().n_layers;
-      ic.max_blocks = cfg_.prefix.max_blocks;
-      ic.min_tokens = cfg_.prefix.min_tokens;
-      ic.metrics = &metrics_;
-      prefix_index_ = std::make_unique<mem::PrefixIndex>(*pool_, ic);
-    }
+  }
+  // Token mode leaves the pool unbounded: the scheduler's token budget is
+  // the only cap.
+  pool_ = std::make_unique<mem::BlockPool>(pc);
+  if (cfg_.paged.enabled) cfg_.scheduler.pool = pool_.get();
+  if (cfg_.prefix.enabled) {
+    mem::PrefixIndexConfig ic;
+    ic.n_layers = model_.config().n_layers;
+    ic.max_blocks = cfg_.prefix.max_blocks;
+    ic.min_tokens = cfg_.prefix.min_tokens;
+    ic.metrics = &metrics_;
+    prefix_index_ = std::make_unique<mem::PrefixIndex>(*pool_, ic);
   }
 }
 
@@ -147,11 +148,9 @@ EngineStats Engine::read_metrics() const {
   st.max_tokens_in_use = peak("serve.max_tokens_in_use");
   st.max_blocks_in_use = peak("serve.max_blocks_in_use");
   st.max_fragmentation = metrics_.gauge_value("serve.max_fragmentation");
-  if (pool_ != nullptr) {
-    const mem::PoolStats ps = pool_->stats();
-    st.pool_peak_used_blocks = ps.peak_used_blocks;
-    st.pool_capacity_blocks = ps.capacity_blocks;
-  }
+  const mem::PoolStats ps = pool_->stats();
+  st.pool_peak_used_blocks = ps.peak_used_blocks;
+  st.pool_capacity_blocks = ps.capacity_blocks;
   st.ttft = hist_ttft_.snapshot();
   st.inter_token = hist_inter_token_.snapshot();
   st.queue_wait = hist_queue_wait_.snapshot();
@@ -184,10 +183,10 @@ class Engine::Run {
       : engine_(engine),
         model_(engine.model_),
         cfg_(engine.cfg_),
-        pool_(engine.pool_.get()),
+        pool_(*engine.pool_),
         prefix_index_(engine.prefix_index_.get()),
         sched_(engine.cfg_.scheduler) {
-    if (pool_ != nullptr) pool_->reset_peaks();
+    pool_.reset_peaks();
     for (obs::Gauge* peak :
          {&max_batch_, &max_tokens_, &max_blocks_, &max_fragmentation_}) {
       peak->set(0.0);
@@ -249,9 +248,9 @@ class Engine::Run {
                  last_embedded_position(s) >= mc.max_seq_len) {
         finish(s, FinishReason::kRejected,
                "learned positions would run past max_seq_len");
-      } else if (req.kv_state != nullptr && pool_ != nullptr) {
-        // Paged caches are built against the admission reservation; a
-        // pre-built external state would bypass the pool's accounting
+      } else if (req.kv_state != nullptr && cfg_.paged.enabled) {
+        // Block mode reserves pool blocks at admission; a pre-built
+        // external state on its own pool would bypass that accounting
         // entirely.
         finish(s, FinishReason::kRejected,
                "paged memory mode cannot take external kv_state instances");
@@ -269,17 +268,9 @@ class Engine::Run {
                "serve requests must use distinct policy instances");
       } else if (req.kv_state != nullptr) {
         s.kv = req.kv_state;
-      } else if (pool_ == nullptr) {
-        // Size the arenas for the admission peak max(prompt, k+1) — the
-        // most this sequence ever holds per layer — so prefill appends
-        // never reallocate, and budgeted sequences stop over-reserving
-        // their full prompt+gen growth.
-        s.owned_kv = std::make_unique<kv::SequenceKvState>(
-            model_.make_kv_state(s.admission_cost_tokens()));
-        s.kv = s.owned_kv.get();
       }
-      // Paged sequences get their state at admission, once the scheduler
-      // has reserved their blocks.
+      // The others get their state from the engine's pool at admission,
+      // once the scheduler has charged them.
     }
 
     // Submit the survivors in arrival order (stable: ties keep request
@@ -361,11 +352,11 @@ class Engine::Run {
           engine_.hist_queue_wait_.record(t_admit - seq->queued_seconds);
         }
         seq->policy->set_eviction_sink(&seq->eviction);
-        if (pool_ != nullptr) {
-          // Layer caches drawing blocks from the pool the scheduler just
-          // reserved in.
+        if (seq->kv == nullptr) {
+          // Layer caches drawing blocks from the engine's pool (in block
+          // mode, the blocks the scheduler just reserved).
           seq->owned_kv = std::make_unique<kv::SequenceKvState>(
-              *pool_, model_.config().n_layers);
+              pool_, model_.config().n_layers);
           seq->kv = seq->owned_kv.get();
         }
         // The admission charge covers the transient prefill peak; record
@@ -633,7 +624,7 @@ class Engine::Run {
   // Prefix boundary this sequence would index on a miss (block-aligned,
   // below the prompt end, at least the index minimum); 0 = don't index.
   std::size_t insertable_prefix_tokens(const Sequence& seq) const {
-    const std::size_t bt = pool_->block_tokens();
+    const std::size_t bt = pool_.block_tokens();
     // At least one prompt token must stay outside the prefix: the first
     // generated token comes from the last prompt row's logits, which must be
     // computed, not replayed.
@@ -732,9 +723,8 @@ class Engine::Run {
     // Re-queue waits measure from the park, not the original arrival.
     seq.queued_seconds = t_park;
     release_kv(seq);
-    // Token mode: the arena stays with the sequence (it is re-sized state,
-    // not shared capacity); dropping the rows releases the abstract budget
-    // the scheduler uncharges below.
+    // An external state stays with its sequence; dropping its rows
+    // matches the budget the scheduler uncharges below.
     if (seq.kv != nullptr) seq.kv->clear();
     sched_.preempt(&seq, step_);
   }
@@ -790,13 +780,12 @@ class Engine::Run {
   }
 
   // KV release for a sequence leaving the active set (finish or park):
-  // uninstall the eviction sink; in paged mode drop the layers so their
-  // blocks return to the pool. Token-mode state stays: external kv_state
-  // callers (generate() among them) read it after the run; park() clears
-  // it.
+  // uninstall the eviction sink and drop an engine-built state so its
+  // blocks return to the pool. An external kv_state stays: its caller
+  // (generate() among them) reads it after the run; park() clears it.
   void release_kv(Sequence& seq) {
     seq.policy->set_eviction_sink(nullptr);
-    if (pool_ == nullptr) return;
+    if (seq.owned_kv == nullptr) return;
     seq.owned_kv.reset();
     seq.kv = nullptr;
   }
@@ -818,11 +807,8 @@ class Engine::Run {
   // boundary (an escaping exception inside the parallel decode workers
   // is not an option — it would terminate the process).
   bool kv_alloc_failed(const Sequence& seq) const {
-    if (pool_ == nullptr) return false;
     for (std::size_t l = 0; l < seq.kv->n_layers(); ++l) {
-      const auto* paged =
-          dynamic_cast<const mem::PagedKvCache*>(&seq.kv->layer(l));
-      if (paged != nullptr && paged->alloc_failed()) return true;
+      if (seq.kv->layer(l).alloc_failed()) return true;
     }
     return false;
   }
@@ -840,19 +826,21 @@ class Engine::Run {
     waiting_.set(static_cast<double>(sched_.waiting().size()));
     raise_peak(max_batch_, static_cast<double>(active.size()));
     record_peak_use();
-    if (pool_ == nullptr) return;
     // Internal fragmentation this step: tokens actually cached vs the
-    // whole-block token slots holding them. The prefix index's retained
-    // chains are excluded — they are deliberate caching, not slack (an
-    // adopted chain is double-discounted here, so the measure clamps).
+    // whole-block token slots of the engine's pool holding them. The
+    // prefix index's retained chains are excluded — they are deliberate
+    // caching, not slack (an adopted chain is double-discounted here, so
+    // the measure clamps) — and so are external states on their own pools.
     const std::size_t index_blocks =
         prefix_index_ != nullptr ? prefix_index_->blocks_held() : 0;
-    const std::size_t used = pool_->stats().used_blocks;
+    const std::size_t used = pool_.stats().used_blocks;
     const std::size_t used_tokens =
-        (used > index_blocks ? used - index_blocks : 0) * pool_->block_tokens();
+        (used > index_blocks ? used - index_blocks : 0) * pool_.block_tokens();
     if (used_tokens > 0) {
       std::size_t live = 0;
-      for (const Sequence* seq : active) live += seq->kv->total_tokens();
+      for (const Sequence* seq : active) {
+        if (seq->owned_kv != nullptr) live += seq->kv->total_tokens();
+      }
       const double frag =
           std::max(0.0, 1.0 - static_cast<double>(live) /
                                   static_cast<double>(used_tokens));
@@ -864,7 +852,7 @@ class Engine::Run {
   Engine& engine_;
   model::Transformer& model_;
   const EngineConfig& cfg_;
-  mem::BlockPool* const pool_;
+  mem::BlockPool& pool_;
   mem::PrefixIndex* const prefix_index_;
   std::deque<Sequence> seqs_;  ///< stable addresses for the scheduler
   BatchScheduler sched_;
@@ -926,16 +914,14 @@ void add_engine_probes(obs::Monitor& monitor, Engine& engine) {
   gauge("engine.active_sequences", "serve.active_sequences");
   gauge("engine.waiting_sequences", "serve.waiting_sequences");
   counter("engine.evicted_tokens", "evict.*.tokens_evicted");
-  if (engine.pool() != nullptr) {
-    const mem::BlockPool* pool = engine.pool();
-    monitor.add_probe("pool.used_blocks", [pool] {
-      return static_cast<double>(pool->stats().used_blocks);
-    });
-    monitor.add_probe("pool.reserved_blocks", [pool] {
-      return static_cast<double>(pool->stats().reserved_blocks);
-    });
-    gauge("pool.fragmentation", "serve.fragmentation");
-  }
+  const mem::BlockPool* pool = engine.pool();
+  monitor.add_probe("pool.used_blocks", [pool] {
+    return static_cast<double>(pool->stats().used_blocks);
+  });
+  monitor.add_probe("pool.reserved_blocks", [pool] {
+    return static_cast<double>(pool->stats().reserved_blocks);
+  });
+  gauge("pool.fragmentation", "serve.fragmentation");
   if (engine.prefix_index() != nullptr) {
     monitor.add_probe("prefix.hit_rate", [&reg] {
       EngineStats st;

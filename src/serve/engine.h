@@ -47,15 +47,19 @@ class Monitor;
 
 namespace kf::serve {
 
-/// Paged KV memory: the engine owns a mem::BlockPool, sequences get
-/// PagedKvCache layers drawing on it at admission, and the scheduler's
-/// budget becomes a real block reservation (see scheduler.h).
+/// KV block memory. The engine always owns a mem::BlockPool of
+/// `block_tokens`-token blocks, and every sequence without an external
+/// kv_state draws its layer caches from it at admission. `enabled` makes
+/// the scheduler's budget a real block reservation against a capped pool
+/// (see scheduler.h) and allows the prefix cache; disabled, admission
+/// counts tokens, the pool is unbounded, and requests may bring their
+/// own kv_state.
 struct PagedMemoryConfig {
   bool enabled = false;
   std::size_t block_tokens = 16;
-  /// Hard pool cap; 0 derives it from the scheduler token budget
-  /// (n_layers * ceil(max_concurrent_tokens / block_tokens)) or leaves the
-  /// pool unbounded when that budget is 0 too.
+  /// Hard pool cap when enabled; 0 derives it from the scheduler token
+  /// budget (n_layers * ceil(max_concurrent_tokens / block_tokens)) or
+  /// leaves the pool unbounded when that budget is 0 too.
   std::size_t capacity_blocks = 0;
 };
 
@@ -123,7 +127,8 @@ struct EngineStats {
   std::size_t max_batch = 0;         ///< peak concurrent sequences
   std::size_t max_tokens_in_use = 0; ///< peak summed charged KV tokens
                                      ///< (includes transient prefill peaks)
-  // Paged-pool visibility (all zero when paging is disabled):
+  // The engine pool. Reserved blocks are zero when paging is disabled
+  // (admission then counts tokens), and so is the cap (unbounded):
   std::size_t max_blocks_in_use = 0;     ///< peak scheduler-reserved blocks
   std::size_t pool_peak_used_blocks = 0; ///< peak physically held blocks
   std::size_t pool_capacity_blocks = 0;  ///< pool cap (0 = unbounded)
@@ -207,9 +212,9 @@ class Engine {
   /// pool on each call. Safe from any thread, and live while a run is in
   /// flight: the monitoring hook the async front-end will poll.
   EngineStats stats() const KF_EXCLUDES(stats_mu_);
-  /// The engine-owned block pool; null unless cfg.paged.enabled. Between
-  /// run() calls the only blocks off the free lists are the prefix
-  /// index's retained chains (leak-checked by tests).
+  /// The engine-owned block pool (never null). Between run() calls the
+  /// only blocks off the free list are the prefix index's retained chains
+  /// (leak-checked by tests).
   const mem::BlockPool* pool() const noexcept { return pool_.get(); }
 
   /// The engine-owned prefix index; null unless cfg.prefix.enabled.
@@ -242,10 +247,10 @@ class Engine {
   kv::EvictionTelemetry eviction_report() const KF_EXCLUDES(stats_mu_);
 
   /// Installs (nullptr: clears) a fault injector on the engine-owned
-  /// block pool — the chaos-testing hook (see serve/fault.h). No-op when
-  /// paged memory is disabled. The injector must outlive its installation.
+  /// block pool — the chaos-testing hook (see serve/fault.h). The
+  /// injector must outlive its installation.
   void set_fault_injector(mem::FaultInjector* injector) noexcept {
-    if (pool_ != nullptr) pool_->set_fault_injector(injector);
+    pool_->set_fault_injector(injector);
   }
 
  private:

@@ -197,9 +197,10 @@ struct Sequence {
   kv::EvictionTelemetry eviction;
 
   /// Per-layer cache sizes captured at retirement. The engine records
-  /// these the moment a sequence finishes because a paged sequence's
-  /// caches are torn down right then — their blocks must return to the
-  /// pool while other sequences are still running, not at end of run.
+  /// these the moment a sequence finishes because an engine-built
+  /// state's caches are torn down right then — their blocks must return
+  /// to the pool while other sequences are still running, not at end of
+  /// run.
   std::vector<std::size_t> final_cache_sizes;
 
   /// Scheduler admission cost in per-layer cache tokens: the steady-state

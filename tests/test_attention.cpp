@@ -8,7 +8,7 @@
 
 #include "attention_reference.h"
 #include "core/rng.h"
-#include "mem/paged_kv_cache.h"
+#include "mem/block_pool.h"
 #include "model/positional.h"
 #include "model/weights.h"
 
@@ -34,6 +34,16 @@ Tensor random_rows(std::size_t n, std::size_t d, std::uint64_t seed) {
   Rng rng(seed);
   for (float& v : x.span()) v = static_cast<float>(rng.normal());
   return x;
+}
+
+/// An unbounded pool for cfg's K/V rows, of `block_tokens`-token blocks.
+mem::BlockPool make_pool(const ModelConfig& cfg,
+                         std::size_t block_tokens = 64) {
+  mem::BlockPoolConfig pc;
+  pc.block_tokens = block_tokens;
+  pc.n_heads = cfg.n_heads;
+  pc.d_head = cfg.d_head();
+  return mem::BlockPool(pc);
 }
 
 std::vector<std::size_t> iota_positions(std::size_t n, std::size_t start = 0) {
@@ -67,7 +77,8 @@ class AttentionAllPositional
 TEST_P(AttentionAllPositional, ProbsRowsSumToOneAndCausal) {
   const ModelConfig cfg = tiny_config(GetParam());
   const ModelWeights w = build_weights(cfg);
-  kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
+  auto pool = make_pool(cfg);
+  kv::KvCache cache(pool);
   const std::size_t n = 12;
   Tensor x = random_rows(n, cfg.d_model, 5);
   const auto positions = iota_positions(n);
@@ -100,7 +111,8 @@ INSTANTIATE_TEST_SUITE_P(AllFamilies, AttentionAllPositional,
 TEST(Attention, AppendsToCache) {
   const ModelConfig cfg = tiny_config();
   const ModelWeights w = build_weights(cfg);
-  kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
+  auto pool = make_pool(cfg);
+  kv::KvCache cache(pool);
   Tensor x = random_rows(4, cfg.d_model, 6);
   prompt_chunk(cfg, w.layers[0], x, iota_positions(4), cache);
   EXPECT_EQ(cache.size(), 4u);
@@ -113,7 +125,8 @@ TEST(Attention, AppendsToCache) {
 TEST(Attention, DecodeRowAttendsWholeCache) {
   const ModelConfig cfg = tiny_config();
   const ModelWeights w = build_weights(cfg);
-  kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
+  auto pool = make_pool(cfg);
+  kv::KvCache cache(pool);
   Tensor x = random_rows(6, cfg.d_model, 8);
   prompt_chunk(cfg, w.layers[0], x, iota_positions(6), cache);
   Tensor q = random_rows(1, cfg.d_model, 9);
@@ -130,7 +143,8 @@ TEST(Attention, IdenticalTokensAttractContentAttention) {
   // on unrelated tokens (content-head structure).
   const ModelConfig cfg = tiny_config(PositionalKind::kLearned);
   const ModelWeights w = build_weights(cfg);
-  kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
+  auto pool = make_pool(cfg);
+  kv::KvCache cache(pool);
   Tensor x({3, cfg.d_model});
   Rng rng(10);
   for (float& v : x.span()) v = static_cast<float>(rng.normal());
@@ -152,7 +166,8 @@ TEST(Attention, RopePositionModeChangesLogitsAfterCompaction) {
   const ModelWeights w = build_weights(org);
 
   const auto run = [&](const ModelConfig& cfg) {
-    kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
+    auto pool = make_pool(cfg);
+    kv::KvCache cache(pool);
     Tensor x = random_rows(8, cfg.d_model, 11);
     prompt_chunk(cfg, w.layers[0], x, iota_positions(8), cache);
     // Evict tokens 1..4 — kept tokens now have index != original position.
@@ -180,7 +195,8 @@ TEST(Attention, PositionModeIrrelevantBeforeEviction) {
   newpos.position_mode = PositionMode::kNew;
   const ModelWeights w = build_weights(org);
   const auto run = [&](const ModelConfig& cfg) {
-    kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
+    auto pool = make_pool(cfg);
+    kv::KvCache cache(pool);
     Tensor x = random_rows(6, cfg.d_model, 13);
     return prompt_chunk(cfg, w.layers[0], x, iota_positions(6), cache);
   };
@@ -194,7 +210,8 @@ TEST(Attention, PositionModeIrrelevantBeforeEviction) {
 TEST(Attention, AlibiBiasFavorsRecencyOnPositionalHead) {
   const ModelConfig cfg = tiny_config(PositionalKind::kALiBi);
   const ModelWeights w = build_weights(cfg);
-  kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
+  auto pool = make_pool(cfg);
+  kv::KvCache cache(pool);
   // Identical token rows: content is symmetric, only ALiBi differentiates.
   Tensor x({24, cfg.d_model});
   Rng rng(14);
@@ -282,7 +299,8 @@ TEST_P(DecodeParity, DecodeStepsMatchReference) {
   ModelConfig cfg = tiny_config(GetParam().positional);
   cfg.position_mode = GetParam().mode;
   const ModelWeights w = build_weights(cfg);
-  kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
+  auto pool = make_pool(cfg);
+  kv::KvCache cache(pool);
   prefill_and_compact(cfg, w.layers[0], cache);
 
   // Several decode steps so the parity covers growing caches too.
@@ -312,18 +330,16 @@ TEST_P(DecodeParity, PromptChunkMatchesReference) {
     expect_matches_reference(cfg, w.layers[0], x, positions, cache, got);
   };
   {
-    SCOPED_TRACE("contiguous");
-    kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
+    SCOPED_TRACE("one block");
+    auto pool = make_pool(cfg);
+    kv::KvCache cache(pool);
     run_chunk(cache);
+    ASSERT_EQ(cache.segment_count(), 1u);
   }
   {
-    SCOPED_TRACE("paged");
-    mem::BlockPoolConfig pc;
-    pc.block_tokens = 4;
-    pc.n_heads = cfg.n_heads;
-    pc.d_head = cfg.d_head();
-    mem::BlockPool pool(pc);
-    mem::PagedKvCache cache(pool);
+    SCOPED_TRACE("4-token blocks");
+    auto pool = make_pool(cfg, 4);
+    kv::KvCache cache(pool);
     run_chunk(cache);
     ASSERT_EQ(cache.segment_count(), 3u);
   }
@@ -376,8 +392,9 @@ TEST(Attention, RotateAtAppendMatchesRotateAtAttendBeforeEviction) {
     }
   };
 
-  kv::ContiguousKvCache rotated(org.n_heads, org.d_head());
-  kv::ContiguousKvCache raw(org.n_heads, org.d_head());
+  auto pool = make_pool(org);
+  kv::KvCache rotated(pool);
+  kv::KvCache raw(pool);
   const Tensor x = random_rows(8, org.d_model, 51);
   expect_close(prompt_chunk(org, w.layers[0], x, iota_positions(8), rotated),
                prompt_chunk(newpos, w.layers[0], x, iota_positions(8), raw));
@@ -401,9 +418,10 @@ TEST(Attention, RopeKeysStoredPreRotatedUnderOriginalMode) {
   const ModelWeights w = build_weights(cfg);
 
   Tensor x = random_rows(3, cfg.d_model, 41);
-  kv::ContiguousKvCache rotated(cfg.n_heads, cfg.d_head());
+  auto pool = make_pool(cfg);
+  kv::KvCache rotated(pool);
   prompt_chunk(cfg, w.layers[0], x, iota_positions(3), rotated);
-  kv::ContiguousKvCache raw(cfg.n_heads, cfg.d_head());
+  kv::KvCache raw(pool);
   prompt_chunk(newpos, w.layers[0], x, iota_positions(3), raw);
 
   for (std::size_t i = 0; i < 3; ++i) {
@@ -422,7 +440,8 @@ TEST(Attention, RopeKeysStoredPreRotatedUnderOriginalMode) {
 TEST(Attention, ContextShapeAndFiniteness) {
   const ModelConfig cfg = tiny_config();
   const ModelWeights w = build_weights(cfg);
-  kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
+  auto pool = make_pool(cfg);
+  kv::KvCache cache(pool);
   Tensor x = random_rows(5, cfg.d_model, 15);
   const AttentionResult r =
       prompt_chunk(cfg, w.layers[0], x, iota_positions(5), cache);

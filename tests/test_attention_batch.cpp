@@ -32,18 +32,19 @@ Tensor random_rows(std::size_t n, std::size_t d, std::uint64_t seed) {
   return x;
 }
 
-/// A cache pre-filled with `len` tokens through one prompt chunk (the same
-/// appends a prefill performs).
-kv::ContiguousKvCache filled_cache(const ModelConfig& cfg,
-                                   const LayerWeights& w, std::size_t len,
-                                   std::uint64_t seed) {
-  kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head());
+/// A one-layer state whose cache is pre-filled with `len` tokens through
+/// one prompt chunk (the same appends a prefill performs). Equal seeds
+/// give bit-identical caches.
+kv::SequenceKvState filled_cache(const ModelConfig& cfg,
+                                 const LayerWeights& w, std::size_t len,
+                                 std::uint64_t seed) {
+  kv::SequenceKvState state(1, cfg.n_heads, cfg.d_head());
   Tensor x = random_rows(len, cfg.d_model, seed);
   std::vector<std::size_t> positions(len);
   for (std::size_t i = 0; i < len; ++i) positions[i] = i;
-  const AttentionRun run{positions, &cache};
+  const AttentionRun run{positions, &state.layer(0)};
   self_attention(cfg, w, x, {&run, 1}, Phase::kPrompt);
-  return cache;
+  return state;
 }
 
 class BatchDecodeParity : public ::testing::TestWithParam<PositionalKind> {};
@@ -58,11 +59,17 @@ TEST_P(BatchDecodeParity, MatchesSingleSequenceDecodePerSlot) {
 
   // Each slot is an independent sequence: its own cache history (different
   // seeds) and its own new-token row.
-  std::vector<kv::ContiguousKvCache> single_caches;
-  std::vector<kv::ContiguousKvCache> batch_caches;
+  std::vector<kv::SequenceKvState> single_states;
+  std::vector<kv::SequenceKvState> batch_states;
+  std::vector<kv::KvCache*> single_caches;
+  std::vector<kv::KvCache*> batch_caches;
   for (std::size_t b = 0; b < kBatch; ++b) {
-    single_caches.push_back(filled_cache(cfg, w, kPrefill, 100 + b));
-    batch_caches.push_back(single_caches.back());  // identical clone
+    single_states.push_back(filled_cache(cfg, w, kPrefill, 100 + b));
+    batch_states.push_back(filled_cache(cfg, w, kPrefill, 100 + b));
+  }
+  for (std::size_t b = 0; b < kBatch; ++b) {
+    single_caches.push_back(&single_states[b].layer(0));
+    batch_caches.push_back(&batch_states[b].layer(0));
   }
   const Tensor xq = random_rows(kBatch, cfg.d_model, 7);
   const std::vector<std::size_t> positions(kBatch, kPrefill);
@@ -72,7 +79,7 @@ TEST_P(BatchDecodeParity, MatchesSingleSequenceDecodePerSlot) {
   for (std::size_t b = 0; b < kBatch; ++b) {
     Tensor row({1, cfg.d_model});
     for (std::size_t j = 0; j < cfg.d_model; ++j) row.row(0)[j] = xq.row(b)[j];
-    const AttentionRun run{{&positions[b], 1}, &single_caches[b]};
+    const AttentionRun run{{&positions[b], 1}, single_caches[b]};
     expected.push_back(std::move(
         self_attention(cfg, w, row, {&run, 1}, Phase::kDecode).front()));
   }
@@ -80,7 +87,7 @@ TEST_P(BatchDecodeParity, MatchesSingleSequenceDecodePerSlot) {
   // Batched: one call over B one-row runs.
   std::vector<AttentionRun> runs(kBatch);
   for (std::size_t b = 0; b < kBatch; ++b) {
-    runs[b] = {{&positions[b], 1}, &batch_caches[b]};
+    runs[b] = {{&positions[b], 1}, batch_caches[b]};
   }
   const auto results = self_attention(cfg, w, xq, runs, Phase::kDecode);
 
@@ -102,10 +109,10 @@ TEST_P(BatchDecodeParity, MatchesSingleSequenceDecodePerSlot) {
           << "slot " << b << " ctx " << i;
     }
     // The caches must have evolved identically (same appended row).
-    ASSERT_EQ(batch_caches[b].size(), single_caches[b].size());
-    const std::size_t last = batch_caches[b].size() - 1;
-    const auto kb = batch_caches[b].key_row(last);
-    const auto ks = single_caches[b].key_row(last);
+    ASSERT_EQ(batch_caches[b]->size(), single_caches[b]->size());
+    const std::size_t last = batch_caches[b]->size() - 1;
+    const auto kb = batch_caches[b]->key_row(last);
+    const auto ks = single_caches[b]->key_row(last);
     for (std::size_t j = 0; j < kb.size(); ++j) {
       EXPECT_EQ(kb[j], ks[j]) << "slot " << b << " key " << j;
     }
@@ -122,7 +129,7 @@ TEST_P(BatchDecodeParity, SlotResultIndependentOfBatchComposition) {
 
   const Tensor s_query = random_rows(1, cfg.d_model, 3);
   const auto run_in_batch = [&](std::size_t batch, std::size_t s_slot) {
-    std::vector<kv::ContiguousKvCache> caches;
+    std::vector<kv::SequenceKvState> caches;
     for (std::size_t b = 0; b < batch; ++b) {
       // Slot s_slot is sequence S (seed 42); companions vary with batch.
       caches.push_back(
@@ -137,7 +144,7 @@ TEST_P(BatchDecodeParity, SlotResultIndependentOfBatchComposition) {
     std::vector<AttentionRun> runs(batch);
     for (std::size_t b = 0; b < batch; ++b) {
       positions[b] = b == s_slot ? std::size_t{12} : 6 + batch + b;
-      runs[b] = {{&positions[b], 1}, &caches[b]};
+      runs[b] = {{&positions[b], 1}, &caches[b].layer(0)};
     }
     auto results = self_attention(cfg, w, xq, runs, Phase::kDecode);
     return std::move(results[s_slot]);
@@ -168,12 +175,12 @@ TEST_P(BatchDecodeParity, PromptChunkAndDecodeRowsShareOneCall) {
 
     const std::vector<std::size_t> cached = {6, 10, 8};
     const std::vector<std::size_t> rows = {1, 5, 1};
-    std::vector<kv::ContiguousKvCache> solo_caches;
-    std::vector<kv::ContiguousKvCache> mixed_caches;
+    std::vector<kv::SequenceKvState> solo_caches;
+    std::vector<kv::SequenceKvState> mixed_caches;
     std::vector<std::vector<std::size_t>> positions(rows.size());
     for (std::size_t r = 0; r < rows.size(); ++r) {
       solo_caches.push_back(filled_cache(cfg, w, cached[r], 200 + r));
-      mixed_caches.push_back(solo_caches.back());
+      mixed_caches.push_back(filled_cache(cfg, w, cached[r], 200 + r));
       for (std::size_t i = 0; i < rows[r]; ++i) {
         positions[r].push_back(cached[r] + i);
       }
@@ -191,7 +198,7 @@ TEST_P(BatchDecodeParity, PromptChunkAndDecodeRowsShareOneCall) {
         }
       }
       row0 += rows[r];
-      const AttentionRun run{positions[r], &solo_caches[r]};
+      const AttentionRun run{positions[r], &solo_caches[r].layer(0)};
       expected.push_back(std::move(
           self_attention(cfg, w, xr, {&run, 1}, Phase::kPrompt).front()));
     }
@@ -199,7 +206,7 @@ TEST_P(BatchDecodeParity, PromptChunkAndDecodeRowsShareOneCall) {
     // Mixed: all three runs in one call.
     std::vector<AttentionRun> runs(rows.size());
     for (std::size_t r = 0; r < rows.size(); ++r) {
-      runs[r] = {positions[r], &mixed_caches[r]};
+      runs[r] = {positions[r], &mixed_caches[r].layer(0)};
     }
     const auto results = self_attention(cfg, w, x, runs, Phase::kDecode);
 
@@ -217,10 +224,12 @@ TEST_P(BatchDecodeParity, PromptChunkAndDecodeRowsShareOneCall) {
         EXPECT_EQ(results[r].context.span()[i], expected[r].context.span()[i])
             << "run " << r << " ctx " << i;
       }
-      ASSERT_EQ(mixed_caches[r].size(), solo_caches[r].size());
-      for (std::size_t i = cached[r]; i < mixed_caches[r].size(); ++i) {
-        const auto km = mixed_caches[r].key_row(i);
-        const auto ks = solo_caches[r].key_row(i);
+      const kv::KvCache& mixed = mixed_caches[r].layer(0);
+      const kv::KvCache& solo = solo_caches[r].layer(0);
+      ASSERT_EQ(mixed.size(), solo.size());
+      for (std::size_t i = cached[r]; i < mixed.size(); ++i) {
+        const auto km = mixed.key_row(i);
+        const auto ks = solo.key_row(i);
         for (std::size_t j = 0; j < km.size(); ++j) {
           EXPECT_EQ(km[j], ks[j]) << "run " << r << " key " << i;
         }

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
+#include "kvcache/kv_state.h"
 
 namespace kf::kv {
 namespace {
@@ -14,20 +16,33 @@ std::vector<float> row_of(std::size_t width, float value) {
   return std::vector<float>(width, value);
 }
 
+/// An unbounded pool for n_heads x d_head rows; small blocks by default so
+/// short tests cross block boundaries.
+mem::BlockPool make_pool(std::size_t n_heads, std::size_t d_head,
+                         std::size_t block_tokens = 4) {
+  mem::BlockPoolConfig cfg;
+  cfg.block_tokens = block_tokens;
+  cfg.n_heads = n_heads;
+  cfg.d_head = d_head;
+  return mem::BlockPool(cfg);
+}
+
 TEST(KvCache, StartsEmpty) {
-  ContiguousKvCache c(2, 4);
+  auto pool = make_pool(2, 4);
+  KvCache c(pool);
   EXPECT_TRUE(c.empty());
   EXPECT_EQ(c.size(), 0u);
   EXPECT_EQ(c.row_width(), 8u);
 }
 
 TEST(KvCache, RejectsZeroDims) {
-  EXPECT_THROW(ContiguousKvCache(0, 4), std::invalid_argument);
-  EXPECT_THROW(ContiguousKvCache(2, 0), std::invalid_argument);
+  EXPECT_THROW(SequenceKvState(1, 0, 4), std::invalid_argument);
+  EXPECT_THROW(SequenceKvState(1, 2, 0), std::invalid_argument);
 }
 
 TEST(KvCache, AppendAndRead) {
-  ContiguousKvCache c(2, 3);
+  auto pool = make_pool(2, 3);
+  KvCache c(pool);
   c.append(row_of(6, 1.0F), row_of(6, 2.0F), 0);
   c.append(row_of(6, 3.0F), row_of(6, 4.0F), 1);
   EXPECT_EQ(c.size(), 2u);
@@ -37,7 +52,8 @@ TEST(KvCache, AppendAndRead) {
 }
 
 TEST(KvCache, HeadSlices) {
-  ContiguousKvCache c(2, 2);
+  auto pool = make_pool(2, 2);
+  KvCache c(pool);
   std::vector<float> k{1, 2, 3, 4};
   std::vector<float> v{5, 6, 7, 8};
   c.append(k, v, 0);
@@ -47,13 +63,15 @@ TEST(KvCache, HeadSlices) {
 }
 
 TEST(KvCache, RejectsWrongRowWidth) {
-  ContiguousKvCache c(2, 3);
+  auto pool = make_pool(2, 3);
+  KvCache c(pool);
   EXPECT_THROW(c.append(row_of(5, 0.0F), row_of(6, 0.0F), 0),
                std::invalid_argument);
 }
 
 TEST(KvCache, RejectsNonIncreasingPositions) {
-  ContiguousKvCache c(1, 2);
+  auto pool = make_pool(1, 2);
+  KvCache c(pool);
   c.append(row_of(2, 0.0F), row_of(2, 0.0F), 5);
   EXPECT_THROW(c.append(row_of(2, 0.0F), row_of(2, 0.0F), 5),
                std::invalid_argument);
@@ -62,7 +80,8 @@ TEST(KvCache, RejectsNonIncreasingPositions) {
 }
 
 TEST(KvCache, ScoresTrackAppends) {
-  ContiguousKvCache c(2, 2);
+  auto pool = make_pool(2, 2);
+  KvCache c(pool);
   c.append(row_of(4, 0.0F), row_of(4, 0.0F), 0);
   c.append(row_of(4, 0.0F), row_of(4, 0.0F), 1);
   EXPECT_EQ(c.scores(0).size(), 2u);
@@ -74,7 +93,8 @@ TEST(KvCache, ScoresTrackAppends) {
 }
 
 TEST(KvCache, DampScoresScalesAllHeads) {
-  ContiguousKvCache c(2, 2);
+  auto pool = make_pool(2, 2);
+  KvCache c(pool);
   c.append(row_of(4, 0.0F), row_of(4, 0.0F), 0);
   c.add_score(0, 0, 4.0);
   c.add_score(1, 0, 2.0);
@@ -83,7 +103,8 @@ TEST(KvCache, DampScoresScalesAllHeads) {
 }
 
 TEST(KvCache, CompactKeepsSelectedRows) {
-  ContiguousKvCache c(1, 2);
+  auto pool = make_pool(1, 2);
+  KvCache c(pool);
   for (std::size_t i = 0; i < 5; ++i) {
     c.append(row_of(2, static_cast<float>(i)), row_of(2, 10.0F + i), i);
     c.add_score(0, i, static_cast<double>(i));
@@ -100,7 +121,8 @@ TEST(KvCache, CompactKeepsSelectedRows) {
 }
 
 TEST(KvCache, CompactPreservesOrderInvariant) {
-  ContiguousKvCache c(1, 1);
+  auto pool = make_pool(1, 1);
+  KvCache c(pool);
   for (std::size_t i = 0; i < 8; ++i) {
     c.append(row_of(1, 0.0F), row_of(1, 0.0F), i * 3);
   }
@@ -111,7 +133,8 @@ TEST(KvCache, CompactPreservesOrderInvariant) {
 }
 
 TEST(KvCache, CompactRejectsBadIndices) {
-  ContiguousKvCache c(1, 1);
+  auto pool = make_pool(1, 1);
+  KvCache c(pool);
   c.append(row_of(1, 0.0F), row_of(1, 0.0F), 0);
   EXPECT_THROW(c.compact(std::vector<std::size_t>{1}), std::out_of_range);
   c.append(row_of(1, 0.0F), row_of(1, 0.0F), 1);
@@ -122,14 +145,16 @@ TEST(KvCache, CompactRejectsBadIndices) {
 }
 
 TEST(KvCache, CompactToEmpty) {
-  ContiguousKvCache c(1, 1);
+  auto pool = make_pool(1, 1);
+  KvCache c(pool);
   c.append(row_of(1, 0.0F), row_of(1, 0.0F), 0);
   c.compact({});
   EXPECT_TRUE(c.empty());
 }
 
 TEST(KvCache, AppendAfterCompactKeepsPositionInvariant) {
-  ContiguousKvCache c(1, 1);
+  auto pool = make_pool(1, 1);
+  KvCache c(pool);
   for (std::size_t i = 0; i < 4; ++i) {
     c.append(row_of(1, 0.0F), row_of(1, 0.0F), i);
   }
@@ -142,41 +167,11 @@ TEST(KvCache, AppendAfterCompactKeepsPositionInvariant) {
                std::invalid_argument);
 }
 
-TEST(KvCache, HeadSegmentsAreContiguous) {
-  // keys_head(h) must expose the head's tokens as [size, d_head] row-major
-  // contiguous memory, with token t at offset t * d_head — the layout the
-  // fused decode kernel's matvec relies on.
-  ContiguousKvCache c(2, 3);
-  for (std::size_t t = 0; t < 5; ++t) {
-    std::vector<float> k(6), v(6);
-    for (std::size_t j = 0; j < 6; ++j) {
-      k[j] = static_cast<float>(100 * t + j);
-      v[j] = static_cast<float>(1000 * t + j);
-    }
-    c.append(k, v, t);
-  }
-  for (std::size_t h = 0; h < 2; ++h) {
-    const auto seg_k = c.keys_head(h);
-    const auto seg_v = c.values_head(h);
-    ASSERT_EQ(seg_k.size(), 5u * 3u);
-    ASSERT_EQ(seg_v.size(), 5u * 3u);
-    for (std::size_t t = 0; t < 5; ++t) {
-      const auto head_k = c.key_head(t, h);
-      const auto head_v = c.value_head(t, h);
-      // Same backing memory, at the expected offset.
-      EXPECT_EQ(head_k.data(), seg_k.data() + t * 3);
-      EXPECT_EQ(head_v.data(), seg_v.data() + t * 3);
-      for (std::size_t j = 0; j < 3; ++j) {
-        EXPECT_EQ(head_k[j], static_cast<float>(100 * t + h * 3 + j));
-        EXPECT_EQ(head_v[j], static_cast<float>(1000 * t + h * 3 + j));
-      }
-    }
-  }
-}
-
-// Property-style check of the head-major layout invariants: a randomized
-// append/compact/clear sequence must keep key_head/value_head/scores/
-// original_position consistent with a simple token-major reference model.
+// Property-style check of the block-chain layout: a randomized append/
+// score/damp/compact/clear sequence must keep key_head/value_head/scores/
+// original_position bit-exact with a plain token-major reference model,
+// and the chain holding exactly ceil(size / block_tokens) pool blocks,
+// across block sizes that do and do not divide the lengths evenly.
 TEST(KvCache, RandomizedOpsMatchReferenceModel) {
   struct RefToken {
     std::vector<float> k, v;
@@ -185,105 +180,138 @@ TEST(KvCache, RandomizedOpsMatchReferenceModel) {
   };
   const std::size_t n_heads = 3, d_head = 4;
   const std::size_t width = n_heads * d_head;
-  kf::Rng rng(20260731);
 
-  ContiguousKvCache c(n_heads, d_head, /*capacity_hint=*/2);  // force regrowth
-  std::vector<RefToken> ref;
-  std::size_t next_pos = 0;
+  for (const std::size_t block_tokens : {1, 3, 4, 7, 16, 64}) {
+    SCOPED_TRACE(::testing::Message() << "block_tokens " << block_tokens);
+    auto pool = make_pool(n_heads, d_head, block_tokens);
+    KvCache c(pool);
+    kf::Rng rng(20260731 + block_tokens);
+    std::vector<RefToken> ref;
+    std::size_t next_pos = 0;
 
-  const auto check = [&] {
-    ASSERT_EQ(c.size(), ref.size());
-    for (std::size_t t = 0; t < ref.size(); ++t) {
-      EXPECT_EQ(c.original_position(t), ref[t].pos);
-      for (std::size_t h = 0; h < n_heads; ++h) {
-        const auto k = c.key_head(t, h);
-        const auto v = c.value_head(t, h);
-        for (std::size_t j = 0; j < d_head; ++j) {
-          EXPECT_EQ(k[j], ref[t].k[h * d_head + j]);
-          EXPECT_EQ(v[j], ref[t].v[h * d_head + j]);
-        }
-        EXPECT_DOUBLE_EQ(c.scores(h)[t], ref[t].scores[h]);
-      }
-    }
-  };
-
-  for (int step = 0; step < 400; ++step) {
-    const std::uint64_t op = rng.uniform_u64(10);
-    if (op < 6 || ref.empty()) {  // append
-      RefToken tok;
-      tok.pos = next_pos;
-      next_pos += 1 + rng.uniform_u64(3);
-      tok.k.resize(width);
-      tok.v.resize(width);
-      for (auto& x : tok.k) x = static_cast<float>(rng.normal());
-      for (auto& x : tok.v) x = static_cast<float>(rng.normal());
-      tok.scores.assign(n_heads, 0.0);
-      c.append(tok.k, tok.v, tok.pos);
-      ref.push_back(std::move(tok));
-    } else if (op < 7) {  // add_score on a random slot
-      const std::size_t t = rng.uniform_u64(ref.size());
-      const std::size_t h = rng.uniform_u64(n_heads);
-      const double v = rng.normal();
-      c.add_score(h, t, v);
-      ref[t].scores[h] += v;
-    } else if (op < 9) {  // compact to a random subset
-      std::vector<std::size_t> keep;
-      std::vector<RefToken> kept;
+    const auto check = [&](int step) {
+      ASSERT_EQ(c.size(), ref.size()) << "step " << step;
       for (std::size_t t = 0; t < ref.size(); ++t) {
-        if (rng.uniform_u64(2) == 0) {
-          keep.push_back(t);
-          kept.push_back(ref[t]);
+        ASSERT_EQ(c.original_position(t), ref[t].pos) << "step " << step;
+        for (std::size_t h = 0; h < n_heads; ++h) {
+          const auto k = c.key_head(t, h);
+          const auto v = c.value_head(t, h);
+          for (std::size_t j = 0; j < d_head; ++j) {
+            ASSERT_EQ(k[j], ref[t].k[h * d_head + j]) << "step " << step;
+            ASSERT_EQ(v[j], ref[t].v[h * d_head + j]) << "step " << step;
+          }
+          ASSERT_EQ(c.scores(h)[t], ref[t].scores[h]) << "step " << step;
         }
       }
-      c.compact(keep);
-      ref = std::move(kept);
-    } else {  // clear
-      c.clear();
-      ref.clear();
-      // Positions may restart after clear.
-      next_pos = 0;
-    }
-    check();
-  }
-}
+      ASSERT_EQ(c.blocks_held(),
+                (c.size() + block_tokens - 1) / block_tokens)
+          << "step " << step;
+      ASSERT_EQ(pool.stats().used_blocks, c.blocks_held()) << "step " << step;
+    };
 
-TEST(KvCache, GrowthIsGeometricAndHintedCachesNeverReallocate) {
-  // Cold cache: N appends must cost O(log N) full-segment reallocations,
-  // not O(N) — the repeated-copy trap during prefill.
-  ContiguousKvCache cold(2, 4);
-  std::vector<float> row(cold.row_width(), 1.0F);
-  for (std::size_t t = 0; t < 1000; ++t) cold.append(row, row, t);
-  EXPECT_LE(cold.reallocations(), 10u);  // ceil(log2(1000/16)) = 6ish
-  EXPECT_GE(cold.capacity(), 1000u);
-
-  // A capacity_hint covering the whole append stream (the engine derives
-  // it from the admission cost max(prompt, k+1)) pays zero reallocations.
-  ContiguousKvCache hinted(2, 4, /*capacity_hint=*/1000);
-  for (std::size_t t = 0; t < 1000; ++t) hinted.append(row, row, t);
-  EXPECT_EQ(hinted.reallocations(), 0u);
-}
-
-TEST(KvCache, ArenasAndHeadSegmentsAre64ByteAligned) {
-  // The contiguous arenas allocate at kSimdAlign and capacity is rounded
-  // so every head's segment base lands on an alignment boundary — across
-  // geometric regrowth and for d_head values that do not divide the
-  // alignment width.
-  for (const std::size_t d_head : {3UL, 4UL, 16UL, 20UL}) {
-    ContiguousKvCache c(3, d_head, /*capacity_hint=*/2);
-    std::vector<float> row(c.row_width(), 1.0F);
-    for (std::size_t t = 0; t < 200; ++t) {
-      c.append(row, row, t);
-      for (std::size_t h = 0; h < c.n_heads(); ++h) {
-        ASSERT_TRUE(is_simd_aligned(c.keys_head(h).data()))
-            << "d_head " << d_head << " head " << h << " after " << t;
-        ASSERT_TRUE(is_simd_aligned(c.values_head(h).data()));
+    for (int step = 0; step < 400; ++step) {
+      const std::uint64_t op = rng.uniform_u64(10);
+      if (op < 6 || ref.empty()) {  // append
+        RefToken tok;
+        tok.pos = next_pos;
+        next_pos += 1 + rng.uniform_u64(3);
+        tok.k.resize(width);
+        tok.v.resize(width);
+        for (auto& x : tok.k) x = static_cast<float>(rng.normal());
+        for (auto& x : tok.v) x = static_cast<float>(rng.normal());
+        tok.scores.assign(n_heads, 0.0);
+        c.append(tok.k, tok.v, tok.pos);
+        ref.push_back(std::move(tok));
+      } else if (op < 7) {  // add_score on a random slot
+        const std::size_t t = rng.uniform_u64(ref.size());
+        const std::size_t h = rng.uniform_u64(n_heads);
+        const double v = rng.normal();
+        c.add_score(h, t, v);
+        ref[t].scores[h] += v;
+      } else if (op < 8) {  // damp every score
+        const double f = 0.5 + 0.5 * rng.uniform();
+        c.damp_scores(f);
+        for (auto& tok : ref) {
+          for (double& x : tok.scores) x *= f;
+        }
+      } else if (op < 9) {  // compact to a random subset
+        std::vector<std::size_t> keep;
+        std::vector<RefToken> kept;
+        for (std::size_t t = 0; t < ref.size(); ++t) {
+          if (rng.uniform_u64(3) > 0) {
+            keep.push_back(t);
+            kept.push_back(ref[t]);
+          }
+        }
+        c.compact(keep);
+        ref = std::move(kept);
+      } else {  // clear
+        c.clear();
+        ref.clear();
+        // Positions may restart after clear.
+        next_pos = 0;
       }
+      check(step);
     }
   }
+}
+
+/// Fills every layer of `state` with `tokens` rows whose values encode
+/// (layer, token).
+void fill_state(SequenceKvState& state, std::size_t tokens) {
+  for (std::size_t l = 0; l < state.n_layers(); ++l) {
+    KvCache& cache = state.layer(l);
+    for (std::size_t t = 0; t < tokens; ++t) {
+      const float x = static_cast<float>(100 * l + t);
+      cache.append(row_of(cache.row_width(), x),
+                   row_of(cache.row_width(), -x), t);
+    }
+  }
+}
+
+TEST(SequenceKvState, PrivatePoolReturnsEveryBlock) {
+  // A state built without a pool owns one, shared by its layers, of
+  // kPrivateBlockTokens-token blocks. Clear, move-assignment over a
+  // non-empty state and destruction must each hand every block back, the
+  // old caches releasing into the old pool before that pool is freed
+  // (ASan reports the opposite order as a use after free).
+  SequenceKvState a(2, 2, 3);
+  const mem::BlockPool& pool_a = a.layer(0).pool();
+  EXPECT_EQ(&a.layer(1).pool(), &pool_a);
+  EXPECT_EQ(pool_a.block_tokens(), SequenceKvState::kPrivateBlockTokens);
+  fill_state(a, 100);
+  EXPECT_EQ(pool_a.stats().used_blocks, 4u);
+  a.clear();
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(pool_a.stats().used_blocks, 0u);
+  fill_state(a, 70);
+
+  SequenceKvState b(2, 2, 3);
+  fill_state(b, 10);
+  const mem::BlockPool& pool_b = b.layer(0).pool();
+  a = std::move(b);  // frees a's caches, then a's pool
+  EXPECT_EQ(&a.layer(0).pool(), &pool_b);
+  EXPECT_EQ(pool_b.stats().used_blocks, 2u);
+  EXPECT_EQ(a.layer(1).key_row(9), row_of(6, 109.0F));
+
+  // Assigning over a state on a shared pool returns its blocks there.
+  auto shared = make_pool(2, 3);
+  SequenceKvState on_shared(shared, 2);
+  fill_state(on_shared, 9);
+  EXPECT_EQ(shared.stats().used_blocks, 6u);
+  on_shared = std::move(a);
+  EXPECT_EQ(shared.stats().used_blocks, 0u);
+  EXPECT_EQ(on_shared.layer_size(0), 10u);
+
+  {
+    const SequenceKvState moved(std::move(on_shared));
+    EXPECT_EQ(moved.layer_size(1), 10u);
+  }  // `moved` frees its caches, then its private pool
 }
 
 TEST(KvCache, ClearResetsEverything) {
-  ContiguousKvCache c(2, 2);
+  auto pool = make_pool(2, 2);
+  KvCache c(pool);
   c.append(row_of(4, 1.0F), row_of(4, 1.0F), 0);
   c.add_score(0, 0, 1.0);
   c.clear();

@@ -1,16 +1,18 @@
-#include "mem/paged_kv_cache.h"
-
+// The block-chain behaviour of kv::KvCache: chain invariants, segments,
+// copy-on-write prefix sharing and the emergency-block fallback.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <vector>
 
-#include "core/rng.h"
 #include "kvcache/kv_cache.h"
+#include "mem/block_pool.h"
 #include "obs/metrics.h"
 
 namespace kf::mem {
 namespace {
+
+using kv::KvCache;
 
 BlockPoolConfig pool_config(std::size_t block_tokens = 4,
                             std::size_t n_heads = 2, std::size_t d_head = 3) {
@@ -39,7 +41,7 @@ std::vector<float> ramp_row(std::size_t width, float base) {
 
 TEST(PagedKvCache, ChainInvariantAcrossAppends) {
   BlockPool pool(pool_config(/*block_tokens=*/4));
-  PagedKvCache c(pool);
+  KvCache c(pool);
   EXPECT_EQ(c.blocks_held(), 0u);
   for (std::size_t t = 0; t < 10; ++t) {
     const auto k = ramp_row(c.row_width(), static_cast<float>(t));
@@ -51,7 +53,7 @@ TEST(PagedKvCache, ChainInvariantAcrossAppends) {
 
 TEST(PagedKvCache, SegmentsTileTheCacheInOrder) {
   BlockPool pool(pool_config(/*block_tokens=*/4));
-  PagedKvCache c(pool);
+  KvCache c(pool);
   for (std::size_t t = 0; t < 10; ++t) {
     const auto k = ramp_row(c.row_width(), static_cast<float>(t));
     c.append(k, k, t);
@@ -79,7 +81,7 @@ TEST(PagedKvCache, SegmentsTileTheCacheInOrder) {
 
 TEST(PagedKvCache, CompactFreesEmptiedTailBlocks) {
   BlockPool pool(pool_config(/*block_tokens=*/4));
-  PagedKvCache c(pool);
+  KvCache c(pool);
   for (std::size_t t = 0; t < 12; ++t) {
     const auto k = ramp_row(c.row_width(), static_cast<float>(t));
     c.append(k, k, t);
@@ -101,7 +103,7 @@ TEST(PagedKvCache, CompactFreesEmptiedTailBlocks) {
 TEST(PagedKvCache, ClearAndDestructorReturnEveryBlock) {
   BlockPool pool(pool_config());
   {
-    PagedKvCache c(pool);
+    KvCache c(pool);
     for (std::size_t t = 0; t < 9; ++t) {
       const auto k = ramp_row(c.row_width(), static_cast<float>(t));
       c.append(k, k, t);
@@ -119,85 +121,12 @@ TEST(PagedKvCache, ClearAndDestructorReturnEveryBlock) {
   EXPECT_EQ(pool.stats().used_blocks, 0u);  // destructor freed
 }
 
-/// The core acceptance property: identical append/compact/clear/score op
-/// sequences through a contiguous and a paged cache must leave bit-exact
-/// K/V/score/position state, across several block sizes (including ones
-/// that never divide the lengths evenly).
-TEST(PagedKvCache, RandomizedOpsBitExactVsContiguous) {
-  for (const std::size_t block_tokens : {1, 3, 4, 7, 16}) {
-    const std::size_t n_heads = 2;
-    const std::size_t d_head = 3;
-    BlockPool pool(pool_config(block_tokens, n_heads, d_head));
-    PagedKvCache paged(pool);
-    kv::ContiguousKvCache contiguous(n_heads, d_head, /*capacity_hint=*/2);
-    Rng rng(7 + block_tokens);
-
-    std::size_t next_pos = 0;
-    const auto check_equal = [&](std::size_t step) {
-      ASSERT_EQ(paged.size(), contiguous.size()) << "step " << step;
-      for (std::size_t t = 0; t < paged.size(); ++t) {
-        ASSERT_EQ(paged.original_position(t), contiguous.original_position(t))
-            << "step " << step;
-        ASSERT_EQ(paged.key_row(t), contiguous.key_row(t)) << "step " << step;
-        ASSERT_EQ(paged.value_row(t), contiguous.value_row(t))
-            << "step " << step;
-      }
-      for (std::size_t h = 0; h < n_heads; ++h) {
-        const auto ps = paged.scores(h);
-        const auto cs = contiguous.scores(h);
-        for (std::size_t t = 0; t < paged.size(); ++t) {
-          ASSERT_EQ(ps[t], cs[t]) << "step " << step << " head " << h;
-        }
-      }
-      ASSERT_EQ(paged.blocks_held(),
-                (paged.size() + block_tokens - 1) / block_tokens)
-          << "step " << step;
-      ASSERT_EQ(pool.stats().used_blocks, paged.blocks_held())
-          << "step " << step;
-    };
-
-    for (std::size_t step = 0; step < 400; ++step) {
-      const std::uint64_t op = rng.uniform_u64(10);
-      if (op < 6 || paged.empty()) {
-        std::vector<float> k(paged.row_width());
-        std::vector<float> v(paged.row_width());
-        for (auto& x : k) x = static_cast<float>(rng.normal());
-        for (auto& x : v) x = static_cast<float>(rng.normal());
-        next_pos += 1 + rng.uniform_u64(3);
-        paged.append(k, v, next_pos);
-        contiguous.append(k, v, next_pos);
-      } else if (op < 7) {
-        const std::size_t h = rng.uniform_u64(n_heads);
-        const std::size_t idx = rng.uniform_u64(paged.size());
-        const double val = rng.normal();
-        paged.add_score(h, idx, val);
-        contiguous.add_score(h, idx, val);
-      } else if (op < 8) {
-        const double f = 0.5 + 0.5 * rng.uniform();
-        paged.damp_scores(f);
-        contiguous.damp_scores(f);
-      } else if (op < 9) {
-        std::vector<std::size_t> keep;
-        for (std::size_t t = 0; t < paged.size(); ++t) {
-          if (rng.uniform_u64(3) > 0) keep.push_back(t);
-        }
-        paged.compact(keep);
-        contiguous.compact(keep);
-      } else {
-        paged.clear();
-        contiguous.clear();
-      }
-      check_equal(step);
-    }
-  }
-}
-
 TEST(PagedKvCache, CompactToEmptyThenRegrow) {
   // Satellite coverage: a cache drained to zero by compaction must return
   // every block and then grow again from scratch exactly like a fresh
   // cache (chain invariant, stats, and contents all intact).
   BlockPool pool(pool_config(/*block_tokens=*/4));
-  PagedKvCache c(pool);
+  KvCache c(pool);
   for (std::size_t t = 0; t < 11; ++t) {
     const auto k = ramp_row(c.row_width(), static_cast<float>(t));
     c.append(k, k, t);
@@ -224,7 +153,7 @@ TEST(PagedKvCache, CompactToEmptyThenRegrow) {
 
 /// Builds a donor cache holding `tokens` rows (positions 0..tokens-1) with
 /// deterministic contents and per-head scores i * (head + 1).
-void fill_prefix(PagedKvCache& c, std::size_t tokens) {
+void fill_prefix(KvCache& c, std::size_t tokens) {
   for (std::size_t t = 0; t < tokens; ++t) {
     const auto k = ramp_row(c.row_width(), static_cast<float>(t));
     const auto v = ramp_row(c.row_width(), 1000.0F + static_cast<float>(t));
@@ -235,7 +164,7 @@ void fill_prefix(PagedKvCache& c, std::size_t tokens) {
   }
 }
 
-std::vector<std::vector<double>> snapshot_scores(const PagedKvCache& c,
+std::vector<std::vector<double>> snapshot_scores(const KvCache& c,
                                                  std::size_t tokens) {
   std::vector<std::vector<double>> scores;
   for (std::size_t h = 0; h < c.n_heads(); ++h) {
@@ -248,13 +177,13 @@ std::vector<std::vector<double>> snapshot_scores(const PagedKvCache& c,
 TEST(PagedKvCache, AdoptPrefixSharesBlocksAndSeedsMetadata) {
   obs::MetricsRegistry reg;
   BlockPool pool(metered_config(reg));
-  PagedKvCache donor(pool);
+  KvCache donor(pool);
   fill_prefix(donor, 8);  // exactly 2 blocks
   const std::vector<BlockRef> chain(donor.blocks().begin(),
                                     donor.blocks().end());
   const auto scores = snapshot_scores(donor, 8);
 
-  PagedKvCache reader(pool);
+  KvCache reader(pool);
   reader.adopt_prefix(chain, 8, scores);
   EXPECT_EQ(reader.size(), 8u);
   EXPECT_EQ(reader.blocks_held(), 2u);
@@ -280,11 +209,11 @@ TEST(PagedKvCache, AdoptPrefixSharesBlocksAndSeedsMetadata) {
 
 TEST(PagedKvCache, AdoptPrefixValidatesAlignmentAndEmptiness) {
   BlockPool pool(pool_config(/*block_tokens=*/4));
-  PagedKvCache donor(pool);
+  KvCache donor(pool);
   fill_prefix(donor, 8);
   const std::vector<BlockRef> chain(donor.blocks().begin(),
                                     donor.blocks().end());
-  PagedKvCache reader(pool);
+  KvCache reader(pool);
   // 7 tokens is not block-aligned; 8 tokens over one block is a mismatch.
   EXPECT_THROW(reader.adopt_prefix(chain, 7, snapshot_scores(donor, 7)),
                std::invalid_argument);
@@ -299,11 +228,11 @@ TEST(PagedKvCache, AdoptPrefixValidatesAlignmentAndEmptiness) {
 TEST(PagedKvCache, CompactCopiesSharedDestinationBlocksOnWrite) {
   obs::MetricsRegistry reg;
   BlockPool pool(metered_config(reg));
-  PagedKvCache donor(pool);
+  KvCache donor(pool);
   fill_prefix(donor, 12);  // 3 blocks
   const std::vector<BlockRef> chain(donor.blocks().begin(),
                                     donor.blocks().end());
-  PagedKvCache reader(pool);
+  KvCache reader(pool);
   reader.adopt_prefix(chain, 12, snapshot_scores(donor, 12));
 
   // Keep rows 0..3 untouched (identity gather: block 0 stays shared) and
@@ -336,11 +265,11 @@ TEST(PagedKvCache, CompactCopiesSharedDestinationBlocksOnWrite) {
 TEST(PagedKvCache, AppendIntoSharedPartialTailCopiesFirst) {
   obs::MetricsRegistry reg;
   BlockPool pool(metered_config(reg));
-  PagedKvCache donor(pool);
+  KvCache donor(pool);
   fill_prefix(donor, 8);
   const std::vector<BlockRef> chain(donor.blocks().begin(),
                                     donor.blocks().end());
-  PagedKvCache reader(pool);
+  KvCache reader(pool);
   reader.adopt_prefix(chain, 8, snapshot_scores(donor, 8));
   // Evict to 6 rows with an identity keep: both blocks stay shared, the
   // tail block now has free slots.
@@ -363,12 +292,12 @@ TEST(PagedKvCache, CowSkipsCopyWhenLastReader) {
   BlockPool pool(metered_config(reg));
   std::vector<BlockRef> chain;
   {
-    PagedKvCache donor(pool);
+    KvCache donor(pool);
     fill_prefix(donor, 4);
     chain.assign(donor.blocks().begin(), donor.blocks().end());
     for (const BlockRef r : chain) pool.retain(r);  // stand-in for an index
   }  // donor gone; "index" still holds the chain
-  PagedKvCache reader(pool);
+  KvCache reader(pool);
   const std::vector<std::vector<double>> zeros(2, std::vector<double>(4, 0.0));
   reader.adopt_prefix(chain, 4, zeros);
   for (const BlockRef r : chain) pool.release(r);  // index drops the entry
@@ -396,7 +325,7 @@ TEST(PagedKvCache, AllocationFailureFallsBackToEmergencyBlocksExactly) {
   // pool for emergency refs.
   obs::MetricsRegistry reg;
   BlockPool pool(metered_config(reg));
-  PagedKvCache c(pool);
+  KvCache c(pool);
   // First block from the pool, then cut the supply.
   for (std::size_t t = 0; t < 4; ++t) {
     const auto k = ramp_row(c.row_width(), static_cast<float>(t));

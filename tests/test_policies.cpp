@@ -8,6 +8,7 @@
 #include "core/numerics.h"
 #include "core/rng.h"
 #include "cpu/cpu_isa.h"
+#include "kvcache/kv_state.h"
 #include "kvcache/policies/full.h"
 #include "kvcache/policies/h2o.h"
 #include "kvcache/policies/key_attention.h"
@@ -29,7 +30,8 @@ struct Scenario {
   static constexpr std::size_t kHeads = 2;
   static constexpr std::size_t kDHead = 2;
 
-  ContiguousKvCache cache{kHeads, kDHead};
+  SequenceKvState state{1, kHeads, kDHead};
+  KvCache& cache = state.layer(0);
   std::vector<float> logits;
   std::vector<float> probs;
 

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "mem/paged_kv_cache.h"
 #include "obs/metrics.h"
 
 namespace kf::mem {
@@ -77,8 +76,7 @@ TEST(PrefixIndex, InsertSharesTheLiveChainWithoutCopying) {
   EXPECT_EQ(pool.stats().used_blocks, kLayers * 2);
   EXPECT_EQ(index.blocks_held(), kLayers * 2);
   EXPECT_EQ(pool.stats().reserved_blocks, kLayers * 2);
-  const auto* paged = dynamic_cast<const PagedKvCache*>(&state.layer(0));
-  EXPECT_EQ(pool.refcount(paged->blocks()[0]), 2u);
+  EXPECT_EQ(pool.refcount(state.layer(0).blocks()[0]), 2u);
   // The chain survives the inserting sequence.
   state.clear();
   EXPECT_EQ(pool.stats().used_blocks, kLayers * 2);
@@ -200,15 +198,72 @@ TEST(PrefixIndex, AdoptRejectsBadInput) {
   auto donor = fill_state(pool, run);
   const PrefixEntry* entry = index.insert(run, donor, {});
   ASSERT_NE(entry, nullptr);
-  // A state that already holds rows, or one of contiguous caches.
+  // A state that already holds rows, or one on its own private pool.
   EXPECT_THROW(index.adopt(entry, donor), std::invalid_argument);
-  kv::SequenceKvState contiguous(kLayers, kHeads, kDHead);
-  EXPECT_THROW(index.adopt(entry, contiguous), std::invalid_argument);
+  kv::SequenceKvState private_pool(kLayers, kHeads, kDHead);
+  EXPECT_THROW(index.adopt(entry, private_pool), std::invalid_argument);
+  EXPECT_TRUE(private_pool.empty());
   // An entry the index does not hold.
   const PrefixEntry stranger;
   kv::SequenceKvState reader(pool, kLayers);
   EXPECT_THROW(index.adopt(&stranger, reader), std::invalid_argument);
   EXPECT_TRUE(reader.empty());
+}
+
+/// The counts a refused insert or adopt must leave untouched.
+struct Occupancy {
+  std::size_t used, reserved, held, entries;
+  bool operator==(const Occupancy&) const = default;
+};
+
+Occupancy occupancy(const BlockPool& pool, const PrefixIndex& index) {
+  return {pool.stats().used_blocks, pool.stats().reserved_blocks,
+          index.blocks_held(), index.stats().entries};
+}
+
+TEST(PrefixIndex, InsertRefusesADonorFromAnotherPool) {
+  // Same geometry, different pool: the donor's block ids name other
+  // memory in the index's pool, so the index must neither reserve for
+  // nor retain them.
+  BlockPool pool(pool_config());
+  BlockPool other(pool_config());
+  PrefixIndex index(pool, index_config());
+  auto donor = fill_state(pool, make_run(8));
+  ASSERT_NE(index.insert(make_run(8), donor, {}), nullptr);
+  const auto foreign_run = make_run(8, 50);
+  auto foreign = fill_state(other, foreign_run);
+  const Occupancy before = occupancy(pool, index);
+  const std::size_t other_used = other.stats().used_blocks;
+
+  EXPECT_EQ(index.insert(foreign_run, foreign, {}), nullptr);
+  EXPECT_TRUE(occupancy(pool, index) == before);
+  EXPECT_EQ(other.stats().used_blocks, other_used);
+  EXPECT_EQ(other.stats().reserved_blocks, 0u);
+  EXPECT_EQ(foreign.layer(0).shared_blocks(), 0u);
+}
+
+TEST(PrefixIndex, AdoptRefusesAReaderOnAnotherPool) {
+  BlockPool pool(pool_config());
+  BlockPool other(pool_config());
+  PrefixIndex index(pool, index_config());
+  const auto run = make_run(8);
+  auto donor = fill_state(pool, run);
+  const PrefixEntry* entry = index.insert(run, donor, {});
+  ASSERT_NE(entry, nullptr);
+  // Give the other pool live blocks at the entry's ids, so a wrongly
+  // accepted adopt would read them instead of the donor's rows.
+  auto bystander = fill_state(other, make_run(8, 50));
+  const Occupancy before = occupancy(pool, index);
+  const std::size_t other_used = other.stats().used_blocks;
+
+  kv::SequenceKvState reader(other, kLayers);
+  EXPECT_THROW(index.adopt(entry, reader), std::invalid_argument);
+  EXPECT_TRUE(reader.empty());
+  EXPECT_TRUE(occupancy(pool, index) == before);
+  EXPECT_EQ(other.stats().used_blocks, other_used);
+  for (const BlockRef ref : bystander.layer(0).blocks()) {
+    EXPECT_EQ(other.refcount(ref), 1u);
+  }
 }
 
 TEST(PrefixIndex, TryDropIsAtomicOnPinState) {

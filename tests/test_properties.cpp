@@ -7,6 +7,7 @@
 
 #include "data/synthetic.h"
 #include "kvcache/kv_cache.h"
+#include "kvcache/kv_state.h"
 #include "kvcache/policy_factory.h"
 #include "model/generator.h"
 
@@ -171,7 +172,9 @@ TEST(Properties, DampingReweightsTowardRecentEvidence) {
   // Two-phase scenario: phase 1 boosts token A, phase 2 boosts token B.
   // Without damping, A's earlier accumulation wins; with strong damping,
   // the recency-weighted score ranks B above A.
-  kv::ContiguousKvCache plain(1, 1), damped(1, 1);
+  kv::SequenceKvState plain_state(1, 1, 1), damped_state(1, 1, 1);
+  kv::KvCache& plain = plain_state.layer(0);
+  kv::KvCache& damped = damped_state.layer(0);
   const std::vector<float> row{0.0F};
   for (std::size_t i = 0; i < 4; ++i) {
     plain.append(row, row, i);

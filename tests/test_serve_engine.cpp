@@ -451,9 +451,10 @@ TEST(Engine, RejectsSharedKvStateOrPolicyAcrossRequests) {
 // Paged KV memory mode.
 
 TEST_P(EngineParity, PagedMemoryMatchesContiguousTokenExactly) {
-  // The paged allocator must be invisible to generation: same requests,
-  // same tokens, for every policy x positional family, across block sizes
-  // that do and don't divide the cache lengths.
+  // Block-reserved admission and the block size must be invisible to
+  // generation: the same tokens as a token-counted engine whose caches
+  // are one block per layer, for every policy x positional family,
+  // across block sizes that do and don't divide the cache lengths.
   const auto [pos, kind] = GetParam();
   Transformer model(tiny_config(pos));
 
@@ -462,16 +463,17 @@ TEST_P(EngineParity, PagedMemoryMatchesContiguousTokenExactly) {
   g.cache_ratio = kind == kv::PolicyKind::kFull ? 1.0 : 0.5;
   const auto prompt = make_prompt(32);
 
-  EngineConfig contiguous_cfg;
-  contiguous_cfg.policy.kind = kind;
-  Engine contiguous(model, contiguous_cfg);
+  EngineConfig token_cfg;
+  token_cfg.policy.kind = kind;
+  token_cfg.paged.block_tokens = 64;  // one segment per head and layer
+  Engine token_mode(model, token_cfg);
   Request req;
   req.prompt = prompt;
   req.gen = g;
-  const auto expected = contiguous.run({&req, 1});
+  const auto expected = token_mode.run({&req, 1});
 
   for (const std::size_t block_tokens : {3, 16}) {
-    EngineConfig pc = contiguous_cfg;
+    EngineConfig pc = token_cfg;
     pc.paged.enabled = true;
     pc.paged.block_tokens = block_tokens;
     Engine paged(model, pc);
@@ -488,7 +490,7 @@ TEST_P(EngineParity, PagedMemoryMatchesContiguousTokenExactly) {
 TEST(Engine, PagedMixedBatchMatchesContiguousAndLeaksNothing) {
   // Randomized admit/retire churn under a real block cap: staggered
   // arrivals, mixed lengths, sequences joining as others retire. Token
-  // streams must match the contiguous engine run for run, and after the
+  // streams must match the token-counted engine run for run, and after the
   // run every block must be back on the free lists with no reservations
   // left — the no-leak half of the acceptance criteria.
   Transformer model(tiny_config());
@@ -508,8 +510,8 @@ TEST(Engine, PagedMixedBatchMatchesContiguousAndLeaksNothing) {
   ec.policy.kind = kv::PolicyKind::kKeyformer;
   ec.scheduler.max_batch_size = 4;
   ec.scheduler.max_concurrent_tokens = 120;
-  Engine contiguous(model, ec);
-  const auto expected = contiguous.run(requests);
+  Engine token_mode(model, ec);
+  const auto expected = token_mode.run(requests);
 
   EngineConfig pc = ec;
   pc.paged.enabled = true;
@@ -565,8 +567,9 @@ TEST(Engine, PagedModeRejectsExternalKvState) {
 }
 
 TEST(Engine, GenerateStillWorksWhilePagedEngineExists) {
-  // generate() builds its own contiguous batch-of-one engine; a paged
-  // engine on the same model must not disturb it.
+  // generate() builds its own token-mode batch-of-one engine over the
+  // model's default state; a paged engine on the same model must not
+  // disturb it.
   Transformer model(tiny_config());
   EngineConfig ec;
   ec.paged.enabled = true;

@@ -4,10 +4,10 @@
 // arithmetic kernels, exactly for the softmax masking contract, bit for
 // bit between a GEMM row and the same row computed alone and between the
 // scalar score kernel and its historical loop, and end to end through
-// attention and the full transformer (contiguous and paged caches, all
-// eviction policies, all positional families). The suite is parameterized
-// over CpuIsa; variants the host cannot run are GTEST_SKIPped, never
-// silently passed.
+// attention and the full transformer (one-segment and multi-block
+// caches, all eviction policies, all positional families). The suite is
+// parameterized over CpuIsa; variants the host cannot run are
+// GTEST_SKIPped, never silently passed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -365,16 +365,16 @@ TEST_P(SimdParity, FusedDecodeAttendMatchesScalarContiguous) {
                          model::PositionalKind::kALiBi,
                          model::PositionalKind::kLearned}) {
     const model::ModelConfig cfg = tiny_config(pos);
-    // 37 rows: two full 16-token segments plus an odd tail under the
-    // paged geometry below, and an odd key_len here.
+    // 37 rows: one segment per head in a private pool's 64-token blocks,
+    // two full 16-token segments plus an odd tail in the paged case below.
     const std::size_t ctx = 37;
     const auto ref = under_isa(cpu::CpuIsa::kScalar, [&] {
-      kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head(), ctx + 1);
-      return attend_once(cfg, cache, ctx);
+      kv::SequenceKvState state(1, cfg.n_heads, cfg.d_head());
+      return attend_once(cfg, state.layer(0), ctx);
     });
     const auto got = under_isa(GetParam(), [&] {
-      kv::ContiguousKvCache cache(cfg.n_heads, cfg.d_head(), ctx + 1);
-      return attend_once(cfg, cache, ctx);
+      kv::SequenceKvState state(1, cfg.n_heads, cfg.d_head());
+      return attend_once(cfg, state.layer(0), ctx);
     });
     SCOPED_TRACE(model::to_string(pos));
     expect_attention_parity(got, ref);
@@ -390,11 +390,11 @@ TEST_P(SimdParity, FusedDecodeAttendMatchesScalarPaged) {
   const std::size_t ctx = 37;  // 2 full blocks + a 5-row tail
   mem::BlockPool pool_ref(pc), pool_got(pc);
   const auto ref = under_isa(cpu::CpuIsa::kScalar, [&] {
-    mem::PagedKvCache cache(pool_ref);
+    kv::KvCache cache(pool_ref);
     return attend_once(cfg, cache, ctx);
   });
   const auto got = under_isa(GetParam(), [&] {
-    mem::PagedKvCache cache(pool_got);
+    kv::KvCache cache(pool_got);
     return attend_once(cfg, cache, ctx);
   });
   expect_attention_parity(got, ref);
@@ -462,7 +462,7 @@ TEST_P(SimdParity, TransformerPagedStateMatchesScalar) {
   const auto run = [&](cpu::CpuIsa isa) {
     return under_isa(isa, [&] {
       mem::BlockPoolConfig pc;
-          pc.block_tokens = 4;  // multi-block chains from a 16-token prompt
+      pc.block_tokens = 4;  // multi-block chains from a 16-token prompt
       pc.n_heads = cfg.n_heads;
       pc.d_head = cfg.d_head();
       mem::BlockPool pool(pc);
