@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "cpu/kernels.h"
 #include "keyformer/keyformer.h"
 
 namespace {
@@ -93,19 +94,23 @@ void BM_Softmax(benchmark::State& state, cpu::CpuIsa isa) {
 
 void BM_GumbelSoftmaxScore(benchmark::State& state, cpu::CpuIsa isa) {
   // Keyformer's per-head score increment over one cache row — the
-  // overhead Fig 10 charges against the Gumbel softmax: the frozen noise
-  // row's gather plus the dispatched score kernel, as a decode row pays.
+  // overhead Fig 10 charges against the Gumbel softmax — as a decode row
+  // pays it: one frozen-noise draw for the appended row's slot, then the
+  // dispatched score kernel over the cache's stored noise row.
   const IsaGuard guard(isa);
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   std::vector<float> logits(n);
-  std::vector<std::size_t> positions(n);
-  std::iota(positions.begin(), positions.end(), 0);
   for (std::size_t i = 0; i < n; ++i) logits[i] = static_cast<float>(i % 13);
-  std::vector<double> out(n);
   const kv::ScoreFunction fn{kv::ScoreFunctionConfig{}};
+  std::vector<double> noise(n);
+  for (std::size_t i = 0; i < n; ++i) noise[i] = fn.noise(0, 0, i);
+  std::vector<double> out(n);
+  const cpu::ScoreIncrementsFn score = cpu::score_increments_stub.get();
   std::size_t t = 0;
   for (auto _ : state) {
-    fn.increments(logits, positions, 0, 0, t++ % 64, 64, out);
+    noise[n - 1] = fn.noise(0, 0, n + t);
+    score(logits.data(), noise.data(), out.data(), n,
+          fn.config().temperature.at(t++ % 64, 64));
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }

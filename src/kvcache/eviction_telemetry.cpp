@@ -7,13 +7,8 @@
 
 namespace kf::kv {
 
-void EvictionTelemetry::begin_sequence(std::size_t n_layers,
-                                       std::size_t n_heads,
-                                       std::size_t span_tokens) {
-  n_layers_ = n_layers;
-  n_heads_ = n_heads;
+void EvictionTelemetry::begin_sequence(std::size_t span_tokens) {
   span_tokens_ = std::max<std::size_t>(1, span_tokens);
-  heads_.assign(n_layers * n_heads, HeadHistogram{});
   position_totals_.fill(0);
   score_totals_.fill(0);
   decisions_ = 0;
@@ -35,22 +30,17 @@ std::size_t EvictionTelemetry::score_bucket(double score) noexcept {
 }
 
 void EvictionTelemetry::record_decision(const KvCache& cache,
-                                        std::size_t layer,
                                         std::span<const std::size_t> keep) {
   const std::size_t n = cache.size();
-  if (layer >= n_layers_ || keep.size() >= n) {
-    // Unshaped sink or nothing evicted: count the decision only.
-    ++decisions_;
-    tokens_kept_ += std::min<std::size_t>(keep.size(), n);
+  ++decisions_;
+  if (keep.size() >= n) {  // nothing evicted: count the decision only
+    tokens_kept_ += n;
     return;
   }
-  ++decisions_;
   tokens_kept_ += keep.size();
   tokens_evicted_ += n - keep.size();
 
   const auto positions = cache.original_positions();
-  const std::size_t heads =
-      std::min(n_heads_, cache.n_heads());  // grid was shaped for the model
   std::size_t next_keep = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (next_keep < keep.size() && keep[next_keep] == i) {
@@ -62,19 +52,8 @@ void EvictionTelemetry::record_decision(const KvCache& cache,
     const std::size_t bucket = std::min(
         kPositionBuckets - 1, pos * kPositionBuckets / span_tokens_);
     ++position_totals_[bucket];
-    for (std::size_t h = 0; h < heads; ++h) {
-      HeadHistogram& cell = heads_[layer * n_heads_ + h];
+    for (std::size_t h = 0; h < cache.n_heads(); ++h) {
       const double score = cache.scores(h)[i];
-      ++cell.positions[bucket];
-      ++cell.scores[score_bucket(score)];
-      if (cell.evicted == 0 || score < cell.score_min) {
-        cell.score_min = score;
-      }
-      if (cell.evicted == 0 || score > cell.score_max) {
-        cell.score_max = score;
-      }
-      ++cell.evicted;
-      cell.score_sum += score;
       ++score_totals_[score_bucket(score)];
       if (score_samples_ == 0 || score < score_min_) score_min_ = score;
       if (score_samples_ == 0 || score > score_max_) score_max_ = score;
@@ -120,46 +99,6 @@ EvictionSummary EvictionTelemetry::summary() const {
 }
 
 void EvictionTelemetry::merge(const EvictionTelemetry& other) {
-  if (other.heads_.empty() && other.decisions_ == 0) {
-    return;
-  }
-  if (other.n_layers_ > n_layers_ || other.n_heads_ > n_heads_) {
-    // Regrow to the union shape, remapping existing cells.
-    const std::size_t new_layers = std::max(n_layers_, other.n_layers_);
-    const std::size_t new_heads = std::max(n_heads_, other.n_heads_);
-    std::vector<HeadHistogram> grown(new_layers * new_heads,
-                                     HeadHistogram{});
-    for (std::size_t l = 0; l < n_layers_; ++l) {
-      for (std::size_t h = 0; h < n_heads_; ++h) {
-        grown[l * new_heads + h] = heads_[l * n_heads_ + h];
-      }
-    }
-    heads_ = std::move(grown);
-    n_layers_ = new_layers;
-    n_heads_ = new_heads;
-  }
-  span_tokens_ = std::max(span_tokens_, other.span_tokens_);
-  for (std::size_t l = 0; l < other.n_layers_; ++l) {
-    for (std::size_t h = 0; h < other.n_heads_; ++h) {
-      HeadHistogram& dst = heads_[l * n_heads_ + h];
-      const HeadHistogram& src = other.heads_[l * other.n_heads_ + h];
-      if (src.evicted == 0) continue;
-      for (std::size_t b = 0; b < kPositionBuckets; ++b) {
-        dst.positions[b] += src.positions[b];
-      }
-      for (std::size_t b = 0; b < kScoreBuckets; ++b) {
-        dst.scores[b] += src.scores[b];
-      }
-      if (dst.evicted == 0 || src.score_min < dst.score_min) {
-        dst.score_min = src.score_min;
-      }
-      if (dst.evicted == 0 || src.score_max > dst.score_max) {
-        dst.score_max = src.score_max;
-      }
-      dst.evicted += src.evicted;
-      dst.score_sum += src.score_sum;
-    }
-  }
   for (std::size_t b = 0; b < kPositionBuckets; ++b) {
     position_totals_[b] += other.position_totals_[b];
   }

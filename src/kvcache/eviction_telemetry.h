@@ -24,7 +24,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace kf::kv {
 
@@ -55,9 +54,9 @@ struct EvictionSummary {
 };
 
 /// Single-writer sink an EvictionPolicy records its keep/evict decisions
-/// into (see EvictionPolicy::set_eviction_sink). Holds per-(layer,head)
-/// histograms of evicted-token positions and score-at-eviction, plus the
-/// scalar decision counters behind EvictionSummary.
+/// into (see EvictionPolicy::set_eviction_sink). Holds the histograms of
+/// evicted-token positions and score-at-eviction, summed over layers and
+/// heads, plus the scalar decision counters behind EvictionSummary.
 class EvictionTelemetry {
  public:
   static constexpr std::size_t kPositionBuckets =
@@ -66,39 +65,20 @@ class EvictionTelemetry {
   /// (2^(b-1) - 1, 2^b - 1] — log2-spaced over accumulated softmax mass.
   static constexpr std::size_t kScoreBuckets = 24;
 
-  /// Histograms for one (layer, head).
-  struct HeadHistogram {
-    std::array<std::uint64_t, kPositionBuckets> positions{};
-    std::array<std::uint64_t, kScoreBuckets> scores{};
-    std::uint64_t evicted = 0;
-    double score_sum = 0.0;
-    double score_min = 0.0;
-    double score_max = 0.0;
-  };
+  /// Clears all counts. `span_tokens` is the full sequence span (prompt
+  /// + planned decode tokens) the position buckets normalize against.
+  void begin_sequence(std::size_t span_tokens);
 
-  /// Shapes the per-(layer,head) grid and clears all counts.
-  /// `span_tokens` is the full sequence span (prompt + planned decode
-  /// tokens) the position buckets normalize against.
-  void begin_sequence(std::size_t n_layers, std::size_t n_heads,
-                      std::size_t span_tokens);
-
-  /// Records one compaction decision for `layer` of `cache`, taken while
-  /// the cache still holds its pre-compaction rows: every row index not
-  /// in `keep` (sorted ascending) is recorded as evicted, bucketing its
-  /// original position and its per-head accumulated score.
-  void record_decision(const KvCache& cache, std::size_t layer,
+  /// Records one compaction decision of `cache`, taken while the cache
+  /// still holds its pre-compaction rows: every row index not in `keep`
+  /// (sorted ascending) is recorded as evicted, bucketing its original
+  /// position and its per-head accumulated scores.
+  void record_decision(const KvCache& cache,
                        std::span<const std::size_t> keep);
 
   std::uint64_t decisions() const noexcept { return decisions_; }
   std::uint64_t tokens_evicted() const noexcept { return tokens_evicted_; }
   std::uint64_t tokens_kept() const noexcept { return tokens_kept_; }
-  std::size_t n_layers() const noexcept { return n_layers_; }
-  std::size_t n_heads() const noexcept { return n_heads_; }
-
-  /// The (layer, head) cell; indices must be within the begun shape.
-  const HeadHistogram& head(std::size_t layer, std::size_t head) const {
-    return heads_[layer * n_heads_ + head];
-  }
 
   /// Evicted-position counts aggregated over layers (each dropped row
   /// counted once per layer decision).
@@ -110,17 +90,13 @@ class EvictionTelemetry {
   /// Distills the counters into the Response-facing digest.
   EvictionSummary summary() const;
 
-  /// Accumulates `other` into this (the engine-lifetime aggregate);
-  /// grows the grid if `other` is larger.
+  /// Accumulates `other` into this (the engine-lifetime aggregate).
   void merge(const EvictionTelemetry& other);
 
  private:
   static std::size_t score_bucket(double score) noexcept;
 
-  std::size_t n_layers_ = 0;
-  std::size_t n_heads_ = 0;
   std::size_t span_tokens_ = 1;
-  std::vector<HeadHistogram> heads_;  ///< [layer * n_heads_ + head]
   std::array<std::uint64_t, kPositionBuckets> position_totals_{};
   std::array<std::uint64_t, kScoreBuckets> score_totals_{};
   std::uint64_t decisions_ = 0;

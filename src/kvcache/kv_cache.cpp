@@ -12,7 +12,8 @@ KvCache::KvCache(mem::BlockPool& pool)
       n_heads_(pool.config().n_heads),
       d_head_(pool.config().d_head),
       block_tokens_(pool.block_tokens()),
-      scores_(n_heads_) {}
+      scores_(n_heads_),
+      noise_(n_heads_) {}
 
 KvCache::~KvCache() { free_blocks_beyond(0); }
 
@@ -127,6 +128,16 @@ double KvCache::total_score(std::size_t idx) const {
   return total;
 }
 
+std::span<const double> KvCache::noise(std::size_t head) const {
+  assert(head < n_heads_);
+  return noise_[head];
+}
+
+void KvCache::append_noise(std::size_t head, double zeta) {
+  assert(head < n_heads_ && noise_[head].size() < size());
+  noise_[head].push_back(zeta);
+}
+
 void KvCache::compact(std::span<const std::size_t> keep) {
   // Validate once; the gather can then move rows without re-checking.
   std::size_t prev = 0;
@@ -197,6 +208,17 @@ void KvCache::compact(std::span<const std::size_t> keep) {
   }
   positions_.resize(n);
   for (auto& per_head : scores_) per_head.resize(n);
+  for (auto& per_head : noise_) {
+    // The kept covered rows are keep's entries below the old cover, all
+    // at its front: they become the new covered prefix.
+    const auto covered = static_cast<std::size_t>(
+        std::lower_bound(keep.begin(), keep.end(), per_head.size()) -
+        keep.begin());
+    for (std::size_t j = moved; j < covered; ++j) {
+      per_head[j] = per_head[keep[j]];
+    }
+    per_head.resize(covered);
+  }
   free_blocks_beyond(n);
 }
 
@@ -204,12 +226,14 @@ void KvCache::clear() {
   free_blocks_beyond(0);
   positions_.clear();
   for (auto& per_head : scores_) per_head.clear();
+  for (auto& per_head : noise_) per_head.clear();
   alloc_failed_ = false;  // no emergency block survives the clear
 }
 
 void KvCache::adopt_prefix(std::span<const mem::BlockRef> chain,
                            std::size_t tokens,
-                           std::span<const std::vector<double>> scores) {
+                           std::span<const std::vector<double>> scores,
+                           std::span<const std::vector<double>> noise) {
   if (!empty()) {
     throw std::logic_error("KvCache::adopt_prefix on a non-empty cache");
   }
@@ -224,6 +248,12 @@ void KvCache::adopt_prefix(std::span<const mem::BlockRef> chain,
     throw std::invalid_argument(
         "KvCache::adopt_prefix: one score vector of `tokens` per head");
   }
+  if (noise.size() != n_heads_ ||
+      std::any_of(noise.begin(), noise.end(),
+                  [&](const auto& z) { return z.size() > tokens; })) {
+    throw std::invalid_argument(
+        "KvCache::adopt_prefix: one noise row of at most `tokens` per head");
+  }
   for (const mem::BlockRef ref : chain) pool_.retain(ref);
   blocks_.assign(chain.begin(), chain.end());
   shared_.assign(blocks_.size(), true);
@@ -231,6 +261,7 @@ void KvCache::adopt_prefix(std::span<const mem::BlockRef> chain,
   positions_.resize(tokens);
   std::iota(positions_.begin(), positions_.end(), std::size_t{0});
   std::copy(scores.begin(), scores.end(), scores_.begin());
+  std::copy(noise.begin(), noise.end(), noise_.begin());
 }
 
 void KvCache::mark_shared_prefix(std::size_t blocks) {

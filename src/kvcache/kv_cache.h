@@ -4,7 +4,9 @@
 //   - the *original* sequence position of every cached token (Table 3's
 //     "Org Pos" mode and the recency ordering both rely on it),
 //   - per-head accumulated score-function values f_theta that survive
-//     compaction (Sections 3.3.2 and 2.3.1).
+//     compaction (Sections 3.3.2 and 2.3.1),
+//   - per-head frozen logit adjustments zeta (Keyformer's noise rows,
+//     Algorithm 1), drawn once per cached row and compacted with it.
 //
 // Storage: one layer's K/V rows live in a chain of fixed-size token blocks
 // allocated from a mem::BlockPool. Inside each block the layout is head-
@@ -138,13 +140,23 @@ class KvCache {
   /// Sum of per-head scores at idx (head-aggregated ranking value).
   double total_score(std::size_t idx) const;
 
+  /// Frozen logit adjustments zeta of one head's first noise(head).size()
+  /// rows, never more than size(). Keyformer draws a row's zeta the first
+  /// time it scores the row and reads it back at every later step; other
+  /// policies leave the row empty.
+  std::span<const double> noise(std::size_t head) const;
+
+  /// Covers head's first uncovered row with `zeta`.
+  void append_noise(std::size_t head, double zeta);
+
   /// Keeps exactly the rows in `keep` (indices into the current layout,
-  /// strictly ascending); drops everything else. Scores and positions
-  /// are gathered along with K/V rows; emptied tail blocks return to the
-  /// pool.
+  /// strictly ascending); drops everything else. Scores, noise and
+  /// positions are gathered along with K/V rows (the kept covered rows
+  /// stay the covered prefix); emptied tail blocks return to the pool.
   void compact(std::span<const std::size_t> keep);
 
-  /// Removes all tokens and scores and returns every block to the pool.
+  /// Removes all tokens, scores and noise and returns every block to the
+  /// pool.
   void clear();
 
   /// The pool this cache draws its blocks from.
@@ -159,12 +171,14 @@ class KvCache {
 
   /// Adopts `chain` as this cache's first rows: retains every block
   /// (copy-on-write; nothing is copied until a mutation lands in one) and
-  /// seeds positions 0..tokens-1 plus per-head accumulated scores
-  /// (`scores` is one vector per head, each `tokens` long). The cache
-  /// must be empty and `tokens` a whole number of blocks, so later
+  /// seeds positions 0..tokens-1, per-head accumulated scores (`scores`
+  /// is one vector per head, each `tokens` long) and per-head noise rows
+  /// (`noise`, one vector per head, each at most `tokens` long). The
+  /// cache must be empty and `tokens` a whole number of blocks, so later
   /// appends open fresh private blocks.
   void adopt_prefix(std::span<const mem::BlockRef> chain, std::size_t tokens,
-                    std::span<const std::vector<double>> scores);
+                    std::span<const std::vector<double>> scores,
+                    std::span<const std::vector<double>> noise);
 
   /// Marks the first `blocks` chain blocks as shared: another reader (the
   /// prefix index) just retained them, so future mutations must
@@ -202,6 +216,7 @@ class KvCache {
   std::size_t block_tokens_;
   std::vector<std::size_t> positions_;
   std::vector<std::vector<double>> scores_;  // [n_heads][size]
+  std::vector<std::vector<double>> noise_;   // [n_heads][<= size]
   std::vector<mem::BlockRef> blocks_;
   /// shared_[i]: blocks_[i] was adopted or indexed and may still have
   /// other readers; mutations go through cow_block() first.

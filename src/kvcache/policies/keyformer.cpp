@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "cpu/kernels.h"
 #include "obs/trace.h"
@@ -9,13 +10,17 @@
 namespace kf::kv {
 
 KeyformerPolicy::KeyformerPolicy(KeyformerConfig config)
-    : config_(config), score_fn_(config.score) {}
+    : config_(config), score_fn_(config.score) {
+  if (config_.scope == ScoreScope::kShared && config_.score.damping < 1.0) {
+    // accumulate() damps the per-layer cache scores, which shared scope
+    // neither writes nor ranks by: the setting would do nothing.
+    throw std::invalid_argument(
+        "Keyformer damping requires the per-layer score scope");
+  }
+}
 
 void KeyformerPolicy::begin_sequence(const SequenceInfo& info) {
   EvictionPolicy::begin_sequence(info);
-  // Bound memo memory to one sequence: in a long-lived server the noise
-  // tables would otherwise accumulate every sequence's positions forever.
-  score_fn_.reset_noise();
   shared_scores_.assign(
       config_.scope == ScoreScope::kShared
           ? info.prompt_len + info.total_steps + 1
@@ -23,34 +28,19 @@ void KeyformerPolicy::begin_sequence(const SequenceInfo& info) {
       0.0);
 }
 
-std::vector<double> KeyformerPolicy::export_score_state(
-    std::size_t prefix_len) const {
-  if (config_.scope != ScoreScope::kShared) return {};
-  const std::size_t n = std::min(prefix_len, shared_scores_.size());
-  return {shared_scores_.begin(),
-          shared_scores_.begin() + static_cast<long>(n)};
-}
-
-void KeyformerPolicy::import_score_state(std::span<const double> state) {
-  if (config_.scope != ScoreScope::kShared) return;
-  const std::size_t n = std::min(state.size(), shared_scores_.size());
-  std::copy_n(state.begin(), n, shared_scores_.begin());
-}
-
 void KeyformerPolicy::accumulate(const PolicyContext& ctx) {
   KvCache& cache = *ctx.cache;
   assert(ctx.key_len == cache.size() && ctx.n_queries <= ctx.key_len);
   const auto positions = cache.original_positions();
-  // Scratch rows shared by every policy on this thread: an engine-built
-  // policy lives as long as its request, so rows held per policy would
-  // keep one cache row each for a whole run.
+  // Scratch row shared by every policy on this thread: an engine-built
+  // policy lives as long as its request, so a row held per policy would
+  // keep one cache row for a whole run.
   thread_local std::vector<double> increments;
-  thread_local std::vector<double> head_noise;
   increments.resize(ctx.key_len);
-  head_noise.resize(ctx.key_len);
   const double tau =
       config_.score.temperature.at(ctx.decode_step, ctx.total_steps);
   const cpu::ScoreIncrementsFn score = cpu::score_increments_stub.get();
+  const bool noisy = config_.score.adjustment != LogitAdjustment::kNone;
 
   if (config_.score.damping < 1.0) cache.damp_scores(config_.score.damping);
 
@@ -59,8 +49,15 @@ void KeyformerPolicy::accumulate(const PolicyContext& ctx) {
   // visible prefix alone. A decode row sees the whole cache.
   const std::size_t first_q = ctx.key_len - ctx.n_queries;
   for (std::size_t h = 0; h < ctx.n_heads; ++h) {
-    const bool noisy = score_fn_.noise_row(ctx.layer, h, positions, head_noise);
-    const double* noise = noisy ? head_noise.data() : nullptr;
+    // zeta is drawn once per cached row, for the rows this observe added;
+    // the covered rows keep theirs (the kernel takes nullptr for kNone).
+    const double* noise = nullptr;
+    if (noisy) {
+      for (std::size_t i = cache.noise(h).size(); i < ctx.key_len; ++i) {
+        cache.append_noise(h, score_fn_.noise(ctx.layer, h, positions[i]));
+      }
+      noise = cache.noise(h).data();
+    }
     const float* base = ctx.logits.data() + h * ctx.n_queries * ctx.key_len;
     for (std::size_t q = 0; q < ctx.n_queries; ++q) {
       const std::size_t vis = first_q + q + 1;

@@ -4,7 +4,9 @@
 //   f(i) += softmax over cache of ((x_i + zeta_i) / tau)
 // where zeta_i is frozen Gumbel noise per cache slot (configurable to
 // Gaussian / constant / none for the Table 4 ablation) and tau follows the
-// linear schedule tau_init -> tau_end over the generation (Eq. 10).
+// linear schedule tau_init -> tau_end over the generation (Eq. 10). Each
+// slot's zeta is drawn once, into the layer cache's noise row, and
+// travels with the row through compaction and prefix adoption.
 //
 // Keep-set: the w most recent tokens plus the top-(k-w) tokens of the
 // accumulated score over the older prefix.
@@ -13,7 +15,8 @@
 //   - kPerLayer (paper default/winner): f_theta lives in each layer's
 //     cache, per head; heads are aggregated only for ranking.
 //   - kShared: one global f_theta indexed by original token position,
-//     accumulated across every layer and head.
+//     accumulated across every layer and head. Damping applies to the
+//     per-layer scores only, so this scope refuses damping < 1.
 #pragma once
 
 #include <vector>
@@ -33,18 +36,13 @@ struct KeyformerConfig {
 
 class KeyformerPolicy final : public EvictionPolicy {
  public:
+  /// Throws std::invalid_argument for damping < 1 with ScoreScope::kShared.
   explicit KeyformerPolicy(KeyformerConfig config = {});
 
   std::string name() const override { return "keyformer"; }
 
   void begin_sequence(const SequenceInfo& info) override;
   void observe(const PolicyContext& ctx) override;
-
-  /// Shared-scope scores are per-policy (indexed by original position), so
-  /// prefix adoption must carry them explicitly; per-layer scores ride in
-  /// the caches and these hooks stay no-ops.
-  std::vector<double> export_score_state(std::size_t prefix_len) const override;
-  void import_score_state(std::span<const double> state) override;
 
   const KeyformerConfig& config() const noexcept { return config_; }
 

@@ -11,7 +11,7 @@ namespace kf::kv {
 void EvictionPolicy::compact_cache(const PolicyContext& ctx,
                                    std::span<const std::size_t> keep) {
   if (eviction_sink_ != nullptr) {
-    eviction_sink_->record_decision(*ctx.cache, ctx.layer, keep);
+    eviction_sink_->record_decision(*ctx.cache, keep);
   }
   ctx.cache->compact(keep);
 }

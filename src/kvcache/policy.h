@@ -90,21 +90,6 @@ class EvictionPolicy {
   /// only when over budget), inside the caller's observe span.
   virtual void observe(const PolicyContext& ctx) = 0;
 
-  /// Prefix-cache hooks. A policy whose accumulated score state lives
-  /// *outside* the KvCache (Keyformer's shared scope) exports that state
-  /// at a prompt-prefix boundary — after observing exactly the first
-  /// `prefix_len` prompt rows — so the serving engine can snapshot it into
-  /// the prefix cache, and imports it when a later sequence adopts the
-  /// prefix instead of prefilling it. Cache-resident scores travel with
-  /// the cache itself, so the defaults are empty/no-op.
-  virtual std::vector<double> export_score_state(std::size_t prefix_len) const {
-    (void)prefix_len;
-    return {};
-  }
-  virtual void import_score_state(std::span<const double> state) {
-    (void)state;
-  }
-
   /// Installs an eviction-introspection sink (nullptr disables): every
   /// keep/evict decision this policy executes is recorded into it before
   /// the cache is compacted (see kvcache/eviction_telemetry.h). The sink

@@ -1,9 +1,6 @@
 #include "kvcache/score_function.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "core/rng.h"
@@ -42,40 +39,8 @@ ScoreFunction::ScoreFunction(ScoreFunctionConfig config)
   }
 }
 
-std::vector<double>& ScoreFunction::noise_table(
-    std::size_t layer, std::size_t head, std::size_t min_positions) const {
-  if (noise_tables_.size() <= layer) noise_tables_.resize(layer + 1);
-  auto& heads = noise_tables_[layer];
-  if (heads.size() <= head) heads.resize(head + 1);
-  auto& table = heads[head];
-  if (table.size() < min_positions) {
-    table.resize(min_positions, std::numeric_limits<double>::quiet_NaN());
-  }
-  return table;
-}
-
 double ScoreFunction::noise(std::size_t layer, std::size_t head,
                             std::size_t original_pos) const {
-  if (config_.adjustment == LogitAdjustment::kNone) return 0.0;
-  if (config_.adjustment == LogitAdjustment::kConstant) {
-    return config_.noise_scale * config_.constant;
-  }
-  if (layer >= kMaxTableLayers || head >= kMaxTableHeads ||
-      original_pos >= kMaxTablePositions) {
-    // Outside the memo bounds: recompute the stateless draw (identical
-    // value every call, just uncached).
-    return compute_noise(layer, head, original_pos);
-  }
-  auto& table = noise_table(layer, head, original_pos + 1);
-  double& slot = table[original_pos];
-  if (std::isnan(slot)) slot = compute_noise(layer, head, original_pos);
-  return slot;
-}
-
-void ScoreFunction::reset_noise() { noise_tables_.clear(); }
-
-double ScoreFunction::compute_noise(std::size_t layer, std::size_t head,
-                                    std::size_t original_pos) const {
   switch (config_.adjustment) {
     case LogitAdjustment::kNone:
       return 0.0;
@@ -95,51 +60,16 @@ double ScoreFunction::compute_noise(std::size_t layer, std::size_t head,
   return 0.0;
 }
 
-bool ScoreFunction::noise_row(std::size_t layer, std::size_t head,
-                              std::span<const std::size_t> positions,
-                              std::span<double> out) const {
-  assert(out.size() == positions.size());
-  switch (config_.adjustment) {
-    case LogitAdjustment::kNone:
-      return false;
-    case LogitAdjustment::kConstant:
-      std::fill(out.begin(), out.end(),
-                config_.noise_scale * config_.constant);
-      return true;
-    case LogitAdjustment::kGaussian:
-    case LogitAdjustment::kGumbel:
-      break;
-  }
-  // One table covering the largest position turns every per-slot read
-  // into a flat array access. Cache positions ascend in practice, but the
-  // table is sized from the actual maximum so an unsorted span can never
-  // index past the end. Slots beyond the memo bound fall back to the
-  // (identical) direct computation.
-  std::size_t max_pos = 0;
-  for (const std::size_t p : positions) max_pos = p > max_pos ? p : max_pos;
-  if (layer >= kMaxTableLayers || head >= kMaxTableHeads ||
-      max_pos >= kMaxTablePositions) {
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-      out[i] = noise(layer, head, positions[i]);
-    }
-    return true;
-  }
-  std::vector<double>& table = noise_table(layer, head, max_pos + 1);
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    double& slot = table[positions[i]];
-    if (std::isnan(slot)) slot = compute_noise(layer, head, positions[i]);
-    out[i] = slot;
-  }
-  return true;
-}
-
 void ScoreFunction::increments(std::span<const float> logits,
                                std::span<const std::size_t> positions,
                                std::size_t layer, std::size_t head,
                                std::size_t t, std::size_t total_steps,
                                std::span<double> out) const {
   assert(logits.size() == positions.size() && out.size() == logits.size());
-  const bool noisy = noise_row(layer, head, positions, out);
+  const bool noisy = config_.adjustment != LogitAdjustment::kNone;
+  for (std::size_t i = 0; noisy && i < positions.size(); ++i) {
+    out[i] = noise(layer, head, positions[i]);
+  }
   cpu::score_increments_stub.get()(logits.data(), noisy ? out.data() : nullptr,
                                    out.data(), logits.size(),
                                    config_.temperature.at(t, total_steps));

@@ -14,14 +14,15 @@
 //     Eq. 10: tau(t) = tau_init + t * (tau_end - tau_init) / T.
 //
 // Noise realizations zeta_i are *frozen per (seed, layer, head, original
-// position)* via stateless hashing — Algorithm 1 draws zeta once and reuses
-// it every step, and freezing keeps runs reproducible and order-independent.
+// position)* via stateless hashing, which keeps runs reproducible and
+// order-independent. Algorithm 1 draws zeta once per cached slot and reuses
+// it every step: Keyformer stores each row's draw in the layer cache's noise
+// row (KvCache::noise) and compacts it with the row.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 namespace kf::kv {
 
@@ -73,40 +74,15 @@ class ScoreFunction {
 
   const ScoreFunctionConfig& config() const noexcept { return config_; }
 
-  /// The frozen logit adjustment zeta for a cache slot (memoized).
+  /// The frozen logit adjustment zeta for a cache slot: a pure function
+  /// of (seed, layer, head, original position); 0 for kNone.
   double noise(std::size_t layer, std::size_t head,
                std::size_t original_pos) const;
 
-  /// Gathers the frozen adjustments zeta for one head's cached slots into
-  /// `out` (same length as `positions`): the memo table is looked up once
-  /// for the whole row, then read per slot. Returns false, leaving `out`
-  /// untouched, for LogitAdjustment::kNone: there is no noise row, and the
-  /// score kernel takes nullptr for it.
-  bool noise_row(std::size_t layer, std::size_t head,
-                 std::span<const std::size_t> positions,
-                 std::span<double> out) const;
-
-  /// Drops every memoized noise table. Policies call this at sequence
-  /// start so memo memory stays bounded by one sequence's positions
-  /// instead of growing across every sequence a long-lived process serves.
-  /// Values are pure functions of (seed, layer, head, position), so
-  /// resetting never changes results.
-  void reset_noise();
-
- private:
-  double compute_noise(std::size_t layer, std::size_t head,
-                       std::size_t original_pos) const;
-
-  /// Flat memo row for (layer, head), grown to cover at least
-  /// `min_positions` entries (new entries hold the NaN sentinel).
-  std::vector<double>& noise_table(std::size_t layer, std::size_t head,
-                                   std::size_t min_positions) const;
-
- public:
-
   /// Computes increments f_i = softmax((x_i + zeta_i) / tau) for one head
-  /// over the current cache contents: noise_row() into `out`, then the
-  /// dispatched score kernel (cpu::score_increments_stub) in place.
+  /// over the current cache contents: one noise() draw per slot into
+  /// `out`, then the dispatched score kernel (cpu::score_increments_stub)
+  /// in place.
   ///   logits            one query row, length == positions.size()
   ///   positions         original positions of the cached tokens
   ///   layer/head        identify the noise stream
@@ -118,23 +94,7 @@ class ScoreFunction {
                   std::span<double> out) const;
 
  private:
-  /// Memoization bounds: slots addressed beyond these limits (huge
-  /// positions, exotic head/layer indices) skip the memo and recompute the
-  /// stateless draw directly — same value every time, just not cached —
-  /// so flat indexing can never be tricked into allocating per-key.
-  static constexpr std::size_t kMaxTableLayers = 1024;
-  static constexpr std::size_t kMaxTableHeads = 512;
-  static constexpr std::size_t kMaxTablePositions = std::size_t{1} << 22;
-
   ScoreFunctionConfig config_;
-  /// Frozen noise realizations are pure functions of (layer, head,
-  /// position); memoized because they are re-read every decoding step.
-  /// Layout: one flat vector<double> per (layer, head), indexed by original
-  /// position — an O(1) array read on the hot path where the old
-  /// unordered_map paid a hash + probe per (layer, head, position) read.
-  /// NaN marks a not-yet-drawn slot. Policies are driven from a single
-  /// thread, so no locking is needed.
-  mutable std::vector<std::vector<std::vector<double>>> noise_tables_;
 };
 
 }  // namespace kf::kv

@@ -140,11 +140,6 @@ void PrefixIndex::unpin(const PrefixEntry* entry) {
   --rec.pins;
 }
 
-std::size_t PrefixIndex::pins(const PrefixEntry* entry) const {
-  const LockGuard lock(mu_);
-  return find_rec_locked(entry).pins;
-}
-
 const PrefixIndex::EntryRec* PrefixIndex::lru_candidate_locked(
     bool include_pinned) const {
   const EntryRec* best = nullptr;
@@ -224,8 +219,7 @@ void PrefixIndex::clear() {
 }
 
 const PrefixEntry* PrefixIndex::insert(std::span<const PrefixToken> run,
-                                       kv::SequenceKvState& state,
-                                       std::vector<double> policy_scores) {
+                                       kv::SequenceKvState& state) {
   const std::size_t bt = pool_.block_tokens();
   const std::size_t m = run.size();
   if (m < cfg_.min_tokens || m % bt != 0) return nullptr;
@@ -282,7 +276,7 @@ const PrefixEntry* PrefixIndex::insert(std::span<const PrefixToken> run,
   entry->run_hash_ = run_hash;
   entry->blocks_per_layer_ = bpl;
   entry->scores_.resize(cfg_.n_layers);
-  entry->policy_scores_ = std::move(policy_scores);
+  entry->noise_.resize(cfg_.n_layers);
 
   EntryRec rec;
   rec.last_use = ++tick_;
@@ -297,10 +291,13 @@ const PrefixEntry* PrefixIndex::insert(std::span<const PrefixToken> run,
     // eviction must never write through into the indexed blocks.
     cache.mark_shared_prefix(bpl);
     entry->scores_[l].reserve(cache.n_heads());
+    entry->noise_[l].reserve(cache.n_heads());
     for (std::size_t h = 0; h < cache.n_heads(); ++h) {
-      const auto scores = cache.scores(h);
-      entry->scores_[l].emplace_back(scores.begin(),
-                                     scores.begin() + static_cast<long>(m));
+      const auto scores = cache.scores(h).first(m);
+      entry->scores_[l].emplace_back(scores.begin(), scores.end());
+      const auto noise = cache.noise(h);
+      const auto covered = noise.first(std::min(noise.size(), m));
+      entry->noise_[l].emplace_back(covered.begin(), covered.end());
     }
   }
   blocks_held_ += needed;
@@ -327,7 +324,7 @@ void PrefixIndex::adopt(const PrefixEntry* entry, kv::SequenceKvState& state) {
   }
   for (std::size_t l = 0; l < cfg_.n_layers; ++l) {
     state.layer(l).adopt_prefix(rec.chains[l], rec.entry->tokens(),
-                                rec.entry->scores_[l]);
+                                rec.entry->scores_[l], rec.entry->noise_[l]);
   }
   rec.last_use = ++tick_;
 }

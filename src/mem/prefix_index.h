@@ -15,12 +15,12 @@
 // of pool blocks, so adopters' appends start on a fresh block):
 //   - per layer: the block chain — the K/V rows of tokens 0..M-1, exactly
 //     as a prefill of those M tokens writes them;
-//   - per layer, per head: the accumulated score-function values at the
-//     prefix boundary (what the policy had added after observing the
-//     prefix queries), so an adopting sequence's eviction ranking is
-//     bit-exact with having prefilled the prefix itself;
-//   - optionally, policy-exported score state for policies whose
-//     accumulation lives outside the cache (Keyformer's shared scope).
+//   - per layer, per head: the accumulated score-function values and
+//     Keyformer's frozen noise row at the prefix boundary (what the
+//     policy had added and drawn after observing the prefix queries), so
+//     an adopting sequence's eviction ranking is bit-exact with having
+//     prefilled the prefix itself. An entry carries only what the caches
+//     hold: policy state kept outside them cannot be shared.
 //
 // Memory accounting: every block the index holds is *reserved* against
 // the pool, exactly like a scheduler admission, so admission sees true
@@ -81,9 +81,9 @@ struct PrefixIndexStats {
 
 /// One indexed prefix: the immutable payload only. Everything mutable
 /// about an entry — its chains, its LRU stamp, its pin count — is
-/// bookkeeping the PrefixIndex keeps under its own mutex (see
-/// PrefixIndex::pins); keeping it out of this class is what lets entry
-/// pointers be read lock-free after lookup()/insert().
+/// bookkeeping the PrefixIndex keeps under its own mutex; keeping it out
+/// of this class is what lets entry pointers be read lock-free after
+/// lookup()/insert().
 class PrefixEntry {
  public:
   /// Prefix length in tokens (a whole number of pool blocks).
@@ -91,10 +91,6 @@ class PrefixEntry {
   std::size_t blocks_per_layer() const noexcept { return blocks_per_layer_; }
   /// The exact token run this entry caches.
   std::span<const PrefixToken> run() const noexcept { return run_; }
-  /// Policy-exported score state captured at the boundary (may be empty).
-  std::span<const double> policy_scores() const noexcept {
-    return policy_scores_;
-  }
 
  private:
   friend class PrefixIndex;
@@ -104,7 +100,9 @@ class PrefixEntry {
   /// scores_[layer][head][token]: accumulated score-function values at the
   /// prefix boundary.
   std::vector<std::vector<std::vector<double>>> scores_;
-  std::vector<double> policy_scores_;
+  /// noise_[layer][head]: the covered prefix of the boundary noise row, at
+  /// most tokens() long.
+  std::vector<std::vector<std::vector<double>>> noise_;
 };
 
 class PrefixIndex {
@@ -134,8 +132,6 @@ class PrefixIndex {
   /// unpin().
   void pin(const PrefixEntry* entry) KF_EXCLUDES(mu_);
   void unpin(const PrefixEntry* entry) KF_EXCLUDES(mu_);
-  /// Current pin count of an entry.
-  std::size_t pins(const PrefixEntry* entry) const KF_EXCLUDES(mu_);
 
   /// Indexes the first `run.size()` tokens of `state`'s layer caches as a
   /// new entry, *sharing* (retaining) the underlying block chain — the
@@ -144,21 +140,19 @@ class PrefixIndex {
   /// indexed chain. Requirements: run length is a whole number of blocks
   /// and >= min_tokens; every layer cache draws from this index's pool,
   /// holds at least run.size() rows, and its leading positions are
-  /// 0..run-1.
-  /// `policy_scores` is opaque policy-exported state stored alongside.
+  /// 0..run-1. The first run.size() scores and noise values of every head
+  /// are copied into the entry.
   /// Returns the entry (the pre-existing one for an already-indexed run),
   /// or null when the run is ineligible or memory cannot be found even
   /// after trimming.
   const PrefixEntry* insert(std::span<const PrefixToken> run,
-                            kv::SequenceKvState& state,
-                            std::vector<double> policy_scores)
-      KF_EXCLUDES(mu_);
+                            kv::SequenceKvState& state) KF_EXCLUDES(mu_);
 
   /// Adopts `entry` into `state`'s empty layer caches: retains each
-  /// layer's chain into its cache with positions and boundary scores
-  /// seeded. Throws std::invalid_argument, leaving the state empty, for
-  /// an unknown entry or a state that is not empty, shaped like the index
-  /// and drawing from its pool.
+  /// layer's chain into its cache with positions, boundary scores and
+  /// noise rows seeded. Throws std::invalid_argument, leaving the state
+  /// empty, for an unknown entry or a state that is not empty, shaped like
+  /// the index and drawing from its pool.
   void adopt(const PrefixEntry* entry, kv::SequenceKvState& state)
       KF_EXCLUDES(mu_);
 
@@ -173,8 +167,7 @@ class PrefixIndex {
 
   /// drop() iff the entry is unpinned, with the pin check and the drop
   /// under ONE mutex acquisition — no window for a concurrent pin to land
-  /// between them (a separate pins()-then-drop() has exactly that race).
-  /// True when the entry was dropped.
+  /// between them. True when the entry was dropped.
   bool try_drop(const PrefixEntry* entry) KF_EXCLUDES(mu_);
 
   /// Drops every unpinned entry (tests and servers rotating workloads).

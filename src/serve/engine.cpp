@@ -34,16 +34,25 @@ Engine::Engine(model::Transformer& model, EngineConfig cfg)
     // identical to unshared) relies on score accumulation decomposing at
     // the prefix boundary. Exponential damping breaks that: a chunked
     // prompt phase damps the prefix contributions once more than a
-    // monolithic one. Refuse loudly rather than drift silently.
+    // monolithic one. Shared-scope Keyformer breaks it too: its ranking at
+    // layer l sums every layer observed so far, and a prompt chunked at
+    // the boundary has already added the prefix rows' later layers. Refuse
+    // loudly rather than drift silently.
+    const bool keyformer = cfg_.policy.kind == kv::PolicyKind::kKeyformer;
     const bool damped =
-        (cfg_.policy.kind == kv::PolicyKind::kKeyformer &&
-         cfg_.policy.keyformer.score.damping < 1.0) ||
+        (keyformer && cfg_.policy.keyformer.score.damping < 1.0) ||
         (cfg_.policy.kind == kv::PolicyKind::kH2O &&
          cfg_.policy.h2o_damping < 1.0);
     if (damped) {
       throw std::invalid_argument(
           "the prefix cache requires damping == 1.0 (prefix-boundary score "
           "snapshots do not compose with exponential damping)");
+    }
+    if (keyformer &&
+        cfg_.policy.keyformer.scope == kv::ScoreScope::kShared) {
+      throw std::invalid_argument(
+          "the prefix cache requires per-layer Keyformer scores (shared-"
+          "scope scores do not decompose at the prefix boundary)");
     }
   }
   if (cfg_.paged.block_tokens == 0) {
@@ -223,8 +232,7 @@ class Engine::Run {
       // Shape the eviction-decision sink once per sequence; its counters
       // accumulate across preemption-resume replays (decisions executed,
       // not unique tokens) and are distilled onto the Response at finish.
-      s.eviction.begin_sequence(mc.n_layers, mc.n_heads,
-                                s.prompt.size() + s.gen.max_new_tokens);
+      s.eviction.begin_sequence(s.prompt.size() + s.gen.max_new_tokens);
       if (req.policy != nullptr) {
         s.policy = req.policy;
       } else {
@@ -533,11 +541,9 @@ class Engine::Run {
 
     if (entry != nullptr) {
       // Hit: the prefix K/V replays from the shared chain; only the suffix
-      // runs. Cache-resident boundary scores were seeded by adopt();
-      // policy-resident state (shared-scope Keyformer) imports here.
+      // runs. adopt() seeded the boundary scores and noise rows.
       prefix_index_->adopt(entry, *seq.kv);
       unpin_prefix(seq);  // the caches now hold the chain themselves
-      seq.policy->import_score_state(entry->policy_scores());
       const std::size_t m = entry->tokens();
       prompt_logits = model_.prefill_continue(
           *seq.kv, prompt.subspan(m), m, *seq.policy, seq.gen.max_new_tokens);
@@ -562,8 +568,7 @@ class Engine::Run {
                                 seq.gen.max_new_tokens);
         prefilled_.add(m);
         seq.policy->set_budget(real_budget);
-        prefix_index_->insert(prompt.first(m), *seq.kv,
-                              seq.policy->export_score_state(m));
+        prefix_index_->insert(prompt.first(m), *seq.kv);
         prompt_logits = model_.prefill_continue(
             *seq.kv, prompt.subspan(m), m, *seq.policy, seq.gen.max_new_tokens);
         prefilled_.add(prompt.size() - m);

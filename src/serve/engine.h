@@ -69,7 +69,9 @@ struct PagedMemoryConfig {
 /// index lives as long as the engine (it keeps paying off across run()
 /// calls); clear_prefix_cache() drops it. Only requests using the
 /// engine-built policy participate — the cached score snapshots are
-/// policy-specific.
+/// policy-specific. The engine refuses the cache for damped scores and
+/// for shared-scope Keyformer, whose scores do not decompose at the
+/// prefix boundary.
 struct PrefixCacheConfig {
   bool enabled = false;
   /// Block budget for the index's entries; LRU entries are trimmed to
@@ -240,8 +242,8 @@ class Engine {
   std::vector<Response> run(std::span<const Request> requests);
 
   /// Aggregate eviction telemetry over the engine's lifetime: every
-  /// retired sequence's per-(layer,head) eviction histograms merged into
-  /// one (see kvcache/eviction_telemetry.h). Copied under the stats
+  /// retired sequence's eviction counts and histograms merged into one
+  /// (see kvcache/eviction_telemetry.h). Copied under the stats
   /// mutex — safe to call from a monitoring thread mid-run; sequences
   /// still in flight contribute at their retirement.
   kv::EvictionTelemetry eviction_report() const KF_EXCLUDES(stats_mu_);

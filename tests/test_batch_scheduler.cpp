@@ -306,7 +306,7 @@ const mem::PrefixEntry* index_prefix(mem::BlockPool& pool,
     const std::vector<float> row(cache.row_width(), 1.0F);
     for (std::size_t t = 0; t < tokens; ++t) cache.append(row, row, t);
   }
-  return index.insert(run, state, {});
+  return index.insert(run, state);
 }
 
 TEST(SequenceCost, UnsharedAdmissionBlocksSubtractResidentPrefix) {

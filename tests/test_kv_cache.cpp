@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -180,6 +181,11 @@ TEST(KvCache, RandomizedOpsMatchReferenceModel) {
   };
   const std::size_t n_heads = 3, d_head = 4;
   const std::size_t width = n_heads * d_head;
+  // A noise row's value is a function of (head, original position), like
+  // Keyformer's frozen draws, so each covered value names its row.
+  const auto zeta = [](std::size_t h, std::size_t pos) {
+    return static_cast<double>(h) + 1e-3 * static_cast<double>(pos);
+  };
 
   for (const std::size_t block_tokens : {1, 3, 4, 7, 16, 64}) {
     SCOPED_TRACE(::testing::Message() << "block_tokens " << block_tokens);
@@ -187,10 +193,19 @@ TEST(KvCache, RandomizedOpsMatchReferenceModel) {
     KvCache c(pool);
     kf::Rng rng(20260731 + block_tokens);
     std::vector<RefToken> ref;
+    std::vector<std::size_t> cover(n_heads, 0);  // noise-covered rows
     std::size_t next_pos = 0;
 
     const auto check = [&](int step) {
       ASSERT_EQ(c.size(), ref.size()) << "step " << step;
+      for (std::size_t h = 0; h < n_heads; ++h) {
+        const auto noise = c.noise(h);
+        ASSERT_LE(noise.size(), c.size()) << "step " << step;
+        ASSERT_EQ(noise.size(), cover[h]) << "step " << step;
+        for (std::size_t t = 0; t < noise.size(); ++t) {
+          ASSERT_EQ(noise[t], zeta(h, ref[t].pos)) << "step " << step;
+        }
+      }
       for (std::size_t t = 0; t < ref.size(); ++t) {
         ASSERT_EQ(c.original_position(t), ref[t].pos) << "step " << step;
         for (std::size_t h = 0; h < n_heads; ++h) {
@@ -210,7 +225,7 @@ TEST(KvCache, RandomizedOpsMatchReferenceModel) {
     };
 
     for (int step = 0; step < 400; ++step) {
-      const std::uint64_t op = rng.uniform_u64(10);
+      const std::uint64_t op = rng.uniform_u64(11);
       if (op < 6 || ref.empty()) {  // append
         RefToken tok;
         tok.pos = next_pos;
@@ -245,9 +260,22 @@ TEST(KvCache, RandomizedOpsMatchReferenceModel) {
         }
         c.compact(keep);
         ref = std::move(kept);
+        // The kept covered rows stay covered.
+        for (std::size_t& n : cover) {
+          n = static_cast<std::size_t>(
+              std::count_if(keep.begin(), keep.end(),
+                            [&](std::size_t t) { return t < n; }));
+        }
+      } else if (op < 10) {  // draw noise for some uncovered rows of a head
+        const std::size_t h = rng.uniform_u64(n_heads);
+        const std::size_t draws = rng.uniform_u64(ref.size() - cover[h] + 1);
+        for (std::size_t i = 0; i < draws; ++i, ++cover[h]) {
+          c.append_noise(h, zeta(h, ref[cover[h]].pos));
+        }
       } else {  // clear
         c.clear();
         ref.clear();
+        cover.assign(n_heads, 0);
         // Positions may restart after clear.
         next_pos = 0;
       }
@@ -314,9 +342,11 @@ TEST(KvCache, ClearResetsEverything) {
   KvCache c(pool);
   c.append(row_of(4, 1.0F), row_of(4, 1.0F), 0);
   c.add_score(0, 0, 1.0);
+  c.append_noise(1, 0.5);
   c.clear();
   EXPECT_TRUE(c.empty());
   EXPECT_EQ(c.scores(0).size(), 0u);
+  EXPECT_EQ(c.noise(1).size(), 0u);
   // Usable again from position 0.
   c.append(row_of(4, 1.0F), row_of(4, 1.0F), 0);
   EXPECT_EQ(c.size(), 1u);

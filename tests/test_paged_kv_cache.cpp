@@ -2,6 +2,7 @@
 // copy-on-write prefix sharing and the emergency-block fallback.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -152,7 +153,8 @@ TEST(PagedKvCache, CompactToEmptyThenRegrow) {
 // Copy-on-write prefix sharing.
 
 /// Builds a donor cache holding `tokens` rows (positions 0..tokens-1) with
-/// deterministic contents and per-head scores i * (head + 1).
+/// deterministic contents, per-head scores i * (head + 1), and noise rows
+/// covering every row with i - head.
 void fill_prefix(KvCache& c, std::size_t tokens) {
   for (std::size_t t = 0; t < tokens; ++t) {
     const auto k = ramp_row(c.row_width(), static_cast<float>(t));
@@ -160,6 +162,7 @@ void fill_prefix(KvCache& c, std::size_t tokens) {
     c.append(k, v, t);
     for (std::size_t h = 0; h < c.n_heads(); ++h) {
       c.add_score(h, t, static_cast<double>(t * (h + 1)));
+      c.append_noise(h, static_cast<double>(t) - static_cast<double>(h));
     }
   }
 }
@@ -168,10 +171,22 @@ std::vector<std::vector<double>> snapshot_scores(const KvCache& c,
                                                  std::size_t tokens) {
   std::vector<std::vector<double>> scores;
   for (std::size_t h = 0; h < c.n_heads(); ++h) {
-    const auto s = c.scores(h);
-    scores.emplace_back(s.begin(), s.begin() + static_cast<long>(tokens));
+    const auto s = c.scores(h).first(tokens);
+    scores.emplace_back(s.begin(), s.end());
   }
   return scores;
+}
+
+/// The first `tokens` covered noise values of every head.
+std::vector<std::vector<double>> snapshot_noise(const KvCache& c,
+                                                std::size_t tokens) {
+  std::vector<std::vector<double>> noise;
+  for (std::size_t h = 0; h < c.n_heads(); ++h) {
+    const auto z = c.noise(h);
+    const auto covered = z.first(std::min(z.size(), tokens));
+    noise.emplace_back(covered.begin(), covered.end());
+  }
+  return noise;
 }
 
 TEST(PagedKvCache, AdoptPrefixSharesBlocksAndSeedsMetadata) {
@@ -184,7 +199,7 @@ TEST(PagedKvCache, AdoptPrefixSharesBlocksAndSeedsMetadata) {
   const auto scores = snapshot_scores(donor, 8);
 
   KvCache reader(pool);
-  reader.adopt_prefix(chain, 8, scores);
+  reader.adopt_prefix(chain, 8, scores, snapshot_noise(donor, 8));
   EXPECT_EQ(reader.size(), 8u);
   EXPECT_EQ(reader.blocks_held(), 2u);
   EXPECT_EQ(reader.shared_blocks(), 2u);
@@ -198,6 +213,10 @@ TEST(PagedKvCache, AdoptPrefixSharesBlocksAndSeedsMetadata) {
   }
   for (std::size_t h = 0; h < reader.n_heads(); ++h) {
     EXPECT_EQ(reader.scores(h)[5], donor.scores(h)[5]);
+    const auto z = reader.noise(h);
+    const auto donor_z = donor.noise(h);
+    EXPECT_TRUE(std::equal(z.begin(), z.end(), donor_z.begin(), donor_z.end()))
+        << "head " << h;
   }
   // Appends open a fresh private block; the shared ones stay shared.
   const auto k = ramp_row(reader.row_width(), 50.0F);
@@ -214,15 +233,22 @@ TEST(PagedKvCache, AdoptPrefixValidatesAlignmentAndEmptiness) {
   const std::vector<BlockRef> chain(donor.blocks().begin(),
                                     donor.blocks().end());
   KvCache reader(pool);
+  const auto scores = snapshot_scores(donor, 8);
+  const auto noise = snapshot_noise(donor, 8);
   // 7 tokens is not block-aligned; 8 tokens over one block is a mismatch.
-  EXPECT_THROW(reader.adopt_prefix(chain, 7, snapshot_scores(donor, 7)),
+  EXPECT_THROW(reader.adopt_prefix(chain, 7, snapshot_scores(donor, 7),
+                                   snapshot_noise(donor, 7)),
                std::invalid_argument);
-  EXPECT_THROW(
-      reader.adopt_prefix({chain.data(), 1}, 8, snapshot_scores(donor, 8)),
-      std::invalid_argument);
-  reader.adopt_prefix(chain, 8, snapshot_scores(donor, 8));
-  EXPECT_THROW(reader.adopt_prefix(chain, 8, snapshot_scores(donor, 8)),
-               std::logic_error);
+  EXPECT_THROW(reader.adopt_prefix({chain.data(), 1}, 8, scores, noise),
+               std::invalid_argument);
+  // A noise row may not cover more rows than the prefix holds.
+  auto long_noise = noise;
+  long_noise[1].push_back(0.0);
+  EXPECT_THROW(reader.adopt_prefix(chain, 8, scores, long_noise),
+               std::invalid_argument);
+  EXPECT_TRUE(reader.empty());
+  reader.adopt_prefix(chain, 8, scores, noise);
+  EXPECT_THROW(reader.adopt_prefix(chain, 8, scores, noise), std::logic_error);
 }
 
 TEST(PagedKvCache, CompactCopiesSharedDestinationBlocksOnWrite) {
@@ -233,7 +259,8 @@ TEST(PagedKvCache, CompactCopiesSharedDestinationBlocksOnWrite) {
   const std::vector<BlockRef> chain(donor.blocks().begin(),
                                     donor.blocks().end());
   KvCache reader(pool);
-  reader.adopt_prefix(chain, 12, snapshot_scores(donor, 12));
+  reader.adopt_prefix(chain, 12, snapshot_scores(donor, 12),
+                      snapshot_noise(donor, 12));
 
   // Keep rows 0..3 untouched (identity gather: block 0 stays shared) and
   // gather 4 scattered later rows into block 1 (written: must be copied).
@@ -270,7 +297,8 @@ TEST(PagedKvCache, AppendIntoSharedPartialTailCopiesFirst) {
   const std::vector<BlockRef> chain(donor.blocks().begin(),
                                     donor.blocks().end());
   KvCache reader(pool);
-  reader.adopt_prefix(chain, 8, snapshot_scores(donor, 8));
+  reader.adopt_prefix(chain, 8, snapshot_scores(donor, 8),
+                      snapshot_noise(donor, 8));
   // Evict to 6 rows with an identity keep: both blocks stay shared, the
   // tail block now has free slots.
   const std::vector<std::size_t> identity{0, 1, 2, 3, 4, 5};
@@ -299,7 +327,8 @@ TEST(PagedKvCache, CowSkipsCopyWhenLastReader) {
   }  // donor gone; "index" still holds the chain
   KvCache reader(pool);
   const std::vector<std::vector<double>> zeros(2, std::vector<double>(4, 0.0));
-  reader.adopt_prefix(chain, 4, zeros);
+  reader.adopt_prefix(chain, 4, zeros,
+                      std::vector<std::vector<double>>(2));  // no noise
   for (const BlockRef r : chain) pool.release(r);  // index drops the entry
   EXPECT_EQ(pool.refcount(chain[0]), 1u);  // reader is the last one
   // A mutating compact now writes in place: no copy, block id unchanged.

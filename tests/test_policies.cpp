@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "core/numerics.h"
@@ -563,6 +564,79 @@ TEST(Keyformer, PromptChunkScoresMatchFullRowReference) {
       EXPECT_EQ(scores[i], expected[h][i]) << "head " << h << " key " << i;
     }
   }
+}
+
+TEST(Keyformer, NoiseRowsHoldEachRowsFrozenDraw) {
+  // Keyformer draws a row's zeta once, into the cache's noise row, and
+  // compaction carries it with the row: after a prompt chunk and decode
+  // steps that evict, every row's zeta is still the ScoreFunction draw
+  // for its (layer, head, original position). kNone keeps no row.
+  constexpr std::size_t kHeads = Scenario::kHeads;
+  constexpr std::size_t kLayer = 3;
+  for (const auto adjustment :
+       {LogitAdjustment::kGumbel, LogitAdjustment::kGaussian,
+        LogitAdjustment::kConstant, LogitAdjustment::kNone}) {
+    SCOPED_TRACE(to_string(adjustment));
+    KeyformerConfig cfg;
+    cfg.score.adjustment = adjustment;
+    KeyformerPolicy policy(cfg);
+    const ScoreFunction fn(cfg.score);
+    CacheBudget budget;
+    budget.max_tokens = 6;
+    budget.recent_window = 2;
+    policy.set_budget(budget);
+    policy.begin_sequence(seq_info(10));
+    Scenario s(10);
+    Rng rng(34);
+    const auto observe_rows = [&](std::size_t n_queries,
+                                  std::size_t decode_step) {
+      const std::size_t key_len = s.cache.size();
+      std::vector<float> logits(kHeads * n_queries * key_len);
+      for (float& x : logits) x = static_cast<float>(rng.normal());
+      const std::vector<float> probs(logits.size(), 0.0F);
+      PolicyContext c = s.ctx(decode_step);
+      c.layer = kLayer;
+      c.n_queries = n_queries;
+      c.logits = logits;
+      c.probs = probs;
+      c.is_prompt = decode_step == 0;
+      policy.observe(c);
+    };
+    observe_rows(10, 0);
+    std::vector<float> row(kHeads * Scenario::kDHead, 0.0F);
+    for (std::size_t t = 1; t <= 5; ++t) {
+      s.cache.append(row, row, 9 + t);
+      observe_rows(1, t);
+    }
+    ASSERT_EQ(s.cache.size(), 6u);
+    EXPECT_EQ(s.cache.original_position(5), 14u);  // compaction moved rows
+    for (std::size_t h = 0; h < kHeads; ++h) {
+      const auto noise = s.cache.noise(h);
+      if (adjustment == LogitAdjustment::kNone) {
+        EXPECT_TRUE(noise.empty());
+        continue;
+      }
+      ASSERT_EQ(noise.size(), s.cache.size());
+      for (std::size_t i = 0; i < noise.size(); ++i) {
+        EXPECT_EQ(noise[i], fn.noise(kLayer, h, s.cache.original_position(i)))
+            << "head " << h << " row " << i;
+      }
+    }
+  }
+}
+
+TEST(Keyformer, SharedScopeRejectsDamping) {
+  // Damping scales the per-layer cache scores, which shared scope neither
+  // writes nor ranks by, so the combination would silently do nothing.
+  KeyformerConfig cfg;
+  cfg.scope = ScoreScope::kShared;
+  cfg.score.damping = 0.9;
+  EXPECT_THROW(KeyformerPolicy{cfg}, std::invalid_argument);
+  cfg.score.damping = 1.0;
+  EXPECT_NO_THROW(KeyformerPolicy{cfg});
+  cfg.scope = ScoreScope::kPerLayer;
+  cfg.score.damping = 0.9;
+  EXPECT_NO_THROW(KeyformerPolicy{cfg});
 }
 
 TEST(Keyformer, NoiseChangesSelectionSomewhere) {

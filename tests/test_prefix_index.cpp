@@ -67,7 +67,7 @@ TEST(PrefixIndex, InsertSharesTheLiveChainWithoutCopying) {
   const auto run = make_run(8);
   auto state = fill_state(pool, run);
 
-  const PrefixEntry* entry = index.insert(run, state, {});
+  const PrefixEntry* entry = index.insert(run, state);
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->tokens(), 8u);
   EXPECT_EQ(entry->blocks_per_layer(), 2u);
@@ -89,12 +89,12 @@ TEST(PrefixIndex, InsertRejectsIneligibleRuns) {
   const auto run = make_run(8);
   auto state = fill_state(pool, run);
   // Not block-aligned.
-  EXPECT_EQ(index.insert(std::span(run).first(6), state, {}), nullptr);
+  EXPECT_EQ(index.insert(std::span(run).first(6), state), nullptr);
   // Shorter than one block (min_tokens floor).
-  EXPECT_EQ(index.insert(std::span(run).first(0), state, {}), nullptr);
+  EXPECT_EQ(index.insert(std::span(run).first(0), state), nullptr);
   // Duplicate insert returns the existing entry.
-  const PrefixEntry* a = index.insert(run, state, {});
-  const PrefixEntry* b = index.insert(run, state, {});
+  const PrefixEntry* a = index.insert(run, state);
+  const PrefixEntry* b = index.insert(run, state);
   EXPECT_EQ(a, b);
   EXPECT_EQ(reg.counter("prefix.insertions").value(), 1u);
 }
@@ -107,8 +107,8 @@ TEST(PrefixIndex, LookupFindsLongestIndexedPrefix) {
   const std::span<const PrefixToken> short_run(long_run.data(), 4);
   auto state_a = fill_state(pool, short_run);
   auto state_b = fill_state(pool, long_run);
-  ASSERT_NE(index.insert(short_run, state_a, {}), nullptr);
-  const PrefixEntry* longer = index.insert(long_run, state_b, {});
+  ASSERT_NE(index.insert(short_run, state_a), nullptr);
+  const PrefixEntry* longer = index.insert(long_run, state_b);
   ASSERT_NE(longer, nullptr);
 
   // A prompt extending the long run matches the longest entry ...
@@ -133,9 +133,17 @@ TEST(PrefixIndex, AdoptSeedsCachesFromTheSharedChain) {
   PrefixIndex index(pool, index_config());
   const auto run = make_run(8);
   auto donor = fill_state(pool, run);
-  const PrefixEntry* entry = index.insert(run, donor, {1.0, 2.0});
+  // Noise rows: head 0 covers every row, head 1 only the first 5.
+  for (std::size_t l = 0; l < kLayers; ++l) {
+    for (std::size_t h = 0; h < kHeads; ++h) {
+      for (std::size_t t = 0; t < (h == 0 ? 8u : 5u); ++t) {
+        donor.layer(l).append_noise(
+            h, 0.25 * static_cast<double>(t + l) - static_cast<double>(h));
+      }
+    }
+  }
+  const PrefixEntry* entry = index.insert(run, donor);
   ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->policy_scores().size(), 2u);
 
   kv::SequenceKvState reader(pool, kLayers);
   index.adopt(entry, reader);
@@ -148,6 +156,11 @@ TEST(PrefixIndex, AdoptSeedsCachesFromTheSharedChain) {
     }
     for (std::size_t h = 0; h < kHeads; ++h) {
       EXPECT_EQ(cache.scores(h)[7], static_cast<double>(7 * (h + 1) + l));
+      const auto noise = cache.noise(h);
+      const auto donor_noise = donor.layer(l).noise(h);
+      EXPECT_EQ(std::vector<double>(noise.begin(), noise.end()),
+                std::vector<double>(donor_noise.begin(), donor_noise.end()))
+          << "layer " << l << " head " << h;
     }
   }
   // Donor + index + reader all reference the chain; one physical copy.
@@ -166,13 +179,13 @@ TEST(PrefixIndex, LruTrimUnderBlockBudgetSkipsPinned) {
   auto state_b = fill_state(pool, run_b);
   auto state_c = fill_state(pool, run_c);
 
-  const PrefixEntry* a = index.insert(run_a, state_a, {});
-  const PrefixEntry* b = index.insert(run_b, state_b, {});
+  const PrefixEntry* a = index.insert(run_a, state_a);
+  const PrefixEntry* b = index.insert(run_b, state_b);
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   // Touch a so b becomes LRU; inserting c must trim b.
   index.lookup(run_a, run_a.size());
-  ASSERT_NE(index.insert(run_c, state_c, {}), nullptr);
+  ASSERT_NE(index.insert(run_c, state_c), nullptr);
   EXPECT_EQ(index.stats().entries, 2u);
   EXPECT_EQ(reg.counter("prefix.trims").value(), 1u);
   EXPECT_EQ(index.lookup(run_b, run_b.size()), nullptr);
@@ -186,9 +199,9 @@ TEST(PrefixIndex, LruTrimUnderBlockBudgetSkipsPinned) {
   auto state_d = fill_state(pool, run_d);
   EXPECT_NE(index.lru_candidate(/*include_pinned=*/false), lru);
   index.pin(index.lru_candidate(/*include_pinned=*/false));
-  EXPECT_EQ(index.insert(run_d, state_d, {}), nullptr);
+  EXPECT_EQ(index.insert(run_d, state_d), nullptr);
   index.unpin(lru);
-  ASSERT_NE(index.insert(run_d, state_d, {}), nullptr);
+  ASSERT_NE(index.insert(run_d, state_d), nullptr);
 }
 
 TEST(PrefixIndex, AdoptRejectsBadInput) {
@@ -196,7 +209,7 @@ TEST(PrefixIndex, AdoptRejectsBadInput) {
   PrefixIndex index(pool, index_config());
   const auto run = make_run(8);
   auto donor = fill_state(pool, run);
-  const PrefixEntry* entry = index.insert(run, donor, {});
+  const PrefixEntry* entry = index.insert(run, donor);
   ASSERT_NE(entry, nullptr);
   // A state that already holds rows, or one on its own private pool.
   EXPECT_THROW(index.adopt(entry, donor), std::invalid_argument);
@@ -229,13 +242,13 @@ TEST(PrefixIndex, InsertRefusesADonorFromAnotherPool) {
   BlockPool other(pool_config());
   PrefixIndex index(pool, index_config());
   auto donor = fill_state(pool, make_run(8));
-  ASSERT_NE(index.insert(make_run(8), donor, {}), nullptr);
+  ASSERT_NE(index.insert(make_run(8), donor), nullptr);
   const auto foreign_run = make_run(8, 50);
   auto foreign = fill_state(other, foreign_run);
   const Occupancy before = occupancy(pool, index);
   const std::size_t other_used = other.stats().used_blocks;
 
-  EXPECT_EQ(index.insert(foreign_run, foreign, {}), nullptr);
+  EXPECT_EQ(index.insert(foreign_run, foreign), nullptr);
   EXPECT_TRUE(occupancy(pool, index) == before);
   EXPECT_EQ(other.stats().used_blocks, other_used);
   EXPECT_EQ(other.stats().reserved_blocks, 0u);
@@ -248,7 +261,7 @@ TEST(PrefixIndex, AdoptRefusesAReaderOnAnotherPool) {
   PrefixIndex index(pool, index_config());
   const auto run = make_run(8);
   auto donor = fill_state(pool, run);
-  const PrefixEntry* entry = index.insert(run, donor, {});
+  const PrefixEntry* entry = index.insert(run, donor);
   ASSERT_NE(entry, nullptr);
   // Give the other pool live blocks at the entry's ids, so a wrongly
   // accepted adopt would read them instead of the donor's rows.
@@ -271,7 +284,7 @@ TEST(PrefixIndex, TryDropIsAtomicOnPinState) {
   PrefixIndex index(pool, index_config());
   const auto run = make_run(8);
   auto state = fill_state(pool, run);
-  const PrefixEntry* entry = index.insert(run, state, {});
+  const PrefixEntry* entry = index.insert(run, state);
   ASSERT_NE(entry, nullptr);
   index.pin(entry);
   EXPECT_FALSE(index.try_drop(entry));  // pinned: refused, never throws
@@ -288,7 +301,7 @@ TEST(PrefixIndex, RevisionMovesOnInsertAndDrop) {
   const std::uint64_t r0 = index.revision();
   const auto run = make_run(8);
   auto state = fill_state(pool, run);
-  const PrefixEntry* entry = index.insert(run, state, {});
+  const PrefixEntry* entry = index.insert(run, state);
   ASSERT_NE(entry, nullptr);
   EXPECT_GT(index.revision(), r0);
   const std::uint64_t r1 = index.revision();
@@ -304,7 +317,7 @@ TEST(PrefixIndex, DropAndClearReturnEveryBlockAndReservation) {
   const auto run = make_run(8);
   {
     auto state = fill_state(pool, run);
-    ASSERT_NE(index.insert(run, state, {}), nullptr);
+    ASSERT_NE(index.insert(run, state), nullptr);
   }  // inserting state gone; the index holds the only references
   EXPECT_EQ(pool.stats().used_blocks, kLayers * 2);
   EXPECT_EQ(pool.stats().reserved_blocks, kLayers * 2);
@@ -325,11 +338,11 @@ TEST(PrefixIndex, InsertReservationPressureTrimsResidentEntries) {
   const auto run_a = make_run(8, 0);
   const auto run_b = make_run(8, 100);
   auto state_a = fill_state(pool, run_a);
-  ASSERT_NE(index.insert(run_a, state_a, {}), nullptr);
+  ASSERT_NE(index.insert(run_a, state_a), nullptr);
   state_a.clear();
   auto state_b = fill_state(pool, run_b);
   ASSERT_TRUE(pool.try_reserve(4));  // squeeze: 4 index + 4 fake = 8/10
-  const PrefixEntry* b = index.insert(run_b, state_b, {});
+  const PrefixEntry* b = index.insert(run_b, state_b);
   ASSERT_NE(b, nullptr);  // trimmed entry a to fit
   EXPECT_EQ(reg.counter("prefix.trims").value(), 1u);
   EXPECT_EQ(index.lookup(run_a, run_a.size()), nullptr);

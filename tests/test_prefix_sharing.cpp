@@ -1,7 +1,9 @@
 // Engine-level prefix-cache acceptance suite:
 //   - shared-prefix decode is bit-exact vs unshared (prefix cache on vs
 //     off produces token-for-token identical outputs) across eviction
-//     policies and positional families;
+//     policies and positional families, and for Gaussian Keyformer noise;
+//   - configurations whose scores do not decompose at the prefix boundary
+//     (damping, shared-scope Keyformer) are refused;
 //   - randomized churn leaks nothing: after every run the only blocks off
 //     the free lists are the index's retained chains, and clearing the
 //     cache returns the pool to zero used / zero reserved (used == 0 is
@@ -79,20 +81,19 @@ EngineConfig paged_config(kv::PolicyKind kind, bool prefix_on) {
   return ec;
 }
 
-class PrefixParity
-    : public ::testing::TestWithParam<
-          std::tuple<PositionalKind, kv::PolicyKind>> {};
-
-TEST_P(PrefixParity, SharedPrefixDecodeIsBitExactVsUnshared) {
-  const auto [pos, kind] = GetParam();
+/// Runs staggered shared-context requests through `ec` with the prefix
+/// cache off and on, and expects identical tokens with the cache engaged.
+void expect_prefix_parity(PositionalKind pos, EngineConfig ec) {
   Transformer model(tiny_config(pos));
   const auto requests = shared_context_requests(/*n=*/5, /*ctx_len=*/48,
                                                 /*stagger=*/2);
 
-  Engine off(model, paged_config(kind, /*prefix_on=*/false));
+  ec.prefix.enabled = false;
+  Engine off(model, ec);
   const auto expected = off.run(requests);
 
-  Engine on(model, paged_config(kind, /*prefix_on=*/true));
+  ec.prefix.enabled = true;
+  Engine on(model, ec);
   const auto got = on.run(requests);
 
   ASSERT_EQ(got.size(), expected.size());
@@ -104,6 +105,28 @@ TEST_P(PrefixParity, SharedPrefixDecodeIsBitExactVsUnshared) {
   EXPECT_GE(on.stats().prefix_hits, 1u);
   EXPECT_GT(on.stats().prefix_tokens_reused, 0u);
   EXPECT_GT(on.stats().prefix_blocks_shared, 0u);
+}
+
+class PrefixParity
+    : public ::testing::TestWithParam<
+          std::tuple<PositionalKind, kv::PolicyKind>> {};
+
+TEST_P(PrefixParity, SharedPrefixDecodeIsBitExactVsUnshared) {
+  const auto [pos, kind] = GetParam();
+  expect_prefix_parity(pos, paged_config(kind, /*prefix_on=*/true));
+}
+
+TEST(PrefixSharing, GaussianKeyformerDecodeIsBitExactVsUnshared) {
+  // An entry carries each head's noise row. With Gaussian draws as with
+  // the default Gumbel ones, the adopted rows must equal what an unshared
+  // prefill draws.
+  EngineConfig ec = paged_config(kv::PolicyKind::kKeyformer, true);
+  ec.policy.keyformer.score.adjustment = kv::LogitAdjustment::kGaussian;
+  for (const auto pos : {PositionalKind::kRoPE, PositionalKind::kALiBi,
+                         PositionalKind::kLearned}) {
+    SCOPED_TRACE(to_string(pos));
+    expect_prefix_parity(pos, ec);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -229,6 +252,19 @@ TEST(PrefixSharing, RequiresPagedMemoryAndUndampedScores) {
   EngineConfig h2o = paged_config(kv::PolicyKind::kH2O, true);
   h2o.policy.h2o_damping = 0.9;
   EXPECT_THROW(Engine(model, h2o), std::invalid_argument);
+}
+
+TEST(PrefixSharing, RefusesSharedScopeKeyformer) {
+  // Shared-scope ranking at layer l sums every layer observed so far, and
+  // a prompt chunked at the prefix boundary has already added the prefix
+  // rows' later layers, so shared-prefix decode would drift from
+  // unshared.
+  Transformer model(tiny_config());
+  EngineConfig shared = paged_config(kv::PolicyKind::kKeyformer, true);
+  shared.policy.keyformer.scope = kv::ScoreScope::kShared;
+  EXPECT_THROW(Engine(model, shared), std::invalid_argument);
+  shared.prefix.enabled = false;
+  EXPECT_NO_THROW(Engine(model, shared));
 }
 
 TEST(PrefixSharing, CallerOwnedPoliciesBypassTheCache) {

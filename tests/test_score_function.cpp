@@ -113,33 +113,19 @@ TEST(ScoreFunction, NoiseFrozenPerSlot) {
 }
 
 TEST(ScoreFunction, NoiseCacheKeysDoNotCollide) {
-  // Regression: the memo key was once packed as (layer<<48)|(head<<40)|pos,
-  // so (head=0, pos=2^40) aliased (head=1, pos=0) and (head=256, pos=0)
-  // aliased (layer+1, head=0, pos=0). Distinct slots must keep distinct
-  // frozen realizations even at long-context positions and wide head counts.
+  // Distinct slots keep distinct frozen realizations even at long-context
+  // positions and wide head counts: (head=0, pos=2^40) differs from
+  // (head=1, pos=0), and (head=256, pos=0) from (layer+1, head=0, pos=0).
+  // A re-draw returns the slot's own value, also after another slot's.
   ScoreFunctionConfig cfg;
   const ScoreFunction fn(cfg);
   const std::size_t big_pos = std::size_t{1} << 40;
-  // Memoized re-reads must return the slot's own frozen value even after
-  // an aliasing key has been cached in between.
   const double first = fn.noise(0, 0, big_pos);
   const double alias = fn.noise(0, 1, 0);
   EXPECT_NE(first, alias);
   EXPECT_DOUBLE_EQ(fn.noise(0, 0, big_pos), first);
   EXPECT_DOUBLE_EQ(fn.noise(0, 1, 0), alias);
   EXPECT_NE(fn.noise(0, 256, 0), fn.noise(1, 0, 0));
-}
-
-TEST(ScoreFunction, ResetNoiseKeepsRealizationsStable) {
-  // reset_noise() drops the memo tables (bounded per-sequence memory), but
-  // the frozen values are pure functions of (seed, layer, head, position)
-  // so re-reads after a reset must reproduce the same realizations.
-  ScoreFunction fn{ScoreFunctionConfig{}};
-  const double before = fn.noise(2, 3, 17);
-  const double big = fn.noise(0, 0, std::size_t{1} << 40);  // beyond memo cap
-  fn.reset_noise();
-  EXPECT_DOUBLE_EQ(fn.noise(2, 3, 17), before);
-  EXPECT_DOUBLE_EQ(fn.noise(0, 0, std::size_t{1} << 40), big);
 }
 
 TEST(ScoreFunction, NoiseSeedChangesRealization) {
