@@ -1,6 +1,6 @@
 // Decode throughput bench: tokens/s and a per-step latency breakdown
-// (project / attend / score / evict / other) for the RoPE + Keyformer
-// configuration on a long-context preset.
+// (project / attend / score / evict / mlp / lm_head / other) for the RoPE +
+// Keyformer configuration on a long-context preset.
 //
 // One row per kernel ISA the host can run (the ambient ISA first), each
 // decoding the *same* token stream through Transformer::decode. The
@@ -35,6 +35,8 @@ struct IsaResult {
   double attend_ms = 0.0;
   double score_ms = 0.0;
   double evict_ms = 0.0;
+  double mlp_ms = 0.0;
+  double lm_head_ms = 0.0;
   double other_ms = 0.0;
   double prefill_seconds = 0.0;
   double max_logit_delta = 0.0;  // vs the scalar row
@@ -106,8 +108,10 @@ IsaResult run_isa(cpu::CpuIsa isa, const BenchSetup& s) {
   r.attend_ms = span_ms("attn.attend") / n;
   r.score_ms = span_ms("policy.score") / n;
   r.evict_ms = span_ms("policy.evict") / n;
+  r.mlp_ms = span_ms("mlp") / n;
+  r.lm_head_ms = span_ms("lm_head") / n;
   r.other_ms = r.ms_per_token - r.project_ms - r.attend_ms - r.score_ms -
-               r.evict_ms;
+               r.evict_ms - r.mlp_ms - r.lm_head_ms;
   cpu::clear_isa_override();
   return r;
 }
@@ -159,14 +163,15 @@ int main(int argc, char** argv) {
 
   Table t("decode kernel per ISA: tokens/s and per-step latency breakdown");
   t.header({"isa", "tok_per_s", "speedup_vs_scalar", "ms_per_tok",
-            "project_ms", "attend_ms", "score_ms", "evict_ms", "other_ms",
-            "max_logit_delta"});
+            "project_ms", "attend_ms", "score_ms", "evict_ms", "mlp_ms",
+            "lm_head_ms", "other_ms", "max_logit_delta"});
   for (const auto& r : results) {
     t.row({r.isa, Table::num(r.tokens_per_s, 1),
            Table::num(r.tokens_per_s / scalar.tokens_per_s, 2) + "x",
            Table::num(r.ms_per_token, 3), Table::num(r.project_ms, 3),
            Table::num(r.attend_ms, 3), Table::num(r.score_ms, 3),
-           Table::num(r.evict_ms, 3), Table::num(r.other_ms, 3),
+           Table::num(r.evict_ms, 3), Table::num(r.mlp_ms, 3),
+           Table::num(r.lm_head_ms, 3), Table::num(r.other_ms, 3),
            Table::num(r.max_logit_delta, 7)});
   }
   t.print(std::cout);
@@ -189,6 +194,8 @@ int main(int argc, char** argv) {
             << ", \"attend_ms\": " << r.attend_ms
             << ", \"score_ms\": " << r.score_ms
             << ", \"evict_ms\": " << r.evict_ms
+            << ", \"mlp_ms\": " << r.mlp_ms
+            << ", \"lm_head_ms\": " << r.lm_head_ms
             << ", \"other_ms\": " << r.other_ms
             << ", \"max_logit_delta\": " << r.max_logit_delta << "}";
       }

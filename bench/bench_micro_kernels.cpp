@@ -49,14 +49,20 @@ constexpr std::size_t kEngineBlockTokens =
 
 void BM_Matmul(benchmark::State& state, cpu::CpuIsa isa) {
   // C[m, n] = A[m, k] * B[k, n] at the model's dense-layer shapes: m rows
-  // of a decode batch or a prompt chunk against one weight.
+  // of a decode batch or a prompt chunk against one weight, finished by
+  // the epilogue form range(3) (cpu::Epilogue: 0 store, 1 bias + GELU,
+  // 2 bias + residual add).
   const IsaGuard guard(isa);
   const std::size_t m = static_cast<std::size_t>(state.range(0));
   const std::size_t k = static_cast<std::size_t>(state.range(1));
   const std::size_t n = static_cast<std::size_t>(state.range(2));
-  std::vector<float> a(m * k, 1.0F), b(k * n, 0.5F), c(m * n);
+  const auto epilogue = static_cast<cpu::Epilogue>(state.range(3));
+  // Small weights keep the residual form's C finite across iterations: it
+  // grows by A·B + bias = 0.75 per pass.
+  std::vector<float> a(m * k, 1.0F), b(k * n, 0.5F / static_cast<float>(k));
+  std::vector<float> bias(n, 0.25F), c(m * n, 0.0F);
   for (auto _ : state) {
-    matmul(a, b, c, m, k, n);
+    matmul(a, b, c, m, k, n, epilogue, bias);
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
@@ -251,15 +257,23 @@ void register_per_isa(const char* name, Fn fn,
 
 int main(int argc, char** argv) {
   std::cout << kf::cpu::describe() << '\n';
-  // {m, k, n}: decode batches of 1 and 8 and a 48-row prompt chunk
-  // against a d_model x d_model projection, then the chunk through the
-  // two MLP weights.
+  // {m, k, n, epilogue}: decode batches of 1 and 8 and a 48-row prompt
+  // chunk against a d_model x d_model projection and through the two MLP
+  // weights, the second rows as the MLP runs them (W1 with bias + GELU, W2
+  // with bias + residual add); then an 8-row LM head.
   register_per_isa("BM_Matmul", BM_Matmul,
-                   {{1, 128, 128},
-                    {8, 128, 128},
-                    {48, 128, 128},
-                    {48, 128, 256},
-                    {48, 256, 128}});
+                   {{1, 128, 128, 0},
+                    {8, 128, 128, 0},
+                    {48, 128, 128, 0},
+                    {48, 128, 256, 0},
+                    {48, 256, 128, 0},
+                    {1, 128, 256, 1},
+                    {8, 128, 256, 1},
+                    {48, 128, 256, 1},
+                    {1, 256, 128, 2},
+                    {8, 256, 128, 2},
+                    {48, 256, 128, 2},
+                    {8, 128, 512, 0}});
   register_per_isa("BM_Matvec", BM_Matvec, {{512}, {2048}, {8192}});
   register_per_isa("BM_Softmax", BM_Softmax, {{512}, {2048}, {8192}});
   // A decode row at shared_prefix's budget, that workload's prompt, and a

@@ -62,13 +62,15 @@ void Tensor::reshape(const std::vector<std::size_t>& shape) {
 }
 
 void matmul(std::span<const float> a, std::span<const float> b,
-            std::span<float> c, std::size_t m, std::size_t k, std::size_t n) {
+            std::span<float> c, std::size_t m, std::size_t k, std::size_t n,
+            cpu::Epilogue epilogue, std::span<const float> bias) {
   assert(a.size() >= m * k && b.size() >= k * n && c.size() >= m * n);
+  assert(epilogue == cpu::Epilogue::kStore || bias.size() >= n);
   // ISA resolved once per call; every worker of a row split runs the same
   // row kernel, whose row bits do not depend on the split.
   const cpu::GemmRowsFn rows = cpu::gemm_rows_stub.get();
   const auto kernel = [&, rows](std::size_t r0, std::size_t r1) {
-    rows(a.data(), b.data(), c.data(), r0, r1, k, n);
+    rows(a.data(), b.data(), c.data(), r0, r1, k, n, epilogue, bias.data());
   };
   if (m * k * n > (1u << 18) && m > 1) {
     ThreadPool::global().parallel_for(m, kernel, /*grain=*/4);
@@ -100,14 +102,6 @@ void add_inplace(std::span<float> y, std::span<const float> x) {
 
 void scale_inplace(std::span<float> y, float s) {
   for (float& v : y) v *= s;
-}
-
-void gelu_inplace(std::span<float> y) {
-  constexpr float kSqrt2OverPi = 0.7978845608028654F;
-  for (float& v : y) {
-    const float c = v + 0.044715F * v * v * v;
-    v = 0.5F * v * (1.0F + std::tanh(kSqrt2OverPi * c));
-  }
 }
 
 void layer_norm(std::span<const float> x, std::span<const float> gamma,

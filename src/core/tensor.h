@@ -1,6 +1,6 @@
 // Minimal row-major float tensor plus the dense kernels the transformer
-// needs: the dispatched (optionally threaded) matmul and matvec,
-// bias/activation fusions, and LayerNorm. The reproduction is CPU-only
+// needs: the dispatched (optionally threaded) matmul with its bias, GELU
+// and residual epilogues, matvec, and LayerNorm. The reproduction is CPU-only
 // and fp32; fp16 effects appear only in the analytical performance model
 // (src/perf).
 #pragma once
@@ -9,6 +9,8 @@
 #include <initializer_list>
 #include <span>
 #include <vector>
+
+#include "cpu/kernels.h"
 
 namespace kf {
 
@@ -60,13 +62,17 @@ class Tensor {
   std::vector<float> data_;
 };
 
-/// C[m,n] = A[m,k] * B[k,n] through the dispatched gemm_rows kernel, split
-/// by rows across ThreadPool::global() when the problem is large enough.
-/// Row i of C is bit-identical to the same product over row i alone (any
-/// m, any thread split), so m = 1 is the vector-matrix product. Aliasing
-/// between C and A/B is not allowed.
+/// C[m,n] = A[m,k] * B[k,n] through the dispatched gemm_rows kernel,
+/// finished by `epilogue` (cpu/kernels.h): stored as is, or with the
+/// n-float `bias` added and then GELU applied, or with `bias` added onto
+/// C's existing values. Split by rows across ThreadPool::global() when the
+/// problem is large enough. Row i of C is bit-identical to the same
+/// product over row i alone (any m, any thread split), so m = 1 is the
+/// vector-matrix product. Aliasing between C and A/B is not allowed.
 void matmul(std::span<const float> a, std::span<const float> b,
-            std::span<float> c, std::size_t m, std::size_t k, std::size_t n);
+            std::span<float> c, std::size_t m, std::size_t k, std::size_t n,
+            cpu::Epilogue epilogue = cpu::Epilogue::kStore,
+            std::span<const float> bias = {});
 
 /// y[n] = A[n,k] * x[k].
 void matvec(std::span<const float> a, std::span<const float> x,
@@ -77,9 +83,6 @@ void add_inplace(std::span<float> y, std::span<const float> x);
 
 /// y *= s.
 void scale_inplace(std::span<float> y, float s);
-
-/// Tanh-approximation GELU applied elementwise in place.
-void gelu_inplace(std::span<float> y);
 
 /// LayerNorm over the last dimension: out = (x - mean) / sqrt(var + eps)
 /// * gamma + beta. `x` and `out` may alias.

@@ -1,5 +1,5 @@
 // Dispatch tables for the hot kernels: the dense-layer GEMM behind every
-// projection and MLP, the row matvec behind the LM head, the fused attend
+// projection, MLP and the LM head, the row matvec, the fused attend
 // (named decode_attend, it serves prompt rows too), Keyformer's score
 // increments, and the standalone softmax.
 //
@@ -29,6 +29,18 @@
 //     how rows are grouped into register blocks, or how [m0, m1) is split
 //     across threads — so a decode row is bit-identical whatever else is
 //     in its batch, and chunked prefill is row-exact.
+//   - gemm_rows epilogue: each finished element acc = (A·B)[i][j] leaves
+//     through one of three forms. kStore writes acc; kBiasGelu writes
+//     gelu(acc + bias[j]); kBiasAccumulate writes C[i][j] + (acc +
+//     bias[j]). The scalar variant evaluates these per element in that
+//     order, GELU as 0.5·v·(1 + tanh(√(2/π)·(v + 0.044715·v³))) with
+//     std::tanh, so each scalar call is bit-identical to the unfused
+//     loops: the product, then a bias add, then the GELU, then a residual
+//     add. The wide variants apply the form to each finished register
+//     tile and compute GELU as v / (1 + exp(−2u)), u = √(2/π)·(v +
+//     0.044715·v³), over exp256_ps / exp512_ps: within 1e-6·(1 + |ref|)
+//     of the scalar GELU `ref` of the same v. The epilogue is per
+//     element, so the row-bits contract holds for every form.
 //   - softmax: tau == 1.0 is the plain softmax; an all-(-inf) input row
 //     produces an all-zero output (no NaN), and any individually -inf
 //     entry produces an exactly-0.0f probability. in == out aliasing is
@@ -74,11 +86,22 @@ struct KvSegmentView {
 using MatvecRowsFn = void (*)(const float* a, const float* x, float* y,
                               std::size_t r0, std::size_t r1, std::size_t k);
 
-/// Rows [m0, m1) of C[m, n] = A[m, k] * B[k, n], all row-major. C may not
-/// alias A or B; see the row-bits contract above.
+/// What gemm_rows does with each finished element of C (contract above).
+/// kBiasGelu and kBiasAccumulate read the n-float `bias`; kStore ignores
+/// it.
+enum class Epilogue {
+  kStore,           ///< C = A·B
+  kBiasGelu,        ///< C = gelu(A·B + bias)
+  kBiasAccumulate,  ///< C += A·B + bias
+};
+
+/// Rows [m0, m1) of C[m, n] = A[m, k] * B[k, n], all row-major, finished
+/// by `epilogue`. C may not alias A or B; rows outside [m0, m1) are left
+/// untouched. See the row-bits and epilogue contracts above.
 using GemmRowsFn = void (*)(const float* a, const float* b, float* c,
                             std::size_t m0, std::size_t m1, std::size_t k,
-                            std::size_t n);
+                            std::size_t n, Epilogue epilogue,
+                            const float* bias);
 
 /// out = softmax(x / tau); see the aliasing / -inf contract above.
 using SoftmaxFn = void (*)(const float* x, float* out, std::size_t n,

@@ -8,7 +8,8 @@
 // Cephes-style degree-5 polynomial (~1 ulp over the reduced range), and
 // softmax sums accumulate in double lanes, keeping every variant within
 // the 1e-5 parity budget against the scalar reference (pinned by
-// test_simd_kernels). Inputs below the exp underflow cutoff
+// test_simd_kernels). gemm_rows' GELU epilogue runs the same exp as
+// v / (1 + exp(-2u)). Inputs below the exp underflow cutoff
 // flush to exactly 0.0f — masked (-inf) logits must produce probability
 // exactly 0, same as the scalar std::exp(-inf) path.
 //
@@ -116,13 +117,60 @@ inline __m256 exp256_ps(__m256 x) {
   return _mm256_andnot_ps(zero_mask, p);
 }
 
+/// GELU for 8 lanes as v / (1 + e^(-2u)), u = sqrt(2/pi) (v + 0.044715 v^3):
+/// the scalar variant's 0.5 v (1 + tanh u) with tanh written over exp.
+/// Far below zero e^(-2u) overflows to +inf and the lane is a signed 0.
+inline __m256 gelu256_ps(__m256 v) {
+  const __m256 k_scale = _mm256_set1_ps(-2.0F * 0.7978845608028654F);
+  const __m256 k_cubic = _mm256_set1_ps(0.044715F);
+  const __m256 inner =
+      _mm256_fmadd_ps(_mm256_mul_ps(k_cubic, _mm256_mul_ps(v, v)), v, v);
+  const __m256 e = exp256_ps(_mm256_mul_ps(k_scale, inner));
+  return _mm256_div_ps(v, _mm256_add_ps(_mm256_set1_ps(1.0F), e));
+}
+
+/// Finishes the 8 columns of C at `c`, columns j.. of its row, from their
+/// accumulators: `epilogue` with bias[j..] (see kernels.h), then a store.
+inline void finish8(__m256 acc, float* c, Epilogue epilogue,
+                    const float* bias, std::size_t j) {
+  switch (epilogue) {
+    case Epilogue::kStore:
+      break;
+    case Epilogue::kBiasGelu:
+      acc = gelu256_ps(_mm256_add_ps(acc, _mm256_loadu_ps(bias + j)));
+      break;
+    case Epilogue::kBiasAccumulate:
+      acc = _mm256_add_ps(_mm256_loadu_ps(c),
+                          _mm256_add_ps(acc, _mm256_loadu_ps(bias + j)));
+      break;
+  }
+  _mm256_storeu_ps(c, acc);
+}
+
+/// finish8 for one column tail element (GELU through one broadcast vector).
+inline void finish1(float acc, float* c, Epilogue epilogue, const float* bias,
+                    std::size_t j) {
+  switch (epilogue) {
+    case Epilogue::kStore:
+      *c = acc;
+      break;
+    case Epilogue::kBiasGelu:
+      *c = _mm256_cvtss_f32(gelu256_ps(_mm256_set1_ps(acc + bias[j])));
+      break;
+    case Epilogue::kBiasAccumulate:
+      *c = *c + (acc + bias[j]);
+      break;
+  }
+}
+
 /// Columns [j0, j1) of the row y = x * B for the [k, n] matrix B: each
-/// y[j] starts at 0 and takes fma(x[kk], B[kk][j], y[j]) for kk ascending.
-/// Four vectors at a time accumulate in registers across k, then single
-/// vectors, then scalar std::fma columns. A gemm_rows row computed alone
-/// is this over [0, n).
+/// y[j] starts at 0 and takes fma(x[kk], B[kk][j], y[j]) for kk ascending,
+/// then leaves through `epilogue`. Four vectors at a time accumulate in
+/// registers across k, then single vectors, then scalar std::fma columns.
+/// A gemm_rows row computed alone is this over [0, n).
 void vecmat_cols(const float* x, const float* b, float* y, std::size_t k,
-                 std::size_t n, std::size_t j0, std::size_t j1) {
+                 std::size_t n, std::size_t j0, std::size_t j1,
+                 Epilogue epilogue, const float* bias) {
   std::size_t j = j0;
   for (; j + 32 <= j1; j += 32) {
     __m256 y0 = _mm256_setzero_ps();
@@ -137,10 +185,10 @@ void vecmat_cols(const float* x, const float* b, float* y, std::size_t k,
       y2 = _mm256_fmadd_ps(vx, _mm256_loadu_ps(bk + 16), y2);
       y3 = _mm256_fmadd_ps(vx, _mm256_loadu_ps(bk + 24), y3);
     }
-    _mm256_storeu_ps(y + j, y0);
-    _mm256_storeu_ps(y + j + 8, y1);
-    _mm256_storeu_ps(y + j + 16, y2);
-    _mm256_storeu_ps(y + j + 24, y3);
+    finish8(y0, y + j, epilogue, bias, j);
+    finish8(y1, y + j + 8, epilogue, bias, j + 8);
+    finish8(y2, y + j + 16, epilogue, bias, j + 16);
+    finish8(y3, y + j + 24, epilogue, bias, j + 24);
   }
   for (; j + 8 <= j1; j += 8) {
     __m256 y0 = _mm256_setzero_ps();
@@ -148,14 +196,14 @@ void vecmat_cols(const float* x, const float* b, float* y, std::size_t k,
     for (std::size_t kk = 0; kk < k; ++kk, bk += n) {
       y0 = _mm256_fmadd_ps(_mm256_set1_ps(x[kk]), _mm256_loadu_ps(bk), y0);
     }
-    _mm256_storeu_ps(y + j, y0);
+    finish8(y0, y + j, epilogue, bias, j);
   }
   for (; j < j1; ++j) {
     float acc = 0.0F;
     for (std::size_t kk = 0; kk < k; ++kk) {
       acc = std::fma(x[kk], b[kk * n + j], acc);
     }
-    y[j] = acc;
+    finish1(acc, y + j, epilogue, bias, j);
   }
 }
 
@@ -211,13 +259,15 @@ void matvec_rows(const float* a, const float* x, float* y, std::size_t r0,
 }
 
 void gemm_rows(const float* a, const float* b, float* c, std::size_t m0,
-               std::size_t m1, std::size_t k, std::size_t n) {
+               std::size_t m1, std::size_t k, std::size_t n,
+               Epilogue epilogue, const float* bias) {
   // Register blocks of 4 rows x 16 columns (8 accumulators): each pair of
   // B vectors loaded per k step feeds four rows. Column strips are the
   // outer loop, so a strip of B is reused by every row block while it is
   // still cached. Column tails and leftover rows go through vecmat_cols.
   // Every path gives an element the same FMA chain over ascending k from
-  // 0, so a row's bits equal the row computed alone.
+  // 0 and the same epilogue, so a row's bits equal the row computed
+  // alone.
   constexpr std::size_t kRows = 4;
   constexpr std::size_t kCols = 16;
   const std::size_t n_block = n - n % kCols;
@@ -254,21 +304,21 @@ void gemm_rows(const float* a, const float* b, float* c, std::size_t m0,
         c31 = _mm256_fmadd_ps(x, b1, c31);
       }
       float* c0 = c + i * n + j;
-      _mm256_storeu_ps(c0, c00);
-      _mm256_storeu_ps(c0 + 8, c01);
-      _mm256_storeu_ps(c0 + n, c10);
-      _mm256_storeu_ps(c0 + n + 8, c11);
-      _mm256_storeu_ps(c0 + 2 * n, c20);
-      _mm256_storeu_ps(c0 + 2 * n + 8, c21);
-      _mm256_storeu_ps(c0 + 3 * n, c30);
-      _mm256_storeu_ps(c0 + 3 * n + 8, c31);
+      finish8(c00, c0, epilogue, bias, j);
+      finish8(c01, c0 + 8, epilogue, bias, j + 8);
+      finish8(c10, c0 + n, epilogue, bias, j);
+      finish8(c11, c0 + n + 8, epilogue, bias, j + 8);
+      finish8(c20, c0 + 2 * n, epilogue, bias, j);
+      finish8(c21, c0 + 2 * n + 8, epilogue, bias, j + 8);
+      finish8(c30, c0 + 3 * n, epilogue, bias, j);
+      finish8(c31, c0 + 3 * n + 8, epilogue, bias, j + 8);
     }
   }
   for (std::size_t i = m0; i < m_block; ++i) {
-    vecmat_cols(a + i * k, b, c + i * n, k, n, n_block, n);
+    vecmat_cols(a + i * k, b, c + i * n, k, n, n_block, n, epilogue, bias);
   }
   for (std::size_t i = m_block; i < m1; ++i) {
-    vecmat_cols(a + i * k, b, c + i * n, k, n, 0, n);
+    vecmat_cols(a + i * k, b, c + i * n, k, n, 0, n, epilogue, bias);
   }
 }
 

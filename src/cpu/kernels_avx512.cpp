@@ -2,9 +2,9 @@
 // to 16 float lanes. This TU (alone) is compiled with -mavx512* flags and
 // is only reached through the dispatch tables on hosts that support it.
 // See kernels_avx2.cpp for the numerics notes (one FMA per gemm_rows
-// element and k step, exp polynomial, double sum accumulation,
-// exact-zero underflow for masked logits) — identical here, lane width
-// aside.
+// element and k step, exp polynomial, GELU over exp, double sum
+// accumulation, exact-zero underflow for masked logits) — identical here,
+// lane width aside.
 
 #include <immintrin.h>
 
@@ -120,13 +120,59 @@ inline __m512 exp512_ps(__m512 x) {
   return _mm512_maskz_mov_ps(live, p);
 }
 
+/// GELU for 16 lanes as v / (1 + e^(-2u)), u = sqrt(2/pi) (v +
+/// 0.044715 v^3), as in the AVX2 variant.
+inline __m512 gelu512_ps(__m512 v) {
+  const __m512 k_scale = _mm512_set1_ps(-2.0F * 0.7978845608028654F);
+  const __m512 k_cubic = _mm512_set1_ps(0.044715F);
+  const __m512 inner =
+      _mm512_fmadd_ps(_mm512_mul_ps(k_cubic, _mm512_mul_ps(v, v)), v, v);
+  const __m512 e = exp512_ps(_mm512_mul_ps(k_scale, inner));
+  return _mm512_div_ps(v, _mm512_add_ps(_mm512_set1_ps(1.0F), e));
+}
+
+/// Finishes the 16 columns of C at `c`, columns j.. of its row, from their
+/// accumulators: `epilogue` with bias[j..] (see kernels.h), then a store.
+inline void finish16(__m512 acc, float* c, Epilogue epilogue,
+                     const float* bias, std::size_t j) {
+  switch (epilogue) {
+    case Epilogue::kStore:
+      break;
+    case Epilogue::kBiasGelu:
+      acc = gelu512_ps(_mm512_add_ps(acc, _mm512_loadu_ps(bias + j)));
+      break;
+    case Epilogue::kBiasAccumulate:
+      acc = _mm512_add_ps(_mm512_loadu_ps(c),
+                          _mm512_add_ps(acc, _mm512_loadu_ps(bias + j)));
+      break;
+  }
+  _mm512_storeu_ps(c, acc);
+}
+
+/// finish16 for one column tail element (GELU through one broadcast vector).
+inline void finish1(float acc, float* c, Epilogue epilogue, const float* bias,
+                    std::size_t j) {
+  switch (epilogue) {
+    case Epilogue::kStore:
+      *c = acc;
+      break;
+    case Epilogue::kBiasGelu:
+      *c = _mm512_cvtss_f32(gelu512_ps(_mm512_set1_ps(acc + bias[j])));
+      break;
+    case Epilogue::kBiasAccumulate:
+      *c = *c + (acc + bias[j]);
+      break;
+  }
+}
+
 /// Columns [j0, j1) of the row y = x * B for the [k, n] matrix B: each
-/// y[j] starts at 0 and takes fma(x[kk], B[kk][j], y[j]) for kk ascending.
-/// Four vectors at a time accumulate in registers across k, then single
-/// vectors, then scalar std::fma columns. A gemm_rows row computed alone
-/// is this over [0, n).
+/// y[j] starts at 0 and takes fma(x[kk], B[kk][j], y[j]) for kk ascending,
+/// then leaves through `epilogue`. Four vectors at a time accumulate in
+/// registers across k, then single vectors, then scalar std::fma columns.
+/// A gemm_rows row computed alone is this over [0, n).
 void vecmat_cols(const float* x, const float* b, float* y, std::size_t k,
-                 std::size_t n, std::size_t j0, std::size_t j1) {
+                 std::size_t n, std::size_t j0, std::size_t j1,
+                 Epilogue epilogue, const float* bias) {
   std::size_t j = j0;
   for (; j + 64 <= j1; j += 64) {
     __m512 y0 = _mm512_setzero_ps();
@@ -141,10 +187,10 @@ void vecmat_cols(const float* x, const float* b, float* y, std::size_t k,
       y2 = _mm512_fmadd_ps(vx, _mm512_loadu_ps(bk + 32), y2);
       y3 = _mm512_fmadd_ps(vx, _mm512_loadu_ps(bk + 48), y3);
     }
-    _mm512_storeu_ps(y + j, y0);
-    _mm512_storeu_ps(y + j + 16, y1);
-    _mm512_storeu_ps(y + j + 32, y2);
-    _mm512_storeu_ps(y + j + 48, y3);
+    finish16(y0, y + j, epilogue, bias, j);
+    finish16(y1, y + j + 16, epilogue, bias, j + 16);
+    finish16(y2, y + j + 32, epilogue, bias, j + 32);
+    finish16(y3, y + j + 48, epilogue, bias, j + 48);
   }
   for (; j + 16 <= j1; j += 16) {
     __m512 y0 = _mm512_setzero_ps();
@@ -152,14 +198,14 @@ void vecmat_cols(const float* x, const float* b, float* y, std::size_t k,
     for (std::size_t kk = 0; kk < k; ++kk, bk += n) {
       y0 = _mm512_fmadd_ps(_mm512_set1_ps(x[kk]), _mm512_loadu_ps(bk), y0);
     }
-    _mm512_storeu_ps(y + j, y0);
+    finish16(y0, y + j, epilogue, bias, j);
   }
   for (; j < j1; ++j) {
     float acc = 0.0F;
     for (std::size_t kk = 0; kk < k; ++kk) {
       acc = std::fma(x[kk], b[kk * n + j], acc);
     }
-    y[j] = acc;
+    finish1(acc, y + j, epilogue, bias, j);
   }
 }
 
@@ -214,10 +260,12 @@ void matvec_rows(const float* a, const float* x, float* y, std::size_t r0,
 }
 
 void gemm_rows(const float* a, const float* b, float* c, std::size_t m0,
-               std::size_t m1, std::size_t k, std::size_t n) {
+               std::size_t m1, std::size_t k, std::size_t n,
+               Epilogue epilogue, const float* bias) {
   // The AVX2 blocking widened: 4 rows x 32 columns in 8 accumulators,
   // column strips outermost, tails and leftover rows through vecmat_cols;
-  // every path gives an element the same FMA chain over ascending k.
+  // every path gives an element the same FMA chain over ascending k and
+  // the same epilogue.
   constexpr std::size_t kRows = 4;
   constexpr std::size_t kCols = 32;
   const std::size_t n_block = n - n % kCols;
@@ -254,21 +302,21 @@ void gemm_rows(const float* a, const float* b, float* c, std::size_t m0,
         c31 = _mm512_fmadd_ps(x, b1, c31);
       }
       float* c0 = c + i * n + j;
-      _mm512_storeu_ps(c0, c00);
-      _mm512_storeu_ps(c0 + 16, c01);
-      _mm512_storeu_ps(c0 + n, c10);
-      _mm512_storeu_ps(c0 + n + 16, c11);
-      _mm512_storeu_ps(c0 + 2 * n, c20);
-      _mm512_storeu_ps(c0 + 2 * n + 16, c21);
-      _mm512_storeu_ps(c0 + 3 * n, c30);
-      _mm512_storeu_ps(c0 + 3 * n + 16, c31);
+      finish16(c00, c0, epilogue, bias, j);
+      finish16(c01, c0 + 16, epilogue, bias, j + 16);
+      finish16(c10, c0 + n, epilogue, bias, j);
+      finish16(c11, c0 + n + 16, epilogue, bias, j + 16);
+      finish16(c20, c0 + 2 * n, epilogue, bias, j);
+      finish16(c21, c0 + 2 * n + 16, epilogue, bias, j + 16);
+      finish16(c30, c0 + 3 * n, epilogue, bias, j);
+      finish16(c31, c0 + 3 * n + 16, epilogue, bias, j + 16);
     }
   }
   for (std::size_t i = m0; i < m_block; ++i) {
-    vecmat_cols(a + i * k, b, c + i * n, k, n, n_block, n);
+    vecmat_cols(a + i * k, b, c + i * n, k, n, n_block, n, epilogue, bias);
   }
   for (std::size_t i = m_block; i < m1; ++i) {
-    vecmat_cols(a + i * k, b, c + i * n, k, n, 0, n);
+    vecmat_cols(a + i * k, b, c + i * n, k, n, 0, n, epilogue, bias);
   }
 }
 

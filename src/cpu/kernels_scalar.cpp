@@ -4,6 +4,7 @@
 // widths — so a KF_CPU_ISA=scalar run reproduces the historical scalar
 // build bit for bit.
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -23,6 +24,13 @@ float max_value(const float* x, std::size_t n) {
   return m;
 }
 
+/// The tanh-approximation GELU, the historical elementwise expression.
+float gelu(float v) {
+  constexpr float kSqrt2OverPi = 0.7978845608028654F;
+  const float c = v + 0.044715F * v * v * v;
+  return 0.5F * v * (1.0F + std::tanh(kSqrt2OverPi * c));
+}
+
 }  // namespace
 
 void matvec_rows(const float* a, const float* x, float* y, std::size_t r0,
@@ -36,18 +44,41 @@ void matvec_rows(const float* a, const float* x, float* y, std::size_t r0,
 }
 
 void gemm_rows(const float* a, const float* b, float* c, std::size_t m0,
-               std::size_t m1, std::size_t k, std::size_t n) {
-  // One row at a time: c_row = 0, then c_row += a[i][kk] * B[kk] for kk
-  // ascending — the pre-dispatch matmul's arithmetic, so a scalar run
-  // reproduces it bit for bit.
+               std::size_t m1, std::size_t k, std::size_t n,
+               Epilogue epilogue, const float* bias) {
+  // One row at a time, in column chunks: acc = 0, then acc += a[i][kk] *
+  // B[kk] for kk ascending (the pre-dispatch matmul's arithmetic), then
+  // the epilogue per element: the historical bias add, GELU and residual
+  // add expressions in that order. A scalar run reproduces the unfused
+  // loops bit for bit.
+  constexpr std::size_t kChunk = 256;
+  float acc[kChunk] = {};
   for (std::size_t i = m0; i < m1; ++i) {
     const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (std::size_t j = 0; j < n; ++j) crow[j] = 0.0F;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const float aik = arow[kk];
-      const float* brow = b + kk * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
+    for (std::size_t j0 = 0; j0 < n; j0 += kChunk) {
+      const std::size_t w = std::min(kChunk, n - j0);
+      for (std::size_t j = 0; j < w; ++j) acc[j] = 0.0F;
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        const float aik = arow[kk];
+        const float* brow = b + kk * n + j0;
+        for (std::size_t j = 0; j < w; ++j) acc[j] += aik * brow[j];
+      }
+      float* crow = c + i * n + j0;
+      switch (epilogue) {
+        case Epilogue::kStore:
+          for (std::size_t j = 0; j < w; ++j) crow[j] = acc[j];
+          break;
+        case Epilogue::kBiasGelu:
+          for (std::size_t j = 0; j < w; ++j) {
+            crow[j] = gelu(acc[j] + bias[j0 + j]);
+          }
+          break;
+        case Epilogue::kBiasAccumulate:
+          for (std::size_t j = 0; j < w; ++j) {
+            crow[j] = crow[j] + (acc[j] + bias[j0 + j]);
+          }
+          break;
+      }
     }
   }
 }
@@ -126,7 +157,7 @@ void decode_attend(const KvSegmentView* segs, std::size_t n_segs,
 
 void score_increments(const float* logits, const double* noise, double* out,
                       std::size_t n, double tau) {
-  // ScoreFunction::increments' loop moved verbatim; a null noise row is
+  // The pre-dispatch score-increment loop moved verbatim; a null noise row is
   // its zero adjustment. noise[i] is read before out[i] is written, so
   // noise == out aliasing is fine.
   double max_y = -1e300;

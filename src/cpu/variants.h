@@ -18,7 +18,8 @@ namespace kf::cpu {
   void matvec_rows(const float* a, const float* x, float* y, std::size_t r0,  \
                    std::size_t r1, std::size_t k);                            \
   void gemm_rows(const float* a, const float* b, float* c, std::size_t m0,   \
-                 std::size_t m1, std::size_t k, std::size_t n);               \
+                 std::size_t m1, std::size_t k, std::size_t n,                \
+                 Epilogue epilogue, const float* bias);                       \
   void softmax(const float* x, float* out, std::size_t n, double tau);        \
   void decode_attend(const KvSegmentView* segs, std::size_t n_segs,           \
                      const float* q_head, std::size_t dh, float scale,        \

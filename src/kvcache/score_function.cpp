@@ -1,10 +1,8 @@
 #include "kvcache/score_function.h"
 
-#include <cassert>
 #include <stdexcept>
 
 #include "core/rng.h"
-#include "cpu/kernels.h"
 
 namespace kf::kv {
 
@@ -58,21 +56,6 @@ double ScoreFunction::noise(std::size_t layer, std::size_t head,
                  {config_.seed, 0x6B6BULL, layer, head, original_pos});
   }
   return 0.0;
-}
-
-void ScoreFunction::increments(std::span<const float> logits,
-                               std::span<const std::size_t> positions,
-                               std::size_t layer, std::size_t head,
-                               std::size_t t, std::size_t total_steps,
-                               std::span<double> out) const {
-  assert(logits.size() == positions.size() && out.size() == logits.size());
-  const bool noisy = config_.adjustment != LogitAdjustment::kNone;
-  for (std::size_t i = 0; noisy && i < positions.size(); ++i) {
-    out[i] = noise(layer, head, positions[i]);
-  }
-  cpu::score_increments_stub.get()(logits.data(), noisy ? out.data() : nullptr,
-                                   out.data(), logits.size(),
-                                   config_.temperature.at(t, total_steps));
 }
 
 }  // namespace kf::kv

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 
 namespace kf::kv {
@@ -67,7 +66,10 @@ struct ScoreFunctionConfig {
   std::uint64_t seed = 42;
 };
 
-/// Computes per-token score increments for one attention head.
+/// The score function's configuration and its frozen noise draws. The
+/// increments themselves are the dispatched score kernel
+/// (cpu::score_increments_stub) over a row's logits and its cache's noise
+/// row, at tau = config().temperature.at(t, T) (KeyformerPolicy).
 class ScoreFunction {
  public:
   explicit ScoreFunction(ScoreFunctionConfig config);
@@ -78,20 +80,6 @@ class ScoreFunction {
   /// of (seed, layer, head, original position); 0 for kNone.
   double noise(std::size_t layer, std::size_t head,
                std::size_t original_pos) const;
-
-  /// Computes increments f_i = softmax((x_i + zeta_i) / tau) for one head
-  /// over the current cache contents: one noise() draw per slot into
-  /// `out`, then the dispatched score kernel (cpu::score_increments_stub)
-  /// in place.
-  ///   logits            one query row, length == positions.size()
-  ///   positions         original positions of the cached tokens
-  ///   layer/head        identify the noise stream
-  ///   t / total_steps   temperature schedule inputs
-  /// Writes into `out` (same length as logits).
-  void increments(std::span<const float> logits,
-                  std::span<const std::size_t> positions, std::size_t layer,
-                  std::size_t head, std::size_t t, std::size_t total_steps,
-                  std::span<double> out) const;
 
  private:
   ScoreFunctionConfig config_;

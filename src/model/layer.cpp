@@ -9,7 +9,8 @@ namespace kf::model {
 namespace {
 
 /// The MLP block over the contiguous residual-stream rows `x`, in place:
-/// LN2 per row, then one GEMM per weight over all the rows.
+/// LN2 per row, then one GEMM per weight over all the rows, the first
+/// finished with b1 and GELU, the second adding b2 and its product onto x.
 void mlp_block(const ModelConfig& cfg, const LayerWeights& w,
                std::span<float> x) {
   const std::size_t d = cfg.d_model;
@@ -22,17 +23,10 @@ void mlp_block(const ModelConfig& cfg, const LayerWeights& w,
                normed.row(i));
   }
   Tensor hidden({n_q, f});
-  matmul(normed.span(), w.w_ff1.span(), hidden.span(), n_q, d, f);
-  for (std::size_t i = 0; i < n_q; ++i) {
-    add_inplace(hidden.row(i), w.b_ff1.span());
-  }
-  gelu_inplace(hidden.span());
-  Tensor out({n_q, d});
-  matmul(hidden.span(), w.w_ff2.span(), out.span(), n_q, f, d);
-  for (std::size_t i = 0; i < n_q; ++i) {
-    add_inplace(out.row(i), w.b_ff2.span());
-  }
-  add_inplace(x, out.span());
+  matmul(normed.span(), w.w_ff1.span(), hidden.span(), n_q, d, f,
+         cpu::Epilogue::kBiasGelu, w.b_ff1.span());
+  matmul(hidden.span(), w.w_ff2.span(), x, n_q, f, d,
+         cpu::Epilogue::kBiasAccumulate, w.b_ff2.span());
 }
 
 }  // namespace

@@ -57,24 +57,19 @@ void Transformer::embed_row(Token token, std::size_t position,
   }
 }
 
-Tensor Transformer::lm_logits(const Tensor& x) const {
-  const std::size_t n_q = x.dim(0);
-  Tensor logits({n_q, cfg_.vocab_size});
-  Tensor normed({n_q, cfg_.d_model});
-  // Rows are independent; at decode batch sizes the per-row matvec is
-  // below the kernel-internal parallel threshold, so parallelize across
-  // rows here (identical per-row numerics either way).
-  ThreadPool::global().parallel_for(
-      n_q,
-      [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) {
-          layer_norm(x.row(i), weights_.final_gamma.span(),
-                     weights_.final_beta.span(), normed.row(i));
-          matvec(weights_.lm_head.span(), normed.row(i), logits.row(i),
-                 cfg_.vocab_size, cfg_.d_model);
-        }
-      },
-      /*grain=*/1);
+Tensor Transformer::lm_logits(const Tensor& x,
+                              std::span<const RowRun> runs) const {
+  const std::size_t d = cfg_.d_model;
+  Tensor normed({runs.size(), d});
+  std::size_t last = 0;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    last += runs[r].tokens.size();
+    layer_norm(x.row(last - 1), weights_.final_gamma.span(),
+               weights_.final_beta.span(), normed.row(r));
+  }
+  Tensor logits({runs.size(), cfg_.vocab_size});
+  matmul(normed.span(), weights_.lm_head.span(), logits.span(), runs.size(),
+         d, cfg_.vocab_size);
   return logits;
 }
 
@@ -240,7 +235,7 @@ Tensor Transformer::forward(std::span<const RowRun> runs, Phase phase) {
     decoder_mlp(cfg_, w, x, aruns);
   }
   KF_TRACE_SCOPE(prompt ? "prompt.lm_head" : "lm_head", "model");
-  return lm_logits(x);
+  return lm_logits(x, runs);
 }
 
 }  // namespace kf::model

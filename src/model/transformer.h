@@ -20,9 +20,11 @@
 // (a prompt chunk is one run of n rows, a decode step N >= 1 runs of one
 // row each) and the phase. Per layer the loop runs one attention call and
 // one MLP over every row, and between them each run's policy over its own
-// cache. No row's arithmetic depends on the other rows or on the phase, so
-// a sequence's logits are bit-identical whatever else shares its batch,
-// and a prompt row's logits equal that token decoded alone.
+// cache. The final LayerNorm and the LM head then run once per run, on its
+// last row: every caller reads only the logits predicting the next token.
+// No row's arithmetic depends on the other rows or on the phase, so a
+// sequence's logits are bit-identical whatever else shares its batch, and
+// a prompt chunk's logits equal its last token decoded alone.
 //
 // Tracing (obs/trace.h): the phase only names the spans. A step_batch
 // call is one `step_batch` span; per layer it holds `attn.project` (twice:
@@ -119,9 +121,9 @@ class Transformer {
   /// straddle a switch.
   void set_position_mode(PositionMode mode) { cfg_.position_mode = mode; }
 
-  /// Prompt phase against the default state. Returns LM logits for every
-  /// prompt position, shape [prompt_len, vocab]. `total_steps` is T in
-  /// Algorithm 1.
+  /// Prompt phase against the default state. Returns the LM logits of the
+  /// last prompt position (those predicting the first generated token),
+  /// shape [1, vocab]. `total_steps` is T in Algorithm 1.
   Tensor prefill(std::span<const Token> prompt, kv::EvictionPolicy& policy,
                  std::size_t total_steps);
 
@@ -136,8 +138,8 @@ class Transformer {
   /// earlier chunk of a chunked prefill. Each row attends its causal
   /// prefix, so its arithmetic is identical to the corresponding row of
   /// one monolithic prefill over the full prompt (the prefix-cache parity
-  /// contract) and to decoding that token alone. Returns LM logits for
-  /// these rows only, shape [tokens.size(), vocab].
+  /// contract) and to decoding that token alone. Returns the LM logits of
+  /// the chunk's last row, shape [1, vocab].
   Tensor prefill_continue(kv::SequenceKvState& state,
                           std::span<const Token> tokens,
                           std::size_t first_pos, kv::EvictionPolicy& policy,
@@ -180,14 +182,17 @@ class Transformer {
   /// The layer loop behind prefill_continue and step_batch: embeds every
   /// run's tokens, then per layer runs decoder_attention over all rows,
   /// each run's policy over its own cache, and decoder_mlp. Returns LM
-  /// logits, one row per token, runs in order.
+  /// logits, one row per run (of its last token), runs in order.
   Tensor forward(std::span<const RowRun> runs, Phase phase);
   /// Embeds one token at `position` into `dst` (d_model floats). Throws
   /// std::out_of_range for a token outside the vocabulary, or a learned
   /// position past the position table.
   void embed_row(Token token, std::size_t position, std::span<float> dst) const;
-  /// Final LayerNorm + tied LM head over every row of `x`.
-  Tensor lm_logits(const Tensor& x) const;
+  /// Final LayerNorm, then the LM head as one GEMM, over each run's last
+  /// row of `x` (the runs' rows back to back): [runs.size(), vocab]. The
+  /// head is untied, a [d_model, vocab] copy of the raw embedding
+  /// directions (weights.h).
+  Tensor lm_logits(const Tensor& x, std::span<const RowRun> runs) const;
 
   ModelConfig cfg_;
   ModelWeights weights_;

@@ -85,6 +85,16 @@ void matvec_like(const Tensor& w, std::span<const float> x,
   }
 }
 
+/// Tanh-approximation GELU in place, for the b_ff2 calibration below: a
+/// fixed scalar loop beside matvec_like, for the same reason.
+void gelu_inplace(std::span<float> y) {
+  constexpr float kSqrt2OverPi = 0.7978845608028654F;
+  for (float& v : y) {
+    const float c = v + 0.044715F * v * v * v;
+    v = 0.5F * v * (1.0F + std::tanh(kSqrt2OverPi * c));
+  }
+}
+
 /// Adds i.i.d. noise to the columns of head `h`.
 void add_head_noise(Tensor& w, std::size_t h, std::size_t d_head, Rng& rng,
                     double stddev) {
@@ -238,7 +248,13 @@ ModelWeights build_weights(const ModelConfig& cfg) {
   w.embedding = Tensor({cfg.vocab_size, cfg.d_model});
   fill_normal(w.embedding, rng, 1.0);
   unit_norm_rows(w.embedding);
-  w.lm_head = w.embedding;  // raw directions, before salience mixing
+  // The raw directions, before salience mixing, one column per token.
+  w.lm_head = Tensor({cfg.d_model, cfg.vocab_size});
+  for (std::size_t t = 0; t < cfg.vocab_size; ++t) {
+    for (std::size_t j = 0; j < cfg.d_model; ++j) {
+      w.lm_head.at(j, t) = w.embedding.at(t, j);
+    }
+  }
 
   // Shared salience direction u: every embedding mixes in a little of it
   // (so any query's content head probes it); salient ("fact") tokens mix

@@ -11,9 +11,10 @@
 //   - mixing heads: dense random projections (diffuse attention).
 //
 // W_v / W_o are identity-dominated so attended token embeddings survive
-// into the residual stream; with the tied LM head this yields echo/copy
-// dynamics whose outputs visibly depend on which tokens remain cached —
-// exactly the sensitivity the eviction study measures.
+// into the residual stream; with an LM head over the raw token directions
+// this yields echo/copy dynamics whose outputs visibly depend on which
+// tokens remain cached — exactly the sensitivity the eviction study
+// measures.
 #pragma once
 
 #include <cstdint>
@@ -38,10 +39,12 @@ struct LayerWeights {
 /// All model parameters. The LM head is untied: it scores hidden states
 /// against the *raw* token directions (without the shared salience
 /// component), so next-token ranking reflects which tokens were actually
-/// attended rather than the shared salience signal.
+/// attended rather than the shared salience signal. It is stored
+/// transposed, as the B operand of the logits GEMM: column t is token t's
+/// unit-norm raw direction.
 struct ModelWeights {
   Tensor embedding;      ///< [vocab, d_model], unit-norm rows (with salience)
-  Tensor lm_head;        ///< [vocab, d_model], unit-norm raw directions
+  Tensor lm_head;        ///< [d_model, vocab], unit-norm raw columns
   Tensor pos_embedding;  ///< [max_seq, d_model] for kLearned, else empty
   Tensor final_gamma, final_beta;
   std::vector<LayerWeights> layers;

@@ -607,7 +607,7 @@ class Engine::Run {
       seq.finish = FinishReason::kLength;
     } else {
       const Token first = model::select_greedy(
-          prompt_logits.row(prompt_logits.dim(0) - 1), seq.recent_window(),
+          prompt_logits.row(0), seq.recent_window(),
           seq.gen.repetition_penalty, seq.gen.banned_tokens);
       seq.commit(first);
     }

@@ -4,20 +4,36 @@
 
 #include <cmath>
 #include <limits>
-#include <numeric>
+#include <span>
 #include <vector>
 
 #include "core/numerics.h"
+#include "cpu/kernels.h"
 
 namespace kf::kv {
 namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
-std::vector<std::size_t> iota_positions(std::size_t n) {
-  std::vector<std::size_t> p(n);
-  std::iota(p.begin(), p.end(), 0);
-  return p;
+/// One query row's score increments as KeyformerPolicy::accumulate computes
+/// them: the frozen noise of slots 0..n-1 (none for kNone), then the
+/// dispatched score kernel at tau = temperature.at(t, total_steps).
+std::vector<double> increments(const ScoreFunction& fn,
+                               std::span<const float> logits,
+                               std::size_t layer, std::size_t head,
+                               std::size_t t, std::size_t total_steps) {
+  const ScoreFunctionConfig& cfg = fn.config();
+  std::vector<double> noise;
+  if (cfg.adjustment != LogitAdjustment::kNone) {
+    for (std::size_t i = 0; i < logits.size(); ++i) {
+      noise.push_back(fn.noise(layer, head, i));
+    }
+  }
+  std::vector<double> out(logits.size());
+  cpu::score_increments_stub.get()(
+      logits.data(), noise.empty() ? nullptr : noise.data(), out.data(),
+      logits.size(), cfg.temperature.at(t, total_steps));
+  return out;
 }
 
 TEST(TemperatureSchedule, LinearRamp) {
@@ -70,9 +86,8 @@ TEST(ScoreFunction, NoneAdjustmentIsExactSoftmax) {
   std::vector<float> logits{0.5F, 1.5F, -0.5F};
   std::vector<float> expected(3);
   softmax(logits, expected);
-  std::vector<double> out(3);
-  fn.increments(logits, iota_positions(3), 0, 0, 0, 10, out);
-  // ScoreFunction accumulates in double; softmax() is float — compare at
+  const std::vector<double> out = increments(fn, logits, 0, 0, 0, 10);
+  // The score kernel works in double; softmax() is float — compare at
   // float precision.
   for (int i = 0; i < 3; ++i) EXPECT_NEAR(out[i], expected[i], 1e-6);
 }
@@ -85,8 +100,7 @@ TEST(ScoreFunction, IncrementsSumToOne) {
     cfg.adjustment = adj;
     const ScoreFunction fn(cfg);
     std::vector<float> logits{0.2F, -1.0F, 2.0F, 0.0F};
-    std::vector<double> out(4);
-    fn.increments(logits, iota_positions(4), 1, 2, 3, 16, out);
+    const std::vector<double> out = increments(fn, logits, 1, 2, 3, 16);
     double sum = 0.0;
     for (const double v : out) sum += v;
     EXPECT_NEAR(sum, 1.0, 1e-9) << to_string(adj);
@@ -97,8 +111,7 @@ TEST(ScoreFunction, MaskedLogitsGetZeroIncrement) {
   ScoreFunctionConfig cfg;
   const ScoreFunction fn(cfg);
   std::vector<float> logits{1.0F, -kInf, 0.0F};
-  std::vector<double> out(3);
-  fn.increments(logits, iota_positions(3), 0, 0, 0, 8, out);
+  const std::vector<double> out = increments(fn, logits, 0, 0, 0, 8);
   EXPECT_EQ(out[1], 0.0);
   EXPECT_GT(out[0], out[2]);
 }
@@ -144,9 +157,8 @@ TEST(ScoreFunction, ConstantAdjustmentCancelsInSoftmax) {
   none_cfg.adjustment = LogitAdjustment::kNone;
   const ScoreFunction none_fn(none_cfg);
   std::vector<float> logits{0.1F, 0.9F, -0.3F};
-  std::vector<double> a(3), b(3);
-  fn.increments(logits, iota_positions(3), 0, 0, 0, 4, a);
-  none_fn.increments(logits, iota_positions(3), 0, 0, 0, 4, b);
+  const std::vector<double> a = increments(fn, logits, 0, 0, 0, 4);
+  const std::vector<double> b = increments(none_fn, logits, 0, 0, 0, 4);
   for (int i = 0; i < 3; ++i) EXPECT_NEAR(a[i], b[i], 1e-9);
 }
 
@@ -156,13 +168,14 @@ TEST(ScoreFunction, GumbelNoiseScaleControlsPerturbation) {
   weak.noise_scale = 0.01;
   ScoreFunctionConfig strong;
   strong.noise_scale = 3.0;
-  std::vector<double> none(5), w(5), s(5);
   ScoreFunctionConfig none_cfg;
   none_cfg.adjustment = LogitAdjustment::kNone;
-  ScoreFunction(none_cfg).increments(logits, iota_positions(5), 0, 0, 0, 4,
-                                     none);
-  ScoreFunction(weak).increments(logits, iota_positions(5), 0, 0, 0, 4, w);
-  ScoreFunction(strong).increments(logits, iota_positions(5), 0, 0, 0, 4, s);
+  const std::vector<double> none =
+      increments(ScoreFunction(none_cfg), logits, 0, 0, 0, 4);
+  const std::vector<double> w =
+      increments(ScoreFunction(weak), logits, 0, 0, 0, 4);
+  const std::vector<double> s =
+      increments(ScoreFunction(strong), logits, 0, 0, 0, 4);
   double weak_dev = 0.0, strong_dev = 0.0;
   for (int i = 0; i < 5; ++i) {
     weak_dev += std::abs(w[i] - none[i]);
@@ -178,9 +191,9 @@ TEST(ScoreFunction, HigherTauFlattensIncrements) {
   std::vector<float> logits{2.0F, 0.0F, -1.0F, 0.5F};
   ScoreFunctionConfig cfg;  // dynamic 1 -> 2
   const ScoreFunction fn(cfg);
-  std::vector<double> early(4), late(4);
-  fn.increments(logits, iota_positions(4), 0, 0, /*t=*/0, 10, early);
-  fn.increments(logits, iota_positions(4), 0, 0, /*t=*/10, 10, late);
+  const std::vector<double> early =
+      increments(fn, logits, 0, 0, /*t=*/0, 10);
+  const std::vector<double> late = increments(fn, logits, 0, 0, /*t=*/10, 10);
   std::vector<float> fe(early.begin(), early.end());
   std::vector<float> fl(late.begin(), late.end());
   EXPECT_GT(entropy(fl), entropy(fe));
@@ -196,15 +209,14 @@ TEST(ScoreFunction, GumbelExpectedEntropyExceedsPlainSoftmax) {
   none_cfg.adjustment = LogitAdjustment::kNone;
   const ScoreFunction base(none_cfg);
 
-  std::vector<double> mean_gumbel(6, 0.0), plain(6);
-  std::vector<double> tmp(6);
+  std::vector<double> mean_gumbel(6, 0.0);
   const int trials = 2000;
   for (int trial = 0; trial < trials; ++trial) {
-    fn.increments(logits, iota_positions(6), 0,
-                  static_cast<std::size_t>(trial), 0, 4, tmp);
+    const std::vector<double> tmp =
+        increments(fn, logits, 0, static_cast<std::size_t>(trial), 0, 4);
     for (int i = 0; i < 6; ++i) mean_gumbel[i] += tmp[i] / trials;
   }
-  base.increments(logits, iota_positions(6), 0, 0, 0, 4, plain);
+  const std::vector<double> plain = increments(base, logits, 0, 0, 0, 4);
   std::vector<float> g(mean_gumbel.begin(), mean_gumbel.end());
   std::vector<float> p(plain.begin(), plain.end());
   EXPECT_GT(entropy(g), entropy(p));

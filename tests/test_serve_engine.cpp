@@ -38,8 +38,8 @@ std::vector<Token> make_prompt(std::size_t n, std::uint64_t seed = 0) {
   return p;
 }
 
-/// The classic pre-engine single-sequence loop, kept verbatim as the
-/// golden reference the Engine must reproduce token for token.
+/// The classic pre-engine single-sequence loop, kept as the golden
+/// reference the Engine must reproduce token for token.
 std::vector<Token> reference_generate(Transformer& model,
                                       std::span<const Token> prompt,
                                       kv::EvictionPolicy& policy,
@@ -65,9 +65,8 @@ std::vector<Token> reference_generate(Transformer& model,
     return {tokens.data() + (n - w), w};
   };
 
-  Token next = model::select_greedy(prompt_logits.row(prompt.size() - 1),
-                                    recent_window(), cfg.repetition_penalty,
-                                    cfg.banned_tokens);
+  Token next = model::select_greedy(prompt_logits.row(0), recent_window(),
+                                    cfg.repetition_penalty, cfg.banned_tokens);
   for (std::size_t t = 1; t <= cfg.max_new_tokens; ++t) {
     tokens.push_back(next);
     if (cfg.eos_token >= 0 && next == cfg.eos_token) break;

@@ -14,10 +14,12 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "cpu/kernels.h"
+#include "gemm_reference.h"
 #include "keyformer/keyformer.h"
 #include "score_reference.h"
 
@@ -51,6 +53,20 @@ std::vector<float> random_vec(Rng& rng, std::size_t n, float scale = 2.0F) {
 /// multiples of 8 and 16, off-by-one tails on both sides, and long runs.
 const std::size_t kLengths[] = {1,  2,  3,  5,  7,  8,   9,   15,  16, 17,
                                 31, 32, 33, 63, 64, 65, 100, 257, 1000};
+
+/// Every gemm_rows epilogue form.
+const cpu::Epilogue kEpilogues[] = {cpu::Epilogue::kStore,
+                                    cpu::Epilogue::kBiasGelu,
+                                    cpu::Epilogue::kBiasAccumulate};
+
+const char* epilogue_name(cpu::Epilogue form) {
+  switch (form) {
+    case cpu::Epilogue::kStore: return "store";
+    case cpu::Epilogue::kBiasGelu: return "bias_gelu";
+    case cpu::Epilogue::kBiasAccumulate: return "bias_accumulate";
+  }
+  return "?";
+}
 
 class SimdParity : public ::testing::TestWithParam<cpu::CpuIsa> {
  protected:
@@ -114,11 +130,83 @@ TEST_P(SimdParity, GemmRowsMatchesScalar) {
   }
 }
 
+TEST_P(SimdParity, GemmEpilogueMatchesScalar) {
+  // Every epilogue form at m = 1..9 on {k, n} shapes that hit the row and
+  // column tails (n = 7 and 257 leave scalar column tails on every wide
+  // variant) and the model's MLP and LM-head widths. The scalar variant
+  // equals the unfused loops (gemm_reference.h) bit for bit. A wide
+  // variant stays within the GEMM's 1e-5 budget of them; its store and
+  // residual forms equal the loops over its own product bit for bit, and
+  // its GELU stays within 1e-6 * (1 + |ref|) of the loops' GELU of its
+  // own product. Inputs are scaled so pre-activations spread over GELU's
+  // curved range (standard deviation about 3).
+  constexpr std::size_t kMaxRows = 9;
+  Rng rng(22);
+  const std::pair<std::size_t, std::size_t> shapes[] = {  // {k, n}
+      {3, 7}, {33, 257}, {128, 256}, {256, 128}, {128, 512}};
+  for (const auto& [k, n] : shapes) {
+    const auto scale =
+        static_cast<float>(std::pow(9.0 / static_cast<double>(k), 0.25));
+    const auto a = random_vec(rng, kMaxRows * k, scale);
+    const auto b = random_vec(rng, k * n, scale);
+    const auto bias = random_vec(rng, n, 1.0F);
+    const auto x = random_vec(rng, kMaxRows * n, 1.0F);  // C's prior values
+    std::vector<double> mag(kMaxRows * n, 0.0);  // sum over k of |a * b|
+    for (std::size_t i = 0; i < kMaxRows; ++i) {
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        for (std::size_t j = 0; j < n; ++j) {
+          mag[i * n + j] +=
+              std::abs(static_cast<double>(a[i * k + kk]) * b[kk * n + j]);
+        }
+      }
+    }
+    for (std::size_t m = 1; m <= kMaxRows; ++m) {
+      const std::span<const float> am(a.data(), m * k);
+      std::vector<float> prod_ref(m * n), prod_got(m * n);
+      under_isa(cpu::CpuIsa::kScalar,
+                [&] { matmul(am, b, prod_ref, m, k, n); return 0; });
+      under_isa(GetParam(),
+                [&] { matmul(am, b, prod_got, m, k, n); return 0; });
+      for (const cpu::Epilogue form : kEpilogues) {
+        SCOPED_TRACE("k=" + std::to_string(k) + " n=" + std::to_string(n) +
+                     " m=" + std::to_string(m) + " " + epilogue_name(form));
+        std::vector<float> oracle(x.begin(), x.begin() + m * n);
+        std::vector<float> own = oracle;
+        std::vector<float> ref = oracle;
+        std::vector<float> got = oracle;
+        reference::epilogue(form, prod_ref, bias, oracle, m, n);
+        reference::epilogue(form, prod_got, bias, own, m, n);
+        under_isa(cpu::CpuIsa::kScalar,
+                  [&] { matmul(am, b, ref, m, k, n, form, bias); return 0; });
+        under_isa(GetParam(),
+                  [&] { matmul(am, b, got, m, k, n, form, bias); return 0; });
+        for (std::size_t e = 0; e < m * n; ++e) {
+          const std::size_t j = e % n;
+          ASSERT_EQ(ref[e], oracle[e]) << "row " << e / n << " col " << j;
+          double budget = 1.0 + mag[e];
+          if (form != cpu::Epilogue::kStore) budget += std::abs(bias[j]);
+          if (form == cpu::Epilogue::kBiasAccumulate) budget += std::abs(x[e]);
+          ASSERT_NEAR(got[e], oracle[e], 1e-5 * budget)
+              << "row " << e / n << " col " << j;
+          if (form == cpu::Epilogue::kBiasGelu) {
+            ASSERT_NEAR(got[e], own[e], 1e-6 * (1.0 + std::abs(own[e])))
+                << "row " << e / n << " col " << j;
+          } else {
+            ASSERT_EQ(got[e], own[e]) << "row " << e / n << " col " << j;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_P(SimdParity, GemmRowBitsIndependentOfRowCount) {
-  // The batching contract: under one ISA a row's bits never depend on
-  // the rows sharing its product — not on m, not on how rows fall into
-  // register blocks, and not on the [m0, m1) ranges a thread split hands
-  // the kernel (m = 9 at k = 256, n = 128 crosses matmul's threshold).
+  // The batching contract, for every epilogue form: under one ISA a row's
+  // bits never depend on the rows sharing its product — not on m, not on
+  // how rows fall into register blocks, and not on the [m0, m1) ranges a
+  // thread split hands the kernel (m = 9 at k = 256, n = 128 crosses
+  // matmul's threshold). Rows outside [m0, m1) stay untouched, the
+  // residual form's included.
   const IsaOverride scoped(GetParam());
   const cpu::GemmRowsFn rows = cpu::gemm_rows_stub.get();
   constexpr std::size_t kMaxRows = 9;
@@ -129,29 +217,36 @@ TEST_P(SimdParity, GemmRowBitsIndependentOfRowCount) {
   for (const auto& [k, n] : shapes) {
     const auto a = random_vec(rng, kMaxRows * k);
     const auto b = random_vec(rng, k * n);
-    std::vector<float> solo(kMaxRows * n);
-    for (std::size_t i = 0; i < kMaxRows; ++i) {
-      matmul({a.data() + i * k, k}, b, {solo.data() + i * n, n}, 1, k, n);
-    }
-    for (std::size_t m = 1; m <= kMaxRows; ++m) {
-      std::vector<float> c(m * n);
-      matmul(a, b, c, m, k, n);
-      for (std::size_t e = 0; e < m * n; ++e) {
-        EXPECT_EQ(c[e], solo[e]) << "k=" << k << " n=" << n << " m=" << m
-                                 << " row " << e / n << " col " << e % n;
+    const auto bias = random_vec(rng, n);
+    const auto x = random_vec(rng, kMaxRows * n);  // C's prior values
+    for (const cpu::Epilogue form : kEpilogues) {
+      SCOPED_TRACE(epilogue_name(form));
+      std::vector<float> solo = x;
+      for (std::size_t i = 0; i < kMaxRows; ++i) {
+        matmul({a.data() + i * k, k}, b, {solo.data() + i * n, n}, 1, k, n,
+               form, bias);
       }
-    }
-    const std::pair<std::size_t, std::size_t> ranges[] = {
-        {1, 6}, {3, 8}, {5, 9}, {7, 8}, {1, 2}, {0, 9}};
-    for (const auto& [m0, m1] : ranges) {
-      std::vector<float> c(kMaxRows * n, kUntouched);
-      rows(a.data(), b.data(), c.data(), m0, m1, k, n);
-      for (std::size_t e = 0; e < kMaxRows * n; ++e) {
-        const std::size_t i = e / n;
-        const float want = i >= m0 && i < m1 ? solo[e] : kUntouched;
-        EXPECT_EQ(c[e], want) << "k=" << k << " n=" << n << " rows [" << m0
-                              << ", " << m1 << ") row " << i << " col "
-                              << e % n;
+      for (std::size_t m = 1; m <= kMaxRows; ++m) {
+        std::vector<float> c(x.begin(), x.begin() + m * n);
+        matmul(a, b, c, m, k, n, form, bias);
+        for (std::size_t e = 0; e < m * n; ++e) {
+          EXPECT_EQ(c[e], solo[e]) << "k=" << k << " n=" << n << " m=" << m
+                                   << " row " << e / n << " col " << e % n;
+        }
+      }
+      const std::pair<std::size_t, std::size_t> ranges[] = {
+          {1, 6}, {3, 8}, {5, 9}, {7, 8}, {1, 2}, {0, 9}};
+      for (const auto& [m0, m1] : ranges) {
+        std::vector<float> c(kMaxRows * n, kUntouched);
+        std::copy(x.begin() + m0 * n, x.begin() + m1 * n, c.begin() + m0 * n);
+        rows(a.data(), b.data(), c.data(), m0, m1, k, n, form, bias.data());
+        for (std::size_t e = 0; e < kMaxRows * n; ++e) {
+          const std::size_t i = e / n;
+          const float want = i >= m0 && i < m1 ? solo[e] : kUntouched;
+          EXPECT_EQ(c[e], want) << "k=" << k << " n=" << n << " rows [" << m0
+                                << ", " << m1 << ") row " << i << " col "
+                                << e % n;
+        }
       }
     }
   }
@@ -288,7 +383,7 @@ TEST_P(SimdParity, ScoreIncrementsMatchesScalar) {
       }
       EXPECT_NEAR(sum, 1.0, 1e-12);
       for (const std::size_t i : masked_at) EXPECT_EQ(got[i], 0.0) << i;
-      if (with_noise) {  // noise == out, as ScoreFunction::increments
+      if (with_noise) {  // noise == out aliasing, which the contract allows
         std::vector<double> aliased = noise;
         variant(logits.data(), aliased.data(), aliased.data(), n, tau);
         EXPECT_EQ(aliased, got);

@@ -111,12 +111,21 @@ TEST(AddScale, InPlace) {
 }
 
 TEST(Gelu, KnownValues) {
-  std::vector<float> y{0.0F, 1.0F, -1.0F, 3.0F};
-  gelu_inplace(y);
-  EXPECT_NEAR(y[0], 0.0F, 1e-6F);
-  EXPECT_NEAR(y[1], 0.8412F, 1e-3F);
-  EXPECT_NEAR(y[2], -0.1588F, 1e-3F);
-  EXPECT_NEAR(y[3], 2.9964F, 1e-3F);
+  // GELU as the MLP runs it: a one-row kBiasGelu product, c = gelu(1 * b +
+  // bias), with b + bias exact. 36 columns put every value both in vector
+  // lanes and in the scalar column tail of each wide variant.
+  const float values[] = {0.0F, 1.0F, -1.0F, 3.0F};
+  const float expected[] = {0.0F, 0.8412F, -0.1588F, 2.9964F};
+  constexpr std::size_t n = 36;
+  const std::vector<float> a{1.0F};
+  const std::vector<float> bias(n, 0.5F);
+  std::vector<float> b(n), c(n);
+  for (std::size_t j = 0; j < n; ++j) b[j] = values[j % 4] - 0.5F;
+  matmul(a, b, c, 1, 1, n, cpu::Epilogue::kBiasGelu, bias);
+  for (std::size_t j = 0; j < n; ++j) {
+    EXPECT_NEAR(c[j], expected[j % 4], j % 4 == 0 ? 1e-6F : 1e-3F)
+        << "col " << j;
+  }
 }
 
 TEST(LayerNorm, NormalizesToUnitVariance) {

@@ -33,11 +33,13 @@ std::vector<Token> make_prompt(std::size_t n) {
 }
 
 TEST(Transformer, PrefillShapes) {
+  // Prefill caches every prompt row but returns only the last row's logits,
+  // the ones predicting the first generated token.
   Transformer m(tiny_config());
   kv::FullAttentionPolicy policy;
   const auto prompt = make_prompt(10);
   const Tensor logits = m.prefill(prompt, policy, 4);
-  EXPECT_EQ(logits.dim(0), 10u);
+  EXPECT_EQ(logits.dim(0), 1u);
   EXPECT_EQ(logits.dim(1), 64u);
   EXPECT_EQ(m.cache_size(0), 10u);
   EXPECT_EQ(m.cache_size(1), 10u);
@@ -108,7 +110,7 @@ TEST_P(PrefillDecodeEquivalence, StepwiseDecodeMatchesPrefill) {
   Transformer batch(cfg);
   kv::FullAttentionPolicy p1;
   const Tensor full = batch.prefill(prompt, p1, 1);
-  const auto last = full.row(prompt.size() - 1);
+  const auto last = full.row(0);  // the last prompt row's logits
 
   Transformer step(cfg);
   kv::FullAttentionPolicy p2;

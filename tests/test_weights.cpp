@@ -85,11 +85,13 @@ TEST(Weights, EmbeddingRowsUnitNorm) {
 }
 
 TEST(Weights, LmHeadIsRawWithoutSalience) {
-  // Salient embeddings share the salience direction; lm_head rows must not
-  // (they are the pre-mixing raws). Mean pairwise dot of salient embedding
-  // rows exceeds that of lm_head rows.
+  // Salient embeddings share the salience direction; lm_head columns must
+  // not (they are the pre-mixing raws, stored [d_model, vocab]). Mean
+  // pairwise dot of salient embedding rows exceeds that of lm_head columns.
   const ModelConfig cfg = ModelConfig::gptj_like();
   const ModelWeights w = build_weights(cfg);
+  ASSERT_EQ(w.lm_head.dim(0), cfg.d_model);
+  ASSERT_EQ(w.lm_head.dim(1), cfg.vocab_size);
   double emb_dot = 0.0, head_dot = 0.0;
   int pairs = 0;
   for (std::size_t a = cfg.salient_begin(); a < cfg.salient_begin() + 20;
@@ -99,7 +101,7 @@ TEST(Weights, LmHeadIsRawWithoutSalience) {
       for (std::size_t j = 0; j < cfg.d_model; ++j) {
         de += static_cast<double>(w.embedding.at(a, j)) *
               w.embedding.at(b, j);
-        dh += static_cast<double>(w.lm_head.at(a, j)) * w.lm_head.at(b, j);
+        dh += static_cast<double>(w.lm_head.at(j, a)) * w.lm_head.at(j, b);
       }
       emb_dot += de;
       head_dot += dh;
