@@ -13,14 +13,13 @@
 //      compounding effect behind the paper's 2.4x claim.
 //
 //   ./bench/bench_serve_throughput [--quick] [--gen N] [--seed S]
-//                                  [--csv DIR] [--paged]
-//                                  [--block-tokens N]
+//                                  [--csv DIR] [--block-tokens N]
 //                                  [--monitor-period-ms N]
 //                                  [--prom-out FILE] [--timeseries-out FILE]
 //
-// --paged switches both sweeps to block-reserved admission over a capped
-// pool, so their pool_util column is live (0 under token-counted
-// admission, whose pool is unbounded).
+// Admission reserves pool blocks; peak_kv_blocks is the peak reserved.
+// Sweep 2's budget caps the pool, so its pool_util column is live (0 in
+// sweep 1, whose pool is unbounded).
 // --csv DIR writes serve_throughput.csv + serve_frontier.csv — the CI
 // artifact recording the serving-throughput trajectory.
 // --monitor-period-ms N attaches a background Monitor thread to every
@@ -46,11 +45,6 @@ struct Workload {
   std::uint64_t seed = 0;
 };
 
-struct PagedOptions {
-  bool enabled = false;  ///< false = token-counted admission
-  std::size_t block_tokens = 16;
-};
-
 struct MonitorOptions {
   std::size_t period_ms = 0;  ///< 0 = no monitor
   std::string prom_path;
@@ -74,7 +68,7 @@ std::vector<serve::Request> make_requests(const model::ModelConfig& cfg,
 
 serve::EngineStats run_cell(model::Transformer& m, const Workload& wl,
                             double cache_ratio, std::size_t max_batch,
-                            std::size_t max_tokens, const PagedOptions& po,
+                            std::size_t max_tokens, std::size_t block_tokens,
                             const MonitorOptions& mo) {
   std::vector<serve::Request> requests = make_requests(m.config(), wl);
   for (auto& r : requests) r.gen.cache_ratio = cache_ratio;
@@ -83,8 +77,7 @@ serve::EngineStats run_cell(model::Transformer& m, const Workload& wl,
   ec.policy.kind = kv::PolicyKind::kKeyformer;
   ec.scheduler.max_batch_size = max_batch;
   ec.scheduler.max_concurrent_tokens = max_tokens;
-  ec.paged.enabled = po.enabled;
-  ec.paged.block_tokens = po.block_tokens;
+  ec.paged.block_tokens = block_tokens;
   serve::Engine engine(m, ec);
   obs::Monitor monitor(
       {.period_ms = static_cast<double>(mo.period_ms)});
@@ -109,8 +102,7 @@ serve::EngineStats run_cell(model::Transformer& m, const Workload& wl,
   return engine.stats();
 }
 
-/// Peak pool utilization of one cell (0 for an unbounded pool, as under
-/// token-counted admission).
+/// Peak pool utilization of one cell (0 for an unbounded pool).
 double pool_util(const serve::EngineStats& stats) {
   return stats.pool_capacity_blocks > 0
              ? static_cast<double>(stats.pool_peak_used_blocks) /
@@ -122,7 +114,7 @@ double pool_util(const serve::EngineStats& stats) {
 
 int main(int argc, char** argv) {
   const bench::Options opt = bench::parse_options(argc, argv);
-  PagedOptions po;
+  std::size_t block_tokens = 16;
   MonitorOptions mo;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -145,11 +137,9 @@ int main(int argc, char** argv) {
       }
       return value;
     };
-    if (arg == "--paged") {
-      po.enabled = true;
-    } else if (arg == "--block-tokens") {
-      po.block_tokens = next_count("--block-tokens");
-      if (po.block_tokens == 0) {
+    if (arg == "--block-tokens") {
+      block_tokens = next_count("--block-tokens");
+      if (block_tokens == 0) {
         std::cerr << "error: --block-tokens must be positive\n";
         return 1;
       }
@@ -186,10 +176,7 @@ int main(int argc, char** argv) {
             << wl.n_requests << " requests, prompt " << wl.prompt_len
             << ", gen " << wl.gen_tokens << ", "
             << ThreadPool::global().size() << " worker threads, "
-            << (po.enabled ? "paged KV: " + std::to_string(po.block_tokens) +
-                                 "-token blocks"
-                           : std::string("token-counted KV admission"))
-            << ")\n"
+            << block_tokens << "-token KV blocks)\n"
             << "note: batch scaling is parallel across sequences — on a "
                "single-core host that sweep is expected to be flat\n\n";
 
@@ -198,13 +185,13 @@ int main(int argc, char** argv) {
   Table t1("aggregate decode throughput vs batch size (cache_ratio 0.5)");
   std::vector<std::string> h1{"max_batch", "isa", "decode_tok_per_s",
                               "speedup_vs_b1", "steps", "peak_batch",
-                              "peak_kv_tokens", "pool_util", "frag"};
+                              "peak_kv_blocks", "pool_util", "frag"};
   bench::append_latency_columns(h1);
   t1.header(h1);
   double base_tps = 0.0;
   for (const std::size_t b : batches) {
     const serve::EngineStats stats =
-        run_cell(m, wl, fixed_ratio, b, /*max_tokens=*/0, po, mo);
+        run_cell(m, wl, fixed_ratio, b, /*max_tokens=*/0, block_tokens, mo);
     const double tps = stats.decode_tokens_per_s();
     if (b == batches.front()) base_tps = tps;
     std::vector<std::string> row{
@@ -212,7 +199,7 @@ int main(int argc, char** argv) {
         Table::num(base_tps > 0.0 ? tps / base_tps : 0.0, 2) + "x",
         Table::num(static_cast<long long>(stats.steps)),
         Table::num(static_cast<long long>(stats.max_batch)),
-        Table::num(static_cast<long long>(stats.max_tokens_in_use)),
+        Table::num(static_cast<long long>(stats.max_blocks_in_use)),
         Table::num(pool_util(stats), 3),
         Table::num(stats.max_fragmentation, 3)};
     bench::append_latency_cells(row, stats);
@@ -233,13 +220,13 @@ int main(int argc, char** argv) {
            " tokens): cache_ratio buys batch size");
   std::vector<std::string> h2{"cache_ratio", "isa", "achieved_batch",
                               "decode_tok_per_s", "speedup_vs_full",
-                              "peak_kv_tokens", "pool_util", "frag"};
+                              "peak_kv_blocks", "pool_util", "frag"};
   bench::append_latency_columns(h2);
   t2.header(h2);
   double full_tps = 0.0;
   for (const double r : ratios) {
     const serve::EngineStats stats =
-        run_cell(m, wl, r, /*max_batch=*/0, kv_budget, po, mo);
+        run_cell(m, wl, r, /*max_batch=*/0, kv_budget, block_tokens, mo);
     const double tps = stats.decode_tokens_per_s();
     if (r == ratios.front()) full_tps = tps;
     std::vector<std::string> row{
@@ -247,7 +234,7 @@ int main(int argc, char** argv) {
         Table::num(static_cast<long long>(stats.max_batch)),
         Table::num(tps, 1),
         Table::num(full_tps > 0.0 ? tps / full_tps : 0.0, 2) + "x",
-        Table::num(static_cast<long long>(stats.max_tokens_in_use)),
+        Table::num(static_cast<long long>(stats.max_blocks_in_use)),
         Table::num(pool_util(stats), 3),
         Table::num(stats.max_fragmentation, 3)};
     bench::append_latency_cells(row, stats);
@@ -261,8 +248,8 @@ int main(int argc, char** argv) {
                "weights; sweep 2 holds KV memory fixed and shows a reduced "
                "cache ratio converting freed memory into batch size and "
                "throughput — the measured form of Table 1's bigger-batch "
-               "row. With --paged, pool_util is peak used blocks over "
-               "capacity and frag is the worst-step share of block-resident "
-               "token slots holding no live token.\n";
+               "row. pool_util is peak used blocks over capacity and frag "
+               "is the worst-step share of block-resident token slots "
+               "holding no live token.\n";
   return 0;
 }

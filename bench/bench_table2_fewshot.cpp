@@ -50,7 +50,6 @@ void prefix_serving_row(Table& table, const model::ModelConfig& cfg,
   ec.policy.kind = kv::PolicyKind::kKeyformer;
   ec.policy.keyformer.score.seed = opt.seed;
   ec.scheduler.max_batch_size = n_requests;
-  ec.paged.enabled = true;
   ec.paged.block_tokens = 16;
 
   serve::Engine off(m, ec);

@@ -7,22 +7,18 @@
 // Engine really admits, prefills, batches, and retires each request
 // (per-sequence KV caches + Keyformer eviction at 50% cache ratio).
 //
-//   ./examples/serve_sim [--max-batch N] [--kv-budget N]
-//                        [--paged] [--block-tokens N]
+//   ./examples/serve_sim [--max-batch N] [--kv-budget N] [--block-tokens N]
 //                        [--shared-prefix N] [--trace FILE]
 //                        [--metrics] [--metrics-csv FILE]
 //     --max-batch N       max concurrent sequences (default 4)
-//     --kv-budget N       scheduler memory budget in per-layer tokens;
-//                         0 = unlimited (default 600)
-//     --paged             reserve pool blocks at admission under a capped
-//                         pool (default: token-counted admission)
-//     --block-tokens N    tokens per pool block (default 16; paged only)
+//     --kv-budget N       KV memory budget in per-layer tokens, which
+//                         sizes the block pool; 0 = unlimited (default 600)
+//     --block-tokens N    tokens per pool block (default 16)
 //     --shared-prefix N   switch to a shared-context workload: every
 //                         request opens with the same ~N-token few-shot
 //                         context (from src/data/fewshot) and the engine's
 //                         prefix cache replays it instead of re-prefilling
-//                         (requires --paged; prints hit-rate / blocks-
-//                         saved summary)
+//                         (prints hit-rate / blocks-saved summary)
 //     --trace FILE        record engine/kernel spans and write a Chrome
 //                         trace-event JSON to FILE (open in Perfetto or
 //                         chrome://tracing)
@@ -40,10 +36,9 @@
 //                         JSON to FILE (implies a 5 ms monitor period
 //                         when --monitor-period-ms is not given)
 //
-// With --paged the budget stops being an abstract token count: admission
-// reserves real blocks in the pool, and the summary reports pool
-// utilization and internal fragmentation. With --shared-prefix it also
-// becomes a multi-tenant cache: one copy of the shared context's KV
+// Admission reserves real blocks in the pool, and the summary reports pool
+// utilization and internal fragmentation. With --shared-prefix the pool
+// also becomes a multi-tenant cache: one copy of the shared context's KV
 // backs every request that carries it, copy-on-write under eviction.
 #include <algorithm>
 #include <cstdlib>
@@ -84,7 +79,7 @@ serve::Request make_request(std::uint64_t id, std::size_t prompt_len,
 [[noreturn]] void usage_exit(const std::string& message) {
   std::cerr << "error: " << message
             << "\nusage: serve_sim [--max-batch N] [--kv-budget N] "
-               "[--paged] [--block-tokens N] [--shared-prefix N]\n";
+               "[--block-tokens N] [--shared-prefix N]\n";
   std::exit(1);
 }
 
@@ -119,7 +114,6 @@ std::size_t parse_count_arg(const char* arg, const char* name) {
 int main(int argc, char** argv) {
   std::size_t max_batch = 4;
   std::size_t kv_budget = 600;
-  bool paged = false;
   std::size_t block_tokens = 16;
   std::size_t shared_prefix = 0;
   std::string trace_path;
@@ -138,8 +132,6 @@ int main(int argc, char** argv) {
       max_batch = parse_count_arg(next("--max-batch"), "--max-batch");
     } else if (arg == "--kv-budget") {
       kv_budget = parse_count_arg(next("--kv-budget"), "--kv-budget");
-    } else if (arg == "--paged") {
-      paged = true;
     } else if (arg == "--block-tokens") {
       block_tokens = parse_count_arg(next("--block-tokens"), "--block-tokens");
       if (block_tokens == 0) usage_exit("--block-tokens must be positive");
@@ -169,7 +161,7 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: serve_sim [--max-batch N] [--kv-budget N] "
-                   "[--paged] [--block-tokens N] [--shared-prefix N] "
+                   "[--block-tokens N] [--shared-prefix N] "
                    "[--trace FILE] [--metrics] [--metrics-csv FILE] "
                    "[--monitor-period-ms N] [--prom-out FILE] "
                    "[--timeseries-out FILE]\n";
@@ -178,11 +170,6 @@ int main(int argc, char** argv) {
       usage_exit("unknown argument \"" + arg + "\"");
     }
   }
-  if (shared_prefix > 0 && !paged) {
-    usage_exit("--shared-prefix requires --paged (the prefix cache shares "
-               "pool blocks)");
-  }
-
   // Which kernel variants this run dispatches to (detected ISA, active
   // choice, any KF_CPU_ISA override) — printed once so logs are
   // comparable across hosts.
@@ -224,10 +211,7 @@ int main(int argc, char** argv) {
   ec.policy.kind = kv::PolicyKind::kKeyformer;
   ec.scheduler.max_batch_size = max_batch;
   ec.scheduler.max_concurrent_tokens = kv_budget;
-  if (paged) {
-    ec.paged.enabled = true;
-    ec.paged.block_tokens = block_tokens;
-  }
+  ec.paged.block_tokens = block_tokens;
   if (shared_prefix > 0) ec.prefix.enabled = true;
   serve::Engine engine(m, ec);
 
@@ -236,10 +220,7 @@ int main(int argc, char** argv) {
             << ", kv budget "
             << (kv_budget == 0 ? std::string("unlimited")
                                : std::to_string(kv_budget) + " tokens")
-            << ", keyformer @50% cache, "
-            << (paged ? "paged: " + std::to_string(block_tokens) +
-                            "-token blocks"
-                      : std::string("token-counted admission"))
+            << ", keyformer @50% cache, " << block_tokens << "-token blocks"
             << (shared_prefix > 0
                     ? ", shared " +
                           std::to_string(requests[0].shared_prefix_hint) +
@@ -316,23 +297,20 @@ int main(int argc, char** argv) {
               << " emergency alloc fallback(s)\n";
   }
   std::cout << "engine: " << st.steps << " decode steps, peak batch "
-            << st.max_batch << ", peak KV in use " << st.max_tokens_in_use
-            << " tokens, aggregate decode throughput "
+            << st.max_batch << ", aggregate decode throughput "
             << Table::num(st.decode_tokens_per_s(), 1) << " tok/s (isa "
             << st.isa << ")\n";
-  if (paged) {
-    const double util =
-        st.pool_capacity_blocks > 0
-            ? static_cast<double>(st.pool_peak_used_blocks) /
-                  static_cast<double>(st.pool_capacity_blocks)
-            : 0.0;
-    std::cout << "pool: " << st.pool_peak_used_blocks << " peak used / "
-              << st.pool_capacity_blocks << " capacity blocks ("
-              << Table::num(100.0 * util, 1) << "% peak utilization), peak "
-              << st.max_blocks_in_use << " blocks reserved, worst internal "
-              << "fragmentation " << Table::num(100.0 * st.max_fragmentation, 1)
-              << "%\n";
-  }
+  const double util =
+      st.pool_capacity_blocks > 0
+          ? static_cast<double>(st.pool_peak_used_blocks) /
+                static_cast<double>(st.pool_capacity_blocks)
+          : 0.0;
+  std::cout << "pool: " << st.pool_peak_used_blocks << " peak used / "
+            << st.pool_capacity_blocks << " capacity blocks ("
+            << Table::num(100.0 * util, 1) << "% peak utilization), peak "
+            << st.max_blocks_in_use << " blocks reserved, worst internal "
+            << "fragmentation " << Table::num(100.0 * st.max_fragmentation, 1)
+            << "%\n";
   if (shared_prefix > 0) {
     const std::size_t total_prompt =
         st.prefilled_tokens + st.prefix_tokens_reused;
@@ -491,8 +469,8 @@ int main(int argc, char** argv) {
                "when the batch or the KV-memory budget is full, and join "
                "mid-stream as earlier sequences retire. Lowering the cache "
                "ratio shrinks each sequence's footprint, admitting more of "
-               "them at once (see bench_serve_throughput). With --paged the "
-               "budget is enforced as whole-block reservations on a real "
-               "pool, so fragmentation becomes visible above.\n";
+               "them at once (see bench_serve_throughput). The budget is "
+               "enforced as whole-block reservations on a real pool, so "
+               "fragmentation becomes visible above.\n";
   return 0;
 }

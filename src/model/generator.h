@@ -64,14 +64,20 @@ struct GenerationResult {
   }
 };
 
-/// Greedy generation under `policy`. Resets the model's caches, derives the
-/// budget from `cfg.cache_ratio`, runs prefill + max_new_tokens decode
-/// steps (or until eos). Deterministic. Implemented as a batch-of-one
-/// serve::Engine run against the model's default KV state — token-for-token
-/// identical to the classic single-sequence loop. Throws
-/// std::invalid_argument when the engine rejects the request (empty
-/// prompt, a token outside the vocabulary, learned positions past
-/// max_seq_len), with the engine's error as the message.
+/// Why `prompt` with `max_new_tokens` to generate cannot run on a model of
+/// `cfg`, or nullptr when it can: an empty prompt, a token outside the
+/// vocabulary, or learned positions past max_seq_len (the last generated
+/// token is never fed back, so it needs no position). The message has
+/// static storage. serve::Engine rejects such a request; generate() throws.
+const char* prompt_error(const ModelConfig& cfg, std::span<const Token> prompt,
+                         std::size_t max_new_tokens);
+
+/// Greedy generation under `policy` on the model's default KV state, the
+/// plain single-sequence loop: resets the caches, derives the budget from
+/// `cfg.cache_ratio`, prefills, then decodes until eos or max_new_tokens.
+/// Deterministic; a one-request serve::Engine run gives the same tokens.
+/// Throws std::invalid_argument with prompt_error()'s message when the
+/// request cannot run.
 GenerationResult generate(Transformer& model, std::span<const Token> prompt,
                           kv::EvictionPolicy& policy,
                           const GenerationConfig& cfg);

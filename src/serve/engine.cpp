@@ -5,7 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 #include <utility>
 
 #include "core/timing.h"
@@ -25,10 +24,6 @@ Engine::Engine(model::Transformer& model, EngineConfig cfg)
       hist_queue_wait_(metrics_.histogram("serve.queue_wait_seconds")),
       hist_step_(metrics_.histogram("serve.step_seconds")) {
   cfg_.scheduler.metrics = &metrics_;
-  if (cfg_.prefix.enabled && !cfg_.paged.enabled) {
-    throw std::invalid_argument(
-        "the prefix cache shares pool blocks; enable paged memory");
-  }
   if (cfg_.prefix.enabled) {
     // The bit-exactness contract of prefix adoption (shared-prefix decode
     // identical to unshared) relies on score accumulation decomposing at
@@ -63,25 +58,20 @@ Engine::Engine(model::Transformer& model, EngineConfig cfg)
   pc.n_heads = model_.config().n_heads;
   pc.d_head = model_.config().d_head();
   pc.metrics = &metrics_;
-  if (cfg_.paged.enabled) {
-    pc.capacity_blocks = cfg_.paged.capacity_blocks;
-    if (pc.capacity_blocks == 0 && cfg_.scheduler.max_concurrent_tokens > 0) {
-      // Translate the abstract token budget into physical capacity: the
-      // budget is per-layer tokens across the active set, so the pool
-      // holds n_layers times its block equivalent. A bounded prefix cache
-      // rides on top, so caching prefixes never eats into the admission
-      // capacity the budget promised.
-      pc.capacity_blocks =
-          model_.config().n_layers *
-              ((cfg_.scheduler.max_concurrent_tokens + pc.block_tokens - 1) /
-               pc.block_tokens) +
-          (cfg_.prefix.enabled ? cfg_.prefix.max_blocks : 0);
-    }
+  pc.capacity_blocks = cfg_.paged.capacity_blocks;
+  if (pc.capacity_blocks == 0 && cfg_.scheduler.max_concurrent_tokens > 0) {
+    // Translate the token budget into physical capacity: the budget is
+    // per-layer tokens across the active set, so the pool holds n_layers
+    // times its block equivalent. A bounded prefix cache rides on top, so
+    // caching prefixes never eats into the admission capacity the budget
+    // promised.
+    pc.capacity_blocks =
+        model_.config().n_layers *
+            ((cfg_.scheduler.max_concurrent_tokens + pc.block_tokens - 1) /
+             pc.block_tokens) +
+        (cfg_.prefix.enabled ? cfg_.prefix.max_blocks : 0);
   }
-  // Token mode leaves the pool unbounded: the scheduler's token budget is
-  // the only cap.
   pool_ = std::make_unique<mem::BlockPool>(pc);
-  if (cfg_.paged.enabled) cfg_.scheduler.pool = pool_.get();
   if (cfg_.prefix.enabled) {
     mem::PrefixIndexConfig ic;
     ic.n_layers = model_.config().n_layers;
@@ -126,21 +116,6 @@ void raise_peak(obs::Gauge& peak, double value) {
   if (value > peak.value()) peak.set(value);
 }
 
-/// True when a token of `prompt` lies outside [0, vocab_size).
-bool outside_vocabulary(std::span<const Token> prompt, std::size_t vocab_size) {
-  return std::any_of(prompt.begin(), prompt.end(), [&](Token t) {
-    return t < 0 || static_cast<std::size_t>(t) >= vocab_size;
-  });
-}
-
-/// The largest position the model embeds for `seq`: its last prompt row,
-/// or the input of its last decode step (the final generated token is
-/// never fed back).
-std::size_t last_embedded_position(const Sequence& seq) {
-  const std::size_t gen = seq.gen.max_new_tokens;
-  return seq.prompt.size() - 1 + (gen > 1 ? gen - 1 : 0);
-}
-
 }  // namespace
 
 EngineStats Engine::read_metrics() const {
@@ -154,7 +129,6 @@ EngineStats Engine::read_metrics() const {
     return static_cast<std::size_t>(metrics_.gauge_value(name));
   };
   st.max_batch = peak("serve.max_batch");
-  st.max_tokens_in_use = peak("serve.max_tokens_in_use");
   st.max_blocks_in_use = peak("serve.max_blocks_in_use");
   st.max_fragmentation = metrics_.gauge_value("serve.max_fragmentation");
   const mem::PoolStats ps = pool_->stats();
@@ -185,7 +159,7 @@ kv::EvictionTelemetry Engine::eviction_report() const {
 
 /// One run() call: the sequences, the scheduler, the step clock and the
 /// registry metrics its phases write. Every sequence leaves through
-/// finish(); finish() and park() drop KV state through release_kv().
+/// finish(); finish() and park() drop its KV state.
 class Engine::Run {
  public:
   explicit Run(Engine& engine)
@@ -194,10 +168,9 @@ class Engine::Run {
         cfg_(engine.cfg_),
         pool_(*engine.pool_),
         prefix_index_(engine.prefix_index_.get()),
-        sched_(engine.cfg_.scheduler) {
+        sched_(*engine.pool_, engine.cfg_.scheduler) {
     pool_.reset_peaks();
-    for (obs::Gauge* peak :
-         {&max_batch_, &max_tokens_, &max_blocks_, &max_fragmentation_}) {
+    for (obs::Gauge* peak : {&max_batch_, &max_blocks_, &max_fragmentation_}) {
       peak->set(0.0);
     }
     const LockGuard lock(engine_.stats_mu_);
@@ -210,14 +183,6 @@ class Engine::Run {
 
   void intake(std::span<const Request> requests) {
     const model::ModelConfig& mc = model_.config();
-    // Shared state is rejected up front (the first request keeps the
-    // instance): two requests on one kv_state (or one policy instance)
-    // would clobber each other's caches/score state, and step_batch's own
-    // distinctness check only fires mid-run when their lifetimes happen to
-    // overlap — long after start_sequence() wiped the other request's
-    // in-flight caches.
-    std::unordered_set<const void*> kv_seen;
-    std::unordered_set<const void*> policy_seen;
     for (const Request& req : requests) {
       Sequence& s = seqs_.emplace_back();
       s.id = req.id;
@@ -233,52 +198,17 @@ class Engine::Run {
       // accumulate across preemption-resume replays (decisions executed,
       // not unique tokens) and are distilled onto the Response at finish.
       s.eviction.begin_sequence(s.prompt.size() + s.gen.max_new_tokens);
-      if (req.policy != nullptr) {
-        s.policy = req.policy;
-      } else {
-        s.owned_policy = kv::make_policy(cfg_.policy);
-        s.policy = s.owned_policy.get();
-      }
-      // Prefix-cache participation: engine-built policies only — the cached
-      // score snapshots are specific to the engine's policy configuration,
-      // and a caller-owned instance may be anything.
-      s.prefix_eligible = prefix_index_ != nullptr && req.policy == nullptr;
+      s.policy = kv::make_policy(cfg_.policy);
+      s.policy->set_eviction_sink(&s.eviction);
       s.shared_prefix_hint = req.shared_prefix_hint;
       // Containment: an invalid request becomes a kRejected Response with an
       // error string instead of an exception killing the whole batch.
-      if (req.prompt.empty()) {
-        finish(s, FinishReason::kRejected,
-               "serve request requires a non-empty prompt");
-      } else if (outside_vocabulary(req.prompt, mc.vocab_size)) {
-        finish(s, FinishReason::kRejected,
-               "prompt token id outside the model vocabulary");
-      } else if (mc.positional == model::PositionalKind::kLearned &&
-                 last_embedded_position(s) >= mc.max_seq_len) {
-        finish(s, FinishReason::kRejected,
-               "learned positions would run past max_seq_len");
-      } else if (req.kv_state != nullptr && cfg_.paged.enabled) {
-        // Block mode reserves pool blocks at admission; a pre-built
-        // external state on its own pool would bypass that accounting
-        // entirely.
-        finish(s, FinishReason::kRejected,
-               "paged memory mode cannot take external kv_state instances");
-      } else if (req.kv_state != nullptr &&
-                 !req.kv_state->matches(mc.n_layers, mc.n_heads, mc.d_head())) {
-        finish(s, FinishReason::kRejected,
-               "external kv_state geometry does not match the model");
-      } else if (req.kv_state != nullptr &&
-                 !kv_seen.insert(req.kv_state).second) {
-        finish(s, FinishReason::kRejected,
-               "serve requests must use distinct kv_state instances");
-      } else if (req.policy != nullptr &&
-                 !policy_seen.insert(req.policy).second) {
-        finish(s, FinishReason::kRejected,
-               "serve requests must use distinct policy instances");
-      } else if (req.kv_state != nullptr) {
-        s.kv = req.kv_state;
+      if (const char* error =
+              model::prompt_error(mc, req.prompt, req.gen.max_new_tokens)) {
+        finish(s, FinishReason::kRejected, error);
       }
       // The others get their state from the engine's pool at admission,
-      // once the scheduler has charged them.
+      // once the scheduler has reserved its blocks.
     }
 
     // Submit the survivors in arrival order (stable: ties keep request
@@ -359,16 +289,11 @@ class Engine::Run {
         if (seq->timeline.has(TimelineEventKind::kQueued)) {
           engine_.hist_queue_wait_.record(t_admit - seq->queued_seconds);
         }
-        seq->policy->set_eviction_sink(&seq->eviction);
-        if (seq->kv == nullptr) {
-          // Layer caches drawing blocks from the engine's pool (in block
-          // mode, the blocks the scheduler just reserved).
-          seq->owned_kv = std::make_unique<kv::SequenceKvState>(
-              pool_, model_.config().n_layers);
-          seq->kv = seq->owned_kv.get();
-        }
+        // Layer caches drawing the blocks the scheduler just reserved.
+        seq->kv = std::make_unique<kv::SequenceKvState>(
+            pool_, model_.config().n_layers);
         // The admission charge covers the transient prefill peak; record
-        // it before settling so max_tokens_in_use reflects true memory.
+        // it before settling so max_blocks_in_use reflects true memory.
         record_peak_use();
         start_sequence(*seq);
         if (!seq->finished() && kv_alloc_failed(*seq)) {
@@ -422,8 +347,8 @@ class Engine::Run {
       slot.position = seq->next_position();
       slot.t = seq->next_t();
       slot.total_steps = seq->gen.max_new_tokens;
-      slot.state = seq->kv;
-      slot.policy = seq->policy;
+      slot.state = seq->kv.get();
+      slot.policy = seq->policy.get();
       slots_.push_back(slot);
     }
     const Tensor logits = model_.step_batch(slots_);
@@ -522,7 +447,6 @@ class Engine::Run {
     info.n_heads = model_.config().n_heads;
     seq.policy->begin_sequence(info);
 
-    seq.kv->clear();
     const double t0 = now_seconds();
     if (resume) seq.timeline.mark(TimelineEventKind::kResumed, t0);
     seq.timeline.mark(TimelineEventKind::kPrefillStart, t0);
@@ -533,7 +457,7 @@ class Engine::Run {
     // probe, or — new this round — one an earlier sequence of the same
     // admission batch just inserted.
     const mem::PrefixEntry* entry = nullptr;
-    if (prefix_index_ != nullptr && seq.prefix_eligible) {
+    if (prefix_index_ != nullptr) {
       entry = seq.prefix_entry != nullptr
                   ? seq.prefix_entry
                   : prefix_index_->lookup(prompt, prompt.size() - 1);
@@ -552,9 +476,8 @@ class Engine::Run {
       prefix_reused_.add(m);
       prefix_shared_.add(model_.config().n_layers * entry->blocks_per_layer());
     } else {
-      const std::size_t m = prefix_index_ != nullptr && seq.prefix_eligible
-                                ? insertable_prefix_tokens(seq)
-                                : 0;
+      const std::size_t m =
+          prefix_index_ != nullptr ? insertable_prefix_tokens(seq) : 0;
       if (m > 0) {
         // Miss worth caching: chunk the prefill at the shareable boundary.
         // Chunk 1 runs with the budget masked so nothing evicts mid-prompt;
@@ -648,7 +571,7 @@ class Engine::Run {
   void probe_waiting() {
     if (prefix_index_ == nullptr) return;
     for (Sequence* seq : sched_.waiting()) {
-      if (!seq->prefix_eligible || seq->prefix_entry != nullptr) continue;
+      if (seq->prefix_entry != nullptr) continue;
       // A previous miss stays a miss until the entry set changes; skip
       // the longest-prefix probe until the index's revision moves.
       if (seq->prefix_probed_revision == prefix_index_->revision()) continue;
@@ -727,10 +650,7 @@ class Engine::Run {
     seq.timeline.mark(TimelineEventKind::kPreempted, t_park);
     // Re-queue waits measure from the park, not the original arrival.
     seq.queued_seconds = t_park;
-    release_kv(seq);
-    // An external state stays with its sequence; dropping its rows
-    // matches the budget the scheduler uncharges below.
-    if (seq.kv != nullptr) seq.kv->clear();
+    seq.kv.reset();
     sched_.preempt(&seq, step_);
   }
 
@@ -769,7 +689,7 @@ class Engine::Run {
       for (std::size_t l = 0; l < seq.kv->n_layers(); ++l) {
         seq.final_cache_sizes.push_back(seq.kv->layer_size(l));
       }
-      release_kv(seq);
+      seq.kv.reset();
       sched_.release(&seq);
     } else {
       sched_.remove_waiting(&seq);  // a no-op unless it is queued
@@ -782,17 +702,6 @@ class Engine::Run {
       rejections_.add();
     }
     ++finished_;
-  }
-
-  // KV release for a sequence leaving the active set (finish or park):
-  // uninstall the eviction sink and drop an engine-built state so its
-  // blocks return to the pool. An external kv_state stays: its caller
-  // (generate() among them) reads it after the run; park() clears it.
-  void release_kv(Sequence& seq) {
-    seq.policy->set_eviction_sink(nullptr);
-    if (seq.owned_kv == nullptr) return;
-    seq.owned_kv.reset();
-    seq.kv = nullptr;
   }
 
   void unpin_prefix(Sequence& seq) {
@@ -819,7 +728,6 @@ class Engine::Run {
   }
 
   void record_peak_use() {
-    raise_peak(max_tokens_, static_cast<double>(sched_.tokens_in_use()));
     raise_peak(max_blocks_, static_cast<double>(sched_.blocks_in_use()));
   }
 
@@ -835,7 +743,7 @@ class Engine::Run {
     // whole-block token slots of the engine's pool holding them. The
     // prefix index's retained chains are excluded — they are deliberate
     // caching, not slack (an adopted chain is double-discounted here, so
-    // the measure clamps) — and so are external states on their own pools.
+    // the measure clamps).
     const std::size_t index_blocks =
         prefix_index_ != nullptr ? prefix_index_->blocks_held() : 0;
     const std::size_t used = pool_.stats().used_blocks;
@@ -843,9 +751,7 @@ class Engine::Run {
         (used > index_blocks ? used - index_blocks : 0) * pool_.block_tokens();
     if (used_tokens > 0) {
       std::size_t live = 0;
-      for (const Sequence* seq : active) {
-        if (seq->owned_kv != nullptr) live += seq->kv->total_tokens();
-      }
+      for (const Sequence* seq : active) live += seq->kv->total_tokens();
       const double frag =
           std::max(0.0, 1.0 - static_cast<double>(live) /
                                   static_cast<double>(used_tokens));
@@ -881,7 +787,6 @@ class Engine::Run {
   obs::Gauge& waiting_ = reg_.gauge("serve.waiting_sequences");
   obs::Gauge& fragmentation_ = reg_.gauge("serve.fragmentation");
   obs::Gauge& max_batch_ = reg_.gauge("serve.max_batch");
-  obs::Gauge& max_tokens_ = reg_.gauge("serve.max_tokens_in_use");
   obs::Gauge& max_blocks_ = reg_.gauge("serve.max_blocks_in_use");
   obs::Gauge& max_fragmentation_ = reg_.gauge("serve.max_fragmentation");
 };
@@ -943,40 +848,3 @@ void add_engine_probes(obs::Monitor& monitor, Engine& engine) {
 }
 
 }  // namespace kf::serve
-
-namespace kf::model {
-
-// Declared in model/generator.h; defined here so the model layer never
-// depends on serve/ headers (the wrapper lives with the engine it wraps).
-GenerationResult generate(Transformer& model, std::span<const Token> prompt,
-                          kv::EvictionPolicy& policy,
-                          const GenerationConfig& cfg) {
-  // Batch of one through the serving engine: same prefill/decode calls,
-  // same sampling, same budget derivation as the classic loop. The model's
-  // default KV state is passed through — cleared by start_sequence like any
-  // other state — so callers that inspect the caches after generation keep
-  // seeing the sequence's final state.
-  serve::Engine engine(model, serve::EngineConfig{});
-  serve::Request req;
-  req.prompt.assign(prompt.begin(), prompt.end());
-  req.gen = cfg;
-  req.policy = &policy;
-  req.kv_state = &model.default_kv_state();
-  auto responses = engine.run({&req, 1});
-  serve::Response& r = responses.front();
-  if (r.finish == serve::FinishReason::kRejected) {
-    throw std::invalid_argument(r.error);
-  }
-
-  GenerationResult result;
-  result.tokens = std::move(r.tokens);
-  result.prompt_len = r.prompt_len;
-  result.budget = r.budget;
-  result.final_cache_sizes = std::move(r.final_cache_sizes);
-  result.peak_cache_tokens = r.peak_cache_tokens;
-  result.prefill_seconds = r.prefill_seconds;
-  result.decode_seconds = r.decode_seconds;
-  return result;
-}
-
-}  // namespace kf::model

@@ -3,9 +3,9 @@
 //
 // Structure (the Table 1 serving stack):
 //   Request --> Sequence (own KV caches + own policy instance + sampling
-//   state) --> BatchScheduler (admission under a batch-size and KV-memory
-//   budget) --> Engine::run, whose loop phases are methods of a per-run
-//   state:
+//   state) --> BatchScheduler (admission by reserved pool blocks under a
+//   batch-size cap) --> Engine::run, whose loop phases are methods of a
+//   per-run state:
 //       intake   materialize sequences, reject un-servable requests, submit
 //                the rest in arrival order; then, each step:
 //       arrive   jump an idle clock to the next arrival, stamp kQueued;
@@ -16,14 +16,13 @@
 //                (per-sequence fused attention, parallel across sequences),
 //                greedy-sampled per sequence exactly like generate();
 //       respond  once all finished, distill each sequence into a Response.
-//   Every sequence leaves through one exit that frees its budget (waiting
-//   requests join mid-stream); it and park drop KV state through one
-//   release.
+//   Every sequence leaves through one exit that frees its blocks (waiting
+//   requests join mid-stream); it and park drop the sequence's KV state.
 // The engine clock is the decode-step index; request arrival_step is
 // expressed in it, making staggered-arrival runs deterministic.
 //
-// generate() is a batch-of-one client of this engine and remains
-// token-for-token identical to the pre-engine loop.
+// model::generate() is the plain single-sequence loop; a one-request run
+// gives the same tokens (test_serve_engine pins it).
 #pragma once
 
 #include <cstddef>
@@ -47,31 +46,28 @@ class Monitor;
 
 namespace kf::serve {
 
-/// KV block memory. The engine always owns a mem::BlockPool of
-/// `block_tokens`-token blocks, and every sequence without an external
-/// kv_state draws its layer caches from it at admission. `enabled` makes
-/// the scheduler's budget a real block reservation against a capped pool
-/// (see scheduler.h) and allows the prefix cache; disabled, admission
-/// counts tokens, the pool is unbounded, and requests may bring their
-/// own kv_state.
+/// KV block memory. The engine owns a mem::BlockPool of `block_tokens`-
+/// token blocks; every sequence draws its layer caches from it, and
+/// admission reserves each sequence's blocks (see scheduler.h).
 struct PagedMemoryConfig {
+  /// Read by nothing: admission always reserves pool blocks. Kept only
+  /// until the benchmark stops assigning it (ROADMAP item 6), then
+  /// deleted.
   bool enabled = false;
   std::size_t block_tokens = 16;
-  /// Hard pool cap when enabled; 0 derives it from the scheduler token
-  /// budget (n_layers * ceil(max_concurrent_tokens / block_tokens)) or
-  /// leaves the pool unbounded when that budget is 0 too.
+  /// Hard pool cap; 0 derives it from the scheduler token budget
+  /// (n_layers * ceil(max_concurrent_tokens / block_tokens)) or leaves
+  /// the pool unbounded when that budget is 0 too.
   std::size_t capacity_blocks = 0;
 };
 
-/// Cross-request prefix cache (requires paged memory): prompts sharing a
-/// block-aligned prefix adopt one immutable block chain per layer instead
-/// of re-prefilling it, copy-on-write when eviction mutates a block. The
-/// index lives as long as the engine (it keeps paying off across run()
-/// calls); clear_prefix_cache() drops it. Only requests using the
-/// engine-built policy participate — the cached score snapshots are
-/// policy-specific. The engine refuses the cache for damped scores and
-/// for shared-scope Keyformer, whose scores do not decompose at the
-/// prefix boundary.
+/// Cross-request prefix cache: prompts sharing a block-aligned prefix
+/// adopt one immutable block chain per layer instead of re-prefilling it,
+/// copy-on-write when eviction mutates a block. The index lives as long
+/// as the engine (it keeps paying off across run() calls);
+/// clear_prefix_cache() drops it. The engine refuses the cache for damped
+/// scores and for shared-scope Keyformer, whose scores do not decompose
+/// at the prefix boundary.
 struct PrefixCacheConfig {
   bool enabled = false;
   /// Block budget for the index's entries; LRU entries are trimmed to
@@ -113,7 +109,7 @@ struct PreemptionConfig {
 
 struct EngineConfig {
   SchedulerConfig scheduler;
-  /// Built per sequence for requests that don't bring their own policy.
+  /// Built once per sequence.
   kv::PolicyConfig policy;
   PagedMemoryConfig paged;
   PrefixCacheConfig prefix;
@@ -127,11 +123,9 @@ struct EngineStats {
   std::size_t decoded_tokens = 0;    ///< tokens produced by decode steps
   std::size_t prefilled_tokens = 0;  ///< prompt tokens processed
   std::size_t max_batch = 0;         ///< peak concurrent sequences
-  std::size_t max_tokens_in_use = 0; ///< peak summed charged KV tokens
-                                     ///< (includes transient prefill peaks)
-  // The engine pool. Reserved blocks are zero when paging is disabled
-  // (admission then counts tokens), and so is the cap (unbounded):
+  // The engine pool:
   std::size_t max_blocks_in_use = 0;     ///< peak scheduler-reserved blocks
+                                         ///< (includes prefill peaks)
   std::size_t pool_peak_used_blocks = 0; ///< peak physically held blocks
   std::size_t pool_capacity_blocks = 0;  ///< pool cap (0 = unbounded)
   /// Worst per-step internal fragmentation: 1 - live_tokens /
@@ -233,12 +227,10 @@ class Engine {
   /// Drives every request to completion under continuous batching.
   /// Responses are returned in the order of `requests` (not completion
   /// order). Every request terminates with a definite finish reason:
-  /// invalid or un-servable requests (empty prompt, a prompt token
-  /// outside the vocabulary, learned positions past max_seq_len,
-  /// mismatched external KV state, shared kv_state/policy instances,
-  /// demand above the whole pool) are contained as kRejected responses
-  /// with an error string — they never throw, and the rest of the batch
-  /// keeps decoding.
+  /// invalid or un-servable requests (model::prompt_error's cases, demand
+  /// above the whole pool) are contained as kRejected responses with an
+  /// error string — they never throw, and the rest of the batch keeps
+  /// decoding.
   std::vector<Response> run(std::span<const Request> requests);
 
   /// Aggregate eviction telemetry over the engine's lifetime: every

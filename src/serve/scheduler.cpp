@@ -9,7 +9,8 @@
 
 namespace kf::serve {
 
-BatchScheduler::BatchScheduler(SchedulerConfig cfg) : cfg_(cfg) {
+BatchScheduler::BatchScheduler(mem::BlockPool& pool, SchedulerConfig cfg)
+    : pool_(pool), cfg_(cfg) {
   if (cfg_.metrics != nullptr) {
     ctr_admitted_ = &cfg_.metrics->counter("sched.admitted");
     ctr_rejected_ = &cfg_.metrics->counter("sched.rejected");
@@ -20,9 +21,8 @@ BatchScheduler::BatchScheduler(SchedulerConfig cfg) : cfg_(cfg) {
 
 void BatchScheduler::submit(Sequence* seq) {
   if (seq == nullptr) throw std::invalid_argument("submit(nullptr)");
-  if (cfg_.pool != nullptr && seq->n_layers == 0) {
-    throw std::invalid_argument(
-        "block-mode scheduling requires seq->n_layers > 0");
+  if (seq->n_layers == 0) {
+    throw std::invalid_argument("scheduling requires seq->n_layers > 0");
   }
   seq->status = SequenceStatus::kWaiting;
   seq->queue_enter_step = seq->arrival_step;
@@ -30,7 +30,7 @@ void BatchScheduler::submit(Sequence* seq) {
 }
 
 std::size_t BatchScheduler::demand_blocks(const Sequence& seq) const {
-  const std::size_t bt = cfg_.pool->block_tokens();
+  const std::size_t bt = pool_.block_tokens();
   return seq.prefix_entry != nullptr ? seq.unshared_admission_blocks(bt)
                                      : seq.admission_cost_blocks(bt);
 }
@@ -39,15 +39,7 @@ bool BatchScheduler::fits(const Sequence& seq) const {
   if (cfg_.max_batch_size > 0 && active_.size() >= cfg_.max_batch_size) {
     return false;
   }
-  if (cfg_.pool != nullptr) {
-    return demand_blocks(seq) <= cfg_.pool->unreserved_blocks();
-  }
-  if (cfg_.max_concurrent_tokens == 0) return true;
-  const std::size_t cost = seq.admission_cost_tokens();
-  if (tokens_in_use() + cost <= cfg_.max_concurrent_tokens) return true;
-  // Oversized sequences (admission cost > whole budget) run solo instead
-  // of blocking the queue forever.
-  return cost > cfg_.max_concurrent_tokens && active_.empty();
+  return demand_blocks(seq) <= pool_.unreserved_blocks();
 }
 
 std::vector<Sequence*> BatchScheduler::admit(std::size_t now_step) {
@@ -55,61 +47,51 @@ std::vector<Sequence*> BatchScheduler::admit(std::size_t now_step) {
   while (!waiting_.empty()) {
     Sequence* head = waiting_.front();
     if (head->arrival_step > now_step) break;
-    if (cfg_.pool != nullptr) {
-      // A demand above the whole (bounded) pool can never be satisfied —
-      // the cap is physical, there is no run-solo override. Reject the
-      // request instead of deadlocking the FIFO; admission moves on to
-      // the next waiting sequence.
-      const std::size_t capacity = cfg_.pool->config().capacity_blocks;
-      if (capacity > 0 && demand_blocks(*head) > capacity) {
-        waiting_.pop_front();
+    // A demand above the whole (bounded) pool can never be satisfied: the
+    // cap is physical. Reject the request instead of deadlocking the FIFO;
+    // admission moves on to the next waiting sequence.
+    const std::size_t capacity = pool_.config().capacity_blocks;
+    if (capacity > 0 && demand_blocks(*head) > capacity) {
+      waiting_.pop_front();
+      head->status = SequenceStatus::kFinished;
+      head->finish = FinishReason::kRejected;
+      head->error =
+          "sequence KV demand exceeds the whole block pool; grow "
+          "capacity_blocks or reduce the request";
+      rejected_.push_back(head);
+      if (ctr_rejected_ != nullptr) ctr_rejected_->add();
+      continue;
+    }
+    if (!fits(*head)) break;
+    waiting_.pop_front();
+    const std::size_t demand = demand_blocks(*head);
+    // fits() said yes a moment ago, but the reservation can still be
+    // refused: a prefix-index insert on another code path claimed the
+    // capacity in between (TOCTOU), or a fault injector vetoed it. Roll
+    // the admission back and retry next round — or reject once the same
+    // sequence has lost too many rounds in a row for a race to be the
+    // explanation.
+    if (!pool_.try_reserve(demand)) {
+      if (ctr_retries_ != nullptr) ctr_retries_->add();
+      ++head->reserve_failures;
+      if (cfg_.max_reserve_retries > 0 &&
+          head->reserve_failures > cfg_.max_reserve_retries) {
         head->status = SequenceStatus::kFinished;
         head->finish = FinishReason::kRejected;
-        head->error =
-            "sequence KV demand exceeds the whole block pool; grow "
-            "capacity_blocks or reduce the request";
+        head->error = "block reservation denied " +
+                      std::to_string(head->reserve_failures) +
+                      " consecutive admission rounds";
         rejected_.push_back(head);
         if (ctr_rejected_ != nullptr) ctr_rejected_->add();
         continue;
       }
+      waiting_.push_front(head);
+      break;
     }
-    if (!fits(*head)) break;
-    waiting_.pop_front();
     head->status = SequenceStatus::kActive;
-    head->charged_tokens = head->admission_cost_tokens();
-    tokens_in_use_ += head->charged_tokens;
-    if (cfg_.pool != nullptr) {
-      const std::size_t demand = demand_blocks(*head);
-      // fits() said yes a moment ago, but the reservation can still be
-      // refused: a prefix-index insert on another code path claimed the
-      // capacity in between (TOCTOU), or a fault injector vetoed it. Roll
-      // the admission back and retry next round — or reject once the same
-      // sequence has lost too many rounds in a row for a race to be the
-      // explanation.
-      if (!cfg_.pool->try_reserve(demand)) {
-        tokens_in_use_ -= head->charged_tokens;
-        if (ctr_retries_ != nullptr) ctr_retries_->add();
-        head->charged_tokens = 0;
-        ++head->reserve_failures;
-        if (cfg_.max_reserve_retries > 0 &&
-            head->reserve_failures > cfg_.max_reserve_retries) {
-          head->status = SequenceStatus::kFinished;
-          head->finish = FinishReason::kRejected;
-          head->error = "block reservation denied " +
-                        std::to_string(head->reserve_failures) +
-                        " consecutive admission rounds";
-          rejected_.push_back(head);
-          if (ctr_rejected_ != nullptr) ctr_rejected_->add();
-          continue;
-        }
-        head->status = SequenceStatus::kWaiting;
-        waiting_.push_front(head);
-        break;
-      }
-      head->reserve_failures = 0;
-      head->reserved_blocks = demand;
-      blocks_in_use_ += demand;
-    }
+    head->reserve_failures = 0;
+    head->reserved_blocks = demand;
+    blocks_in_use_ += demand;
     head->admitted_step = now_step;
     active_.push_back(head);
     admitted.push_back(head);
@@ -172,19 +154,13 @@ void BatchScheduler::settle(Sequence* seq) {
   if (it == active_.end()) {
     throw std::invalid_argument("settle of a sequence that is not active");
   }
-  const std::size_t steady = seq->cost_tokens();
-  tokens_in_use_ -= seq->charged_tokens - std::min(seq->charged_tokens, steady);
-  seq->charged_tokens = std::min(seq->charged_tokens, steady);
-  if (cfg_.pool != nullptr) {
-    const std::size_t steady_blocks =
-        std::min(seq->reserved_blocks,
-                 seq->cost_blocks(cfg_.pool->block_tokens()));
-    const std::size_t excess = seq->reserved_blocks - steady_blocks;
-    if (excess > 0) {
-      cfg_.pool->unreserve(excess);
-      seq->reserved_blocks = steady_blocks;
-      blocks_in_use_ -= excess;
-    }
+  const std::size_t steady_blocks = std::min(
+      seq->reserved_blocks, seq->cost_blocks(pool_.block_tokens()));
+  const std::size_t excess = seq->reserved_blocks - steady_blocks;
+  if (excess > 0) {
+    pool_.unreserve(excess);
+    seq->reserved_blocks = steady_blocks;
+    blocks_in_use_ -= excess;
   }
 }
 
@@ -198,13 +174,9 @@ void BatchScheduler::release(Sequence* seq) {
 }
 
 void BatchScheduler::release_charges(Sequence& seq) {
-  tokens_in_use_ -= seq.charged_tokens;
-  seq.charged_tokens = 0;
-  if (cfg_.pool != nullptr) {
-    cfg_.pool->unreserve(seq.reserved_blocks);
-    blocks_in_use_ -= seq.reserved_blocks;
-    seq.reserved_blocks = 0;
-  }
+  pool_.unreserve(seq.reserved_blocks);
+  blocks_in_use_ -= seq.reserved_blocks;
+  seq.reserved_blocks = 0;
 }
 
 std::optional<std::size_t> BatchScheduler::next_arrival() const {

@@ -2,51 +2,45 @@
 //
 // The scheduler holds sequences in a FIFO waiting queue (ordered by
 // arrival) and an active set that decodes together. Sequences join the
-// active set as soon as they have arrived AND fit the limits:
+// active set as soon as they have arrived AND fit both limits:
 //   - max_batch_size: concurrent sequences (GEMM batch width);
-//   - memory, in one of two modes:
-//       token mode (pool == nullptr): max_concurrent_tokens caps the
-//       summed per-layer KV cache tokens — an abstract proxy;
-//       block mode (pool != nullptr): admission *reserves real blocks*
-//       in the BlockPool. The reservation covers the sequence's
-//       whole-block demand across all its layers (ceil per layer —
-//       internal fragmentation is charged, not hidden), so pool capacity
-//       is an exact physical memory cap: an admitted sequence can always
-//       allocate what it was charged. When the sequence has a pinned
-//       prefix-cache match (seq.prefix_*), admission charges only the
-//       *unshared* demand — the shared prefix blocks are resident and
-//       paid for by the index.
-//   In both modes a joining sequence is charged its transient prefill
-//   peak (admission_cost: the full prompt is resident per layer until the
-//   policy trims it) and settles down to its steady-state cost once
+//   - KV memory: admission *reserves real blocks* in the engine's
+//     BlockPool. The reservation covers the sequence's whole-block demand
+//     across all its layers (ceil per layer: internal fragmentation is
+//     charged, not hidden), so pool capacity is an exact physical memory
+//     cap: an admitted sequence can always allocate what it was charged.
+//     When the sequence has a pinned prefix-cache match (seq.prefix_*),
+//     admission charges only the *unshared* demand; the shared prefix
+//     blocks are resident and paid for by the index.
+//   A joining sequence is charged its transient prefill peak
+//   (admission_cost_blocks: the full prompt is resident per layer until
+//   the policy trims it) and settles down to its steady-state cost once
 //   prefill completes. Because a budgeted sequence's steady cost is
 //   ~cache_ratio * prompt_len, reducing the cache ratio admits
 //   proportionally more sequences into the same memory: the mechanism
 //   behind Keyformer's Table 1 "bigger batch" row.
-// Sequences leave (release) when they finish, immediately freeing their
-// budget/blocks for the next waiting sequence — join/leave mid-stream.
+// Sequences leave (release) when they finish, immediately returning their
+// blocks for the next waiting sequence: join/leave mid-stream.
 //
 // Admission is strict FIFO: the head of the queue blocks later arrivals
-// even if those would fit, so large requests cannot starve. In token mode
-// an oversized sequence (cost above the entire budget) is admitted only
-// when the active set is empty, running solo rather than deadlocking the
-// queue. In block mode there is no such override — the cap is physical —
-// so a sequence whose admission demand exceeds the whole pool is marked
-// kRejected and parked on the rejected list (take_rejected()) instead of
-// deadlocking; admission moves on to the next waiting sequence.
+// even if those would fit, so large requests cannot starve. A sequence
+// whose admission demand exceeds the whole (bounded) pool could never
+// run, so it is marked kRejected and parked on the rejected list
+// (take_rejected()) instead of deadlocking the queue; admission moves on
+// to the next waiting sequence.
 //
-// Robustness hooks (PR 7):
+// Robustness hooks:
 //   - A block reservation that fails after fits() said yes (a TOCTOU
 //     against concurrent prefix-index trims/inserts, or an injected
 //     fault) rolls the admission back and retries next round; after
 //     max_reserve_retries consecutive losses the sequence is rejected so
 //     a pool that never grants the claim cannot spin the engine forever.
 //   - preempt() is release()'s mid-flight sibling: it frees an active
-//     sequence's charges/blocks but re-queues it (keeping its generated
-//     tokens) behind every already-arrived waiter, so the starved head
-//     gets the freed budget. pick_victim() chooses who pays: the
+//     sequence's blocks but re-queues it (keeping its generated tokens)
+//     behind every already-arrived waiter, so the starved head gets the
+//     freed blocks. pick_victim() chooses who pays: the
 //     youngest-by-arrival active sequence old enough (victim-age floor)
-//     and under its preemption cap — both bounds guarantee progress.
+//     and under its preemption cap; both bounds guarantee progress.
 #pragma once
 
 #include <cstddef>
@@ -71,13 +65,12 @@ namespace kf::serve {
 struct SchedulerConfig {
   /// Max sequences decoding together; 0 = unlimited.
   std::size_t max_batch_size = 8;
-  /// Token-mode memory budget: summed charged tokens of active sequences
-  /// (transient prefill peak until settle(), then steady-state cost);
-  /// 0 = unlimited. Ignored for admission when `pool` is set.
+  /// KV memory budget in per-layer tokens summed over the active set;
+  /// 0 = unlimited. The scheduler never reads it: Engine sizes its pool
+  /// from it (n_layers * ceil(tokens / block_tokens) blocks) when
+  /// PagedMemoryConfig::capacity_blocks is 0, and admission reserves
+  /// blocks of that pool.
   std::size_t max_concurrent_tokens = 0;
-  /// Block mode: admission reserves blocks against this pool. The pool
-  /// must outlive the scheduler. Null = token mode.
-  mem::BlockPool* pool = nullptr;
   /// Consecutive failed block reservations (fits() said yes, try_reserve
   /// said no) a sequence tolerates before admission rejects it. Generous:
   /// a genuine TOCTOU loss resolves in one round; only a pathological
@@ -91,23 +84,24 @@ struct SchedulerConfig {
 
 class BatchScheduler {
  public:
-  explicit BatchScheduler(SchedulerConfig cfg = {});
+  /// Admission reserves blocks of `pool`, which must outlive the
+  /// scheduler.
+  explicit BatchScheduler(mem::BlockPool& pool, SchedulerConfig cfg = {});
 
   const SchedulerConfig& config() const noexcept { return cfg_; }
 
   /// Queues a sequence. Callers submit in arrival order (the engine sorts
   /// by arrival_step, then submission order); the queue is strict FIFO.
-  /// Block mode requires seq->n_layers > 0 (the block demand unit).
+  /// Requires seq->n_layers > 0 (the block demand unit).
   void submit(Sequence* seq);
 
   /// Moves every admissible waiting sequence (arrived by `now_step`, fits
   /// both limits) into the active set and returns the newly admitted ones
-  /// in admission order. Block mode: each admitted sequence has its
-  /// admission block demand reserved. A sequence whose demand exceeds the
-  /// whole pool (it could never run) is marked kRejected and moved to the
-  /// rejected list instead of blocking the queue; a reservation lost to a
-  /// TOCTOU race rolls back and retries next round (see the header
-  /// comment).
+  /// in admission order, each with its admission block demand reserved. A
+  /// sequence whose demand exceeds the whole pool (it could never run) is
+  /// marked kRejected and moved to the rejected list instead of blocking
+  /// the queue; a reservation lost to a TOCTOU race rolls back and retries
+  /// next round (see the header comment).
   std::vector<Sequence*> admit(std::size_t now_step);
 
   /// Sequences admission rejected since the last call (status kFinished,
@@ -116,7 +110,7 @@ class BatchScheduler {
   std::vector<Sequence*> take_rejected();
 
   /// Parks an active sequence back into the waiting queue: frees its
-  /// token charge and block reservation exactly like release(), but keeps
+  /// block reservation exactly like release(), but keeps
   /// its committed tokens and re-queues it (behind already-arrived
   /// waiters, ahead of future arrivals) for recompute-based resume.
   /// Bumps seq->preemptions and stamps seq->queue_enter_step.
@@ -134,15 +128,14 @@ class BatchScheduler {
   /// false when it is not waiting.
   bool remove_waiting(Sequence* seq);
 
-  /// Drops an active sequence's charge from its admission cost (transient
-  /// prefill peak) to its steady-state cost. The engine calls this once
-  /// prefill has completed and the policy has trimmed the cache to budget,
-  /// freeing the transient headroom (tokens and reserved blocks alike)
-  /// for the next admission.
+  /// Drops an active sequence's reservation from its admission cost
+  /// (transient prefill peak) to its steady-state cost. The engine calls
+  /// this once prefill has completed and the policy has trimmed the cache
+  /// to budget, freeing the transient blocks for the next admission.
   void settle(Sequence* seq);
 
-  /// Removes a finished sequence from the active set, freeing its budget
-  /// and returning its reserved blocks to the pool.
+  /// Removes a finished sequence from the active set, returning its
+  /// reserved blocks to the pool.
   void release(Sequence* seq);
 
   std::span<Sequence* const> active() const noexcept { return active_; }
@@ -151,9 +144,7 @@ class BatchScheduler {
   /// The FIFO queue, head first (the engine probes it for prefix-cache
   /// matches before each admission round).
   const std::deque<Sequence*>& waiting() const noexcept { return waiting_; }
-  /// Summed charged tokens of the active set (tracked in both modes).
-  std::size_t tokens_in_use() const noexcept { return tokens_in_use_; }
-  /// Summed reserved blocks of the active set (block mode; 0 otherwise).
+  /// Summed reserved blocks of the active set.
   std::size_t blocks_in_use() const noexcept { return blocks_in_use_; }
 
   /// Arrival step of the queue head (the next sequence to admit), empty
@@ -163,12 +154,13 @@ class BatchScheduler {
 
  private:
   bool fits(const Sequence& seq) const;
-  /// Block mode: the blocks admission charges `seq` — its unshared demand
-  /// when a prefix entry is pinned for it, its full demand otherwise.
+  /// The blocks admission charges `seq`: its unshared demand when a
+  /// prefix entry is pinned for it, its full demand otherwise.
   std::size_t demand_blocks(const Sequence& seq) const;
-  /// Returns a leaving sequence's token charge and block reservation.
+  /// Returns a leaving sequence's block reservation.
   void release_charges(Sequence& seq);
 
+  mem::BlockPool& pool_;
   SchedulerConfig cfg_;
   /// Engine-loop-only state (single writer, no concurrent readers): the
   /// monitoring surface is the registry counters below.
@@ -176,7 +168,6 @@ class BatchScheduler {
   std::vector<Sequence*> active_;
   /// Admission-rejected sequences awaiting the engine's drain.
   std::vector<Sequence*> rejected_;
-  std::size_t tokens_in_use_ = 0;
   std::size_t blocks_in_use_ = 0;
   /// Registry-owned counters, resolved once in the constructor; null when
   /// cfg_.metrics is null. The engine-loop-only call sites bump them with

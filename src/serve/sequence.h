@@ -54,14 +54,6 @@ struct Request {
   /// Engine step (decode iteration — the engine's discrete clock) at which
   /// the request becomes visible to the scheduler; 0 = present at start.
   std::size_t arrival_step = 0;
-  /// Optional externally-owned policy. When null the engine builds one per
-  /// sequence from its EngineConfig policy description; sequences never
-  /// share a policy instance (score state is per sequence).
-  kv::EvictionPolicy* policy = nullptr;
-  /// Optional externally-owned KV state (cleared at prefill). When null
-  /// the engine allocates one. generate() passes the model's default state
-  /// so post-run cache inspection keeps working.
-  kv::SequenceKvState* kv_state = nullptr;
   /// Prompt prefix length the caller marks as shareable across requests
   /// (the end of a system prompt / few-shot context — an explicit cache
   /// breakpoint). 0 = let the engine index the whole prompt minus its last
@@ -165,12 +157,11 @@ struct Sequence {
   /// so a pool that never grants the claim rejects instead of spinning.
   std::size_t reserve_failures = 0;
 
-  /// Cache/policy used for this sequence; point at the owned_* members or
-  /// at externally-owned objects from the Request.
-  kv::SequenceKvState* kv = nullptr;
-  kv::EvictionPolicy* policy = nullptr;
-  std::unique_ptr<kv::SequenceKvState> owned_kv;
-  std::unique_ptr<kv::EvictionPolicy> owned_policy;
+  /// The layer caches, drawn from the engine's pool while the sequence is
+  /// active (null while it waits), and its eviction policy, built from the
+  /// engine's policy description (score state is per sequence).
+  std::unique_ptr<kv::SequenceKvState> kv;
+  std::unique_ptr<kv::EvictionPolicy> policy;
 
   std::size_t peak_cache_tokens = 0;
   std::size_t first_decode_step = 0;
@@ -197,10 +188,9 @@ struct Sequence {
   kv::EvictionTelemetry eviction;
 
   /// Per-layer cache sizes captured at retirement. The engine records
-  /// these the moment a sequence finishes because an engine-built
-  /// state's caches are torn down right then — their blocks must return
-  /// to the pool while other sequences are still running, not at end of
-  /// run.
+  /// these the moment a sequence finishes because its caches are torn
+  /// down right then — their blocks must return to the pool while other
+  /// sequences are still running, not at end of run.
   std::vector<std::size_t> final_cache_sizes;
 
   /// Scheduler admission cost in per-layer cache tokens: the steady-state
@@ -213,7 +203,7 @@ struct Sequence {
     // A budget only caps memory when the policy actually evicts: a
     // non-evicting policy (full attention) grows to prompt+gen per layer
     // no matter what cache_ratio the request asked for, and charging it
-    // k+1 would let the scheduler over-commit the token budget.
+    // k+1 would let the scheduler over-commit the pool.
     const bool evicting =
         budget.max_tokens > 0 && (policy == nullptr || policy->evicts());
     if (evicting) return budget.max_tokens + 1;
@@ -223,28 +213,25 @@ struct Sequence {
   /// Admission cost in per-layer cache tokens: prefill materializes the
   /// full prompt in every layer before the policy trims it to budget, so a
   /// joining sequence transiently needs max(prompt_len, steady-state)
-  /// headroom. The scheduler charges this at admit() and settles down to
-  /// cost_tokens() once prefill completes, keeping max_concurrent_tokens a
-  /// true memory cap rather than a steady-state-only proxy.
+  /// headroom. The scheduler reserves this (in blocks) at admit() and
+  /// settles down to cost_tokens() once prefill completes, keeping the
+  /// pool capacity a true memory cap rather than a steady-state-only
+  /// proxy.
   std::size_t admission_cost_tokens() const {
     return std::max(prompt.size(), cost_tokens());
   }
-
-  /// What the scheduler currently charges this sequence against the token
-  /// budget (admission cost until settle(), then cost_tokens()).
-  std::size_t charged_tokens = 0;
 
   /// Decoder layers this sequence materializes caches for (set by the
   /// engine from the model config; block demands are per layer).
   std::size_t n_layers = 0;
 
   /// Blocks the scheduler currently holds reserved for this sequence in
-  /// the block pool (0 outside block mode or while not active).
+  /// the block pool (0 while not active).
   std::size_t reserved_blocks = 0;
 
   /// cost_tokens() expressed in pool blocks: every layer rounds its token
   /// footprint up to whole blocks — the internal-fragmentation surcharge
-  /// real paged memory pays and abstract token counting hides.
+  /// paged memory pays.
   std::size_t cost_blocks(std::size_t block_tokens) const {
     return n_layers *
            ((cost_tokens() + block_tokens - 1) / block_tokens);
@@ -262,9 +249,6 @@ struct Sequence {
   /// is adopted at prefill.
   const mem::PrefixEntry* prefix_entry = nullptr;
   std::size_t prefix_blocks_per_layer = 0;
-  /// True when this request may use the engine's prefix cache (engine-
-  /// built policy; snapshots are policy-specific).
-  bool prefix_eligible = false;
   /// Index revision at this sequence's last missed probe: a miss stays a
   /// miss until the entry set changes, so the engine skips re-probing
   /// in between. SIZE_MAX = never probed.

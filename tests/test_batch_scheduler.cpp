@@ -13,13 +13,29 @@ namespace kf::serve {
 namespace {
 
 Sequence make_seq(std::size_t prompt_len, double cache_ratio,
-                  std::size_t max_new = 8, std::size_t arrival = 0) {
+                  std::size_t max_new = 8) {
   Sequence s;
   s.prompt.assign(prompt_len, 1);
   s.gen.max_new_tokens = max_new;
   s.gen.cache_ratio = cache_ratio;
-  s.arrival_step = arrival;
   s.budget = kv::make_budget(prompt_len, cache_ratio);
+  return s;
+}
+
+mem::BlockPoolConfig block_pool_config(std::size_t capacity_blocks,
+                                       std::size_t block_tokens = 8) {
+  mem::BlockPoolConfig cfg;
+  cfg.capacity_blocks = capacity_blocks;
+  cfg.block_tokens = block_tokens;
+  cfg.n_heads = 2;
+  cfg.d_head = 4;
+  return cfg;
+}
+
+Sequence make_block_seq(std::size_t prompt_len, double cache_ratio,
+                        std::size_t n_layers = 2, std::size_t max_new = 8) {
+  Sequence s = make_seq(prompt_len, cache_ratio, max_new);
+  s.n_layers = n_layers;
   return s;
 }
 
@@ -45,8 +61,7 @@ TEST(SequenceCost, NonEvictingPolicyChargesFullGrowth) {
   // A cache_ratio budget only caps memory when the policy evicts; kFull
   // ignores it and grows to prompt+gen, so it must be charged that.
   Sequence s = make_seq(40, 0.5, 8);
-  const auto full = kv::make_policy(kv::PolicyKind::kFull);
-  s.policy = full.get();
+  s.policy = kv::make_policy(kv::PolicyKind::kFull);
   EXPECT_EQ(s.cost_tokens(), 48u);
   EXPECT_EQ(s.admission_cost_tokens(), 48u);
 }
@@ -60,9 +75,10 @@ TEST(SequenceCost, AdmissionChargesPrefillPeak) {
 }
 
 TEST(BatchScheduler, AdmitsUpToBatchSize) {
-  BatchScheduler sched({.max_batch_size = 2, .max_concurrent_tokens = 0});
+  mem::BlockPool pool(block_pool_config(0));  // unbounded
+  BatchScheduler sched(pool, {.max_batch_size = 2});
   std::vector<Sequence> seqs;
-  for (int i = 0; i < 3; ++i) seqs.push_back(make_seq(16, 0.5));
+  for (int i = 0; i < 3; ++i) seqs.push_back(make_block_seq(16, 0.5));
   for (auto& s : seqs) sched.submit(&s);
   const auto admitted = sched.admit(0);
   EXPECT_EQ(admitted.size(), 2u);
@@ -73,46 +89,52 @@ TEST(BatchScheduler, AdmitsUpToBatchSize) {
   EXPECT_EQ(sched.admit(0).size(), 1u);
 }
 
-TEST(BatchScheduler, TokenBudgetChargesPrefillPeakThenSettles) {
-  // Each sequence settles to k+1 = 9 tokens but transiently needs its full
-  // 16-token prompt resident during prefill; the budget must cover the
-  // charged (not just steady-state) total at every admission.
-  BatchScheduler sched({.max_batch_size = 0, .max_concurrent_tokens = 25});
+TEST(BatchScheduler, BlockBudgetChargesPrefillPeakThenSettles) {
+  // One layer of 4-token blocks. Each sequence settles to k+1 = 9 tokens
+  // (3 blocks) but transiently needs its full 16-token prompt (4 blocks)
+  // resident during prefill; the pool must cover the reserved (not just
+  // steady-state) total at every admission.
+  mem::BlockPool pool(block_pool_config(7, /*block_tokens=*/4));
+  BatchScheduler sched(pool, {.max_batch_size = 0});
   std::vector<Sequence> seqs;
-  for (int i = 0; i < 3; ++i) seqs.push_back(make_seq(16, 0.5));
+  for (int i = 0; i < 3; ++i) {
+    seqs.push_back(make_block_seq(16, 0.5, /*n_layers=*/1));
+  }
   for (auto& s : seqs) sched.submit(&s);
 
-  // Two un-settled prefill charges (16 + 16) exceed 25: one at a time.
+  // Two un-settled prefill peaks (4 + 4) exceed 7: one at a time.
   auto admitted = sched.admit(0);
   ASSERT_EQ(admitted.size(), 1u);
-  EXPECT_EQ(sched.tokens_in_use(), 16u);
+  EXPECT_EQ(sched.blocks_in_use(), 4u);
   sched.settle(admitted[0]);
-  EXPECT_EQ(sched.tokens_in_use(), 9u);
+  EXPECT_EQ(sched.blocks_in_use(), 3u);
 
-  // 9 settled + 16 prefilling = 25 fits exactly.
+  // 3 settled + 4 prefilling = 7 fits exactly.
   admitted = sched.admit(0);
   ASSERT_EQ(admitted.size(), 1u);
-  EXPECT_EQ(sched.tokens_in_use(), 25u);
+  EXPECT_EQ(sched.blocks_in_use(), 7u);
   sched.settle(admitted[0]);
-  EXPECT_EQ(sched.tokens_in_use(), 18u);
+  EXPECT_EQ(sched.blocks_in_use(), 6u);
 
-  // 18 settled + 16 > 25: the third waits for a release.
+  // 6 settled + 4 > 7: the third waits for a release.
   EXPECT_TRUE(sched.admit(0).empty());
   sched.release(sched.active()[0]);
-  EXPECT_EQ(sched.tokens_in_use(), 9u);
+  EXPECT_EQ(sched.blocks_in_use(), 3u);
   EXPECT_EQ(sched.admit(0).size(), 1u);
+  EXPECT_EQ(pool.stats().reserved_blocks, 7u);
 }
 
 TEST(BatchScheduler, ReducedCacheRatioAdmitsMoreSequences) {
   // The Table 1 mechanism: at half the cache ratio, roughly twice the
-  // sequences fit the same token budget.
-  const std::size_t budget_tokens = 200;
+  // sequences fit the same pool. Two layers of 8-token blocks, 64-token
+  // prompts: full attention holds 18 blocks; ratio 0.5 settles to 10
+  // and ratio 0.25 to 6, each after a 16-block prefill peak.
   const auto admitted_at = [&](double ratio) {
-    BatchScheduler sched(
-        {.max_batch_size = 0, .max_concurrent_tokens = budget_tokens});
+    mem::BlockPool pool(block_pool_config(50));
+    BatchScheduler sched(pool, {.max_batch_size = 0});
     std::vector<Sequence> seqs;
     seqs.reserve(16);
-    for (int i = 0; i < 16; ++i) seqs.push_back(make_seq(64, ratio));
+    for (int i = 0; i < 16; ++i) seqs.push_back(make_block_seq(64, ratio));
     for (auto& s : seqs) sched.submit(&s);
     // Drive to steady state: admit, settle (prefill completes), repeat
     // until the budget blocks further admission.
@@ -123,17 +145,17 @@ TEST(BatchScheduler, ReducedCacheRatioAdmitsMoreSequences) {
     }
     return sched.active_count();
   };
-  const std::size_t at_full = admitted_at(1.0);
-  const std::size_t at_half = admitted_at(0.5);
-  const std::size_t at_quarter = admitted_at(0.25);
-  EXPECT_LT(at_full, at_half);
-  EXPECT_LT(at_half, at_quarter);
+  EXPECT_EQ(admitted_at(1.0), 2u);
+  EXPECT_EQ(admitted_at(0.5), 4u);
+  EXPECT_EQ(admitted_at(0.25), 6u);
 }
 
 TEST(BatchScheduler, ArrivalStepGatesAdmission) {
-  BatchScheduler sched({.max_batch_size = 0, .max_concurrent_tokens = 0});
-  Sequence early = make_seq(8, 1.0, 4, /*arrival=*/0);
-  Sequence late = make_seq(8, 1.0, 4, /*arrival=*/5);
+  mem::BlockPool pool(block_pool_config(0));  // unbounded
+  BatchScheduler sched(pool, {.max_batch_size = 0});
+  Sequence early = make_block_seq(8, 1.0, 2, 4);
+  Sequence late = make_block_seq(8, 1.0, 2, 4);
+  late.arrival_step = 5;
   sched.submit(&early);
   sched.submit(&late);
   EXPECT_EQ(sched.admit(0).size(), 1u);
@@ -147,10 +169,11 @@ TEST(BatchScheduler, ArrivalStepGatesAdmission) {
 TEST(BatchScheduler, StrictFifoHeadOfLineBlocks) {
   // A big head-of-queue request blocks later small ones (no starvation of
   // large requests), even though the small one would fit.
-  BatchScheduler sched({.max_batch_size = 0, .max_concurrent_tokens = 60});
-  Sequence resident = make_seq(40, 0.5);  // admission charge 40
-  Sequence big = make_seq(60, 0.5);       // charge 60 > remaining 20
-  Sequence small = make_seq(8, 0.5);      // charge 8, would fit
+  mem::BlockPool pool(block_pool_config(16));
+  BatchScheduler sched(pool, {.max_batch_size = 0});
+  Sequence resident = make_block_seq(40, 0.5);  // admission charge 10
+  Sequence big = make_block_seq(60, 0.5);       // charge 16 > remaining 6
+  Sequence small = make_block_seq(8, 0.5);      // charge 2, would fit
   sched.submit(&resident);
   ASSERT_EQ(sched.admit(0).size(), 1u);
   sched.submit(&big);
@@ -164,47 +187,13 @@ TEST(BatchScheduler, StrictFifoHeadOfLineBlocks) {
   EXPECT_EQ(admitted[0], &big);
 }
 
-TEST(BatchScheduler, OversizedSequenceRunsSolo) {
-  BatchScheduler sched({.max_batch_size = 0, .max_concurrent_tokens = 10});
-  Sequence huge = make_seq(100, 1.0, 16);  // cost 116 >> 10
-  Sequence other = make_seq(8, 0.5);
-  sched.submit(&huge);
-  sched.submit(&other);
-  const auto admitted = sched.admit(0);
-  ASSERT_EQ(admitted.size(), 1u);
-  EXPECT_EQ(admitted[0], &huge);
-  // Nothing else joins while the oversized sequence occupies the engine.
-  EXPECT_TRUE(sched.admit(0).empty());
-  sched.release(&huge);
-  EXPECT_EQ(sched.admit(0).size(), 1u);
-}
-
 TEST(BatchScheduler, ReleaseOrSettleOfInactiveThrows) {
-  BatchScheduler sched;
+  mem::BlockPool pool(block_pool_config(0));
+  BatchScheduler sched(pool);
   Sequence s = make_seq(8, 0.5);
   EXPECT_THROW(sched.release(&s), std::invalid_argument);
   EXPECT_THROW(sched.settle(&s), std::invalid_argument);
   EXPECT_THROW(sched.submit(nullptr), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Block mode: admission backed by real reservations on a mem::BlockPool.
-
-mem::BlockPoolConfig block_pool_config(std::size_t capacity_blocks,
-                                       std::size_t block_tokens = 8) {
-  mem::BlockPoolConfig cfg;
-  cfg.capacity_blocks = capacity_blocks;
-  cfg.block_tokens = block_tokens;
-  cfg.n_heads = 2;
-  cfg.d_head = 4;
-  return cfg;
-}
-
-Sequence make_block_seq(std::size_t prompt_len, double cache_ratio,
-                        std::size_t n_layers = 2, std::size_t max_new = 8) {
-  Sequence s = make_seq(prompt_len, cache_ratio, max_new);
-  s.n_layers = n_layers;
-  return s;
 }
 
 TEST(SequenceCost, BlockDemandRoundsPerLayer) {
@@ -217,10 +206,7 @@ TEST(SequenceCost, BlockDemandRoundsPerLayer) {
 
 TEST(BatchScheduler, BlockModeReservesAndSettlesRealBlocks) {
   mem::BlockPool pool(block_pool_config(12));
-  SchedulerConfig cfg;
-  cfg.max_batch_size = 0;
-  cfg.pool = &pool;
-  BatchScheduler sched(cfg);
+  BatchScheduler sched(pool, {.max_batch_size = 0});
 
   Sequence s = make_block_seq(40, 0.5);  // admit 10 blocks, steady 6
   sched.submit(&s);
@@ -246,10 +232,7 @@ TEST(BatchScheduler, BlockModeChargesFragmentationTokenModeHides) {
   // first's settle, and a third can never join while both are resident —
   // even though a 48-token *token* budget would have admitted 2 at once.
   mem::BlockPool pool(block_pool_config(12));
-  SchedulerConfig cfg;
-  cfg.max_batch_size = 0;
-  cfg.pool = &pool;
-  BatchScheduler sched(cfg);
+  BatchScheduler sched(pool, {.max_batch_size = 0});
 
   Sequence a = make_block_seq(40, 0.5);
   Sequence b = make_block_seq(40, 0.5);
@@ -267,9 +250,7 @@ TEST(BatchScheduler, BlockModeOversizedDemandIsRejectedNotDeadlocked) {
   // marks it kRejected and moves on so the FIFO head cannot deadlock the
   // queue — and the sequence behind it is admitted in the same round.
   mem::BlockPool pool(block_pool_config(4));
-  SchedulerConfig cfg;
-  cfg.pool = &pool;
-  BatchScheduler sched(cfg);
+  BatchScheduler sched(pool);
   Sequence huge = make_block_seq(100, 1.0);  // far beyond 4 blocks
   Sequence ok = make_block_seq(8, 1.0);
   sched.submit(&huge);
@@ -328,8 +309,7 @@ TEST(SequenceCost, UnsharedAdmissionBlocksSubtractResidentPrefix) {
 
   // Non-evicting full attention never copies: charge full minus prefix.
   Sequence full_s = make_block_seq(40, 1.0, /*n_layers=*/2, /*max_new=*/8);
-  const auto full_policy = kv::make_policy(kv::PolicyKind::kFull);
-  full_s.policy = full_policy.get();
+  full_s.policy = kv::make_policy(kv::PolicyKind::kFull);
   EXPECT_EQ(full_s.admission_cost_blocks(8), 12u);  // 48 tokens -> 6/layer
   full_s.prefix_blocks_per_layer = 4;
   EXPECT_EQ(full_s.unshared_admission_blocks(8), 4u);  // (6 - 4) * 2
@@ -344,10 +324,7 @@ TEST(BatchScheduler, PinnedPrefixIsChargedOnlyItsUnsharedDemand) {
   ASSERT_NE(entry, nullptr);
   ASSERT_EQ(pool.stats().reserved_blocks, 8u);  // the index's chain
 
-  SchedulerConfig cfg;
-  cfg.max_batch_size = 0;
-  cfg.pool = &pool;
-  BatchScheduler sched(cfg);
+  BatchScheduler sched(pool, {.max_batch_size = 0});
 
   Sequence s = make_block_seq(40, 0.5);
   s.prefix_entry = entry;
@@ -370,10 +347,7 @@ TEST(BatchScheduler, PinnedPrefixWaitsUntilItsUnsharedDemandFits) {
   ASSERT_NE(entry, nullptr);
   ASSERT_EQ(pool.stats().reserved_blocks, 8u);
 
-  SchedulerConfig cfg;
-  cfg.max_batch_size = 0;
-  cfg.pool = &pool;
-  BatchScheduler sched(cfg);
+  BatchScheduler sched(pool, {.max_batch_size = 0});
   Sequence blocker = make_block_seq(16, 0.5);
   Sequence s = make_block_seq(40, 0.5);
   s.prefix_entry = entry;
@@ -402,9 +376,7 @@ TEST(BatchScheduler, PinnedPrefixWaitsUntilItsUnsharedDemandFits) {
 
 TEST(BatchScheduler, BlockModeRequiresLayerCount) {
   mem::BlockPool pool(block_pool_config(8));
-  SchedulerConfig cfg;
-  cfg.pool = &pool;
-  BatchScheduler sched(cfg);
+  BatchScheduler sched(pool);
   Sequence s = make_seq(8, 0.5);  // n_layers left 0
   EXPECT_THROW(sched.submit(&s), std::invalid_argument);
 }
@@ -414,9 +386,7 @@ TEST(BatchScheduler, BlockModeRequiresLayerCount) {
 
 TEST(BatchScheduler, PreemptFreesChargesAndRequeuesBehindArrivedWaiters) {
   mem::BlockPool pool(block_pool_config(12));
-  SchedulerConfig cfg;
-  cfg.pool = &pool;
-  BatchScheduler sched(cfg);
+  BatchScheduler sched(pool);
   Sequence a = make_block_seq(40, 0.5);  // 10 admission blocks: fills pool
   Sequence b = make_block_seq(40, 0.5, 2, 8);
   b.arrival_step = 1;
@@ -433,10 +403,8 @@ TEST(BatchScheduler, PreemptFreesChargesAndRequeuesBehindArrivedWaiters) {
   EXPECT_EQ(a.status, SequenceStatus::kWaiting);
   EXPECT_EQ(a.preemptions, 1u);
   EXPECT_EQ(a.queue_enter_step, 5u);
-  EXPECT_EQ(a.charged_tokens, 0u);
   EXPECT_EQ(a.reserved_blocks, 0u);
   EXPECT_EQ(sched.blocks_in_use(), 0u);
-  EXPECT_EQ(sched.tokens_in_use(), 0u);
   EXPECT_EQ(pool.stats().reserved_blocks, 0u);
   // Victim re-queues behind the arrived waiter b but ahead of the future
   // arrival `late`: the starved head gets the freed budget first.
@@ -451,9 +419,7 @@ TEST(BatchScheduler, PreemptFreesChargesAndRequeuesBehindArrivedWaiters) {
 
 TEST(BatchScheduler, PickVictimHonorsAgeFloorAndPreemptionCap) {
   mem::BlockPool pool(block_pool_config(32));
-  SchedulerConfig cfg;
-  cfg.pool = &pool;
-  BatchScheduler sched(cfg);
+  BatchScheduler sched(pool);
   Sequence a = make_block_seq(16, 0.5);  // arrival 0
   Sequence b = make_block_seq(16, 0.5, 2, 8);
   b.arrival_step = 2;
@@ -489,10 +455,9 @@ TEST(BatchScheduler, ReservationDeniedRetriesThenRejectsAtCap) {
   pool.set_fault_injector(&inject);
   obs::MetricsRegistry reg;
   SchedulerConfig cfg;
-  cfg.pool = &pool;
   cfg.max_reserve_retries = 3;
   cfg.metrics = &reg;
-  BatchScheduler sched(cfg);
+  BatchScheduler sched(pool, cfg);
   Sequence s = make_block_seq(16, 0.5);
   sched.submit(&s);
   // Rounds 1..3: fits() says yes, try_reserve loses; the admission rolls
@@ -500,8 +465,6 @@ TEST(BatchScheduler, ReservationDeniedRetriesThenRejectsAtCap) {
   for (int round = 0; round < 3; ++round) {
     EXPECT_TRUE(sched.admit(0).empty());
     EXPECT_EQ(s.status, SequenceStatus::kWaiting);
-    EXPECT_EQ(s.charged_tokens, 0u);
-    EXPECT_EQ(sched.tokens_in_use(), 0u);
     EXPECT_EQ(sched.waiting_count(), 1u);
   }
   EXPECT_EQ(reg.counter("sched.reservation_retries").value(), 3u);

@@ -84,7 +84,6 @@ EngineConfig chaos_config(const std::vector<Request>& requests,
                           double fraction) {
   EngineConfig ec;
   ec.policy.kind = kv::PolicyKind::kKeyformer;
-  ec.paged.enabled = true;
   ec.paged.block_tokens = 8;
   std::size_t demand_blocks = 0;
   for (const auto& r : requests) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -129,18 +130,28 @@ TEST(Monitor, HistogramProbeEmptyWindowIsZero) {
 TEST(Monitor, BackgroundThreadPollsOnItsPeriod) {
   Monitor monitor({.period_ms = 1.0});
   monitor.add_probe("one", [] { return 1.0; });
+  // Waits, for at most 10 s, until the thread has polled `n` times. A
+  // fixed sleep fails when the scheduler delays the thread past it: a
+  // stop() that takes the lock first ends the thread before its first
+  // poll.
+  const auto wait_for_polls = [&monitor](std::uint64_t n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (monitor.polls() < n && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
   EXPECT_FALSE(monitor.running());
   monitor.start();
   EXPECT_TRUE(monitor.running());
-  // Sleep far longer than the period; the thread must have ticked.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  wait_for_polls(2);
   monitor.stop();
   EXPECT_FALSE(monitor.running());
   const std::uint64_t first_run = monitor.polls();
   EXPECT_GE(first_run, 2u);
   // Restart keeps the collected series and keeps appending.
   monitor.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  wait_for_polls(first_run + 1);
   monitor.stop();
   EXPECT_GT(monitor.polls(), first_run);
   EXPECT_EQ(monitor.series("one").size() + monitor.series("one").dropped(),
@@ -165,7 +176,6 @@ TEST(Monitor, PollsLiveEngineRun) {
   serve::EngineConfig ec;
   ec.scheduler.max_batch_size = 2;
   ec.scheduler.max_concurrent_tokens = 256;
-  ec.paged.enabled = true;
   ec.paged.block_tokens = 8;
   ec.prefix.enabled = true;
   serve::Engine engine(m, ec);

@@ -75,7 +75,6 @@ EngineConfig paged_config(kv::PolicyKind kind, bool prefix_on) {
   EngineConfig ec;
   ec.policy.kind = kind;
   ec.scheduler.max_batch_size = 4;
-  ec.paged.enabled = true;
   ec.paged.block_tokens = 8;
   ec.prefix.enabled = prefix_on;
   return ec;
@@ -239,12 +238,8 @@ TEST(PrefixSharing, RandomizedChurnLeaksNoBlocksOrRefcounts) {
   EXPECT_EQ(ps.reserved_blocks, 0u);
 }
 
-TEST(PrefixSharing, RequiresPagedMemoryAndUndampedScores) {
+TEST(PrefixSharing, RequiresUndampedScores) {
   Transformer model(tiny_config());
-  EngineConfig ec;
-  ec.prefix.enabled = true;
-  EXPECT_THROW(Engine(model, ec), std::invalid_argument);
-
   EngineConfig damped = paged_config(kv::PolicyKind::kKeyformer, true);
   damped.policy.keyformer.score.damping = 0.95;
   EXPECT_THROW(Engine(model, damped), std::invalid_argument);
@@ -265,22 +260,6 @@ TEST(PrefixSharing, RefusesSharedScopeKeyformer) {
   EXPECT_THROW(Engine(model, shared), std::invalid_argument);
   shared.prefix.enabled = false;
   EXPECT_NO_THROW(Engine(model, shared));
-}
-
-TEST(PrefixSharing, CallerOwnedPoliciesBypassTheCache) {
-  // A request bringing its own policy instance must not adopt or insert:
-  // the cached score snapshots belong to the engine's policy config.
-  Transformer model(tiny_config());
-  Engine engine(model, paged_config(kv::PolicyKind::kKeyformer, true));
-  auto requests = shared_context_requests(2, 48);
-  auto own_a = kv::make_policy(kv::PolicyKind::kKeyformer);
-  auto own_b = kv::make_policy(kv::PolicyKind::kKeyformer);
-  requests[0].policy = own_a.get();
-  requests[1].policy = own_b.get();
-  engine.run(requests);
-  EXPECT_EQ(engine.stats().prefix_hits, 0u);
-  EXPECT_EQ(engine.stats().prefix_misses, 0u);
-  EXPECT_EQ(engine.metrics().counter("prefix.insertions").value(), 0u);
 }
 
 TEST(PrefixSharing, StaggeredArrivalsNeverChargeMoreThanUnshared) {

@@ -85,6 +85,9 @@ class EngineParity
           std::tuple<PositionalKind, kv::PolicyKind>> {};
 
 TEST_P(EngineParity, BatchOfOneMatchesReferenceLoopTokenExactly) {
+  // The reference loop, model::generate() and a one-request engine run
+  // give the same tokens; generate() and the engine's Response also agree
+  // on the budget and the cache sizes.
   const auto [pos, kind] = GetParam();
   Transformer model(tiny_config(pos));
 
@@ -96,6 +99,11 @@ TEST_P(EngineParity, BatchOfOneMatchesReferenceLoopTokenExactly) {
   auto ref_policy = kv::make_policy(kind);
   const std::vector<Token> expected =
       reference_generate(model, prompt, *ref_policy, g);
+
+  auto gen_policy = kv::make_policy(kind);
+  const model::GenerationResult generated =
+      model::generate(model, prompt, *gen_policy, g);
+  EXPECT_EQ(generated.tokens, expected);
 
   EngineConfig ec;
   ec.policy.kind = kind;
@@ -109,6 +117,10 @@ TEST_P(EngineParity, BatchOfOneMatchesReferenceLoopTokenExactly) {
   EXPECT_EQ(responses[0].prompt_len, prompt.size());
   EXPECT_EQ(responses[0].finish, FinishReason::kLength);
   EXPECT_GT(responses[0].prefill_seconds, 0.0);
+  EXPECT_EQ(responses[0].budget.max_tokens, generated.budget.max_tokens);
+  EXPECT_EQ(responses[0].budget.recent_window, generated.budget.recent_window);
+  EXPECT_EQ(responses[0].final_cache_sizes, generated.final_cache_sizes);
+  EXPECT_EQ(responses[0].peak_cache_tokens, generated.peak_cache_tokens);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -126,28 +138,6 @@ INSTANTIATE_TEST_SUITE_P(
       return to_string(std::get<0>(info.param)) + "_" +
              kv::to_string(std::get<1>(info.param));
     });
-
-TEST(Engine, GenerateIsABatchOfOneClient) {
-  // generate() routes through the Engine; its result must carry the same
-  // tokens as a direct engine run with the same policy configuration.
-  Transformer model(tiny_config());
-  GenerationConfig g;
-  g.max_new_tokens = 10;
-  g.cache_ratio = 0.5;
-  const auto prompt = make_prompt(24);
-
-  auto policy = kv::make_policy(kv::PolicyKind::kKeyformer);
-  const auto direct = model::generate(model, prompt, *policy, g);
-
-  EngineConfig ec;
-  ec.policy.kind = kv::PolicyKind::kKeyformer;
-  Engine engine(model, ec);
-  Request req;
-  req.prompt = prompt;
-  req.gen = g;
-  const auto responses = engine.run({&req, 1});
-  EXPECT_EQ(responses[0].tokens, direct.tokens);
-}
 
 TEST(Engine, MixedBatchSequencesDoNotPerturbEachOther) {
   // Randomized continuous-batching run: mixed prompt lengths, staggered
@@ -177,7 +167,8 @@ TEST(Engine, MixedBatchSequencesDoNotPerturbEachOther) {
   const auto mixed = engine.run(requests);
   ASSERT_EQ(mixed.size(), requests.size());
   EXPECT_LE(engine.stats().max_batch, 4u);
-  EXPECT_LE(engine.stats().max_tokens_in_use, 120u);
+  EXPECT_LE(engine.stats().max_blocks_in_use,
+            engine.stats().pool_capacity_blocks);
   EXPECT_GT(engine.stats().decoded_tokens, 0u);
 
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -379,81 +370,14 @@ TEST(Engine, RejectsLearnedPositionsPastTheTable) {
   }
 }
 
-TEST(Engine, RejectsExternalKvStateWithWrongGeometry) {
-  Transformer model(tiny_config());  // 2 layers, 2 heads, d_head 8
-  Engine engine(model, EngineConfig{});
-  Request req;
-  req.prompt = make_prompt(8);
-  req.gen.max_new_tokens = 2;
-
-  // Wrong layer count.
-  kv::SequenceKvState wrong_layers(1, 2, 8);
-  req.kv_state = &wrong_layers;
-  auto responses = engine.run({&req, 1});
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_EQ(responses[0].finish, FinishReason::kRejected);
-  EXPECT_FALSE(responses[0].error.empty());
-
-  // Same layer count and same row width (4x4 == 2x8 == 16 floats), but a
-  // different head split — must be rejected, not silently misread.
-  kv::SequenceKvState wrong_split(2, 4, 4);
-  req.kv_state = &wrong_split;
-  responses = engine.run({&req, 1});
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_EQ(responses[0].finish, FinishReason::kRejected);
-
-  // Matching geometry passes.
-  kv::SequenceKvState ok(2, 2, 8);
-  req.kv_state = &ok;
-  responses = engine.run({&req, 1});
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_NE(responses[0].finish, FinishReason::kRejected);
-  EXPECT_EQ(responses[0].tokens.size(), 2u);
-}
-
-TEST(Engine, RejectsSharedKvStateOrPolicyAcrossRequests) {
-  // Two live requests on one kv_state (or one policy) would clobber each
-  // other's caches/score state; the engine rejects the duplicates up
-  // front (first claimant wins) instead of failing deep inside
-  // step_batch after wasted prefill work.
-  Transformer model(tiny_config());
-  Engine engine(model, EngineConfig{});
-  std::vector<Request> requests(2);
-  requests[0].prompt = make_prompt(8, 0);
-  requests[0].gen.max_new_tokens = 2;
-  requests[1].prompt = make_prompt(8, 1);
-  requests[1].gen.max_new_tokens = 2;
-
-  kv::SequenceKvState shared(2, 2, 8);
-  requests[0].kv_state = &shared;
-  requests[1].kv_state = &shared;
-  auto responses = engine.run(requests);
-  ASSERT_EQ(responses.size(), 2u);
-  EXPECT_NE(responses[0].finish, FinishReason::kRejected);  // first wins
-  EXPECT_EQ(responses[0].tokens.size(), 2u);
-  EXPECT_EQ(responses[1].finish, FinishReason::kRejected);
-  EXPECT_FALSE(responses[1].error.empty());
-
-  requests[0].kv_state = nullptr;
-  requests[1].kv_state = nullptr;
-  auto shared_policy = kv::make_policy(kv::PolicyKind::kKeyformer);
-  requests[0].policy = shared_policy.get();
-  requests[1].policy = shared_policy.get();
-  responses = engine.run(requests);
-  ASSERT_EQ(responses.size(), 2u);
-  EXPECT_NE(responses[0].finish, FinishReason::kRejected);
-  EXPECT_EQ(responses[1].finish, FinishReason::kRejected);
-  EXPECT_FALSE(responses[1].error.empty());
-}
-
 // ---------------------------------------------------------------------------
-// Paged KV memory mode.
+// Paged KV memory.
 
-TEST_P(EngineParity, PagedMemoryMatchesContiguousTokenExactly) {
-  // Block-reserved admission and the block size must be invisible to
-  // generation: the same tokens as a token-counted engine whose caches
-  // are one block per layer, for every policy x positional family,
-  // across block sizes that do and don't divide the cache lengths.
+TEST_P(EngineParity, BlockSizeParityIsTokenExact) {
+  // The block size must be invisible to generation: the same tokens as an
+  // engine whose caches are one block per layer, for every policy x
+  // positional family, across block sizes that do and don't divide the
+  // cache lengths.
   const auto [pos, kind] = GetParam();
   Transformer model(tiny_config(pos));
 
@@ -462,18 +386,17 @@ TEST_P(EngineParity, PagedMemoryMatchesContiguousTokenExactly) {
   g.cache_ratio = kind == kv::PolicyKind::kFull ? 1.0 : 0.5;
   const auto prompt = make_prompt(32);
 
-  EngineConfig token_cfg;
-  token_cfg.policy.kind = kind;
-  token_cfg.paged.block_tokens = 64;  // one segment per head and layer
-  Engine token_mode(model, token_cfg);
+  EngineConfig one_block;
+  one_block.policy.kind = kind;
+  one_block.paged.block_tokens = 64;  // one segment per head and layer
+  Engine one_segment(model, one_block);
   Request req;
   req.prompt = prompt;
   req.gen = g;
-  const auto expected = token_mode.run({&req, 1});
+  const auto expected = one_segment.run({&req, 1});
 
   for (const std::size_t block_tokens : {3, 16}) {
-    EngineConfig pc = token_cfg;
-    pc.paged.enabled = true;
+    EngineConfig pc = one_block;
     pc.paged.block_tokens = block_tokens;
     Engine paged(model, pc);
     const auto got = paged.run({&req, 1});
@@ -486,12 +409,12 @@ TEST_P(EngineParity, PagedMemoryMatchesContiguousTokenExactly) {
   }
 }
 
-TEST(Engine, PagedMixedBatchMatchesContiguousAndLeaksNothing) {
+TEST(Engine, MixedBatchBlockSizeParityLeaksNothing) {
   // Randomized admit/retire churn under a real block cap: staggered
   // arrivals, mixed lengths, sequences joining as others retire. Token
-  // streams must match the token-counted engine run for run, and after the
-  // run every block must be back on the free lists with no reservations
-  // left — the no-leak half of the acceptance criteria.
+  // streams must match an 8-token-block engine's run for run, and after
+  // the run every block must be back on the free lists with no
+  // reservations left — the no-leak half of the acceptance criteria.
   Transformer model(tiny_config());
   Rng rng(321);
   std::vector<Request> requests;
@@ -509,12 +432,12 @@ TEST(Engine, PagedMixedBatchMatchesContiguousAndLeaksNothing) {
   ec.policy.kind = kv::PolicyKind::kKeyformer;
   ec.scheduler.max_batch_size = 4;
   ec.scheduler.max_concurrent_tokens = 120;
-  Engine token_mode(model, ec);
-  const auto expected = token_mode.run(requests);
+  ec.paged.block_tokens = 8;
+  Engine small_blocks(model, ec);
+  const auto expected = small_blocks.run(requests);
 
   EngineConfig pc = ec;
-  pc.paged.enabled = true;
-  pc.paged.block_tokens = 8;
+  pc.paged.block_tokens = 16;
   Engine paged(model, pc);
   const auto got = paged.run(requests);
 
@@ -540,7 +463,6 @@ TEST(Engine, PagedModeDerivesPoolCapacityFromTokenBudget) {
   Transformer model(tiny_config());  // 2 layers
   EngineConfig ec;
   ec.scheduler.max_concurrent_tokens = 100;
-  ec.paged.enabled = true;
   ec.paged.block_tokens = 8;
   Engine engine(model, ec);
   ASSERT_NE(engine.pool(), nullptr);
@@ -549,30 +471,11 @@ TEST(Engine, PagedModeDerivesPoolCapacityFromTokenBudget) {
   EXPECT_EQ(engine.pool()->stats().capacity_blocks, 26u);
 }
 
-TEST(Engine, PagedModeRejectsExternalKvState) {
-  Transformer model(tiny_config());
-  EngineConfig ec;
-  ec.paged.enabled = true;
-  Engine engine(model, ec);
-  Request req;
-  req.prompt = make_prompt(8);
-  req.gen.max_new_tokens = 2;
-  kv::SequenceKvState external(2, 2, 8);
-  req.kv_state = &external;
-  const auto responses = engine.run({&req, 1});
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_EQ(responses[0].finish, FinishReason::kRejected);
-  EXPECT_FALSE(responses[0].error.empty());
-}
-
 TEST(Engine, GenerateStillWorksWhilePagedEngineExists) {
-  // generate() builds its own token-mode batch-of-one engine over the
-  // model's default state; a paged engine on the same model must not
-  // disturb it.
+  // generate() runs on the model's default state without an engine; an
+  // engine on the same model, with its own pool, must not disturb it.
   Transformer model(tiny_config());
-  EngineConfig ec;
-  ec.paged.enabled = true;
-  Engine paged(model, ec);
+  Engine paged(model, EngineConfig{});
   GenerationConfig g;
   g.max_new_tokens = 6;
   g.cache_ratio = 0.5;
@@ -598,6 +501,9 @@ TEST(Engine, AggregateStatsAreConsistent) {
   EXPECT_EQ(engine.stats().decoded_tokens, expected_decoded);
   EXPECT_EQ(engine.stats().prefilled_tokens, expected_prefill);
   EXPECT_EQ(engine.stats().max_batch, 3u);
+  EXPECT_GT(engine.stats().max_blocks_in_use, 0u);
+  EXPECT_EQ(engine.pool()->stats().reserved_blocks, 0u);
+  EXPECT_EQ(engine.pool()->stats().used_blocks, 0u);
   EXPECT_GT(engine.stats().decode_tokens_per_s(), 0.0);
   for (const auto& r : responses) {
     EXPECT_GT(r.decode_tokens_per_s(), 0.0);
@@ -626,7 +532,6 @@ TEST(EngineRobustness, PreemptResumeIsTokenExactAcrossPolicies) {
 
     EngineConfig ec;
     ec.policy.kind = kind;
-    ec.paged.enabled = true;
     ec.paged.block_tokens = 8;
     // Room for one 32-token prompt (8 blocks) but not two.
     ec.paged.capacity_blocks = 10;
@@ -710,7 +615,6 @@ TEST(EngineRobustness, OversizedForPoolRejectedRestOfBatchCompletes) {
   requests[1].gen.cache_ratio = 0.5;
   EngineConfig ec;
   ec.policy.kind = kv::PolicyKind::kKeyformer;
-  ec.paged.enabled = true;
   ec.paged.block_tokens = 8;
   ec.paged.capacity_blocks = 8;
   Engine engine(model, ec);

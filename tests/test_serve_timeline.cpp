@@ -139,7 +139,6 @@ TEST(ServeTimeline, PoolCountersUnderPagedMemory) {
   EngineConfig ec;
   ec.scheduler.max_batch_size = 2;
   ec.scheduler.max_concurrent_tokens = 256;
-  ec.paged.enabled = true;
   ec.paged.block_tokens = 8;
   Engine engine(m, ec);
   engine.run(make_requests(4, 24, 8));
@@ -165,7 +164,6 @@ TEST(ServeTimeline, TraceSpansCoverARun) {
   requests[1].arrival_step = 4;
   EngineConfig ec;
   ec.policy.kind = kv::PolicyKind::kKeyformer;
-  ec.paged.enabled = true;
   ec.paged.block_tokens = 8;
   ec.paged.capacity_blocks = 10;  // request 1 alone fills the pool
   ec.preempt.queue_pressure_steps = 3;
@@ -245,7 +243,6 @@ std::vector<Request> preempt_then_timeout_requests() {
 EngineConfig preempt_then_timeout_config() {
   EngineConfig ec;
   ec.policy.kind = kv::PolicyKind::kKeyformer;
-  ec.paged.enabled = true;
   ec.paged.block_tokens = 8;
   ec.paged.capacity_blocks = 10;  // one 32-token prompt fits, not two
   ec.preempt.queue_pressure_steps = 3;
@@ -366,7 +363,6 @@ constexpr std::size_t EngineStats::*kRunCounts[] = {
     &EngineStats::decoded_tokens,
     &EngineStats::prefilled_tokens,
     &EngineStats::max_batch,
-    &EngineStats::max_tokens_in_use,
     &EngineStats::max_blocks_in_use,
     &EngineStats::pool_peak_used_blocks,
     &EngineStats::pool_capacity_blocks,
@@ -484,7 +480,6 @@ TEST(ServeTimeline, StatsAreLiveMidRun) {
   Transformer m(cfg);
   EngineConfig ec;
   ec.policy.kind = kv::PolicyKind::kKeyformer;
-  ec.paged.enabled = true;
   ec.paged.block_tokens = 8;
   ec.prefix.enabled = true;
   Engine engine(m, ec);
@@ -525,7 +520,6 @@ TEST(ServeTimeline, ResumeThenRejectAfterPreemptionBudget) {
   requests[0].gen.cache_ratio = 1.0;
 
   EngineConfig ec;
-  ec.paged.enabled = true;
   ec.paged.block_tokens = 8;
   ec.preempt.max_per_sequence = 2;
   Engine engine(m, ec);
