@@ -1,0 +1,334 @@
+// Bit-exactness fingerprint: FNV-1a hashes of what the dispatched kernels
+// and the model compute, one hash per line. Two builds print the same
+// lines exactly when every hashed value has the same bits, so a change
+// that must keep the numbers runs this at its parent and at the change and
+// compares the output:
+//
+//   ./build/bench/bench_fingerprint [--quick]
+//
+// "kernel <isa> <table> <hash>" lines cover each table in cpu/kernels.h,
+// per ISA this host runs, over seeded random inputs whose lengths straddle
+// the 8- and 16-lane vector widths: every gemm_rows epilogue, bias and
+// noise rows null and set, tau 1 and another, -inf entries, multi-segment
+// attends and keys_override.
+//
+// "model <isa> <hash>" lines run the model under each ISA: 3 families x
+// prompts of 37 and 300 tokens x both position modes, under full
+// attention, H2O, and Keyformer with each logit adjustment in both score
+// scopes, at cache ratios 0.2 and 0.5. Each run hashes its prefill logits,
+// 24 greedy decode steps' logits, and every layer's kept positions,
+// per-head scores and noise rows. --quick runs one family, the 37-token
+// prompt, and only full attention and Gumbel Keyformer.
+//
+// No hash is committed to compare against: libm and compiler differences
+// between hosts change the bits legitimately.
+
+#include <algorithm>
+#include <cstdint>
+#include <iomanip>
+#include <iostream>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "cpu/kernels.h"
+#include "keyformer/keyformer.h"
+
+namespace {
+
+using namespace kf;
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+/// 64-bit FNV-1a over the raw bytes of everything fed to it.
+class Fnv {
+ public:
+  template <typename Range>
+  void add(const Range& values) {
+    const auto* p = reinterpret_cast<const unsigned char*>(std::data(values));
+    const std::size_t n = std::size(values) * sizeof(*std::data(values));
+    for (std::size_t i = 0; i < n; ++i) h_ = (h_ ^ p[i]) * 0x100000001b3ULL;
+  }
+  std::uint64_t digest() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/// Lengths below, at and just past multiples of 8 and 16 lanes.
+const std::size_t kLengths[] = {1,  7,  8,  9,  15, 16, 17,
+                                31, 32, 33, 63, 64, 65, 100};
+
+std::vector<float> random_floats(Rng& rng, std::size_t n, float scale) {
+  std::vector<float> v(n);
+  for (float& x : v) x = static_cast<float>(rng.normal()) * scale;
+  return v;
+}
+
+std::uint64_t hash_matvec_rows(cpu::CpuIsa isa) {
+  const cpu::MatvecRowsFn fn = cpu::matvec_rows_stub.get(isa);
+  Rng rng(1);
+  Fnv h;
+  for (const std::size_t k : kLengths) {
+    constexpr std::size_t kRows = 5;
+    const auto a = random_floats(rng, kRows * k, 1.0F);
+    const auto x = random_floats(rng, k, 1.0F);
+    std::vector<float> y(kRows);
+    fn(a.data(), x.data(), y.data(), 0, kRows, k);
+    h.add(y);
+  }
+  return h.digest();
+}
+
+std::uint64_t hash_gemm_rows(cpu::CpuIsa isa) {
+  const cpu::GemmRowsFn fn = cpu::gemm_rows_stub.get(isa);
+  Rng rng(2);
+  Fnv h;
+  for (const std::size_t m : {1, 4, 5, 9}) {
+    for (const std::size_t k : {1, 7, 16, 33}) {
+      for (const std::size_t n : kLengths) {
+        for (const cpu::Epilogue form :
+             {cpu::Epilogue::kStore, cpu::Epilogue::kBiasGelu,
+              cpu::Epilogue::kBiasAccumulate}) {
+          const auto a = random_floats(rng, m * k, 1.0F);
+          const auto b = random_floats(rng, k * n, 1.0F);
+          const auto bias = random_floats(rng, n, 1.0F);
+          auto c = random_floats(rng, m * n, 1.0F);
+          const float* bias_ptr =
+              form == cpu::Epilogue::kStore ? nullptr : bias.data();
+          fn(a.data(), b.data(), c.data(), 0, m, k, n, form, bias_ptr);
+          h.add(c);
+        }
+      }
+    }
+  }
+  return h.digest();
+}
+
+std::uint64_t hash_softmax(cpu::CpuIsa isa) {
+  const cpu::SoftmaxFn fn = cpu::softmax_stub.get(isa);
+  Rng rng(3);
+  Fnv h;
+  for (const std::size_t n : kLengths) {
+    for (const double tau : {1.0, 0.7}) {
+      for (const bool masked : {false, true}) {
+        auto x = random_floats(rng, n, 3.0F);
+        if (masked) {
+          x[n / 2] = -kInf;
+          x[n - 1] = -kInf;
+        }
+        std::vector<float> out(n);
+        fn(x.data(), out.data(), n, tau);
+        h.add(out);
+      }
+    }
+    const std::vector<float> all_masked(n, -kInf);
+    std::vector<float> out(n);
+    fn(all_masked.data(), out.data(), n, 1.0);
+    h.add(out);
+  }
+  return h.digest();
+}
+
+std::uint64_t hash_decode_attend(cpu::CpuIsa isa) {
+  const cpu::DecodeAttendFn fn = cpu::decode_attend_stub.get(isa);
+  Rng rng(4);
+  Fnv h;
+  for (const std::size_t dh : {8, 16, 24, 32, 64}) {
+    for (const std::size_t key_len : {1, 7, 8, 9, 15, 16, 17, 33, 100}) {
+      for (const std::size_t seg_rows : {key_len, std::size_t{3},
+                                         std::size_t{16}}) {
+        for (int c = 0; c < 4; ++c) {
+          const bool with_bias = (c & 1) != 0;
+          const bool with_override = (c & 2) != 0;
+          const auto keys = random_floats(rng, key_len * dh, 1.0F);
+          const auto values = random_floats(rng, key_len * dh, 1.0F);
+          const auto q = random_floats(rng, dh, 1.0F);
+          const auto bias = random_floats(rng, key_len, 1.0F);
+          const auto rotated = random_floats(rng, key_len * dh, 1.0F);
+          std::vector<cpu::KvSegmentView> segs;
+          for (std::size_t first = 0; first < key_len; first += seg_rows) {
+            const std::size_t count = std::min(seg_rows, key_len - first);
+            segs.push_back({keys.data() + first * dh,
+                            values.data() + first * dh, first, count});
+          }
+          std::vector<float> lrow(key_len), prow(key_len), ctx(dh);
+          fn(segs.data(), segs.size(), q.data(), dh, 0.35F,
+             with_bias ? bias.data() : nullptr,
+             with_override ? rotated.data() : nullptr, lrow.data(),
+             prow.data(), ctx.data(), key_len);
+          h.add(lrow);
+          h.add(prow);
+          h.add(ctx);
+        }
+      }
+    }
+  }
+  return h.digest();
+}
+
+std::uint64_t hash_score_increments(cpu::CpuIsa isa) {
+  const cpu::ScoreIncrementsFn fn = cpu::score_increments_stub.get(isa);
+  Rng rng(5);
+  Fnv h;
+  for (const std::size_t n : kLengths) {
+    for (int c = 0; c < 8; ++c) {
+      const double tau = (c & 1) != 0 ? 1.37 : 1.0;
+      const bool with_noise = (c & 2) != 0;
+      const bool masked = (c & 4) != 0;
+      auto logits = random_floats(rng, n, 3.0F);
+      if (masked) {
+        logits[n / 2] = -kInf;
+        logits[n - 1] = -kInf;
+      }
+      std::vector<double> noise(n);
+      for (double& z : noise) z = 0.5 * rng.gumbel();
+      std::vector<double> out(n);
+      fn(logits.data(), with_noise ? noise.data() : nullptr, out.data(), n,
+         tau);
+      h.add(out);
+    }
+    const std::vector<float> all_masked(n, -kInf);
+    std::vector<double> out(n);
+    fn(all_masked.data(), nullptr, out.data(), n, 1.0);
+    h.add(out);
+  }
+  return h.digest();
+}
+
+constexpr std::size_t kDecodeSteps = 24;
+
+/// One generation: prefill, then kDecodeSteps greedy steps, hashing every
+/// logit row and the caches the policy leaves behind.
+void hash_generation(model::Transformer& model,
+                     const std::vector<model::Token>& prompt,
+                     const kv::PolicyConfig& pc, double cache_ratio, Fnv& h) {
+  const model::ModelConfig& cfg = model.config();
+  auto policy = kv::make_policy(pc);
+  policy->set_budget(kv::make_budget(prompt.size(), cache_ratio));
+  policy->begin_sequence(
+      {prompt.size(), kDecodeSteps, cfg.n_layers, cfg.n_heads});
+  model.reset();
+  const Tensor prompt_logits = model.prefill(prompt, *policy, kDecodeSteps);
+  h.add(prompt_logits.span());
+  std::vector<model::Token> generated;
+  model::Token next = model::select_greedy(prompt_logits.row(0), {}, 2.0F);
+  for (std::size_t t = 1; t <= kDecodeSteps; ++t) {
+    generated.push_back(next);
+    const std::vector<float> logits = model.decode(
+        next, prompt.size() + t - 1, t, kDecodeSteps, *policy);
+    h.add(logits);
+    next = model::select_greedy(logits, generated, 2.0F);
+  }
+  for (std::size_t l = 0; l < cfg.n_layers; ++l) {
+    const kv::KvCache& cache = model.cache(l);
+    h.add(cache.original_positions());
+    for (std::size_t head = 0; head < cfg.n_heads; ++head) {
+      h.add(cache.scores(head));
+      h.add(cache.noise(head));
+    }
+  }
+  if (const auto* keyformer =
+          dynamic_cast<const kv::KeyformerPolicy*>(policy.get())) {
+    h.add(keyformer->shared_scores());
+  }
+}
+
+std::uint64_t hash_model(cpu::CpuIsa isa, bool quick) {
+  cpu::set_isa_override(isa);
+  std::vector<model::ModelConfig> families = {
+      model::ModelConfig::gptj_like(), model::ModelConfig::cerebras_like(),
+      model::ModelConfig::mpt_like()};
+  std::vector<std::size_t> prompt_lens = {37, 300};
+  if (quick) {
+    families.resize(1);
+    prompt_lens.resize(1);
+  }
+  // Full attention runs once per prompt and mode; every other policy at
+  // each cache ratio.
+  kv::PolicyConfig full;
+  full.kind = kv::PolicyKind::kFull;
+  std::vector<kv::PolicyConfig> evicting;
+  if (!quick) {
+    kv::PolicyConfig h2o;
+    h2o.kind = kv::PolicyKind::kH2O;
+    evicting.push_back(h2o);
+  }
+  for (const auto adjustment :
+       {kv::LogitAdjustment::kGumbel, kv::LogitAdjustment::kGaussian,
+        kv::LogitAdjustment::kConstant, kv::LogitAdjustment::kNone}) {
+    for (const auto scope :
+         {kv::ScoreScope::kPerLayer, kv::ScoreScope::kShared}) {
+      if (quick && (adjustment != kv::LogitAdjustment::kGumbel ||
+                    scope != kv::ScoreScope::kPerLayer)) {
+        continue;
+      }
+      kv::PolicyConfig keyformer;
+      keyformer.kind = kv::PolicyKind::kKeyformer;
+      keyformer.keyformer.score.adjustment = adjustment;
+      keyformer.keyformer.scope = scope;
+      evicting.push_back(keyformer);
+    }
+  }
+
+  Fnv h;
+  for (const model::ModelConfig& family : families) {
+    model::Transformer model(family);
+    for (const std::size_t prompt_len : prompt_lens) {
+      Rng rng(prompt_len);
+      std::vector<model::Token> prompt(prompt_len);
+      for (model::Token& tok : prompt) {
+        tok = static_cast<model::Token>(rng.uniform_u64(family.vocab_size));
+      }
+      for (const auto mode :
+           {model::PositionMode::kOriginal, model::PositionMode::kNew}) {
+        model.set_position_mode(mode);
+        hash_generation(model, prompt, full, 1.0, h);
+        for (const kv::PolicyConfig& pc : evicting) {
+          for (const double ratio : {0.2, 0.5}) {
+            hash_generation(model, prompt, pc, ratio, h);
+          }
+        }
+      }
+    }
+  }
+  cpu::clear_isa_override();
+  return h.digest();
+}
+
+void print_line(const std::string& label, std::uint64_t hash) {
+  std::cout << label << ' ' << std::hex << std::setw(16) << std::setfill('0')
+            << hash << std::dec << '\n';
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  bool quick = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) == "--quick") {
+      quick = true;
+    } else {
+      std::cerr << "usage: bench_fingerprint [--quick]\n";
+      return 2;
+    }
+  }
+  const cpu::CpuIsa isas[] = {cpu::CpuIsa::kScalar, cpu::CpuIsa::kAvx2,
+                              cpu::CpuIsa::kAvx512};
+  for (const cpu::CpuIsa isa : isas) {
+    if (!cpu::isa_available(isa)) continue;
+    const std::string prefix = std::string("kernel ") + cpu::isa_name(isa);
+    print_line(prefix + " matvec_rows", hash_matvec_rows(isa));
+    print_line(prefix + " gemm_rows", hash_gemm_rows(isa));
+    print_line(prefix + " softmax", hash_softmax(isa));
+    print_line(prefix + " decode_attend", hash_decode_attend(isa));
+    print_line(prefix + " score_increments", hash_score_increments(isa));
+  }
+  for (const cpu::CpuIsa isa : isas) {
+    if (!cpu::isa_available(isa)) continue;
+    print_line(std::string("model ") + cpu::isa_name(isa),
+               hash_model(isa, quick));
+  }
+  return 0;
+}

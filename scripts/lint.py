@@ -29,12 +29,14 @@ Checks (each failure lists file and reason; exit code 1 on any):
   6. SIMD variant TUs stay behind the dispatch table -- nobody #includes
      a *_avx2.cpp / *_avx512.cpp file (their per-file -m flags only apply
      when they compile as their own TU; textual inclusion would leak AVX
-     instructions into a generic object), and the avx2:: / avx512::
-     variant namespaces are only named inside src/cpu (everyone else goes
-     through the cpu::*_stub tables, which is what keeps the binary
-     portable);
+     instructions into a generic object), only those two TUs include
+     src/cpu/kernels_wide.h, the kernel bodies they instantiate with their
+     lane-width traits, and the avx2:: / avx512:: variant namespaces are
+     only named inside src/cpu (everyone else goes through the
+     cpu::*_stub tables, which is what keeps the binary portable);
   7. no KF_TRACE_SCOPE / KF_TRACE_INSTANT in the per-ISA variant TUs
-     (src/cpu/kernels_avx2.cpp, kernels_avx512.cpp) -- the innermost SIMD
+     (src/cpu/kernels_avx2.cpp, kernels_avx512.cpp) or in
+     src/cpu/kernels_wide.h, which holds their loops -- the innermost SIMD
      loops must stay branch-free of tracing; kernel time reaches the
      tracer through the spans src/model and src/kvcache open around the
      dispatched calls instead.
@@ -190,10 +192,16 @@ def check_no_throw_in_request_paths() -> list[str]:
 
 
 def check_simd_variants_behind_dispatch() -> list[str]:
-    """ISA variant TUs are linked, never included, and only src/cpu names
-    the variant namespaces directly."""
+    """ISA variant TUs are linked, never included; only they include the
+    shared wide kernel bodies; and only src/cpu names the variant
+    namespaces directly."""
     errors = []
     include_re = re.compile(r"#include\s*[<\"][^<\">]*_avx(2|512)\.cpp")
+    wide_include_re = re.compile(r"#include\s*[<\"][^<\">]*kernels_wide\.h")
+    wide_includers = {
+        REPO / "src" / "cpu" / "kernels_avx2.cpp",
+        REPO / "src" / "cpu" / "kernels_avx512.cpp",
+    }
     variant_ns_re = re.compile(r"\bavx(2|512)\s*::")
     cpu_dir = REPO / "src" / "cpu"
     for sub in ("src", "tests", "bench", "examples"):
@@ -211,6 +219,12 @@ def check_simd_variants_behind_dispatch() -> list[str]:
                         "ISA variant TU (variant files must compile as their "
                         "own translation units with per-file -m flags)"
                     )
+                if path not in wide_includers and wide_include_re.search(line):
+                    errors.append(
+                        f"{path.relative_to(REPO)}:{lineno}: #include of "
+                        "kernels_wide.h outside the AVX2 / AVX-512 variant TUs "
+                        "(its bodies must only compile under their -m flags)"
+                    )
                 if cpu_dir not in path.parents and variant_ns_re.search(line):
                     errors.append(
                         f"{path.relative_to(REPO)}:{lineno}: direct use of a "
@@ -221,12 +235,16 @@ def check_simd_variants_behind_dispatch() -> list[str]:
 
 
 def check_no_tracing_in_isa_variants() -> list[str]:
-    """The per-ISA kernel TUs never carry trace macros: the hot SIMD loops
-    stay identical across variants, and kernel time flows to the tracer
-    through the spans src/model and src/kvcache open around the
-    dispatched calls."""
+    """The per-ISA kernel TUs and the wide kernel bodies they share never
+    carry trace macros: the hot SIMD loops stay branch-free of tracing,
+    and kernel time flows to the tracer through the spans src/model and
+    src/kvcache open around the dispatched calls."""
     errors = []
-    for rel in ("src/cpu/kernels_avx2.cpp", "src/cpu/kernels_avx512.cpp"):
+    for rel in (
+        "src/cpu/kernels_avx2.cpp",
+        "src/cpu/kernels_avx512.cpp",
+        "src/cpu/kernels_wide.h",
+    ):
         path = REPO / rel
         if not path.is_file():
             continue
@@ -234,7 +252,7 @@ def check_no_tracing_in_isa_variants() -> list[str]:
         for lineno, line in enumerate(text.splitlines(), 1):
             if "KF_TRACE_SCOPE" in line or "KF_TRACE_INSTANT" in line:
                 errors.append(
-                    f"{rel}:{lineno}: trace macro in a per-ISA variant TU "
+                    f"{rel}:{lineno}: trace macro in a per-ISA kernel file "
                     "(span the dispatched call in src/model or src/kvcache "
                     "instead)"
                 )

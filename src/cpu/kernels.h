@@ -14,7 +14,8 @@
 // Variant TUs (kernels_scalar.cpp / kernels_avx2.cpp / kernels_avx512.cpp)
 // are compiled with per-file flags and must only be reached through these
 // tables (scripts/lint.py check 6 enforces it); nothing outside src/cpu
-// names a variant namespace.
+// names a variant namespace. The AVX2 and AVX-512 TUs instantiate one set
+// of kernel bodies, kernels_wide.h's Wide<V>, with their lane-width traits.
 //
 // Contracts shared by every variant. The scalar variant is the semantics
 // reference: the pre-dispatch kernel code moved verbatim, so under
@@ -38,8 +39,8 @@
 //     loops: the product, then a bias add, then the GELU, then a residual
 //     add. The wide variants apply the form to each finished register
 //     tile and compute GELU as v / (1 + exp(−2u)), u = √(2/π)·(v +
-//     0.044715·v³), over exp256_ps / exp512_ps: within 1e-6·(1 + |ref|)
-//     of the scalar GELU `ref` of the same v. The epilogue is per
+//     0.044715·v³), over Wide<V>::exp: within 1e-6·(1 + |ref|) of the
+//     scalar GELU `ref` of the same v. The epilogue is per
 //     element, so the row-bits contract holds for every form.
 //   - softmax: tau == 1.0 is the plain softmax; an all-(-inf) input row
 //     produces an all-zero output (no NaN), and any individually -inf
@@ -58,8 +59,8 @@
 //     -1e300), e_i = exp((y_i - max) / tau), then e_i * (1 / sum). A -inf
 //     logit gives exactly 0.0; a row whose every entry is -inf (sum == 0)
 //     gives all zeros, never NaN. The wide variants add, take the max and
-//     sum in double lanes but evaluate each exp in float (exp256_ps /
-//     exp512_ps) of (y_i - max) / tau rounded to float, so an element is
+//     sum in double lanes but evaluate each exp in float (Wide<V>::exp)
+//     of (y_i - max) / tau rounded to float, so an element is
 //     within 1e-5 relative of the scalar variant's, and one whose
 //     exponent is below float exp's underflow cutoff (about -87.3) is
 //     exactly 0 where scalar keeps a value under 1.2e-38. noise == out

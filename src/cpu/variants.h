@@ -4,8 +4,10 @@
 // outside src/cpu (scripts/lint.py check 6).
 //
 // Every namespace implements the same five signatures from kernels.h;
-// the scalar namespace is the semantics reference. Helpers a variant's
-// kernels share (its dot, axpy and max) stay file-local to its TU.
+// the scalar namespace is the semantics reference. The scalar helpers
+// stay file-local to kernels_scalar.cpp; the avx2 and avx512 entries
+// forward to kernels_wide.h's Wide<V>, whose helpers (dot, axpy, max,
+// exp, GELU) have internal linkage in each of the two TUs.
 #pragma once
 
 #include <cstddef>

@@ -145,9 +145,10 @@ Tensor Transformer::step_batch(std::span<const DecodeSlot> slots) {
     }
   }
 #ifndef NDEBUG
-  // Distinctness is the Engine's contract (enforced once per run there);
-  // re-checking every decode step costs two hash sets per step, so the
-  // hot path only pays for it in debug/sanitizer builds.
+  // Distinctness holds by construction in the Engine, which builds each
+  // sequence's own state and policy; re-checking every decode step costs
+  // two hash sets per step, so the hot path only pays for it in
+  // debug/sanitizer builds.
   {
     std::unordered_set<const void*> states, policies;
     for (const auto& s : slots) {

@@ -88,8 +88,6 @@ class BatchScheduler {
   /// scheduler.
   explicit BatchScheduler(mem::BlockPool& pool, SchedulerConfig cfg = {});
 
-  const SchedulerConfig& config() const noexcept { return cfg_; }
-
   /// Queues a sequence. Callers submit in arrival order (the engine sorts
   /// by arrival_step, then submission order); the queue is strict FIFO.
   /// Requires seq->n_layers > 0 (the block demand unit).

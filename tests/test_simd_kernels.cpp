@@ -495,6 +495,73 @@ TEST_P(SimdParity, FusedDecodeAttendMatchesScalarPaged) {
   expect_attention_parity(got, ref);
 }
 
+TEST_P(SimdParity, DecodeAttendMatchesScalarAtServedHeadWidths) {
+  // The attend and transformer cases here run tiny_config's d_head 8,
+  // under one AVX-512 vector. This calls each variant's decode_attend
+  // directly at the served head widths (mpt_like's 16, gptj_like's 32) and
+  // around them, so the context axpy and the key dots run their
+  // full-vector loops, through segment streams and keys_override (the
+  // RoPE + kNew path) alike, against the scalar variant. Each segment has
+  // its own buffer, as paged blocks do.
+  const cpu::DecodeAttendFn scalar =
+      cpu::decode_attend_stub.get(cpu::CpuIsa::kScalar);
+  const cpu::DecodeAttendFn variant = cpu::decode_attend_stub.get(GetParam());
+  Rng rng(33);
+  for (const std::size_t dh : {8, 16, 24, 32, 64}) {
+    for (const std::size_t key_len :
+         {1, 7, 8, 9, 15, 16, 17, 33, 100, 257}) {
+      for (const std::size_t seg_rows :
+           {key_len, std::size_t{3}, std::size_t{16}}) {
+        for (int c = 0; c < 4; ++c) {
+          const bool with_bias = (c & 1) != 0;
+          const bool with_override = (c & 2) != 0;
+          SCOPED_TRACE("dh=" + std::to_string(dh) +
+                       " key_len=" + std::to_string(key_len) +
+                       " seg_rows=" + std::to_string(seg_rows) +
+                       " bias=" + std::to_string(with_bias) +
+                       " keys_override=" + std::to_string(with_override));
+          std::vector<std::vector<float>> keys, values;
+          std::vector<cpu::KvSegmentView> segs;
+          for (std::size_t first = 0; first < key_len; first += seg_rows) {
+            const std::size_t count = std::min(seg_rows, key_len - first);
+            keys.push_back(random_vec(rng, count * dh));
+            values.push_back(random_vec(rng, count * dh));
+            segs.push_back(
+                {keys.back().data(), values.back().data(), first, count});
+          }
+          const auto q = random_vec(rng, dh);
+          const auto bias = random_vec(rng, key_len);
+          const auto rotated = random_vec(rng, key_len * dh);
+          const float scale = 1.0F / std::sqrt(static_cast<float>(dh));
+          const auto run = [&](cpu::DecodeAttendFn fn, std::vector<float>& l,
+                               std::vector<float>& p, std::vector<float>& x) {
+            l.assign(key_len, 0.0F);
+            p.assign(key_len, 0.0F);
+            x.assign(dh, 0.0F);
+            fn(segs.data(), segs.size(), q.data(), dh, scale,
+               with_bias ? bias.data() : nullptr,
+               with_override ? rotated.data() : nullptr, l.data(), p.data(),
+               x.data(), key_len);
+          };
+          std::vector<float> l_ref, p_ref, ctx_ref, l_got, p_got, ctx_got;
+          run(scalar, l_ref, p_ref, ctx_ref);
+          run(variant, l_got, p_got, ctx_got);
+          for (std::size_t i = 0; i < key_len; ++i) {
+            EXPECT_NEAR(l_got[i], l_ref[i], 1e-5F * (1.0F + std::abs(l_ref[i])))
+                << "logit " << i;
+            EXPECT_NEAR(p_got[i], p_ref[i], 1e-5F) << "prob " << i;
+          }
+          for (std::size_t j = 0; j < dh; ++j) {
+            EXPECT_NEAR(ctx_got[j], ctx_ref[j],
+                        1e-5F * (1.0F + std::abs(ctx_ref[j])))
+                << "context " << j;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_P(SimdParity, TransformerEndToEndMatchesScalar) {
   // Full-stack parity: prefill + 4 decode steps with live eviction, over
   // every policy x positional family, run once under the scalar dispatch
