@@ -7,8 +7,8 @@
 //                          --csv DIR    (also write CSV series into DIR)
 //                          --quick      (tiny sweep for smoke runs)
 //   - model families are the scaled-down stand-ins for GPT-J / Cerebras /
-//     MPT (see DESIGN.md section 2); "bench scale" is d_model 128, 4
-//     layers, the configuration the workload knobs were calibrated for.
+//     MPT (see model/config.h); "bench scale" is d_model 128, 4 layers,
+//     the configuration the workload knobs were calibrated for.
 #pragma once
 
 #include <cstdlib>

@@ -10,15 +10,19 @@
 // per ISA this host runs, over seeded random inputs whose lengths straddle
 // the 8- and 16-lane vector widths: every gemm_rows epilogue, bias and
 // noise rows null and set, tau 1 and another, -inf entries, multi-segment
-// attends and keys_override.
+// attends and keys_override, and attend head widths that fill, cross or
+// stop short of decode_attend's register-held context chunks.
 //
 // "model <isa> <hash>" lines run the model under each ISA: 3 families x
 // prompts of 37 and 300 tokens x both position modes, under full
 // attention, H2O, and Keyformer with each logit adjustment in both score
 // scopes, at cache ratios 0.2 and 0.5. Each run hashes its prefill logits,
 // 24 greedy decode steps' logits, and every layer's kept positions,
-// per-head scores and noise rows. --quick runs one family, the 37-token
-// prompt, and only full attention and Gumbel Keyformer.
+// per-head scores and noise rows. One more gptj_like run has a 256-position
+// RoPE table, so its 300-token prompt and decode steps cross the table's
+// end: full attention and Gumbel Keyformer at 0.5, both position modes.
+// --quick runs one family, the 37-token prompt, and only full attention
+// and Gumbel Keyformer.
 //
 // No hash is committed to compare against: libm and compiler differences
 // between hosts change the bits legitimately.
@@ -135,7 +139,8 @@ std::uint64_t hash_decode_attend(cpu::CpuIsa isa) {
   const cpu::DecodeAttendFn fn = cpu::decode_attend_stub.get(isa);
   Rng rng(4);
   Fnv h;
-  for (const std::size_t dh : {8, 16, 24, 32, 64}) {
+  for (const std::size_t dh :
+       {2, 6, 8, 16, 24, 32, 40, 64, 96, 112, 128, 136, 264}) {
     for (const std::size_t key_len : {1, 7, 8, 9, 15, 16, 17, 33, 100}) {
       for (const std::size_t seg_rows : {key_len, std::size_t{3},
                                          std::size_t{16}}) {
@@ -235,6 +240,16 @@ void hash_generation(model::Transformer& model,
   }
 }
 
+/// The n-token prompt of every model run with an n-token prompt.
+std::vector<model::Token> seeded_prompt(std::size_t n, std::size_t vocab) {
+  Rng rng(n);
+  std::vector<model::Token> prompt(n);
+  for (model::Token& tok : prompt) {
+    tok = static_cast<model::Token>(rng.uniform_u64(vocab));
+  }
+  return prompt;
+}
+
 std::uint64_t hash_model(cpu::CpuIsa isa, bool quick) {
   cpu::set_isa_override(isa);
   std::vector<model::ModelConfig> families = {
@@ -273,14 +288,24 @@ std::uint64_t hash_model(cpu::CpuIsa isa, bool quick) {
   }
 
   Fnv h;
+  if (!quick) {
+    model::ModelConfig short_table = model::ModelConfig::gptj_like();
+    short_table.max_seq_len = 256;
+    model::Transformer model(short_table);
+    const auto prompt = seeded_prompt(300, short_table.vocab_size);
+    kv::PolicyConfig gumbel;  // Keyformer's defaults: Gumbel, per layer
+    gumbel.kind = kv::PolicyKind::kKeyformer;
+    for (const auto mode :
+         {model::PositionMode::kOriginal, model::PositionMode::kNew}) {
+      model.set_position_mode(mode);
+      hash_generation(model, prompt, full, 1.0, h);
+      hash_generation(model, prompt, gumbel, 0.5, h);
+    }
+  }
   for (const model::ModelConfig& family : families) {
     model::Transformer model(family);
     for (const std::size_t prompt_len : prompt_lens) {
-      Rng rng(prompt_len);
-      std::vector<model::Token> prompt(prompt_len);
-      for (model::Token& tok : prompt) {
-        tok = static_cast<model::Token>(rng.uniform_u64(family.vocab_size));
-      }
+      const auto prompt = seeded_prompt(prompt_len, family.vocab_size);
       for (const auto mode :
            {model::PositionMode::kOriginal, model::PositionMode::kNew}) {
         model.set_position_mode(mode);

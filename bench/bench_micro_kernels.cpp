@@ -3,14 +3,17 @@
 // (Keyformer's score overhead, Fig 10), cache compaction, matmul.
 //
 // Kernels with runtime-dispatched SIMD variants (matmul, matvec, softmax,
-// the Gumbel-softmax score, and the fused attend inside the decode step
-// and the prompt chunk) are registered once per ISA available on this
-// host/build — "BM_Softmax<scalar>/2048" vs "BM_Softmax<avx2>/2048" rows
-// give the speedup matrix directly. Variants the host cannot run are
-// simply not registered. Benchmarks run sequentially, so the process-wide
-// ISA override each one installs cannot race another benchmark.
+// the Gumbel-softmax score, and the fused attend alone and inside the
+// decode step and the prompt chunk) are registered once per ISA available
+// on this host/build — "BM_Softmax<scalar>/2048" vs
+// "BM_Softmax<avx2>/2048" rows give the speedup matrix directly. Variants
+// the host cannot run are simply not registered. Benchmarks run
+// sequentially, so the process-wide ISA override each one installs cannot
+// race another benchmark.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <iostream>
 #include <numeric>
 #include <string>
@@ -126,12 +129,17 @@ void BM_GumbelSoftmaxScore(benchmark::State& state, cpu::CpuIsa isa) {
 
 void BM_AttentionDecodeStep(benchmark::State& state, cpu::CpuIsa isa) {
   // Whole decode attention layer for one sequence (a one-row
-  // self_attention call: projections + fused attend) over a pre-filled
-  // cache in the engine's blocks — the end-to-end consumer of the
-  // kernels above.
+  // self_attention call: projections, RoPE or ALiBi, append, fused
+  // attend) at position ctx over a pre-filled ctx-row cache in the
+  // engine's blocks — the end-to-end consumer of the kernels above. Each
+  // iteration drops the row it appended, untimed, so every one sees the
+  // same cache. {ctx, family}: family 0 is mpt_like (ALiBi, d_head 16),
+  // 1 is gptj_like (RoPE, d_head 32), the served model.
   const IsaGuard guard(isa);
   const std::size_t ctx = static_cast<std::size_t>(state.range(0));
-  model::ModelConfig cfg = model::ModelConfig::mpt_like();
+  const model::ModelConfig cfg = state.range(1) == 0
+                                     ? model::ModelConfig::mpt_like()
+                                     : model::ModelConfig::gptj_like();
   const model::ModelWeights w = model::build_weights(cfg);
   mem::BlockPool pool = make_pool(cfg, kEngineBlockTokens);
   kv::KvCache cache(pool);
@@ -143,16 +151,52 @@ void BM_AttentionDecodeStep(benchmark::State& state, cpu::CpuIsa isa) {
   }
   Tensor x({1, cfg.d_model});
   for (float& v : x.span()) v = static_cast<float>(rng.normal());
-  std::size_t pos = ctx;
+  std::vector<std::size_t> prefilled(ctx);
+  std::iota(prefilled.begin(), prefilled.end(), std::size_t{0});
+  const std::size_t pos = ctx;
   for (auto _ : state) {
     const model::AttentionRun run{{&pos, 1}, &cache};
-    auto r = model::self_attention(cfg, w.layers[0], x, {&run, 1},
+    auto r = model::self_attention(cfg, w.layers[0], w.rope, x, {&run, 1},
                                    model::Phase::kDecode);
-    ++pos;
     benchmark::DoNotOptimize(r.front().context.data());
+    state.PauseTiming();
+    cache.compact(prefilled);
+    state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(ctx));
+}
+
+void BM_DecodeAttend(benchmark::State& state, cpu::CpuIsa isa) {
+  // The dispatched fused attend alone, one head of one row: {d_head, keys}
+  // over the engine's 16-row segments, as a decode row sees its cache.
+  const std::size_t dh = static_cast<std::size_t>(state.range(0));
+  const std::size_t keys = static_cast<std::size_t>(state.range(1));
+  Rng rng(1);
+  const auto random = [&rng](std::size_t n) {
+    std::vector<float> v(n);
+    for (float& x : v) x = static_cast<float>(rng.normal());
+    return v;
+  };
+  const std::vector<float> k = random(keys * dh);
+  const std::vector<float> v = random(keys * dh);
+  const std::vector<float> q = random(dh);
+  std::vector<cpu::KvSegmentView> segs;
+  for (std::size_t first = 0; first < keys; first += kEngineBlockTokens) {
+    segs.push_back({k.data() + first * dh, v.data() + first * dh, first,
+                    std::min(kEngineBlockTokens, keys - first)});
+  }
+  std::vector<float> lrow(keys), prow(keys), ctx(dh);
+  const cpu::DecodeAttendFn attend = cpu::decode_attend_stub.get(isa);
+  const float scale = 1.0F / std::sqrt(static_cast<float>(dh));
+  for (auto _ : state) {
+    attend(segs.data(), segs.size(), q.data(), dh, scale, nullptr, nullptr,
+           lrow.data(), prow.data(), ctx.data(), keys);
+    benchmark::DoNotOptimize(ctx.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(keys));
 }
 
 void BM_AttentionPromptChunk(benchmark::State& state, cpu::CpuIsa isa) {
@@ -184,7 +228,7 @@ void BM_AttentionPromptChunk(benchmark::State& state, cpu::CpuIsa isa) {
     cache.compact(prefilled);  // drop the previous iteration's chunk
     state.ResumeTiming();
     const model::AttentionRun run{positions, &cache};
-    auto r = model::self_attention(cfg, w.layers[0], x, {&run, 1},
+    auto r = model::self_attention(cfg, w.layers[0], w.rope, x, {&run, 1},
                                    model::Phase::kPrompt);
     benchmark::DoNotOptimize(r.front().context.data());
   }
@@ -280,8 +324,16 @@ int main(int argc, char** argv) {
   // long row.
   register_per_isa("BM_GumbelSoftmaxScore", BM_GumbelSoftmaxScore,
                    {{398}, {792}, {2048}});
+  // {ctx, family}: the gptj_like rows stop at 4000 so every position stays
+  // inside its 4096-row RoPE table, as served.
   register_per_isa("BM_AttentionDecodeStep", BM_AttentionDecodeStep,
-                   {{256}, {1024}, {4096}});
+                   {{256, 0}, {1024, 0}, {4096, 0}, {256, 1}, {1024, 1},
+                    {4000, 1}});
+  // {d_head, keys}: gptj_like heads at offline_decode's budget (25),
+  // shared_prefix's (about 400) and its prompt rows (about 800), an
+  // mpt_like head, and a long row.
+  register_per_isa("BM_DecodeAttend", BM_DecodeAttend,
+                   {{32, 25}, {32, 400}, {32, 800}, {16, 800}, {32, 2048}});
   // {cached, rows}: a shared_prefix-shaped chunk after the 768-token
   // context, and a 64-row prompt from an empty cache.
   register_per_isa("BM_AttentionPromptChunk", BM_AttentionPromptChunk,

@@ -39,7 +39,12 @@ Checks (each failure lists file and reason; exit code 1 on any):
      src/cpu/kernels_wide.h, which holds their loops -- the innermost SIMD
      loops must stay branch-free of tracing; kernel time reaches the
      tracer through the spans src/model and src/kvcache open around the
-     dispatched calls instead.
+     dispatched calls instead;
+  8. no rope_rotate( call in src/ outside src/model/positional.cpp --
+     the attend path rotates through the model's RopeTable, whose one
+     fallback past the table's end is the only caller; per-call
+     pow/cos/sin must not come back into attention. Tests and benches
+     keep calling rope_rotate as the oracle.
 """
 
 from __future__ import annotations
@@ -259,6 +264,27 @@ def check_no_tracing_in_isa_variants() -> list[str]:
     return errors
 
 
+def check_rope_rotate_only_in_positional() -> list[str]:
+    """rope_rotate is called only by RopeTable's fallback in
+    src/model/positional.cpp; the rest of src/ rotates through the
+    model's table."""
+    allowed = REPO / "src" / "model" / "positional.cpp"
+    call_re = re.compile(r"(?<!void )\brope_rotate\s*\(")
+    errors = []
+    for path in sorted((REPO / "src").rglob("*")):
+        if path.suffix not in (".h", ".cpp") or path == allowed:
+            continue
+        text = _strip_comments(path.read_text())
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if call_re.search(line):
+                errors.append(
+                    f"{path.relative_to(REPO)}:{lineno}: rope_rotate call "
+                    "outside src/model/positional.cpp (rotate through the "
+                    "model's RopeTable)"
+                )
+    return errors
+
+
 def main() -> int:
     checks = [
         ("test registration", check_test_registration),
@@ -268,6 +294,8 @@ def main() -> int:
         ("no throw in request paths", check_no_throw_in_request_paths),
         ("SIMD variants behind dispatch", check_simd_variants_behind_dispatch),
         ("no tracing in ISA variant TUs", check_no_tracing_in_isa_variants),
+        ("rope_rotate only in positional.cpp",
+         check_rope_rotate_only_in_positional),
     ]
     failed = False
     for name, check in checks:

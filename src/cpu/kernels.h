@@ -54,6 +54,13 @@
 //     a prompt row the segments clipped to its causal prefix, so no
 //     variant handles masking. A row's bits depend only on its query,
 //     scale, bias and visible K/V rows, never on how they are segmented.
+//     Each context element starts at 0 and takes one multiply-add of
+//     p_i * V_i per key in key order (segments, then rows; fused on the
+//     wide variants), then one multiply by 1/sum. The wide variants keep
+//     a chunk of context columns in registers across all keys and store
+//     it once, so no key waits on the previous key's store; the chunking
+//     does not change an element's chain, so its bits are those of a
+//     row-at-a-time accumulation in memory.
 //   - score_increments: out = softmax((logit + noise) / tau) over one row
 //     in double: y_i = double(logit_i) + noise_i, the max of y (from
 //     -1e300), e_i = exp((y_i - max) / tau), then e_i * (1 / sum). A -inf

@@ -8,6 +8,10 @@
 // Numerics: dots/accumulations run V::kLanes float lanes with FMA;
 // gemm_rows gives every output element one FMA per k step, in ascending
 // k, whether it lands in a register block, a vector or a scalar std::fma;
+// decode_attend holds its context in registers, up to kContextVectors
+// vectors of columns at a time across every key, one FMA per key and
+// element in key order, with the columns past the last whole vector in
+// memory through the same multiply-add, so chunking never changes a bit;
 // exp runs a Cephes-style degree-5 polynomial (~1 ulp over the reduced
 // range), and softmax sums accumulate in double lanes, keeping every
 // variant within the 1e-5 parity budget against the scalar reference
@@ -207,15 +211,6 @@ struct Wide {
     return acc;
   }
 
-  static void axpy(float a, const float* x, float* y, std::size_t n) {
-    const F va = V::set1(a);
-    std::size_t i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-      V::store(y + i, V::fmadd(va, V::load(x + i), V::load(y + i)));
-    }
-    for (; i < n; ++i) y[i] += a * x[i];
-  }
-
   static float max_value(const float* x, std::size_t n) {
     float m = x[0];
     std::size_t i = 0;
@@ -334,6 +329,72 @@ struct Wide {
     for (; i < n; ++i) out[i] *= inv;
   }
 
+  /// decode_attend's context over the vector columns [j, j + N * kLanes):
+  /// N accumulators stay in registers while every visible key's V row,
+  /// segments then rows, adds p_i * V_i with one FMA per element, from 0;
+  /// then each is scaled by 1/sum and stored once, so no key waits on the
+  /// previous key's store.
+  template <std::size_t N>
+  static void context_columns(const KvSegmentView* segs, std::size_t n_segs,
+                              const float* prow, std::size_t dh, F vinv,
+                              float* ctx, std::size_t j) {
+    F acc[N];
+    for (std::size_t c = 0; c < N; ++c) acc[c] = V::zero();
+    for (std::size_t s = 0; s < n_segs; ++s) {
+      const KvSegmentView& seg = segs[s];
+      const float* p = prow + seg.first;
+      const float* v = seg.values + j;
+      for (std::size_t r = 0; r < seg.count; ++r, v += dh) {
+        const F vp = V::set1(p[r]);
+        for (std::size_t c = 0; c < N; ++c) {
+          acc[c] = V::fmadd(vp, V::load(v + c * kLanes), acc[c]);
+        }
+      }
+    }
+    for (std::size_t c = 0; c < N; ++c) {
+      V::store(ctx + j + c * kLanes, V::mul(acc[c], vinv));
+    }
+  }
+
+  /// Vectors per context chunk: 8 accumulators and the broadcast p_i fit
+  /// AVX2's 16 registers without a spill.
+  static constexpr std::size_t kContextVectors = 8;
+
+  /// The whole vectors of the context from column j on: chunks of N
+  /// vectors, then what is left in chunks of N / 2, N / 4, .., 1 (each at
+  /// most once). Returns the first column past them, where the scalar
+  /// tail starts.
+  template <std::size_t N>
+  static std::size_t context_chunks(const KvSegmentView* segs,
+                                    std::size_t n_segs, const float* prow,
+                                    std::size_t dh, F vinv, float* ctx,
+                                    std::size_t j) {
+    for (; j + N * kLanes <= dh; j += N * kLanes) {
+      context_columns<N>(segs, n_segs, prow, dh, vinv, ctx, j);
+    }
+    if constexpr (N > 1) {
+      return context_chunks<N / 2>(segs, n_segs, prow, dh, vinv, ctx, j);
+    }
+    return j;
+  }
+
+  /// The context columns [j, dh) past the last whole vector, in memory,
+  /// one multiply-add per key in key order.
+  static void context_tail(const KvSegmentView* segs, std::size_t n_segs,
+                           const float* prow, std::size_t dh, float inv,
+                           float* ctx, std::size_t j) {
+    for (std::size_t t = j; t < dh; ++t) ctx[t] = 0.0F;
+    for (std::size_t s = 0; s < n_segs; ++s) {
+      const KvSegmentView& seg = segs[s];
+      for (std::size_t r = 0; r < seg.count; ++r) {
+        const float a = prow[seg.first + r];
+        const float* v = seg.values + r * dh;
+        for (std::size_t t = j; t < dh; ++t) ctx[t] += a * v[t];
+      }
+    }
+    for (std::size_t t = j; t < dh; ++t) ctx[t] *= inv;
+  }
+
   static void decode_attend(const KvSegmentView* segs, std::size_t n_segs,
                             const float* q_head, std::size_t dh, float scale,
                             const float* bias, const float* keys_override,
@@ -365,8 +426,8 @@ struct Wide {
 
     // Unnormalized softmax over the logits (the caller passes only the
     // visible keys: a decode row the whole cache, a prompt row its clipped
-    // prefix, so no -inf reaches here), then a second pass accumulates
-    // p_i * V_i with vectorized row axpys; one final 1/sum normalizes
+    // prefix, so no -inf reaches here), then the context sum p_i * V_i in
+    // register-held column chunks; one final 1/sum normalizes
     // probabilities and context together.
     const float m = max_value(lrow, key_len);
     const F vm = V::set1(m);
@@ -383,22 +444,17 @@ struct Wide {
       sum += e;
     }
 
-    for (std::size_t j = 0; j < dh; ++j) ctx[j] = 0.0F;
-    for (std::size_t s = 0; s < n_segs; ++s) {
-      const KvSegmentView& seg = segs[s];
-      for (std::size_t r = 0; r < seg.count; ++r) {
-        axpy(prow[seg.first + r], seg.values + r * dh, ctx, dh);
-      }
-    }
-
     const float inv = static_cast<float>(1.0 / sum);
     const F vinv = V::set1(inv);
+    const std::size_t tail =
+        context_chunks<kContextVectors>(segs, n_segs, prow, dh, vinv, ctx, 0);
+    if (tail < dh) context_tail(segs, n_segs, prow, dh, inv, ctx, tail);
+
     i = 0;
     for (; i + kLanes <= key_len; i += kLanes) {
       V::store(prow + i, V::mul(V::load(prow + i), vinv));
     }
     for (; i < key_len; ++i) prow[i] *= inv;
-    for (std::size_t j = 0; j < dh; ++j) ctx[j] *= inv;
   }
 
   static void score_increments(const float* logits, const double* noise,

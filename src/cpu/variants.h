@@ -6,7 +6,7 @@
 // Every namespace implements the same five signatures from kernels.h;
 // the scalar namespace is the semantics reference. The scalar helpers
 // stay file-local to kernels_scalar.cpp; the avx2 and avx512 entries
-// forward to kernels_wide.h's Wide<V>, whose helpers (dot, axpy, max,
+// forward to kernels_wide.h's Wide<V>, whose helpers (dot, max,
 // exp, GELU) have internal linkage in each of the two TUs.
 #pragma once
 

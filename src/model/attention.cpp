@@ -28,13 +28,13 @@ std::size_t key_position(const ModelConfig& cfg, const kv::KvCache& cache,
 /// Appends one freshly projected K/V row, rotating each key head slice by
 /// its (immutable) original position first when the storage contract calls
 /// for pre-rotated keys. Mutates `k_row` in place.
-void append_projected_row(const ModelConfig& cfg, std::span<float> k_row,
-                          std::span<const float> v_row, std::size_t position,
-                          kv::KvCache& cache) {
+void append_projected_row(const ModelConfig& cfg, const RopeTable& rope,
+                          std::span<float> k_row, std::span<const float> v_row,
+                          std::size_t position, kv::KvCache& cache) {
   const std::size_t dh = cfg.d_head();
   if (keys_stored_rotated(cfg)) {
     for (std::size_t h = 0; h < cfg.n_heads; ++h) {
-      rope_rotate(k_row.subspan(h * dh, dh), position, cfg.rope_base);
+      rope.rotate(k_row.subspan(h * dh, dh), position);
     }
   }
   cache.append(k_row, v_row, position);
@@ -56,7 +56,7 @@ AttentionResult make_result(const ModelConfig& cfg, std::size_t n_q,
 /// move on compaction), so each call rotates every cached key once into a
 /// contiguous [h, key_len, dh] scratch the fused attend dots against (V
 /// still streams from the segments). Empty in every other mode.
-std::vector<float> rotated_keys(const ModelConfig& cfg,
+std::vector<float> rotated_keys(const ModelConfig& cfg, const RopeTable& rope,
                                 const kv::KvCache& cache) {
   if (cfg.positional != PositionalKind::kRoPE || keys_stored_rotated(cfg)) {
     return {};
@@ -76,8 +76,7 @@ std::vector<float> rotated_keys(const ModelConfig& cfg,
               const float* src = seg.keys + (i - seg.first) * dh;
               float* dst = rotated.data() + (h * key_len + i) * dh;
               std::copy(src, src + dh, dst);
-              rope_rotate({dst, dh}, key_position(cfg, cache, i),
-                          cfg.rope_base);
+              rope.rotate({dst, dh}, key_position(cfg, cache, i));
             }
           }
         }
@@ -98,7 +97,7 @@ std::vector<float> rotated_keys(const ModelConfig& cfg,
 /// q + qi * d_model); `rotated` is rotated_keys' scratch for this cache;
 /// `out` is sized by make_result; `ctx` receives each row's merged head
 /// contexts (d_model floats per row) before W_o.
-void attend_rows(const ModelConfig& cfg, const float* q,
+void attend_rows(const ModelConfig& cfg, const RopeTable& rope, const float* q,
                  std::span<const std::size_t> q_positions,
                  const kv::KvCache& cache, std::span<const float> rotated,
                  std::size_t r0, std::size_t r1, AttentionResult& out,
@@ -145,7 +144,7 @@ void attend_rows(const ModelConfig& cfg, const float* q,
 
       const float* q_src = q + qi * d + h * dh;
       std::copy(q_src, q_src + dh, q_head.begin());
-      if (use_rope) rope_rotate(q_head, q_eff, cfg.rope_base);
+      if (use_rope) rope.rotate(q_head, q_eff);
 
       // Clip the views to [0, vis): whole segments before the boundary,
       // then the one it falls in, shortened.
@@ -179,6 +178,7 @@ void attend_rows(const ModelConfig& cfg, const float* q,
 
 std::vector<AttentionResult> self_attention(const ModelConfig& cfg,
                                             const LayerWeights& w,
+                                            const RopeTable& rope,
                                             const Tensor& x,
                                             std::span<const AttentionRun> runs,
                                             Phase phase) {
@@ -221,16 +221,18 @@ std::vector<AttentionResult> self_attention(const ModelConfig& cfg,
             const AttentionRun& run = runs[r];
             const std::size_t row0 = first_row[r];
             for (std::size_t i = 0; i < run.positions.size(); ++i) {
-              append_projected_row(cfg, k.row(row0 + i), v.row(row0 + i),
-                                   run.positions[i], *run.cache);
+              append_projected_row(cfg, rope, k.row(row0 + i),
+                                   v.row(row0 + i), run.positions[i],
+                                   *run.cache);
             }
             results[r] =
                 make_result(cfg, run.positions.size(), run.cache->size());
-            const std::vector<float> rotated = rotated_keys(cfg, *run.cache);
+            const std::vector<float> rotated =
+                rotated_keys(cfg, rope, *run.cache);
             ThreadPool::global().parallel_for(
                 run.positions.size(),
                 [&](std::size_t q0, std::size_t q1) {
-                  attend_rows(cfg, q.row(row0).data(), run.positions,
+                  attend_rows(cfg, rope, q.row(row0).data(), run.positions,
                               *run.cache, rotated, q0, q1, results[r],
                               merged.row(row0).data());
                 },

@@ -15,6 +15,11 @@
 //     keys are stored unrotated and rotated at attention time, each
 //     cached key once per call.
 //   - ALiBi / learned: keys are stored as projected.
+// Every RoPE rotation (keys at append, kNew's cached keys, query rows)
+// reads the model's RopeTable (model/positional.h), passed in by the
+// caller: one cos/sin row per position, shared read-only by every layer,
+// head, sequence and thread. A position at or past the table's end
+// computes its angles instead, with the same bits.
 // Causal masking always uses original order. Switching position_mode only
 // takes effect for caches (re)filled after the switch — callers reset the
 // cache between mode changes (all in-repo callers do).
@@ -43,6 +48,7 @@
 #include "core/tensor.h"
 #include "kvcache/kv_cache.h"
 #include "model/config.h"
+#include "model/positional.h"
 #include "model/weights.h"
 
 namespace kf::model {
@@ -72,6 +78,7 @@ enum class Phase { kPrompt, kDecode };
 /// Multi-head causal self-attention over every row of `x` ([rows, d_model],
 /// the runs' rows back to back). Appends each run's new K/V rows to its
 /// cache, then attends each row against its causal prefix of that cache.
+/// `rope` is the model's table (ModelWeights::rope); only RoPE reads it.
 /// Runs must name distinct caches. Returns one result per run, in run
 /// order. Runs append and attend in parallel on the thread pool; a lone
 /// run (a prompt chunk, or a one-sequence step) splits its rows across
@@ -79,6 +86,7 @@ enum class Phase { kPrompt, kDecode };
 /// then W_o) and `prompt.attend`/`attn.attend` (append + attend).
 std::vector<AttentionResult> self_attention(const ModelConfig& cfg,
                                             const LayerWeights& w,
+                                            const RopeTable& rope,
                                             const Tensor& x,
                                             std::span<const AttentionRun> runs,
                                             Phase phase);

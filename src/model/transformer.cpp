@@ -189,7 +189,7 @@ Tensor Transformer::forward(std::span<const RowRun> runs, Phase phase) {
       aruns[r] = {runs[r].positions, &runs[r].state->layer(layer)};
     }
     const std::vector<AttentionResult> results =
-        decoder_attention(cfg_, w, x, aruns, phase);
+        decoder_attention(cfg_, w, weights_.rope, x, aruns, phase);
 
     // Observer fires before policies may compact (key_positions must match
     // the cache the attention actually ran against).

@@ -298,6 +298,10 @@ ModelWeights build_weights(const ModelConfig& cfg) {
     }
   }
 
+  if (cfg.positional == PositionalKind::kRoPE) {
+    w.rope = RopeTable(cfg.d_head(), cfg.max_seq_len, cfg.rope_base);
+  }
+
   w.final_gamma = Tensor({cfg.d_model});
   w.final_beta = Tensor({cfg.d_model});
   w.final_gamma.fill(1.0F);

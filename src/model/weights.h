@@ -22,6 +22,7 @@
 
 #include "core/tensor.h"
 #include "model/config.h"
+#include "model/positional.h"
 
 namespace kf::model {
 
@@ -46,6 +47,7 @@ struct ModelWeights {
   Tensor embedding;      ///< [vocab, d_model], unit-norm rows (with salience)
   Tensor lm_head;        ///< [d_model, vocab], unit-norm raw columns
   Tensor pos_embedding;  ///< [max_seq, d_model] for kLearned, else empty
+  RopeTable rope;        ///< [max_seq] positions for kRoPE, else empty
   Tensor final_gamma, final_beta;
   std::vector<LayerWeights> layers;
 

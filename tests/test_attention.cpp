@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <vector>
@@ -53,22 +54,24 @@ std::vector<std::size_t> iota_positions(std::size_t n, std::size_t start = 0) {
 }
 
 /// One sequence's prompt chunk: a one-run self_attention call.
-AttentionResult prompt_chunk(const ModelConfig& cfg, const LayerWeights& w,
+AttentionResult prompt_chunk(const ModelConfig& cfg, const ModelWeights& w,
                              const Tensor& x,
                              std::span<const std::size_t> positions,
                              kv::KvCache& cache) {
   const AttentionRun run{positions, &cache};
   return std::move(
-      self_attention(cfg, w, x, {&run, 1}, Phase::kPrompt).front());
+      self_attention(cfg, w.layers[0], w.rope, x, {&run, 1}, Phase::kPrompt)
+          .front());
 }
 
 /// One decode step of a single sequence: a one-row self_attention call.
-AttentionResult decode_one(const ModelConfig& cfg, const LayerWeights& w,
+AttentionResult decode_one(const ModelConfig& cfg, const ModelWeights& w,
                            const Tensor& x, std::size_t q_position,
                            kv::KvCache& cache) {
   const AttentionRun run{{&q_position, 1}, &cache};
   return std::move(
-      self_attention(cfg, w, x, {&run, 1}, Phase::kDecode).front());
+      self_attention(cfg, w.layers[0], w.rope, x, {&run, 1}, Phase::kDecode)
+          .front());
 }
 
 class AttentionAllPositional
@@ -82,7 +85,7 @@ TEST_P(AttentionAllPositional, ProbsRowsSumToOneAndCausal) {
   const std::size_t n = 12;
   Tensor x = random_rows(n, cfg.d_model, 5);
   const auto positions = iota_positions(n);
-  const AttentionResult r = prompt_chunk(cfg, w.layers[0], x, positions, cache);
+  const AttentionResult r = prompt_chunk(cfg, w, x, positions, cache);
 
   ASSERT_EQ(r.key_len, n);
   for (std::size_t h = 0; h < cfg.n_heads; ++h) {
@@ -114,10 +117,10 @@ TEST(Attention, AppendsToCache) {
   auto pool = make_pool(cfg);
   kv::KvCache cache(pool);
   Tensor x = random_rows(4, cfg.d_model, 6);
-  prompt_chunk(cfg, w.layers[0], x, iota_positions(4), cache);
+  prompt_chunk(cfg, w, x, iota_positions(4), cache);
   EXPECT_EQ(cache.size(), 4u);
   Tensor y = random_rows(1, cfg.d_model, 7);
-  decode_one(cfg, w.layers[0], y, 4, cache);
+  decode_one(cfg, w, y, 4, cache);
   EXPECT_EQ(cache.size(), 5u);
   EXPECT_EQ(cache.original_position(4), 4u);
 }
@@ -128,9 +131,9 @@ TEST(Attention, DecodeRowAttendsWholeCache) {
   auto pool = make_pool(cfg);
   kv::KvCache cache(pool);
   Tensor x = random_rows(6, cfg.d_model, 8);
-  prompt_chunk(cfg, w.layers[0], x, iota_positions(6), cache);
+  prompt_chunk(cfg, w, x, iota_positions(6), cache);
   Tensor q = random_rows(1, cfg.d_model, 9);
-  const AttentionResult r = decode_one(cfg, w.layers[0], q, 6, cache);
+  const AttentionResult r = decode_one(cfg, w, q, 6, cache);
   EXPECT_EQ(r.key_len, 7u);
   const float* row = r.probs.data();  // head 0, query 0
   double sum = 0.0;
@@ -153,7 +156,7 @@ TEST(Attention, IdenticalTokensAttractContentAttention) {
     x.at(2, j) = x.at(0, j);
   }
   const AttentionResult r =
-      prompt_chunk(cfg, w.layers[0], x, iota_positions(3), cache);
+      prompt_chunk(cfg, w, x, iota_positions(3), cache);
   // Find the content head (head 0 at layer 0 for the cycle assignment).
   const float* row = r.probs.data() + (0 * 3 + 2) * 3;  // head 0, query 2
   EXPECT_GT(row[0], row[1]);
@@ -169,11 +172,11 @@ TEST(Attention, RopePositionModeChangesLogitsAfterCompaction) {
     auto pool = make_pool(cfg);
     kv::KvCache cache(pool);
     Tensor x = random_rows(8, cfg.d_model, 11);
-    prompt_chunk(cfg, w.layers[0], x, iota_positions(8), cache);
+    prompt_chunk(cfg, w, x, iota_positions(8), cache);
     // Evict tokens 1..4 — kept tokens now have index != original position.
     cache.compact(std::vector<std::size_t>{0, 5, 6, 7});
     Tensor q = random_rows(1, cfg.d_model, 12);
-    return decode_one(cfg, w.layers[0], q, 8, cache);
+    return decode_one(cfg, w, q, 8, cache);
   };
   const AttentionResult a = run(org);
   const AttentionResult b = run(newpos);
@@ -198,7 +201,7 @@ TEST(Attention, PositionModeIrrelevantBeforeEviction) {
     auto pool = make_pool(cfg);
     kv::KvCache cache(pool);
     Tensor x = random_rows(6, cfg.d_model, 13);
-    return prompt_chunk(cfg, w.layers[0], x, iota_positions(6), cache);
+    return prompt_chunk(cfg, w, x, iota_positions(6), cache);
   };
   const AttentionResult a = run(org);
   const AttentionResult b = run(newpos);
@@ -221,7 +224,7 @@ TEST(Attention, AlibiBiasFavorsRecencyOnPositionalHead) {
     for (std::size_t j = 0; j < cfg.d_model; ++j) x.at(i, j) = proto[j];
   }
   const AttentionResult r =
-      prompt_chunk(cfg, w.layers[0], x, iota_positions(24), cache);
+      prompt_chunk(cfg, w, x, iota_positions(24), cache);
   // Positional head = head 0 (steepest slope). Mass on the most recent
   // non-self key should exceed mass on the most distant key.
   const std::size_t q = 23;
@@ -288,7 +291,7 @@ void expect_matches_reference(const ModelConfig& cfg, const LayerWeights& w,
 
 /// Ten prompt rows through the kernel, then a compaction that scatters
 /// slot indices away from original positions (6 rows survive).
-void prefill_and_compact(const ModelConfig& cfg, const LayerWeights& w,
+void prefill_and_compact(const ModelConfig& cfg, const ModelWeights& w,
                          kv::KvCache& cache) {
   const Tensor x = random_rows(10, cfg.d_model, 21);
   prompt_chunk(cfg, w, x, iota_positions(10), cache);
@@ -301,14 +304,14 @@ TEST_P(DecodeParity, DecodeStepsMatchReference) {
   const ModelWeights w = build_weights(cfg);
   auto pool = make_pool(cfg);
   kv::KvCache cache(pool);
-  prefill_and_compact(cfg, w.layers[0], cache);
+  prefill_and_compact(cfg, w, cache);
 
   // Several decode steps so the parity covers growing caches too.
   for (std::size_t step = 0; step < 3; ++step) {
     SCOPED_TRACE(step);
     const Tensor q = random_rows(1, cfg.d_model, 22 + step);
     const std::size_t pos = 10 + step;
-    const AttentionResult got = decode_one(cfg, w.layers[0], q, pos, cache);
+    const AttentionResult got = decode_one(cfg, w, q, pos, cache);
     expect_matches_reference(cfg, w.layers[0], q, iota_positions(1, pos),
                              cache, got);
   }
@@ -322,11 +325,11 @@ TEST_P(DecodeParity, PromptChunkMatchesReference) {
   // A five-row chunk after the compaction sees prefixes of 7..11 rows. On
   // the paged cache's 4-token blocks every prefix but 8 ends mid-block.
   const auto run_chunk = [&](kv::KvCache& cache) {
-    prefill_and_compact(cfg, w.layers[0], cache);
+    prefill_and_compact(cfg, w, cache);
     const Tensor x = random_rows(5, cfg.d_model, 31);
     const auto positions = iota_positions(5, 10);
     const AttentionResult got =
-        prompt_chunk(cfg, w.layers[0], x, positions, cache);
+        prompt_chunk(cfg, w, x, positions, cache);
     expect_matches_reference(cfg, w.layers[0], x, positions, cache, got);
   };
   {
@@ -357,6 +360,49 @@ INSTANTIATE_TEST_SUITE_P(
       return to_string(info.param.positional) + "_" +
              to_string(info.param.mode);
     });
+
+TEST(Attention, DecodePastRopeTableMatchesFullTable) {
+  // A 16-position table: the prompt's rotations read it, and decode steps
+  // to position 40 cross its end into rope_rotate (under kNew after the
+  // compaction, from slot 16 on). Every output and cached key must equal,
+  // bit for bit, a run whose table covers every position; DecodeParity
+  // checks that path against attention_reference.h.
+  for (const PositionMode mode :
+       {PositionMode::kOriginal, PositionMode::kNew}) {
+    SCOPED_TRACE(to_string(mode));
+    ModelConfig full = tiny_config(PositionalKind::kRoPE);
+    full.position_mode = mode;
+    ModelConfig short_table = full;
+    short_table.max_seq_len = 16;
+    const ModelWeights w_full = build_weights(full);
+    const ModelWeights w_short = build_weights(short_table);
+    ASSERT_EQ(w_short.rope.positions(), 16u);
+    auto pool = make_pool(full, 4);
+    kv::KvCache want_cache(pool);
+    kv::KvCache got_cache(pool);
+    prefill_and_compact(full, w_full, want_cache);
+    prefill_and_compact(short_table, w_short, got_cache);
+    for (std::size_t pos = 10; pos <= 40; ++pos) {
+      SCOPED_TRACE(pos);
+      const Tensor q = random_rows(1, full.d_model, 60 + pos);
+      const AttentionResult want = decode_one(full, w_full, q, pos, want_cache);
+      const AttentionResult got =
+          decode_one(short_table, w_short, q, pos, got_cache);
+      EXPECT_TRUE(std::ranges::equal(got.logits.span(), want.logits.span()));
+      EXPECT_TRUE(std::ranges::equal(got.probs.span(), want.probs.span()));
+      EXPECT_TRUE(
+          std::ranges::equal(got.context.span(), want.context.span()));
+    }
+    ASSERT_EQ(got_cache.size(), want_cache.size());
+    for (std::size_t i = 0; i < got_cache.size(); ++i) {
+      for (std::size_t h = 0; h < full.n_heads; ++h) {
+        EXPECT_TRUE(std::ranges::equal(got_cache.key_head(i, h),
+                                       want_cache.key_head(i, h)))
+            << "key row " << i << " head " << h;
+      }
+    }
+  }
+}
 
 TEST(Attention, RotateAtAppendMatchesRotateAtAttendBeforeEviction) {
   // Under RoPE, kOriginal stores keys rotated at append and kNew stores raw
@@ -396,13 +442,13 @@ TEST(Attention, RotateAtAppendMatchesRotateAtAttendBeforeEviction) {
   kv::KvCache rotated(pool);
   kv::KvCache raw(pool);
   const Tensor x = random_rows(8, org.d_model, 51);
-  expect_close(prompt_chunk(org, w.layers[0], x, iota_positions(8), rotated),
-               prompt_chunk(newpos, w.layers[0], x, iota_positions(8), raw));
+  expect_close(prompt_chunk(org, w, x, iota_positions(8), rotated),
+               prompt_chunk(newpos, w, x, iota_positions(8), raw));
   for (std::size_t pos = 8; pos < 11; ++pos) {
     const Tensor q = random_rows(1, org.d_model, 52 + pos);
     SCOPED_TRACE(pos);
-    expect_close(decode_one(org, w.layers[0], q, pos, rotated),
-                 decode_one(newpos, w.layers[0], q, pos, raw));
+    expect_close(decode_one(org, w, q, pos, rotated),
+                 decode_one(newpos, w, q, pos, raw));
   }
 }
 
@@ -420,9 +466,9 @@ TEST(Attention, RopeKeysStoredPreRotatedUnderOriginalMode) {
   Tensor x = random_rows(3, cfg.d_model, 41);
   auto pool = make_pool(cfg);
   kv::KvCache rotated(pool);
-  prompt_chunk(cfg, w.layers[0], x, iota_positions(3), rotated);
+  prompt_chunk(cfg, w, x, iota_positions(3), rotated);
   kv::KvCache raw(pool);
-  prompt_chunk(newpos, w.layers[0], x, iota_positions(3), raw);
+  prompt_chunk(newpos, w, x, iota_positions(3), raw);
 
   for (std::size_t i = 0; i < 3; ++i) {
     for (std::size_t h = 0; h < cfg.n_heads; ++h) {
@@ -444,7 +490,7 @@ TEST(Attention, ContextShapeAndFiniteness) {
   kv::KvCache cache(pool);
   Tensor x = random_rows(5, cfg.d_model, 15);
   const AttentionResult r =
-      prompt_chunk(cfg, w.layers[0], x, iota_positions(5), cache);
+      prompt_chunk(cfg, w, x, iota_positions(5), cache);
   EXPECT_EQ(r.context.dim(0), 5u);
   EXPECT_EQ(r.context.dim(1), cfg.d_model);
   for (const float v : r.context.span()) {

@@ -36,14 +36,14 @@ Tensor random_rows(std::size_t n, std::size_t d, std::uint64_t seed) {
 /// one prompt chunk (the same appends a prefill performs). Equal seeds
 /// give bit-identical caches.
 kv::SequenceKvState filled_cache(const ModelConfig& cfg,
-                                 const LayerWeights& w, std::size_t len,
+                                 const ModelWeights& w, std::size_t len,
                                  std::uint64_t seed) {
   kv::SequenceKvState state(1, cfg.n_heads, cfg.d_head());
   Tensor x = random_rows(len, cfg.d_model, seed);
   std::vector<std::size_t> positions(len);
   for (std::size_t i = 0; i < len; ++i) positions[i] = i;
   const AttentionRun run{positions, &state.layer(0)};
-  self_attention(cfg, w, x, {&run, 1}, Phase::kPrompt);
+  self_attention(cfg, w.layers[0], w.rope, x, {&run, 1}, Phase::kPrompt);
   return state;
 }
 
@@ -52,7 +52,7 @@ class BatchDecodeParity : public ::testing::TestWithParam<PositionalKind> {};
 TEST_P(BatchDecodeParity, MatchesSingleSequenceDecodePerSlot) {
   const ModelConfig cfg = tiny_config(GetParam());
   const Transformer m(cfg);
-  const LayerWeights& w = m.weights().layers[0];
+  const ModelWeights& w = m.weights();
 
   constexpr std::size_t kBatch = 4;
   constexpr std::size_t kPrefill = 10;
@@ -81,7 +81,9 @@ TEST_P(BatchDecodeParity, MatchesSingleSequenceDecodePerSlot) {
     for (std::size_t j = 0; j < cfg.d_model; ++j) row.row(0)[j] = xq.row(b)[j];
     const AttentionRun run{{&positions[b], 1}, single_caches[b]};
     expected.push_back(std::move(
-        self_attention(cfg, w, row, {&run, 1}, Phase::kDecode).front()));
+        self_attention(cfg, w.layers[0], w.rope, row, {&run, 1},
+                       Phase::kDecode)
+            .front()));
   }
 
   // Batched: one call over B one-row runs.
@@ -89,7 +91,8 @@ TEST_P(BatchDecodeParity, MatchesSingleSequenceDecodePerSlot) {
   for (std::size_t b = 0; b < kBatch; ++b) {
     runs[b] = {{&positions[b], 1}, batch_caches[b]};
   }
-  const auto results = self_attention(cfg, w, xq, runs, Phase::kDecode);
+  const auto results =
+      self_attention(cfg, w.layers[0], w.rope, xq, runs, Phase::kDecode);
 
   // Bit for bit: no arithmetic spans rows, so batching must not move a
   // single last digit of any slot's output or cache.
@@ -125,7 +128,7 @@ TEST_P(BatchDecodeParity, SlotResultIndependentOfBatchComposition) {
   // other's caches, and every projection runs one row at a time.
   const ModelConfig cfg = tiny_config(GetParam());
   const Transformer m(cfg);
-  const LayerWeights& w = m.weights().layers[0];
+  const ModelWeights& w = m.weights();
 
   const Tensor s_query = random_rows(1, cfg.d_model, 3);
   const auto run_in_batch = [&](std::size_t batch, std::size_t s_slot) {
@@ -146,7 +149,8 @@ TEST_P(BatchDecodeParity, SlotResultIndependentOfBatchComposition) {
       positions[b] = b == s_slot ? std::size_t{12} : 6 + batch + b;
       runs[b] = {{&positions[b], 1}, &caches[b].layer(0)};
     }
-    auto results = self_attention(cfg, w, xq, runs, Phase::kDecode);
+    auto results =
+        self_attention(cfg, w.layers[0], w.rope, xq, runs, Phase::kDecode);
     return std::move(results[s_slot]);
   };
 
@@ -171,7 +175,7 @@ TEST_P(BatchDecodeParity, PromptChunkAndDecodeRowsShareOneCall) {
     ModelConfig cfg = tiny_config(GetParam());
     cfg.position_mode = mode;
     const Transformer m(cfg);
-    const LayerWeights& w = m.weights().layers[0];
+    const ModelWeights& w = m.weights();
 
     const std::vector<std::size_t> cached = {6, 10, 8};
     const std::vector<std::size_t> rows = {1, 5, 1};
@@ -200,7 +204,9 @@ TEST_P(BatchDecodeParity, PromptChunkAndDecodeRowsShareOneCall) {
       row0 += rows[r];
       const AttentionRun run{positions[r], &solo_caches[r].layer(0)};
       expected.push_back(std::move(
-          self_attention(cfg, w, xr, {&run, 1}, Phase::kPrompt).front()));
+          self_attention(cfg, w.layers[0], w.rope, xr, {&run, 1},
+                         Phase::kPrompt)
+              .front()));
     }
 
     // Mixed: all three runs in one call.
@@ -208,7 +214,8 @@ TEST_P(BatchDecodeParity, PromptChunkAndDecodeRowsShareOneCall) {
     for (std::size_t r = 0; r < rows.size(); ++r) {
       runs[r] = {positions[r], &mixed_caches[r].layer(0)};
     }
-    const auto results = self_attention(cfg, w, x, runs, Phase::kDecode);
+    const auto results =
+        self_attention(cfg, w.layers[0], w.rope, x, runs, Phase::kDecode);
 
     ASSERT_EQ(results.size(), rows.size());
     for (std::size_t r = 0; r < rows.size(); ++r) {

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/rng.h"
+#include "model/weights.h"
 
 namespace kf::model {
 namespace {
@@ -65,6 +67,36 @@ TEST(Rope, SameVectorDotDecaysWithDistance) {
   double far = 0.0;
   for (int i = 0; i < 32; ++i) far += static_cast<double>(c[i]) * d[i];
   EXPECT_GT(near, far);
+}
+
+TEST(RopeTable, MatchesRopeRotateBitForBit) {
+  // The table's rows and the fallback past its end both give rope_rotate's
+  // bits, at every head width and base.
+  Rng rng(3);
+  for (const double base : {10000.0, 500.0}) {
+    for (const std::size_t d_head : {2, 16, 32, 64}) {
+      const RopeTable table(d_head, 4096, base);
+      ASSERT_EQ(table.positions(), 4096u);
+      for (const std::size_t pos : {0, 1, 4095, 4096, 5000}) {
+        SCOPED_TRACE("base=" + std::to_string(base) +
+                     " d_head=" + std::to_string(d_head) +
+                     " pos=" + std::to_string(pos));
+        std::vector<float> want(d_head);
+        for (auto& x : want) x = static_cast<float>(rng.normal());
+        std::vector<float> got = want;
+        rope_rotate(want, pos, base);
+        table.rotate(got, pos);
+        for (std::size_t i = 0; i < d_head; ++i) EXPECT_EQ(got[i], want[i]);
+      }
+    }
+  }
+}
+
+TEST(RopeTable, OnlyRopeModelsGetRows) {
+  EXPECT_EQ(build_weights(ModelConfig::gptj_like()).rope.positions(),
+            ModelConfig::gptj_like().max_seq_len);
+  EXPECT_EQ(build_weights(ModelConfig::mpt_like()).rope.positions(), 0u);
+  EXPECT_EQ(build_weights(ModelConfig::cerebras_like()).rope.positions(), 0u);
 }
 
 TEST(Alibi, PowerOfTwoSlopes) {

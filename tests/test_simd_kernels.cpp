@@ -435,8 +435,8 @@ model::AttentionResult attend_once(const model::ModelConfig& cfg,
   Tensor x({1, cfg.d_model});
   for (float& v : x.span()) v = static_cast<float>(rng.normal());
   const model::AttentionRun run{{&ctx, 1}, &cache};
-  auto results = model::self_attention(cfg, w.layers[0], x, {&run, 1},
-                                       model::Phase::kDecode);
+  auto results = model::self_attention(cfg, w.layers[0], w.rope, x,
+                                       {&run, 1}, model::Phase::kDecode);
   return std::move(results.front());
 }
 
@@ -499,15 +499,23 @@ TEST_P(SimdParity, DecodeAttendMatchesScalarAtServedHeadWidths) {
   // The attend and transformer cases here run tiny_config's d_head 8,
   // under one AVX-512 vector. This calls each variant's decode_attend
   // directly at the served head widths (mpt_like's 16, gptj_like's 32) and
-  // around them, so the context axpy and the key dots run their
+  // around them, so the key dots and the register-held context run their
   // full-vector loops, through segment streams and keys_override (the
-  // RoPE + kNew path) alike, against the scalar variant. Each segment has
-  // its own buffer, as paged blocks do.
+  // RoPE + kNew path) alike, against the scalar variant. The widths after
+  // 64 fill, cross or stop short of a context chunk and leave scalar
+  // tails on both vector widths. Each segment has its own buffer, as
+  // paged blocks do.
   const cpu::DecodeAttendFn scalar =
       cpu::decode_attend_stub.get(cpu::CpuIsa::kScalar);
   const cpu::DecodeAttendFn variant = cpu::decode_attend_stub.get(GetParam());
   Rng rng(33);
-  for (const std::size_t dh : {8, 16, 24, 32, 64}) {
+  for (const std::size_t dh : {8, 16, 24, 32, 64, 2, 6, 40, 96, 128, 264}) {
+    // The variants sum each key's dot in different orders, and a float
+    // dot's rounding grows with its length, so past 64 the 1e-5 budget
+    // grows as sqrt(dh / 64) (the worst context error measured over 40
+    // seeds stays near half the budget at every width up to 512).
+    const float budget =
+        1e-5F * std::max(1.0F, std::sqrt(static_cast<float>(dh) / 64.0F));
     for (const std::size_t key_len :
          {1, 7, 8, 9, 15, 16, 17, 33, 100, 257}) {
       for (const std::size_t seg_rows :
@@ -547,13 +555,14 @@ TEST_P(SimdParity, DecodeAttendMatchesScalarAtServedHeadWidths) {
           run(scalar, l_ref, p_ref, ctx_ref);
           run(variant, l_got, p_got, ctx_got);
           for (std::size_t i = 0; i < key_len; ++i) {
-            EXPECT_NEAR(l_got[i], l_ref[i], 1e-5F * (1.0F + std::abs(l_ref[i])))
+            EXPECT_NEAR(l_got[i], l_ref[i],
+                        budget * (1.0F + std::abs(l_ref[i])))
                 << "logit " << i;
-            EXPECT_NEAR(p_got[i], p_ref[i], 1e-5F) << "prob " << i;
+            EXPECT_NEAR(p_got[i], p_ref[i], budget) << "prob " << i;
           }
           for (std::size_t j = 0; j < dh; ++j) {
             EXPECT_NEAR(ctx_got[j], ctx_ref[j],
-                        1e-5F * (1.0F + std::abs(ctx_ref[j])))
+                        budget * (1.0F + std::abs(ctx_ref[j])))
                 << "context " << j;
           }
         }
