@@ -237,29 +237,47 @@ void BM_AttentionPromptChunk(benchmark::State& state, cpu::CpuIsa isa) {
 }
 
 void BM_CacheCompaction(benchmark::State& state) {
-  // {n, block_tokens}: keep every other row of an n-row cache, at the
-  // engine's block size and at a private pool's.
+  // {n, block_tokens, adopted}: keep every other row of an n-row cache, at
+  // the engine's block size and at a private pool's. A nonzero `adopted`
+  // makes the cache's first rows an adopted chain that another reader (an
+  // index stand-in) keeps holding, as servebench's shared_prefix adopts
+  // its 768-token context, so the eviction runs over shared rows.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const auto adopted = static_cast<std::size_t>(state.range(2));
   model::ModelConfig cfg = model::ModelConfig::mpt_like();
   mem::BlockPool pool =
       make_pool(cfg, static_cast<std::size_t>(state.range(1)));
   std::vector<float> row(cfg.d_model, 1.0F);
+  std::vector<mem::BlockRef> chain;
+  {
+    kv::KvCache donor(pool);
+    for (std::size_t i = 0; i < adopted; ++i) donor.append(row, row, i);
+    chain.assign(donor.blocks().begin(), donor.blocks().end());
+    for (const mem::BlockRef ref : chain) pool.retain(ref);
+  }
+  const std::vector<std::vector<double>> scores(
+      cfg.n_heads, std::vector<double>(adopted, 0.0));
+  const std::vector<std::vector<double>> noise(cfg.n_heads);
   std::vector<std::size_t> keep;
   for (std::size_t i = 0; i < n; i += 2) keep.push_back(i);
   for (auto _ : state) {
     state.PauseTiming();
     kv::KvCache cache(pool);
-    for (std::size_t i = 0; i < n; ++i) cache.append(row, row, i);
+    if (adopted > 0) cache.adopt_prefix(chain, adopted, scores, noise);
+    for (std::size_t i = adopted; i < n; ++i) cache.append(row, row, i);
     state.ResumeTiming();
     cache.compact(keep);
     benchmark::DoNotOptimize(cache.size());
   }
+  for (const mem::BlockRef ref : chain) pool.release(ref);
 }
 BENCHMARK(BM_CacheCompaction)
     ->ArgsProduct({{1024, 4096},
                    {static_cast<std::int64_t>(kEngineBlockTokens),
                     static_cast<std::int64_t>(
-                        kv::SequenceKvState::kPrivateBlockTokens)}});
+                        kv::SequenceKvState::kPrivateBlockTokens)},
+                   {0}})
+    ->Args({1024, static_cast<std::int64_t>(kEngineBlockTokens), 768});
 
 void BM_TopKSelection(benchmark::State& state) {
   // {n, keep}: the top `keep` of the prefix [0, n - n/10) plus the recent

@@ -8,8 +8,9 @@
 // engine's prefix cache replays it from one shared block chain instead.
 // The sweep serves a burst of requests sharing one 8-shot context with
 // the cache off and on, reporting prefill tokens actually computed,
-// the measured savings, hit/miss counts, and aggregate decode tok/s side
-// by side (CSV: table2_prefix_serving).
+// the measured savings, hit/miss counts, aggregate decode tok/s, and the
+// peak pool blocks held with the cache off and on plus the shared blocks
+// copied, side by side (CSV: table2_prefix_serving).
 #include "bench_common.h"
 
 using namespace kf;
@@ -56,6 +57,7 @@ void prefix_serving_row(Table& table, const model::ModelConfig& cfg,
   off.run(requests);
   const double tok_s_off = off.stats().decode_tokens_per_s();
   const std::size_t prefill_off = off.stats().prefilled_tokens;
+  const std::size_t peak_off = off.stats().pool_peak_used_blocks;
 
   ec.prefix.enabled = true;
   serve::Engine on(m, ec);
@@ -74,7 +76,10 @@ void prefix_serving_row(Table& table, const model::ModelConfig& cfg,
              Table::num(static_cast<long long>(st.prefix_hits)),
              Table::num(static_cast<long long>(st.prefix_misses)),
              Table::num(tok_s_off, 1),
-             Table::num(st.decode_tokens_per_s(), 1)});
+             Table::num(st.decode_tokens_per_s(), 1),
+             Table::num(static_cast<long long>(peak_off)),
+             Table::num(static_cast<long long>(st.pool_peak_used_blocks)),
+             Table::num(static_cast<long long>(st.prefix_cow_copies))});
 }
 
 }  // namespace
@@ -123,7 +128,8 @@ int main(int argc, char** argv) {
   Table ps("Few-shot serving: shared 8-shot context, prefix cache off vs on "
            "(keyformer @50% cache, paged KV)");
   ps.header({"model", "reqs", "ctx_tok", "prefill_tok_off", "prefill_tok_on",
-             "saved_%", "hits", "misses", "tok/s_off", "tok/s_on"});
+             "saved_%", "hits", "misses", "tok/s_off", "tok/s_on",
+             "peak_blk_off", "peak_blk_on", "cow_copies"});
   const std::size_t n_requests = opt.quick ? 4 : 8;
   for (const model::ModelConfig& cfg : models) {
     prefix_serving_row(ps, cfg, n_requests, opt);
@@ -135,7 +141,9 @@ int main(int argc, char** argv) {
                "replays the cached shot context (hits), so prefill computes "
                "only the per-request question; decode output is "
                "token-for-token identical either way (pinned by "
-               "test_prefix_sharing).\n\n";
+               "test_prefix_sharing). Eviction drops shared rows without "
+               "copying their blocks, so the cache-on pool peak holds the "
+               "context once.\n\n";
 
   std::cout << "Paper shape check: at 50% cache both eviction methods "
                "track full attention within a few points, and Keyformer "

@@ -39,7 +39,7 @@
 // Admission reserves real blocks in the pool, and the summary reports pool
 // utilization and internal fragmentation. With --shared-prefix the pool
 // also becomes a multi-tenant cache: one copy of the shared context's KV
-// backs every request that carries it, copy-on-write under eviction.
+// backs every request that carries it, and stays shared under eviction.
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
@@ -325,8 +325,7 @@ int main(int argc, char** argv) {
                                 : 0.0,
                             1)
               << "% prefill skipped), " << st.prefix_blocks_shared
-              << " block adoptions served by sharing, "
-              << st.prefix_cow_copies << " copy-on-write block copies\n";
+              << " block adoptions served by sharing\n";
   }
   if (print_metrics) {
     // Latency percentile table from the engine's real histograms (the

@@ -15,7 +15,7 @@ that the artifacts actually round-trip:
   4. the Prometheus text exposition has well-formed # TYPE lines,
      counter/histogram families with cumulative le= buckets, +Inf,
      _sum and _count, and the engine's decoded-token, prefilled-token,
-     preemption and copy-on-write counters;
+     preemption and emergency-block counters;
   5. the monitor time-series JSON parses, reports polls > 0, and every
      series carries [t, value] sample pairs with monotone timestamps.
 
@@ -38,7 +38,7 @@ REQUIRED_SPANS = {
 # Engine counts every run must export (EngineStats reads them back).
 REQUIRED_COUNTERS = (
     "kf_serve_decoded_tokens_total", "kf_serve_prefilled_tokens_total",
-    "kf_sched_preempted_total", "kf_pool_cow_copies_total",
+    "kf_sched_preempted_total", "kf_pool_emergency_blocks_total",
 )
 SERIES = ("ttft", "itl", "queue_wait", "step")
 SUFFIXES = ("_p50_ms", "_p95_ms", "_p99_ms")

@@ -3,8 +3,8 @@
 // The serving stack's locks — the BlockPool's mutex, the
 // PrefixIndex's entry lock, the ThreadPool queue — protect refcount and
 // reservation invariants that every correctness claim in the repo rests
-// on (bit-exact caches across block sizes, copy-on-write prefix
-// sharing, used <= reserved <= capacity). TSan only sees the
+// on (bit-exact caches across block sizes, refcounted prefix sharing,
+// used <= reserved <= capacity). TSan only sees the
 // interleavings the tests happen to run; these macros let clang prove at
 // compile time (-Wthread-safety) that every access to guarded state
 // happens under the right lock, on every path.

@@ -17,6 +17,23 @@ KvCache::KvCache(mem::BlockPool& pool)
 
 KvCache::~KvCache() { free_blocks_beyond(0); }
 
+std::size_t KvCache::released_slots() const noexcept {
+  return static_cast<std::size_t>(std::count_if(
+      blocks_.begin(), blocks_.begin() + static_cast<long>(shared_slots_),
+      [](mem::BlockRef ref) { return ref.id == kNoBlock; }));
+}
+
+std::size_t KvCache::chain_slot(std::size_t idx) const {
+  return idx < shared_rows_
+             ? positions_[idx] / block_tokens_
+             : shared_slots_ + (idx - shared_rows_) / block_tokens_;
+}
+
+std::size_t KvCache::block_slot(std::size_t idx) const {
+  return idx < shared_rows_ ? positions_[idx] % block_tokens_
+                            : (idx - shared_rows_) % block_tokens_;
+}
+
 void KvCache::append(std::span<const float> k_row,
                      std::span<const float> v_row, std::size_t original_pos) {
   if (k_row.size() != row_width() || v_row.size() != row_width()) {
@@ -26,24 +43,22 @@ void KvCache::append(std::span<const float> k_row,
     throw std::invalid_argument(
         "KvCache::append: original positions must be strictly increasing");
   }
-  const std::size_t slot = size() % block_tokens_;
+  if (original_pos < shared_slots_ * block_tokens_) {
+    throw std::invalid_argument(
+        "KvCache::append: position inside the shared prefix");
+  }
+  const std::size_t slot = (size() - shared_rows_) % block_tokens_;
   if (slot == 0) {
     blocks_.emplace_back();
-    shared_.push_back(false);
     emergency_.emplace_back();
     fill_block(blocks_.size() - 1);
-  } else if (shared_.back()) {
-    // A partially filled shared tail (left by a compact that kept a prefix
-    // of an adopted chain): writing the free slot would race other readers
-    // of the block, so take a private copy first.
-    cow_block(blocks_.size() - 1);
   }
   const std::size_t tail = blocks_.size() - 1;
   for (std::size_t h = 0; h < n_heads_; ++h) {
     std::copy_n(k_row.data() + h * d_head_, d_head_,
-                keys_of(tail, h) + slot * d_head_);
+                keys_to_write(tail, h) + slot * d_head_);
     std::copy_n(v_row.data() + h * d_head_, d_head_,
-                values_of(tail, h) + slot * d_head_);
+                values_to_write(tail, h) + slot * d_head_);
   }
   positions_.push_back(original_pos);
   for (auto& s : scores_) s.push_back(0.0);
@@ -72,26 +87,35 @@ std::vector<float> KvCache::value_row(std::size_t idx) const {
 std::span<const float> KvCache::key_head(std::size_t idx,
                                          std::size_t head) const {
   assert(idx < size() && head < n_heads_);
-  return {keys_of(idx / block_tokens_, head) +
-              (idx % block_tokens_) * d_head_,
+  return {keys_of(chain_slot(idx), head) + block_slot(idx) * d_head_,
           d_head_};
 }
 
 std::span<const float> KvCache::value_head(std::size_t idx,
                                            std::size_t head) const {
   assert(idx < size() && head < n_heads_);
-  return {values_of(idx / block_tokens_, head) +
-              (idx % block_tokens_) * d_head_,
+  return {values_of(chain_slot(idx), head) + block_slot(idx) * d_head_,
           d_head_};
 }
 
 KvSegment KvCache::segment(std::size_t head, std::size_t s) const {
-  assert(head < n_heads_ && s < blocks_.size());
+  assert(head < n_heads_ && s < segment_count());
   KvSegment seg;
-  seg.keys = keys_of(s, head);
-  seg.values = values_of(s, head);
-  seg.first = s * block_tokens_;
-  seg.count = std::min(block_tokens_, size() - seg.first);
+  const std::size_t runs = shared_runs_.size();
+  if (s < runs) {
+    const SharedRun& run = shared_runs_[s];
+    seg.first = run.first;
+    seg.count =
+        (s + 1 < runs ? shared_runs_[s + 1].first : shared_rows_) - run.first;
+    seg.keys = keys_of(run.slot, head) + run.offset * d_head_;
+    seg.values = values_of(run.slot, head) + run.offset * d_head_;
+  } else {
+    const std::size_t j = s - runs;
+    seg.first = shared_rows_ + j * block_tokens_;
+    seg.count = std::min(block_tokens_, size() - seg.first);
+    seg.keys = keys_of(shared_slots_ + j, head);
+    seg.values = values_of(shared_slots_ + j, head);
+  }
   return seg;
 }
 
@@ -154,44 +178,66 @@ void KvCache::compact(std::span<const std::size_t> keep) {
   }
   const std::size_t n = keep.size();
   const std::size_t bt = block_tokens_;
-  // keep ascends strictly, so keep[j] >= j, and once one row moves
-  // (keep[j] > j) every later row does: rows [0, moved) stay in place.
+  // Shared rows lead the cache, so the kept ones lead `keep`. They stay
+  // where they are: when some are dropped, rebuild the segment runs over
+  // the rest and release every shared block left without a kept row.
+  const std::size_t s_old = shared_rows_;
+  const auto s_new = static_cast<std::size_t>(
+      std::lower_bound(keep.begin(), keep.end(), s_old) - keep.begin());
+  if (s_new < s_old) {
+    shared_runs_.clear();
+    std::size_t slot = 0;       // shared slot of the current row
+    std::size_t slot_end = bt;  // first position past that slot
+    std::size_t next = 0;       // first shared slot not yet settled
+    for (std::size_t j = 0; j < s_new; ++j) {
+      const std::size_t pos = positions_[keep[j]];
+      assert(pos < shared_slots_ * bt);
+      const bool new_slot = pos >= slot_end;
+      for (; pos >= slot_end; slot_end += bt) ++slot;
+      if (j == 0 || new_slot || pos != positions_[keep[j - 1]] + 1) {
+        shared_runs_.push_back({j, slot, pos + bt - slot_end});
+      }
+      for (; next < slot; ++next) release_shared_slot(next);
+      next = slot + 1;
+    }
+    for (; next < shared_slots_; ++next) release_shared_slot(next);
+  }
+  // keep ascends strictly, so keep[j] >= j, and once one row's metadata
+  // moves (keep[j] > j) every later row's does: [0, moved) stay in place.
   std::size_t moved = 0;
   while (moved < n && keep[moved] == moved) ++moved;
-  if (moved < n) {
-    // Copy-on-write pass, before any write: the gather writes exactly the
-    // destination blocks from row `moved`'s block to the new tail, so
-    // those that are still shared get a private copy now, while their
-    // contents are untouched. Blocks wholly before `moved` are never
-    // written and stay shared (the common case when eviction keeps an
-    // early prefix).
-    for (std::size_t b = moved / bt; b * bt < n; ++b) {
-      if (shared_[b]) cow_block(b);
-    }
-    // Head-major forward gather. A destination index never exceeds its
-    // source index, so a write cannot clobber a row still to be read, in
+  // Private rows gather densely: the j-th kept row lands in private slot
+  // j - s_new, read from private slot keep[j] - s_old. Those stay in place
+  // up to `pmoved`, the first whose slots differ.
+  std::size_t pmoved = s_new;
+  while (pmoved < n && keep[pmoved] - s_old == pmoved - s_new) ++pmoved;
+  if (pmoved < n) {
+    // Head-major forward gather. A destination slot never exceeds its
+    // source slot, so a write cannot clobber a row still to be read, in
     // one block or across blocks. Each block's K/V bases are resolved
     // once per head, and destination slots advance by counting.
+    const std::size_t base = shared_slots_;
+    const std::size_t dst0 = pmoved - s_new;
     for (std::size_t h = 0; h < n_heads_; ++h) {
-      std::size_t dst_block = moved / bt;
-      std::size_t dst_slot = moved % bt;
-      float* dk = keys_of(dst_block, h);
-      float* dv = values_of(dst_block, h);
-      std::size_t src_block = keep[moved] / bt;
-      std::size_t src_first = src_block * bt;
+      std::size_t dst_block = base + dst0 / bt;
+      std::size_t dst_slot = dst0 % bt;
+      float* dk = keys_to_write(dst_block, h);
+      float* dv = values_to_write(dst_block, h);
+      std::size_t src_block = base + (keep[pmoved] - s_old) / bt;
+      std::size_t src_first = (src_block - base) * bt;
       const float* sk = keys_of(src_block, h);
       const float* sv = values_of(src_block, h);
-      for (std::size_t j = moved; j < n; ++j) {
+      for (std::size_t j = pmoved; j < n; ++j) {
         if (dst_slot == bt) {
           ++dst_block;
           dst_slot = 0;
-          dk = keys_of(dst_block, h);
-          dv = values_of(dst_block, h);
+          dk = keys_to_write(dst_block, h);
+          dv = values_to_write(dst_block, h);
         }
-        const std::size_t idx = keep[j];
+        const std::size_t idx = keep[j] - s_old;
         if (idx - src_first >= bt) {  // keep ascends: a later source block
-          src_block = idx / bt;
-          src_first = src_block * bt;
+          src_block = base + idx / bt;
+          src_first = (src_block - base) * bt;
           sk = keys_of(src_block, h);
           sv = values_of(src_block, h);
         }
@@ -201,10 +247,10 @@ void KvCache::compact(std::span<const std::size_t> keep) {
         ++dst_slot;
       }
     }
-    for (std::size_t j = moved; j < n; ++j) positions_[j] = positions_[keep[j]];
-    for (auto& per_head : scores_) {
-      for (std::size_t j = moved; j < n; ++j) per_head[j] = per_head[keep[j]];
-    }
+  }
+  for (std::size_t j = moved; j < n; ++j) positions_[j] = positions_[keep[j]];
+  for (auto& per_head : scores_) {
+    for (std::size_t j = moved; j < n; ++j) per_head[j] = per_head[keep[j]];
   }
   positions_.resize(n);
   for (auto& per_head : scores_) per_head.resize(n);
@@ -219,11 +265,14 @@ void KvCache::compact(std::span<const std::size_t> keep) {
     }
     per_head.resize(covered);
   }
-  free_blocks_beyond(n);
+  shared_rows_ = s_new;
+  free_blocks_beyond(shared_slots_ + (n - s_new + bt - 1) / bt);
+  if (shared_slots_ > 0 && sole_reader_of_shared()) fold_shared_region();
 }
 
 void KvCache::clear() {
   free_blocks_beyond(0);
+  share_leading_blocks(0);
   positions_.clear();
   for (auto& per_head : scores_) per_head.clear();
   for (auto& per_head : noise_) per_head.clear();
@@ -256,25 +305,33 @@ void KvCache::adopt_prefix(std::span<const mem::BlockRef> chain,
   }
   for (const mem::BlockRef ref : chain) pool_.retain(ref);
   blocks_.assign(chain.begin(), chain.end());
-  shared_.assign(blocks_.size(), true);
   emergency_.resize(blocks_.size());
   positions_.resize(tokens);
   std::iota(positions_.begin(), positions_.end(), std::size_t{0});
   std::copy(scores.begin(), scores.end(), scores_.begin());
   std::copy(noise.begin(), noise.end(), noise_.begin());
+  share_leading_blocks(chain.size());
 }
 
 void KvCache::mark_shared_prefix(std::size_t blocks) {
-  if (blocks > blocks_.size()) {
+  const std::size_t tokens = blocks * block_tokens_;
+  if (blocks > blocks_.size() || size() < tokens ||
+      (tokens > 0 && positions_[tokens - 1] != tokens - 1)) {
     throw std::invalid_argument(
-        "KvCache::mark_shared_prefix: beyond the chain");
+        "KvCache::mark_shared_prefix: rows 0..tokens-1 must all be cached");
   }
-  for (std::size_t i = 0; i < blocks; ++i) shared_[i] = true;
+  // Positions ascend, so positions_[tokens - 1] == tokens - 1 puts every
+  // row below `tokens` at its own index: chain slot == position already.
+  if (blocks > shared_slots_) share_leading_blocks(blocks);
 }
 
-std::size_t KvCache::shared_blocks() const noexcept {
-  return static_cast<std::size_t>(
-      std::count(shared_.begin(), shared_.end(), true));
+void KvCache::share_leading_blocks(std::size_t blocks) {
+  shared_slots_ = blocks;
+  shared_rows_ = blocks * block_tokens_;
+  shared_runs_.clear();
+  for (std::size_t b = 0; b < blocks; ++b) {
+    shared_runs_.push_back({b * block_tokens_, b, 0});
+  }
 }
 
 void KvCache::fill_block(std::size_t chain_idx) {
@@ -290,46 +347,87 @@ void KvCache::fill_block(std::size_t chain_idx) {
   emergency_[chain_idx] = make_aligned_floats(2 * pool_.section_floats());
 }
 
-float* KvCache::keys_of(std::size_t chain_idx, std::size_t head) const {
+const float* KvCache::keys_of(std::size_t chain_idx, std::size_t head) const {
   if (const auto& heap = emergency_[chain_idx]) {
     return heap.get() + head * block_tokens_ * d_head_;
   }
   return pool_.keys(blocks_[chain_idx], head);
 }
 
-float* KvCache::values_of(std::size_t chain_idx, std::size_t head) const {
+const float* KvCache::values_of(std::size_t chain_idx,
+                                std::size_t head) const {
   if (const auto& heap = emergency_[chain_idx]) {
     return heap.get() + pool_.section_floats() + head * block_tokens_ * d_head_;
   }
   return pool_.values(blocks_[chain_idx], head);
 }
 
-void KvCache::cow_block(std::size_t chain_idx) {
-  // Shared blocks always come from the pool (an adopted chain, or this
-  // cache's own prefix the index retained), never from emergency memory.
-  const mem::BlockRef old = blocks_[chain_idx];
-  // The prefix index (and every other reader) holds its own reference, so
-  // refcount 1 means this cache became the sole owner: write in place.
-  if (pool_.refcount(old) > 1) {
-    fill_block(chain_idx);
-    const std::size_t section = block_tokens_ * d_head_;
-    for (std::size_t h = 0; h < n_heads_; ++h) {
-      std::copy_n(pool_.keys(old, h), section, keys_of(chain_idx, h));
-      std::copy_n(pool_.values(old, h), section, values_of(chain_idx, h));
-    }
-    pool_.release(old);
-    pool_.note_cow_copy();
-  }
-  shared_[chain_idx] = false;
+float* KvCache::keys_to_write(std::size_t chain_idx, std::size_t head) {
+  assert(emergency_[chain_idx] || pool_.refcount(blocks_[chain_idx]) == 1);
+  return const_cast<float*>(keys_of(chain_idx, head));
 }
 
-void KvCache::free_blocks_beyond(std::size_t live_tokens) {
-  const std::size_t live_blocks =
-      (live_tokens + block_tokens_ - 1) / block_tokens_;
-  while (blocks_.size() > live_blocks) {
-    if (!emergency_.back()) pool_.release(blocks_.back());
+float* KvCache::values_to_write(std::size_t chain_idx, std::size_t head) {
+  assert(emergency_[chain_idx] || pool_.refcount(blocks_[chain_idx]) == 1);
+  return const_cast<float*>(values_of(chain_idx, head));
+}
+
+void KvCache::release_shared_slot(std::size_t b) {
+  if (blocks_[b].id == kNoBlock) return;
+  pool_.release(blocks_[b]);
+  blocks_[b].id = kNoBlock;
+}
+
+bool KvCache::sole_reader_of_shared() const {
+  for (std::size_t b = 0; b < shared_slots_; ++b) {
+    if (blocks_[b].id != kNoBlock && pool_.refcount(blocks_[b]) > 1) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void KvCache::fold_shared_region() {
+  // The held blocks, in chain order, become the dense chain: row i goes
+  // to the (i / bt)-th of them, slot i % bt. Released slots hold no rows
+  // and every held slot before row i's source holds at most bt rows up to
+  // it, so a destination never passes its source and a forward gather
+  // never clobbers a row still to be read.
+  const std::size_t bt = block_tokens_;
+  std::vector<std::size_t> held;
+  for (std::size_t b = 0; b < blocks_.size(); ++b) {
+    if (blocks_[b].id != kNoBlock) held.push_back(b);
+  }
+  for (std::size_t i = 0; i < size(); ++i) {
+    const std::size_t src = chain_slot(i);
+    const std::size_t src_off = block_slot(i) * d_head_;
+    const std::size_t dst = held[i / bt];
+    const std::size_t dst_off = (i % bt) * d_head_;
+    if (src == dst && src_off == dst_off) continue;
+    for (std::size_t h = 0; h < n_heads_; ++h) {
+      std::copy_n(keys_of(src, h) + src_off, d_head_,
+                  keys_to_write(dst, h) + dst_off);
+      std::copy_n(values_of(src, h) + src_off, d_head_,
+                  values_to_write(dst, h) + dst_off);
+    }
+  }
+  for (std::size_t k = 0; k < held.size(); ++k) {
+    if (held[k] == k) continue;
+    blocks_[k] = blocks_[held[k]];
+    emergency_[k] = std::move(emergency_[held[k]]);
+  }
+  blocks_.resize(held.size());
+  emergency_.resize(held.size());
+  share_leading_blocks(0);
+  free_blocks_beyond((size() + bt - 1) / bt);
+}
+
+void KvCache::free_blocks_beyond(std::size_t chain_slots) {
+  while (blocks_.size() > chain_slots) {
+    if (!emergency_.back() && blocks_.back().id != kNoBlock) {
+      pool_.release(blocks_.back());
+    }
     blocks_.pop_back();
-    shared_.pop_back();
     emergency_.pop_back();
   }
 }

@@ -65,8 +65,8 @@ struct BlockPoolConfig {
   std::size_t d_head = 0;
   /// Observability registry for allocation/reservation counters
   /// (pool.allocs, pool.alloc_failures, pool.reserves,
-  /// pool.reserve_failures, pool.emergency_blocks, pool.cow_copies); null
-  /// disables them. Must outlive the pool.
+  /// pool.reserve_failures, pool.emergency_blocks); null disables them.
+  /// Must outlive the pool.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -165,11 +165,9 @@ class BlockPool {
     injector_.store(injector, std::memory_order_release);
   }
 
-  /// Observability hooks for KvCache events the pool never sees: a
-  /// fallback to an owned heap block, and a private copy of a shared block
-  /// before a write. No-ops without a metrics registry.
+  /// Observability hook for a KvCache event the pool never sees: a
+  /// fallback to an owned heap block. No-op without a metrics registry.
   void note_emergency_block() noexcept;
-  void note_cow_copy() noexcept;
 
  private:
   /// Blocks per arena slab: small enough that an unbounded pool does not
@@ -221,7 +219,6 @@ class BlockPool {
   obs::Counter* ctr_reserves_ = nullptr;
   obs::Counter* ctr_reserve_failures_ = nullptr;
   obs::Counter* ctr_emergency_ = nullptr;
-  obs::Counter* ctr_cow_copies_ = nullptr;
 };
 
 }  // namespace kf::mem

@@ -287,8 +287,8 @@ const PrefixEntry* PrefixIndex::insert(std::span<const PrefixToken> run,
     rec.chains[l].assign(blocks.begin(),
                          blocks.begin() + static_cast<long>(bpl));
     for (const BlockRef ref : rec.chains[l]) pool_.retain(ref);
-    // Flip the donor to copy-on-write over the now-shared chain: its own
-    // eviction must never write through into the indexed blocks.
+    // The donor's leading blocks become its shared region: its own
+    // eviction drops rows there and never writes the indexed blocks.
     cache.mark_shared_prefix(bpl);
     entry->scores_[l].reserve(cache.n_heads());
     entry->noise_[l].reserve(cache.n_heads());

@@ -9,7 +9,11 @@
 // request to prefill a prefix *shares* its freshly written block chain
 // (per layer) with the index — no copy, just a refcount — and every later
 // request whose prompt starts with the same token run adopts the chain
-// copy-on-write instead of recomputing it.
+// instead of recomputing it. Nobody writes an indexed block again: the
+// donor and every adopter keep it as their cache's shared prefix region,
+// whose eviction drops rows without moving them and releases a block once
+// it holds no kept row (see kvcache/kv_cache.h), so a chain stays intact
+// for as long as the entry or any reader holds it.
 //
 // What an entry holds, per prefix run of M tokens (always a whole number
 // of pool blocks, so adopters' appends start on a fresh block):
@@ -40,7 +44,7 @@
 // (insert/adopt/drop call into the pool while holding it); the pool
 // never calls back into the index.
 // Concurrent readers of *adopted* chains are safe because chains are
-// immutable and refcounted.
+// never written and are refcounted.
 #pragma once
 
 #include <cstddef>
@@ -135,13 +139,12 @@ class PrefixIndex {
 
   /// Indexes the first `run.size()` tokens of `state`'s layer caches as a
   /// new entry, *sharing* (retaining) the underlying block chain — the
-  /// donor caches keep using the same blocks, now flipped to
-  /// copy-on-write so the donor's own eviction can never corrupt the
-  /// indexed chain. Requirements: run length is a whole number of blocks
-  /// and >= min_tokens; every layer cache draws from this index's pool,
-  /// holds at least run.size() rows, and its leading positions are
-  /// 0..run-1. The first run.size() scores and noise values of every head
-  /// are copied into the entry.
+  /// donor caches keep using the same blocks, now marked as their shared
+  /// prefix region, which their own eviction never writes. Requirements:
+  /// run length is a whole number of blocks and >= min_tokens; every
+  /// layer cache draws from this index's pool, holds at least run.size()
+  /// rows, and its leading positions are 0..run-1. The first run.size()
+  /// scores and noise values of every head are copied into the entry.
   /// Returns the entry (the pre-existing one for an already-indexed run),
   /// or null when the run is ineligible or memory cannot be found even
   /// after trimming.

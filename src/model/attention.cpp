@@ -117,8 +117,8 @@ void attend_rows(const ModelConfig& cfg, const RopeTable& rope, const float* q,
   const float inv_sqrt_dh = 1.0F / std::sqrt(static_cast<float>(dh));
 
   std::vector<float> q_head(dh);
-  // Per-head segment views (POD mirror of kv::KvSegment) and one row's
-  // clipped copy of them.
+  // Per-head segment views (POD mirror of kv::KvSegment) and their copy
+  // clipped to the current row's visible prefix.
   std::vector<cpu::KvSegmentView> segs(n_segs);
   std::vector<cpu::KvSegmentView> visible(n_segs);
   // ALiBi bias row, refilled per (head, row) as the slope and query move.
@@ -131,6 +131,7 @@ void attend_rows(const ModelConfig& cfg, const RopeTable& rope, const float* q,
       const kv::KvSegment seg = cache.segment(h, s);
       segs[s] = {seg.keys, seg.values, seg.first, seg.count};
     }
+    std::size_t n_vis = 0;  // segments visible to the previous row
     const float* keys_override =
         rotated.empty() ? nullptr : rotated.data() + h * key_len * dh;
     const double slope = use_alibi ? alibi_slope(h, h_count) : 0.0;
@@ -147,8 +148,9 @@ void attend_rows(const ModelConfig& cfg, const RopeTable& rope, const float* q,
       if (use_rope) rope.rotate(q_head, q_eff);
 
       // Clip the views to [0, vis): whole segments before the boundary,
-      // then the one it falls in, shortened.
-      std::size_t n_vis = 0;
+      // then the one it falls in, shortened. Rows ascend, so only the
+      // previous row's boundary segment and the ones past it change.
+      if (n_vis > 0) visible[n_vis - 1] = segs[n_vis - 1];
       for (; n_vis < n_segs && segs[n_vis].first < vis; ++n_vis) {
         visible[n_vis] = segs[n_vis];
       }

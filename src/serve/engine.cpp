@@ -102,7 +102,6 @@ constexpr CountField kCountFields[] = {
     {&EngineStats::prefix_misses, "serve.prefix_miss_prompts"},
     {&EngineStats::prefix_tokens_reused, "serve.prefix_reused_tokens"},
     {&EngineStats::prefix_blocks_shared, "serve.prefix_shared_blocks"},
-    {&EngineStats::prefix_cow_copies, "pool.cow_copies"},
     {&EngineStats::preemptions, "sched.preempted"},
     {&EngineStats::reservation_retries, "sched.reservation_retries"},
     {&EngineStats::alloc_failures, "pool.emergency_blocks"},

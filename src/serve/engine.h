@@ -62,9 +62,10 @@ struct PagedMemoryConfig {
 };
 
 /// Cross-request prefix cache: prompts sharing a block-aligned prefix
-/// adopt one immutable block chain per layer instead of re-prefilling it,
-/// copy-on-write when eviction mutates a block. The index lives as long
-/// as the engine (it keeps paying off across run() calls);
+/// adopt one immutable block chain per layer instead of re-prefilling it.
+/// Eviction drops an adopted row without writing its block and releases a
+/// block once it holds no kept row, so no block is ever copied. The index
+/// lives as long as the engine (it keeps paying off across run() calls);
 /// clear_prefix_cache() drops it. The engine refuses the cache for damped
 /// scores and for shared-scope Keyformer, whose scores do not decompose
 /// at the prefix boundary.
@@ -139,7 +140,9 @@ struct EngineStats {
   /// Block adoptions served by sharing instead of fresh allocation
   /// (layers x chain blocks, summed over hits).
   std::size_t prefix_blocks_shared = 0;
-  /// Shared blocks privately copied when eviction/append first wrote them.
+  /// Always 0: no path copies a shared block since eviction drops shared
+  /// rows in place. Kept only because servebench's serve_bench.cpp reads
+  /// it (as mem.cow_copies); the next benchmark change drops both.
   std::size_t prefix_cow_copies = 0;
   // Robustness counters:
   std::size_t preemptions = 0;  ///< sequences parked mid-decode

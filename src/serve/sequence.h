@@ -259,11 +259,14 @@ struct Sequence {
 
   /// admission_cost_blocks() minus what the shared prefix already pays
   /// for, valid while the entry is pinned (its chain resident). Per layer
-  /// the unshared transient demand is the fresh suffix blocks plus the
-  /// worst-case copy-on-write conversion of the live shared blocks
-  /// (bounded by the steady footprint: eviction never keeps more), floored
-  /// at the steady footprint decode settles into; a non-evicting sequence
-  /// never mutates the chain, so its shared blocks are simply not charged.
+  /// the unshared transient demand is the fresh suffix blocks plus an
+  /// allowance of min(prefix blocks, steady footprint), floored at the
+  /// steady footprint decode settles into; a non-evicting sequence never
+  /// holds more than the chain, so its shared blocks are simply not
+  /// charged. Eviction no longer copies shared blocks (it drops their rows
+  /// in place), so the allowance is now an upper bound: it covers the
+  /// shared blocks an adopter may come to hold alone once the index trims
+  /// the entry, which the cache then folds into its dense layout.
   std::size_t unshared_admission_blocks(std::size_t block_tokens) const {
     const std::size_t bt = block_tokens;
     const std::size_t full_layer = (admission_cost_tokens() + bt - 1) / bt;

@@ -293,8 +293,8 @@ const mem::PrefixEntry* index_prefix(mem::BlockPool& pool,
 TEST(SequenceCost, UnsharedAdmissionBlocksSubtractResidentPrefix) {
   // 40-token prompt at ratio 0.5, block_tokens 8: full admission is 5
   // blocks/layer. A 24-token (3-block) shared prefix leaves a 16-token
-  // suffix (2 blocks) plus worst-case CoW of the shared blocks, bounded
-  // by the steady footprint (3 blocks): 2 + 3 = 5... capped by full (5).
+  // suffix (2 blocks) plus the allowance for shared blocks, bounded by
+  // the steady footprint (3 blocks): 2 + 3 = 5... capped by full (5).
   Sequence s = make_block_seq(40, 0.5);
   EXPECT_EQ(s.admission_cost_blocks(8), 10u);
   s.prefix_blocks_per_layer = 3;

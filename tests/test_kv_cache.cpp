@@ -169,10 +169,15 @@ TEST(KvCache, AppendAfterCompactKeepsPositionInvariant) {
 }
 
 // Property-style check of the block-chain layout: a randomized append/
-// score/damp/compact/clear sequence must keep key_head/value_head/scores/
-// original_position bit-exact with a plain token-major reference model,
-// and the chain holding exactly ceil(size / block_tokens) pool blocks,
-// across block sizes that do and do not divide the lengths evenly.
+// score/damp/compact/noise/clear/adopt/donate/index-drop sequence must keep
+// key_head/value_head/segments/scores/noise/original_position bit-exact
+// with a plain token-major reference model, across block sizes that do
+// and do not divide the lengths evenly. An index stand-in holds at most
+// one entry: blocks retained from the cache's leading rows (donate, as
+// PrefixIndex::insert does) that the cache can re-adopt. The chain must
+// hold exactly the shared blocks with a kept row plus ceil(private rows /
+// block_tokens) blocks, and every refcount and the pool's used blocks
+// must match who holds what.
 TEST(KvCache, RandomizedOpsMatchReferenceModel) {
   struct RefToken {
     std::vector<float> k, v;
@@ -195,6 +200,23 @@ TEST(KvCache, RandomizedOpsMatchReferenceModel) {
     std::vector<RefToken> ref;
     std::vector<std::size_t> cover(n_heads, 0);  // noise-covered rows
     std::size_t next_pos = 0;
+    // The model's shared region [0, shared), and the index's entry: its
+    // retained blocks and the rows and noise cover it was taken with.
+    std::size_t shared = 0;
+    std::vector<mem::BlockRef> entry;
+    std::vector<RefToken> entry_rows;
+    std::vector<std::size_t> entry_cover;
+
+    // Shared chain slots that still hold a kept row, ascending.
+    const auto held_shared_slots = [&] {
+      std::vector<std::size_t> slots;
+      for (const RefToken& tok : ref) {
+        if (tok.pos >= shared) break;
+        const std::size_t b = tok.pos / block_tokens;
+        if (slots.empty() || slots.back() != b) slots.push_back(b);
+      }
+      return slots;
+    };
 
     const auto check = [&](int step) {
       ASSERT_EQ(c.size(), ref.size()) << "step " << step;
@@ -218,25 +240,80 @@ TEST(KvCache, RandomizedOpsMatchReferenceModel) {
           ASSERT_EQ(c.scores(h)[t], ref[t].scores[h]) << "step " << step;
         }
       }
-      ASSERT_EQ(c.blocks_held(),
-                (c.size() + block_tokens - 1) / block_tokens)
+      // The segments tile the cache in order and read the same rows.
+      for (std::size_t h = 0; h < n_heads; ++h) {
+        std::size_t covered = 0;
+        for (std::size_t s = 0; s < c.segment_count(); ++s) {
+          const KvSegment seg = c.segment(h, s);
+          ASSERT_EQ(seg.first, covered) << "step " << step;
+          ASSERT_GT(seg.count, 0u) << "step " << step;
+          for (std::size_t r = 0; r < seg.count; ++r) {
+            for (std::size_t j = 0; j < d_head; ++j) {
+              ASSERT_EQ(seg.keys[r * d_head + j],
+                        ref[covered + r].k[h * d_head + j])
+                  << "step " << step;
+              ASSERT_EQ(seg.values[r * d_head + j],
+                        ref[covered + r].v[h * d_head + j])
+                  << "step " << step;
+            }
+          }
+          covered += seg.count;
+        }
+        ASSERT_EQ(covered, ref.size()) << "step " << step;
+      }
+      const auto held = held_shared_slots();
+      std::size_t shared_rows = 0;
+      while (shared_rows < ref.size() && ref[shared_rows].pos < shared) {
+        ++shared_rows;
+      }
+      const std::size_t private_blocks =
+          (ref.size() - shared_rows + block_tokens - 1) / block_tokens;
+      ASSERT_EQ(c.shared_blocks(), held.size()) << "step " << step;
+      ASSERT_EQ(c.blocks_held(), held.size() + private_blocks)
           << "step " << step;
-      ASSERT_EQ(pool.stats().used_blocks, c.blocks_held()) << "step " << step;
+      // While the region lasts, its first entry.size() slots are the
+      // entry's blocks: those have two readers, every other block one.
+      std::size_t both = 0;
+      for (const std::size_t b : held) {
+        const bool indexed = b < entry.size();
+        if (indexed) {
+          ASSERT_EQ(c.blocks()[b].id, entry[b].id) << "step " << step;
+          ++both;
+        }
+        ASSERT_EQ(pool.refcount(c.blocks()[b]), indexed ? 2u : 1u)
+            << "step " << step;
+      }
+      for (std::size_t b = shared / block_tokens; b < c.blocks().size(); ++b) {
+        ASSERT_EQ(pool.refcount(c.blocks()[b]), 1u) << "step " << step;
+      }
+      for (std::size_t b = 0; b < entry.size(); ++b) {
+        const bool also_cache =
+            std::find(held.begin(), held.end(), b) != held.end();
+        ASSERT_EQ(pool.refcount(entry[b]), also_cache ? 2u : 1u)
+            << "step " << step;
+      }
+      ASSERT_EQ(pool.stats().used_blocks,
+                c.blocks_held() + entry.size() - both)
+          << "step " << step;
     };
 
-    for (int step = 0; step < 400; ++step) {
-      const std::uint64_t op = rng.uniform_u64(11);
+    const auto append_at = [&](std::size_t pos) {
+      RefToken tok;
+      tok.pos = pos;
+      tok.k.resize(width);
+      tok.v.resize(width);
+      for (auto& x : tok.k) x = static_cast<float>(rng.normal());
+      for (auto& x : tok.v) x = static_cast<float>(rng.normal());
+      tok.scores.assign(n_heads, 0.0);
+      c.append(tok.k, tok.v, tok.pos);
+      ref.push_back(std::move(tok));
+    };
+
+    for (int step = 0; step < 600; ++step) {
+      const std::uint64_t op = rng.uniform_u64(14);
       if (op < 6 || ref.empty()) {  // append
-        RefToken tok;
-        tok.pos = next_pos;
+        append_at(next_pos);
         next_pos += 1 + rng.uniform_u64(3);
-        tok.k.resize(width);
-        tok.v.resize(width);
-        for (auto& x : tok.k) x = static_cast<float>(rng.normal());
-        for (auto& x : tok.v) x = static_cast<float>(rng.normal());
-        tok.scores.assign(n_heads, 0.0);
-        c.append(tok.k, tok.v, tok.pos);
-        ref.push_back(std::move(tok));
       } else if (op < 7) {  // add_score on a random slot
         const std::size_t t = rng.uniform_u64(ref.size());
         const std::size_t h = rng.uniform_u64(n_heads);
@@ -266,21 +343,79 @@ TEST(KvCache, RandomizedOpsMatchReferenceModel) {
               std::count_if(keep.begin(), keep.end(),
                             [&](std::size_t t) { return t < n; }));
         }
+        // The region ends when no shared row is left, or folds into the
+        // dense layout once no block of it is also the entry's.
+        if (shared > 0) {
+          const auto held = held_shared_slots();
+          if (held.empty() || held.front() >= entry.size()) shared = 0;
+        }
       } else if (op < 10) {  // draw noise for some uncovered rows of a head
         const std::size_t h = rng.uniform_u64(n_heads);
         const std::size_t draws = rng.uniform_u64(ref.size() - cover[h] + 1);
         for (std::size_t i = 0; i < draws; ++i, ++cover[h]) {
           c.append_noise(h, zeta(h, ref[cover[h]].pos));
         }
-      } else {  // clear
+      } else if (op < 11) {  // clear
         c.clear();
         ref.clear();
         cover.assign(n_heads, 0);
+        shared = 0;
         // Positions may restart after clear.
         next_pos = 0;
+      } else if (op < 12) {  // adopt the entry into the cleared cache
+        if (entry.empty()) continue;
+        const std::size_t m = entry_rows.size();
+        std::vector<std::vector<double>> scores(n_heads);
+        std::vector<std::vector<double>> noise(n_heads);
+        for (std::size_t h = 0; h < n_heads; ++h) {
+          for (std::size_t t = 0; t < m; ++t) {
+            scores[h].push_back(entry_rows[t].scores[h]);
+          }
+          for (std::size_t t = 0; t < entry_cover[h]; ++t) {
+            noise[h].push_back(zeta(h, t));
+          }
+        }
+        c.clear();
+        c.adopt_prefix(entry, m, scores, noise);
+        ref = entry_rows;
+        cover = entry_cover;
+        shared = m;
+        next_pos = m;
+      } else if (op < 13) {  // donate whole leading blocks to the index
+        if (!entry.empty()) continue;
+        std::size_t lead = 0;
+        while (lead < ref.size() && ref[lead].pos == lead) ++lead;
+        if (lead == ref.size()) {
+          // Rows 0..n-1 so far, as a prompt prefill leaves them: top up to
+          // a whole block at least, as the engine chunks a donor's prefill.
+          const std::size_t target =
+              std::max<std::size_t>(1, (lead + block_tokens - 1) /
+                                           block_tokens) *
+              block_tokens;
+          for (; lead < target; ++lead) append_at(lead);
+          next_pos = lead;
+        }
+        if (lead < block_tokens) continue;
+        const std::size_t blocks = 1 + rng.uniform_u64(lead / block_tokens);
+        const std::size_t m = blocks * block_tokens;
+        entry.assign(c.blocks().begin(),
+                     c.blocks().begin() + static_cast<long>(blocks));
+        for (const mem::BlockRef b : entry) pool.retain(b);
+        c.mark_shared_prefix(blocks);
+        entry_rows.assign(ref.begin(), ref.begin() + static_cast<long>(m));
+        entry_cover = cover;
+        for (std::size_t& n : entry_cover) n = std::min(n, m);
+        shared = std::max(shared, m);
+      } else {  // the index drops its entry
+        for (const mem::BlockRef b : entry) pool.release(b);
+        entry.clear();
+        entry_rows.clear();
       }
       check(step);
     }
+    for (const mem::BlockRef b : entry) pool.release(b);
+    c.clear();
+    EXPECT_EQ(pool.stats().used_blocks, 0u);
   }
 }
 

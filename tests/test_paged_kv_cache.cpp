@@ -1,5 +1,6 @@
 // The block-chain behaviour of kv::KvCache: chain invariants, segments,
-// copy-on-write prefix sharing and the emergency-block fallback.
+// the shared prefix region (eviction drops shared rows without moving or
+// copying them) and the emergency-block fallback.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +26,7 @@ BlockPoolConfig pool_config(std::size_t block_tokens = 4,
   return cfg;
 }
 
-/// pool_config(4) counting into `reg` (pool.cow_copies and the rest).
+/// pool_config(4) counting into `reg` (pool.allocs and the rest).
 BlockPoolConfig metered_config(obs::MetricsRegistry& reg) {
   BlockPoolConfig cfg = pool_config(/*block_tokens=*/4);
   cfg.metrics = &reg;
@@ -150,7 +151,7 @@ TEST(PagedKvCache, CompactToEmptyThenRegrow) {
 }
 
 // ---------------------------------------------------------------------------
-// Copy-on-write prefix sharing.
+// Shared prefix region.
 
 /// Builds a donor cache holding `tokens` rows (positions 0..tokens-1) with
 /// deterministic contents, per-head scores i * (head + 1), and noise rows
@@ -223,7 +224,7 @@ TEST(PagedKvCache, AdoptPrefixSharesBlocksAndSeedsMetadata) {
   reader.append(k, k, 8);
   EXPECT_EQ(reader.blocks_held(), 3u);
   EXPECT_EQ(reader.shared_blocks(), 2u);
-  EXPECT_EQ(reg.counter("pool.cow_copies").value(), 0u);
+  EXPECT_EQ(pool.refcount(chain[1]), 2u);
 }
 
 TEST(PagedKvCache, AdoptPrefixValidatesAlignmentAndEmptiness) {
@@ -251,7 +252,46 @@ TEST(PagedKvCache, AdoptPrefixValidatesAlignmentAndEmptiness) {
   EXPECT_THROW(reader.adopt_prefix(chain, 8, scores, noise), std::logic_error);
 }
 
-TEST(PagedKvCache, CompactCopiesSharedDestinationBlocksOnWrite) {
+/// Appends `count` private rows at positions from, from + 1, ... with the
+/// same contents fill_prefix gives those positions.
+void append_rows(KvCache& c, std::size_t from, std::size_t count) {
+  for (std::size_t t = from; t < from + count; ++t) {
+    const auto k = ramp_row(c.row_width(), static_cast<float>(t));
+    const auto v = ramp_row(c.row_width(), 1000.0F + static_cast<float>(t));
+    c.append(k, v, t);
+  }
+}
+
+/// Every row of `c` reads back what fill_prefix/append_rows wrote for its
+/// original position, through the per-index accessors and the segments.
+void expect_rows_intact(const KvCache& c) {
+  for (std::size_t t = 0; t < c.size(); ++t) {
+    const auto pos = static_cast<float>(c.original_position(t));
+    EXPECT_EQ(c.key_row(t), ramp_row(c.row_width(), pos)) << "row " << t;
+    EXPECT_EQ(c.value_row(t), ramp_row(c.row_width(), 1000.0F + pos))
+        << "row " << t;
+  }
+  for (std::size_t h = 0; h < c.n_heads(); ++h) {
+    std::size_t covered = 0;
+    for (std::size_t s = 0; s < c.segment_count(); ++s) {
+      const kv::KvSegment seg = c.segment(h, s);
+      ASSERT_EQ(seg.first, covered) << "head " << h << " segment " << s;
+      ASSERT_GT(seg.count, 0u);
+      for (std::size_t r = 0; r < seg.count; ++r) {
+        const auto k = c.key_head(seg.first + r, h);
+        const auto v = c.value_head(seg.first + r, h);
+        for (std::size_t j = 0; j < c.d_head(); ++j) {
+          EXPECT_EQ(seg.keys[r * c.d_head() + j], k[j]);
+          EXPECT_EQ(seg.values[r * c.d_head() + j], v[j]);
+        }
+      }
+      covered += seg.count;
+    }
+    EXPECT_EQ(covered, c.size()) << "head " << h;
+  }
+}
+
+TEST(PagedKvCache, EvictionFromAdoptedChainMovesAndCopiesNothing) {
   obs::MetricsRegistry reg;
   BlockPool pool(metered_config(reg));
   KvCache donor(pool);
@@ -261,37 +301,77 @@ TEST(PagedKvCache, CompactCopiesSharedDestinationBlocksOnWrite) {
   KvCache reader(pool);
   reader.adopt_prefix(chain, 12, snapshot_scores(donor, 12),
                       snapshot_noise(donor, 12));
+  const std::size_t allocs = reg.counter("pool.allocs").value();
 
-  // Keep rows 0..3 untouched (identity gather: block 0 stays shared) and
-  // gather 4 scattered later rows into block 1 (written: must be copied).
+  // Keep rows 0..3 and 4 scattered later ones: every kept row stays where
+  // the donor wrote it, so no block is allocated, written or copied.
   const std::vector<std::size_t> keep{0, 1, 2, 3, 5, 7, 9, 11};
   reader.compact(keep);
   EXPECT_EQ(reader.size(), 8u);
-  EXPECT_EQ(reader.blocks_held(), 2u);
-  EXPECT_EQ(reg.counter("pool.cow_copies").value(), 1u);
-  EXPECT_EQ(reader.shared_blocks(), 1u);  // block 0 still shared
-  EXPECT_EQ(reader.blocks()[0].id, chain[0].id);
-  EXPECT_NE(reader.blocks()[1].id, chain[1].id);
-
-  // The donor's rows are untouched by the reader's eviction.
-  for (std::size_t t = 0; t < 12; ++t) {
-    EXPECT_EQ(donor.key_row(t), ramp_row(donor.row_width(),
-                                         static_cast<float>(t)))
-        << "donor perturbed at " << t;
+  EXPECT_EQ(reg.counter("pool.allocs").value(), allocs);
+  EXPECT_EQ(pool.stats().used_blocks, 3u);
+  ASSERT_EQ(reader.blocks().size(), chain.size());
+  for (std::size_t b = 0; b < chain.size(); ++b) {
+    EXPECT_EQ(reader.blocks()[b].id, chain[b].id) << "slot " << b;
+    EXPECT_EQ(pool.refcount(chain[b]), 2u) << "slot " << b;
   }
-  // The reader's gathered rows match the kept originals.
+  EXPECT_EQ(reader.shared_blocks(), 3u);
+  // Runs of consecutive positions inside one block: {0..3}, {5}, {7},
+  // {9}, {11}.
+  EXPECT_EQ(reader.segment_count(), 5u);
   for (std::size_t j = 0; j < keep.size(); ++j) {
-    EXPECT_EQ(reader.key_row(j),
-              ramp_row(reader.row_width(), static_cast<float>(keep[j])));
     EXPECT_EQ(reader.original_position(j), keep[j]);
+    EXPECT_EQ(reader.scores(1)[j], static_cast<double>(keep[j] * 2));
   }
-  // Drained chain tail went back: donor's block 2 ref dropped to 1.
-  EXPECT_EQ(pool.refcount(chain[2]), 1u);
+  expect_rows_intact(reader);
+  expect_rows_intact(donor);
+  EXPECT_EQ(donor.size(), 12u);
 }
 
-TEST(PagedKvCache, AppendIntoSharedPartialTailCopiesFirst) {
-  obs::MetricsRegistry reg;
-  BlockPool pool(metered_config(reg));
+TEST(PagedKvCache, SharedBlockWithoutKeptRowIsReleased) {
+  BlockPool pool(pool_config(/*block_tokens=*/4));
+  KvCache donor(pool);
+  fill_prefix(donor, 12);
+  const std::vector<BlockRef> chain(donor.blocks().begin(),
+                                    donor.blocks().end());
+  KvCache reader(pool);
+  reader.adopt_prefix(chain, 12, snapshot_scores(donor, 12),
+                      snapshot_noise(donor, 12));
+  // Nothing kept in block 1 (rows 4..7): the reader lets it go, the
+  // donor keeps reading it.
+  reader.compact(std::vector<std::size_t>{0, 1, 9, 11});
+  EXPECT_EQ(reader.blocks()[1].id, KvCache::kNoBlock);
+  EXPECT_EQ(reader.blocks()[0].id, chain[0].id);
+  EXPECT_EQ(reader.blocks()[2].id, chain[2].id);
+  EXPECT_EQ(pool.refcount(chain[1]), 1u);
+  EXPECT_EQ(pool.refcount(chain[0]), 2u);
+  EXPECT_EQ(reader.blocks_held(), 2u);
+  EXPECT_EQ(reader.shared_blocks(), 2u);
+  EXPECT_EQ(reader.segment_count(), 3u);  // {0, 1}, {9}, {11}
+  expect_rows_intact(reader);
+  expect_rows_intact(donor);
+  // Appends open a private block after the region's slots.
+  append_rows(reader, 12, 2);
+  EXPECT_EQ(reader.blocks_held(), 3u);
+  EXPECT_EQ(reader.blocks().size(), 4u);
+  EXPECT_EQ(pool.stats().used_blocks, 4u);
+  expect_rows_intact(reader);
+  // Positions below the shared region's end cannot be appended.
+  const auto k = ramp_row(reader.row_width(), 0.0F);
+  EXPECT_THROW(reader.append(k, k, 11), std::invalid_argument);
+  // Dropping every shared row ends the region: only private blocks stay.
+  reader.compact(std::vector<std::size_t>{4, 5});
+  EXPECT_EQ(reader.shared_blocks(), 0u);
+  EXPECT_EQ(reader.blocks_held(), 1u);
+  EXPECT_EQ(reader.blocks().size(), 1u);
+  EXPECT_EQ(pool.stats().used_blocks, 4u);  // the donor's 3 + 1 private
+  for (const BlockRef ref : chain) EXPECT_EQ(pool.refcount(ref), 1u);
+  expect_rows_intact(reader);
+  expect_rows_intact(donor);
+}
+
+TEST(PagedKvCache, PrivateRowsStayDenseAfterTheSharedRegion) {
+  BlockPool pool(pool_config(/*block_tokens=*/4));
   KvCache donor(pool);
   fill_prefix(donor, 8);
   const std::vector<BlockRef> chain(donor.blocks().begin(),
@@ -299,44 +379,88 @@ TEST(PagedKvCache, AppendIntoSharedPartialTailCopiesFirst) {
   KvCache reader(pool);
   reader.adopt_prefix(chain, 8, snapshot_scores(donor, 8),
                       snapshot_noise(donor, 8));
-  // Evict to 6 rows with an identity keep: both blocks stay shared, the
-  // tail block now has free slots.
-  const std::vector<std::size_t> identity{0, 1, 2, 3, 4, 5};
-  reader.compact(identity);
-  EXPECT_EQ(reg.counter("pool.cow_copies").value(), 0u);
-  EXPECT_EQ(reader.shared_blocks(), 2u);
-  // Appending into the shared tail's free slot must copy it first — the
-  // donor still reads its own rows 6 and 7 through that block.
-  const auto k = ramp_row(reader.row_width(), 77.0F);
-  reader.append(k, k, 20);
-  EXPECT_EQ(reg.counter("pool.cow_copies").value(), 1u);
-  EXPECT_EQ(reader.key_row(6), k);
-  EXPECT_EQ(donor.key_row(6), ramp_row(donor.row_width(), 6.0F));
-  EXPECT_EQ(donor.key_row(7), ramp_row(donor.row_width(), 7.0F));
+  append_rows(reader, 8, 10);  // positions 8..17: 3 private blocks
+  EXPECT_EQ(reader.blocks_held(), 5u);
+  // Keep 3 shared rows in block 0 and 5 of the private rows.
+  const std::vector<std::size_t> keep{0, 2, 3, 8, 10, 13, 15, 17};
+  reader.compact(keep);
+  ASSERT_EQ(reader.size(), keep.size());
+  const std::size_t private_rows = 5;
+  EXPECT_EQ(reader.shared_blocks(), 1u);
+  EXPECT_EQ(reader.blocks_held(),
+            reader.shared_blocks() + (private_rows + 3) / 4);
+  EXPECT_EQ(pool.stats().used_blocks, 2u + (private_rows + 3) / 4);
+  EXPECT_EQ(pool.refcount(chain[1]), 1u);
+  for (std::size_t j = 0; j < keep.size(); ++j) {
+    EXPECT_EQ(reader.original_position(j), keep[j]);
+  }
+  expect_rows_intact(reader);
+  // A later append lands in the private tail's free slot.
+  append_rows(reader, 18, 3);
+  EXPECT_EQ(reader.blocks_held(), 1u + (private_rows + 3 + 3) / 4);
+  expect_rows_intact(reader);
+  expect_rows_intact(donor);
 }
 
-TEST(PagedKvCache, CowSkipsCopyWhenLastReader) {
+TEST(PagedKvCache, LastReaderFoldKeepsEveryRowsBits) {
   obs::MetricsRegistry reg;
   BlockPool pool(metered_config(reg));
   std::vector<BlockRef> chain;
+  std::vector<std::vector<double>> scores;
+  std::vector<std::vector<double>> noise;
   {
     KvCache donor(pool);
-    fill_prefix(donor, 4);
+    fill_prefix(donor, 12);
     chain.assign(donor.blocks().begin(), donor.blocks().end());
+    scores = snapshot_scores(donor, 12);
+    noise = snapshot_noise(donor, 12);
     for (const BlockRef r : chain) pool.retain(r);  // stand-in for an index
-  }  // donor gone; "index" still holds the chain
+  }  // donor gone; the "index" still holds the chain
   KvCache reader(pool);
-  const std::vector<std::vector<double>> zeros(2, std::vector<double>(4, 0.0));
-  reader.adopt_prefix(chain, 4, zeros,
-                      std::vector<std::vector<double>>(2));  // no noise
-  for (const BlockRef r : chain) pool.release(r);  // index drops the entry
-  EXPECT_EQ(pool.refcount(chain[0]), 1u);  // reader is the last one
-  // A mutating compact now writes in place: no copy, block id unchanged.
-  const std::vector<std::size_t> keep{0, 2, 3};
+  reader.adopt_prefix(chain, 12, scores, noise);
+  append_rows(reader, 12, 6);
+  // While the index holds the chain, eviction leaves the region in place.
+  reader.compact(std::vector<std::size_t>{0, 2, 3, 5, 9, 10, 11, 12, 13, 14,
+                                          15, 16, 17});
+  EXPECT_EQ(reader.shared_blocks(), 3u);
+  // Runs {0}, {2, 3}, {5}, {9..11}, then 2 private blocks.
+  EXPECT_EQ(reader.segment_count(), 4u + 2u);
+  for (const BlockRef r : chain) pool.release(r);  // the index drops it
+  EXPECT_EQ(pool.refcount(chain[0]), 1u);          // reader is the last one
+  const std::size_t allocs = reg.counter("pool.allocs").value();
+
+  // The next compact folds the region into the dense layout in place: no
+  // block is allocated, the chain's blocks are reused, and every kept row
+  // reads back its own bits with its scores and noise.
+  const std::vector<std::size_t> keep{0, 1, 3, 4, 6, 7, 8, 9, 10, 12};
+  std::vector<std::size_t> kept_pos;
+  for (const std::size_t j : keep) kept_pos.push_back(reader.original_position(j));
   reader.compact(keep);
-  EXPECT_EQ(reg.counter("pool.cow_copies").value(), 0u);
+  EXPECT_EQ(reg.counter("pool.allocs").value(), allocs);
   EXPECT_EQ(reader.shared_blocks(), 0u);
+  EXPECT_EQ(reader.blocks_held(), (keep.size() + 3) / 4);
+  EXPECT_EQ(reader.segment_count(), (keep.size() + 3) / 4);
+  EXPECT_EQ(pool.stats().used_blocks, reader.blocks_held());
   EXPECT_EQ(reader.blocks()[0].id, chain[0].id);
+  // Noise covered the adopted rows only: the kept ones among them.
+  ASSERT_EQ(reader.noise(0).size(), 5u);
+  for (std::size_t j = 0; j < keep.size(); ++j) {
+    EXPECT_EQ(reader.original_position(j), kept_pos[j]);
+    const double pos = static_cast<double>(kept_pos[j]);
+    EXPECT_EQ(reader.scores(1)[j], kept_pos[j] < 12 ? 2.0 * pos : 0.0);
+    if (j < 5) {
+      EXPECT_EQ(reader.noise(0)[j], pos);
+    }
+  }
+  expect_rows_intact(reader);
+  // The folded cache is an ordinary dense one: it appends and compacts
+  // in place.
+  append_rows(reader, 20, 3);
+  reader.compact(std::vector<std::size_t>{1, 2, 11, 12});
+  EXPECT_EQ(reader.blocks_held(), 1u);
+  expect_rows_intact(reader);
+  reader.clear();
+  EXPECT_EQ(pool.stats().used_blocks, 0u);
 }
 
 /// Injector that vetoes every allocation, forever.

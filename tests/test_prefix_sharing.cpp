@@ -10,7 +10,10 @@
 //     equivalent to refcount 0 on every block — the pool counts a block
 //     as used exactly while its refcount is nonzero);
 //   - a few-shot-style burst of 8 requests sharing one context skips more
-//     than half of all prefill tokens.
+//     than half of all prefill tokens;
+//   - Keyformer adopters of one long prefix hold it shared to the end:
+//     eviction drops shared rows without copying a block, so the pool
+//     peak is the chain plus each adopter's own suffix and generated rows.
 #include "serve/engine.h"
 
 #include <gtest/gtest.h>
@@ -236,6 +239,48 @@ TEST(PrefixSharing, RandomizedChurnLeaksNoBlocksOrRefcounts) {
   EXPECT_EQ(engine.prefix_index()->blocks_held(), 0u);
   EXPECT_EQ(ps.used_blocks, 0u);
   EXPECT_EQ(ps.reserved_blocks, 0u);
+}
+
+TEST(PrefixSharing, KeyformerAdoptersHoldOnlyTheirOwnRows) {
+  // N Keyformer adopters of one long prefix evict most of it, yet it stays
+  // shared: eviction drops a shared row without writing its block, so
+  // each adopter's private blocks hold only its suffix and generated rows
+  // (a copy-on-write cache would hold its whole kept budget privately,
+  // about 14 blocks per layer here). The run's pool peak is at most the
+  // chain plus those private footprints, and no block is copied.
+  const ModelConfig cfg = tiny_config();
+  Transformer model(cfg);
+  const std::size_t n = 4;
+  const std::size_t ctx = 192;
+  EngineConfig ec = paged_config(kv::PolicyKind::kKeyformer, true);
+  ec.scheduler.max_batch_size = n;
+  const std::size_t bt = ec.paged.block_tokens;
+  const auto requests = shared_context_requests(n, ctx);
+
+  Engine engine(model, ec);
+  engine.run({requests.data(), 1});  // warms the index with the prefix
+  const std::size_t chain = engine.prefix_index()->blocks_held();
+  ASSERT_EQ(chain, cfg.n_layers * ctx / bt);
+  const auto got = engine.run(requests);
+  const EngineStats& st = engine.stats();
+  EXPECT_EQ(st.prefix_hits, n);
+  EXPECT_GT(st.evicted_tokens, 0u);
+  EXPECT_EQ(st.prefix_cow_copies, 0u);
+
+  std::size_t own_blocks = 0;
+  for (const Request& req : requests) {
+    const std::size_t own = req.prompt.size() - ctx + req.gen.max_new_tokens;
+    own_blocks += cfg.n_layers * ((own + bt - 1) / bt);
+  }
+  EXPECT_LE(st.pool_peak_used_blocks, chain + own_blocks);
+
+  // Many short runs over a sparse shared region change no token.
+  ec.prefix.enabled = false;
+  Engine off(model, ec);
+  const auto expected = off.run(requests);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(got[i].tokens, expected[i].tokens) << "req " << i;
+  }
 }
 
 TEST(PrefixSharing, RequiresUndampedScores) {

@@ -321,14 +321,26 @@ TEST(ServeTimeline, PreemptThenRefusedReadmissionCountsEvictions) {
   EXPECT_EQ(engine.pool()->stats().reserved_blocks, 0u);
 }
 
-TEST(ServeTimeline, ParkCountsCopyOnWriteCopies) {
+/// References held on the pool's blocks right now: the sum of every
+/// carved block's refcount.
+std::size_t total_refs(const mem::BlockPool& pool) {
+  std::size_t refs = 0;
+  const std::size_t carved = pool.stats().allocated_blocks;
+  for (std::size_t id = 0; id < carved; ++id) {
+    refs += pool.refcount(mem::BlockRef{static_cast<std::uint32_t>(id)});
+  }
+  return refs;
+}
+
+TEST(ServeTimeline, ParkReleasesSharedReferencesLikeAFinish) {
   // With the prefix cache on, request 0 inserts its prompt prefix and
   // then shares those blocks with the index, so Keyformer's evictions
-  // copy them on write. It is parked after 8 tokens and times out. Its
-  // twin — request 0 alone, timing out at step 7 with the same 8 tokens
-  // under the same max_new_tokens (so the same t/T schedule) — makes the
-  // same copies, and both runs must count them: a park drops the caches
-  // like a finish does.
+  // drop rows there (without copying a block). It is parked after 8
+  // tokens and times out. Its twin — request 0 alone, timing out at step
+  // 7 with the same 8 tokens under the same max_new_tokens (so the same
+  // t/T schedule) — finishes without a park. A park drops the caches like
+  // a finish does: after either run the index holds the only reference
+  // to each of its blocks, and neither run copied one.
   ModelConfig cfg = tiny_config();
   Transformer m(cfg);
   EngineConfig ec = preempt_then_timeout_config();
@@ -351,9 +363,15 @@ TEST(ServeTimeline, ParkCountsCopyOnWriteCopies) {
   EXPECT_EQ(alone[0].preemptions, 0u);
   EXPECT_EQ(alone[0].tokens, parked[0].tokens);
 
-  EXPECT_GT(twin_engine.stats().prefix_cow_copies, 0u);
-  EXPECT_EQ(parked_engine.stats().prefix_cow_copies,
-            twin_engine.stats().prefix_cow_copies);
+  EXPECT_GT(parked[0].eviction.decisions, 0u);
+  EXPECT_EQ(alone[0].eviction.decisions, parked[0].eviction.decisions);
+  for (const Engine* engine : {&parked_engine, &twin_engine}) {
+    EXPECT_EQ(engine->stats().prefix_cow_copies, 0u);
+    const std::size_t held = engine->prefix_index()->blocks_held();
+    EXPECT_GT(held, 0u);
+    EXPECT_EQ(engine->pool()->stats().used_blocks, held);
+    EXPECT_EQ(total_refs(*engine->pool()), held);
+  }
 }
 
 /// EngineStats' counts and per-run peaks: everything but the timings and
@@ -426,10 +444,11 @@ double prometheus_sample(const std::string& text, const std::string& name) {
 TEST(ServeTimeline, PrometheusExportsEveryEngineCount) {
   // One paged run with the prefix cache touching every count: requests 0
   // and 1 contend for a small pool, each inserting its prompt prefix,
-  // copying the shared blocks it evicts into, being parked, and resuming
-  // by adopting a cached prefix (a per-prompt hit) and replaying its
-  // tokens. Request 2 times out in the queue and request 3 (empty prompt)
-  // is rejected. Each count's kf_*_total sample must equal stats().
+  // evicting rows of the shared blocks, being parked, and resuming by
+  // adopting a cached prefix (a per-prompt hit) and replaying its tokens.
+  // Request 2 times out in the queue and request 3 (empty prompt) is
+  // rejected. Each count's kf_*_total sample must equal stats(). No block
+  // is ever copied, so there is no copy counter to export.
   ModelConfig cfg = tiny_config();
   Transformer m(cfg);
   EngineConfig ec = preempt_then_timeout_config();
@@ -462,20 +481,22 @@ TEST(ServeTimeline, PrometheusExportsEveryEngineCount) {
       {"kf_serve_prefix_miss_prompts_total", st.prefix_misses},
       {"kf_serve_prefix_reused_tokens_total", st.prefix_tokens_reused},
       {"kf_serve_prefix_shared_blocks_total", st.prefix_blocks_shared},
-      {"kf_pool_cow_copies_total", st.prefix_cow_copies},
   };
   for (const auto& [name, value] : counts) {
     EXPECT_GT(value, 0u) << name;
     EXPECT_EQ(prometheus_sample(text, name), static_cast<double>(value))
         << name;
   }
+  EXPECT_EQ(st.prefix_cow_copies, 0u);
+  EXPECT_EQ(prometheus_sample(text, "kf_pool_cow_copies_total"), -1.0);
 }
 
 TEST(ServeTimeline, StatsAreLiveMidRun) {
   // stats() read inside a run (an attention observer fires on the engine
-  // thread) already shows the pool's peak and the copy-on-write copies of
-  // the one sequence still decoding: its prefix insert shared its first
-  // blocks with the index, and its prompt-end eviction wrote into them.
+  // thread) already shows the pool's peak, and its decoded-token count
+  // moves from one decode step to the next while the one sequence still
+  // decodes. Its prefix insert shared its first blocks with the index and
+  // its evictions dropped rows there, yet no block is ever copied.
   ModelConfig cfg = tiny_config();
   Transformer m(cfg);
   EngineConfig ec;
@@ -491,20 +512,28 @@ TEST(ServeTimeline, StatsAreLiveMidRun) {
   std::size_t decode_calls = 0;
   std::size_t peak_used = 0;
   std::size_t cow_copies = 0;
+  std::vector<std::size_t> decoded_seen;  // each distinct live value
   m.set_observer([&](const model::AttentionObservation& o) {
     if (o.is_prompt) return;
     ++decode_calls;
     const EngineStats st = engine.stats();
     peak_used = std::max(peak_used, st.pool_peak_used_blocks);
     cow_copies = std::max(cow_copies, st.prefix_cow_copies);
+    if (decoded_seen.empty() || decoded_seen.back() != st.decoded_tokens) {
+      decoded_seen.push_back(st.decoded_tokens);
+    }
   });
   const auto responses = engine.run(requests);
   m.set_observer({});
   ASSERT_EQ(responses[0].finish, FinishReason::kLength);
   ASSERT_GT(decode_calls, 0u);
   EXPECT_GT(peak_used, 0u);
-  EXPECT_GT(cow_copies, 0u);
-  EXPECT_LE(cow_copies, engine.stats().prefix_cow_copies);
+  EXPECT_GT(responses[0].eviction.decisions, 0u);
+  ASSERT_GE(decoded_seen.size(), 2u);
+  EXPECT_TRUE(std::is_sorted(decoded_seen.begin(), decoded_seen.end()));
+  EXPECT_LT(decoded_seen.back(), engine.stats().decoded_tokens);
+  EXPECT_EQ(cow_copies, 0u);
+  EXPECT_EQ(engine.stats().prefix_cow_copies, 0u);
 }
 
 TEST(ServeTimeline, ResumeThenRejectAfterPreemptionBudget) {
