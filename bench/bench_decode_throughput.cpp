@@ -72,15 +72,13 @@ IsaResult run_isa(cpu::CpuIsa isa, const BenchSetup& s) {
   kv::SequenceInfo info;
   info.prompt_len = s.prompt_len;
   info.total_steps = s.gen_tokens;
-  info.n_layers = cfg.n_layers;
-  info.n_heads = cfg.n_heads;
   policy->begin_sequence(info);
 
-  m.reset();
+  kv::SequenceKvState state = m.make_kv_state();
   IsaResult r;
   r.isa = cpu::isa_name(cpu::active_isa());
   double t0 = now_seconds();
-  m.prefill(prompt, *policy, s.gen_tokens);
+  m.prefill(state, prompt, 0, *policy);
   r.prefill_seconds = now_seconds() - t0;
 
   // The breakdown comes from the model's own trace spans over the decode
@@ -90,8 +88,7 @@ IsaResult run_isa(cpu::CpuIsa isa, const BenchSetup& s) {
   t0 = now_seconds();
   for (std::size_t t = 1; t <= s.gen_tokens; ++t) {
     const std::size_t position = s.prompt_len + t - 1;
-    r.step_logits.push_back(
-        m.decode(feed[t - 1], position, t, s.gen_tokens, *policy));
+    r.step_logits.push_back(m.decode(state, feed[t - 1], position, t, *policy));
   }
   const double decode_seconds = now_seconds() - t0;
   obs::set_trace_enabled(false);

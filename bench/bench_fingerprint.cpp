@@ -212,22 +212,21 @@ void hash_generation(model::Transformer& model,
   const model::ModelConfig& cfg = model.config();
   auto policy = kv::make_policy(pc);
   policy->set_budget(kv::make_budget(prompt.size(), cache_ratio));
-  policy->begin_sequence(
-      {prompt.size(), kDecodeSteps, cfg.n_layers, cfg.n_heads});
-  model.reset();
-  const Tensor prompt_logits = model.prefill(prompt, *policy, kDecodeSteps);
+  policy->begin_sequence({prompt.size(), kDecodeSteps});
+  kv::SequenceKvState state = model.make_kv_state();
+  const Tensor prompt_logits = model.prefill(state, prompt, 0, *policy);
   h.add(prompt_logits.span());
   std::vector<model::Token> generated;
   model::Token next = model::select_greedy(prompt_logits.row(0), {}, 2.0F);
   for (std::size_t t = 1; t <= kDecodeSteps; ++t) {
     generated.push_back(next);
-    const std::vector<float> logits = model.decode(
-        next, prompt.size() + t - 1, t, kDecodeSteps, *policy);
+    const std::vector<float> logits =
+        model.decode(state, next, prompt.size() + t - 1, t, *policy);
     h.add(logits);
     next = model::select_greedy(logits, generated, 2.0F);
   }
   for (std::size_t l = 0; l < cfg.n_layers; ++l) {
-    const kv::KvCache& cache = model.cache(l);
+    const kv::KvCache& cache = state.layer(l);
     h.add(cache.original_positions());
     for (std::size_t head = 0; head < cfg.n_heads; ++head) {
       h.add(cache.scores(head));

@@ -7,10 +7,11 @@
 //      attention, policy and MLP work in parallel, so aggregate
 //      throughput grows with batch size on the same weights;
 //   2. memory frontier — at a fixed KV-memory budget
-//      (max_concurrent_tokens), sweep cache_ratio: a reduced cache costs
-//      ~ratio * prompt_len per sequence, so smaller ratios admit larger
-//      batches into the same memory and win aggregate tokens/s — the
-//      compounding effect behind the paper's 2.4x claim.
+//      (max_concurrent_tokens), full attention and then Keyformer at
+//      reduced cache_ratios: a reduced cache costs ~ratio * prompt_len
+//      per sequence, so smaller ratios admit larger batches into the same
+//      memory and win aggregate tokens/s — the compounding effect behind
+//      the paper's 2.4x claim.
 //
 //   ./bench/bench_serve_throughput [--quick] [--gen N] [--seed S]
 //                                  [--csv DIR] [--block-tokens N]
@@ -66,15 +67,16 @@ std::vector<serve::Request> make_requests(const model::ModelConfig& cfg,
   return requests;
 }
 
-serve::EngineStats run_cell(model::Transformer& m, const Workload& wl,
-                            double cache_ratio, std::size_t max_batch,
-                            std::size_t max_tokens, std::size_t block_tokens,
+serve::EngineStats run_cell(const model::Transformer& m, const Workload& wl,
+                            kv::PolicyKind policy, double cache_ratio,
+                            std::size_t max_batch, std::size_t max_tokens,
+                            std::size_t block_tokens,
                             const MonitorOptions& mo) {
   std::vector<serve::Request> requests = make_requests(m.config(), wl);
   for (auto& r : requests) r.gen.cache_ratio = cache_ratio;
 
   serve::EngineConfig ec;
-  ec.policy.kind = kv::PolicyKind::kKeyformer;
+  ec.policy.kind = policy;
   ec.scheduler.max_batch_size = max_batch;
   ec.scheduler.max_concurrent_tokens = max_tokens;
   ec.paged.block_tokens = block_tokens;
@@ -172,7 +174,7 @@ int main(int argc, char** argv) {
   cfg.max_seq_len = 4096;
   model::Transformer m(cfg);
 
-  std::cout << "serve throughput (gptj-like RoPE, keyformer policy, "
+  std::cout << "serve throughput (gptj-like RoPE, "
             << wl.n_requests << " requests, prompt " << wl.prompt_len
             << ", gen " << wl.gen_tokens << ", "
             << ThreadPool::global().size() << " worker threads, "
@@ -182,7 +184,7 @@ int main(int argc, char** argv) {
 
   // Sweep 1: batch scaling at fixed cache_ratio.
   const double fixed_ratio = 0.5;
-  Table t1("aggregate decode throughput vs batch size (cache_ratio 0.5)");
+  Table t1("aggregate decode tok/s vs batch size (keyformer, cache_ratio 0.5)");
   std::vector<std::string> h1{"max_batch", "isa", "decode_tok_per_s",
                               "speedup_vs_b1", "steps", "peak_batch",
                               "peak_kv_blocks", "pool_util", "frag"};
@@ -191,7 +193,8 @@ int main(int argc, char** argv) {
   double base_tps = 0.0;
   for (const std::size_t b : batches) {
     const serve::EngineStats stats =
-        run_cell(m, wl, fixed_ratio, b, /*max_tokens=*/0, block_tokens, mo);
+        run_cell(m, wl, kv::PolicyKind::kKeyformer, fixed_ratio, b,
+                 /*max_tokens=*/0, block_tokens, mo);
     const double tps = stats.decode_tokens_per_s();
     if (b == batches.front()) base_tps = tps;
     std::vector<std::string> row{
@@ -209,28 +212,33 @@ int main(int argc, char** argv) {
   bench::maybe_write_csv(opt, t1, "serve_throughput");
   std::cout << '\n';
 
-  // Sweep 2: memory frontier — fixed KV budget, varying cache_ratio. The
-  // budget fits ~3 full-attention sequences of this workload; reduced
-  // ratios fit proportionally more.
+  // Sweep 2: memory frontier — fixed KV budget, full attention then
+  // Keyformer at reduced cache_ratios. The budget fits ~3 full-attention
+  // sequences of this workload; reduced ratios fit proportionally more.
   const std::size_t kv_budget = 3 * (wl.prompt_len + wl.gen_tokens);
   const std::vector<double> ratios =
       opt.quick ? std::vector<double>{1.0, 0.5}
                 : std::vector<double>{1.0, 0.75, 0.5, 0.25};
   Table t2("fixed KV-memory budget (" + std::to_string(kv_budget) +
            " tokens): cache_ratio buys batch size");
-  std::vector<std::string> h2{"cache_ratio", "isa", "achieved_batch",
-                              "decode_tok_per_s", "speedup_vs_full",
-                              "peak_kv_blocks", "pool_util", "frag"};
+  std::vector<std::string> h2{"policy", "cache_ratio", "isa",
+                              "achieved_batch", "decode_tok_per_s",
+                              "speedup_vs_full", "peak_kv_blocks",
+                              "pool_util", "frag"};
   bench::append_latency_columns(h2);
   t2.header(h2);
   double full_tps = 0.0;
   for (const double r : ratios) {
-    const serve::EngineStats stats =
-        run_cell(m, wl, r, /*max_batch=*/0, kv_budget, block_tokens, mo);
+    // The first row, at ratio 1.0, is the full-attention baseline.
+    const bool baseline = r == ratios.front();
+    const kv::PolicyKind policy =
+        baseline ? kv::PolicyKind::kFull : kv::PolicyKind::kKeyformer;
+    const serve::EngineStats stats = run_cell(m, wl, policy, r, /*max_batch=*/0,
+                                              kv_budget, block_tokens, mo);
     const double tps = stats.decode_tokens_per_s();
-    if (r == ratios.front()) full_tps = tps;
+    if (baseline) full_tps = tps;
     std::vector<std::string> row{
-        Table::num(r, 2), stats.isa,
+        kv::to_string(policy), Table::num(r, 2), stats.isa,
         Table::num(static_cast<long long>(stats.max_batch)),
         Table::num(tps, 1),
         Table::num(full_tps > 0.0 ? tps / full_tps : 0.0, 2) + "x",
@@ -248,8 +256,10 @@ int main(int argc, char** argv) {
                "weights; sweep 2 holds KV memory fixed and shows a reduced "
                "cache ratio converting freed memory into batch size and "
                "throughput — the measured form of Table 1's bigger-batch "
-               "row. pool_util is peak used blocks over capacity and frag "
-               "is the worst-step share of block-resident token slots "
-               "holding no live token.\n";
+               "row. Its speedup_vs_full divides each row's decode tok/s "
+               "by the first row's: full attention, which keeps every "
+               "row and scores none. pool_util is peak used blocks over "
+               "capacity and frag is the worst-step share of private "
+               "block slots holding no live token.\n";
   return 0;
 }

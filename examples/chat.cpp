@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     }
     t.row({Table::num(static_cast<long long>(turn + 1)),
            Table::num(static_cast<long long>(history.size())),
-           Table::num(static_cast<long long>(r.final_cache_sizes[0])),
+           Table::num(static_cast<long long>(r.state.layer_size(0))),
            Table::num(static_cast<long long>(r.peak_cache_tokens)),
            preview + "..."});
 

@@ -15,10 +15,10 @@ using namespace kf;
 namespace {
 
 /// Fraction of cached tokens per document decile, layer 0.
-std::vector<double> cache_histogram(const model::Transformer& m,
+std::vector<double> cache_histogram(const kv::SequenceKvState& state,
                                     std::size_t doc_len) {
   std::vector<double> deciles(10, 0.0);
-  const auto pos = m.cache(0).original_positions();
+  const auto pos = state.layer(0).original_positions();
   for (const std::size_t p : pos) {
     if (p < doc_len) {
       deciles[std::min<std::size_t>(9, p * 10 / doc_len)] += 1.0;
@@ -65,9 +65,9 @@ int main(int argc, char** argv) {
     std::cout << "[" << to_string(kind) << " @30% cache]  fid R2 "
               << Table::num(fid.r2.f1, 3) << ", ref R1 "
               << Table::num(ref.r1.f1, 3) << ", cache "
-              << r.final_cache_sizes[0] << " tokens\n";
+              << r.state.layer_size(0) << " tokens\n";
     std::cout << "  kept tokens by document decile:\n";
-    const auto hist = cache_histogram(model, sample.prompt.size());
+    const auto hist = cache_histogram(r.state, sample.prompt.size());
     for (std::size_t d = 0; d < hist.size(); ++d) {
       std::cout << "   " << d * 10 << "-" << (d + 1) * 10 << "% |"
                 << bar(hist[d]) << "\n";

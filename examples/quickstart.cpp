@@ -46,7 +46,7 @@ int main() {
   }
   auto full_policy = kv::make_policy(kv::PolicyKind::kFull);
   const auto full = model::generate(model, prompt, *full_policy, gen);
-  std::cout << "[full attention]  cache=" << full.final_cache_sizes[0]
+  std::cout << "[full attention]  cache=" << full.state.layer_size(0)
             << " tokens/layer\n  " << detokenize(vocab, full.tokens)
             << "\n\n";
 
@@ -54,7 +54,7 @@ int main() {
   gen.cache_ratio = 0.5;
   auto keyformer = kv::make_policy(kv::PolicyKind::kKeyformer);
   const auto reduced = model::generate(model, prompt, *keyformer, gen);
-  std::cout << "[keyformer @50%]  cache=" << reduced.final_cache_sizes[0]
+  std::cout << "[keyformer @50%]  cache=" << reduced.state.layer_size(0)
             << " tokens/layer (budget k=" << reduced.budget.max_tokens
             << ", recent w=" << reduced.budget.recent_window << ")\n  "
             << detokenize(vocab, reduced.tokens) << "\n\n";

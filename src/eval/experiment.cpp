@@ -22,7 +22,7 @@ model::GenerationConfig to_generation_config(const EvalConfig& cfg) {
 }  // namespace
 
 std::vector<std::vector<Token>> generate_outputs(
-    model::Transformer& model, std::span<const data::Sample> samples,
+    const model::Transformer& model, std::span<const data::Sample> samples,
     kv::EvictionPolicy& policy, const EvalConfig& cfg) {
   const model::GenerationConfig g = to_generation_config(cfg);
   std::vector<std::vector<Token>> outputs;
@@ -35,7 +35,7 @@ std::vector<std::vector<Token>> generate_outputs(
 }
 
 PolicyTaskResult evaluate_policy_on_task(
-    model::Transformer& model, std::span<const data::Sample> samples,
+    const model::Transformer& model, std::span<const data::Sample> samples,
     kv::EvictionPolicy& policy, const EvalConfig& cfg,
     const std::vector<std::vector<Token>>* full_outputs) {
   assert(full_outputs == nullptr || full_outputs->size() == samples.size());
@@ -88,25 +88,20 @@ PolicyTaskResult evaluate_policy_on_task(
   return out;
 }
 
-double mcq_accuracy(model::Transformer& model,
+double mcq_accuracy(const model::Transformer& model,
                     std::span<const data::McqSample> samples,
                     kv::EvictionPolicy& policy, const EvalConfig& cfg) {
   std::size_t correct = 0;
   for (const data::McqSample& s : samples) {
     policy.set_budget(
         kv::make_budget(s.prompt.size(), cfg.cache_ratio, cfg.recent_ratio));
-    kv::SequenceInfo info;
-    info.prompt_len = s.prompt.size();
-    info.total_steps = 1;
-    info.n_layers = model.config().n_layers;
-    info.n_heads = model.config().n_heads;
-    policy.begin_sequence(info);
+    policy.begin_sequence({s.prompt.size(), /*total_steps=*/1});
 
-    model.reset();
-    (void)model.prefill(s.prompt, policy, /*total_steps=*/1);
+    kv::SequenceKvState state = model.make_kv_state();
+    (void)model.prefill(state, s.prompt, 0, policy);
     // Score the options at the answer cue against the *reduced* cache.
-    const std::vector<float> logits = model.decode(
-        data::kSep, s.prompt.size(), /*t=*/1, /*total_steps=*/1, policy);
+    const std::vector<float> logits =
+        model.decode(state, data::kSep, s.prompt.size(), /*t=*/1, policy);
 
     std::size_t best = 0;
     for (std::size_t o = 1; o < s.options.size(); ++o) {

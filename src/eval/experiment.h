@@ -55,14 +55,14 @@ struct PolicyTaskResult {
 
 /// Generates outputs for every sample under `policy`.
 std::vector<std::vector<Token>> generate_outputs(
-    model::Transformer& model, std::span<const data::Sample> samples,
+    const model::Transformer& model, std::span<const data::Sample> samples,
     kv::EvictionPolicy& policy, const EvalConfig& cfg);
 
 /// Full pipeline for one cell. `full_outputs` (optional) supplies the
 /// fidelity references; pass the result of generate_outputs with a
 /// FullAttentionPolicy and cache_ratio 1.0.
 PolicyTaskResult evaluate_policy_on_task(
-    model::Transformer& model, std::span<const data::Sample> samples,
+    const model::Transformer& model, std::span<const data::Sample> samples,
     kv::EvictionPolicy& policy, const EvalConfig& cfg,
     const std::vector<std::vector<Token>>* full_outputs = nullptr);
 
@@ -70,7 +70,7 @@ PolicyTaskResult evaluate_policy_on_task(
 /// the policy (cache reduced to budget), then decode one step on the <sep>
 /// answer cue and compare option log-probabilities. Returns accuracy in
 /// [0, 1].
-double mcq_accuracy(model::Transformer& model,
+double mcq_accuracy(const model::Transformer& model,
                     std::span<const data::McqSample> samples,
                     kv::EvictionPolicy& policy, const EvalConfig& cfg);
 

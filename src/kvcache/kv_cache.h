@@ -218,6 +218,13 @@ class KvCache {
   std::size_t shared_blocks() const noexcept {
     return shared_slots_ - released_slots();
   }
+  /// Leading rows that lie in the shared region; the rest are private.
+  std::size_t shared_rows() const noexcept { return shared_rows_; }
+  /// Private blocks: blocks_held() - shared_blocks(), without counting the
+  /// released shared slots.
+  std::size_t private_blocks() const noexcept {
+    return blocks_.size() - shared_slots_;
+  }
 
   /// True once any block acquisition fell back to emergency heap memory:
   /// this cache holds rows the pool never granted, so its sequence must be

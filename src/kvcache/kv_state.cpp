@@ -36,12 +36,6 @@ SequenceKvState& SequenceKvState::operator=(SequenceKvState&& other) noexcept {
   return *this;
 }
 
-std::size_t SequenceKvState::total_tokens() const noexcept {
-  std::size_t total = 0;
-  for (const auto& c : caches_) total += c->size();
-  return total;
-}
-
 std::size_t SequenceKvState::max_layer_tokens() const noexcept {
   std::size_t peak = 0;
   for (const auto& c : caches_) peak = c->size() > peak ? c->size() : peak;

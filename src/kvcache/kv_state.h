@@ -1,16 +1,14 @@
 // Per-sequence KV state: one KvCache per decoder layer, owned as a unit.
 //
-// Until the serving refactor the transformer owned a single resident set of
-// layer caches, hard-wiring "one model == one sequence". SequenceKvState
-// lifts that set into a value the *caller* owns, so N sequences can share
-// one model's weights while each keeps its own caches (and its own
-// EvictionPolicy instance for score state) — the structure continuous
-// batching schedules over.
+// The transformer holds only weights; a sequence is a SequenceKvState the
+// *caller* owns plus its EvictionPolicy instance (score state), so N
+// sequences share one model's weights while each keeps its own caches —
+// the structure continuous batching schedules over.
 //
 // Every layer cache draws its blocks from a mem::BlockPool. A serving
 // engine hands each sequence its shared pool, the memory the scheduler's
 // admission reserved; a state built without one owns a private, unbounded
-// pool (the model's default state, make_kv_state(), standalone callers).
+// pool (Transformer::make_kv_state(), generate(), standalone callers).
 #pragma once
 
 #include <cstddef>
@@ -51,9 +49,6 @@ class SequenceKvState {
 
   /// Cache length of one layer.
   std::size_t layer_size(std::size_t l) const { return caches_.at(l)->size(); }
-
-  /// Sum of cache lengths across layers.
-  std::size_t total_tokens() const noexcept;
 
   /// Longest per-layer cache (the per-sequence memory high-water mark is
   /// tracked in these units).

@@ -38,7 +38,7 @@ void KeyformerPolicy::accumulate(const PolicyContext& ctx) {
   thread_local std::vector<double> increments;
   increments.resize(ctx.key_len);
   const double tau =
-      config_.score.temperature.at(ctx.decode_step, ctx.total_steps);
+      config_.score.temperature.at(ctx.decode_step, sequence_.total_steps);
   const cpu::ScoreIncrementsFn score = cpu::score_increments_stub.get();
   const bool noisy = config_.score.adjustment != LogitAdjustment::kNone;
 

@@ -50,18 +50,15 @@ struct PolicyContext {
   std::span<const float> logits;
   /// Post-softmax probabilities, same layout; masked entries hold 0.
   std::span<const float> probs;
-  bool is_prompt = false;
-  std::size_t decode_step = 0;   ///< t in Algorithm 1 (0 during prompt)
-  std::size_t total_steps = 0;   ///< T, the planned generation length
-  KvCache* cache = nullptr;      ///< the layer's cache (never null)
+  std::size_t decode_step = 0;  ///< t in Algorithm 1 (0 during prompt)
+  KvCache* cache = nullptr;     ///< the layer's cache (never null)
 };
 
-/// Per-sequence info handed to policies before the prompt is processed.
+/// Per-sequence info handed to policies before the prompt is processed:
+/// the one place a sequence's planned length T is given.
 struct SequenceInfo {
   std::size_t prompt_len = 0;
-  std::size_t total_steps = 0;  ///< T
-  std::size_t n_layers = 0;
-  std::size_t n_heads = 0;
+  std::size_t total_steps = 0;  ///< T, the planned generation length
 };
 
 /// Base class for all eviction policies.
@@ -81,7 +78,8 @@ class EvictionPolicy {
   void set_budget(CacheBudget budget) { budget_ = budget; }
   const CacheBudget& budget() const noexcept { return budget_; }
 
-  /// Resets per-sequence state. Default: stores the info.
+  /// Resets per-sequence state. Default: stores the info, which observe()
+  /// reads as sequence_ (Keyformer's tau schedule reads T there).
   virtual void begin_sequence(const SequenceInfo& info) { sequence_ = info; }
 
   /// Observes one layer's attention output; may compact ctx.cache.

@@ -21,8 +21,8 @@
 // head, sequence and thread. A position at or past the table's end
 // computes its angles instead, with the same bits.
 // Causal masking always uses original order. Switching position_mode only
-// takes effect for caches (re)filled after the switch — callers reset the
-// cache between mode changes (all in-repo callers do).
+// takes effect for caches filled after the switch, so a cache must not
+// straddle a mode change: callers fill a fresh sequence state after one.
 //
 // One call for prompt and decode rows, no knobs. A call takes the rows
 // of one or more sequences, each sequence's rows a consecutive *run* of

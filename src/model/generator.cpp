@@ -35,6 +35,16 @@ Token select_greedy(std::span<const float> logits,
   return static_cast<Token>(best);
 }
 
+Token select_next(std::span<const float> logits,
+                  std::span<const Token> committed,
+                  const GenerationConfig& cfg) {
+  const std::size_t n = committed.size();
+  const std::size_t w =
+      cfg.repetition_window == 0 ? n : std::min(n, cfg.repetition_window);
+  return select_greedy(logits, committed.last(w), cfg.repetition_penalty,
+                       cfg.banned_tokens);
+}
+
 const char* prompt_error(const ModelConfig& cfg, std::span<const Token> prompt,
                          std::size_t max_new_tokens) {
   if (prompt.empty()) return "the prompt is empty";
@@ -54,7 +64,8 @@ const char* prompt_error(const ModelConfig& cfg, std::span<const Token> prompt,
   return nullptr;
 }
 
-GenerationResult generate(Transformer& model, std::span<const Token> prompt,
+GenerationResult generate(const Transformer& model,
+                          std::span<const Token> prompt,
                           kv::EvictionPolicy& policy,
                           const GenerationConfig& cfg) {
   if (const char* error =
@@ -66,31 +77,15 @@ GenerationResult generate(Transformer& model, std::span<const Token> prompt,
   result.budget =
       kv::make_budget(prompt.size(), cfg.cache_ratio, cfg.recent_ratio);
   policy.set_budget(result.budget);
-  kv::SequenceInfo info;
-  info.prompt_len = prompt.size();
-  info.total_steps = cfg.max_new_tokens;
-  info.n_layers = model.config().n_layers;
-  info.n_heads = model.config().n_heads;
-  policy.begin_sequence(info);
-  model.reset();
-
-  const auto recent_window = [&]() -> std::span<const Token> {
-    const std::size_t n = result.tokens.size();
-    const std::size_t w =
-        cfg.repetition_window == 0 ? n : std::min(n, cfg.repetition_window);
-    return {result.tokens.data() + (n - w), w};
-  };
-  const auto select = [&](std::span<const float> logits) {
-    return select_greedy(logits, recent_window(), cfg.repetition_penalty,
-                         cfg.banned_tokens);
-  };
+  policy.begin_sequence({prompt.size(), cfg.max_new_tokens});
+  result.state = model.make_kv_state();
+  kv::SequenceKvState& state = result.state;
 
   // The prompt phase includes the first token's selection.
   double t0 = now_seconds();
-  const Tensor prompt_logits =
-      model.prefill(prompt, policy, cfg.max_new_tokens);
+  const Tensor prompt_logits = model.prefill(state, prompt, 0, policy);
   result.peak_cache_tokens = prompt.size();
-  Token next = select(prompt_logits.row(0));
+  Token next = select_next(prompt_logits.row(0), result.tokens, cfg);
   result.prefill_seconds = now_seconds() - t0;
 
   // Each step commits `next`; the finishing token is never fed back.
@@ -99,16 +94,12 @@ GenerationResult generate(Transformer& model, std::span<const Token> prompt,
     if (cfg.eos_token >= 0 && next == cfg.eos_token) break;
     if (result.tokens.size() >= cfg.max_new_tokens) break;
     t0 = now_seconds();
-    const std::vector<float> logits = model.decode(
-        next, prompt.size() + t - 1, t, cfg.max_new_tokens, policy);
-    result.peak_cache_tokens = std::max(
-        result.peak_cache_tokens, model.default_kv_state().max_layer_tokens());
-    next = select(logits);
+    const std::vector<float> logits =
+        model.decode(state, next, prompt.size() + t - 1, t, policy);
+    result.peak_cache_tokens =
+        std::max(result.peak_cache_tokens, state.max_layer_tokens());
+    next = select_next(logits, result.tokens, cfg);
     result.decode_seconds += now_seconds() - t0;
-  }
-
-  for (std::size_t l = 0; l < model.config().n_layers; ++l) {
-    result.final_cache_sizes.push_back(model.cache_size(l));
   }
   return result;
 }

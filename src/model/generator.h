@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "kvcache/kv_state.h"
 #include "kvcache/policy.h"
 #include "model/transformer.h"
 
@@ -45,8 +46,10 @@ struct GenerationResult {
   std::vector<Token> tokens;  ///< generated tokens (prompt excluded)
   std::size_t prompt_len = 0;
   kv::CacheBudget budget;
-  /// Cache length per layer after generation (budget invariant checks).
-  std::vector<std::size_t> final_cache_sizes;
+  /// The sequence's KV state as generation left it (its own private
+  /// pool): per-layer sizes, kept positions and scores for budget and
+  /// retention checks.
+  kv::SequenceKvState state;
   /// Peak cache length observed across layers (== prompt during prefill
   /// attention, then budget k + 1 transiently at each decode step).
   std::size_t peak_cache_tokens = 0;
@@ -72,13 +75,15 @@ struct GenerationResult {
 const char* prompt_error(const ModelConfig& cfg, std::span<const Token> prompt,
                          std::size_t max_new_tokens);
 
-/// Greedy generation under `policy` on the model's default KV state, the
-/// plain single-sequence loop: resets the caches, derives the budget from
-/// `cfg.cache_ratio`, prefills, then decodes until eos or max_new_tokens.
-/// Deterministic; a one-request serve::Engine run gives the same tokens.
-/// Throws std::invalid_argument with prompt_error()'s message when the
-/// request cannot run.
-GenerationResult generate(Transformer& model, std::span<const Token> prompt,
+/// Greedy generation under `policy`, the plain single-sequence loop: builds
+/// a fresh state with make_kv_state(), derives the budget from
+/// `cfg.cache_ratio`, begins the policy's sequence with T =
+/// max_new_tokens, prefills, then decodes until eos or max_new_tokens, and
+/// returns the state in the result. Deterministic; a one-request
+/// serve::Engine run gives the same tokens. Throws std::invalid_argument
+/// with prompt_error()'s message when the request cannot run.
+GenerationResult generate(const Transformer& model,
+                          std::span<const Token> prompt,
                           kv::EvictionPolicy& policy,
                           const GenerationConfig& cfg);
 
@@ -87,5 +92,13 @@ GenerationResult generate(Transformer& model, std::span<const Token> prompt,
 Token select_greedy(std::span<const float> logits,
                     std::span<const Token> recent, float penalty,
                     std::span<const Token> banned = {});
+
+/// The sampling rule of generate() and serve::Engine, written once:
+/// select_greedy with `cfg`'s penalty over the trailing
+/// `cfg.repetition_window` tokens of `committed` (all of them when 0) and
+/// `cfg`'s ban list.
+Token select_next(std::span<const float> logits,
+                  std::span<const Token> committed,
+                  const GenerationConfig& cfg);
 
 }  // namespace kf::model

@@ -12,31 +12,11 @@
 namespace kf::model {
 
 Transformer::Transformer(ModelConfig cfg)
-    : cfg_(std::move(cfg)),
-      weights_(build_weights(cfg_)),
-      state_(make_kv_state()) {}
+    : cfg_(std::move(cfg)), weights_(build_weights(cfg_)) {}
 
 kv::SequenceKvState Transformer::make_kv_state() const {
   return kv::SequenceKvState(cfg_.n_layers, cfg_.n_heads, cfg_.d_head());
 }
-
-std::size_t Transformer::cache_size(std::size_t layer) const {
-  return state_.layer(layer).size();
-}
-
-std::size_t Transformer::total_cache_tokens() const {
-  return state_.total_tokens();
-}
-
-kv::KvCache& Transformer::cache(std::size_t layer) {
-  return state_.layer(layer);
-}
-
-const kv::KvCache& Transformer::cache(std::size_t layer) const {
-  return state_.layer(layer);
-}
-
-void Transformer::reset() { state_.clear(); }
 
 void Transformer::set_observer(AttentionObserver observer) {
   observer_ = std::move(observer);
@@ -73,25 +53,10 @@ Tensor Transformer::lm_logits(const Tensor& x,
   return logits;
 }
 
-Tensor Transformer::prefill(std::span<const Token> prompt,
-                            kv::EvictionPolicy& policy,
-                            std::size_t total_steps) {
-  return prefill(state_, prompt, policy, total_steps);
-}
-
 Tensor Transformer::prefill(kv::SequenceKvState& state,
-                            std::span<const Token> prompt,
-                            kv::EvictionPolicy& policy,
-                            std::size_t total_steps) {
-  return prefill_continue(state, prompt, /*first_pos=*/0, policy,
-                          total_steps);
-}
-
-Tensor Transformer::prefill_continue(kv::SequenceKvState& state,
-                                     std::span<const Token> tokens,
-                                     std::size_t first_pos,
-                                     kv::EvictionPolicy& policy,
-                                     std::size_t total_steps) {
+                            std::span<const Token> tokens,
+                            std::size_t first_pos,
+                            kv::EvictionPolicy& policy) const {
   if (tokens.empty()) {
     throw std::invalid_argument("prefill requires a non-empty prompt");
   }
@@ -103,37 +68,27 @@ Tensor Transformer::prefill_continue(kv::SequenceKvState& state,
     if (state.layer(l).size() != first_pos) {
       throw std::logic_error(
           "prefill: every layer cache must hold exactly first_pos rows "
-          "(reset() before a fresh prompt)");
+          "(clear() the state before a fresh prompt)");
     }
   }
   std::vector<std::size_t> positions(tokens.size());
   for (std::size_t i = 0; i < positions.size(); ++i) {
     positions[i] = first_pos + i;
   }
-  const RowRun run{tokens, positions, /*decode_step=*/0, total_steps, &state,
-                   &policy};
+  const RowRun run{tokens, positions, /*decode_step=*/0, &state, &policy};
   return forward({&run, 1}, Phase::kPrompt);
 }
 
-std::vector<float> Transformer::decode(Token token, std::size_t position,
-                                       std::size_t t,
-                                       std::size_t total_steps,
-                                       kv::EvictionPolicy& policy) {
-  return decode(state_, token, position, t, total_steps, policy);
-}
-
-std::vector<float> Transformer::decode(kv::SequenceKvState& state,
-                                       Token token, std::size_t position,
-                                       std::size_t t,
-                                       std::size_t total_steps,
-                                       kv::EvictionPolicy& policy) {
-  const DecodeSlot slot{token, position, t, total_steps, &state, &policy};
+std::vector<float> Transformer::decode(kv::SequenceKvState& state, Token token,
+                                       std::size_t position, std::size_t t,
+                                       kv::EvictionPolicy& policy) const {
+  const DecodeSlot slot{token, position, t, &state, &policy};
   const Tensor logits = step_batch({&slot, 1});
   const auto row = logits.row(0);
   return std::vector<float>(row.begin(), row.end());
 }
 
-Tensor Transformer::step_batch(std::span<const DecodeSlot> slots) {
+Tensor Transformer::step_batch(std::span<const DecodeSlot> slots) const {
   if (slots.empty()) return Tensor({0, cfg_.vocab_size});
   for (const auto& s : slots) {
     if (s.state == nullptr || s.policy == nullptr) {
@@ -162,13 +117,12 @@ Tensor Transformer::step_batch(std::span<const DecodeSlot> slots) {
   std::vector<RowRun> runs(slots.size());
   for (std::size_t b = 0; b < slots.size(); ++b) {
     const DecodeSlot& s = slots[b];
-    runs[b] = {{&s.token, 1}, {&s.position, 1}, s.t, s.total_steps, s.state,
-               s.policy};
+    runs[b] = {{&s.token, 1}, {&s.position, 1}, s.t, s.state, s.policy};
   }
   return forward(runs, Phase::kDecode);
 }
 
-Tensor Transformer::forward(std::span<const RowRun> runs, Phase phase) {
+Tensor Transformer::forward(std::span<const RowRun> runs, Phase phase) const {
   const bool prompt = phase == Phase::kPrompt;
   KF_TRACE_SCOPE(prompt ? "prefill_chunk" : "step_batch", "model");
   std::size_t rows = 0;
@@ -222,9 +176,7 @@ Tensor Transformer::forward(std::span<const RowRun> runs, Phase phase) {
               ctx.key_len = results[r].key_len;
               ctx.logits = results[r].logits.span();
               ctx.probs = results[r].probs.span();
-              ctx.is_prompt = prompt;
               ctx.decode_step = runs[r].decode_step;
-              ctx.total_steps = runs[r].total_steps;
               ctx.cache = aruns[r].cache;
               runs[r].policy->observe(ctx);
             }

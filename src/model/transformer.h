@@ -1,28 +1,28 @@
-// The decoder-only transformer with per-layer KV caches and eviction-policy
-// integration — the inference engine of the reproduction.
+// The decoder-only transformer with eviction-policy integration — the
+// inference engine of the reproduction. The model holds only weights: a
+// sequence is the caller's kv::SequenceKvState (one KvCache per layer)
+// plus its EvictionPolicy, which every call names, so one model serves N
+// sequences concurrently and every entry point is const.
 //
 // Inference follows the paper's two phases (Section 2.1):
-//   prefill(prompt)  — processes the whole prompt, populating every layer's
-//                      cache and letting the policy reduce it to budget k;
-//   decode(token)    — one autoregressive step against the reduced cache
-//                      (appends 1 token, the policy evicts 1 to keep k).
+//   prefill — processes prompt tokens, populating every layer's cache and
+//             letting the policy reduce it to budget k;
+//   decode  — one autoregressive step against the reduced cache (appends
+//             1 token, the policy evicts 1 to keep k); step_batch runs one
+//             for each of N sequences.
 //
-// After every layer's attention the active EvictionPolicy observes the
-// scaled logits and probabilities and may compact that layer's cache.
-//
-// Sequence state is externalized: a SequenceKvState (one KvCache per layer)
-// can be owned by the caller, so one model serves N sequences concurrently
-// — each prefill/decode/step_batch call names the state it runs against.
-// The no-state overloads operate on a model-owned default state, keeping
-// the classic "one model, one sequence" usage working unchanged.
-// One forward pass serves both phases. prefill_continue and step_batch
-// validate their inputs and hand a private layer loop a list of row runs
-// (a prompt chunk is one run of n rows, a decode step N >= 1 runs of one
-// row each) and the phase. Per layer the loop runs one attention call and
-// one MLP over every row, and between them each run's policy over its own
-// cache. The final LayerNorm and the LM head then run once per run, on its
-// last row: every caller reads only the logits predicting the next token.
-// No row's arithmetic depends on the other rows or on the phase, so a
+// After every layer's attention the sequence's EvictionPolicy observes the
+// scaled logits and probabilities and may compact that layer's cache. The
+// planned length T of Algorithm 1 is given once, to the policy's
+// begin_sequence, not to these calls.
+// One forward pass serves both phases. prefill and step_batch validate
+// their inputs and hand a private layer loop a list of row runs (a prompt
+// chunk is one run of n rows, a decode step N >= 1 runs of one row each)
+// and the phase. Per layer the loop runs one attention call and one MLP
+// over every row, and between them each run's policy over its own cache.
+// The final LayerNorm and the LM head then run once per run, on its last
+// row: every caller reads only the logits predicting the next token. No
+// row's arithmetic depends on the other rows or on the phase, so a
 // sequence's logits are bit-identical whatever else shares its batch, and
 // a prompt chunk's logits equal its last token decoded alone.
 //
@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "core/tensor.h"
-#include "kvcache/kv_cache.h"
 #include "kvcache/kv_state.h"
 #include "kvcache/policy.h"
 #include "model/attention.h"
@@ -78,7 +77,6 @@ struct DecodeSlot {
   Token token = 0;
   std::size_t position = 0;
   std::size_t t = 1;
-  std::size_t total_steps = 0;
   kv::SequenceKvState* state = nullptr;
   kv::EvictionPolicy* policy = nullptr;
 };
@@ -95,69 +93,33 @@ class Transformer {
   /// private block pool.
   kv::SequenceKvState make_kv_state() const;
 
-  /// The model-owned state the no-state overloads run against.
-  kv::SequenceKvState& default_kv_state() noexcept { return state_; }
-  const kv::SequenceKvState& default_kv_state() const noexcept {
-    return state_;
-  }
-
-  /// Current cache length of one layer (default state).
-  std::size_t cache_size(std::size_t layer) const;
-  /// Sum of cache lengths across layers (default state).
-  std::size_t total_cache_tokens() const;
-  kv::KvCache& cache(std::size_t layer);
-  const kv::KvCache& cache(std::size_t layer) const;
-
-  /// Clears the default state's layer caches (start of a new sequence).
-  void reset();
-
   /// Installs an attention observer (pass nullptr-equivalent {} to clear).
   void set_observer(AttentionObserver observer);
 
   /// Switches the position mode (Table 3 org-pos vs new-pos ablation).
-  /// Takes effect for caches filled after the next reset()/prefill() —
-  /// under RoPE the key-storage contract (pre-rotated vs raw, see
-  /// model/attention.h) differs per mode, so a non-empty cache must not
-  /// straddle a switch.
+  /// Applies to states filled after the switch: under RoPE the
+  /// key-storage contract (pre-rotated vs raw, see model/attention.h)
+  /// differs per mode, so a non-empty state must not straddle a switch.
   void set_position_mode(PositionMode mode) { cfg_.position_mode = mode; }
 
-  /// Prompt phase against the default state. Returns the LM logits of the
-  /// last prompt position (those predicting the first generated token),
-  /// shape [1, vocab]. `total_steps` is T in Algorithm 1.
-  Tensor prefill(std::span<const Token> prompt, kv::EvictionPolicy& policy,
-                 std::size_t total_steps);
-
-  /// Prompt phase against a caller-owned sequence state (must be empty):
-  /// prefill_continue from position 0.
-  Tensor prefill(kv::SequenceKvState& state, std::span<const Token> prompt,
-                 kv::EvictionPolicy& policy, std::size_t total_steps);
-
-  /// Prompt-phase continuation: processes `tokens` (original positions
+  /// Prompt phase: processes `tokens` (original positions
   /// first_pos..first_pos+n-1) against a state whose every layer already
-  /// caches exactly `first_pos` rows — an adopted shared prefix, or the
-  /// earlier chunk of a chunked prefill. Each row attends its causal
-  /// prefix, so its arithmetic is identical to the corresponding row of
-  /// one monolithic prefill over the full prompt (the prefix-cache parity
-  /// contract) and to decoding that token alone. Returns the LM logits of
-  /// the chunk's last row, shape [1, vocab].
-  Tensor prefill_continue(kv::SequenceKvState& state,
-                          std::span<const Token> tokens,
-                          std::size_t first_pos, kv::EvictionPolicy& policy,
-                          std::size_t total_steps);
+  /// caches exactly `first_pos` rows — empty for a fresh prompt, an
+  /// adopted shared prefix, or the earlier chunk of a chunked prefill.
+  /// Each row attends its causal prefix, so its arithmetic is identical to
+  /// the corresponding row of one prefill over the whole prompt (the
+  /// prefix-cache parity contract) and to decoding that token alone.
+  /// Returns the LM logits of the chunk's last row (those predicting the
+  /// next token), shape [1, vocab].
+  Tensor prefill(kv::SequenceKvState& state, std::span<const Token> tokens,
+                 std::size_t first_pos, kv::EvictionPolicy& policy) const;
 
-  /// One decode step against the default state: feeds `token` at sequence
-  /// position `position` (original coordinates), decode step `t` (1-based).
-  /// Returns the LM logits predicting the next token.
-  std::vector<float> decode(Token token, std::size_t position, std::size_t t,
-                            std::size_t total_steps,
-                            kv::EvictionPolicy& policy);
-
-  /// One decode step against a caller-owned sequence state: a one-slot
-  /// step_batch.
+  /// One decode step: feeds `token` at sequence position `position`
+  /// (original coordinates), decode step `t` (1-based); a one-slot
+  /// step_batch. Returns the LM logits predicting the next token.
   std::vector<float> decode(kv::SequenceKvState& state, Token token,
                             std::size_t position, std::size_t t,
-                            std::size_t total_steps,
-                            kv::EvictionPolicy& policy);
+                            kv::EvictionPolicy& policy) const;
 
   /// One decode step for each of N >= 1 independent sequences sharing
   /// these weights: per layer, one attention call over every slot's row,
@@ -165,7 +127,7 @@ class Transformer {
   /// possibly compacting) only its own cache. Returns LM logits, shape
   /// [N, vocab], row per slot; each row is bit-identical to decoding that
   /// sequence alone.
-  Tensor step_batch(std::span<const DecodeSlot> slots);
+  Tensor step_batch(std::span<const DecodeSlot> slots) const;
 
  private:
   /// One sequence's consecutive rows in a forward pass: a prompt chunk,
@@ -174,16 +136,15 @@ class Transformer {
     std::span<const Token> tokens;
     std::span<const std::size_t> positions;  ///< original, one per token
     std::size_t decode_step = 0;             ///< t; 0 in a prompt chunk
-    std::size_t total_steps = 0;
     kv::SequenceKvState* state = nullptr;
     kv::EvictionPolicy* policy = nullptr;
   };
 
-  /// The layer loop behind prefill_continue and step_batch: embeds every
-  /// run's tokens, then per layer runs decoder_attention over all rows,
-  /// each run's policy over its own cache, and decoder_mlp. Returns LM
-  /// logits, one row per run (of its last token), runs in order.
-  Tensor forward(std::span<const RowRun> runs, Phase phase);
+  /// The layer loop behind prefill and step_batch: embeds every run's
+  /// tokens, then per layer runs decoder_attention over all rows, each
+  /// run's policy over its own cache, and decoder_mlp. Returns LM logits,
+  /// one row per run (of its last token), runs in order.
+  Tensor forward(std::span<const RowRun> runs, Phase phase) const;
   /// Embeds one token at `position` into `dst` (d_model floats). Throws
   /// std::out_of_range for a token outside the vocabulary, or a learned
   /// position past the position table.
@@ -196,7 +157,6 @@ class Transformer {
 
   ModelConfig cfg_;
   ModelWeights weights_;
-  kv::SequenceKvState state_;  ///< default sequence state
   AttentionObserver observer_;
 };
 

@@ -16,7 +16,7 @@ namespace kf::serve {
 
 using obs::TimelineEventKind;
 
-Engine::Engine(model::Transformer& model, EngineConfig cfg)
+Engine::Engine(const model::Transformer& model, EngineConfig cfg)
     : model_(model),
       cfg_(std::move(cfg)),
       hist_ttft_(metrics_.histogram("serve.ttft_seconds")),
@@ -345,7 +345,6 @@ class Engine::Run {
       slot.token = seq->feed_token();
       slot.position = seq->next_position();
       slot.t = seq->next_t();
-      slot.total_steps = seq->gen.max_new_tokens;
       slot.state = seq->kv.get();
       slot.policy = seq->policy.get();
       slots_.push_back(slot);
@@ -357,10 +356,7 @@ class Engine::Run {
         Sequence* seq = active[b];
         seq->peak_cache_tokens =
             std::max(seq->peak_cache_tokens, seq->kv->max_layer_tokens());
-        const Token next = model::select_greedy(
-            logits.row(b), seq->recent_window(), seq->gen.repetition_penalty,
-            seq->gen.banned_tokens);
-        seq->commit(next);
+        seq->commit(model::select_next(logits.row(b), seq->tokens, seq->gen));
       }
     }
     decoded_.add(active.size());
@@ -425,13 +421,13 @@ class Engine::Run {
 
  private:
   // Prefill + first-token selection for a newly admitted sequence. With
-  // the prefix cache on: adopt a matching shared chain and prefill only
-  // the suffix, or chunk the prefill at the shareable boundary and insert
-  // the prefix chain into the index for the requests behind this one.
-  // Re-admission of a preempted sequence (seq.tokens non-empty) prefills
-  // the prompt the same way, then replays the parked tokens through
-  // single-sequence decode steps — exact recomputation of the evicted
-  // state.
+  // the prefix cache on, the prompt's first `cached` rows come first:
+  // adopted from a matching shared chain, or prefilled and inserted into
+  // the index for the requests behind this one. One prefill then runs over
+  // the rest of the prompt. Re-admission of a preempted sequence
+  // (seq.tokens non-empty) prefills the prompt the same way, then replays
+  // the parked tokens through single-sequence decode steps — exact
+  // recomputation of the evicted state.
   void start_sequence(Sequence& seq) {
     // Re-admission after a preemption: the prompt re-prefills exactly like
     // the first time (policies reset in begin_sequence and are deterministic
@@ -439,18 +435,12 @@ class Engine::Run {
     const bool resume = !seq.tokens.empty();
     KF_TRACE_SCOPE(resume ? "resume_prefill" : "prefill");
     seq.policy->set_budget(seq.budget);
-    kv::SequenceInfo info;
-    info.prompt_len = seq.prompt.size();
-    info.total_steps = seq.gen.max_new_tokens;
-    info.n_layers = model_.config().n_layers;
-    info.n_heads = model_.config().n_heads;
-    seq.policy->begin_sequence(info);
+    seq.policy->begin_sequence({seq.prompt.size(), seq.gen.max_new_tokens});
 
     const double t0 = now_seconds();
     if (resume) seq.timeline.mark(TimelineEventKind::kResumed, t0);
     seq.timeline.mark(TimelineEventKind::kPrefillStart, t0);
     const std::span<const Token> prompt = seq.prompt;
-    Tensor prompt_logits;
 
     // Resolve the prefix-cache match: the entry pinned at the admission
     // probe, or — new this round — one an earlier sequence of the same
@@ -462,45 +452,35 @@ class Engine::Run {
                   : prefix_index_->lookup(prompt, prompt.size() - 1);
     }
 
+    std::size_t cached = 0;  // prompt rows cached before the prefill below
     if (entry != nullptr) {
-      // Hit: the prefix K/V replays from the shared chain; only the suffix
-      // runs. adopt() seeded the boundary scores and noise rows.
+      // Hit: the prefix K/V replays from the shared chain. adopt() seeded
+      // the boundary scores and noise rows.
       prefix_index_->adopt(entry, *seq.kv);
       unpin_prefix(seq);  // the caches now hold the chain themselves
-      const std::size_t m = entry->tokens();
-      prompt_logits = model_.prefill_continue(
-          *seq.kv, prompt.subspan(m), m, *seq.policy, seq.gen.max_new_tokens);
-      prefilled_.add(prompt.size() - m);
+      cached = entry->tokens();
       prefix_hits_.add();
-      prefix_reused_.add(m);
+      prefix_reused_.add(cached);
       prefix_shared_.add(model_.config().n_layers * entry->blocks_per_layer());
-    } else {
-      const std::size_t m =
-          prefix_index_ != nullptr ? insertable_prefix_tokens(seq) : 0;
-      if (m > 0) {
-        // Miss worth caching: chunk the prefill at the shareable boundary.
-        // Chunk 1 runs with the budget masked so nothing evicts mid-prompt;
-        // the suffix chunk restores it and evicts once over the full prompt
-        // — the same single eviction, over the same accumulated scores, a
-        // monolithic prefill performs (rows and scores are bit-exact; see
-        // prefill_continue).
-        const kv::CacheBudget real_budget = seq.policy->budget();
-        seq.policy->set_budget(kv::CacheBudget{});
-        model_.prefill_continue(*seq.kv, prompt.first(m), 0, *seq.policy,
-                                seq.gen.max_new_tokens);
-        prefilled_.add(m);
-        seq.policy->set_budget(real_budget);
-        prefix_index_->insert(prompt.first(m), *seq.kv);
-        prompt_logits = model_.prefill_continue(
-            *seq.kv, prompt.subspan(m), m, *seq.policy, seq.gen.max_new_tokens);
-        prefilled_.add(prompt.size() - m);
-        prefix_misses_.add();
-      } else {
-        prompt_logits = model_.prefill(*seq.kv, prompt, *seq.policy,
-                                       seq.gen.max_new_tokens);
-        prefilled_.add(prompt.size());
-      }
+    } else if (const std::size_t m = insertable_prefix_tokens(seq); m > 0) {
+      // Miss worth caching: prefill the shareable prefix with the budget
+      // masked so nothing evicts mid-prompt, and insert it. The prefill
+      // below restores the budget and evicts once over the full prompt —
+      // the same single eviction, over the same accumulated scores, a
+      // whole-prompt prefill performs (rows and scores are bit-exact; see
+      // Transformer::prefill).
+      const kv::CacheBudget real_budget = seq.policy->budget();
+      seq.policy->set_budget(kv::CacheBudget{});
+      model_.prefill(*seq.kv, prompt.first(m), 0, *seq.policy);
+      prefilled_.add(m);
+      seq.policy->set_budget(real_budget);
+      prefix_index_->insert(prompt.first(m), *seq.kv);
+      prefix_misses_.add();
+      cached = m;
     }
+    const Tensor prompt_logits =
+        model_.prefill(*seq.kv, prompt.subspan(cached), cached, *seq.policy);
+    prefilled_.add(prompt.size() - cached);
 
     seq.peak_cache_tokens = std::max(seq.peak_cache_tokens, prompt.size());
     if (!resume) seq.first_decode_step = step_;
@@ -518,7 +498,7 @@ class Engine::Run {
       // tokens would evict once at the end instead of once per step).
       for (std::size_t i = 1; i < seq.tokens.size(); ++i) {
         model_.decode(*seq.kv, seq.tokens[i - 1], seq.prompt.size() + i - 1,
-                      i, seq.gen.max_new_tokens, *seq.policy);
+                      i, *seq.policy);
       }
       replayed_.add(seq.tokens.size() - 1);
       seq.peak_cache_tokens =
@@ -528,10 +508,7 @@ class Engine::Run {
       seq.status = SequenceStatus::kFinished;
       seq.finish = FinishReason::kLength;
     } else {
-      const Token first = model::select_greedy(
-          prompt_logits.row(0), seq.recent_window(),
-          seq.gen.repetition_penalty, seq.gen.banned_tokens);
-      seq.commit(first);
+      seq.commit(model::select_next(prompt_logits.row(0), seq.tokens, seq.gen));
     }
     if (!seq.tokens.empty()) {
       const double t_token = now_seconds();
@@ -549,8 +526,10 @@ class Engine::Run {
   }
 
   // Prefix boundary this sequence would index on a miss (block-aligned,
-  // below the prompt end, at least the index minimum); 0 = don't index.
+  // below the prompt end, at least the index minimum); 0 = don't index,
+  // always without a prefix cache.
   std::size_t insertable_prefix_tokens(const Sequence& seq) const {
+    if (prefix_index_ == nullptr) return 0;
     const std::size_t bt = pool_.block_tokens();
     // At least one prompt token must stay outside the prefix: the first
     // generated token comes from the last prompt row's logits, which must be
@@ -738,29 +717,29 @@ class Engine::Run {
     waiting_.set(static_cast<double>(sched_.waiting().size()));
     raise_peak(max_batch_, static_cast<double>(active.size()));
     record_peak_use();
-    // Internal fragmentation this step: tokens actually cached vs the
-    // whole-block token slots of the engine's pool holding them. The
-    // prefix index's retained chains are excluded — they are deliberate
-    // caching, not slack (an adopted chain is double-discounted here, so
-    // the measure clamps).
-    const std::size_t index_blocks =
-        prefix_index_ != nullptr ? prefix_index_->blocks_held() : 0;
-    const std::size_t used = pool_.stats().used_blocks;
-    const std::size_t used_tokens =
-        (used > index_blocks ? used - index_blocks : 0) * pool_.block_tokens();
-    if (used_tokens > 0) {
-      std::size_t live = 0;
-      for (const Sequence* seq : active) live += seq->kv->total_tokens();
+    // Internal fragmentation this step: each active cache's private rows
+    // against the token slots of its private blocks. Shared prefix rows and
+    // blocks are deliberate caching, not slack, and count on neither side.
+    std::size_t rows = 0;
+    std::size_t blocks = 0;
+    for (const Sequence* seq : active) {
+      for (std::size_t l = 0; l < seq->kv->n_layers(); ++l) {
+        const kv::KvCache& cache = seq->kv->layer(l);
+        rows += cache.size() - cache.shared_rows();
+        blocks += cache.private_blocks();
+      }
+    }
+    const std::size_t slots = blocks * pool_.block_tokens();
+    if (slots > 0) {
       const double frag =
-          std::max(0.0, 1.0 - static_cast<double>(live) /
-                                  static_cast<double>(used_tokens));
+          1.0 - static_cast<double>(rows) / static_cast<double>(slots);
       fragmentation_.set(frag);
       raise_peak(max_fragmentation_, frag);
     }
   }
 
   Engine& engine_;
-  model::Transformer& model_;
+  const model::Transformer& model_;
   const EngineConfig& cfg_;
   mem::BlockPool& pool_;
   mem::PrefixIndex* const prefix_index_;

@@ -14,7 +14,7 @@
 //                the decode-centric continuous-batching servers this models;
 //       decode   ONE token for every active sequence in one step_batch call
 //                (per-sequence fused attention, parallel across sequences),
-//                greedy-sampled per sequence exactly like generate();
+//                sampled per sequence by generate()'s model::select_next;
 //       respond  once all finished, distill each sequence into a Response.
 //   Every sequence leaves through one exit that frees its blocks (waiting
 //   requests join mid-stream); it and park drop the sequence's KV state.
@@ -129,8 +129,10 @@ struct EngineStats {
                                          ///< (includes prefill peaks)
   std::size_t pool_peak_used_blocks = 0; ///< peak physically held blocks
   std::size_t pool_capacity_blocks = 0;  ///< pool cap (0 = unbounded)
-  /// Worst per-step internal fragmentation: 1 - live_tokens /
-  /// (used_blocks * block_tokens) — the whole-block surcharge paging pays.
+  /// Worst per-step internal fragmentation: 1 - private rows / (private
+  /// blocks * block_tokens), summed over every active cache — the
+  /// whole-block surcharge paging pays. Shared prefix rows and blocks
+  /// count on neither side.
   double max_fragmentation = 0.0;
   // Prefix-cache visibility (all zero when the prefix cache is disabled):
   std::size_t prefix_hits = 0;    ///< prompts that adopted a shared chain
@@ -198,7 +200,7 @@ struct EngineStats {
 
 class Engine {
  public:
-  explicit Engine(model::Transformer& model, EngineConfig cfg = {});
+  explicit Engine(const model::Transformer& model, EngineConfig cfg = {});
 
   const EngineConfig& config() const noexcept { return cfg_; }
   /// The engine's metrics registry: every serving count, gauge and
@@ -259,7 +261,7 @@ class Engine {
   /// engine-lifetime totals, which stats() offsets by run_start_.
   EngineStats read_metrics() const;
 
-  model::Transformer& model_;
+  const model::Transformer& model_;
   EngineConfig cfg_;
   /// Guards what run() writes for other threads besides the registry.
   mutable Mutex stats_mu_;

@@ -290,14 +290,6 @@ struct Sequence {
     return n_layers * layer;
   }
 
-  /// Recent committed tokens the repetition penalty applies to.
-  std::span<const Token> recent_window() const {
-    const std::size_t n = tokens.size();
-    const std::size_t w =
-        gen.repetition_window == 0 ? n : std::min(n, gen.repetition_window);
-    return {tokens.data() + (n - w), w};
-  }
-
   /// Commits the next token and applies the finish rules (eos, then
   /// length). Mirrors the generate() loop ordering exactly: the checks run
   /// before the token would ever be fed back.

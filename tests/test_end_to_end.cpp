@@ -71,11 +71,11 @@ TEST(EndToEnd, ReducedPoliciesLoseSomeFidelity) {
   }
 }
 
-double kept_fact_fraction(const model::Transformer& m,
+double kept_fact_fraction(const kv::SequenceKvState& state,
                           const data::Sample& s) {
   double total = 0.0;
-  for (std::size_t l = 0; l < m.config().n_layers; ++l) {
-    const auto pos = m.cache(l).original_positions();
+  for (std::size_t l = 0; l < state.n_layers(); ++l) {
+    const auto pos = state.layer(l).original_positions();
     std::size_t kept = 0;
     for (const std::size_t p : s.fact_positions) {
       if (std::find(pos.begin(), pos.end(), p) != pos.end()) ++kept;
@@ -83,7 +83,7 @@ double kept_fact_fraction(const model::Transformer& m,
     total += static_cast<double>(kept) /
              static_cast<double>(s.fact_positions.size());
   }
-  return total / static_cast<double>(m.config().n_layers);
+  return total / static_cast<double>(state.n_layers());
 }
 
 TEST(EndToEnd, KeyformerRetainsMoreFactsThanWindow) {
@@ -103,11 +103,11 @@ TEST(EndToEnd, KeyformerRetainsMoreFactsThanWindow) {
   double kf_kept = 0.0, win_kept = 0.0;
   for (const auto& s : samples) {
     auto keyformer = kv::make_policy(kv::PolicyKind::kKeyformer);
-    model::generate(m, s.prompt, *keyformer, g);
-    kf_kept += kept_fact_fraction(m, s);
+    const auto kf_run = model::generate(m, s.prompt, *keyformer, g);
+    kf_kept += kept_fact_fraction(kf_run.state, s);
     auto window = kv::make_policy(kv::PolicyKind::kWindow);
-    model::generate(m, s.prompt, *window, g);
-    win_kept += kept_fact_fraction(m, s);
+    const auto win_run = model::generate(m, s.prompt, *window, g);
+    win_kept += kept_fact_fraction(win_run.state, s);
   }
   EXPECT_GT(kf_kept, win_kept);
 }
@@ -129,11 +129,11 @@ TEST(EndToEnd, KeyformerRetainsMoreFactsThanH2OUnderDistractors) {
   double kf_kept = 0.0, h2o_kept = 0.0;
   for (const auto& s : samples) {
     auto keyformer = kv::make_policy(kv::PolicyKind::kKeyformer);
-    model::generate(m, s.prompt, *keyformer, g);
-    kf_kept += kept_fact_fraction(m, s);
+    const auto kf_run = model::generate(m, s.prompt, *keyformer, g);
+    kf_kept += kept_fact_fraction(kf_run.state, s);
     auto h2o = kv::make_policy(kv::PolicyKind::kH2O);
-    model::generate(m, s.prompt, *h2o, g);
-    h2o_kept += kept_fact_fraction(m, s);
+    const auto h2o_run = model::generate(m, s.prompt, *h2o, g);
+    h2o_kept += kept_fact_fraction(h2o_run.state, s);
   }
   EXPECT_GT(kf_kept, h2o_kept);
 }
@@ -145,9 +145,9 @@ TEST(EndToEnd, StreamingLlmPinsSinksThroughGeneration) {
   model::GenerationConfig g;
   g.max_new_tokens = 10;
   g.cache_ratio = 0.3;
-  model::generate(m, s.prompt, *policy, g);
+  const model::GenerationResult r = model::generate(m, s.prompt, *policy, g);
   for (std::size_t l = 0; l < m.config().n_layers; ++l) {
-    const auto pos = m.cache(l).original_positions();
+    const auto pos = r.state.layer(l).original_positions();
     for (std::size_t sink = 0; sink < 4; ++sink) {
       EXPECT_NE(std::find(pos.begin(), pos.end(), sink), pos.end())
           << "layer " << l << " sink " << sink;
@@ -194,9 +194,9 @@ TEST(EndToEnd, SharedVsPerLayerScoreDiffer) {
   auto p1 = kv::make_policy(per_layer);
   const auto r1 = model::generate(m, s.prompt, *p1, g);
 
-  const auto layer_jaccard = [&]() {
-    const auto a = m.cache(0).original_positions();
-    const auto b = m.cache(1).original_positions();
+  const auto layer_jaccard = [](const kv::SequenceKvState& state) {
+    const auto a = state.layer(0).original_positions();
+    const auto b = state.layer(1).original_positions();
     std::size_t inter = 0;
     for (const std::size_t p : a) {
       if (std::find(b.begin(), b.end(), p) != b.end()) ++inter;
@@ -204,13 +204,13 @@ TEST(EndToEnd, SharedVsPerLayerScoreDiffer) {
     const std::size_t uni = a.size() + b.size() - inter;
     return static_cast<double>(inter) / static_cast<double>(uni);
   };
-  const double per_layer_jaccard = layer_jaccard();
+  const double per_layer_jaccard = layer_jaccard(r1.state);
 
   kv::PolicyConfig shared = per_layer;
   shared.keyformer.scope = kv::ScoreScope::kShared;
   auto p2 = kv::make_policy(shared);
   const auto r2 = model::generate(m, s.prompt, *p2, g);
-  const double shared_jaccard = layer_jaccard();
+  const double shared_jaccard = layer_jaccard(r2.state);
 
   // A single global score function makes the layers' keep sets much more
   // similar than per-layer scores do (they are not bit-identical because
@@ -218,8 +218,6 @@ TEST(EndToEnd, SharedVsPerLayerScoreDiffer) {
   // decisions within one step).
   EXPECT_GT(shared_jaccard, per_layer_jaccard);
   EXPECT_GT(shared_jaccard, 0.7);
-  (void)r1;
-  (void)r2;
 }
 
 }  // namespace

@@ -99,8 +99,8 @@ TEST(Generate, FullAttentionCacheGrows) {
   const auto prompt = make_prompt(10);
   const GenerationResult r = generate(m, prompt, *policy, cfg);
   // Prompt + 7 decode appends (the last generated token is never fed back).
-  for (const std::size_t size : r.final_cache_sizes) {
-    EXPECT_EQ(size, 10u + 7u);
+  for (std::size_t l = 0; l < r.state.n_layers(); ++l) {
+    EXPECT_EQ(r.state.layer_size(l), 10u + 7u);
   }
 }
 
@@ -117,8 +117,8 @@ TEST_P(ReducedCacheBudget, StaticCacheSizeDuringGeneration) {
   const GenerationResult r = generate(m, prompt, *policy, cfg);
   const kv::CacheBudget expected = kv::make_budget(40, ratio);
   EXPECT_EQ(r.budget.max_tokens, expected.max_tokens);
-  for (const std::size_t size : r.final_cache_sizes) {
-    EXPECT_EQ(size, expected.max_tokens);
+  for (std::size_t l = 0; l < r.state.n_layers(); ++l) {
+    EXPECT_EQ(r.state.layer_size(l), expected.max_tokens);
   }
   // Transiently the cache holds k + 1 entries (append then evict).
   EXPECT_LE(r.peak_cache_tokens,

@@ -52,8 +52,7 @@ struct Scenario {
     }
   }
 
-  PolicyContext ctx(std::size_t decode_step = 1,
-                    std::size_t total_steps = 8) {
+  PolicyContext ctx(std::size_t decode_step = 1) {
     PolicyContext c;
     c.layer = 0;
     c.n_heads = kHeads;
@@ -61,20 +60,18 @@ struct Scenario {
     c.key_len = cache.size();
     c.logits = logits;
     c.probs = probs;
-    c.is_prompt = false;
     c.decode_step = decode_step;
-    c.total_steps = total_steps;
     c.cache = &cache;
     return c;
   }
 };
 
+/// T defaults to 8 steps; a policy reads it from here, never from a
+/// PolicyContext.
 SequenceInfo seq_info(std::size_t prompt_len, std::size_t steps = 8) {
   SequenceInfo s;
   s.prompt_len = prompt_len;
   s.total_steps = steps;
-  s.n_layers = 1;
-  s.n_heads = Scenario::kHeads;
   return s;
 }
 
@@ -383,7 +380,6 @@ TEST(KeyAttention, PromptChunkScoresMatchFullRowSum) {
       c.n_queries = n_queries;
       c.logits = logits;
       c.probs = probs;
-      c.is_prompt = n_queries > 1;
       policy->observe(c);
     };
     observe_rows(5);
@@ -525,11 +521,10 @@ TEST(Keyformer, PromptChunkScoresMatchFullRowReference) {
       }
     }
     const std::vector<float> probs(logits.size(), 0.0F);
-    PolicyContext c = s.ctx(decode_step, kSteps);
+    PolicyContext c = s.ctx(decode_step);
     c.n_queries = n_queries;
     c.logits = logits;
     c.probs = probs;
-    c.is_prompt = decode_step == 0;
     policy.observe(c);
 
     const auto positions = s.cache.original_positions();
@@ -599,7 +594,6 @@ TEST(Keyformer, NoiseRowsHoldEachRowsFrozenDraw) {
       c.n_queries = n_queries;
       c.logits = logits;
       c.probs = probs;
-      c.is_prompt = decode_step == 0;
       policy.observe(c);
     };
     observe_rows(10, 0);

@@ -13,11 +13,14 @@
 //     than half of all prefill tokens;
 //   - Keyformer adopters of one long prefix hold it shared to the end:
 //     eviction drops shared rows without copying a block, so the pool
-//     peak is the chain plus each adopter's own suffix and generated rows.
+//     peak is the chain plus each adopter's own suffix and generated rows;
+//   - the fragmentation gauge weighs private rows against private blocks,
+//     so a donor's shared prefix neither hides nor inflates its tail slack.
 #include "serve/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/rng.h"
@@ -281,6 +284,50 @@ TEST(PrefixSharing, KeyformerAdoptersHoldOnlyTheirOwnRows) {
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(got[i].tokens, expected[i].tokens) << "req " << i;
   }
+}
+
+TEST(PrefixSharing, FragmentationCountsPrivateRowsAgainstPrivateBlocks) {
+  // A 29-token prompt donates its first three 8-token blocks and keeps a
+  // 5-row private tail that each decode step grows by one row (full
+  // attention, so nothing evicts). serve.max_fragmentation is the worst
+  // step's 1 - private rows / private block slots; shared rows and blocks
+  // count on neither side. With the cache off every row is private and
+  // the gauge reads the whole cache's slack.
+  const ModelConfig cfg = tiny_config();
+  Transformer model(cfg);
+  const std::size_t ctx = 24;
+  Request req;
+  req.prompt = make_tokens(ctx + 5, 3);
+  req.shared_prefix_hint = ctx;
+  req.gen.max_new_tokens = 6;
+  EngineConfig ec = paged_config(kv::PolicyKind::kFull, /*prefix_on=*/true);
+  const std::size_t bt = ec.paged.block_tokens;
+
+  // Decode step i (1-based) starts from prompt + i - 1 rows per layer, of
+  // which the first `shared` lie in shared blocks.
+  const auto worst_step = [&](std::size_t shared) {
+    double worst = 0.0;
+    for (std::size_t i = 1; i < req.gen.max_new_tokens; ++i) {
+      const std::size_t rows = req.prompt.size() + i - 1 - shared;
+      const std::size_t slots = (rows + bt - 1) / bt * bt;
+      const auto live = static_cast<double>(rows) / static_cast<double>(slots);
+      worst = std::max(worst, 1.0 - live);
+    }
+    return worst;
+  };
+
+  Engine on(model, ec);
+  const auto donated = on.run({&req, 1});
+  EXPECT_EQ(on.stats().prefix_misses, 1u);
+  EXPECT_EQ(on.prefix_index()->blocks_held(), cfg.n_layers * ctx / bt);
+  EXPECT_DOUBLE_EQ(on.stats().max_fragmentation, worst_step(ctx));
+  EXPECT_DOUBLE_EQ(worst_step(ctx), 1.0 - 9.0 / 16.0);
+
+  ec.prefix.enabled = false;
+  Engine off(model, ec);
+  const auto plain = off.run({&req, 1});
+  EXPECT_DOUBLE_EQ(off.stats().max_fragmentation, worst_step(0));
+  EXPECT_EQ(donated[0].tokens, plain[0].tokens);
 }
 
 TEST(PrefixSharing, RequiresUndampedScores) {

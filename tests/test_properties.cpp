@@ -59,13 +59,13 @@ TEST_P(GenerationInvariants, BudgetOrderAndDeterminism) {
 
   // 2. Budget invariant: every layer's cache sits exactly at budget.
   const kv::CacheBudget b = kv::make_budget(s.prompt.size(), ratio);
-  for (const std::size_t size : r.final_cache_sizes) {
-    EXPECT_EQ(size, b.max_tokens);
+  for (std::size_t l = 0; l < r.state.n_layers(); ++l) {
+    EXPECT_EQ(r.state.layer_size(l), b.max_tokens);
   }
 
   // 3. Original-position order ascending in every cache.
   for (std::size_t l = 0; l < m.config().n_layers; ++l) {
-    const auto posns = m.cache(l).original_positions();
+    const auto posns = r.state.layer(l).original_positions();
     EXPECT_TRUE(std::is_sorted(posns.begin(), posns.end()));
   }
 
@@ -105,11 +105,11 @@ TEST_P(RecentWindowGuarantee, TrailingTokensAlwaysCached) {
   model::GenerationConfig g;
   g.max_new_tokens = 8;
   g.cache_ratio = 0.3;
-  model::generate(m, s.prompt, *policy, g);
+  const model::GenerationResult r = model::generate(m, s.prompt, *policy, g);
   // Last appended position: prompt + 7 steps - 1.
   const std::size_t last_pos = s.prompt.size() + 8 - 2;
   for (std::size_t l = 0; l < m.config().n_layers; ++l) {
-    const auto posns = m.cache(l).original_positions();
+    const auto posns = r.state.layer(l).original_positions();
     ASSERT_FALSE(posns.empty());
     EXPECT_EQ(posns.back(), last_pos) << "layer " << l;
   }
@@ -136,9 +136,9 @@ TEST_P(KeyformerBudgetMonotone, MoreBudgetKeepsMoreFacts) {
     model::GenerationConfig g;
     g.max_new_tokens = 6;
     g.cache_ratio = r;
-    model::generate(m, s.prompt, *policy, g);
+    const auto gen = model::generate(m, s.prompt, *policy, g);
     std::size_t kept = 0;
-    const auto posns = m.cache(0).original_positions();
+    const auto posns = gen.state.layer(0).original_positions();
     for (const std::size_t p : s.fact_positions) {
       if (std::find(posns.begin(), posns.end(), p) != posns.end()) ++kept;
     }
@@ -205,12 +205,14 @@ TEST(Properties, DilatedWindowReachesFurtherBack) {
   g.cache_ratio = 0.3;
 
   auto window = kv::make_policy(kv::PolicyKind::kWindow);
-  model::generate(m, s.prompt, *window, g);
-  const std::size_t window_oldest = m.cache(0).original_position(0);
+  const auto window_run = model::generate(m, s.prompt, *window, g);
+  const std::size_t window_oldest =
+      window_run.state.layer(0).original_position(0);
 
   auto dilated = kv::make_policy(kv::PolicyKind::kDilatedWindow);
-  model::generate(m, s.prompt, *dilated, g);
-  const std::size_t dilated_oldest = m.cache(0).original_position(0);
+  const auto dilated_run = model::generate(m, s.prompt, *dilated, g);
+  const std::size_t dilated_oldest =
+      dilated_run.state.layer(0).original_position(0);
   EXPECT_LT(dilated_oldest, window_oldest);
 }
 

@@ -38,9 +38,9 @@ std::vector<Token> make_prompt(std::size_t n, std::uint64_t seed = 0) {
   return p;
 }
 
-/// The classic pre-engine single-sequence loop, kept as the golden
-/// reference the Engine must reproduce token for token.
-std::vector<Token> reference_generate(Transformer& model,
+/// The classic pre-engine single-sequence loop over an explicit state,
+/// kept as the golden reference the Engine must reproduce token for token.
+std::vector<Token> reference_generate(const Transformer& model,
                                       std::span<const Token> prompt,
                                       kv::EvictionPolicy& policy,
                                       const GenerationConfig& cfg) {
@@ -49,13 +49,10 @@ std::vector<Token> reference_generate(Transformer& model,
   kv::SequenceInfo info;
   info.prompt_len = prompt.size();
   info.total_steps = cfg.max_new_tokens;
-  info.n_layers = model.config().n_layers;
-  info.n_heads = model.config().n_heads;
   policy.begin_sequence(info);
 
-  model.reset();
-  const Tensor prompt_logits =
-      model.prefill(prompt, policy, cfg.max_new_tokens);
+  kv::SequenceKvState state = model.make_kv_state();
+  const Tensor prompt_logits = model.prefill(state, prompt, 0, policy);
 
   std::vector<Token> tokens;
   const auto recent_window = [&]() -> std::span<const Token> {
@@ -73,7 +70,7 @@ std::vector<Token> reference_generate(Transformer& model,
     if (tokens.size() >= cfg.max_new_tokens) break;
     const std::size_t position = prompt.size() + t - 1;
     const std::vector<float> logits =
-        model.decode(next, position, t, cfg.max_new_tokens, policy);
+        model.decode(state, next, position, t, policy);
     next = model::select_greedy(logits, recent_window(),
                                 cfg.repetition_penalty, cfg.banned_tokens);
   }
@@ -119,7 +116,11 @@ TEST_P(EngineParity, BatchOfOneMatchesReferenceLoopTokenExactly) {
   EXPECT_GT(responses[0].prefill_seconds, 0.0);
   EXPECT_EQ(responses[0].budget.max_tokens, generated.budget.max_tokens);
   EXPECT_EQ(responses[0].budget.recent_window, generated.budget.recent_window);
-  EXPECT_EQ(responses[0].final_cache_sizes, generated.final_cache_sizes);
+  std::vector<std::size_t> generated_sizes;
+  for (std::size_t l = 0; l < generated.state.n_layers(); ++l) {
+    generated_sizes.push_back(generated.state.layer_size(l));
+  }
+  EXPECT_EQ(responses[0].final_cache_sizes, generated_sizes);
   EXPECT_EQ(responses[0].peak_cache_tokens, generated.peak_cache_tokens);
 }
 
@@ -472,8 +473,9 @@ TEST(Engine, PagedModeDerivesPoolCapacityFromTokenBudget) {
 }
 
 TEST(Engine, GenerateStillWorksWhilePagedEngineExists) {
-  // generate() runs on the model's default state without an engine; an
-  // engine on the same model, with its own pool, must not disturb it.
+  // generate() runs on a state over its own private pool without an
+  // engine; an engine on the same model, with its own pool, must not
+  // disturb it.
   Transformer model(tiny_config());
   Engine paged(model, EngineConfig{});
   GenerationConfig g;

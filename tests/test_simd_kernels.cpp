@@ -598,14 +598,13 @@ TEST_P(SimdParity, TransformerEndToEndMatchesScalar) {
           kv::SequenceInfo info;
           info.prompt_len = prompt.size();
           info.total_steps = 4;
-          info.n_layers = 2;
-          info.n_heads = 2;
           policy->begin_sequence(info);
-          m.prefill(prompt, *policy, 4);
+          kv::SequenceKvState state = m.make_kv_state();
+          m.prefill(state, prompt, 0, *policy);
           std::vector<std::vector<float>> steps;
           for (std::size_t t = 1; t <= 4; ++t) {
-            steps.push_back(m.decode(static_cast<model::Token>(t),
-                                     prompt.size() + t - 1, t, 4, *policy));
+            steps.push_back(m.decode(state, static_cast<model::Token>(t),
+                                     prompt.size() + t - 1, t, *policy));
           }
           return steps;
         });
@@ -644,14 +643,12 @@ TEST_P(SimdParity, TransformerPagedStateMatchesScalar) {
       kv::SequenceInfo info;
       info.prompt_len = prompt.size();
       info.total_steps = 4;
-      info.n_layers = cfg.n_layers;
-      info.n_heads = cfg.n_heads;
       policy.begin_sequence(info);
-      m.prefill(state, prompt, policy, 4);
+      m.prefill(state, prompt, 0, policy);
       std::vector<std::vector<float>> steps;
       for (std::size_t t = 1; t <= 4; ++t) {
         steps.push_back(m.decode(state, static_cast<model::Token>(t),
-                                 prompt.size() + t - 1, t, 4, policy));
+                                 prompt.size() + t - 1, t, policy));
       }
       return steps;
     });
@@ -697,10 +694,8 @@ TEST_P(SimdParity, StepBatchRowMatchesSoloDecodeBitwise) {
       kv::SequenceInfo info;
       info.prompt_len = seq->prompt.size();
       info.total_steps = kSteps;
-      info.n_layers = cfg.n_layers;
-      info.n_heads = cfg.n_heads;
       seq->policy.begin_sequence(info);
-      m.prefill(seq->state, seq->prompt, seq->policy, kSteps);
+      m.prefill(seq->state, seq->prompt, 0, seq->policy);
       return seq;
     };
     const auto token_at = [&](std::size_t id, std::size_t t) {
@@ -713,8 +708,7 @@ TEST_P(SimdParity, StepBatchRowMatchesSoloDecodeBitwise) {
       const auto s = start(0);
       for (std::size_t t = 1; t <= kSteps; ++t) {
         solo.push_back(m.decode(s->state, token_at(0, t),
-                                s->prompt.size() + t - 1, t, kSteps,
-                                s->policy));
+                                s->prompt.size() + t - 1, t, s->policy));
       }
     }
 
@@ -732,7 +726,7 @@ TEST_P(SimdParity, StepBatchRowMatchesSoloDecodeBitwise) {
         std::vector<model::DecodeSlot> slots(batch);
         for (std::size_t b = 0; b < batch; ++b) {
           slots[b] = {token_at(ids[b], t), seqs[b]->prompt.size() + t - 1, t,
-                      kSteps, &seqs[b]->state, &seqs[b]->policy};
+                      &seqs[b]->state, &seqs[b]->policy};
         }
         const Tensor logits = m.step_batch(slots);
         const auto row = logits.row(s_slot);

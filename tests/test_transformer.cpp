@@ -36,35 +36,38 @@ TEST(Transformer, PrefillShapes) {
   // Prefill caches every prompt row but returns only the last row's logits,
   // the ones predicting the first generated token.
   Transformer m(tiny_config());
+  kv::SequenceKvState state = m.make_kv_state();
   kv::FullAttentionPolicy policy;
   const auto prompt = make_prompt(10);
-  const Tensor logits = m.prefill(prompt, policy, 4);
+  const Tensor logits = m.prefill(state, prompt, 0, policy);
   EXPECT_EQ(logits.dim(0), 1u);
   EXPECT_EQ(logits.dim(1), 64u);
-  EXPECT_EQ(m.cache_size(0), 10u);
-  EXPECT_EQ(m.cache_size(1), 10u);
-  EXPECT_EQ(m.total_cache_tokens(), 20u);
+  EXPECT_EQ(state.layer_size(0), 10u);
+  EXPECT_EQ(state.layer_size(1), 10u);
+  EXPECT_EQ(state.layer_size(0) + state.layer_size(1), 20u);
 }
 
 TEST(Transformer, RejectsEmptyPromptAndDirtyCache) {
   Transformer m(tiny_config());
+  kv::SequenceKvState state = m.make_kv_state();
   kv::FullAttentionPolicy policy;
-  EXPECT_THROW(m.prefill({}, policy, 1), std::invalid_argument);
+  EXPECT_THROW(m.prefill(state, {}, 0, policy), std::invalid_argument);
   const auto prompt = make_prompt(4);
-  m.prefill(prompt, policy, 1);
-  EXPECT_THROW(m.prefill(prompt, policy, 1), std::logic_error);
-  m.reset();
-  EXPECT_NO_THROW(m.prefill(prompt, policy, 1));
+  m.prefill(state, prompt, 0, policy);
+  EXPECT_THROW(m.prefill(state, prompt, 0, policy), std::logic_error);
+  state.clear();
+  EXPECT_NO_THROW(m.prefill(state, prompt, 0, policy));
 }
 
 TEST(Transformer, RejectsOutOfVocabToken) {
   Transformer m(tiny_config());
+  kv::SequenceKvState state = m.make_kv_state();
   kv::FullAttentionPolicy policy;
   const std::vector<Token> bad{1, 2, 64};
-  EXPECT_THROW(m.prefill(bad, policy, 1), std::out_of_range);
+  EXPECT_THROW(m.prefill(state, bad, 0, policy), std::out_of_range);
   const std::vector<Token> neg{1, -1};
-  m.reset();
-  EXPECT_THROW(m.prefill(neg, policy, 1), std::out_of_range);
+  state.clear();
+  EXPECT_THROW(m.prefill(state, neg, 0, policy), std::out_of_range);
 }
 
 TEST(Transformer, RejectsLearnedPositionPastTable) {
@@ -74,14 +77,16 @@ TEST(Transformer, RejectsLearnedPositionPastTable) {
   ModelConfig cfg = tiny_config(PositionalKind::kLearned);
   cfg.max_seq_len = 16;
   Transformer m(cfg);
+  kv::SequenceKvState state = m.make_kv_state();
   kv::FullAttentionPolicy policy;
-  EXPECT_NO_THROW(m.prefill(make_prompt(16), policy, 1));
-  m.reset();
-  EXPECT_THROW(m.prefill(make_prompt(17), policy, 1), std::out_of_range);
-  m.reset();
-  m.prefill(make_prompt(15), policy, 2);
-  EXPECT_NO_THROW(m.decode(1, 15, 1, 2, policy));
-  EXPECT_THROW(m.decode(1, 16, 2, 2, policy), std::out_of_range);
+  EXPECT_NO_THROW(m.prefill(state, make_prompt(16), 0, policy));
+  state.clear();
+  EXPECT_THROW(m.prefill(state, make_prompt(17), 0, policy),
+               std::out_of_range);
+  state.clear();
+  m.prefill(state, make_prompt(15), 0, policy);
+  EXPECT_NO_THROW(m.decode(state, 1, 15, 1, policy));
+  EXPECT_THROW(m.decode(state, 1, 16, 2, policy), std::out_of_range);
 }
 
 TEST(Transformer, DeterministicAcrossInstances) {
@@ -90,8 +95,10 @@ TEST(Transformer, DeterministicAcrossInstances) {
   Transformer b(cfg);
   kv::FullAttentionPolicy policy;
   const auto prompt = make_prompt(8);
-  const Tensor la = a.prefill(prompt, policy, 2);
-  const Tensor lb = b.prefill(prompt, policy, 2);
+  kv::SequenceKvState sa = a.make_kv_state();
+  kv::SequenceKvState sb = b.make_kv_state();
+  const Tensor la = a.prefill(sa, prompt, 0, policy);
+  const Tensor lb = b.prefill(sb, prompt, 0, policy);
   for (std::size_t i = 0; i < la.size(); ++i) {
     EXPECT_EQ(la.span()[i], lb.span()[i]);
   }
@@ -108,17 +115,19 @@ TEST_P(PrefillDecodeEquivalence, StepwiseDecodeMatchesPrefill) {
   const auto prompt = make_prompt(9);
 
   Transformer batch(cfg);
+  kv::SequenceKvState batch_state = batch.make_kv_state();
   kv::FullAttentionPolicy p1;
-  const Tensor full = batch.prefill(prompt, p1, 1);
+  const Tensor full = batch.prefill(batch_state, prompt, 0, p1);
   const auto last = full.row(0);  // the last prompt row's logits
 
   Transformer step(cfg);
+  kv::SequenceKvState step_state = step.make_kv_state();
   kv::FullAttentionPolicy p2;
   const std::vector<Token> first{prompt[0]};
-  Tensor l = step.prefill(first, p2, 1);
+  Tensor l = step.prefill(step_state, first, 0, p2);
   std::vector<float> row(l.row(0).begin(), l.row(0).end());
   for (std::size_t i = 1; i < prompt.size(); ++i) {
-    row = step.decode(prompt[i], i, i, prompt.size(), p2);
+    row = step.decode(step_state, prompt[i], i, i, p2);
   }
   ASSERT_EQ(row.size(), last.size());
   for (std::size_t i = 0; i < row.size(); ++i) {
@@ -144,7 +153,8 @@ TEST(Transformer, ObserverSeesEveryLayer) {
     EXPECT_NE(obs.attn, nullptr);
     EXPECT_EQ(obs.key_positions.size(), 6u);
   });
-  m.prefill(make_prompt(6), policy, 1);
+  kv::SequenceKvState state = m.make_kv_state();
+  m.prefill(state, make_prompt(6), 0, policy);
   EXPECT_EQ(layers_seen, (std::vector<std::size_t>{0, 1}));
 }
 
@@ -153,9 +163,10 @@ TEST(Transformer, PolicyEvictsDuringPrefill) {
   kv::WindowPolicy policy;
   policy.set_budget(kv::make_budget(16, 0.5));
   const auto prompt = make_prompt(16);
-  m.prefill(prompt, policy, 4);
-  EXPECT_EQ(m.cache_size(0), 8u);
-  EXPECT_EQ(m.cache_size(1), 8u);
+  kv::SequenceKvState state = m.make_kv_state();
+  m.prefill(state, prompt, 0, policy);
+  EXPECT_EQ(state.layer_size(0), 8u);
+  EXPECT_EQ(state.layer_size(1), 8u);
 }
 
 TEST(Transformer, DecodeKeepsBudgetSteady) {
@@ -163,17 +174,19 @@ TEST(Transformer, DecodeKeepsBudgetSteady) {
   kv::WindowPolicy policy;
   policy.set_budget(kv::make_budget(16, 0.5));
   const auto prompt = make_prompt(16);
-  m.prefill(prompt, policy, 4);
+  kv::SequenceKvState state = m.make_kv_state();
+  m.prefill(state, prompt, 0, policy);
   for (std::size_t t = 1; t <= 4; ++t) {
-    m.decode(static_cast<Token>(t), 15 + t, t, 4, policy);
-    EXPECT_EQ(m.cache_size(0), 8u) << "step " << t;
+    m.decode(state, static_cast<Token>(t), 15 + t, t, policy);
+    EXPECT_EQ(state.layer_size(0), 8u) << "step " << t;
   }
 }
 
 TEST(Transformer, LogitsAreFinite) {
   Transformer m(tiny_config(PositionalKind::kALiBi));
   kv::FullAttentionPolicy policy;
-  const Tensor logits = m.prefill(make_prompt(12), policy, 1);
+  kv::SequenceKvState state = m.make_kv_state();
+  const Tensor logits = m.prefill(state, make_prompt(12), 0, policy);
   for (const float v : logits.span()) {
     EXPECT_TRUE(std::isfinite(v));
   }
@@ -181,11 +194,10 @@ TEST(Transformer, LogitsAreFinite) {
 
 TEST(Transformer, DecodeMatchesOneTokenPromptChunks) {
   // Full-stack parity of the two phases: the same token stream fed through
-  // decode() (a decode step) and through one-token prefill_continue chunks
-  // (a prompt chunk), every layer, under full attention so both caches keep
+  // decode() (a decode step) and through one-token prefill chunks (a prompt
+  // chunk), every layer, under full attention so both caches keep
   // identical rows. Both run the one forward pass, whose phase only names
-  // trace spans and sets PolicyContext::is_prompt, so LM logits must be
-  // bit-identical at every step.
+  // trace spans, so LM logits must be bit-identical at every step.
   for (const auto kind : {PositionalKind::kRoPE, PositionalKind::kALiBi,
                           PositionalKind::kLearned}) {
     const ModelConfig cfg = tiny_config(kind);
@@ -195,14 +207,13 @@ TEST(Transformer, DecodeMatchesOneTokenPromptChunks) {
     kv::SequenceKvState chunked = m.make_kv_state();
     kv::FullAttentionPolicy p_decoded;
     kv::FullAttentionPolicy p_chunked;
-    m.prefill(decoded, prompt, p_decoded, 4);
-    m.prefill(chunked, prompt, p_chunked, 4);
+    m.prefill(decoded, prompt, 0, p_decoded);
+    m.prefill(chunked, prompt, 0, p_chunked);
     for (std::size_t t = 1; t <= 4; ++t) {
       const Token tok = static_cast<Token>(t);
       const std::size_t pos = prompt.size() + t - 1;
-      const std::vector<float> a = m.decode(decoded, tok, pos, t, 4, p_decoded);
-      const Tensor b =
-          m.prefill_continue(chunked, {&tok, 1}, pos, p_chunked, 4);
+      const std::vector<float> a = m.decode(decoded, tok, pos, t, p_decoded);
+      const Tensor b = m.prefill(chunked, {&tok, 1}, pos, p_chunked);
       ASSERT_EQ(a.size(), b.dim(1));
       for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i], b.row(0)[i])
@@ -215,18 +226,17 @@ TEST(Transformer, DecodeMatchesOneTokenPromptChunks) {
 TEST(Transformer, EveryEntryPointRejectsMismatchedHeadSplit) {
   // Same layer count and row width (2 x 8 == 4 x 4) as the model, different
   // head split: every entry point must refuse the state before any kernel
-  // reads it as a 4-head cache.
+  // reads it as a 4-head cache, and prefill before its row-count check.
   ModelConfig cfg = tiny_config();
   cfg.n_heads = 4;
   Transformer m(cfg);
   kv::SequenceKvState state(/*n_layers=*/2, /*n_heads=*/2, /*d_head=*/8);
   kv::FullAttentionPolicy policy;
   const auto prompt = make_prompt(4);
-  EXPECT_THROW(m.prefill(state, prompt, policy, 1), std::invalid_argument);
-  EXPECT_THROW(m.prefill_continue(state, prompt, 0, policy, 1),
-               std::invalid_argument);
-  EXPECT_THROW(m.decode(state, 1, 0, 1, 1, policy), std::invalid_argument);
-  const DecodeSlot slot{1, 0, 1, 1, &state, &policy};
+  EXPECT_THROW(m.prefill(state, prompt, 0, policy), std::invalid_argument);
+  EXPECT_THROW(m.prefill(state, prompt, 4, policy), std::invalid_argument);
+  EXPECT_THROW(m.decode(state, 1, 0, 1, policy), std::invalid_argument);
+  const DecodeSlot slot{1, 0, 1, &state, &policy};
   EXPECT_THROW(m.step_batch({&slot, 1}), std::invalid_argument);
 }
 
@@ -243,8 +253,9 @@ TEST(Transformer, PositionModeSwitchAffectsDecodeAfterEviction) {
     m.set_position_mode(mode);
     kv::StreamingLlmPolicy policy;
     policy.set_budget(kv::make_budget(16, 0.4));
-    m.prefill(prompt, policy, 2);
-    return m.decode(3, 16, 1, 2, policy);
+    kv::SequenceKvState state = m.make_kv_state();
+    m.prefill(state, prompt, 0, policy);
+    return m.decode(state, 3, 16, 1, policy);
   };
   const auto a = run(PositionMode::kOriginal);
   const auto b = run(PositionMode::kNew);
