@@ -130,8 +130,9 @@ void BM_GumbelSoftmaxScore(benchmark::State& state, cpu::CpuIsa isa) {
 void BM_AttentionDecodeStep(benchmark::State& state, cpu::CpuIsa isa) {
   // Whole decode attention layer for one sequence (a one-row
   // self_attention call: projections, RoPE or ALiBi, append, fused
-  // attend) at position ctx over a pre-filled ctx-row cache in the
-  // engine's blocks — the end-to-end consumer of the kernels above. Each
+  // attend into per-thread rows, no policy and no kept tensors) at
+  // position ctx over a pre-filled ctx-row cache in the engine's blocks —
+  // the end-to-end consumer of the kernels above. Each
   // iteration drops the row it appended, untimed, so every one sees the
   // same cache. {ctx, family}: family 0 is mpt_like (ALiBi, d_head 16),
   // 1 is gptj_like (RoPE, d_head 32), the served model.
@@ -157,7 +158,8 @@ void BM_AttentionDecodeStep(benchmark::State& state, cpu::CpuIsa isa) {
   for (auto _ : state) {
     const model::AttentionRun run{{&pos, 1}, &cache};
     auto r = model::self_attention(cfg, w.layers[0], w.rope, x, {&run, 1},
-                                   model::Phase::kDecode);
+                                   model::Phase::kDecode,
+                                   model::Internals::kDrop);
     benchmark::DoNotOptimize(r.front().context.data());
     state.PauseTiming();
     cache.compact(prefilled);
@@ -201,9 +203,9 @@ void BM_DecodeAttend(benchmark::State& state, cpu::CpuIsa isa) {
 
 void BM_AttentionPromptChunk(benchmark::State& state, cpu::CpuIsa isa) {
   // One prompt chunk through self_attention (a one-run call: projections,
-  // the append and the fused attend over each row's causal prefix): `rows`
-  // new tokens over `cached` keys already in the cache, in the engine's
-  // blocks.
+  // the append and the fused attend over each row's causal prefix, split
+  // by head, no policy and no kept tensors): `rows` new tokens over
+  // `cached` keys already in the cache, in the engine's blocks.
   const IsaGuard guard(isa);
   const std::size_t cached = static_cast<std::size_t>(state.range(0));
   const std::size_t rows = static_cast<std::size_t>(state.range(1));
@@ -229,7 +231,8 @@ void BM_AttentionPromptChunk(benchmark::State& state, cpu::CpuIsa isa) {
     state.ResumeTiming();
     const model::AttentionRun run{positions, &cache};
     auto r = model::self_attention(cfg, w.layers[0], w.rope, x, {&run, 1},
-                                   model::Phase::kPrompt);
+                                   model::Phase::kPrompt,
+                                   model::Internals::kDrop);
     benchmark::DoNotOptimize(r.front().context.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -13,13 +13,22 @@ H2OPolicy::H2OPolicy(double damping) : damping_(damping) {
   }
 }
 
+void H2OPolicy::begin_attend(const PolicyContext& ctx) {
+  if (damping_ < 1.0) {
+    KF_TRACE_SCOPE("policy.score", "policy");
+    ctx.cache->damp_scores(damping_);
+  }
+}
+
+void H2OPolicy::observe_row(KvCache& cache, std::size_t head,
+                            std::span<const float> /*logits*/,
+                            std::span<const float> probs) {
+  KF_TRACE_SCOPE("policy.score", "policy");
+  add_attention_probs(cache, head, probs);
+}
+
 void H2OPolicy::observe(const PolicyContext& ctx) {
   KvCache& cache = *ctx.cache;
-  {
-    KF_TRACE_SCOPE("policy.score", "policy");
-    if (damping_ < 1.0) cache.damp_scores(damping_);
-    accumulate_attention_probs(ctx);
-  }
   if (!over_budget(cache)) return;
   KF_TRACE_SCOPE("policy.evict", "policy");
 

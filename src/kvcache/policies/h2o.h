@@ -18,6 +18,11 @@ class H2OPolicy final : public EvictionPolicy {
 
   std::string name() const override { return "h2o"; }
 
+  /// Damps the accumulated scores (alpha < 1 only).
+  void begin_attend(const PolicyContext& ctx) override;
+  void observe_row(KvCache& cache, std::size_t head,
+                   std::span<const float> logits,
+                   std::span<const float> probs) override;
   void observe(const PolicyContext& ctx) override;
 
   double damping() const noexcept { return damping_; }

@@ -11,12 +11,16 @@ namespace kf::kv {
 class KeyAttentionPolicy final : public EvictionPolicy {
  public:
   std::string name() const override { return "key_attention"; }
+  void observe_row(KvCache& cache, std::size_t head,
+                   std::span<const float> logits,
+                   std::span<const float> probs) override;
   void observe(const PolicyContext& ctx) override;
 };
 
-/// Shared helper: adds the post-softmax attention probabilities of every
-/// query row in `ctx` to the per-head accumulated scores of the cache.
-/// This is the f_theta(acc attn) accumulation used by H2O and KeyAttention.
-void accumulate_attention_probs(const PolicyContext& ctx);
+/// Shared helper: adds one attended row's post-softmax probabilities (its
+/// visible prefix) to `head`'s accumulated scores in `cache`. This is the
+/// f_theta(acc attn) accumulation used by H2O and KeyAttention.
+void add_attention_probs(KvCache& cache, std::size_t head,
+                         std::span<const float> probs);
 
 }  // namespace kf::kv

@@ -42,6 +42,16 @@ class KeyformerPolicy final : public EvictionPolicy {
   std::string name() const override { return "keyformer"; }
 
   void begin_sequence(const SequenceInfo& info) override;
+  /// Shared scope adds every head into one position table, in head order.
+  bool scores_heads_in_order() const override {
+    return config_.scope == ScoreScope::kShared;
+  }
+  /// Damps, draws zeta for the appended rows and sets tau for the step.
+  void begin_attend(const PolicyContext& ctx) override;
+  /// Adds softmax((x + zeta) / tau) over the row to the head's scores.
+  void observe_row(KvCache& cache, std::size_t head,
+                   std::span<const float> logits,
+                   std::span<const float> probs) override;
   void observe(const PolicyContext& ctx) override;
 
   const KeyformerConfig& config() const noexcept { return config_; }
@@ -53,11 +63,10 @@ class KeyformerPolicy final : public EvictionPolicy {
   }
 
  private:
-  void accumulate(const PolicyContext& ctx);
-
   KeyformerConfig config_;
   ScoreFunction score_fn_;
   std::vector<double> shared_scores_;  // indexed by original position
+  double tau_ = 1.0;                   // this call's tau, set by begin_attend
 };
 
 }  // namespace kf::kv

@@ -2,14 +2,20 @@
 // the paper: Full, Window, Dilated Window, Random, Key Attention (top-k
 // only), H2O, StreamingLLM, and Keyformer.
 //
-// Runtime contract (matches Algorithm 1's phases):
-//   1. The model runs attention for a layer; for each head it produces the
-//      scaled unnormalized logits x = QK^T/sqrt(d) and the post-softmax
-//      probabilities over the *current* cache contents.
-//   2. The runtime calls `observe` with those arrays. The policy updates
-//      its accumulated score state and, if the cache exceeds its budget k,
-//      selects a keep-set and compacts the cache to exactly k tokens.
-//   3. Budgets are static for the whole generation: k tokens total,
+// Runtime contract (Algorithm 1's phases), per layer of every forward call
+// and per sequence in it:
+//   1. The model appends the call's K/V rows to the layer's cache and calls
+//      `begin_attend`: damping and per-call score state (Keyformer draws
+//      zeta for the appended rows and sets tau for this step).
+//   2. The attend scores each (head, query row) as it produces it: right
+//      after the fused kernel it hands `observe_row` that row's scaled
+//      logits x = QK^T/sqrt(d) and post-softmax probabilities over the
+//      row's visible cache prefix, in scratch the next row overwrites. The
+//      policy adds the row into its accumulated scores. No [heads x rows x
+//      keys] tensor exists unless an instrumentation observer asks for one.
+//   3. After the layer's attend, `observe` selects a keep-set and, if the
+//      cache exceeds its budget k, compacts it to exactly k tokens.
+//   4. Budgets are static for the whole generation: k tokens total,
 //      w = recent window, k - w key tokens (Section 3.4).
 #pragma once
 
@@ -37,20 +43,12 @@ struct CacheBudget {
 CacheBudget make_budget(std::size_t prompt_len, double cache_ratio,
                         double recent_ratio = 0.3);
 
-/// Everything a policy may look at after one attention call for one layer.
+/// One sequence's side of one layer's attention call, as begin_attend and
+/// observe see it. The cache holds the call's appended rows: in
+/// begin_attend before any row is attended, in observe after every row is.
 struct PolicyContext {
   std::size_t layer = 0;
-  std::size_t n_heads = 0;
-  std::size_t n_queries = 0;  ///< rows processed (prompt_len during prefill)
-  std::size_t key_len = 0;    ///< cache length the attention ran against
-  /// Scaled unnormalized logits, layout [head][query][key]; entry (h,q,i) is
-  /// x_i for query q. The queries are the cache's newest n_queries rows, so
-  /// query q sees keys [0, key_len - n_queries + q + 1); the causally
-  /// masked tail after them holds -inf.
-  std::span<const float> logits;
-  /// Post-softmax probabilities, same layout; masked entries hold 0.
-  std::span<const float> probs;
-  std::size_t decode_step = 0;  ///< t in Algorithm 1 (0 during prompt)
+  std::size_t decode_step = 0;  ///< t in Algorithm 1 (0 in a prompt chunk)
   KvCache* cache = nullptr;     ///< the layer's cache (never null)
 };
 
@@ -78,14 +76,33 @@ class EvictionPolicy {
   void set_budget(CacheBudget budget) { budget_ = budget; }
   const CacheBudget& budget() const noexcept { return budget_; }
 
-  /// Resets per-sequence state. Default: stores the info, which observe()
-  /// reads as sequence_ (Keyformer's tau schedule reads T there).
+  /// Resets per-sequence state. Default: stores the info, which the hooks
+  /// read as sequence_ (Keyformer's tau schedule reads T there).
   virtual void begin_sequence(const SequenceInfo& info) { sequence_ = info; }
 
-  /// Observes one layer's attention output; may compact ctx.cache.
-  /// Keyformer and H2O trace the two phases as `policy.score` (score
-  /// accumulation) and `policy.evict` (keep-set selection + compaction,
-  /// only when over budget), inside the caller's observe span.
+  /// True when observe_row must see one sequence's heads in head order on
+  /// one thread (Keyformer's shared scope adds every head into one table).
+  /// Otherwise the attend may score different heads on different workers.
+  virtual bool scores_heads_in_order() const { return false; }
+
+  /// Once per attention call, after its rows are appended to ctx.cache and
+  /// before any is attended. Default: nothing.
+  virtual void begin_attend(const PolicyContext& /*ctx*/) {}
+
+  /// Scores one attended (head, query row) of `cache`: `logits` and
+  /// `probs` cover the row's visible prefix [0, vis) of the cache, valid
+  /// only during the call. Per head, rows arrive in ascending order; calls
+  /// for different heads of one sequence may run concurrently unless
+  /// scores_heads_in_order(). Default: nothing (the policy keeps no score).
+  virtual void observe_row(KvCache& /*cache*/, std::size_t /*head*/,
+                           std::span<const float> /*logits*/,
+                           std::span<const float> /*probs*/) {}
+
+  /// After the layer's attend: may select a keep-set and compact
+  /// ctx.cache. Keyformer and H2O trace it as `policy.evict` (keep-set
+  /// selection + compaction, only when over budget) inside the caller's
+  /// observe span; their begin_attend and observe_row trace as
+  /// `policy.score` inside the attend span.
   virtual void observe(const PolicyContext& ctx) = 0;
 
   /// Installs an eviction-introspection sink (nullptr disables): every

@@ -40,15 +40,20 @@ void append_projected_row(const ModelConfig& cfg, const RopeTable& rope,
   cache.append(k_row, v_row, position);
 }
 
-/// An AttentionResult sized for n_q query rows over key_len cached keys.
+/// An AttentionResult for n_q query rows over key_len cached keys. With
+/// Internals::kKeep it holds the logit and probability tensors, every
+/// entry masked (-inf and 0) until the attend writes the rows' prefixes.
 AttentionResult make_result(const ModelConfig& cfg, std::size_t n_q,
-                            std::size_t key_len) {
+                            std::size_t key_len, Internals internals) {
   AttentionResult r;
   r.n_q = n_q;
   r.key_len = key_len;
   r.context = Tensor({n_q, cfg.d_model});
-  r.logits = Tensor({cfg.n_heads, n_q, key_len});
-  r.probs = Tensor({cfg.n_heads, n_q, key_len});
+  if (internals == Internals::kKeep) {
+    r.logits = Tensor({cfg.n_heads, n_q, key_len});
+    r.logits.fill(kNegInf);
+    r.probs = Tensor({cfg.n_heads, n_q, key_len});
+  }
   return r;
 }
 
@@ -85,23 +90,25 @@ std::vector<float> rotated_keys(const ModelConfig& cfg, const RopeTable& rope,
   return rotated;
 }
 
-/// The one attend, for prompt and decode rows alike: query rows [r0, r1)
-/// of one sequence's chunk against that sequence's cache. The chunk's
-/// n_q = q_positions.size() tokens are the cache's newest entries (already
-/// appended; cached positions ascend), so row qi sees exactly the prefix
-/// [0, key_len - n_q + qi + 1). Each head's segment views are clipped to
-/// that prefix and handed to the dispatched fused attend, then the masked
-/// tail is filled with -inf logits and 0 probabilities. A decode step is
-/// the one-row chunk, so a prompt row's bits equal that token decoded
+/// The one attend, for prompt and decode rows alike: every query row of
+/// one sequence's chunk against that sequence's cache, for heads [h0, h1).
+/// The chunk's n_q = q_positions.size() tokens are the cache's newest
+/// entries (already appended; cached positions ascend), so row qi sees
+/// exactly the prefix [0, key_len - n_q + qi + 1). Each head's segment
+/// views are clipped to that prefix and handed to the dispatched fused
+/// attend, which writes the row's logits and probabilities into `out`'s
+/// tensors when it keeps them and into this thread's scratch otherwise;
+/// `policy` (may be null) then scores the row from there. A decode step
+/// is the one-row chunk, so a prompt row's bits equal that token decoded
 /// alone. `q` holds the chunk's un-rotated projected queries (row qi at
 /// q + qi * d_model); `rotated` is rotated_keys' scratch for this cache;
-/// `out` is sized by make_result; `ctx` receives each row's merged head
-/// contexts (d_model floats per row) before W_o.
-void attend_rows(const ModelConfig& cfg, const RopeTable& rope, const float* q,
-                 std::span<const std::size_t> q_positions,
-                 const kv::KvCache& cache, std::span<const float> rotated,
-                 std::size_t r0, std::size_t r1, AttentionResult& out,
-                 float* ctx) {
+/// `ctx` receives each row's merged head contexts (d_model floats per row)
+/// before W_o.
+void attend_heads(const ModelConfig& cfg, const RopeTable& rope,
+                  const float* q, std::span<const std::size_t> q_positions,
+                  kv::KvCache& cache, std::span<const float> rotated,
+                  kv::EvictionPolicy* policy, std::size_t h0, std::size_t h1,
+                  AttentionResult& out, float* ctx) {
   const std::size_t h_count = cfg.n_heads;
   const std::size_t d = cfg.d_model;
   const std::size_t dh = cfg.d_head();
@@ -111,6 +118,7 @@ void attend_rows(const ModelConfig& cfg, const RopeTable& rope, const float* q,
   assert(out.n_q == n_q && out.key_len == key_len && key_len >= n_q);
   assert(rotated.empty() || rotated.size() == h_count * key_len * dh);
   const std::size_t first_q = key_len - n_q;  // cache index of row 0
+  const bool keep = out.logits.size() > 0;
 
   const bool use_rope = cfg.positional == PositionalKind::kRoPE;
   const bool use_alibi = cfg.positional == PositionalKind::kALiBi;
@@ -122,11 +130,14 @@ void attend_rows(const ModelConfig& cfg, const RopeTable& rope, const float* q,
   std::vector<cpu::KvSegmentView> segs(n_segs);
   std::vector<cpu::KvSegmentView> visible(n_segs);
   // ALiBi bias row, refilled per (head, row) as the slope and query move.
-  std::vector<float> bias(use_alibi ? first_q + r1 : 0);
+  std::vector<float> bias(use_alibi ? key_len : 0);
+  // One row's logits and probabilities when the tensors are not kept.
+  thread_local std::vector<float> scratch;
+  if (!keep) scratch.resize(2 * key_len);
 
   const cpu::DecodeAttendFn attend = cpu::decode_attend_stub.get();
 
-  for (std::size_t h = 0; h < h_count; ++h) {
+  for (std::size_t h = h0; h < h1; ++h) {
     for (std::size_t s = 0; s < n_segs; ++s) {
       const kv::KvSegment seg = cache.segment(h, s);
       segs[s] = {seg.keys, seg.values, seg.first, seg.count};
@@ -136,7 +147,7 @@ void attend_rows(const ModelConfig& cfg, const RopeTable& rope, const float* q,
         rotated.empty() ? nullptr : rotated.data() + h * key_len * dh;
     const double slope = use_alibi ? alibi_slope(h, h_count) : 0.0;
 
-    for (std::size_t qi = r0; qi < r1; ++qi) {
+    for (std::size_t qi = 0; qi < n_q; ++qi) {
       const std::size_t vis = first_q + qi + 1;
       assert(cache.original_position(vis - 1) == q_positions[qi]);
       const std::size_t q_eff = cfg.position_mode == PositionMode::kOriginal
@@ -166,12 +177,14 @@ void attend_rows(const ModelConfig& cfg, const RopeTable& rope, const float* q,
         bias_ptr = bias.data();
       }
 
-      float* lrow = out.logits.data() + (h * n_q + qi) * key_len;
-      float* prow = out.probs.data() + (h * n_q + qi) * key_len;
+      const std::size_t row = (h * n_q + qi) * key_len;
+      float* lrow = keep ? out.logits.data() + row : scratch.data();
+      float* prow = keep ? out.probs.data() + row : scratch.data() + key_len;
       attend(visible.data(), n_vis, q_head.data(), dh, inv_sqrt_dh, bias_ptr,
              keys_override, lrow, prow, ctx + qi * d + h * dh, vis);
-      std::fill(lrow + vis, lrow + key_len, kNegInf);
-      std::fill(prow + vis, prow + key_len, 0.0F);
+      if (policy != nullptr) {
+        policy->observe_row(cache, h, {lrow, vis}, {prow, vis});
+      }
     }
   }
 }
@@ -183,7 +196,7 @@ std::vector<AttentionResult> self_attention(const ModelConfig& cfg,
                                             const RopeTable& rope,
                                             const Tensor& x,
                                             std::span<const AttentionRun> runs,
-                                            Phase phase) {
+                                            Phase phase, Internals internals) {
   [[maybe_unused]] const bool prompt = phase == Phase::kPrompt;  // span names
   const std::size_t n = x.dim(0);
   const std::size_t d = cfg.d_model;
@@ -212,10 +225,15 @@ std::vector<AttentionResult> self_attention(const ModelConfig& cfg,
   {
     KF_TRACE_SCOPE(prompt ? "prompt.attend" : "attn.attend", "model");
     // Append + attend per run, in parallel across runs: each run touches
-    // only its own cache, result and rows (callers guarantee distinct
-    // caches). A lone run, such as a prompt chunk, stays on the caller and
-    // splits its rows across the pool instead; inside a worker the row
-    // split runs inline, so a decode step enters the pool once.
+    // only its own cache, policy, result and rows (callers guarantee
+    // distinct caches and policies). A lone run, such as a prompt chunk,
+    // stays on the caller and splits its heads across the pool instead,
+    // so each head's rows reach the policy in order and each hook writes
+    // only its own head's scores; inside a worker the head split runs
+    // inline, so a decode step enters the pool once. A one-row run attends
+    // every head on one worker: split four ways, a lone decode row took
+    // 42 us against 18 inline (BM_AttentionDecodeStep<avx512>/256/1, 4
+    // threads on a 4-vCPU VM).
     ThreadPool::global().parallel_for(
         runs.size(),
         [&](std::size_t r0, std::size_t r1) {
@@ -227,18 +245,25 @@ std::vector<AttentionResult> self_attention(const ModelConfig& cfg,
                                    v.row(row0 + i), run.positions[i],
                                    *run.cache);
             }
-            results[r] =
-                make_result(cfg, run.positions.size(), run.cache->size());
+            results[r] = make_result(cfg, run.positions.size(),
+                                     run.cache->size(), internals);
+            if (run.policy != nullptr) {
+              run.policy->begin_attend(
+                  {run.layer, run.decode_step, run.cache});
+            }
             const std::vector<float> rotated =
                 rotated_keys(cfg, rope, *run.cache);
+            const bool one_worker =
+                run.positions.size() == 1 ||
+                (run.policy != nullptr && run.policy->scores_heads_in_order());
             ThreadPool::global().parallel_for(
-                run.positions.size(),
-                [&](std::size_t q0, std::size_t q1) {
-                  attend_rows(cfg, rope, q.row(row0).data(), run.positions,
-                              *run.cache, rotated, q0, q1, results[r],
-                              merged.row(row0).data());
+                cfg.n_heads,
+                [&](std::size_t h0, std::size_t h1) {
+                  attend_heads(cfg, rope, q.row(row0).data(), run.positions,
+                               *run.cache, rotated, run.policy, h0, h1,
+                               results[r], merged.row(row0).data());
                 },
-                /*grain=*/4);
+                /*grain=*/one_worker ? cfg.n_heads : 1);
           }
         },
         /*grain=*/1);

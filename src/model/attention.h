@@ -1,9 +1,15 @@
 // Multi-head causal self-attention over a KvCache.
 //
-// The kernel exposes both the scaled unnormalized logits x_i = QK^T/sqrt(d)
-// and the post-softmax probabilities for every (head, query, key) — the two
-// arrays every score function in the paper consumes (H2O accumulates the
-// probabilities, Keyformer regularizes the logits).
+// Per (head, query row) the fused kernel produces the scaled unnormalized
+// logits x_i = QK^T/sqrt(d) and the post-softmax probabilities over the
+// row's visible prefix, the two arrays every score function in the paper
+// consumes (H2O accumulates the probabilities, Keyformer regularizes the
+// logits). Each row lands in per-thread scratch and goes straight to its
+// run's policy (EvictionPolicy::observe_row, kvcache/policy.h), so no
+// [heads x rows x keys] tensor exists on the serving path. A caller that
+// instruments the attention (model::AttentionObserver) asks for the
+// Internals::kKeep tensors instead, which the rows are written into and
+// scored from.
 //
 // Positioning and the append-time rotation contract:
 //   - RoPE + PositionMode::kOriginal (the default): a token's effective
@@ -33,8 +39,8 @@
 // ascend, so causality is a prefix) through the dispatched fused attend:
 // per-head dots streaming the cache's contiguous head-major key segments
 // (one per cache block) clipped to that prefix, then one pass doing
-// softmax + weighted-value accumulation; the masked tail gets -inf logits
-// and 0 probabilities.
+// softmax + weighted-value accumulation. Kept tensors hold -inf logits and
+// 0 probabilities past each row's prefix.
 // W_o is one more GEMM over every row. A GEMM row's bits never depend on
 // the other rows, and the attend never spans sequences, so a row's bits
 // depend neither on the rest of its call nor on whether it came from a
@@ -47,6 +53,7 @@
 
 #include "core/tensor.h"
 #include "kvcache/kv_cache.h"
+#include "kvcache/policy.h"
 #include "model/config.h"
 #include "model/positional.h"
 #include "model/weights.h"
@@ -56,19 +63,31 @@ namespace kf::model {
 /// Attention internals for one layer invocation.
 struct AttentionResult {
   Tensor context;  ///< [n_q, d_model] — heads merged and projected by W_o
-  Tensor logits;   ///< [n_heads, n_q, key_len]; masked entries = -inf
-  Tensor probs;    ///< [n_heads, n_q, key_len]; masked entries = 0
+  /// [n_heads, n_q, key_len] with Internals::kKeep, masked entries -inf;
+  /// empty otherwise.
+  Tensor logits;
+  /// [n_heads, n_q, key_len] with Internals::kKeep, masked entries 0;
+  /// empty otherwise.
+  Tensor probs;
   std::size_t n_q = 0;
   std::size_t key_len = 0;
 };
 
 /// One sequence's rows in an attention call: its tokens' original
-/// positions (strictly increasing, above every position cached in `cache`)
-/// and its own cache for this layer.
+/// positions (strictly increasing, above every position cached in `cache`),
+/// its own cache for this layer, and the policy that scores its rows.
 struct AttentionRun {
   std::span<const std::size_t> positions;
   kv::KvCache* cache = nullptr;
+  /// Gets begin_attend once the run's rows are appended, then observe_row
+  /// for each attended (head, row); null attends without scoring.
+  kv::EvictionPolicy* policy = nullptr;
+  std::size_t layer = 0;        ///< the policy's PolicyContext::layer
+  std::size_t decode_step = 0;  ///< its PolicyContext::decode_step
 };
+
+/// Whether self_attention also returns the logit and probability tensors.
+enum class Internals { kDrop, kKeep };
 
 /// The inference phase a call serves (paper Section 2.1). Attention uses
 /// it only to name its trace spans: `prompt.*` for prompt chunks, `attn.*`
@@ -79,17 +98,22 @@ enum class Phase { kPrompt, kDecode };
 /// the runs' rows back to back). Appends each run's new K/V rows to its
 /// cache, then attends each row against its causal prefix of that cache.
 /// `rope` is the model's table (ModelWeights::rope); only RoPE reads it.
-/// Runs must name distinct caches. Returns one result per run, in run
-/// order. Runs append and attend in parallel on the thread pool; a lone
-/// run (a prompt chunk, or a one-sequence step) splits its rows across
-/// the pool instead. Traced as `prompt.project`/`attn.project` (Q/K/V,
-/// then W_o) and `prompt.attend`/`attn.attend` (append + attend).
+/// Runs must name distinct caches and distinct (or null) policies.
+/// Returns one result per run, in run order, with the logit and
+/// probability tensors only under Internals::kKeep. Runs append and attend
+/// in parallel on the thread pool; a lone run of several rows (a prompt
+/// chunk) splits its heads across the pool instead, so each head's rows
+/// reach the policy in ascending order. A one-row run, or one whose policy
+/// scores_heads_in_order(), attends all heads in order on one worker.
+/// Traced as `prompt.project`/`attn.project` (Q/K/V, then W_o) and
+/// `prompt.attend`/`attn.attend` (append, attend and the policies'
+/// scoring hooks).
 std::vector<AttentionResult> self_attention(const ModelConfig& cfg,
                                             const LayerWeights& w,
                                             const RopeTable& rope,
                                             const Tensor& x,
                                             std::span<const AttentionRun> runs,
-                                            Phase phase);
+                                            Phase phase, Internals internals);
 
 /// True when cached keys are stored pre-rotated: RoPE with immutable
 /// effective positions (PositionMode::kOriginal).

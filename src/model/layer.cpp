@@ -33,7 +33,8 @@ void mlp_block(const ModelConfig& cfg, const LayerWeights& w,
 
 std::vector<AttentionResult> decoder_attention(
     const ModelConfig& cfg, const LayerWeights& w, const RopeTable& rope,
-    Tensor& x, std::span<const AttentionRun> runs, Phase phase) {
+    Tensor& x, std::span<const AttentionRun> runs, Phase phase,
+    Internals internals) {
   const std::size_t n = x.dim(0);
   const std::size_t d = cfg.d_model;
   assert(x.dim(1) == d);
@@ -44,7 +45,7 @@ std::vector<AttentionResult> decoder_attention(
                normed.row(i));
   }
   std::vector<AttentionResult> results =
-      self_attention(cfg, w, rope, normed, runs, phase);
+      self_attention(cfg, w, rope, normed, runs, phase, internals);
   std::size_t row = 0;
   for (const AttentionResult& r : results) {
     add_inplace(x.span().subspan(row * d, r.n_q * d), r.context.span());

@@ -19,12 +19,14 @@ namespace kf::model {
 /// The attention block: LN1 per row, one self_attention over `runs` (the
 /// runs' rows of `x`, back to back) with the model's RoPE table `rope`,
 /// residual add per row, updating `x` in place. Returns each run's
-/// attention internals, in run order, for score functions and
-/// instrumentation. Traced by self_attention's spans; LN1 and the residual
-/// add count toward the caller's span.
+/// attention internals, in run order, with the logit and probability
+/// tensors only under Internals::kKeep (for instrumentation). Traced by
+/// self_attention's spans; LN1 and the residual add count toward the
+/// caller's span.
 std::vector<AttentionResult> decoder_attention(
     const ModelConfig& cfg, const LayerWeights& w, const RopeTable& rope,
-    Tensor& x, std::span<const AttentionRun> runs, Phase phase);
+    Tensor& x, std::span<const AttentionRun> runs, Phase phase,
+    Internals internals);
 
 /// The MLP block over the rows of `x` in place, split across the thread
 /// pool by run: a worker runs whole runs' rows through one GEMM per

@@ -137,13 +137,16 @@ Tensor Transformer::forward(std::span<const RowRun> runs, Phase phase) const {
   }
 
   std::vector<AttentionRun> aruns(runs.size());
+  // Only an observer reads the logit and probability tensors.
+  const Internals internals = observer_ ? Internals::kKeep : Internals::kDrop;
   for (std::size_t layer = 0; layer < cfg_.n_layers; ++layer) {
     const LayerWeights& w = weights_.layers[layer];
     for (std::size_t r = 0; r < runs.size(); ++r) {
-      aruns[r] = {runs[r].positions, &runs[r].state->layer(layer)};
+      aruns[r] = {runs[r].positions, &runs[r].state->layer(layer),
+                  runs[r].policy, layer, runs[r].decode_step};
     }
     const std::vector<AttentionResult> results =
-        decoder_attention(cfg_, w, weights_.rope, x, aruns, phase);
+        decoder_attention(cfg_, w, weights_.rope, x, aruns, phase, internals);
 
     // Observer fires before policies may compact (key_positions must match
     // the cache the attention actually ran against).
@@ -160,7 +163,7 @@ Tensor Transformer::forward(std::span<const RowRun> runs, Phase phase) const {
       }
     }
 
-    // Per-run policy observation (score accumulation + eviction), parallel
+    // Per-run eviction (the attend already scored every row), parallel
     // across runs: each run's policy touches only its own cache and its
     // own score state.
     {
@@ -169,16 +172,8 @@ Tensor Transformer::forward(std::span<const RowRun> runs, Phase phase) const {
           runs.size(),
           [&](std::size_t r0, std::size_t r1) {
             for (std::size_t r = r0; r < r1; ++r) {
-              kv::PolicyContext ctx;
-              ctx.layer = layer;
-              ctx.n_heads = cfg_.n_heads;
-              ctx.n_queries = results[r].n_q;
-              ctx.key_len = results[r].key_len;
-              ctx.logits = results[r].logits.span();
-              ctx.probs = results[r].probs.span();
-              ctx.decode_step = runs[r].decode_step;
-              ctx.cache = aruns[r].cache;
-              runs[r].policy->observe(ctx);
+              runs[r].policy->observe(
+                  {layer, runs[r].decode_step, aruns[r].cache});
             }
           },
           /*grain=*/1);

@@ -11,15 +11,17 @@
 //             1 token, the policy evicts 1 to keep k); step_batch runs one
 //             for each of N sequences.
 //
-// After every layer's attention the sequence's EvictionPolicy observes the
-// scaled logits and probabilities and may compact that layer's cache. The
-// planned length T of Algorithm 1 is given once, to the policy's
+// Each layer's attend hands the sequence's EvictionPolicy every attended
+// (head, row) as it produces it (observe_row, see kvcache/policy.h); after
+// the layer's attend the policy may compact that layer's cache (observe).
+// The planned length T of Algorithm 1 is given once, to the policy's
 // begin_sequence, not to these calls.
 // One forward pass serves both phases. prefill and step_batch validate
 // their inputs and hand a private layer loop a list of row runs (a prompt
 // chunk is one run of n rows, a decode step N >= 1 runs of one row each)
 // and the phase. Per layer the loop runs one attention call and one MLP
-// over every row, and between them each run's policy over its own cache.
+// over every row, and between them each run's policy evicts from its own
+// cache.
 // The final LayerNorm and the LM head then run once per run, on its last
 // row: every caller reads only the logits predicting the next token. No
 // row's arithmetic depends on the other rows or on the phase, so a
@@ -28,7 +30,8 @@
 //
 // Tracing (obs/trace.h): the phase only names the spans. A step_batch
 // call is one `step_batch` span; per layer it holds `attn.project` (twice:
-// Q/K/V, then W_o), `attn.attend`, `policy.observe` and `mlp`, then one
+// Q/K/V, then W_o), `attn.attend` (with the policies' `policy.score`
+// spans inside), `policy.observe` (eviction) and `mlp`, then one
 // `lm_head`. A prompt chunk is one `prefill_chunk` span with the same
 // phases named `prompt.project`, `prompt.attend`, `prompt.observe`,
 // `prompt.mlp` and `prompt.lm_head`, so decode shares never count prompt
@@ -53,7 +56,9 @@ namespace kf::model {
 using Token = std::int32_t;
 
 /// Attention internals delivered to an instrumentation observer (sparsity
-/// stats, heat maps). Valid only during the callback.
+/// stats, heat maps), with the logit and probability tensors, which an
+/// installed observer makes every attention call keep. Valid only during
+/// the callback.
 struct AttentionObservation {
   std::size_t layer = 0;
   const AttentionResult* attn = nullptr;
@@ -123,10 +128,10 @@ class Transformer {
 
   /// One decode step for each of N >= 1 independent sequences sharing
   /// these weights: per layer, one attention call over every slot's row,
-  /// each against its own cache, then each slot's policy observing (and
-  /// possibly compacting) only its own cache. Returns LM logits, shape
-  /// [N, vocab], row per slot; each row is bit-identical to decoding that
-  /// sequence alone.
+  /// each against its own cache and scored by its own policy, then each
+  /// slot's policy possibly compacting only its own cache. Returns LM
+  /// logits, shape [N, vocab], row per slot; each row is bit-identical to
+  /// decoding that sequence alone.
   Tensor step_batch(std::span<const DecodeSlot> slots) const;
 
  private:
@@ -141,9 +146,10 @@ class Transformer {
   };
 
   /// The layer loop behind prefill and step_batch: embeds every run's
-  /// tokens, then per layer runs decoder_attention over all rows, each
-  /// run's policy over its own cache, and decoder_mlp. Returns LM logits,
-  /// one row per run (of its last token), runs in order.
+  /// tokens, then per layer runs decoder_attention over all rows (each
+  /// run's policy scoring its rows), each run's policy's observe over its
+  /// own cache, and decoder_mlp. Returns LM logits, one row per run (of
+  /// its last token), runs in order.
   Tensor forward(std::span<const RowRun> runs, Phase phase) const;
   /// Embeds one token at `position` into `dst` (d_model floats). Throws
   /// std::out_of_range for a token outside the vocabulary, or a learned

@@ -60,7 +60,8 @@ AttentionResult prompt_chunk(const ModelConfig& cfg, const ModelWeights& w,
                              kv::KvCache& cache) {
   const AttentionRun run{positions, &cache};
   return std::move(
-      self_attention(cfg, w.layers[0], w.rope, x, {&run, 1}, Phase::kPrompt)
+      self_attention(cfg, w.layers[0], w.rope, x, {&run, 1}, Phase::kPrompt,
+                     Internals::kKeep)
           .front());
 }
 
@@ -70,7 +71,8 @@ AttentionResult decode_one(const ModelConfig& cfg, const ModelWeights& w,
                            kv::KvCache& cache) {
   const AttentionRun run{{&q_position, 1}, &cache};
   return std::move(
-      self_attention(cfg, w.layers[0], w.rope, x, {&run, 1}, Phase::kDecode)
+      self_attention(cfg, w.layers[0], w.rope, x, {&run, 1}, Phase::kDecode,
+                     Internals::kKeep)
           .front());
 }
 
@@ -479,6 +481,67 @@ TEST(Attention, RopeKeysStoredPreRotatedUnderOriginalMode) {
       for (std::size_t j = 0; j < expect.size(); ++j) {
         EXPECT_NEAR(got[j], expect[j], 1e-6F);
       }
+    }
+  }
+}
+
+TEST(Attention, DroppedTensorsLeaveContextsBitEqual) {
+  // Without Internals::kKeep the attend writes each row into per-thread
+  // scratch and returns no logit or probability tensor; a lone chunk
+  // splits its heads across the pool. Contexts and cached rows must equal
+  // the kept-tensor call's bit for bit, for a prompt chunk over a
+  // compacted paged cache and for the decode steps after it.
+  for (const ParityCase pc :
+       {ParityCase{PositionalKind::kRoPE, PositionMode::kOriginal},
+        ParityCase{PositionalKind::kRoPE, PositionMode::kNew},
+        ParityCase{PositionalKind::kALiBi, PositionMode::kOriginal},
+        ParityCase{PositionalKind::kLearned, PositionMode::kOriginal}}) {
+    SCOPED_TRACE(to_string(pc.positional) + "_" + to_string(pc.mode));
+    ModelConfig cfg = tiny_config(pc.positional);
+    cfg.position_mode = pc.mode;
+    cfg.n_heads = 4;
+    const ModelWeights w = build_weights(cfg);
+    auto pool = make_pool(cfg, 4);
+    kv::KvCache kept_cache(pool);
+    kv::KvCache dropped_cache(pool);
+    const auto call = [&](const Tensor& x,
+                          std::span<const std::size_t> positions,
+                          Internals internals) {
+      kv::KvCache& cache =
+          internals == Internals::kKeep ? kept_cache : dropped_cache;
+      const AttentionRun run{positions, &cache};
+      const Phase phase =
+          positions.size() > 1 ? Phase::kPrompt : Phase::kDecode;
+      auto results = self_attention(cfg, w.layers[0], w.rope, x, {&run, 1},
+                                    phase, internals);
+      return std::move(results.front());
+    };
+    const auto expect_equal = [&](const Tensor& x,
+                                  std::span<const std::size_t> positions) {
+      const AttentionResult kept = call(x, positions, Internals::kKeep);
+      const AttentionResult dropped = call(x, positions, Internals::kDrop);
+      EXPECT_EQ(kept.probs.size(), cfg.n_heads * kept.n_q * kept.key_len);
+      EXPECT_EQ(dropped.logits.size(), 0u);
+      EXPECT_EQ(dropped.probs.size(), 0u);
+      EXPECT_EQ(dropped.n_q, kept.n_q);
+      EXPECT_EQ(dropped.key_len, kept.key_len);
+      EXPECT_TRUE(
+          std::ranges::equal(dropped.context.span(), kept.context.span()));
+    };
+    expect_equal(random_rows(10, cfg.d_model, 71), iota_positions(10));
+    const std::vector<std::size_t> keep = {0, 1, 5, 7, 8, 9};
+    kept_cache.compact(keep);
+    dropped_cache.compact(keep);
+    expect_equal(random_rows(6, cfg.d_model, 72), iota_positions(6, 10));
+    for (std::size_t pos = 16; pos < 19; ++pos) {
+      SCOPED_TRACE(pos);
+      expect_equal(random_rows(1, cfg.d_model, 73 + pos),
+                   iota_positions(1, pos));
+    }
+    ASSERT_EQ(dropped_cache.size(), kept_cache.size());
+    for (std::size_t i = 0; i < kept_cache.size(); ++i) {
+      EXPECT_EQ(dropped_cache.key_row(i), kept_cache.key_row(i)) << i;
+      EXPECT_EQ(dropped_cache.value_row(i), kept_cache.value_row(i)) << i;
     }
   }
 }

@@ -43,7 +43,8 @@ kv::SequenceKvState filled_cache(const ModelConfig& cfg,
   std::vector<std::size_t> positions(len);
   for (std::size_t i = 0; i < len; ++i) positions[i] = i;
   const AttentionRun run{positions, &state.layer(0)};
-  self_attention(cfg, w.layers[0], w.rope, x, {&run, 1}, Phase::kPrompt);
+  self_attention(cfg, w.layers[0], w.rope, x, {&run, 1}, Phase::kPrompt,
+                 Internals::kDrop);
   return state;
 }
 
@@ -82,7 +83,7 @@ TEST_P(BatchDecodeParity, MatchesSingleSequenceDecodePerSlot) {
     const AttentionRun run{{&positions[b], 1}, single_caches[b]};
     expected.push_back(std::move(
         self_attention(cfg, w.layers[0], w.rope, row, {&run, 1},
-                       Phase::kDecode)
+                       Phase::kDecode, Internals::kKeep)
             .front()));
   }
 
@@ -91,8 +92,8 @@ TEST_P(BatchDecodeParity, MatchesSingleSequenceDecodePerSlot) {
   for (std::size_t b = 0; b < kBatch; ++b) {
     runs[b] = {{&positions[b], 1}, batch_caches[b]};
   }
-  const auto results =
-      self_attention(cfg, w.layers[0], w.rope, xq, runs, Phase::kDecode);
+  const auto results = self_attention(cfg, w.layers[0], w.rope, xq, runs,
+                                      Phase::kDecode, Internals::kKeep);
 
   // Bit for bit: no arithmetic spans rows, so batching must not move a
   // single last digit of any slot's output or cache.
@@ -149,8 +150,8 @@ TEST_P(BatchDecodeParity, SlotResultIndependentOfBatchComposition) {
       positions[b] = b == s_slot ? std::size_t{12} : 6 + batch + b;
       runs[b] = {{&positions[b], 1}, &caches[b].layer(0)};
     }
-    auto results =
-        self_attention(cfg, w.layers[0], w.rope, xq, runs, Phase::kDecode);
+    auto results = self_attention(cfg, w.layers[0], w.rope, xq, runs,
+                                  Phase::kDecode, Internals::kKeep);
     return std::move(results[s_slot]);
   };
 
@@ -205,7 +206,7 @@ TEST_P(BatchDecodeParity, PromptChunkAndDecodeRowsShareOneCall) {
       const AttentionRun run{positions[r], &solo_caches[r].layer(0)};
       expected.push_back(std::move(
           self_attention(cfg, w.layers[0], w.rope, xr, {&run, 1},
-                         Phase::kPrompt)
+                         Phase::kPrompt, Internals::kKeep)
               .front()));
     }
 
@@ -214,8 +215,8 @@ TEST_P(BatchDecodeParity, PromptChunkAndDecodeRowsShareOneCall) {
     for (std::size_t r = 0; r < rows.size(); ++r) {
       runs[r] = {positions[r], &mixed_caches[r].layer(0)};
     }
-    const auto results =
-        self_attention(cfg, w.layers[0], w.rope, x, runs, Phase::kDecode);
+    const auto results = self_attention(cfg, w.layers[0], w.rope, x, runs,
+                                        Phase::kDecode, Internals::kKeep);
 
     ASSERT_EQ(results.size(), rows.size());
     for (std::size_t r = 0; r < rows.size(); ++r) {

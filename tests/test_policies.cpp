@@ -19,10 +19,37 @@
 #include "kvcache/policies/window.h"
 #include "kvcache/policy.h"
 #include "kvcache/policy_factory.h"
+#include "model/transformer.h"
 #include "score_reference.h"
 
 namespace kf::kv {
 namespace {
+
+/// Drives `policy` through one layer's attention call the way the attend
+/// does: begin_attend, then observe_row for every (head, query row) in
+/// order over the row's visible prefix, then observe. `logits` and `probs`
+/// hold the call's `n_queries` rows per head over the whole cache, layout
+/// [head][query][key]; the queries are the cache's newest rows, so row q
+/// sees keys [0, key_len - n_queries + q + 1).
+void observe_call(EvictionPolicy& policy, const PolicyContext& ctx,
+                  std::size_t n_queries, std::span<const float> logits,
+                  std::span<const float> probs) {
+  KvCache& cache = *ctx.cache;
+  const std::size_t key_len = cache.size();
+  ASSERT_LE(n_queries, key_len);
+  ASSERT_GE(logits.size(), cache.n_heads() * n_queries * key_len);
+  ASSERT_GE(probs.size(), logits.size());
+  policy.begin_attend(ctx);
+  for (std::size_t h = 0; h < cache.n_heads(); ++h) {
+    for (std::size_t q = 0; q < n_queries; ++q) {
+      const std::size_t row = (h * n_queries + q) * key_len;
+      const std::size_t vis = key_len - n_queries + q + 1;
+      policy.observe_row(cache, h, logits.subspan(row, vis),
+                         probs.subspan(row, vis));
+    }
+  }
+  policy.observe(ctx);
+}
 
 /// Test fixture state: a cache of `n` tokens plus one decode-style
 /// attention snapshot (one query row per head) with configurable "hot"
@@ -55,14 +82,14 @@ struct Scenario {
   PolicyContext ctx(std::size_t decode_step = 1) {
     PolicyContext c;
     c.layer = 0;
-    c.n_heads = kHeads;
-    c.n_queries = 1;
-    c.key_len = cache.size();
-    c.logits = logits;
-    c.probs = probs;
     c.decode_step = decode_step;
     c.cache = &cache;
     return c;
+  }
+
+  /// One decode-style call over the snapshot (observe_call).
+  void observe(EvictionPolicy& policy) {
+    observe_call(policy, ctx(), 1, logits, probs);
   }
 };
 
@@ -156,7 +183,7 @@ TEST(FullPolicy, NeverEvicts) {
   FullAttentionPolicy policy;
   policy.set_budget(CacheBudget{});  // unlimited
   policy.begin_sequence(seq_info(32));
-  policy.observe(s.ctx());
+  s.observe(policy);
   EXPECT_EQ(s.cache.size(), 32u);
 }
 
@@ -167,7 +194,7 @@ TEST(WindowPolicy, KeepsMostRecentTokens) {
   WindowPolicy policy;
   policy.set_budget(make_budget(20, 0.5));
   policy.begin_sequence(seq_info(20));
-  policy.observe(s.ctx());
+  s.observe(policy);
   ASSERT_EQ(s.cache.size(), 10u);
   EXPECT_EQ(s.cache.original_position(0), 10u);
   EXPECT_EQ(s.cache.original_position(9), 19u);
@@ -177,7 +204,7 @@ TEST(WindowPolicy, NoOpUnderBudget) {
   Scenario s(4);
   WindowPolicy policy;
   policy.set_budget(make_budget(20, 0.5));
-  policy.observe(s.ctx());
+  s.observe(policy);
   EXPECT_EQ(s.cache.size(), 4u);
 }
 
@@ -188,7 +215,7 @@ TEST(WindowPolicy, DilatedPatternStride2) {
   b.max_tokens = 4;
   b.recent_window = 1;
   policy.set_budget(b);
-  policy.observe(s.ctx());
+  s.observe(policy);
   ASSERT_EQ(s.cache.size(), 4u);
   // Walk back from 9 with stride 2: 9, 7, 5, 3.
   EXPECT_EQ(s.cache.original_position(0), 3u);
@@ -204,7 +231,7 @@ TEST(WindowPolicy, DilatedFillsWhenWalkRunsOut) {
   b.max_tokens = 4;
   b.recent_window = 1;
   policy.set_budget(b);
-  policy.observe(s.ctx());
+  s.observe(policy);
   EXPECT_EQ(s.cache.size(), 4u);
 }
 
@@ -217,7 +244,7 @@ TEST(StreamingLlm, KeepsSinksAndRecent) {
   b.max_tokens = 10;
   b.recent_window = 6;
   policy.set_budget(b);
-  policy.observe(s.ctx());
+  s.observe(policy);
   ASSERT_EQ(s.cache.size(), 10u);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(s.cache.original_position(i), i);
@@ -231,15 +258,13 @@ TEST(StreamingLlm, SinksSurviveRepeatedEviction) {
   CacheBudget b;
   b.max_tokens = 8;
   policy.set_budget(b);
-  policy.observe(s.ctx());
+  s.observe(policy);
   // Append more tokens and evict again.
   std::vector<float> row(Scenario::kHeads * Scenario::kDHead, 0.0F);
   for (std::size_t p = 30; p < 35; ++p) s.cache.append(row, row, p);
-  Scenario fresh(1);  // reuse ctx shape via a fresh scenario is awkward;
-  PolicyContext c = s.ctx();
-  c.key_len = s.cache.size();
-  // logits/probs spans are stale but StreamingLLM ignores them.
-  policy.observe(c);
+  // The snapshot's rows are stale (sized for 30 keys) but StreamingLLM
+  // ignores them.
+  s.observe(policy);
   ASSERT_EQ(s.cache.size(), 8u);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(s.cache.original_position(i), i);
@@ -254,7 +279,7 @@ TEST(RandomEvict, RespectsBudgetAndRecentWindow) {
   RandomEvictPolicy policy(7);
   policy.set_budget(make_budget(40, 0.5, 0.25));
   policy.begin_sequence(seq_info(40));
-  policy.observe(s.ctx());
+  s.observe(policy);
   ASSERT_EQ(s.cache.size(), 20u);
   // Last 5 (recent window) must be the trailing original positions.
   for (std::size_t i = 0; i < 5; ++i) {
@@ -269,9 +294,9 @@ TEST(RandomEvict, DeterministicPerSeed) {
     p->set_budget(make_budget(40, 0.5));
     p->begin_sequence(seq_info(40));
   }
-  p1.observe(a.ctx());
-  p2.observe(b.ctx());
-  p3.observe(c.ctx());
+  a.observe(p1);
+  b.observe(p2);
+  c.observe(p3);
   std::vector<std::size_t> pa(a.cache.original_positions().begin(),
                               a.cache.original_positions().end());
   std::vector<std::size_t> pb(b.cache.original_positions().begin(),
@@ -288,7 +313,7 @@ TEST(H2O, AccumulatesAttentionProbs) {
   Scenario s(8, /*hot=*/{2});
   H2OPolicy policy;
   policy.set_budget(CacheBudget{});  // no eviction yet
-  policy.observe(s.ctx());
+  s.observe(policy);
   EXPECT_GT(s.cache.total_score(2), s.cache.total_score(3));
 }
 
@@ -299,7 +324,7 @@ TEST(H2O, KeepsHeavyHitterPlusRecent) {
   b.max_tokens = 6;
   b.recent_window = 4;
   policy.set_budget(b);
-  policy.observe(s.ctx());
+  s.observe(policy);
   ASSERT_EQ(s.cache.size(), 6u);
   // The heavy hitter survives outside the recent window.
   const auto pos = s.cache.original_positions();
@@ -318,10 +343,10 @@ TEST(H2O, DampingDecaysOldScores) {
   Scenario s(8, {1});
   H2OPolicy damped(0.5);
   damped.set_budget(CacheBudget{});
-  damped.observe(s.ctx());
+  s.observe(damped);
   const double first = s.cache.total_score(1);
   // Second observation: old score halves before the new increment lands.
-  damped.observe(s.ctx());
+  s.observe(damped);
   const double second = s.cache.total_score(1);
   EXPECT_LT(second, 2.0 * first);
   EXPECT_NEAR(second, 1.5 * first, 1e-9);
@@ -336,7 +361,7 @@ TEST(KeyAttention, PureTopKNoRecentGuarantee) {
   b.max_tokens = 6;
   b.recent_window = 3;  // ignored by key attention
   policy.set_budget(b);
-  policy.observe(s.ctx());
+  s.observe(policy);
   ASSERT_EQ(s.cache.size(), 6u);
   // All kept tokens are the hot ones; the most recent token is gone.
   EXPECT_EQ(s.cache.original_position(5), 5u);
@@ -376,11 +401,8 @@ TEST(KeyAttention, PromptChunkScoresMatchFullRowSum) {
           for (std::size_t i = 0; i < key_len; ++i) expected[h][i] += prow[i];
         }
       }
-      PolicyContext c = s.ctx(n_queries > 1 ? 0 : 1);
-      c.n_queries = n_queries;
-      c.logits = logits;
-      c.probs = probs;
-      policy->observe(c);
+      observe_call(*policy, s.ctx(n_queries > 1 ? 0 : 1), n_queries, logits,
+                   probs);
     };
     observe_rows(5);
     std::vector<float> row(kHeads * Scenario::kDHead, 0.0F);
@@ -415,7 +437,7 @@ TEST(Keyformer, BudgetRespectedAndRecentKept) {
   b.recent_window = 3;
   policy.set_budget(b);
   policy.begin_sequence(seq_info(24));
-  policy.observe(s.ctx());
+  s.observe(policy);
   ASSERT_EQ(s.cache.size(), 8u);
   EXPECT_EQ(s.cache.original_position(7), 23u);
   EXPECT_EQ(s.cache.original_position(5), 21u);
@@ -435,8 +457,8 @@ TEST(Keyformer, NoNoiseStaticTauMatchesH2OKeepSet) {
   h2o.set_budget(budget);
   kf.begin_sequence(seq_info(30));
   h2o.begin_sequence(seq_info(30));
-  kf.observe(a.ctx());
-  h2o.observe(b.ctx());
+  a.observe(kf);
+  b.observe(h2o);
   const auto pa = a.cache.original_positions();
   const auto pb = b.cache.original_positions();
   ASSERT_EQ(pa.size(), pb.size());
@@ -451,7 +473,7 @@ TEST(Keyformer, HotTokenSurvives) {
   b.recent_window = 4;
   policy.set_budget(b);
   policy.begin_sequence(seq_info(30));
-  policy.observe(s.ctx());
+  s.observe(policy);
   const auto pos = s.cache.original_positions();
   EXPECT_NE(std::find(pos.begin(), pos.end(), 4u), pos.end());
 }
@@ -463,7 +485,7 @@ TEST(Keyformer, SharedScopeAccumulatesByPosition) {
   KeyformerPolicy policy(cfg);
   policy.set_budget(CacheBudget{});
   policy.begin_sequence(seq_info(16, 8));
-  policy.observe(s.ctx());
+  s.observe(policy);
   const auto shared = policy.shared_scores();
   ASSERT_GE(shared.size(), 16u);
   EXPECT_GT(shared[3], shared[5]);
@@ -483,7 +505,7 @@ TEST(Keyformer, SharedScopeSurvivesCompaction) {
   b.recent_window = 2;
   policy.set_budget(b);
   policy.begin_sequence(seq_info(16, 8));
-  policy.observe(s.ctx());
+  s.observe(policy);
   const auto pos = s.cache.original_positions();
   EXPECT_NE(std::find(pos.begin(), pos.end(), 3u), pos.end());
 }
@@ -521,11 +543,7 @@ TEST(Keyformer, PromptChunkScoresMatchFullRowReference) {
       }
     }
     const std::vector<float> probs(logits.size(), 0.0F);
-    PolicyContext c = s.ctx(decode_step);
-    c.n_queries = n_queries;
-    c.logits = logits;
-    c.probs = probs;
-    policy.observe(c);
+    observe_call(policy, s.ctx(decode_step), n_queries, logits, probs);
 
     const auto positions = s.cache.original_positions();
     const double tau =
@@ -591,10 +609,7 @@ TEST(Keyformer, NoiseRowsHoldEachRowsFrozenDraw) {
       const std::vector<float> probs(logits.size(), 0.0F);
       PolicyContext c = s.ctx(decode_step);
       c.layer = kLayer;
-      c.n_queries = n_queries;
-      c.logits = logits;
-      c.probs = probs;
-      policy.observe(c);
+      observe_call(policy, c, n_queries, logits, probs);
     };
     observe_rows(10, 0);
     std::vector<float> row(kHeads * Scenario::kDHead, 0.0F);
@@ -651,8 +666,8 @@ TEST(Keyformer, NoiseChangesSelectionSomewhere) {
   p2.set_budget(budget);
   p1.begin_sequence(seq_info(40));
   p2.begin_sequence(seq_info(40));
-  p1.observe(a.ctx());
-  p2.observe(b.ctx());
+  a.observe(p1);
+  b.observe(p2);
   const auto pa = a.cache.original_positions();
   const auto pb = b.cache.original_positions();
   bool differs = pa.size() != pb.size();
@@ -660,6 +675,116 @@ TEST(Keyformer, NoiseChangesSelectionSomewhere) {
     differs = pa[i] != pb[i];
   }
   EXPECT_TRUE(differs);
+}
+
+// ----------------------------------------- streaming vs observed scoring
+
+/// Everything a generation leaves behind that a policy's scores decide.
+struct Generation {
+  std::vector<float> logits;           // the prefill's, then each step's
+  std::vector<std::size_t> positions;  // every layer's kept positions
+  std::vector<double> scores;          // every layer's per-head scores
+  std::vector<double> noise;           // every layer's per-head noise rows
+  std::vector<double> shared;          // Keyformer's shared-scope table
+};
+
+TEST(StreamingScores, ObserverLeavesEveryBitAsIs) {
+  // Without an observer the attend scores each (head, row) from
+  // per-thread scratch and a lone prompt chunk splits its heads across
+  // the pool; an observer makes every call keep the logit and probability
+  // tensors, and the hooks read the tensor rows instead. A prefill plus 8
+  // decode steps must leave the same bits either way, under every policy.
+  model::ModelConfig cfg;
+  cfg.vocab_size = 64;
+  cfg.d_model = 32;
+  cfg.n_layers = 2;
+  cfg.n_heads = 4;
+  cfg.d_ff = 64;
+  cfg.max_seq_len = 128;
+  model::Transformer m(cfg);
+  constexpr std::size_t kSteps = 8;
+  std::vector<model::Token> prompt(40);
+  for (std::size_t i = 0; i < prompt.size(); ++i) {
+    prompt[i] = static_cast<model::Token>((i * 11 + 3) % cfg.vocab_size);
+  }
+
+  std::vector<PolicyConfig> configs;
+  for (const auto kind :
+       {PolicyKind::kFull, PolicyKind::kWindow, PolicyKind::kDilatedWindow,
+        PolicyKind::kRandom, PolicyKind::kKeyAttention, PolicyKind::kH2O,
+        PolicyKind::kStreamingLLM, PolicyKind::kKeyformer}) {
+    PolicyConfig pc;
+    pc.kind = kind;
+    configs.push_back(pc);
+  }
+  PolicyConfig shared;
+  shared.kind = PolicyKind::kKeyformer;
+  shared.keyformer.scope = ScoreScope::kShared;
+  configs.push_back(shared);
+  PolicyConfig damped_h2o;
+  damped_h2o.kind = PolicyKind::kH2O;
+  damped_h2o.h2o_damping = 0.9;
+  configs.push_back(damped_h2o);
+  PolicyConfig damped_keyformer;
+  damped_keyformer.kind = PolicyKind::kKeyformer;
+  damped_keyformer.keyformer.score.damping = 0.9;
+  configs.push_back(damped_keyformer);
+
+  for (const PolicyConfig& pc : configs) {
+    SCOPED_TRACE(to_string(pc.kind) +
+                 (pc.keyformer.scope == ScoreScope::kShared ? " shared" : ""));
+    std::size_t observed_rows = 0;
+    const auto generate = [&](bool observed) {
+      if (observed) {
+        m.set_observer([&](const model::AttentionObservation& o) {
+          EXPECT_EQ(o.attn->probs.size(),
+                    cfg.n_heads * o.attn->n_q * o.attn->key_len);
+          observed_rows += o.attn->n_q;
+        });
+      } else {
+        m.set_observer({});
+      }
+      auto policy = make_policy(pc);
+      policy->set_budget(make_budget(prompt.size(), 0.5));
+      policy->begin_sequence({prompt.size(), kSteps});
+      SequenceKvState state = m.make_kv_state();
+      Generation g;
+      const Tensor first = m.prefill(state, prompt, 0, *policy);
+      g.logits.assign(first.span().begin(), first.span().end());
+      for (std::size_t t = 1; t <= kSteps; ++t) {
+        const auto token =
+            static_cast<model::Token>((7 * t + 5) % cfg.vocab_size);
+        const std::vector<float> step =
+            m.decode(state, token, prompt.size() + t - 1, t, *policy);
+        g.logits.insert(g.logits.end(), step.begin(), step.end());
+      }
+      for (std::size_t l = 0; l < cfg.n_layers; ++l) {
+        const KvCache& cache = state.layer(l);
+        const auto pos = cache.original_positions();
+        g.positions.insert(g.positions.end(), pos.begin(), pos.end());
+        for (std::size_t h = 0; h < cfg.n_heads; ++h) {
+          const auto sc = cache.scores(h);
+          g.scores.insert(g.scores.end(), sc.begin(), sc.end());
+          const auto z = cache.noise(h);
+          g.noise.insert(g.noise.end(), z.begin(), z.end());
+        }
+      }
+      if (const auto* kf = dynamic_cast<const KeyformerPolicy*>(policy.get())) {
+        g.shared.assign(kf->shared_scores().begin(),
+                        kf->shared_scores().end());
+      }
+      return g;
+    };
+    const Generation streamed = generate(false);
+    const Generation observed = generate(true);
+    m.set_observer({});
+    EXPECT_EQ(observed_rows, cfg.n_layers * (prompt.size() + kSteps));
+    EXPECT_EQ(streamed.logits, observed.logits);
+    EXPECT_EQ(streamed.positions, observed.positions);
+    EXPECT_EQ(streamed.scores, observed.scores);
+    EXPECT_EQ(streamed.noise, observed.noise);
+    EXPECT_EQ(streamed.shared, observed.shared);
+  }
 }
 
 // ---------------------------------------------------------------- factory
@@ -702,7 +827,7 @@ TEST_P(BudgetInvariantTest, CacheEndsExactlyAtBudget) {
   const CacheBudget b = make_budget(n, ratio);
   policy->set_budget(b);
   policy->begin_sequence(seq_info(n));
-  policy->observe(s.ctx());
+  s.observe(*policy);
   EXPECT_EQ(s.cache.size(), b.max_tokens);
   // Original-position order preserved.
   const auto pos = s.cache.original_positions();

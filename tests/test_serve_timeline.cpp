@@ -198,11 +198,15 @@ TEST(ServeTimeline, TraceSpansCoverARun) {
   EXPECT_EQ(count("prompt.observe"), layers * chunks);
   EXPECT_EQ(count("prompt.mlp"), layers * chunks);
   EXPECT_EQ(count("prompt.lm_head"), chunks);
-  // One score per sequence per layer in every chunk and decode row; one
-  // evict per executed eviction decision, which request 1 never makes.
+  // Per layer, one score span as each chunk and decode row begins its
+  // attend and one per attended (head, row); one evict per executed
+  // eviction decision, which request 1 never makes.
+  const std::size_t decode_rows =
+      stats.decoded_tokens + stats.resume_replayed_tokens;
   const std::size_t scores = count("policy.score");
-  EXPECT_EQ(scores, layers * (chunks + stats.decoded_tokens +
-                              stats.resume_replayed_tokens));
+  EXPECT_EQ(scores,
+            layers * (chunks + decode_rows) +
+                layers * cfg.n_heads * (stats.prefilled_tokens + decode_rows));
   EXPECT_EQ(count("policy.evict"), stats.eviction_decisions);
   EXPECT_GT(stats.eviction_decisions, 0u);
   EXPECT_LT(stats.eviction_decisions, scores);

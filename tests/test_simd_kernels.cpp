@@ -435,8 +435,9 @@ model::AttentionResult attend_once(const model::ModelConfig& cfg,
   Tensor x({1, cfg.d_model});
   for (float& v : x.span()) v = static_cast<float>(rng.normal());
   const model::AttentionRun run{{&ctx, 1}, &cache};
-  auto results = model::self_attention(cfg, w.layers[0], w.rope, x,
-                                       {&run, 1}, model::Phase::kDecode);
+  auto results =
+      model::self_attention(cfg, w.layers[0], w.rope, x, {&run, 1},
+                            model::Phase::kDecode, model::Internals::kKeep);
   return std::move(results.front());
 }
 
