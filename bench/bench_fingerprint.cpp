@@ -11,7 +11,10 @@
 // the 8- and 16-lane vector widths: every gemm_rows epilogue, bias and
 // noise rows null and set, tau 1 and another, -inf entries, multi-segment
 // attends and keys_override, and attend head widths that fill, cross or
-// stop short of decode_attend's register-held context chunks.
+// stop short of decode_attend's register-held context chunks. The
+// attend_rows line hashes calls of 2 to 4 consecutive rows over the same
+// shapes, so a change that keeps each row equal to its one-row call keeps
+// both lines.
 //
 // "model <isa> <hash>" lines run the model under each ISA: 3 families x
 // prompts of 37 and 300 tokens x both position modes, under full
@@ -163,6 +166,51 @@ std::uint64_t hash_decode_attend(cpu::CpuIsa isa) {
              with_bias ? bias.data() : nullptr,
              with_override ? rotated.data() : nullptr, lrow.data(),
              prow.data(), ctx.data(), key_len);
+          h.add(lrow);
+          h.add(prow);
+          h.add(ctx);
+        }
+      }
+    }
+  }
+  return h.digest();
+}
+
+/// attend_rows over hash_decode_attend's shapes, in calls of 2 to 4 rows:
+/// row r sees key_len + r keys, with its own query, bias, logit,
+/// probability and context rows.
+std::uint64_t hash_attend_rows(cpu::CpuIsa isa) {
+  const cpu::AttendRowsFn fn = cpu::attend_rows_stub.get(isa);
+  Rng rng(6);
+  Fnv h;
+  for (const std::size_t dh :
+       {2, 6, 8, 16, 24, 32, 40, 64, 96, 112, 128, 136, 264}) {
+    for (const std::size_t key_len : {1, 7, 8, 9, 15, 16, 17, 33, 100}) {
+      for (const std::size_t seg_rows : {key_len, std::size_t{3},
+                                         std::size_t{16}}) {
+        for (int c = 0; c < 12; ++c) {
+          const std::size_t n_rows = 2 + static_cast<std::size_t>(c / 4);
+          const bool with_bias = (c & 1) != 0;
+          const bool with_override = (c & 2) != 0;
+          const std::size_t total = key_len + n_rows - 1;
+          const auto keys = random_floats(rng, total * dh, 1.0F);
+          const auto values = random_floats(rng, total * dh, 1.0F);
+          const auto q = random_floats(rng, n_rows * dh, 1.0F);
+          const auto bias = random_floats(rng, n_rows * total, 1.0F);
+          const auto rotated = random_floats(rng, total * dh, 1.0F);
+          std::vector<cpu::KvSegmentView> segs;
+          for (std::size_t first = 0; first < total; first += seg_rows) {
+            const std::size_t count = std::min(seg_rows, total - first);
+            segs.push_back({keys.data() + first * dh,
+                            values.data() + first * dh, first, count});
+          }
+          // Each row's entries past its keys stay 0 and hash as such.
+          std::vector<float> lrow(n_rows * total), prow(n_rows * total),
+              ctx(n_rows * dh);
+          fn(segs.data(), segs.size(), q.data(), dh, 0.35F,
+             with_bias ? bias.data() : nullptr,
+             with_override ? rotated.data() : nullptr, lrow.data(),
+             prow.data(), total, ctx.data(), dh, key_len, n_rows);
           h.add(lrow);
           h.add(prow);
           h.add(ctx);
@@ -347,6 +395,7 @@ int main(int argc, char** argv) {
     print_line(prefix + " gemm_rows", hash_gemm_rows(isa));
     print_line(prefix + " softmax", hash_softmax(isa));
     print_line(prefix + " decode_attend", hash_decode_attend(isa));
+    print_line(prefix + " attend_rows", hash_attend_rows(isa));
     print_line(prefix + " score_increments", hash_score_increments(isa));
   }
   for (const cpu::CpuIsa isa : isas) {

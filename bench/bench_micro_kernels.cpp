@@ -170,35 +170,46 @@ void BM_AttentionDecodeStep(benchmark::State& state, cpu::CpuIsa isa) {
 }
 
 void BM_DecodeAttend(benchmark::State& state, cpu::CpuIsa isa) {
-  // The dispatched fused attend alone, one head of one row: {d_head, keys}
-  // over the engine's 16-row segments, as a decode row sees its cache.
+  // The dispatched fused attend alone, one head: {d_head, keys, rows} over
+  // the engine's 16-row segments. One row is decode_attend as a decode row
+  // sees its cache; more rows are one attend_rows call, row r seeing keys +
+  // r keys, as a prompt chunk's consecutive rows see theirs.
   const std::size_t dh = static_cast<std::size_t>(state.range(0));
   const std::size_t keys = static_cast<std::size_t>(state.range(1));
+  const std::size_t rows = static_cast<std::size_t>(state.range(2));
+  const std::size_t total = keys + rows - 1;
   Rng rng(1);
   const auto random = [&rng](std::size_t n) {
     std::vector<float> v(n);
     for (float& x : v) x = static_cast<float>(rng.normal());
     return v;
   };
-  const std::vector<float> k = random(keys * dh);
-  const std::vector<float> v = random(keys * dh);
-  const std::vector<float> q = random(dh);
+  const std::vector<float> k = random(total * dh);
+  const std::vector<float> v = random(total * dh);
+  const std::vector<float> q = random(rows * dh);
   std::vector<cpu::KvSegmentView> segs;
-  for (std::size_t first = 0; first < keys; first += kEngineBlockTokens) {
+  for (std::size_t first = 0; first < total; first += kEngineBlockTokens) {
     segs.push_back({k.data() + first * dh, v.data() + first * dh, first,
-                    std::min(kEngineBlockTokens, keys - first)});
+                    std::min(kEngineBlockTokens, total - first)});
   }
-  std::vector<float> lrow(keys), prow(keys), ctx(dh);
+  std::vector<float> lrow(rows * total), prow(rows * total), ctx(rows * dh);
   const cpu::DecodeAttendFn attend = cpu::decode_attend_stub.get(isa);
+  const cpu::AttendRowsFn attend_rows = cpu::attend_rows_stub.get(isa);
   const float scale = 1.0F / std::sqrt(static_cast<float>(dh));
   for (auto _ : state) {
-    attend(segs.data(), segs.size(), q.data(), dh, scale, nullptr, nullptr,
-           lrow.data(), prow.data(), ctx.data(), keys);
+    if (rows == 1) {
+      attend(segs.data(), segs.size(), q.data(), dh, scale, nullptr, nullptr,
+             lrow.data(), prow.data(), ctx.data(), keys);
+    } else {
+      attend_rows(segs.data(), segs.size(), q.data(), dh, scale, nullptr,
+                  nullptr, lrow.data(), prow.data(), total, ctx.data(), dh,
+                  keys, rows);
+    }
     benchmark::DoNotOptimize(ctx.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(keys));
+                          static_cast<std::int64_t>(rows * keys));
 }
 
 void BM_AttentionPromptChunk(benchmark::State& state, cpu::CpuIsa isa) {
@@ -350,11 +361,18 @@ int main(int argc, char** argv) {
   register_per_isa("BM_AttentionDecodeStep", BM_AttentionDecodeStep,
                    {{256, 0}, {1024, 0}, {4096, 0}, {256, 1}, {1024, 1},
                     {4000, 1}});
-  // {d_head, keys}: gptj_like heads at offline_decode's budget (25),
+  // {d_head, keys, rows}: gptj_like heads at offline_decode's budget (25),
   // shared_prefix's (about 400) and its prompt rows (about 800), an
-  // mpt_like head, and a long row.
+  // mpt_like head, and a long row; then a block of four prompt rows of
+  // each family at about 800 keys.
   register_per_isa("BM_DecodeAttend", BM_DecodeAttend,
-                   {{32, 25}, {32, 400}, {32, 800}, {16, 800}, {32, 2048}});
+                   {{32, 25, 1},
+                    {32, 400, 1},
+                    {32, 800, 1},
+                    {16, 800, 1},
+                    {32, 2048, 1},
+                    {32, 800, 4},
+                    {16, 800, 4}});
   // {cached, rows}: a shared_prefix-shaped chunk after the 768-token
   // context, and a 64-row prompt from an empty cache.
   register_per_isa("BM_AttentionPromptChunk", BM_AttentionPromptChunk,

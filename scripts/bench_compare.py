@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Compare two servebench ledger entries against BENCHMARK.json's bounds.
+"""Compare two servebench ledger entries against BENCHMARK.json's bounds,
+or check one ledger's claimed gain against the pair rule.
 
     python3 scripts/bench_compare.py A.json B.json
     python3 scripts/bench_compare.py LEDGER.json:parent LEDGER.json:change
+    python3 scripts/bench_compare.py LEDGER.json --claim METRIC WORKLOAD
 
 A ledger file (BENCH_<n>.json at the repository root) records one change's
 servebench result: alternating parent/change runs per workload, each run's
@@ -25,11 +27,23 @@ each side's spread (interquartile range over the median) and a verdict:
 A workload whose runs were not all correct, or whose failed share of
 requests rose from A to B, is flagged too. The exit status is 1 when any
 metric is "worse" or any such flag is raised, 2 on a usage error, else 0.
-The script reads the two files and BENCHMARK.json; it runs nothing.
+
+With --claim, the script checks that the change improves METRIC on
+WORKLOAD by the pair rule, reading the ledger's alternating `pairs`: at
+least 10 pairs; the change better than its parent in at least 9 of every
+10 pairs (a tie counts for neither side); and the change's median better
+than the parent's by more than the parent's interquartile range, the
+quartiles interpolated linearly between the sorted runs, as the ledgers
+record them. It prints the workload's held-out pair when the ledger has
+one. The exit status is 0 when the rule holds, 1 when it does not, 2 on a
+usage error.
+
+The script reads the files named and BENCHMARK.json; it runs nothing.
 """
 
 import json
 import os
+import statistics
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -75,13 +89,74 @@ def failed_share(side):
     return side["failed"] / side["attempted"] if side["attempted"] else 0.0
 
 
-def main(argv):
-    if len(argv) != 3:
-        print("usage: bench_compare.py A.json[:SIDE] B.json[:SIDE]",
+def claim(bench, path, metric_name, workload):
+    """Exit status of the pair-rule check for one claimed metric."""
+    metric = next((m for m in bench["end_to_end"]
+                   if m["name"] == metric_name), None)
+    if metric is None:
+        print(f"error: BENCHMARK.json declares no metric {metric_name}",
               file=sys.stderr)
         return 2
+    with open(path) as f:
+        ledger = json.load(f)
+    wl = ledger["workloads"].get(workload)
+    if wl is None or "pairs" not in wl:
+        print(f"error: {path}: no pairs for workload {workload}",
+              file=sys.stderr)
+        return 2
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    pairs = [(p["parent"]["metrics"][metric_name],
+              p["change"]["metrics"][metric_name]) for p in wl["pairs"]]
+    n = len(pairs)
+    wins = sum(1 for a, b in pairs if sign * (b - a) > 0)
+    losses = sum(1 for a, b in pairs if sign * (b - a) < 0)
+    ok = True
+    print(f"{os.path.basename(path)}: claim {metric_name} on {workload} "
+          f"({metric['better']} is better)")
+    if n < 10:
+        ok = False
+        print(f"  pairs: {n} < 10")
+    print(f"  change better in {wins} of {n} pairs ({losses} worse, "
+          f"{n - wins - losses} tied)")
+    if 10 * wins < 9 * n:
+        ok = False
+        print("  fewer than 9 wins in 10")
+    if n >= 2:
+        # Quartiles interpolated linearly between the sorted runs.
+        pq1, pmed, pq3 = statistics.quantiles([a for a, _ in pairs], n=4,
+                                              method="inclusive")
+        cmed = statistics.median([b for _, b in pairs])
+        gap = sign * (cmed - pmed)
+        iqr = pq3 - pq1
+        print(f"  median {pmed:.4g} -> {cmed:.4g}: gap {gap:+.4g} against "
+              f"the parent's IQR {iqr:.4g}")
+        if gap <= iqr:
+            ok = False
+            print("  the median gap does not exceed the parent's IQR")
+    held = wl.get("held_out")
+    if held is not None:
+        a = held["parent"]["metrics"][metric_name]
+        b = held["change"]["metrics"][metric_name]
+        print(f"  held-out seed {held['seed']}: {a:.4g} -> {b:.4g} "
+              f"({100 * sign * (b - a) / a:+.1f}%)")
+    print("  claim holds" if ok else "  claim FAILS")
+    return 0 if ok else 1
+
+
+def main(argv):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
+    if len(argv) == 5 and argv[2] == "--claim":
+        try:
+            return claim(bench, argv[1], argv[3], argv[4])
+        except (OSError, KeyError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    if len(argv) != 3:
+        print("usage: bench_compare.py A.json[:SIDE] B.json[:SIDE]\n"
+              "       bench_compare.py LEDGER.json --claim METRIC WORKLOAD",
+              file=sys.stderr)
+        return 2
     try:
         label_a, side_a = load_side(argv[1])
         label_b, side_b = load_side(argv[2])

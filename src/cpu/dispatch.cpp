@@ -34,6 +34,8 @@ const DispatchStub<GemmRowsFn> gemm_rows_stub = {KF_FILL_TABLE(gemm_rows)};
 const DispatchStub<SoftmaxFn> softmax_stub = {KF_FILL_TABLE(softmax)};
 const DispatchStub<DecodeAttendFn> decode_attend_stub = {
     KF_FILL_TABLE(decode_attend)};
+const DispatchStub<AttendRowsFn> attend_rows_stub = {
+    KF_FILL_TABLE(attend_rows)};
 const DispatchStub<ScoreIncrementsFn> score_increments_stub = {
     KF_FILL_TABLE(score_increments)};
 

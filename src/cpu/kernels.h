@@ -1,7 +1,9 @@
 // Dispatch tables for the hot kernels: the dense-layer GEMM behind every
-// projection, MLP and the LM head, the row matvec, the fused attend
-// (named decode_attend, it serves prompt rows too), Keyformer's score
-// increments, and the standalone softmax.
+// projection, MLP and the LM head, the row matvec, the fused attend of up
+// to kAttendRows consecutive query rows of one head (attend_rows, which
+// serves prompt and decode rows alike) and its one-row form
+// (decode_attend), Keyformer's score increments, and the standalone
+// softmax.
 //
 // Each kernel is a DispatchStub-style table: one function-pointer slot
 // per CpuIsa, filled at static-init time with the widest variant compiled
@@ -20,8 +22,8 @@
 // Contracts shared by every variant. The scalar variant is the semantics
 // reference: the pre-dispatch kernel code moved verbatim, so under
 // KF_CPU_ISA=scalar each kernel call is bit-identical to the historical
-// scalar build's. That holds per call, not per run: prompt rows attend
-// through decode_attend over their causal prefix, so under every ISA a
+// scalar build's. That holds per call, not per run: every row attends as
+// the decode_attend call over its causal prefix, so under every ISA a
 // prompt row is bit-identical to its token decoded alone, not to the
 // historical build's prompt rows.
 //   - gemm_rows: every C[i][j] accumulates from 0 in ascending k, one
@@ -54,6 +56,11 @@
 //     a prompt row the segments clipped to its causal prefix, so no
 //     variant handles masking. A row's bits depend only on its query,
 //     scale, bias and visible K/V rows, never on how they are segmented.
+//     Each logit is matvec_rows' dot of its key row and the query. The
+//     wide variants form the dot partials of kLanes keys at a time, in key
+//     order across segment boundaries, and reduce them together in one
+//     transpose-and-add tree that pairs lanes as the trait's horizontal
+//     sum does, so each logit keeps the bits of its own dot.
 //     Each context element starts at 0 and takes one multiply-add of
 //     p_i * V_i per key in key order (segments, then rows; fused on the
 //     wide variants), then one multiply by 1/sum. The wide variants keep
@@ -61,6 +68,13 @@
 //     it once, so no key waits on the previous key's store; the chunking
 //     does not change an element's chain, so its bits are those of a
 //     row-at-a-time accumulation in memory.
+//   - attend_rows: n_rows consecutive query rows of one head, row r the
+//     decode_attend call over the first key_len + r keys. Each row's
+//     outputs are bit-identical to that call's. The wide variants reduce
+//     each group of kLanes key rows for every row that sees it while the
+//     group stays in L1, and load each V row once per call, adding it
+//     into every row's register-held context; the scalar variant makes
+//     the n_rows decode_attend calls.
 //   - score_increments: out = softmax((logit + noise) / tau) over one row
 //     in double: y_i = double(logit_i) + noise_i, the max of y (from
 //     -1e300), e_i = exp((y_i - max) / tau), then e_i * (1 / sum). A -inf
@@ -132,6 +146,24 @@ using DecodeAttendFn = void (*)(const KvSegmentView* segs, std::size_t n_segs,
                                 const float* keys_override, float* lrow,
                                 float* prow, float* ctx, std::size_t key_len);
 
+/// The most query rows one attend_rows call takes.
+inline constexpr std::size_t kAttendRows = 4;
+
+/// Fused attend of n_rows (1..kAttendRows) consecutive query rows of ONE
+/// head, a chunk's rows in order (a decode step's lone row is n_rows = 1):
+/// row r is the decode_attend call over the first key_len + r keys, with
+/// its own dh-float query at q + r * dh, bias row (when bias != nullptr),
+/// logit row and probability row at bias/lrow/prow + r * row_stride, and
+/// context at ctx + r * ctx_stride. `segs` cover the last row's keys
+/// [0, key_len + n_rows - 1); `keys_override`, when non-null, covers them
+/// too. Every row's outputs are bit-identical to that decode_attend call's.
+using AttendRowsFn = void (*)(const KvSegmentView* segs, std::size_t n_segs,
+                              const float* q, std::size_t dh, float scale,
+                              const float* bias, const float* keys_override,
+                              float* lrow, float* prow, std::size_t row_stride,
+                              float* ctx, std::size_t ctx_stride,
+                              std::size_t key_len, std::size_t n_rows);
+
 /// Keyformer's score increments for one query row of one head (see the
 /// contract above): `logits` and `out` hold n entries; `noise`, when
 /// non-null, holds the n frozen logit adjustments (nullptr adds none).
@@ -153,6 +185,7 @@ extern const DispatchStub<MatvecRowsFn> matvec_rows_stub;
 extern const DispatchStub<GemmRowsFn> gemm_rows_stub;
 extern const DispatchStub<SoftmaxFn> softmax_stub;
 extern const DispatchStub<DecodeAttendFn> decode_attend_stub;
+extern const DispatchStub<AttendRowsFn> attend_rows_stub;
 extern const DispatchStub<ScoreIncrementsFn> score_increments_stub;
 
 }  // namespace kf::cpu

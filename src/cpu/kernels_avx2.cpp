@@ -53,6 +53,32 @@ struct Avx2 {
         _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
     return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
   }
+  /// Lane k holds hsum(p(k)) for k < 8: a transpose-and-add tree that adds
+  /// each key's lanes in hsum's pairs and operand order, two keys per
+  /// vector at the first level, four, then eight. Input slot s of the tree
+  /// carries key 4 (s % 2) + s / 2, which lands key k in lane k.
+  template <typename P>
+  static F hsum_lanes(P&& p) {
+    // i with i + 4: [a.lo + a.hi | b.lo + b.hi].
+    const auto pair4 = [](F a, F b) {
+      return _mm256_add_ps(_mm256_permute2f128_ps(a, b, 0x20),
+                           _mm256_permute2f128_ps(a, b, 0x31));
+    };
+    // i with i + 2, then i with i + 1, in each 128-bit lane.
+    const auto pair2 = [](F a, F b) {
+      return _mm256_add_ps(_mm256_shuffle_ps(a, b, _MM_SHUFFLE(1, 0, 1, 0)),
+                           _mm256_shuffle_ps(a, b, _MM_SHUFFLE(3, 2, 3, 2)));
+    };
+    const auto pair1 = [](F a, F b) {
+      return _mm256_add_ps(_mm256_shuffle_ps(a, b, _MM_SHUFFLE(2, 0, 2, 0)),
+                           _mm256_shuffle_ps(a, b, _MM_SHUFFLE(3, 1, 3, 1)));
+    };
+    const F w0 = pair4(p(0), p(4));
+    const F w1 = pair4(p(1), p(5));
+    const F w2 = pair4(p(2), p(6));
+    const F w3 = pair4(p(3), p(7));
+    return pair1(pair2(w0, w1), pair2(w2, w3));
+  }
   static float hmax(F v) {
     const __m128 m =
         _mm_max_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
@@ -116,6 +142,15 @@ void decode_attend(const KvSegmentView* segs, std::size_t n_segs,
                    float* prow, float* ctx, std::size_t key_len) {
   K::decode_attend(segs, n_segs, q_head, dh, scale, bias, keys_override, lrow,
                    prow, ctx, key_len);
+}
+
+void attend_rows(const KvSegmentView* segs, std::size_t n_segs,
+                 const float* q, std::size_t dh, float scale, const float* bias,
+                 const float* keys_override, float* lrow, float* prow,
+                 std::size_t row_stride, float* ctx, std::size_t ctx_stride,
+                 std::size_t key_len, std::size_t n_rows) {
+  K::attend_rows({segs, n_segs, q, dh, scale, bias, keys_override, lrow, prow,
+                  row_stride, ctx, ctx_stride, key_len, n_rows});
 }
 
 void score_increments(const float* logits, const double* noise, double* out,

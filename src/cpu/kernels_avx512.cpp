@@ -67,6 +67,47 @@ struct Avx512 {
         _mm_add_pd(_mm256_extractf128_pd(s, 1), _mm256_castpd256_pd128(s));
     return _mm_cvtsd_f64(_mm_add_sd(s2, _mm_unpackhi_pd(s2, s2)));
   }
+  /// Lane k holds hsum(p(k)) for k < 16: a transpose-and-add tree that
+  /// adds each key's lanes in hsum's pairs and operand order, two keys per
+  /// vector at the first level, four at the second, eight, then sixteen.
+  /// Input slot s of the tree carries key 4 (s % 4) + s / 4, which lands
+  /// key k in lane k.
+  template <typename P>
+  static F hsum_lanes(P&& p) {
+    // i with i + 8 (high half first): [a.lo + a.hi | b.lo + b.hi].
+    const auto pair8 = [](F a, F b) {
+      return _mm512_add_ps(
+          _mm512_maskz_shuffle_f32x4(kAll16, a, b, _MM_SHUFFLE(3, 2, 3, 2)),
+          _mm512_maskz_shuffle_f32x4(kAll16, a, b, _MM_SHUFFLE(1, 0, 1, 0)));
+    };
+    // i with i + 4 in each 256-bit half (high quarter first).
+    const auto pair4 = [](F a, F b) {
+      return _mm512_add_ps(
+          _mm512_maskz_shuffle_f32x4(kAll16, a, b, _MM_SHUFFLE(3, 1, 3, 1)),
+          _mm512_maskz_shuffle_f32x4(kAll16, a, b, _MM_SHUFFLE(2, 0, 2, 0)));
+    };
+    // i with i + 2, then i with i + 1, in each 128-bit lane (low first).
+    const auto pair2 = [](F a, F b) {
+      return _mm512_add_ps(
+          _mm512_maskz_shuffle_ps(kAll16, a, b, _MM_SHUFFLE(1, 0, 1, 0)),
+          _mm512_maskz_shuffle_ps(kAll16, a, b, _MM_SHUFFLE(3, 2, 3, 2)));
+    };
+    const auto pair1 = [](F a, F b) {
+      return _mm512_add_ps(
+          _mm512_maskz_shuffle_ps(kAll16, a, b, _MM_SHUFFLE(2, 0, 2, 0)),
+          _mm512_maskz_shuffle_ps(kAll16, a, b, _MM_SHUFFLE(3, 1, 3, 1)));
+    };
+    const F w0 = pair8(p(0), p(4));
+    const F w1 = pair8(p(8), p(12));
+    const F w2 = pair8(p(1), p(5));
+    const F w3 = pair8(p(9), p(13));
+    const F w4 = pair8(p(2), p(6));
+    const F w5 = pair8(p(10), p(14));
+    const F w6 = pair8(p(3), p(7));
+    const F w7 = pair8(p(11), p(15));
+    return pair1(pair2(pair4(w0, w1), pair4(w2, w3)),
+                 pair2(pair4(w4, w5), pair4(w6, w7)));
+  }
   static float hmax(F v) {
     const __m256 m = _mm256_max_ps(_mm512_extractf32x8_ps(v, 1),
                                    _mm512_extractf32x8_ps(v, 0));
@@ -138,6 +179,15 @@ void decode_attend(const KvSegmentView* segs, std::size_t n_segs,
                    float* prow, float* ctx, std::size_t key_len) {
   K::decode_attend(segs, n_segs, q_head, dh, scale, bias, keys_override, lrow,
                    prow, ctx, key_len);
+}
+
+void attend_rows(const KvSegmentView* segs, std::size_t n_segs,
+                 const float* q, std::size_t dh, float scale, const float* bias,
+                 const float* keys_override, float* lrow, float* prow,
+                 std::size_t row_stride, float* ctx, std::size_t ctx_stride,
+                 std::size_t key_len, std::size_t n_rows) {
+  K::attend_rows({segs, n_segs, q, dh, scale, bias, keys_override, lrow, prow,
+                  row_stride, ctx, ctx_stride, key_len, n_rows});
 }
 
 void score_increments(const float* logits, const double* noise, double* out,

@@ -112,13 +112,19 @@ void decode_attend(const KvSegmentView* segs, std::size_t n_segs,
   // Dot products, streaming the head's contiguous segments (one segment
   // for the classic arena, one per block for a paged cache). Each output
   // logit is an independent row dot, so segmentation never changes the
-  // arithmetic — paged and contiguous caches are bit-exact.
+  // arithmetic — paged and contiguous caches are bit-exact. Only the rows
+  // below key_len are read, so attend_rows can pass every row the views
+  // of its last row.
+  const auto rows_below = [key_len](const KvSegmentView& seg) {
+    return seg.first < key_len ? std::min(seg.count, key_len - seg.first)
+                               : std::size_t{0};
+  };
   if (keys_override != nullptr) {
     matvec_rows(keys_override, q_head, lrow, 0, key_len, dh);
   } else {
     for (std::size_t s = 0; s < n_segs; ++s) {
       const KvSegmentView& seg = segs[s];
-      matvec_rows(seg.keys, q_head, lrow + seg.first, 0, seg.count, dh);
+      matvec_rows(seg.keys, q_head, lrow + seg.first, 0, rows_below(seg), dh);
     }
   }
 
@@ -141,7 +147,8 @@ void decode_attend(const KvSegmentView* segs, std::size_t n_segs,
   double sum = 0.0;
   for (std::size_t s = 0; s < n_segs; ++s) {
     const KvSegmentView& seg = segs[s];
-    for (std::size_t r = 0; r < seg.count; ++r) {
+    const std::size_t count = rows_below(seg);
+    for (std::size_t r = 0; r < count; ++r) {
       const std::size_t i = seg.first + r;
       const double e = std::exp(static_cast<double>(lrow[i] - m));
       const float ef = static_cast<float>(e);
@@ -153,6 +160,21 @@ void decode_attend(const KvSegmentView* segs, std::size_t n_segs,
   const float inv = static_cast<float>(1.0 / sum);
   for (std::size_t i = 0; i < key_len; ++i) prow[i] *= inv;
   for (std::size_t j = 0; j < dh; ++j) ctx[j] *= inv;
+}
+
+void attend_rows(const KvSegmentView* segs, std::size_t n_segs,
+                 const float* q, std::size_t dh, float scale, const float* bias,
+                 const float* keys_override, float* lrow, float* prow,
+                 std::size_t row_stride, float* ctx, std::size_t ctx_stride,
+                 std::size_t key_len, std::size_t n_rows) {
+  // Row r is decode_attend over its key_len + r keys, which reads only
+  // the segments' rows below its key_len.
+  for (std::size_t r = 0; r < n_rows; ++r) {
+    const std::size_t o = r * row_stride;
+    decode_attend(segs, n_segs, q + r * dh, dh, scale,
+                  bias != nullptr ? bias + o : nullptr, keys_override,
+                  lrow + o, prow + o, ctx + r * ctx_stride, key_len + r);
+  }
 }
 
 void score_increments(const float* logits, const double* noise, double* out,

@@ -1,6 +1,6 @@
 // The wide kernel variants, written once over a lane-width trait V.
 // kernels_avx2.cpp (8 float lanes) and kernels_avx512.cpp (16) each define
-// a trait and forward their five entry points to Wide<V>. Only those two
+// a trait and forward their six entry points to Wide<V>. Only those two
 // TUs include this header, each compiled with its own -m flags, and
 // everything here has internal linkage, so no code compiled for one ISA
 // can be merged into the other's at link time.
@@ -8,10 +8,14 @@
 // Numerics: dots/accumulations run V::kLanes float lanes with FMA;
 // gemm_rows gives every output element one FMA per k step, in ascending
 // k, whether it lands in a register block, a vector or a scalar std::fma;
-// decode_attend holds its context in registers, up to kContextVectors
-// vectors of columns at a time across every key, one FMA per key and
-// element in key order, with the columns past the last whole vector in
-// memory through the same multiply-add, so chunking never changes a bit;
+// the attend's logits are dots whose kLanes-key groups reduce together
+// (V::hsum_lanes pairs each key's lanes as V::hsum does, and dot's scalar
+// tail follows), so grouping never changes a bit; decode_attend and
+// attend_rows are one body, which holds each row's context in registers,
+// up to kContextVectors accumulators across its rows at a time over every
+// key, one FMA per key and element in key order, with the columns past
+// the last whole vector in memory through the same multiply-add, so
+// neither chunking nor the rows sharing a call changes a bit;
 // exp runs a Cephes-style degree-5 polynomial (~1 ulp over the reduced
 // range), and softmax sums accumulate in double lanes, keeping every
 // variant within the 1e-5 parity budget against the scalar reference
@@ -36,6 +40,7 @@
 //   max, min           lane ops (D overloads where the bodies need them);
 //   first              lane 0 of an F;
 //   hsum, hmax         horizontal sum and max of an F (in float) or a D;
+//   hsum_lanes         lane k = hsum(p(k)) for the kLanes Fs p(0), p(1), ..;
 //   round, pow2        exp's round-to-nearest, and 2^n for integral lanes;
 //   zero_below         exp's underflow guard: p, zeroed where x < lowest;
 //   widen              kLanes / 2 floats from memory, as a D;
@@ -43,6 +48,8 @@
 //   narrow             two Ds rounded to float: the low, high half of an F.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -206,7 +213,15 @@ struct Wide {
     for (; i + kLanes <= n; i += kLanes) {
       acc0 = V::fmadd(V::load(a + i), V::load(b + i), acc0);
     }
-    float acc = V::hsum(V::add(acc0, acc1));
+    const float acc = V::hsum(V::add(acc0, acc1));
+    return i < n ? dot_tail(acc, a, b, i, n) : acc;
+  }
+
+  /// dot's scalar tail: acc plus a[i] * b[i] for i in [i, n), in order.
+  /// One out-of-line body, so every caller's tail rounds alike.
+  [[gnu::noinline]] static float dot_tail(float acc, const float* a,
+                                          const float* b, std::size_t i,
+                                          std::size_t n) {
     for (; i < n; ++i) acc += a[i] * b[i];
     return acc;
   }
@@ -329,70 +344,296 @@ struct Wide {
     for (; i < n; ++i) out[i] *= inv;
   }
 
-  /// decode_attend's context over the vector columns [j, j + N * kLanes):
-  /// N accumulators stay in registers while every visible key's V row,
-  /// segments then rows, adds p_i * V_i with one FMA per element, from 0;
-  /// then each is scaled by 1/sum and stored once, so no key waits on the
-  /// previous key's store.
-  template <std::size_t N>
-  static void context_columns(const KvSegmentView* segs, std::size_t n_segs,
-                              const float* prow, std::size_t dh, F vinv,
-                              float* ctx, std::size_t j) {
-    F acc[N];
-    for (std::size_t c = 0; c < N; ++c) acc[c] = V::zero();
-    for (std::size_t s = 0; s < n_segs; ++s) {
-      const KvSegmentView& seg = segs[s];
-      const float* p = prow + seg.first;
-      const float* v = seg.values + j;
-      for (std::size_t r = 0; r < seg.count; ++r, v += dh) {
-        const F vp = V::set1(p[r]);
-        for (std::size_t c = 0; c < N; ++c) {
-          acc[c] = V::fmadd(vp, V::load(v + c * kLanes), acc[c]);
+  /// One attend_rows call (kernels.h has the contract): n_rows consecutive
+  /// query rows of one head, row r seeing the keys [0, key_len + r).
+  struct Rows {
+    const KvSegmentView* segs;
+    std::size_t n_segs;
+    const float* q;
+    std::size_t dh;
+    float scale;
+    const float* bias;
+    const float* keys_override;
+    float* lrow;
+    float* prow;
+    std::size_t row_stride;
+    float* ctx;
+    std::size_t ctx_stride;
+    std::size_t key_len;
+    std::size_t n_rows;
+  };
+
+  /// A key row's dot partials against q over the first nv whole vectors,
+  /// formed as dot forms them: acc0 and acc1 over pairs of vectors, an odd
+  /// last vector into acc0, then their sum. hsum of it plus dot's scalar
+  /// tail is dot(k, q, dh). NV > 0 fixes nv, so the body runs straight-line.
+  template <std::size_t NV>
+  static F dot_partial(const float* k, const float* q, std::size_t nv) {
+    if constexpr (NV > 0) nv = NV;
+    F acc0 = V::zero();
+    F acc1 = V::zero();
+    std::size_t c = 0;
+    for (; c + 2 <= nv; c += 2) {
+      acc0 = V::fmadd(V::load(k + c * kLanes), V::load(q + c * kLanes), acc0);
+      acc1 = V::fmadd(V::load(k + (c + 1) * kLanes),
+                      V::load(q + (c + 1) * kLanes), acc1);
+    }
+    if (c < nv) {
+      acc0 = V::fmadd(V::load(k + c * kLanes), V::load(q + c * kLanes), acc0);
+    }
+    return V::add(acc0, acc1);
+  }
+
+  /// The whole vectors' part of dot(key(j), q, nv * kLanes) into out[j]
+  /// for the kLanes key rows of one group, their partials reduced
+  /// together. Out of line, so the caller's walk over the segments keeps
+  /// its registers.
+  template <std::size_t NV, typename Key>
+  [[gnu::noinline]] static void group_dots(Key key, const float* q,
+                                           std::size_t nv, float* out) {
+    V::store(out, V::hsum_lanes([&](std::size_t j) {
+      return dot_partial<NV>(key(j), q, nv);
+    }));
+  }
+
+  /// dot(K_i, q_r) into row r's logits for every key i < key_len + r. Keys
+  /// go in groups of kLanes in key order, across segment boundaries; each
+  /// row that sees a whole group reduces the group's partials together
+  /// (V::hsum_lanes, hsum's pairing), then adds each key's scalar tail,
+  /// while the group's K rows are in L1. Keys a row sees outside a whole
+  /// group take dot. Either way a logit has dot's bits.
+  template <std::size_t NV>
+  static void key_dots(const Rows& a) {
+    const std::size_t dh = a.dh;
+    const std::size_t nv = dh / kLanes;
+    const std::size_t tail = nv * kLanes;  // dot's scalar tail starts here
+    std::size_t g = 0;                     // the next group's first key
+    // Row r's logits for the keys of [g, g + n) it sees, one dot each.
+    const auto one_by_one = [&](auto key, std::size_t r, std::size_t n) {
+      const float* q = a.q + r * dh;
+      float* out = a.lrow + r * a.row_stride;
+      for (std::size_t i = g; i < std::min(g + n, a.key_len + r); ++i) {
+        out[i] = dot(key(i - g), q, dh);
+      }
+    };
+    // Rows from r_full on see the whole group [g, g + kLanes).
+    const auto group = [&](auto key) {
+      const std::size_t r_full =
+          std::min(a.n_rows, g + kLanes > a.key_len ? g + kLanes - a.key_len
+                                                    : std::size_t{0});
+      for (std::size_t r = 0; r < r_full; ++r) one_by_one(key, r, kLanes);
+      for (std::size_t r = r_full; r < a.n_rows; ++r) {
+        const float* q = a.q + r * dh;
+        float* out = a.lrow + r * a.row_stride + g;
+        group_dots<NV>(key, q, nv, out);
+        for (std::size_t j = 0; tail < dh && j < kLanes; ++j) {
+          out[j] = dot_tail(out[j], key(j), q, tail, dh);
+        }
+      }
+      g += kLanes;
+    };
+    // A group that spans segments collects its key rows here.
+    const float* kp[kLanes];
+    const auto held_key = [&kp](std::size_t j) { return kp[j]; };
+    std::size_t held = 0;
+    for (std::size_t s = 0; s < a.n_segs; ++s) {
+      const KvSegmentView& seg = a.segs[s];
+      const float* k = a.keys_override != nullptr
+                           ? a.keys_override + seg.first * dh
+                           : seg.keys;
+      for (std::size_t left = seg.count; left > 0;) {
+        // A whole group inside the segment goes by stride: sending every
+        // group through kp ran BM_DecodeAttend 10-50% slower.
+        if (held == 0 && left >= kLanes) {
+          group([k, dh](std::size_t j) { return k + j * dh; });
+          k += kLanes * dh;
+          left -= kLanes;
+          continue;
+        }
+        kp[held++] = k;
+        k += dh;
+        --left;
+        if (held == kLanes) {
+          group(held_key);
+          held = 0;
         }
       }
     }
-    for (std::size_t c = 0; c < N; ++c) {
-      V::store(ctx + j + c * kLanes, V::mul(acc[c], vinv));
+    for (std::size_t r = 0; r < a.n_rows; ++r) one_by_one(held_key, r, held);
+  }
+
+  /// One row's logits scaled (and biased) in place, then e_i = exp(l_i -
+  /// max) into prow; returns the sum of the e_i, in double. The caller
+  /// passes only the keys the row sees, so no -inf reaches here.
+  static double exp_row(float* lrow, float* prow, const float* bias,
+                        float scale, std::size_t n) {
+    const F vscale = V::set1(scale);
+    std::size_t i = 0;
+    if (bias != nullptr) {
+      for (; i + kLanes <= n; i += kLanes) {
+        V::store(lrow + i,
+                 V::fmadd(V::load(lrow + i), vscale, V::load(bias + i)));
+      }
+      for (; i < n; ++i) lrow[i] = lrow[i] * scale + bias[i];
+    } else {
+      for (; i + kLanes <= n; i += kLanes) {
+        V::store(lrow + i, V::mul(V::load(lrow + i), vscale));
+      }
+      for (; i < n; ++i) lrow[i] *= scale;
+    }
+    const float m = max_value(lrow, n);
+    const F vm = V::set1(m);
+    double sum = 0.0;
+    i = 0;
+    for (; i + kLanes <= n; i += kLanes) {
+      const F e = exp(V::sub(V::load(lrow + i), vm));
+      V::store(prow + i, e);
+      sum += hsum_d(e);
+    }
+    for (; i < n; ++i) {
+      const double e = std::exp(static_cast<double>(lrow[i] - m));
+      prow[i] = static_cast<float>(e);
+      sum += e;
+    }
+    return sum;
+  }
+
+  /// The R rows' contexts over the vector columns [j, j + N * kLanes): R x
+  /// N accumulators stay in registers while each key's V row, segments then
+  /// rows, is loaded once and added into every row that sees it, p_i * V_i
+  /// with one FMA per element, from 0; then each is scaled by its row's
+  /// 1/sum and stored once, so no key waits on the previous key's store.
+  template <std::size_t R, std::size_t N>
+  static void context_columns(const Rows& a, const float* inv,
+                              std::size_t j) {
+    const std::size_t dh = a.dh;
+    const std::size_t key_len = a.key_len;
+    const float* p[R];
+    for (std::size_t r = 0; r < R; ++r) p[r] = a.prow + r * a.row_stride;
+    F acc[R][N];
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t c = 0; c < N; ++c) acc[r][c] = V::zero();
+    }
+    // The V rows of keys key_len + e, e < R - 1, which only rows r > e see.
+    const float* extra[R];
+    for (std::size_t s = 0; s < a.n_segs; ++s) {
+      const KvSegmentView& seg = a.segs[s];
+      const std::size_t end = seg.first + seg.count;
+      const float* v = seg.values + j;
+      std::size_t i = seg.first;
+      for (const std::size_t common = std::min(end, key_len); i < common;
+           ++i, v += dh) {
+        F vv[N];
+        for (std::size_t c = 0; c < N; ++c) vv[c] = V::load(v + c * kLanes);
+        for (std::size_t r = 0; r < R; ++r) {
+          const F vp = V::set1(p[r][i]);
+          for (std::size_t c = 0; c < N; ++c) {
+            acc[r][c] = V::fmadd(vp, vv[c], acc[r][c]);
+          }
+        }
+      }
+      for (; i < end; ++i, v += dh) extra[i - key_len] = v;
+    }
+    // They come after every common key, so each row's chain stays in key
+    // order.
+    for (std::size_t e = 0; e + 1 < R; ++e) {
+      for (std::size_t r = e + 1; r < R; ++r) {
+        const F vp = V::set1(p[r][key_len + e]);
+        for (std::size_t c = 0; c < N; ++c) {
+          acc[r][c] = V::fmadd(vp, V::load(extra[e] + c * kLanes), acc[r][c]);
+        }
+      }
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      const F vinv = V::set1(inv[r]);
+      for (std::size_t c = 0; c < N; ++c) {
+        V::store(a.ctx + r * a.ctx_stride + j + c * kLanes,
+                 V::mul(acc[r][c], vinv));
+      }
     }
   }
 
-  /// Vectors per context chunk: 8 accumulators and the broadcast p_i fit
-  /// AVX2's 16 registers without a spill.
+  /// Accumulators per context pass: 8, with the V row and the broadcast
+  /// p_i, fit AVX2's 16 registers without a spill.
   static constexpr std::size_t kContextVectors = 8;
 
-  /// The whole vectors of the context from column j on: chunks of N
-  /// vectors, then what is left in chunks of N / 2, N / 4, .., 1 (each at
-  /// most once). Returns the first column past them, where the scalar
+  /// The whole vectors of the R rows' contexts from column j on: chunks of
+  /// N vectors, then what is left in chunks of N / 2, N / 4, .., 1 (each
+  /// at most once). Returns the first column past them, where the scalar
   /// tail starts.
-  template <std::size_t N>
-  static std::size_t context_chunks(const KvSegmentView* segs,
-                                    std::size_t n_segs, const float* prow,
-                                    std::size_t dh, F vinv, float* ctx,
+  template <std::size_t R, std::size_t N = std::bit_floor(kContextVectors / R)>
+  static std::size_t context_chunks(const Rows& a, const float* inv,
                                     std::size_t j) {
-    for (; j + N * kLanes <= dh; j += N * kLanes) {
-      context_columns<N>(segs, n_segs, prow, dh, vinv, ctx, j);
+    for (; j + N * kLanes <= a.dh; j += N * kLanes) {
+      context_columns<R, N>(a, inv, j);
     }
     if constexpr (N > 1) {
-      return context_chunks<N / 2>(segs, n_segs, prow, dh, vinv, ctx, j);
+      return context_chunks<R, N / 2>(a, inv, j);
     }
     return j;
   }
 
-  /// The context columns [j, dh) past the last whole vector, in memory,
-  /// one multiply-add per key in key order.
-  static void context_tail(const KvSegmentView* segs, std::size_t n_segs,
-                           const float* prow, std::size_t dh, float inv,
-                           float* ctx, std::size_t j) {
+  /// Row r's context columns [j, dh) past the last whole vector, in
+  /// memory, one multiply-add per key it sees in key order.
+  static void context_tail(const Rows& a, std::size_t r, float inv,
+                           std::size_t j) {
+    const std::size_t dh = a.dh;
+    const std::size_t n = a.key_len + r;
+    const float* prow = a.prow + r * a.row_stride;
+    float* ctx = a.ctx + r * a.ctx_stride;
     for (std::size_t t = j; t < dh; ++t) ctx[t] = 0.0F;
-    for (std::size_t s = 0; s < n_segs; ++s) {
-      const KvSegmentView& seg = segs[s];
-      for (std::size_t r = 0; r < seg.count; ++r) {
-        const float a = prow[seg.first + r];
-        const float* v = seg.values + r * dh;
-        for (std::size_t t = j; t < dh; ++t) ctx[t] += a * v[t];
+    for (std::size_t s = 0; s < a.n_segs && a.segs[s].first < n; ++s) {
+      const KvSegmentView& seg = a.segs[s];
+      const std::size_t count = std::min(seg.count, n - seg.first);
+      for (std::size_t i = 0; i < count; ++i) {
+        const float p = prow[seg.first + i];
+        const float* v = seg.values + i * dh;
+        for (std::size_t t = j; t < dh; ++t) ctx[t] += p * v[t];
       }
     }
     for (std::size_t t = j; t < dh; ++t) ctx[t] *= inv;
+  }
+
+  /// The fused attend of one head's n_rows <= kAttendRows consecutive query
+  /// rows. Per row: the logits, then the unnormalized softmax; then every
+  /// row's context sum p_i * V_i in register-held column chunks; one 1/sum
+  /// per row normalizes its probabilities and context together. Each row
+  /// keeps the one-row arithmetic, so its bits are decode_attend's over
+  /// its own keys.
+  static void attend_rows(const Rows& a) {
+    switch (a.dh / kLanes) {
+      case 1: key_dots<1>(a); break;
+      case 2: key_dots<2>(a); break;
+      case 4: key_dots<4>(a); break;
+      default: key_dots<0>(a); break;
+    }
+    float inv[kAttendRows];
+    for (std::size_t r = 0; r < a.n_rows; ++r) {
+      const std::size_t o = r * a.row_stride;
+      const double sum =
+          exp_row(a.lrow + o, a.prow + o,
+                  a.bias != nullptr ? a.bias + o : nullptr, a.scale,
+                  a.key_len + r);
+      inv[r] = static_cast<float>(1.0 / sum);
+    }
+    std::size_t tail = 0;
+    switch (a.n_rows) {
+      case 1: tail = context_chunks<1>(a, inv, 0); break;
+      case 2: tail = context_chunks<2>(a, inv, 0); break;
+      case 3: tail = context_chunks<3>(a, inv, 0); break;
+      default: tail = context_chunks<4>(a, inv, 0); break;
+    }
+    for (std::size_t r = 0; r < a.n_rows; ++r) {
+      if (tail < a.dh) context_tail(a, r, inv[r], tail);
+      float* prow = a.prow + r * a.row_stride;
+      const std::size_t n = a.key_len + r;
+      const F vinv = V::set1(inv[r]);
+      std::size_t i = 0;
+      for (; i + kLanes <= n; i += kLanes) {
+        V::store(prow + i, V::mul(V::load(prow + i), vinv));
+      }
+      for (; i < n; ++i) prow[i] *= inv[r];
+    }
   }
 
   static void decode_attend(const KvSegmentView* segs, std::size_t n_segs,
@@ -400,61 +641,8 @@ struct Wide {
                             const float* bias, const float* keys_override,
                             float* lrow, float* prow, float* ctx,
                             std::size_t key_len) {
-    if (keys_override != nullptr) {
-      matvec_rows(keys_override, q_head, lrow, 0, key_len, dh);
-    } else {
-      for (std::size_t s = 0; s < n_segs; ++s) {
-        const KvSegmentView& seg = segs[s];
-        matvec_rows(seg.keys, q_head, lrow + seg.first, 0, seg.count, dh);
-      }
-    }
-
-    const F vscale = V::set1(scale);
-    std::size_t i = 0;
-    if (bias != nullptr) {
-      for (; i + kLanes <= key_len; i += kLanes) {
-        V::store(lrow + i,
-                 V::fmadd(V::load(lrow + i), vscale, V::load(bias + i)));
-      }
-      for (; i < key_len; ++i) lrow[i] = lrow[i] * scale + bias[i];
-    } else {
-      for (; i + kLanes <= key_len; i += kLanes) {
-        V::store(lrow + i, V::mul(V::load(lrow + i), vscale));
-      }
-      for (; i < key_len; ++i) lrow[i] *= scale;
-    }
-
-    // Unnormalized softmax over the logits (the caller passes only the
-    // visible keys: a decode row the whole cache, a prompt row its clipped
-    // prefix, so no -inf reaches here), then the context sum p_i * V_i in
-    // register-held column chunks; one final 1/sum normalizes
-    // probabilities and context together.
-    const float m = max_value(lrow, key_len);
-    const F vm = V::set1(m);
-    double sum = 0.0;
-    i = 0;
-    for (; i + kLanes <= key_len; i += kLanes) {
-      const F e = exp(V::sub(V::load(lrow + i), vm));
-      V::store(prow + i, e);
-      sum += hsum_d(e);
-    }
-    for (; i < key_len; ++i) {
-      const double e = std::exp(static_cast<double>(lrow[i] - m));
-      prow[i] = static_cast<float>(e);
-      sum += e;
-    }
-
-    const float inv = static_cast<float>(1.0 / sum);
-    const F vinv = V::set1(inv);
-    const std::size_t tail =
-        context_chunks<kContextVectors>(segs, n_segs, prow, dh, vinv, ctx, 0);
-    if (tail < dh) context_tail(segs, n_segs, prow, dh, inv, ctx, tail);
-
-    i = 0;
-    for (; i + kLanes <= key_len; i += kLanes) {
-      V::store(prow + i, V::mul(V::load(prow + i), vinv));
-    }
-    for (; i < key_len; ++i) prow[i] *= inv;
+    attend_rows({segs, n_segs, q_head, dh, scale, bias, keys_override, lrow,
+                 prow, key_len, ctx, dh, key_len, 1});
   }
 
   static void score_increments(const float* logits, const double* noise,

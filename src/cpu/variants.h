@@ -3,7 +3,7 @@
 // dispatch.cpp (which wires them into the tables) — never by code
 // outside src/cpu (scripts/lint.py check 6).
 //
-// Every namespace implements the same five signatures from kernels.h;
+// Every namespace implements the same six signatures from kernels.h;
 // the scalar namespace is the semantics reference. The scalar helpers
 // stay file-local to kernels_scalar.cpp; the avx2 and avx512 entries
 // forward to kernels_wide.h's Wide<V>, whose helpers (dot, max,
@@ -28,6 +28,12 @@ namespace kf::cpu {
                      const float* bias, const float* keys_override,           \
                      float* lrow, float* prow, float* ctx,                    \
                      std::size_t key_len);                                    \
+  void attend_rows(const KvSegmentView* segs, std::size_t n_segs,             \
+                   const float* q, std::size_t dh, float scale,               \
+                   const float* bias, const float* keys_override,             \
+                   float* lrow, float* prow, std::size_t row_stride,          \
+                   float* ctx, std::size_t ctx_stride, std::size_t key_len,   \
+                   std::size_t n_rows);                                       \
   void score_increments(const float* logits, const double* noise,             \
                         double* out, std::size_t n, double tau)
 

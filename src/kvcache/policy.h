@@ -7,12 +7,14 @@
 //   1. The model appends the call's K/V rows to the layer's cache and calls
 //      `begin_attend`: damping and per-call score state (Keyformer draws
 //      zeta for the appended rows and sets tau for this step).
-//   2. The attend scores each (head, query row) as it produces it: right
-//      after the fused kernel it hands `observe_row` that row's scaled
-//      logits x = QK^T/sqrt(d) and post-softmax probabilities over the
-//      row's visible cache prefix, in scratch the next row overwrites. The
-//      policy adds the row into its accumulated scores. No [heads x rows x
-//      keys] tensor exists unless an instrumentation observer asks for one.
+//   2. The attend scores each (head, query row) as it produces it: after
+//      each fused kernel call, which attends a block of up to four rows of
+//      one head, it hands `observe_row` each of the block's rows in order:
+//      the row's scaled logits x = QK^T/sqrt(d) and post-softmax
+//      probabilities over its visible cache prefix, in scratch the next
+//      block overwrites. The policy adds the row into its accumulated
+//      scores. No [heads x rows x keys] tensor exists unless an
+//      instrumentation observer asks for one.
 //   3. After the layer's attend, `observe` selects a keep-set and, if the
 //      cache exceeds its budget k, compacts it to exactly k tokens.
 //   4. Budgets are static for the whole generation: k tokens total,

@@ -94,12 +94,16 @@ std::vector<float> rotated_keys(const ModelConfig& cfg, const RopeTable& rope,
 /// one sequence's chunk against that sequence's cache, for heads [h0, h1).
 /// The chunk's n_q = q_positions.size() tokens are the cache's newest
 /// entries (already appended; cached positions ascend), so row qi sees
-/// exactly the prefix [0, key_len - n_q + qi + 1). Each head's segment
-/// views are clipped to that prefix and handed to the dispatched fused
-/// attend, which writes the row's logits and probabilities into `out`'s
-/// tensors when it keeps them and into this thread's scratch otherwise;
-/// `policy` (may be null) then scores the row from there. A decode step
-/// is the one-row chunk, so a prompt row's bits equal that token decoded
+/// exactly the prefix [0, key_len - n_q + qi + 1). Each head's rows go in
+/// blocks of cpu::kAttendRows, then a remainder of one to three: the
+/// block's queries are rotated into scratch rows, its segment views
+/// clipped to the last row's prefix, and one dispatched attend_rows call
+/// attends the block, writing each row's logits and probabilities into
+/// `out`'s tensors when it keeps them and into this thread's scratch
+/// otherwise. After the call `policy` (may be null) scores the block's
+/// rows from there, in ascending order, before the next block overwrites
+/// the scratch. Each row keeps the one-row arithmetic and a decode step is
+/// the one-row chunk, so a prompt row's bits equal that token decoded
 /// alone. `q` holds the chunk's un-rotated projected queries (row qi at
 /// q + qi * d_model); `rotated` is rotated_keys' scratch for this cache;
 /// `ctx` receives each row's merged head contexts (d_model floats per row)
@@ -124,66 +128,80 @@ void attend_heads(const ModelConfig& cfg, const RopeTable& rope,
   const bool use_alibi = cfg.positional == PositionalKind::kALiBi;
   const float inv_sqrt_dh = 1.0F / std::sqrt(static_cast<float>(dh));
 
-  std::vector<float> q_head(dh);
+  constexpr std::size_t kRows = cpu::kAttendRows;
+  // The block's rotated queries, one dh-float row per query row.
+  std::vector<float> q_rows(kRows * dh);
   // Per-head segment views (POD mirror of kv::KvSegment) and their copy
-  // clipped to the current row's visible prefix.
+  // clipped to the current block's visible prefix.
   std::vector<cpu::KvSegmentView> segs(n_segs);
   std::vector<cpu::KvSegmentView> visible(n_segs);
-  // ALiBi bias row, refilled per (head, row) as the slope and query move.
-  std::vector<float> bias(use_alibi ? key_len : 0);
-  // One row's logits and probabilities when the tensors are not kept.
+  // The block's ALiBi bias rows (stride key_len), refilled per (head,
+  // block) as the slope and queries move.
+  std::vector<float> bias(use_alibi ? kRows * key_len : 0);
+  // The block's logit and probability rows when the tensors are not kept.
   thread_local std::vector<float> scratch;
-  if (!keep) scratch.resize(2 * key_len);
+  if (!keep) scratch.resize(2 * kRows * key_len);
 
-  const cpu::DecodeAttendFn attend = cpu::decode_attend_stub.get();
+  const cpu::AttendRowsFn attend_rows = cpu::attend_rows_stub.get();
 
   for (std::size_t h = h0; h < h1; ++h) {
     for (std::size_t s = 0; s < n_segs; ++s) {
       const kv::KvSegment seg = cache.segment(h, s);
       segs[s] = {seg.keys, seg.values, seg.first, seg.count};
     }
-    std::size_t n_vis = 0;  // segments visible to the previous row
+    std::size_t n_vis = 0;  // segments visible to the previous block
     const float* keys_override =
         rotated.empty() ? nullptr : rotated.data() + h * key_len * dh;
     const double slope = use_alibi ? alibi_slope(h, h_count) : 0.0;
 
-    for (std::size_t qi = 0; qi < n_q; ++qi) {
-      const std::size_t vis = first_q + qi + 1;
-      assert(cache.original_position(vis - 1) == q_positions[qi]);
-      const std::size_t q_eff = cfg.position_mode == PositionMode::kOriginal
-                                    ? q_positions[qi]
-                                    : vis - 1;
+    for (std::size_t q0 = 0; q0 < n_q; q0 += kRows) {
+      const std::size_t rows = std::min(kRows, n_q - q0);
+      const std::size_t vis0 = first_q + q0 + 1;  // keys row q0 sees
+      const std::size_t vis = vis0 + rows - 1;    // keys the last row sees
+      for (std::size_t r = 0; r < rows; ++r) {
+        const std::size_t qi = q0 + r;
+        assert(cache.original_position(vis0 + r - 1) == q_positions[qi]);
+        const std::size_t q_eff = cfg.position_mode == PositionMode::kOriginal
+                                      ? q_positions[qi]
+                                      : vis0 + r - 1;
+        const float* q_src = q + qi * d + h * dh;
+        float* q_row = q_rows.data() + r * dh;
+        std::copy(q_src, q_src + dh, q_row);
+        if (use_rope) rope.rotate({q_row, dh}, q_eff);
+        if (use_alibi) {
+          float* b = bias.data() + r * key_len;
+          for (std::size_t i = 0; i < vis0 + r; ++i) {
+            b[i] = static_cast<float>(
+                -slope *
+                static_cast<double>(q_eff - key_position(cfg, cache, i)));
+          }
+        }
+      }
 
-      const float* q_src = q + qi * d + h * dh;
-      std::copy(q_src, q_src + dh, q_head.begin());
-      if (use_rope) rope.rotate(q_head, q_eff);
-
-      // Clip the views to [0, vis): whole segments before the boundary,
-      // then the one it falls in, shortened. Rows ascend, so only the
-      // previous row's boundary segment and the ones past it change.
+      // Clip the views to the last row's [0, vis): whole segments before
+      // the boundary, then the one it falls in, shortened. Blocks ascend,
+      // so only the previous block's boundary segment and the ones past it
+      // change.
       if (n_vis > 0) visible[n_vis - 1] = segs[n_vis - 1];
       for (; n_vis < n_segs && segs[n_vis].first < vis; ++n_vis) {
         visible[n_vis] = segs[n_vis];
       }
       visible[n_vis - 1].count = vis - visible[n_vis - 1].first;
 
-      const float* bias_ptr = nullptr;
-      if (use_alibi) {
-        for (std::size_t i = 0; i < vis; ++i) {
-          bias[i] = static_cast<float>(
-              -slope *
-              static_cast<double>(q_eff - key_position(cfg, cache, i)));
-        }
-        bias_ptr = bias.data();
-      }
-
-      const std::size_t row = (h * n_q + qi) * key_len;
+      const std::size_t row = (h * n_q + q0) * key_len;
       float* lrow = keep ? out.logits.data() + row : scratch.data();
-      float* prow = keep ? out.probs.data() + row : scratch.data() + key_len;
-      attend(visible.data(), n_vis, q_head.data(), dh, inv_sqrt_dh, bias_ptr,
-             keys_override, lrow, prow, ctx + qi * d + h * dh, vis);
+      float* prow =
+          keep ? out.probs.data() + row : scratch.data() + kRows * key_len;
+      float* ctx_row = ctx + q0 * d + h * dh;
+      const float* bias_ptr = use_alibi ? bias.data() : nullptr;
+      attend_rows(visible.data(), n_vis, q_rows.data(), dh, inv_sqrt_dh,
+                  bias_ptr, keys_override, lrow, prow, key_len, ctx_row, d,
+                  vis0, rows);
       if (policy != nullptr) {
-        policy->observe_row(cache, h, {lrow, vis}, {prow, vis});
+        for (std::size_t r = 0; r < rows; ++r) {
+          policy->observe_row(cache, h, {lrow + r * key_len, vis0 + r},
+                              {prow + r * key_len, vis0 + r});
+        }
       }
     }
   }

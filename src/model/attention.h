@@ -39,8 +39,10 @@
 // ascend, so causality is a prefix) through the dispatched fused attend:
 // per-head dots streaming the cache's contiguous head-major key segments
 // (one per cache block) clipped to that prefix, then one pass doing
-// softmax + weighted-value accumulation. Kept tensors hold -inf logits and
-// 0 probabilities past each row's prefix.
+// softmax + weighted-value accumulation. A run's rows attend four at a
+// time (cpu::attend_rows), so each key and value row is read once per
+// block of rows; each row keeps the one-row arithmetic. Kept tensors hold
+// -inf logits and 0 probabilities past each row's prefix.
 // W_o is one more GEMM over every row. A GEMM row's bits never depend on
 // the other rows, and the attend never spans sequences, so a row's bits
 // depend neither on the rest of its call nor on whether it came from a

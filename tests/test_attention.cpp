@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -542,6 +543,86 @@ TEST(Attention, DroppedTensorsLeaveContextsBitEqual) {
     for (std::size_t i = 0; i < kept_cache.size(); ++i) {
       EXPECT_EQ(dropped_cache.key_row(i), kept_cache.key_row(i)) << i;
       EXPECT_EQ(dropped_cache.value_row(i), kept_cache.value_row(i)) << i;
+    }
+  }
+}
+
+TEST(Attention, PromptChunkRowsMatchOneRowCalls) {
+  // A prompt chunk attends its rows four at a time, then a remainder of one
+  // to three. Every row must equal the same token attended alone, as a
+  // one-row call after the rows before it: contexts, kept logits and
+  // probabilities (masked past the row's prefix) and the cached K/V, bit
+  // for bit. Chunks of 1 to 9 rows cover every remainder, over a cache of
+  // 4-token blocks compacted to scattered slots, with d_head 32 so the key
+  // groups and register-held context columns run their vector paths.
+  for (const ParityCase pc :
+       {ParityCase{PositionalKind::kRoPE, PositionMode::kOriginal},
+        ParityCase{PositionalKind::kRoPE, PositionMode::kNew},
+        ParityCase{PositionalKind::kALiBi, PositionMode::kOriginal},
+        ParityCase{PositionalKind::kALiBi, PositionMode::kNew},
+        ParityCase{PositionalKind::kLearned, PositionMode::kOriginal}}) {
+    ModelConfig cfg = tiny_config(pc.positional);
+    cfg.position_mode = pc.mode;
+    cfg.d_model = 64;
+    const ModelWeights w = build_weights(cfg);
+    auto pool = make_pool(cfg, 4);
+    for (std::size_t n = 1; n <= 9; ++n) {
+      SCOPED_TRACE(to_string(pc.positional) + "_" + to_string(pc.mode) +
+                   " rows " + std::to_string(n));
+      // 40 prompt rows, compacted to 26 scattered slots.
+      std::vector<std::size_t> keep;
+      for (std::size_t i = 0; i < 40; ++i) {
+        if (i % 3 != 1) keep.push_back(i);
+      }
+      const Tensor prefix = random_rows(40, cfg.d_model, 81);
+      const auto prefill = [&](kv::KvCache& cache) {
+        prompt_chunk(cfg, w, prefix, iota_positions(40), cache);
+        cache.compact(keep);
+      };
+      kv::KvCache chunk_cache(pool);
+      kv::KvCache row_cache(pool);
+      prefill(chunk_cache);
+      prefill(row_cache);
+      const Tensor x = random_rows(n, cfg.d_model, 82 + n);
+      const auto positions = iota_positions(n, 40);
+      const AttentionResult chunk =
+          prompt_chunk(cfg, w, x, positions, chunk_cache);
+      const std::size_t key_len = chunk.key_len;
+      constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+      for (std::size_t i = 0; i < n; ++i) {
+        Tensor xi({1, cfg.d_model});
+        std::ranges::copy(x.row(i), xi.row(0).begin());
+        const AttentionResult row =
+            prompt_chunk(cfg, w, xi, {&positions[i], 1}, row_cache);
+        const std::size_t vis = row.key_len;
+        ASSERT_EQ(vis, key_len - n + i + 1);
+        EXPECT_TRUE(
+            std::ranges::equal(chunk.context.row(i), row.context.row(0)))
+            << "context row " << i;
+        for (std::size_t h = 0; h < cfg.n_heads; ++h) {
+          const float* cl = chunk.logits.data() + (h * n + i) * key_len;
+          const float* cp = chunk.probs.data() + (h * n + i) * key_len;
+          const float* rl = row.logits.data() + h * vis;
+          const float* rp = row.probs.data() + h * vis;
+          for (std::size_t k = 0; k < key_len; ++k) {
+            EXPECT_EQ(cl[k], k < vis ? rl[k] : kNegInf)
+                << "head " << h << " row " << i << " logit " << k;
+            EXPECT_EQ(cp[k], k < vis ? rp[k] : 0.0F)
+                << "head " << h << " row " << i << " prob " << k;
+          }
+        }
+      }
+      ASSERT_EQ(row_cache.size(), chunk_cache.size());
+      for (std::size_t s = 0; s < chunk_cache.size(); ++s) {
+        for (std::size_t h = 0; h < cfg.n_heads; ++h) {
+          EXPECT_TRUE(std::ranges::equal(chunk_cache.key_head(s, h),
+                                         row_cache.key_head(s, h)))
+              << "key slot " << s;
+          EXPECT_TRUE(std::ranges::equal(chunk_cache.value_head(s, h),
+                                         row_cache.value_head(s, h)))
+              << "value slot " << s;
+        }
+      }
     }
   }
 }

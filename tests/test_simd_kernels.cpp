@@ -572,6 +572,133 @@ TEST_P(SimdParity, DecodeAttendMatchesScalarAtServedHeadWidths) {
   }
 }
 
+TEST_P(SimdParity, AttendRowsMatchOneRowCalls) {
+  // attend_rows takes up to four consecutive query rows of one head, row r
+  // seeing key_len + r keys; each row's logits, probabilities and context
+  // must equal that row's own decode_attend call bit for bit, under every
+  // ISA. Groups of key rows cross the 7- and 3-row segments, and the last
+  // row's view ends mid-segment whenever its key count is not a multiple
+  // of the segment rows. Entries past a row's keys stay untouched.
+  const cpu::DecodeAttendFn one = cpu::decode_attend_stub.get(GetParam());
+  const cpu::AttendRowsFn rows_fn = cpu::attend_rows_stub.get(GetParam());
+  constexpr float kUntouched = 12345.0F;
+  Rng rng(47);
+  for (const std::size_t dh : {8, 16, 24, 32, 40, 64}) {
+    for (const std::size_t key_len : {1, 7, 15, 16, 17, 31, 33, 100, 257}) {
+      for (const std::size_t seg_rows : {16, 7, 3}) {
+        for (std::size_t n_rows = 1; n_rows <= cpu::kAttendRows; ++n_rows) {
+          for (int c = 0; c < 4; ++c) {
+            const bool with_bias = (c & 1) != 0;
+            const bool with_override = (c & 2) != 0;
+            SCOPED_TRACE("dh=" + std::to_string(dh) +
+                         " key_len=" + std::to_string(key_len) +
+                         " seg_rows=" + std::to_string(seg_rows) +
+                         " n_rows=" + std::to_string(n_rows) +
+                         " bias=" + std::to_string(with_bias) +
+                         " keys_override=" + std::to_string(with_override));
+            const std::size_t total = key_len + n_rows - 1;
+            // Whole segments of seg_rows rows, each in its own buffer; the
+            // views cover [0, total), so the last may stop short of its
+            // segment's end.
+            std::vector<std::vector<float>> keys, values;
+            std::vector<cpu::KvSegmentView> segs;
+            for (std::size_t first = 0; first < total; first += seg_rows) {
+              keys.push_back(random_vec(rng, seg_rows * dh));
+              values.push_back(random_vec(rng, seg_rows * dh));
+              segs.push_back({keys.back().data(), values.back().data(),
+                              first, std::min(seg_rows, total - first)});
+            }
+            const std::size_t stride = total + 5;
+            const std::size_t ctx_stride = dh + 3;
+            const auto q = random_vec(rng, n_rows * dh);
+            const auto bias = random_vec(rng, n_rows * stride);
+            const auto rotated = random_vec(rng, total * dh);
+            const float scale = 1.0F / std::sqrt(static_cast<float>(dh));
+            std::vector<float> l(n_rows * stride, kUntouched);
+            std::vector<float> p(n_rows * stride, kUntouched);
+            std::vector<float> x(n_rows * ctx_stride, kUntouched);
+            rows_fn(segs.data(), segs.size(), q.data(), dh, scale,
+                    with_bias ? bias.data() : nullptr,
+                    with_override ? rotated.data() : nullptr, l.data(),
+                    p.data(), stride, x.data(), ctx_stride, key_len, n_rows);
+            for (std::size_t r = 0; r < n_rows; ++r) {
+              const std::size_t vis = key_len + r;
+              std::vector<cpu::KvSegmentView> view;
+              for (const cpu::KvSegmentView& seg : segs) {
+                if (seg.first >= vis) break;
+                view.push_back(seg);
+                view.back().count = std::min(seg.count, vis - seg.first);
+              }
+              std::vector<float> l_ref(vis), p_ref(vis), x_ref(dh);
+              one(view.data(), view.size(), q.data() + r * dh, dh, scale,
+                  with_bias ? bias.data() + r * stride : nullptr,
+                  with_override ? rotated.data() : nullptr, l_ref.data(),
+                  p_ref.data(), x_ref.data(), vis);
+              for (std::size_t i = 0; i < stride; ++i) {
+                const float* lr = l.data() + r * stride;
+                const float* pr = p.data() + r * stride;
+                EXPECT_EQ(lr[i], i < vis ? l_ref[i] : kUntouched)
+                    << "row " << r << " logit " << i;
+                EXPECT_EQ(pr[i], i < vis ? p_ref[i] : kUntouched)
+                    << "row " << r << " prob " << i;
+              }
+              for (std::size_t j = 0; j < ctx_stride; ++j) {
+                EXPECT_EQ(x[r * ctx_stride + j], j < dh ? x_ref[j] : kUntouched)
+                    << "row " << r << " context " << j;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_P(SimdParity, AttendLogitsEqualOneKeyDots) {
+  // The fused attend reduces the dots of each group of kLanes keys
+  // together; every logit must still have the bits of its key's own dot,
+  // which a one-key call computes alone, through segment streams and
+  // keys_override alike, at head widths with and without a scalar tail.
+  // Scale 1 and no bias leave the logits as the raw dots.
+  const cpu::DecodeAttendFn attend = cpu::decode_attend_stub.get(GetParam());
+  Rng rng(53);
+  for (const std::size_t dh : {1, 4, 8, 12, 16, 20, 24, 32, 40, 64, 72}) {
+    for (const std::size_t key_len : {5, 16, 23, 48, 130}) {
+      for (const std::size_t seg_rows : {key_len, std::size_t{7}}) {
+        for (const bool with_override : {false, true}) {
+          SCOPED_TRACE("dh=" + std::to_string(dh) +
+                       " key_len=" + std::to_string(key_len) +
+                       " seg_rows=" + std::to_string(seg_rows) +
+                       " keys_override=" + std::to_string(with_override));
+          const auto k = random_vec(rng, key_len * dh);
+          const auto v = random_vec(rng, key_len * dh);
+          const auto q = random_vec(rng, dh);
+          std::vector<cpu::KvSegmentView> segs;
+          for (std::size_t first = 0; first < key_len; first += seg_rows) {
+            segs.push_back({k.data() + first * dh, v.data() + first * dh,
+                            first, std::min(seg_rows, key_len - first)});
+          }
+          // keys_override holds the same key rows here, so both paths
+          // must reproduce the same dots.
+          std::vector<float> l(key_len), p(key_len), x(dh);
+          attend(segs.data(), segs.size(), q.data(), dh, 1.0F, nullptr,
+                 with_override ? k.data() : nullptr, l.data(), p.data(),
+                 x.data(), key_len);
+          for (std::size_t i = 0; i < key_len; ++i) {
+            const cpu::KvSegmentView one{k.data() + i * dh, v.data() + i * dh,
+                                         0, 1};
+            float dot = 0.0F;
+            float prob = 0.0F;
+            attend(&one, 1, q.data(), dh, 1.0F, nullptr, nullptr, &dot,
+                   &prob, x.data(), 1);
+            EXPECT_EQ(l[i], dot) << "key " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_P(SimdParity, TransformerEndToEndMatchesScalar) {
   // Full-stack parity: prefill + 4 decode steps with live eviction, over
   // every policy x positional family, run once under the scalar dispatch
