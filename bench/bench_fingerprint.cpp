@@ -27,6 +27,20 @@
 // --quick runs one family, the 37-token prompt, and only full attention
 // and Gumbel Keyformer.
 //
+// "engine <isa> <hash>" lines make one Engine::run per policy of the model
+// lines on gptj_like: 8 requests of 40-96 prompt tokens and 20 new tokens
+// (cache ratio 0.5, full attention 1.0) arrive two steps apart at a
+// 16-token-block pool of 256 tokens per layer, with preemption after 2
+// starved steps, so every request parks and resumes by replay, up to six
+// times and several tokens each. Each run hashes every response's tokens,
+// finish reason, preemptions, final cache sizes and eviction digest
+// (decisions, evicted and kept tokens, position buckets, score extremes
+// and sketch percentiles), then the run's steps, preemptions, replayed
+// tokens and peak pool blocks. It leaves out the digest's score_mean:
+// the telemetry sums evicted scores in decision order, and a replay takes
+// its layers' decisions in another order than decode steps do, so the
+// mean may move in its last bits while every decision stays the same.
+//
 // No hash is committed to compare against: libm and compiler differences
 // between hosts change the bits legitimately.
 
@@ -251,6 +265,10 @@ std::uint64_t hash_score_increments(cpu::CpuIsa isa) {
 }
 
 constexpr std::size_t kDecodeSteps = 24;
+// The engine line's workload: requests and the KV budget, in per-layer
+// tokens summed over the active set.
+constexpr std::size_t kEngineRequests = 8;
+constexpr std::size_t kEngineTokens = 256;
 
 /// One generation: prefill, then kDecodeSteps greedy steps, hashing every
 /// logit row and the caches the policy leaves behind.
@@ -297,20 +315,10 @@ std::vector<model::Token> seeded_prompt(std::size_t n, std::size_t vocab) {
   return prompt;
 }
 
-std::uint64_t hash_model(cpu::CpuIsa isa, bool quick) {
-  cpu::set_isa_override(isa);
-  std::vector<model::ModelConfig> families = {
-      model::ModelConfig::gptj_like(), model::ModelConfig::cerebras_like(),
-      model::ModelConfig::mpt_like()};
-  std::vector<std::size_t> prompt_lens = {37, 300};
-  if (quick) {
-    families.resize(1);
-    prompt_lens.resize(1);
-  }
-  // Full attention runs once per prompt and mode; every other policy at
-  // each cache ratio.
-  kv::PolicyConfig full;
-  full.kind = kv::PolicyKind::kFull;
+/// The evicting policies of the model and engine lines: H2O, and
+/// Keyformer with each logit adjustment in both score scopes; --quick
+/// keeps Gumbel Keyformer per layer only.
+std::vector<kv::PolicyConfig> evicting_policies(bool quick) {
   std::vector<kv::PolicyConfig> evicting;
   if (!quick) {
     kv::PolicyConfig h2o;
@@ -333,6 +341,24 @@ std::uint64_t hash_model(cpu::CpuIsa isa, bool quick) {
       evicting.push_back(keyformer);
     }
   }
+  return evicting;
+}
+
+std::uint64_t hash_model(cpu::CpuIsa isa, bool quick) {
+  cpu::set_isa_override(isa);
+  std::vector<model::ModelConfig> families = {
+      model::ModelConfig::gptj_like(), model::ModelConfig::cerebras_like(),
+      model::ModelConfig::mpt_like()};
+  std::vector<std::size_t> prompt_lens = {37, 300};
+  if (quick) {
+    families.resize(1);
+    prompt_lens.resize(1);
+  }
+  // Full attention runs once per prompt and mode; every other policy at
+  // each cache ratio.
+  kv::PolicyConfig full;
+  full.kind = kv::PolicyKind::kFull;
+  const std::vector<kv::PolicyConfig> evicting = evicting_policies(quick);
 
   Fnv h;
   if (!quick) {
@@ -364,6 +390,59 @@ std::uint64_t hash_model(cpu::CpuIsa isa, bool quick) {
         }
       }
     }
+  }
+  cpu::clear_isa_override();
+  return h.digest();
+}
+
+/// One pressured serving run per policy of the model lines (full
+/// attention first), through the public Engine API only.
+std::uint64_t hash_engine(cpu::CpuIsa isa, bool quick) {
+  cpu::set_isa_override(isa);
+  const model::ModelConfig family = model::ModelConfig::gptj_like();
+  const model::Transformer model(family);
+  std::vector<kv::PolicyConfig> policies(1);
+  policies[0].kind = kv::PolicyKind::kFull;
+  for (const kv::PolicyConfig& pc : evicting_policies(quick)) {
+    policies.push_back(pc);
+  }
+  Fnv h;
+  for (const kv::PolicyConfig& pc : policies) {
+    const bool full = pc.kind == kv::PolicyKind::kFull;
+    std::vector<serve::Request> requests(kEngineRequests);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      requests[i].id = i;
+      requests[i].prompt = seeded_prompt(40 + 8 * i, family.vocab_size);
+      requests[i].gen.max_new_tokens = 20;
+      requests[i].gen.cache_ratio = full ? 1.0 : 0.5;
+      requests[i].arrival_step = 2 * i;
+    }
+    serve::EngineConfig ec;
+    ec.policy = pc;
+    ec.paged.block_tokens = 16;
+    ec.scheduler.max_concurrent_tokens = kEngineTokens;
+    ec.preempt.queue_pressure_steps = 2;
+    ec.preempt.min_victim_age_steps = 3;
+    serve::Engine engine(model, ec);
+    for (const serve::Response& r : engine.run(requests)) {
+      h.add(r.tokens);
+      h.add(r.final_cache_sizes);
+      const kv::EvictionSummary& e = r.eviction;
+      h.add(e.position_counts);
+      const std::uint64_t counts[] = {static_cast<std::uint64_t>(r.finish),
+                                      r.preemptions,    e.decisions,
+                                      e.tokens_evicted, e.tokens_kept};
+      h.add(counts);
+      const double scores[] = {e.score_min, e.score_max, e.score_p10,
+                               e.score_p50, e.score_p90};
+      h.add(scores);
+    }
+    const serve::EngineStats st = engine.stats();
+    const std::uint64_t stats[] = {st.steps, st.preemptions,
+                                   st.resume_replayed_tokens,
+                                   st.pool_peak_used_blocks,
+                                   st.max_blocks_in_use};
+    h.add(stats);
   }
   cpu::clear_isa_override();
   return h.digest();
@@ -402,6 +481,11 @@ int main(int argc, char** argv) {
     if (!cpu::isa_available(isa)) continue;
     print_line(std::string("model ") + cpu::isa_name(isa),
                hash_model(isa, quick));
+  }
+  for (const cpu::CpuIsa isa : isas) {
+    if (!cpu::isa_available(isa)) continue;
+    print_line(std::string("engine ") + cpu::isa_name(isa),
+               hash_engine(isa, quick));
   }
   return 0;
 }

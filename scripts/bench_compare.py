@@ -5,6 +5,7 @@ or check one ledger's claimed gain against the pair rule.
     python3 scripts/bench_compare.py A.json B.json
     python3 scripts/bench_compare.py LEDGER.json:parent LEDGER.json:change
     python3 scripts/bench_compare.py LEDGER.json --claim METRIC WORKLOAD
+    python3 scripts/bench_compare.py LEDGER.json --claim
 
 A ledger file (BENCH_<n>.json at the repository root) records one change's
 servebench result: alternating parent/change runs per workload, each run's
@@ -35,8 +36,10 @@ least 10 pairs; the change better than its parent in at least 9 of every
 than the parent's by more than the parent's interquartile range, the
 quartiles interpolated linearly between the sorted runs, as the ledgers
 record them. It prints the workload's held-out pair when the ledger has
-one. The exit status is 0 when the rule holds, 1 when it does not, 2 on a
-usage error.
+one. Without METRIC and WORKLOAD it checks the ledger's own claim, the
+object {"metric": ..., "workload": ...} under its "claim" key; a ledger
+without one is a usage error. The exit status is 0 when the rule holds, 1
+when it does not, 2 on a usage error.
 
 The script reads the files named and BENCHMARK.json; it runs nothing.
 """
@@ -146,15 +149,22 @@ def claim(bench, path, metric_name, workload):
 def main(argv):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    if len(argv) == 5 and argv[2] == "--claim":
+    if len(argv) in (3, 5) and argv[2] == "--claim":
         try:
-            return claim(bench, argv[1], argv[3], argv[4])
+            if len(argv) == 5:
+                return claim(bench, argv[1], argv[3], argv[4])
+            with open(argv[1]) as f:
+                own = json.load(f).get("claim")
+            if own is None:
+                print(f"error: {argv[1]} carries no claim", file=sys.stderr)
+                return 2
+            return claim(bench, argv[1], own["metric"], own["workload"])
         except (OSError, KeyError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     if len(argv) != 3:
         print("usage: bench_compare.py A.json[:SIDE] B.json[:SIDE]\n"
-              "       bench_compare.py LEDGER.json --claim METRIC WORKLOAD",
+              "       bench_compare.py LEDGER.json --claim [METRIC WORKLOAD]",
               file=sys.stderr)
         return 2
     try:

@@ -17,7 +17,12 @@
 // Recompute-based resume replays a preempted sequence's decode steps, so
 // its evictions are recorded again — the counters report decisions
 // *executed* (like EngineStats::resume_replayed_tokens), not unique
-// tokens dropped.
+// tokens dropped. A replay of several tokens decides layer by layer (all
+// its rows in layer 0, then in layer 1, ...), so the same decisions reach
+// the sink in another order than the original steps sent them: every
+// count, position bucket, score extreme and sketch percentile is the
+// same, but score_mean, a sum of doubles in decision order, may move in
+// its last bits.
 #pragma once
 
 #include <array>

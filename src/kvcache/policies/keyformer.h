@@ -46,6 +46,10 @@ class KeyformerPolicy final : public EvictionPolicy {
   bool scores_heads_in_order() const override {
     return config_.scope == ScoreScope::kShared;
   }
+  /// Shared scope ranks every layer by one table all layers add into.
+  bool layers_independent() const override {
+    return config_.scope == ScoreScope::kPerLayer;
+  }
   /// Damps, draws zeta for the appended rows and sets tau for the step.
   void begin_attend(const PolicyContext& ctx) override;
   /// Adds softmax((x + zeta) / tau) over the row to the head's scores.

@@ -13,6 +13,8 @@ class RandomEvictPolicy final : public EvictionPolicy {
   explicit RandomEvictPolicy(std::uint64_t seed = 42) : seed_(seed) {}
 
   std::string name() const override { return "random"; }
+  /// One RNG stream serves every layer, drawn in (token, layer) order.
+  bool layers_independent() const override { return false; }
 
   void begin_sequence(const SequenceInfo& info) override;
   void observe(const PolicyContext& ctx) override;

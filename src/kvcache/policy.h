@@ -15,8 +15,13 @@
 //      block overwrites. The policy adds the row into its accumulated
 //      scores. No [heads x rows x keys] tensor exists unless an
 //      instrumentation observer asks for one.
-//   3. After the layer's attend, `observe` selects a keep-set and, if the
-//      cache exceeds its budget k, compacts it to exactly k tokens.
+//   3. Once those rows are attended, `observe` selects a keep-set and, if
+//      the cache exceeds its budget k, compacts it to exactly k tokens.
+//      A prompt chunk runs 1-3 once over all its rows, so it evicts once;
+//      a sequence's n decode rows run 1-3 once per row, at steps t .. t +
+//      n - 1, so each row sees the cache n one-token calls would give it.
+//      Several decode rows of one sequence go layer by layer (all rows of
+//      layer 0, then of layer 1) only when layers_independent().
 //   4. Budgets are static for the whole generation: k tokens total,
 //      w = recent window, k - w key tokens (Section 3.4).
 #pragma once
@@ -45,9 +50,10 @@ struct CacheBudget {
 CacheBudget make_budget(std::size_t prompt_len, double cache_ratio,
                         double recent_ratio = 0.3);
 
-/// One sequence's side of one layer's attention call, as begin_attend and
-/// observe see it. The cache holds the call's appended rows: in
-/// begin_attend before any row is attended, in observe after every row is.
+/// One sequence's side of one round of a layer's attention call (a prompt
+/// chunk, or one decode row), as begin_attend and observe see it. The
+/// cache holds the round's appended rows: in begin_attend before any row
+/// is attended, in observe after every row is.
 struct PolicyContext {
   std::size_t layer = 0;
   std::size_t decode_step = 0;  ///< t in Algorithm 1 (0 in a prompt chunk)
@@ -87,8 +93,16 @@ class EvictionPolicy {
   /// Otherwise the attend may score different heads on different workers.
   virtual bool scores_heads_in_order() const { return false; }
 
-  /// Once per attention call, after its rows are appended to ctx.cache and
-  /// before any is attended. Default: nothing.
+  /// True when a layer's keep decision reads nothing that another layer's
+  /// calls write, so one sequence's decode rows may run layer by layer
+  /// (Transformer::decode over several tokens). False when layers share
+  /// state whose order matters: then every decode row runs through all
+  /// layers before the next row starts.
+  virtual bool layers_independent() const { return true; }
+
+  /// Once per round (a prompt chunk, or one decode row), after its rows
+  /// are appended to ctx.cache and before any is attended. Default:
+  /// nothing.
   virtual void begin_attend(const PolicyContext& /*ctx*/) {}
 
   /// Scores one attended (head, query row) of `cache`: `logits` and
@@ -100,11 +114,12 @@ class EvictionPolicy {
                            std::span<const float> /*logits*/,
                            std::span<const float> /*probs*/) {}
 
-  /// After the layer's attend: may select a keep-set and compact
-  /// ctx.cache. Keyformer and H2O trace it as `policy.evict` (keep-set
-  /// selection + compaction, only when over budget) inside the caller's
-  /// observe span; their begin_attend and observe_row trace as
-  /// `policy.score` inside the attend span.
+  /// After the round's rows are attended: may select a keep-set and
+  /// compact ctx.cache. The attend traces each call as `policy.observe`
+  /// (`prompt.observe` for a prompt chunk) inside its attend span;
+  /// Keyformer and H2O trace `policy.evict` (keep-set selection +
+  /// compaction, only when over budget) inside it, and their begin_attend
+  /// and observe_row as `policy.score`.
   virtual void observe(const PolicyContext& ctx) = 0;
 
   /// Installs an eviction-introspection sink (nullptr disables): every

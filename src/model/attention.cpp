@@ -40,21 +40,17 @@ void append_projected_row(const ModelConfig& cfg, const RopeTable& rope,
   cache.append(k_row, v_row, position);
 }
 
-/// An AttentionResult for n_q query rows over key_len cached keys. With
-/// Internals::kKeep it holds the logit and probability tensors, every
-/// entry masked (-inf and 0) until the attend writes the rows' prefixes.
-AttentionResult make_result(const ModelConfig& cfg, std::size_t n_q,
-                            std::size_t key_len, Internals internals) {
-  AttentionResult r;
-  r.n_q = n_q;
-  r.key_len = key_len;
-  r.context = Tensor({n_q, cfg.d_model});
-  if (internals == Internals::kKeep) {
-    r.logits = Tensor({cfg.n_heads, n_q, key_len});
-    r.logits.fill(kNegInf);
-    r.probs = Tensor({cfg.n_heads, n_q, key_len});
-  }
-  return r;
+/// Sizes `r`'s logit and probability tensors for n_q query rows over the
+/// cache's keys, every entry masked (-inf and 0) until the attend writes
+/// the rows' prefixes, and copies the keys' positions.
+void keep_internals(const ModelConfig& cfg, std::size_t n_q,
+                    const kv::KvCache& cache, AttentionResult& r) {
+  const std::size_t key_len = cache.size();
+  r.logits = Tensor({cfg.n_heads, n_q, key_len});
+  r.logits.fill(kNegInf);
+  r.probs = Tensor({cfg.n_heads, n_q, key_len});
+  const auto positions = cache.original_positions();
+  r.key_positions.assign(positions.begin(), positions.end());
 }
 
 /// RoPE + kNew cannot pre-rotate stored keys (their effective positions
@@ -91,20 +87,20 @@ std::vector<float> rotated_keys(const ModelConfig& cfg, const RopeTable& rope,
 }
 
 /// The one attend, for prompt and decode rows alike: every query row of
-/// one sequence's chunk against that sequence's cache, for heads [h0, h1).
-/// The chunk's n_q = q_positions.size() tokens are the cache's newest
+/// one sequence's round against that sequence's cache, for heads [h0, h1).
+/// The round's n_q = q_positions.size() tokens are the cache's newest
 /// entries (already appended; cached positions ascend), so row qi sees
 /// exactly the prefix [0, key_len - n_q + qi + 1). Each head's rows go in
 /// blocks of cpu::kAttendRows, then a remainder of one to three: the
 /// block's queries are rotated into scratch rows, its segment views
 /// clipped to the last row's prefix, and one dispatched attend_rows call
 /// attends the block, writing each row's logits and probabilities into
-/// `out`'s tensors when it keeps them and into this thread's scratch
+/// `kept`'s tensors when it is not null and into this thread's scratch
 /// otherwise. After the call `policy` (may be null) scores the block's
 /// rows from there, in ascending order, before the next block overwrites
 /// the scratch. Each row keeps the one-row arithmetic and a decode step is
-/// the one-row chunk, so a prompt row's bits equal that token decoded
-/// alone. `q` holds the chunk's un-rotated projected queries (row qi at
+/// the one-row round, so a prompt row's bits equal that token decoded
+/// alone. `q` holds the round's un-rotated projected queries (row qi at
 /// q + qi * d_model); `rotated` is rotated_keys' scratch for this cache;
 /// `ctx` receives each row's merged head contexts (d_model floats per row)
 /// before W_o.
@@ -112,17 +108,18 @@ void attend_heads(const ModelConfig& cfg, const RopeTable& rope,
                   const float* q, std::span<const std::size_t> q_positions,
                   kv::KvCache& cache, std::span<const float> rotated,
                   kv::EvictionPolicy* policy, std::size_t h0, std::size_t h1,
-                  AttentionResult& out, float* ctx) {
+                  AttentionResult* kept, float* ctx) {
   const std::size_t h_count = cfg.n_heads;
   const std::size_t d = cfg.d_model;
   const std::size_t dh = cfg.d_head();
   const std::size_t n_q = q_positions.size();
   const std::size_t key_len = cache.size();
   const std::size_t n_segs = cache.segment_count();
-  assert(out.n_q == n_q && out.key_len == key_len && key_len >= n_q);
+  assert(key_len >= n_q);
+  assert(kept == nullptr || kept->logits.size() == h_count * n_q * key_len);
   assert(rotated.empty() || rotated.size() == h_count * key_len * dh);
   const std::size_t first_q = key_len - n_q;  // cache index of row 0
-  const bool keep = out.logits.size() > 0;
+  const bool keep = kept != nullptr;
 
   const bool use_rope = cfg.positional == PositionalKind::kRoPE;
   const bool use_alibi = cfg.positional == PositionalKind::kALiBi;
@@ -189,9 +186,9 @@ void attend_heads(const ModelConfig& cfg, const RopeTable& rope,
       visible[n_vis - 1].count = vis - visible[n_vis - 1].first;
 
       const std::size_t row = (h * n_q + q0) * key_len;
-      float* lrow = keep ? out.logits.data() + row : scratch.data();
+      float* lrow = keep ? kept->logits.data() + row : scratch.data();
       float* prow =
-          keep ? out.probs.data() + row : scratch.data() + kRows * key_len;
+          keep ? kept->probs.data() + row : scratch.data() + kRows * key_len;
       float* ctx_row = ctx + q0 * d + h * dh;
       const float* bias_ptr = use_alibi ? bias.data() : nullptr;
       attend_rows(visible.data(), n_vis, q_rows.data(), dh, inv_sqrt_dh,
@@ -242,46 +239,61 @@ std::vector<AttentionResult> self_attention(const ModelConfig& cfg,
   Tensor merged({n, d});
   {
     KF_TRACE_SCOPE(prompt ? "prompt.attend" : "attn.attend", "model");
-    // Append + attend per run, in parallel across runs: each run touches
-    // only its own cache, policy, result and rows (callers guarantee
-    // distinct caches and policies). A lone run, such as a prompt chunk,
-    // stays on the caller and splits its heads across the pool instead,
-    // so each head's rows reach the policy in order and each hook writes
+    // Rounds per run, in parallel across runs: each run touches only its
+    // own cache, policy, result and rows (callers guarantee distinct
+    // caches and policies). A lone run, such as a prompt chunk, stays on
+    // the caller and splits a round's heads across the pool instead, so
+    // each head's rows reach the policy in order and each hook writes
     // only its own head's scores; inside a worker the head split runs
-    // inline, so a decode step enters the pool once. A one-row run attends
-    // every head on one worker: split four ways, a lone decode row took
-    // 42 us against 18 inline (BM_AttentionDecodeStep<avx512>/256/1, 4
-    // threads on a 4-vCPU VM).
+    // inline, so a decode step enters the pool once. A one-row round
+    // attends every head on one worker: split four ways, a lone decode
+    // row took 42 us against 18 inline (BM_AttentionDecodeStep<avx512>/
+    // 256/1, 4 threads on a 4-vCPU VM).
     ThreadPool::global().parallel_for(
         runs.size(),
         [&](std::size_t r0, std::size_t r1) {
           for (std::size_t r = r0; r < r1; ++r) {
             const AttentionRun& run = runs[r];
-            const std::size_t row0 = first_row[r];
-            for (std::size_t i = 0; i < run.positions.size(); ++i) {
-              append_projected_row(cfg, rope, k.row(row0 + i),
-                                   v.row(row0 + i), run.positions[i],
-                                   *run.cache);
+            const std::size_t n_rows = run.positions.size();
+            const std::size_t round = run.decode_step == 0 ? n_rows : 1;
+            assert(round == n_rows || internals == Internals::kDrop);
+            for (std::size_t i = 0; i < n_rows; i += round) {
+              const std::size_t row0 = first_row[r] + i;
+              const auto positions = run.positions.subspan(i, round);
+              for (std::size_t j = 0; j < round; ++j) {
+                append_projected_row(cfg, rope, k.row(row0 + j),
+                                     v.row(row0 + j), positions[j],
+                                     *run.cache);
+              }
+              results[r].key_len = run.cache->size();
+              AttentionResult* kept = nullptr;
+              if (internals == Internals::kKeep) {
+                keep_internals(cfg, round, *run.cache, results[r]);
+                kept = &results[r];
+              }
+              const kv::PolicyContext ctx{
+                  run.layer, run.decode_step == 0 ? 0 : run.decode_step + i,
+                  run.cache};
+              if (run.policy != nullptr) run.policy->begin_attend(ctx);
+              const std::vector<float> rotated =
+                  rotated_keys(cfg, rope, *run.cache);
+              const bool one_worker =
+                  round == 1 || (run.policy != nullptr &&
+                                 run.policy->scores_heads_in_order());
+              ThreadPool::global().parallel_for(
+                  cfg.n_heads,
+                  [&](std::size_t h0, std::size_t h1) {
+                    attend_heads(cfg, rope, q.row(row0).data(), positions,
+                                 *run.cache, rotated, run.policy, h0, h1,
+                                 kept, merged.row(row0).data());
+                  },
+                  /*grain=*/one_worker ? cfg.n_heads : 1);
+              if (run.policy != nullptr) {
+                KF_TRACE_SCOPE(prompt ? "prompt.observe" : "policy.observe",
+                               "model");
+                run.policy->observe(ctx);
+              }
             }
-            results[r] = make_result(cfg, run.positions.size(),
-                                     run.cache->size(), internals);
-            if (run.policy != nullptr) {
-              run.policy->begin_attend(
-                  {run.layer, run.decode_step, run.cache});
-            }
-            const std::vector<float> rotated =
-                rotated_keys(cfg, rope, *run.cache);
-            const bool one_worker =
-                run.positions.size() == 1 ||
-                (run.policy != nullptr && run.policy->scores_heads_in_order());
-            ThreadPool::global().parallel_for(
-                cfg.n_heads,
-                [&](std::size_t h0, std::size_t h1) {
-                  attend_heads(cfg, rope, q.row(row0).data(), run.positions,
-                               *run.cache, rotated, run.policy, h0, h1,
-                               results[r], merged.row(row0).data());
-                },
-                /*grain=*/one_worker ? cfg.n_heads : 1);
           }
         },
         /*grain=*/1);
@@ -293,8 +305,11 @@ std::vector<AttentionResult> self_attention(const ModelConfig& cfg,
   Tensor projected({n, d});
   matmul(merged.span(), w.wo.span(), projected.span(), n, d, d);
   for (std::size_t r = 0; r < runs.size(); ++r) {
+    AttentionResult& res = results[r];
+    res.n_q = runs[r].positions.size();
+    res.context = Tensor({res.n_q, d});
     const float* src = projected.row(first_row[r]).data();
-    std::copy(src, src + results[r].context.size(), results[r].context.data());
+    std::copy(src, src + res.context.size(), res.context.data());
   }
   return results;
 }

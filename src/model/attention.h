@@ -33,10 +33,15 @@
 // One call for prompt and decode rows, no knobs. A call takes the rows
 // of one or more sequences, each sequence's rows a consecutive *run* of
 // `x` (a prompt chunk is one run of n rows; a decode step is B runs of one
-// row each). Q/K/V are one GEMM per weight over every row of the call;
-// each run's K/V rows are appended to its own cache; every query row then
-// attends the cache prefix its position makes visible (cached positions
-// ascend, so causality is a prefix) through the dispatched fused attend:
+// row each; a resumed sequence's replay is one run of n decode rows).
+// Q/K/V are one GEMM per weight over every row of the call. Each run then
+// goes in rounds: a prompt chunk is one round over all its rows, a decode
+// run one round per row. A round appends its K/V rows to the run's cache,
+// lets the run's policy begin its attend, attends the rows and lets the
+// policy evict, so a decode run of n rows leaves the cache n one-row runs
+// would. Every query row attends the cache prefix its position makes
+// visible (cached positions ascend, so causality is a prefix) through the
+// dispatched fused attend:
 // per-head dots streaming the cache's contiguous head-major key segments
 // (one per cache block) clipped to that prefix, then one pass doing
 // softmax + weighted-value accumulation. A run's rows attend four at a
@@ -71,8 +76,12 @@ struct AttentionResult {
   /// [n_heads, n_q, key_len] with Internals::kKeep, masked entries 0;
   /// empty otherwise.
   Tensor probs;
+  /// With Internals::kKeep, the original positions of the key_len keys
+  /// the rows attended, copied before the run's policy evicted; empty
+  /// otherwise.
+  std::vector<std::size_t> key_positions;
   std::size_t n_q = 0;
-  std::size_t key_len = 0;
+  std::size_t key_len = 0;  ///< keys the run's last round attended
 };
 
 /// One sequence's rows in an attention call: its tokens' original
@@ -81,11 +90,15 @@ struct AttentionResult {
 struct AttentionRun {
   std::span<const std::size_t> positions;
   kv::KvCache* cache = nullptr;
-  /// Gets begin_attend once the run's rows are appended, then observe_row
-  /// for each attended (head, row); null attends without scoring.
+  /// Per round, gets begin_attend once the round's rows are appended,
+  /// observe_row for each attended (head, row), then observe; null
+  /// attends without scoring or evicting.
   kv::EvictionPolicy* policy = nullptr;
-  std::size_t layer = 0;        ///< the policy's PolicyContext::layer
-  std::size_t decode_step = 0;  ///< its PolicyContext::decode_step
+  std::size_t layer = 0;  ///< the policy's PolicyContext::layer
+  /// 0 for a prompt chunk, one round over all rows. Otherwise the rows
+  /// are decode rows, one round each: row i runs as decode step
+  /// decode_step + i (PolicyContext::decode_step).
+  std::size_t decode_step = 0;
 };
 
 /// Whether self_attention also returns the logit and probability tensors.
@@ -97,19 +110,21 @@ enum class Internals { kDrop, kKeep };
 enum class Phase { kPrompt, kDecode };
 
 /// Multi-head causal self-attention over every row of `x` ([rows, d_model],
-/// the runs' rows back to back). Appends each run's new K/V rows to its
-/// cache, then attends each row against its causal prefix of that cache.
+/// the runs' rows back to back). Per round of each run (AttentionRun),
+/// appends the round's K/V rows to the run's cache, attends each row
+/// against its causal prefix of that cache and lets the policy evict.
 /// `rope` is the model's table (ModelWeights::rope); only RoPE reads it.
 /// Runs must name distinct caches and distinct (or null) policies.
 /// Returns one result per run, in run order, with the logit and
-/// probability tensors only under Internals::kKeep. Runs append and attend
-/// in parallel on the thread pool; a lone run of several rows (a prompt
-/// chunk) splits its heads across the pool instead, so each head's rows
-/// reach the policy in ascending order. A one-row run, or one whose policy
+/// probability tensors only under Internals::kKeep, which takes runs of
+/// one round (a prompt chunk or one decode row). Runs attend in parallel
+/// on the thread pool; a lone prompt chunk of several rows splits its
+/// heads across the pool instead, so each head's rows reach the policy in
+/// ascending order. A one-row round, or one whose policy
 /// scores_heads_in_order(), attends all heads in order on one worker.
 /// Traced as `prompt.project`/`attn.project` (Q/K/V, then W_o) and
-/// `prompt.attend`/`attn.attend` (append, attend and the policies'
-/// scoring hooks).
+/// `prompt.attend`/`attn.attend` (append, attend, and the policies'
+/// scoring hooks and `prompt.observe`/`policy.observe` evictions).
 std::vector<AttentionResult> self_attention(const ModelConfig& cfg,
                                             const LayerWeights& w,
                                             const RopeTable& rope,

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <unordered_set>
 
-#include "core/threadpool.h"
 #include "model/layer.h"
 #include "obs/trace.h"
 
@@ -82,8 +81,34 @@ Tensor Transformer::prefill(kv::SequenceKvState& state,
 std::vector<float> Transformer::decode(kv::SequenceKvState& state, Token token,
                                        std::size_t position, std::size_t t,
                                        kv::EvictionPolicy& policy) const {
-  const DecodeSlot slot{token, position, t, &state, &policy};
-  const Tensor logits = step_batch({&slot, 1});
+  return decode(state, {&token, 1}, position, t, policy);
+}
+
+std::vector<float> Transformer::decode(kv::SequenceKvState& state,
+                                       std::span<const Token> tokens,
+                                       std::size_t position, std::size_t t,
+                                       kv::EvictionPolicy& policy) const {
+  if (tokens.empty()) {
+    throw std::invalid_argument("decode requires at least one token");
+  }
+  if (!state.matches(cfg_.n_layers, cfg_.n_heads, cfg_.d_head())) {
+    throw std::invalid_argument(
+        "sequence state geometry does not match the model");
+  }
+  std::vector<std::size_t> positions(tokens.size());
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    positions[i] = position + i;
+  }
+  // One forward call per token when layer-by-layer order would change the
+  // policy's decisions, or an observer expects one row per observation.
+  const std::size_t rows =
+      observer_ || !policy.layers_independent() ? 1 : tokens.size();
+  Tensor logits;
+  for (std::size_t i = 0; i < tokens.size(); i += rows) {
+    const RowRun run{tokens.subspan(i, rows), {&positions[i], rows}, t + i,
+                     &state, &policy};
+    logits = forward({&run, 1}, Phase::kDecode);
+  }
   const auto row = logits.row(0);
   return std::vector<float>(row.begin(), row.end());
 }
@@ -148,35 +173,19 @@ Tensor Transformer::forward(std::span<const RowRun> runs, Phase phase) const {
     const std::vector<AttentionResult> results =
         decoder_attention(cfg_, w, weights_.rope, x, aruns, phase, internals);
 
-    // Observer fires before policies may compact (key_positions must match
-    // the cache the attention actually ran against).
+    // The attend has already let each run's policy evict; the kept results
+    // carry the key positions the rows ran against.
     if (observer_) {
       for (std::size_t r = 0; r < runs.size(); ++r) {
         AttentionObservation obs;
         obs.layer = layer;
         obs.attn = &results[r];
-        obs.key_positions = aruns[r].cache->original_positions();
+        obs.key_positions = results[r].key_positions;
         obs.is_prompt = prompt;
         obs.decode_step = runs[r].decode_step;
         obs.batch_slot = r;
         observer_(obs);
       }
-    }
-
-    // Per-run eviction (the attend already scored every row), parallel
-    // across runs: each run's policy touches only its own cache and its
-    // own score state.
-    {
-      KF_TRACE_SCOPE(prompt ? "prompt.observe" : "policy.observe", "model");
-      ThreadPool::global().parallel_for(
-          runs.size(),
-          [&](std::size_t r0, std::size_t r1) {
-            for (std::size_t r = r0; r < r1; ++r) {
-              runs[r].policy->observe(
-                  {layer, runs[r].decode_step, aruns[r].cache});
-            }
-          },
-          /*grain=*/1);
     }
 
     KF_TRACE_SCOPE(prompt ? "prompt.mlp" : "mlp", "model");

@@ -9,34 +9,39 @@
 //             letting the policy reduce it to budget k;
 //   decode  — one autoregressive step against the reduced cache (appends
 //             1 token, the policy evicts 1 to keep k); step_batch runs one
-//             for each of N sequences.
+//             for each of N sequences, and decode over N tokens runs N
+//             steps of one sequence (a resumed sequence's replay).
 //
 // Each layer's attend hands the sequence's EvictionPolicy every attended
-// (head, row) as it produces it (observe_row, see kvcache/policy.h); after
-// the layer's attend the policy may compact that layer's cache (observe).
+// (head, row) as it produces it (observe_row, see kvcache/policy.h), and
+// the policy may then compact that layer's cache (observe): once after a
+// prompt chunk's rows, after each decode row.
 // The planned length T of Algorithm 1 is given once, to the policy's
 // begin_sequence, not to these calls.
-// One forward pass serves both phases. prefill and step_batch validate
-// their inputs and hand a private layer loop a list of row runs (a prompt
-// chunk is one run of n rows, a decode step N >= 1 runs of one row each)
-// and the phase. Per layer the loop runs one attention call and one MLP
-// over every row, and between them each run's policy evicts from its own
-// cache.
+// One forward pass serves both phases. prefill, decode and step_batch
+// validate their inputs and hand a private layer loop a list of row runs
+// (a prompt chunk is one run of n rows, a decode step N >= 1 runs of one
+// row each, a multi-token decode one run of N decode rows) and the phase.
+// Per layer the loop runs one attention call, in which each run's policy
+// evicts from its own cache, and one MLP over every row.
 // The final LayerNorm and the LM head then run once per run, on its last
 // row: every caller reads only the logits predicting the next token. No
 // row's arithmetic depends on the other rows or on the phase, so a
-// sequence's logits are bit-identical whatever else shares its batch, and
-// a prompt chunk's logits equal its last token decoded alone.
+// sequence's logits are bit-identical whatever else shares its batch, a
+// prompt chunk's logits equal its last token decoded alone, and N tokens
+// decoded in one call equal N one-token calls.
 //
 // Tracing (obs/trace.h): the phase only names the spans. A step_batch
-// call is one `step_batch` span; per layer it holds `attn.project` (twice:
+// call is one `step_batch` span, and so is a decode call (or each of its
+// per-token forward calls); per layer it holds `attn.project` (twice:
 // Q/K/V, then W_o), `attn.attend` (with the policies' `policy.score`
-// spans inside), `policy.observe` (eviction) and `mlp`, then one
-// `lm_head`. A prompt chunk is one `prefill_chunk` span with the same
-// phases named `prompt.project`, `prompt.attend`, `prompt.observe`,
-// `prompt.mlp` and `prompt.lm_head`, so decode shares never count prompt
-// work. Embedding and the attention block's LayerNorm and residual add
-// are the enclosing span's self time.
+// spans and one `policy.observe` eviction span per decode row inside)
+// and `mlp`, then one `lm_head`. A prompt chunk is
+// one `prefill_chunk` span with the same phases named `prompt.project`,
+// `prompt.attend` (holding one `prompt.observe`), `prompt.mlp` and
+// `prompt.lm_head`, so decode shares never count prompt work. Embedding
+// and the attention block's LayerNorm and residual add are the enclosing
+// span's self time.
 #pragma once
 
 #include <cstdint>
@@ -57,12 +62,14 @@ using Token = std::int32_t;
 
 /// Attention internals delivered to an instrumentation observer (sparsity
 /// stats, heat maps), with the logit and probability tensors, which an
-/// installed observer makes every attention call keep. Valid only during
-/// the callback.
+/// installed observer makes every attention call keep. Delivered after the
+/// run's policy evicted. Valid only during the callback.
 struct AttentionObservation {
   std::size_t layer = 0;
   const AttentionResult* attn = nullptr;
-  std::span<const std::size_t> key_positions;  ///< original positions
+  /// Original positions of the keys the rows attended (the cache before
+  /// the eviction).
+  std::span<const std::size_t> key_positions;
   bool is_prompt = false;
   std::size_t decode_step = 0;
   /// Batch slot during step_batch (one observation per slot per layer);
@@ -126,6 +133,19 @@ class Transformer {
                             std::size_t position, std::size_t t,
                             kv::EvictionPolicy& policy) const;
 
+  /// N >= 1 decode steps of one sequence in one call: feeds tokens[i] at
+  /// position + i as decode step t + i. Returns the last row's LM logits,
+  /// and leaves logits, every layer's cache and the policy's state
+  /// bit-identical to N one-token decode calls. Per layer, Q/K/V, W_o and
+  /// the MLP run as GEMMs over all N rows, and each row is appended,
+  /// attended and evicted after in turn. A policy whose layers share
+  /// state (!layers_independent()), or an installed observer, gets one
+  /// forward call per token instead.
+  std::vector<float> decode(kv::SequenceKvState& state,
+                            std::span<const Token> tokens,
+                            std::size_t position, std::size_t t,
+                            kv::EvictionPolicy& policy) const;
+
   /// One decode step for each of N >= 1 independent sequences sharing
   /// these weights: per layer, one attention call over every slot's row,
   /// each against its own cache and scored by its own policy, then each
@@ -136,20 +156,21 @@ class Transformer {
 
  private:
   /// One sequence's consecutive rows in a forward pass: a prompt chunk,
-  /// or one decode slot's row.
+  /// or one sequence's decode rows.
   struct RowRun {
     std::span<const Token> tokens;
     std::span<const std::size_t> positions;  ///< original, one per token
-    std::size_t decode_step = 0;             ///< t; 0 in a prompt chunk
+    /// The first row's t; 0 in a prompt chunk (AttentionRun::decode_step).
+    std::size_t decode_step = 0;
     kv::SequenceKvState* state = nullptr;
     kv::EvictionPolicy* policy = nullptr;
   };
 
-  /// The layer loop behind prefill and step_batch: embeds every run's
-  /// tokens, then per layer runs decoder_attention over all rows (each
-  /// run's policy scoring its rows), each run's policy's observe over its
-  /// own cache, and decoder_mlp. Returns LM logits, one row per run (of
-  /// its last token), runs in order.
+  /// The layer loop behind prefill, decode and step_batch: embeds every
+  /// run's tokens, then per layer runs decoder_attention over all rows
+  /// (each run's policy scoring its rows and evicting from its own cache)
+  /// and decoder_mlp. Returns LM logits, one row per run (of its last
+  /// token), runs in order.
   Tensor forward(std::span<const RowRun> runs, Phase phase) const;
   /// Embeds one token at `position` into `dst` (d_model floats). Throws
   /// std::out_of_range for a token outside the vocabulary, or a learned

@@ -426,7 +426,7 @@ class Engine::Run {
   // the index for the requests behind this one. One prefill then runs over
   // the rest of the prompt. Re-admission of a preempted sequence
   // (seq.tokens non-empty) prefills the prompt the same way, then replays
-  // the parked tokens through single-sequence decode steps — exact
+  // the parked tokens in one multi-token decode call — exact
   // recomputation of the evicted state.
   void start_sequence(Sequence& seq) {
     // Re-admission after a preemption: the prompt re-prefills exactly like
@@ -489,18 +489,19 @@ class Engine::Run {
 
     if (resume) {
       KF_TRACE_SCOPE("resume_replay");
-      // Replay the committed tokens through the ordinary decode path:
-      // tokens[0] came from the prompt logits (already committed), each
-      // later tokens[i] from feeding tokens[i-1] at decode step i. The
-      // logits are recomputed and discarded — only the KV/score state the
-      // eviction policy built alongside them matters, and this stepwise
-      // replay reproduces it exactly (a prompt-phase prefill over the same
-      // tokens would evict once at the end instead of once per step).
-      for (std::size_t i = 1; i < seq.tokens.size(); ++i) {
-        model_.decode(*seq.kv, seq.tokens[i - 1], seq.prompt.size() + i - 1,
-                      i, *seq.policy);
+      // Replay the committed tokens as decode steps: tokens[0] came from
+      // the prompt logits (already committed), each later tokens[i] from
+      // feeding tokens[i-1] at decode step i. One decode call feeds them
+      // all and its logits are discarded: only the KV/score state the
+      // eviction policy built alongside them matters, and the call evicts
+      // after each row, as the steps did (a prompt-phase prefill over the
+      // same tokens would evict once at the end instead).
+      const std::span<const Token> replay(seq.tokens.data(),
+                                          seq.tokens.size() - 1);
+      if (!replay.empty()) {
+        model_.decode(*seq.kv, replay, seq.prompt.size(), 1, *seq.policy);
       }
-      replayed_.add(seq.tokens.size() - 1);
+      replayed_.add(replay.size());
       seq.peak_cache_tokens =
           std::max(seq.peak_cache_tokens, seq.kv->max_layer_tokens());
     } else if (seq.gen.max_new_tokens == 0) {

@@ -84,9 +84,11 @@ struct PrefixCacheConfig {
 /// pressure leaves the queue head starved, the engine parks a victim —
 /// youngest arrival first — releasing its blocks/budget while keeping its
 /// generated tokens; re-admission re-prefills the prompt and replays the
-/// parked tokens step by step, which is token-exact (the decode path is
-/// bit-exact regardless of batch composition, and policies are
-/// deterministic given the sequence seed). The age floor and per-sequence
+/// parked tokens in one multi-token decode call, which evicts after each
+/// row as the original steps did. That is token-exact: the call equals
+/// one-token decode steps bit for bit, the decode path is bit-exact
+/// regardless of batch composition, and policies are deterministic given
+/// the sequence seed. The age floor and per-sequence
 /// cap bound the recompute overhead and guarantee forward progress: each
 /// preemption cycle a victim pays for has committed at least
 /// min_victim_age_steps new tokens, at most max_per_sequence times.

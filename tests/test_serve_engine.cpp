@@ -519,9 +519,26 @@ TEST(Engine, AggregateStatsAreConsistent) {
 TEST(EngineRobustness, PreemptResumeIsTokenExactAcrossPolicies) {
   // Admission pressure parks a decoding victim and later resumes it by
   // recompute; its token stream must be identical to an unpressured solo
-  // run — for more than one eviction policy, since resume replays the
-  // policy's trims step by step.
-  for (const auto kind : {kv::PolicyKind::kKeyformer, kv::PolicyKind::kH2O}) {
+  // run, for every eviction policy: resume replays the policy's trims row
+  // by row, layer by layer, or token by token for the policies whose
+  // layers share state (Random's one RNG stream, Keyformer's shared
+  // scope, which needs the prefix cache off).
+  std::vector<kv::PolicyConfig> policies;
+  for (const auto kind :
+       {kv::PolicyKind::kFull, kv::PolicyKind::kWindow,
+        kv::PolicyKind::kDilatedWindow, kv::PolicyKind::kRandom,
+        kv::PolicyKind::kKeyAttention, kv::PolicyKind::kH2O,
+        kv::PolicyKind::kStreamingLLM, kv::PolicyKind::kKeyformer}) {
+    kv::PolicyConfig pc;
+    pc.kind = kind;
+    policies.push_back(pc);
+  }
+  policies.push_back(policies.back());
+  policies.back().keyformer.scope = kv::ScoreScope::kShared;
+  for (const kv::PolicyConfig& pc : policies) {
+    SCOPED_TRACE(kv::to_string(pc.kind) +
+                 (pc.keyformer.scope == kv::ScoreScope::kShared ? " shared"
+                                                                : ""));
     Transformer model(tiny_config());
     std::vector<Request> requests(2);
     requests[0].prompt = make_prompt(32, 0);
@@ -533,10 +550,11 @@ TEST(EngineRobustness, PreemptResumeIsTokenExactAcrossPolicies) {
     requests[1].arrival_step = 4;  // starved behind request 0
 
     EngineConfig ec;
-    ec.policy.kind = kind;
+    ec.policy = pc;
     ec.paged.block_tokens = 8;
-    // Room for one 32-token prompt (8 blocks) but not two.
-    ec.paged.capacity_blocks = 10;
+    // Room for one 32-token prompt (8 blocks) but not two. Full attention
+    // reserves its whole growth: 12 blocks for request 0, 10 for request 1.
+    ec.paged.capacity_blocks = pc.kind == kv::PolicyKind::kFull ? 16 : 10;
     ec.preempt.queue_pressure_steps = 2;
     ec.preempt.min_victim_age_steps = 2;
     Engine engine(model, ec);
@@ -557,8 +575,7 @@ TEST(EngineRobustness, PreemptResumeIsTokenExactAcrossPolicies) {
       alone.arrival_step = 0;
       const auto solo_resp = solo.run({&alone, 1});
       EXPECT_EQ(solo_resp[0].preemptions, 0u);
-      EXPECT_EQ(mixed[i].tokens, solo_resp[0].tokens)
-          << "req " << i << " policy " << static_cast<int>(kind);
+      EXPECT_EQ(mixed[i].tokens, solo_resp[0].tokens) << "req " << i;
     }
   }
 }

@@ -155,7 +155,8 @@ TEST(ServeTimeline, TraceSpansCoverARun) {
   // 0 until the engine parks request 0, which resumes by replay once
   // request 1 is done. Decode spans fire in engine steps and in replays,
   // prompt spans in first prefills and in the resume. Request 1 runs full
-  // attention, so it scores but never evicts.
+  // attention, so it scores but never evicts. Every park resumes, at
+  // least two steps old, so every resume replays tokens.
   ModelConfig cfg = tiny_config();
   Transformer m(cfg);
   std::vector<Request> requests = make_requests(2, 32, 16);
@@ -186,12 +187,20 @@ TEST(ServeTimeline, TraceSpansCoverARun) {
   const std::size_t layers = cfg.n_layers;
   const std::size_t steps = count("step_batch");
   const std::size_t chunks = count("prefill_chunk");
-  EXPECT_EQ(steps, stats.steps + stats.resume_replayed_tokens);
+  const std::size_t resumes = count("resume_replay");
+  // One forward call per engine step, and one per resume: the resume
+  // replays its committed tokens as decode rows of one call.
+  EXPECT_EQ(resumes, stats.preemptions);
+  EXPECT_EQ(steps, stats.steps + resumes);
   EXPECT_EQ(count("attn.project"), 2 * layers * steps);
   EXPECT_EQ(count("attn.attend"), layers * steps);
-  EXPECT_EQ(count("policy.observe"), layers * steps);
   EXPECT_EQ(count("mlp"), layers * steps);
   EXPECT_EQ(count("lm_head"), steps);
+  // The attend lets the policy evict after each decode row, and once
+  // after each prompt chunk.
+  const std::size_t decode_rows =
+      stats.decoded_tokens + stats.resume_replayed_tokens;
+  EXPECT_EQ(count("policy.observe"), layers * decode_rows);
   EXPECT_GT(chunks, 0u);
   EXPECT_EQ(count("prompt.project"), 2 * layers * chunks);
   EXPECT_EQ(count("prompt.attend"), layers * chunks);
@@ -201,8 +210,6 @@ TEST(ServeTimeline, TraceSpansCoverARun) {
   // Per layer, one score span as each chunk and decode row begins its
   // attend and one per attended (head, row); one evict per executed
   // eviction decision, which request 1 never makes.
-  const std::size_t decode_rows =
-      stats.decoded_tokens + stats.resume_replayed_tokens;
   const std::size_t scores = count("policy.score");
   EXPECT_EQ(scores,
             layers * (chunks + decode_rows) +

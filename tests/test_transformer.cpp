@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "kvcache/policies/full.h"
 #include "kvcache/policies/streaming_llm.h"
 #include "kvcache/policies/window.h"
+#include "kvcache/policy_factory.h"
 
 namespace kf::model {
 namespace {
@@ -236,8 +240,140 @@ TEST(Transformer, EveryEntryPointRejectsMismatchedHeadSplit) {
   EXPECT_THROW(m.prefill(state, prompt, 0, policy), std::invalid_argument);
   EXPECT_THROW(m.prefill(state, prompt, 4, policy), std::invalid_argument);
   EXPECT_THROW(m.decode(state, 1, 0, 1, policy), std::invalid_argument);
+  EXPECT_THROW(m.decode(state, std::span<const Token>(prompt), 0, 1, policy),
+               std::invalid_argument);
   const DecodeSlot slot{1, 0, 1, &state, &policy};
   EXPECT_THROW(m.step_batch({&slot, 1}), std::invalid_argument);
+}
+
+TEST(Transformer, MultiTokenDecodeRejectsNoTokens) {
+  Transformer m(tiny_config());
+  kv::SequenceKvState state = m.make_kv_state();
+  kv::FullAttentionPolicy policy;
+  m.prefill(state, make_prompt(4), 0, policy);
+  EXPECT_THROW(m.decode(state, std::span<const Token>{}, 4, 1, policy),
+               std::invalid_argument);
+  EXPECT_EQ(state.layer_size(0), 4u);
+}
+
+template <typename T>
+std::vector<std::remove_const_t<T>> to_vector(std::span<T> values) {
+  return {values.begin(), values.end()};
+}
+
+/// One observation as a comparable record: layer, step and the key
+/// positions the rows attended.
+struct Seen {
+  std::size_t layer;
+  std::size_t decode_step;
+  std::vector<std::size_t> keys;
+  bool operator==(const Seen&) const = default;
+};
+
+TEST(Transformer, MultiTokenDecodeEqualsOneTokenCalls) {
+  // A resumed sequence replays its committed tokens in one decode call:
+  // per layer, GEMMs over every row, each row appended, attended and
+  // evicted after in turn; one forward call per token instead for a
+  // policy whose layers share state (Random, Keyformer's shared scope) or
+  // under an observer. Either way the call must leave the last logits,
+  // every layer's K/V rows, kept positions, per-head scores and noise
+  // rows, and the policy's shared table, exactly as N one-token calls.
+  constexpr std::size_t kPrompt = 16;
+  constexpr std::size_t kSteps = 9;
+  std::vector<kv::PolicyConfig> policies;
+  for (const auto kind :
+       {kv::PolicyKind::kFull, kv::PolicyKind::kWindow,
+        kv::PolicyKind::kDilatedWindow, kv::PolicyKind::kRandom,
+        kv::PolicyKind::kKeyAttention, kv::PolicyKind::kH2O,
+        kv::PolicyKind::kStreamingLLM, kv::PolicyKind::kKeyformer}) {
+    kv::PolicyConfig pc;
+    pc.kind = kind;
+    policies.push_back(pc);
+  }
+  policies.push_back(policies.back());
+  policies.back().keyformer.scope = kv::ScoreScope::kShared;
+  std::vector<Token> tokens(kSteps);
+  for (std::size_t i = 0; i < kSteps; ++i) {
+    tokens[i] = static_cast<Token>((i * 11 + 3) % 64);
+  }
+
+  for (const auto family : {PositionalKind::kRoPE, PositionalKind::kALiBi,
+                            PositionalKind::kLearned}) {
+    for (const auto mode : {PositionMode::kOriginal, PositionMode::kNew}) {
+      for (const kv::PolicyConfig& pc : policies) {
+        for (const bool observed : {false, true}) {
+          SCOPED_TRACE(to_string(family) + " " + to_string(mode) + " " +
+                       kv::to_string(pc.kind) +
+                       (pc.keyformer.scope == kv::ScoreScope::kShared
+                            ? " shared"
+                            : "") +
+                       (observed ? " observed" : ""));
+          Transformer m(tiny_config(family));
+          m.set_position_mode(mode);
+          std::vector<Seen> seen;
+          if (observed) {
+            m.set_observer([&](const AttentionObservation& obs) {
+              if (obs.is_prompt) return;
+              seen.push_back({obs.layer, obs.decode_step,
+                              {obs.key_positions.begin(),
+                               obs.key_positions.end()}});
+            });
+          }
+          const auto start = [&](kv::SequenceKvState& state,
+                                 kv::EvictionPolicy& policy) {
+            policy.set_budget(kv::make_budget(kPrompt, 0.5));
+            policy.begin_sequence({kPrompt, kSteps});
+            m.prefill(state, make_prompt(kPrompt), 0, policy);
+          };
+          kv::SequenceKvState stepped = m.make_kv_state();
+          const auto p_stepped = kv::make_policy(pc);
+          start(stepped, *p_stepped);
+          std::vector<float> last;
+          for (std::size_t i = 0; i < kSteps; ++i) {
+            last = m.decode(stepped, tokens[i], kPrompt + i, 1 + i,
+                            *p_stepped);
+          }
+          const std::vector<Seen> seen_stepped = std::move(seen);
+          seen.clear();
+
+          kv::SequenceKvState replayed = m.make_kv_state();
+          const auto p_replayed = kv::make_policy(pc);
+          start(replayed, *p_replayed);
+          EXPECT_EQ(m.decode(replayed, std::span<const Token>(tokens),
+                             kPrompt, 1, *p_replayed),
+                    last);
+          EXPECT_EQ(seen, seen_stepped);
+          EXPECT_EQ(seen.size(), observed ? kSteps * 2 : 0u);
+
+          for (std::size_t l = 0; l < 2; ++l) {
+            const kv::KvCache& a = stepped.layer(l);
+            const kv::KvCache& b = replayed.layer(l);
+            ASSERT_EQ(a.size(), b.size()) << "layer " << l;
+            EXPECT_EQ(to_vector(a.original_positions()),
+                      to_vector(b.original_positions()))
+                << "layer " << l;
+            for (std::size_t i = 0; i < a.size(); ++i) {
+              EXPECT_EQ(a.key_row(i), b.key_row(i)) << "layer " << l;
+              EXPECT_EQ(a.value_row(i), b.value_row(i)) << "layer " << l;
+            }
+            for (std::size_t h = 0; h < a.n_heads(); ++h) {
+              EXPECT_EQ(to_vector(a.scores(h)), to_vector(b.scores(h)))
+                  << "layer " << l << " head " << h;
+              EXPECT_EQ(to_vector(a.noise(h)), to_vector(b.noise(h)))
+                  << "layer " << l << " head " << h;
+            }
+          }
+          if (const auto* k =
+                  dynamic_cast<const kv::KeyformerPolicy*>(p_stepped.get())) {
+            const auto& r =
+                dynamic_cast<const kv::KeyformerPolicy&>(*p_replayed);
+            EXPECT_EQ(to_vector(k->shared_scores()),
+                      to_vector(r.shared_scores()));
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Transformer, PositionModeSwitchAffectsDecodeAfterEviction) {
